@@ -3,8 +3,7 @@
 JSON in, CSV/JSON out. Exit codes: 0 success, 2 invariant violation,
 3 input error, 4 numerical failure. All randomness is drawn from
 named Philox substreams of --seed, so identical invocations produce
-byte-identical artifacts. NCMETRIC_THREADS caps the props suite's
-worker pool.
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -178,9 +177,7 @@ def cmd_distance(args) -> int:
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))
-    bound = dtilde_upper(
-        dom, a, c, refinement_budget=args.refine, perturb_evals=args.perturb
-    )
+    bound = dtilde_upper(dom, a, c, refinement_budget=args.refine)
     path = d_upper(dom, a, c, quad_points=args.quad_points)
     payload = {
         "dtilde_upper": {
@@ -207,6 +204,8 @@ def cmd_contract(args) -> int:
     dst = domain_from_json(_load_json(args.dst))
     rng = rng_stream(args.seed, "contract")
     levels = [int(s) for s in args.levels.split(",") if s]
+    if not levels:
+        raise ValueError("--levels needs at least one level")
     triples = []
     for i in range(args.samples):
         lvl = levels[i % len(levels)]
@@ -354,7 +353,6 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--refine", type=int, default=6)
-    p.add_argument("--perturb", type=int, default=120)
     p.add_argument("--quad-points", type=int, default=256)
     add_common(p)
     p.set_defaults(func=cmd_distance)

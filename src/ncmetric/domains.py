@@ -73,9 +73,6 @@ class ComposedHalfPlaneKernel:
     g: object
 
 
-KernelSpec = (HalfPlaneKernel, BallKernel, ComposedBallKernel, ComposedHalfPlaneKernel)
-
-
 @dataclass(frozen=True)
 class KernelDomain:
     kernel: object
@@ -113,9 +110,6 @@ class SpectralDisk:
 @dataclass(frozen=True)
 class NilpotentCone:
     pass
-
-
-DomainSpec = (KernelDomain, SpectralDisk, NilpotentCone)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ eps0 = lambda_min(Im b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .matcore import (
     NonHermitianInput,
     SingularMatrix,
     as_matrix,
-    herm_part,
     imag_part,
     inverse,
     is_hermitian,
@@ -276,9 +275,6 @@ class KrausAugment:
         object.__setattr__(self, "vs", tuple(as_matrix(v) for v in self.vs))
         if not self.vs:
             raise ValueError("KrausAugment needs at least one V")
-
-
-CpMapSpec = (ScalarPower, KrausAugment)
 
 
 def validate_rho(model, rho):

@@ -98,14 +98,15 @@ def operator_norm(a) -> float:
 def is_strictly_positive(a, margin: float = POS_MARGIN) -> bool:
     """True when the Hermitian input has lambda_min > margin * max(1, ||A||).
 
-    Raises NonHermitianInput for non-Hermitian input; symmetrize first
-    if roundoff is expected.
+    ||A|| is max(|lambda_min|, |lambda_max|), read off the eigenvalues
+    already computed. Raises NonHermitianInput for non-Hermitian input;
+    symmetrize first if roundoff is expected.
     """
     a = as_matrix(a)
     if not is_hermitian(a):
         raise NonHermitianInput("positivity is only defined for Hermitian matrices")
     w = np.linalg.eigvalsh(herm_part(a))
-    scale = max(1.0, operator_norm(a))
+    scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
     return bool(w[0] > margin * scale)
 
 

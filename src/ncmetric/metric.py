@@ -24,7 +24,6 @@ from .domains import (
     HalfPlaneKernel,
     KernelDomain,
     MEMBERSHIP_MARGIN,
-    PointOutsideDomain,
     contains,
     gram,
     kernel_diffs,
@@ -213,7 +212,7 @@ def delta_ray(
     return DeltaResult(0.5 * (lower + upper), "ray", (lower, upper), evals)
 
 
-def _closed_ball(a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> float:
+def _closed_ball(a: NcPoint, c: NcPoint, b: NcDirection) -> float:
     eye_a = np.eye(a.dim, dtype=np.complex128)
     eye_c = np.eye(c.dim, dtype=np.complex128)
     qa = herm_part(eye_a - a.mat @ a.mat.conj().T)
@@ -222,7 +221,7 @@ def _closed_ball(a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> float
     return operator_norm(sa @ b.mat @ sc)
 
 
-def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> float:
+def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection) -> float:
     sa = psd_inv_sqrt(imag_part(a.mat))
     sc = psd_inv_sqrt(imag_part(c.mat))
     return 0.5 * operator_norm(sa @ b.mat @ sc)
@@ -241,13 +240,13 @@ def delta_closed(
         dom = KernelDomain(BallKernel())
         require_inside(dom, a, margin, "a")
         require_inside(dom, c, margin, "c")
-        val = _closed_ball(a, c, b, margin)
+        val = _closed_ball(a, c, b)
         return DeltaResult(val, "closed_ball", (val, val), 0)
     if kind == "halfplane":
         dom = KernelDomain(HalfPlaneKernel())
         require_inside(dom, a, margin, "a")
         require_inside(dom, c, margin, "c")
-        val = _closed_halfplane(a, c, b, margin)
+        val = _closed_halfplane(a, c, b)
         return DeltaResult(val, "closed_halfplane", (val, val), 0)
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
@@ -280,7 +279,7 @@ def delta_kernel(
     return DeltaResult(val, "kernel", (val, val), 0)
 
 
-def _tilde_value(kernel, a: NcPoint, c: NcPoint, margin: float) -> float:
+def _tilde_value(kernel, a: NcPoint, c: NcPoint) -> float:
     qa = herm_part(gram(kernel, a))
     qc = herm_part(gram(kernel, c))
     cross = kernel_eval(kernel, a, c)
@@ -320,7 +319,7 @@ def delta_tilde(
         # the operand is exactly the identity; computing it would turn
         # eigenvalue roundoff into a sqrt(eps) noise floor
         return DeltaResult(0.0, method, (0.0, 0.0), 0)
-    val = _tilde_value(kernel, a, c, margin)
+    val = _tilde_value(kernel, a, c)
     return DeltaResult(val, method, (val, val), 0)
 
 
@@ -353,29 +352,21 @@ def dtilde_upper(
     a: NcPoint,
     c: NcPoint,
     refinement_budget: int = 6,
-    perturb_evals: int = 120,
     margin: float = MEMBERSHIP_MARGIN,
 ) -> DtildeBound:
     """Upper bound on the division distance between a and c.
 
     Straight-line divisions with 0, 1, 2, 4, ..., 2^refinement_budget
     interior points are summed; stage values are recorded in that
-    order. A budgeted perturbation of the interior points of the best
-    division follows, accepting only strict improvements, so the
-    returned value never exceeds the best stage value. Blocked stages
-    (an interior point outside the domain) are skipped and reported in
-    diagnostics.
+    order. Every stage sum is itself an upper bound, so the result is
+    the smallest stage value together with that stage's division; a
+    larger refinement_budget tightens it. Blocked stages (an interior
+    point outside the domain) are skipped and reported in diagnostics.
     """
     if a.level != c.level or a.base_dim != c.base_dim:
         raise DimMismatch("endpoints must live at the same level and base")
     require_inside(domain, a, margin, "a")
     require_inside(domain, c, margin, "c")
-
-    def dt(x: NcPoint, y: NcPoint) -> float:
-        return delta_auto_tilde(domain, x, y, margin=margin).value
-
-    def chain_value(pts) -> float:
-        return sum(dt(x, y) for x, y in zip(pts, pts[1:]))
 
     diagnostics = []
     stage_values = []
@@ -391,7 +382,10 @@ def dtilde_upper(
                 f"stage with {m} interior points blocked at indices {blocked}"
             )
             continue
-        val = chain_value(pts)
+        val = sum(
+            delta_auto_tilde(domain, x, y, margin=margin).value
+            for x, y in zip(pts, pts[1:])
+        )
         stage_values.append(val)
         if val < best_val:
             best_val, best_pts = val, pts
@@ -401,37 +395,9 @@ def dtilde_upper(
             "every straight-line division leaves the domain; " + "; ".join(diagnostics)
         )
 
-    # Local improvement: deterministic pseudo-random perturbations of the
-    # interior points, acceptance only on strict decrease.
-    rng = np.random.Generator(np.random.Philox(987654321))
-    pts = list(best_pts)
-    val = best_val
-    scale = operator_norm(c.mat - a.mat) / max(2, len(pts))
-    used = 0
-    while used < perturb_evals and len(pts) > 2 and scale > 0:
-        improved = False
-        for i in range(1, len(pts) - 1):
-            if used >= perturb_evals:
-                break
-            g = rng.standard_normal(pts[i].mat.shape) + 1j * rng.standard_normal(
-                pts[i].mat.shape
-            )
-            g *= 0.25 * scale / max(1e-30, operator_norm(g))
-            trial = NcPoint(a.base_dim, a.level, pts[i].mat + g)
-            used += 1
-            if not contains(domain, trial, margin).inside:
-                continue
-            cand = pts[:i] + [trial] + pts[i + 1 :]
-            cand_val = chain_value(cand)
-            if cand_val < val:
-                pts, val = cand, cand_val
-                improved = True
-        if not improved:
-            scale *= 0.5
-            if scale < 1e-8 * max(1.0, operator_norm(c.mat - a.mat)):
-                break
-
-    return DtildeBound(val, Division(tuple(pts)), tuple(stage_values), tuple(diagnostics))
+    return DtildeBound(
+        best_val, Division(tuple(best_pts)), tuple(stage_values), tuple(diagnostics)
+    )
 
 
 def straight_path(a: NcPoint, c: NcPoint) -> Path:

@@ -115,9 +115,6 @@ class Composition:
             raise ValueError("composition needs at least one part")
 
 
-FunctionSpec = (Polynomial, MoebiusBall, CayleyLike, ScalarCalculus, Composition)
-
-
 def eval_mat(f, m: np.ndarray) -> np.ndarray:
     """Evaluate f at a plain square matrix."""
     m = as_matrix(m)

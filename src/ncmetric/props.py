@@ -3,8 +3,8 @@
 Each check draws its own samples from a named Philox substream of the
 run seed, computes a scalar "worst" defect, and passes when that
 defect is at most its tolerance. The suite is what `ncmetric props`
-runs; with a fixed seed the report is byte-identical across runs and
-thread counts, because the substreams are independent of scheduling.
+runs; with a fixed seed the report is byte-identical across runs,
+because each check's substreams depend only on the seed and its name.
 
 Count-valued checks (membership agreement and the like) report the
 number of offending samples as the defect.
@@ -13,8 +13,6 @@ number of offending samples as the defect.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,6 @@ from .domains import (
     ComposedBallKernel,
     ComposedHalfPlaneKernel,
     HalfPlaneKernel,
-    KernelDomain,
     NormBound,
     SpectralDisk,
     ball_domain,
@@ -99,10 +96,6 @@ class CheckResult:
 def _result(name: str, samples: int, worst: float, tol: float) -> CheckResult:
     worst = float(worst)
     return CheckResult(name, samples, worst, float(tol), bool(worst <= tol))
-
-
-def _rand_levels(rng) -> tuple[int, int]:
-    return int(rng.integers(1, 3)), int(rng.integers(1, 3))
 
 
 # ---------------------------------------------------------------- matcore
@@ -485,7 +478,7 @@ def check_ordering_chain(seed: int) -> CheckResult:
     for r in (0.3, 0.45):
         a = point(np.zeros((1, 1)))
         c = point(np.array([[r]]))
-        bound = dtilde_upper(dom, a, c, refinement_budget=4, perturb_evals=30)
+        bound = dtilde_upper(dom, a, c, refinement_budget=4)
         stages = [s for s in bound.stage_values if np.isfinite(s)]
         for earlier, later in zip(stages, stages[1:]):
             worst = max(worst, later - earlier - 1e-9)
@@ -808,23 +801,9 @@ CHECKS = (
 )
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("NCMETRIC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def run_suite(seed: int, threads: int | None = None) -> tuple[CheckResult, ...]:
-    """Run every check; result order follows the registry, not the
-    completion order, so reports are reproducible for any thread count."""
-    if threads is None:
-        threads = thread_count()
-    if threads <= 1:
-        return tuple(chk(seed) for chk in CHECKS)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(chk, seed) for chk in CHECKS]
-        return tuple(f.result() for f in futures)
+def run_suite(seed: int) -> tuple[CheckResult, ...]:
+    """Run every check in registry order."""
+    return tuple(chk(seed) for chk in CHECKS)
 
 
 def report_csv(results) -> str:

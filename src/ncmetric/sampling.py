@@ -2,8 +2,8 @@
 
 Every sampler draws from a counter-based Philox generator keyed by
 (seed, crc32(stream name)), so a given seed fully determines every
-sample regardless of execution order or thread count. That is what
-makes repeated `props --seed N` runs byte-identical.
+sample regardless of execution order. That is what makes repeated
+`props --seed N` runs byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import zlib
 import numpy as np
 
 from .domains import (
-    BallKernel,
     HalfPlaneKernel,
     KernelDomain,
     NilpotentCone,
@@ -46,11 +45,6 @@ def unitary_matrix(rng, n: int) -> np.ndarray:
     # Fix the phases so the distribution (and the matrix) is well defined.
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def invertible_matrix(rng, n: int, spread: float = 0.4) -> np.ndarray:
-    g = complex_matrix(rng, n, n)
-    return np.eye(n, dtype=np.complex128) + spread * g / max(1e-12, operator_norm(g))
 
 
 def ball_point(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> NcPoint:

@@ -237,7 +237,7 @@ def test_criterion_06_distance_ordering():
     worst_path = 0.0
     for r in (0.3, 0.5, 0.7):
         a, c = point([[0.0]]), point([[r]])
-        bound = dtilde_upper(ball_domain(), a, c, refinement_budget=6, perturb_evals=40)
+        bound = dtilde_upper(ball_domain(), a, c, refinement_budget=6)
         single = r / math.sqrt(1.0 - r * r)
         worst_single = max(worst_single, abs(bound.stage_values[0] - single))
         stages = bound.stage_values

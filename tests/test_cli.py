@@ -71,8 +71,6 @@ def test_distance_payload_values(ball_files, capsys):
             ball_files["c"],
             "--refine",
             "4",
-            "--perturb",
-            "20",
         ]
     )
     assert code == 0
@@ -106,6 +104,10 @@ def test_contract_exit_codes(tmp_path, ball_files, capsys):
     assert code == 2
     assert not bad_payload["ok"]
     assert bad_payload["violations"]
+    for levels in (",", ""):
+        code = main(base + ["--function", half, "--levels", levels])
+        assert code == 3
+        assert "at least one level" in capsys.readouterr().err
 
 
 def test_convolve_csv_deterministic(capsys):

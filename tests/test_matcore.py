@@ -65,6 +65,17 @@ def test_strict_positivity_examples():
     assert not is_strictly_positive(np.array([[1.0, 1.001], [1.001, 1.0]]), 0.0)
 
 
+def test_strict_positivity_margin_is_relative():
+    # default margin 1e-10 scaled by max(1, ||A||) = 100 puts the threshold at 1e-8
+    assert is_strictly_positive(np.diag([1.01e-8, 100.0]))
+    assert not is_strictly_positive(np.diag([0.99e-8, 100.0]))
+    # a negative margin admits lambda_min down to margin * ||A||
+    assert is_strictly_positive(np.diag([-0.05, 100.0]), -1e-3)
+    assert not is_strictly_positive(np.diag([-0.2, 100.0]), -1e-3)
+    # ||A|| = |lambda_min| when the negative end dominates
+    assert is_strictly_positive(np.diag([-3.0, 1.0]), -2.0)
+
+
 def test_operator_norm_examples():
     assert operator_norm(np.eye(4)) == pytest.approx(1.0)
     assert operator_norm(np.array([[0.0, 3.0], [0.0, 0.0]])) == pytest.approx(3.0)

@@ -178,12 +178,29 @@ def test_delta_positive_homogeneity():
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.7])
 def test_division_distance_ordering(r):
     a, c = point([[0.0]]), point([[r]])
-    bound = dtilde_upper(ball_domain(), a, c, refinement_budget=5, perturb_evals=40)
+    bound = dtilde_upper(ball_domain(), a, c, refinement_budget=5)
     single = r / math.sqrt(1.0 - r * r)
     assert bound.stage_values[0] == pytest.approx(single, abs=1e-9)
     target = math.atanh(r)
     assert bound.value <= bound.stage_values[0] + 1e-12
     assert target - 1e-9 <= bound.value <= target + 1e-3
+    # the bound is the best straight-line stage, returned with its division
+    assert bound.value == min(bound.stage_values)
+    m = [0, 1, 2, 4, 8, 16, 32][bound.stage_values.index(bound.value)]
+    pts = bound.division.points
+    assert len(pts) == m + 2
+    for k, p in enumerate(pts):
+        t = k / (m + 1)
+        np.testing.assert_allclose(p.mat, (1.0 - t) * a.mat + t * c.mat, atol=1e-15)
+
+
+def test_division_bound_at_coarse_refinement():
+    # stages with 0, 1, 2 interior points; the last is the best
+    bound = dtilde_upper(ball_domain(), point([[0.0]]), point([[0.6]]), refinement_budget=1)
+    assert bound.stage_values[-1] == pytest.approx(0.6996142096206097, rel=1e-12)
+    assert bound.value == bound.stage_values[-1]
+    got = [complex(p.mat[0, 0]) for p in bound.division.points]
+    np.testing.assert_allclose(got, [0.0, 0.2, 0.4, 0.6], atol=1e-15)
 
 
 def test_path_distance_straight_ball():
