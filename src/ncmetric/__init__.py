@@ -1,9 +1,9 @@
 """Numerical toolkit for noncommutative pseudometrics and free convolution.
 
 Infinitesimal metrics on matrix-level nc domains (ray search, closed
-forms, kernel formula), division and path distance bounds, contraction
-reports for nc functions, and the operator-valued subordination solver
-with spectral-density output.
+forms, kernel formula), a division distance bound and a path distance
+estimate, contraction reports for nc functions, and the operator-valued
+subordination solver with spectral-density output.
 """
 
 from .matcore import (

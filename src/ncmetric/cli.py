@@ -174,6 +174,8 @@ def cmd_delta(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    if args.quad_points < 1:
+        raise ValueError(f"--quad-points must be at least 1, got {args.quad_points}")
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))
@@ -347,7 +349,10 @@ def build_parser() -> _Parser:
     add_common(p)
     p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("distance", help="division and path distance upper bounds")
+    p = sub.add_parser(
+        "distance",
+        help="division distance upper bound and midpoint estimate of the path distance",
+    )
     p.add_argument("--domain", default=None)
     p.add_argument("--kernel", default=None)
     p.add_argument("--a", required=True)

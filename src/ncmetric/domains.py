@@ -15,6 +15,9 @@ KernelDomain(K) is the set where K(a,a)(I) is strictly positive.
 SpectralDisk and NilpotentCone are the two non-kernel domains used by
 the counterexample reproductions.
 
+Kernel evaluation, kernel_diffs and membership take stacked points
+(see ncpoint) and work per matrix of the stack.
+
 kernel_diffs assembles the three first-order kernel derivatives in a
 single evaluation: with X = [[a, b], [0, c]], Y = [[c*, b*], [0, a*]]
 and P arranged to put the identity in the lower-left block, the four
@@ -37,7 +40,7 @@ from .matcore import (
     operator_norm,
 )
 from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat, func_from_json, func_to_json
-from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint
+from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper
 
 # Default membership margin (relative, via is_strictly_positive).
 MEMBERSHIP_MARGIN = 1e-9
@@ -140,10 +143,10 @@ def _pair_eval(kernel, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarra
     if isinstance(kernel, HalfPlaneKernel):
         return (x @ p - p @ y) / 2.0j
     if isinstance(kernel, ComposedBallKernel):
-        return p - _apply_g(kernel.g, x) @ p @ _apply_g(kernel.g, y.conj().T).conj().T
+        return p - _apply_g(kernel.g, x) @ p @ _apply_g(kernel.g, y.conj().mT).conj().mT
     if isinstance(kernel, ComposedHalfPlaneKernel):
         gx = _apply_g(kernel.g, x)
-        gy = _apply_g(kernel.g, y.conj().T).conj().T
+        gy = _apply_g(kernel.g, y.conj().mT).conj().mT
         return (gx @ p - p @ gy) / 2.0j
     raise TypeError(f"not a kernel spec: {type(kernel).__name__}")
 
@@ -159,7 +162,7 @@ def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
     p = as_matrix(p)
     if p.shape != (a.dim, c.dim):
         raise DimMismatch(f"P has shape {p.shape}, expected {(a.dim, c.dim)}")
-    return _pair_eval(kernel, a.mat, c.mat.conj().T, p)
+    return _pair_eval(kernel, a.mat, c.mat.conj().mT, p)
 
 
 def gram(kernel, a: NcPoint, c: NcPoint | None = None) -> np.ndarray:
@@ -175,67 +178,75 @@ def kernel_diffs(kernel, a: NcPoint, c: NcPoint, b: NcDirection):
     D01 is the mixed second derivative. Shapes: D0 is a.dim x c.dim,
     D1 is c.dim x a.dim, D01 is a.dim x a.dim.
     """
-    if a.base_dim != c.base_dim or a.base_dim != b.base_dim:
-        raise BaseDimMismatch(
-            f"base dims {(a.base_dim, b.base_dim, c.base_dim)} disagree"
-        )
-    if b.row_level != a.level or b.col_level != c.level:
-        raise DimMismatch(
-            f"direction levels {(b.row_level, b.col_level)} do not join "
-            f"point levels {(a.level, c.level)}"
-        )
+    x = block_upper(a, b, c).mat
+    y = np.zeros(x.shape, dtype=np.complex128)
     na, mc = a.dim, c.dim
-    x = np.zeros((na + mc, na + mc), dtype=np.complex128)
-    x[:na, :na] = a.mat
-    x[:na, na:] = b.mat
-    x[na:, na:] = c.mat
-    y = np.zeros((mc + na, mc + na), dtype=np.complex128)
-    y[:mc, :mc] = c.mat.conj().T
-    y[:mc, mc:] = b.mat.conj().T
-    y[mc:, mc:] = a.mat.conj().T
+    y[..., :mc, :mc] = c.mat.conj().mT
+    y[..., :mc, mc:] = b.mat.conj().mT
+    y[..., mc:, mc:] = a.mat.conj().mT
     p = np.zeros((na + mc, mc + na), dtype=np.complex128)
     p[na:, :mc] = np.eye(mc)
     r = _pair_eval(kernel, x, y, p)
-    d0 = r[:na, :mc]
-    d01 = r[:na, mc:]
-    d1 = r[na:, mc:]
+    d0 = r[..., :na, :mc]
+    d01 = r[..., :na, mc:]
+    d1 = r[..., na:, mc:]
     return d0, d1, d01
 
 
-def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN) -> Membership:
-    """Strict membership with a positivity margin; never raises.
+def _inside(domain, a: NcPoint, margin: float):
+    """Membership of a point or of each matrix of a stack.
 
-    Numerical failure (a composing function blowing up, a singular
-    gram) yields Membership(False, diagnostic=...) rather than an
-    exception.
+    Raises EvaluationFailure when the test cannot be evaluated.
     """
     if isinstance(domain, KernelDomain):
-        try:
-            g = gram(domain.kernel, a)
-        except EvaluationFailure as exc:
-            return Membership(False, diagnostic=str(exc))
-        if not np.all(np.isfinite(g)):
-            return Membership(False, diagnostic="gram evaluation overflowed")
-        return Membership(bool(is_strictly_positive(herm_part(g), margin)))
+        g = gram(domain.kernel, a)
+        if not np.isfinite(g).all():
+            raise EvaluationFailure("gram evaluation overflowed")
+        return is_strictly_positive(herm_part(g), margin)
     if isinstance(domain, SpectralDisk):
         try:
             eigs = np.linalg.eigvals(a.mat)
         except np.linalg.LinAlgError as exc:
-            return Membership(False, diagnostic=f"eigenvalue failure: {exc}")
-        in_disk = bool(np.max(np.abs(eigs - domain.center)) < domain.radius - margin)
+            raise EvaluationFailure(f"eigenvalue failure: {exc}") from None
+        in_disk = np.max(np.abs(eigs - domain.center), axis=-1) < domain.radius - margin
         bound = domain.norm_bound.at_level(a.level)
-        return Membership(in_disk and operator_norm(a.mat) < bound - margin)
+        return in_disk & (operator_norm(a.mat) < bound - margin)
     if isinstance(domain, NilpotentCone):
         m = a.dim
         norm = operator_norm(a.mat)
         power = np.linalg.matrix_power(a.mat, m)
-        return Membership(bool(operator_norm(power) <= NILPOTENT_TOL * norm**m))
+        return operator_norm(power) <= NILPOTENT_TOL * norm**m
     raise TypeError(f"not a domain spec: {type(domain).__name__}")
+
+
+def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
+    """Strict membership with a positivity margin; never raises.
+
+    For a single point, numerical failure (a composing function
+    blowing up, a singular gram) yields Membership(False,
+    diagnostic=...) rather than an exception. For a stack of points
+    the result is one bool per matrix, and a matrix whose evaluation
+    fails is False.
+    """
+    try:
+        inside = _inside(domain, a, margin)
+    except EvaluationFailure as exc:
+        if a.mat.ndim == 2:
+            return Membership(False, diagnostic=str(exc))
+        # one failing matrix fails the whole stacked evaluation
+        rows = a.mat.reshape((-1,) + a.mat.shape[-2:])
+        inside = [contains(domain, NcPoint(a.base_dim, a.level, r), margin).inside for r in rows]
+        return np.array(inside, dtype=bool).reshape(a.mat.shape[:-2])
+    return Membership(bool(inside)) if a.mat.ndim == 2 else inside
 
 
 def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: str = "point"):
     mem = contains(domain, a, margin)
-    if not mem.inside:
+    if a.mat.ndim > 2:
+        if not mem.all():
+            row = int(np.flatnonzero(~mem)[0])
+            raise PointOutsideDomain(f"{name} row {row} is not strictly inside the domain")
+    elif not mem.inside:
         extra = f" ({mem.diagnostic})" if mem.diagnostic else ""
         raise PointOutsideDomain(f"{name} is not strictly inside the domain{extra}")
 

@@ -6,6 +6,11 @@ package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root with a verified
 reconstruction. JSON (de)serialization of matrices lives here too so
 the wire format has a single owner.
+
+The linear-algebra helpers also take stacks of matrices (..., n, n):
+each matrix gets the checks a single one gets, a check that fails on
+any matrix raises, and per-matrix answers come back as arrays over
+the leading axes.
 """
 
 from __future__ import annotations
@@ -50,97 +55,144 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_stack(a) -> np.ndarray:
+    """Coerce input to a complex128 ndarray of shape (..., n, m).
+
+    A 2-d input is one matrix, a higher-dimensional one a stack of
+    matrices over its leading axes; scalars become 1x1.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim == 0:
+        m = m.reshape(1, 1)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    return m
+
+
+def _fro2(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    flat = a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+    return np.vecdot(flat, flat).real
+
+
+def _one(x):
+    """A 0-d result as a Python scalar; a stack's result unchanged."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _all(x) -> bool:
+    # bool() is much cheaper than a reduction on the 0-d result of a 2-d call
+    return bool(x) if x.ndim == 0 else bool(x.all())
+
+
+def _hermitian_rows(a: np.ndarray, a_star: np.ndarray, tol: float) -> np.ndarray:
+    # ||A - A*||_F <= tol * max(1, ||A||_F), compared squared; ||A||_F
+    # is needed only where the asymmetry exceeds tol itself
+    asym2 = _fro2(a - a_star)
+    ok = asym2 <= tol * tol
+    if not _all(ok):
+        ok = ok | (asym2 <= tol * tol * _fro2(a))
+    return ok
+
+
+def _checked_herm_part(a: np.ndarray, what: str) -> np.ndarray:
+    """herm_part(a) once every matrix of a passes the Hermiticity check."""
+    if a.shape[-2] != a.shape[-1]:
+        raise NonHermitianInput(f"{what}; got shape {a.shape[-2:]}")
+    a_star = a.conj().mT
+    if not _all(_hermitian_rows(a, a_star, HERM_TOL)):
+        asym = float(np.sqrt(_fro2(a - a_star).max()))
+        raise NonHermitianInput(f"{what}; asymmetry {asym:.3e}")
+    return (a + a_star) / 2.0
+
+
 def herm_part(a: np.ndarray) -> np.ndarray:
-    """(A + A*)/2."""
-    return (a + a.conj().T) / 2.0
+    """(A + A*)/2, per matrix of a stack."""
+    return (a + a.conj().mT) / 2.0
 
 
 def imag_part(a: np.ndarray) -> np.ndarray:
-    """(A - A*)/(2i); Hermitian for any square A."""
-    return (a - a.conj().T) / 2.0j
+    """(A - A*)/(2i), per matrix of a stack; Hermitian for any square A."""
+    return (a - a.conj().mT) / 2.0j
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    scale = max(1.0, float(np.linalg.norm(a)))
-    return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
+def is_hermitian(a: np.ndarray, tol: float = HERM_TOL):
+    """||A - A*||_F <= tol * max(1, ||A||_F); one bool per matrix of a stack."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
+        return _one(np.zeros(a.shape[:-2], dtype=bool))
+    return _one(_hermitian_rows(a, a.conj().mT, tol))
 
 
 def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each in a stack.
 
     Returns (w, V) with w real ascending and the columns of V
     orthonormal eigenvectors, so V @ diag(w) @ V* reconstructs the
     input to within EIG_RECON_TOL * max(1, ||A||_F).
 
-    Raises NonHermitianInput if the input fails the Hermiticity check.
+    Raises NonHermitianInput if any matrix fails the Hermiticity check.
     """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise NonHermitianInput(
-            f"herm_eig needs a Hermitian matrix; asymmetry "
-            f"{np.linalg.norm(a - a.conj().T):.3e}"
-        )
-    w, v = np.linalg.eigh(herm_part(a))
-    return w, v
+    return np.linalg.eigh(_checked_herm_part(as_stack(a), "herm_eig needs a Hermitian matrix"))
 
 
-def operator_norm(a) -> float:
-    """Largest singular value."""
-    a = as_matrix(a)
+def operator_norm(a):
+    """Largest singular value; one per matrix of a stack."""
+    a = as_stack(a)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+        return _one(np.zeros(a.shape[:-2]))
+    return _one(np.linalg.svd(a, compute_uv=False)[..., 0])
 
 
-def is_strictly_positive(a, margin: float = POS_MARGIN) -> bool:
+def is_strictly_positive(a, margin: float = POS_MARGIN):
     """True when the Hermitian input has lambda_min > margin * max(1, ||A||).
 
     ||A|| is max(|lambda_min|, |lambda_max|), read off the eigenvalues
-    already computed. Raises NonHermitianInput for non-Hermitian input;
-    symmetrize first if roundoff is expected.
+    already computed. A stack gives one bool per matrix. Raises
+    NonHermitianInput if any matrix is not Hermitian; symmetrize first
+    if roundoff is expected.
     """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise NonHermitianInput("positivity is only defined for Hermitian matrices")
-    w = np.linalg.eigvalsh(herm_part(a))
-    scale = max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    return bool(w[0] > margin * scale)
+    h = _checked_herm_part(as_stack(a), "positivity is only defined for Hermitian matrices")
+    w = np.linalg.eigvalsh(h)
+    lo, hi = w[..., 0], w[..., -1]
+    # eigenvalues ascend, so max(|lo|, |hi|) = max(-lo, hi)
+    return _one(lo > margin * np.maximum(1.0, np.maximum(-lo, hi)))
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse with explicit singularity detection.
+    """Matrix inverse, per matrix of a stack, with explicit singularity detection.
 
-    Raises SingularMatrix when sigma_min <= SINGULAR_RATIO * sigma_max.
+    Raises SingularMatrix when sigma_min <= SINGULAR_RATIO * sigma_max
+    for any matrix.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"cannot invert a {a.shape[0]}x{a.shape[1]} matrix")
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= SINGULAR_RATIO * sv[0]:
+    singular = sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
+    if not _all(~singular):
+        top, bottom = sv[singular][0, [0, -1]]
         raise SingularMatrix(
             f"matrix is numerically singular (sigma_min/sigma_max = "
-            f"{0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.3e})"
+            f"{0.0 if top == 0.0 else bottom / top:.3e})"
         )
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=np.complex128))
+    return np.linalg.inv(a)
 
 
 def psd_inv_sqrt(a) -> np.ndarray:
     """Inverse square root S = A^(-1/2) of a positive definite matrix.
 
     S is Hermitian positive definite, commutes with A, and satisfies
-    ||S A S - I|| <= INV_SQRT_TOL.
+    ||S A S - I|| <= INV_SQRT_TOL. A stack is taken per matrix.
 
-    Raises NotPositiveDefinite when lambda_min <= 0 (after the
-    Hermiticity check, which raises NonHermitianInput).
+    Raises NotPositiveDefinite when lambda_min <= 0 for any matrix
+    (after the Hermiticity check, which raises NonHermitianInput).
     """
-    a = as_matrix(a)
     w, v = herm_eig(a)
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"lambda_min = {w[0]:.3e} <= 0")
-    s = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    low = w[..., 0]
+    if not _all(low > 0.0):
+        raise NotPositiveDefinite(f"lambda_min = {low.min():.3e} <= 0")
+    s = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().mT
     return herm_part(s)
 
 

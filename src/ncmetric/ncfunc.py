@@ -9,6 +9,9 @@ measures them anyway on supplied samples.
 delta_f extracts the difference-differential from one evaluation at
 an upper-triangular 2x2 block point: the (1,2) corner of
 f([[a, b], [0, c]]) is Delta f(a, c)(b).
+
+eval_mat, eval_point and delta_f take stacks of matrices over leading
+axes and evaluate each matrix of the stack.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .matcore import (
     NcmetricError,
     SingularMatrix,
-    as_matrix,
+    as_stack,
     complex_from_json,
     complex_to_json,
     inverse,
@@ -116,16 +119,21 @@ class Composition:
 
 
 def eval_mat(f, m: np.ndarray) -> np.ndarray:
-    """Evaluate f at a plain square matrix."""
-    m = as_matrix(m)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
+    """Evaluate f at a plain square matrix, or at each matrix of a stack.
+
+    Raises DomainViolation or SeriesNotConverged when any matrix of a
+    stack cannot be evaluated.
+    """
+    m = as_stack(m)
+    eye = np.eye(m.shape[-1], dtype=np.complex128)
     if isinstance(f, Polynomial):
         if not f.coeffs:
             return np.zeros_like(m)
         acc = f.coeffs[-1] * eye
         for c in reversed(f.coeffs[:-1]):
             acc = acc @ m + c * eye
-        return acc
+        # a constant polynomial never met m
+        return acc if acc.shape == m.shape else np.broadcast_to(acc, m.shape).copy()
     if isinstance(f, MoebiusBall):
         try:
             res = inverse(eye - np.conj(f.alpha) * m)
@@ -135,6 +143,10 @@ def eval_mat(f, m: np.ndarray) -> np.ndarray:
     if isinstance(f, CayleyLike):
         return f.beta * m + f.gamma * eye
     if isinstance(f, ScalarCalculus):
+        if m.ndim > 2:
+            # the truncation depends on each matrix's norm
+            rows = [eval_mat(f, row) for row in m.reshape((-1,) + m.shape[-2:])]
+            return np.array(rows, dtype=np.complex128).reshape(m.shape)
         r = operator_norm(m)
         if r >= f.radius:
             raise SeriesNotConverged(
@@ -172,7 +184,7 @@ def delta_f(f, a: NcPoint, c: NcPoint, b: NcDirection) -> NcDirection:
     Delta f(a, c)(a - c) = f(a) - f(c).
     """
     big = eval_mat(f, block_upper(a, b, c).mat)
-    corner = big[: a.dim, a.dim :]
+    corner = big[..., : a.dim, a.dim :]
     return NcDirection(a.base_dim, a.level, c.level, corner)
 
 

@@ -10,7 +10,10 @@ computation downstream is built from.
 
 Conventions: a scalar level matrix Z of shape k x k acts on base
 blocks via the Kronecker product kron(Z, I_d); amplify(Z, b) is
-kron(Z, b).
+kron(Z, b). A point or direction may also hold a stack of matrices
+of one shape over leading axes; block_upper and the evaluation layers
+built on it (function and kernel evaluation, membership, the delta
+routes) work row by row on such stacks.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import NcmetricError, as_matrix, mat_from_json, mat_to_json
+from .matcore import NcmetricError, as_matrix, as_stack, mat_from_json, mat_to_json
 
 UNITARY_TOL = 1e-10
 
@@ -38,19 +41,19 @@ class NotUnitary(NcmetricError):
 
 @dataclass(frozen=True)
 class NcPoint:
-    """A level-n point: mat is (level*base_dim) square."""
+    """A level-n point: mat is (level*base_dim) square, or a stack of such."""
 
     base_dim: int
     level: int
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = as_stack(self.mat)
         object.__setattr__(self, "mat", m)
         n = self.level * self.base_dim
         if self.base_dim < 1 or self.level < 1:
             raise ValueError("base_dim and level must be positive")
-        if m.shape != (n, n):
+        if m.shape[-2:] != (n, n):
             raise DimMismatch(
                 f"level {self.level} point over base_dim {self.base_dim} "
                 f"needs shape {(n, n)}, got {m.shape}"
@@ -61,12 +64,12 @@ class NcPoint:
         return self.level * self.base_dim
 
     def adjoint(self) -> "NcPoint":
-        return NcPoint(self.base_dim, self.level, self.mat.conj().T)
+        return NcPoint(self.base_dim, self.level, self.mat.conj().mT)
 
 
 @dataclass(frozen=True)
 class NcDirection:
-    """A rectangular block direction from row_level to col_level."""
+    """A rectangular block direction from row_level to col_level, or a stack of such."""
 
     base_dim: int
     row_level: int
@@ -74,16 +77,16 @@ class NcDirection:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
+        m = as_stack(self.mat)
         object.__setattr__(self, "mat", m)
         shape = (self.row_level * self.base_dim, self.col_level * self.base_dim)
         if self.base_dim < 1 or self.row_level < 1 or self.col_level < 1:
             raise ValueError("base_dim and levels must be positive")
-        if m.shape != shape:
+        if m.shape[-2:] != shape:
             raise DimMismatch(f"direction needs shape {shape}, got {m.shape}")
 
     def adjoint(self) -> "NcDirection":
-        return NcDirection(self.base_dim, self.col_level, self.row_level, self.mat.conj().T)
+        return NcDirection(self.base_dim, self.col_level, self.row_level, self.mat.conj().mT)
 
 
 def point(mat, base_dim: int = 1) -> NcPoint:
@@ -123,7 +126,7 @@ def amplify(z, b: NcPoint) -> NcPoint:
 
 
 def block_upper(a: NcPoint, b: NcDirection, c: NcPoint) -> NcPoint:
-    """[[a, b], [0, c]] at level a.level + c.level."""
+    """[[a, b], [0, c]] at level a.level + c.level; stacks broadcast."""
     if a.base_dim != c.base_dim or a.base_dim != b.base_dim:
         raise BaseDimMismatch(
             f"base dims {(a.base_dim, b.base_dim, c.base_dim)} disagree"
@@ -133,10 +136,13 @@ def block_upper(a: NcPoint, b: NcDirection, c: NcPoint) -> NcPoint:
             f"direction levels {(b.row_level, b.col_level)} do not join "
             f"point levels {(a.level, c.level)}"
         )
-    out = np.zeros((a.dim + c.dim, a.dim + c.dim), dtype=np.complex128)
-    out[: a.dim, : a.dim] = a.mat
-    out[: a.dim, a.dim :] = b.mat
-    out[a.dim :, a.dim :] = c.mat
+    n = a.dim + c.dim
+    batches = {a.mat.shape[:-2], b.mat.shape[:-2], c.mat.shape[:-2]}
+    batch = batches.pop() if len(batches) == 1 else np.broadcast_shapes(*batches)
+    out = np.zeros(batch + (n, n), dtype=np.complex128)
+    out[..., : a.dim, : a.dim] = a.mat
+    out[..., : a.dim, a.dim :] = b.mat
+    out[..., a.dim :, a.dim :] = c.mat
     return NcPoint(a.base_dim, a.level + c.level, out)
 
 

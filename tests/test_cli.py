@@ -81,6 +81,16 @@ def test_distance_payload_values(ball_files, capsys):
     assert len(dt["division"]) >= 2
 
 
+@pytest.mark.parametrize("quad", ["0", "-2"])
+def test_distance_without_quadrature_nodes_is_exit_3(ball_files, capsys, quad):
+    argv = ["distance", "--domain", ball_files["domain"], "--a", ball_files["a"],
+            "--c", ball_files["c"], "--quad-points", quad]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "--quad-points must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_contract_exit_codes(tmp_path, ball_files, capsys):
     half = _dump(tmp_path, "half.json", func_to_json(Polynomial((0.0, 0.5))))
     double = _dump(tmp_path, "double.json", func_to_json(Polynomial((0.0, 2.0))))

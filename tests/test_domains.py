@@ -26,7 +26,7 @@ from ncmetric.domains import (
     require_inside,
 )
 from ncmetric.ncfunc import MoebiusBall, Polynomial, delta_f, eval_point
-from ncmetric.ncpoint import DimMismatch, direction, point
+from ncmetric.ncpoint import DimMismatch, NcPoint, direction, point
 
 
 def _rng(seed=0):
@@ -100,6 +100,37 @@ def test_membership_failure_carries_diagnostic():
     mem = contains(dom, point([[2.0]]))
     assert not mem.inside
     assert "composing function failed" in mem.diagnostic
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        ball_domain(),
+        halfplane_domain(),
+        KernelDomain(ComposedBallKernel(MoebiusBall(0.5))),
+        SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)),
+        NilpotentCone(),
+    ],
+)
+def test_membership_of_a_stack_matches_rows(domain):
+    rng = _rng(12)
+    rows = [0.4 * _cmat(rng, 2), 0.9 * np.eye(2), 1j * np.eye(2), 2.0 * np.eye(2),
+            np.array([[0.0, 3.0], [0.0, 0.0]]), _cmat(rng, 2)]
+    # 2 I sits on the pole of the Moebius map: that row cannot be evaluated
+    stack = NcPoint(1, 2, np.stack(rows))
+    got = contains(domain, stack)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert got.tolist() == [contains(domain, point(r)).inside for r in rows]
+    if isinstance(domain, KernelDomain) and isinstance(domain.kernel, ComposedBallKernel):
+        assert not got[3] and contains(domain, point(rows[3])).diagnostic
+    assert True in got.tolist() and False in got.tolist()
+
+
+def test_require_inside_names_the_row_of_a_stack():
+    stack = NcPoint(1, 1, np.array([[[0.2]], [[0.5]], [[1.2]]]))
+    require_inside(ball_domain(), NcPoint(1, 1, stack.mat[:2]))
+    with pytest.raises(PointOutsideDomain, match="row 2"):
+        require_inside(ball_domain(), stack, name="src")
 
 
 def test_require_inside_raises_outside():

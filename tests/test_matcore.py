@@ -151,3 +151,30 @@ def test_operator_norm_matches_reference(n, seed):
     rng = _rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert operator_norm(m) == pytest.approx(oracles.op_norm(m), rel=1e-10)
+
+
+def test_stacks_match_rows():
+    rng = _rng(9)
+    herms = np.stack([_hermitian(rng, 3) + 4.0 * k * np.eye(3) for k in range(4)])
+    gens = np.stack([_hermitian(rng, 3) + 1j * _hermitian(rng, 3) for _ in range(4)])
+    positive = is_strictly_positive(herms)
+    assert positive.tolist() == [is_strictly_positive(h) for h in herms]
+    assert positive.tolist() == [False, True, True, True]
+    assert is_hermitian(herms).all() and not is_hermitian(gens).any()
+    for fn, stack in ((psd_inv_sqrt, herms[1:]), (inverse, gens), (operator_norm, gens),
+                      (herm_part, gens), (imag_part, gens)):
+        np.testing.assert_array_equal(fn(stack), [fn(m) for m in stack])
+    w, v = herm_eig(herms)
+    for k, h in enumerate(herms):
+        np.testing.assert_array_equal(w[k], herm_eig(h)[0])
+        np.testing.assert_array_equal(v[k], herm_eig(h)[1])
+
+
+def test_one_bad_matrix_fails_a_stack():
+    good = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    with pytest.raises(NonHermitianInput):
+        is_strictly_positive(np.concatenate([good, [[[1.0, 1.0], [0.0, 1.0]]]]))
+    with pytest.raises(NotPositiveDefinite):
+        psd_inv_sqrt(np.concatenate([good, [-np.eye(2)]]))
+    with pytest.raises(SingularMatrix):
+        inverse(np.concatenate([good, [np.zeros((2, 2))]]))

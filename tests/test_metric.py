@@ -33,7 +33,7 @@ from ncmetric.metric import (
     dtilde_upper,
 )
 from ncmetric.ncfunc import CayleyLike, MoebiusBall, Polynomial
-from ncmetric.ncpoint import direction, point
+from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
 
 import oracles
 
@@ -225,11 +225,101 @@ def test_path_blocked_at_listed_point():
 
 
 def test_path_blocked_at_quadrature_node():
-    # both endpoints are nilpotent, the chord midpoint is not
+    # both endpoints are nilpotent, every node between them is not
     a = point(np.array([[0.0, 1.0], [0.0, 0.0]]))
     c = point(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    with pytest.raises(PathBlocked):
+    with pytest.raises(PathBlocked, match=r"t = 0\.062500 "):
         d_upper(NilpotentCone(), a, c, quad_points=8)
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_path_needs_a_quadrature_node(q):
+    with pytest.raises(ValueError, match="quad_points"):
+        d_upper(ball_domain(), point([[0.0]]), point([[0.5]]), quad_points=q)
+
+
+def test_path_estimate_is_not_a_bound():
+    # a midpoint rule on a convex integrand reads low; one node has no
+    # half-resolution rerun to differ from
+    got = d_upper(ball_domain(), point([[0.0]]), point([[0.5]]), quad_points=1)
+    assert got.value == pytest.approx(0.5 / 0.9375, rel=1e-15)
+    assert got.value < math.atanh(0.5)
+    assert got.quad_estimate == 0.0
+
+
+def test_path_distance_frozen_values():
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    a = point(np.array([[0.2, 0.05], [0.0, -0.1]]))
+    c = point(np.array([[-0.15, 0.0], [0.1, 0.25j]]))
+    got = d_upper(disk, a, c, quad_points=16)
+    assert (got.value, got.quad_estimate, got.points_used) == (
+        0.3962894664325218,
+        6.441199808421283e-05,
+        16,
+    )
+    composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
+    a = point(np.array([[0.1, 0.05], [0.0, -0.1j]]))
+    c = point(np.array([[0.2, -0.1], [0.05, 0.15]]))
+    got = d_upper(composed, a, c, quad_points=32)
+    assert (got.value, got.quad_estimate, got.points_used) == (
+        0.51160030542711,
+        3.654853598444863e-05,
+        32,
+    )
+
+
+def _stacked(items):
+    """The rows as one stacked point or direction."""
+    first = items[0]
+    mats = np.stack([x.mat for x in items])
+    if isinstance(first, NcDirection):
+        return NcDirection(first.base_dim, first.row_level, first.col_level, mats)
+    return NcPoint(first.base_dim, first.level, mats)
+
+
+def _assert_rows(route, triples):
+    stacked = route(*(_stacked(list(part)) for part in zip(*triples)))
+    assert stacked == [route(*t) for t in triples]
+
+
+def test_closed_forms_on_stacks_match_rows():
+    rng = _rng(40)
+    triples = [_ball_triple(rng, 2) for _ in range(5)]
+    _assert_rows(lambda a, c, b: delta_closed("ball", a, c, b), triples)
+    _assert_rows(lambda a, c, b: delta_tilde("ball", a, c), triples)
+    hp = [(_hp_point(rng, 2), _hp_point(rng, 2), direction(_cmat(rng, 2))) for _ in range(5)]
+    _assert_rows(lambda a, c, b: delta_closed("halfplane", a, c, b), hp)
+
+
+def test_kernel_formula_on_stacks_matches_rows():
+    rng = _rng(41)
+    kernel = ComposedBallKernel(Polynomial((0.0, 2.0)))
+    triples = [_ball_triple(rng, 2, fill=0.3) for _ in range(5)]
+    _assert_rows(lambda a, c, b: delta_kernel(kernel, a, c, b), triples)
+    # a = c rows of the gauge are exactly zero, as on their own
+    pairs = [(a, a if i % 2 else c, b) for i, (a, c, b) in enumerate(triples)]
+    _assert_rows(lambda a, c, b: delta_tilde(kernel, a, c), pairs)
+
+
+def test_ray_search_on_stacks_matches_rows():
+    # lockstep rows visit the scalings of their own search: equal
+    # values, brackets and iteration counts, whatever the other rows do
+    rng = _rng(42)
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    triples = []
+    for k in range(6):
+        a, c, _ = _ball_triple(rng, 2, fill=0.3)
+        b = direction(_cmat(rng, 2, scale=10.0 ** (k - 3)) if k != 4 else np.zeros((2, 2)))
+        triples.append((a, c, b))
+    _assert_rows(lambda a, c, b: delta_ray(disk, a, c, b), triples)
+    notes = [r.note for r in delta_ray(disk, *(_stacked(list(p)) for p in zip(*triples)))]
+    assert "zero direction" in notes
+    zero = point(np.zeros((2, 2)))
+    nilpotent = [
+        (point(t * np.array([[0.0, 1.0], [0.0, 0.0]])), zero, direction(_cmat(rng, 2)))
+        for t in (0.0, 0.5, 2.0)
+    ]
+    _assert_rows(lambda a, c, b: delta_ray(NilpotentCone(), a, c, b), nilpotent)
 
 
 def test_moebius_is_an_isometry_of_the_ball():

@@ -177,3 +177,24 @@ def test_polynomial_eval_matches_spectral_calculus(coeffs, n, seed):
     w, v = np.linalg.eigh(h)
     want = v @ np.diag(np.polyval(list(reversed(coeffs)), w)) @ v.conj().T
     np.testing.assert_allclose(eval_mat(p, h), want, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Polynomial((0.5, -1.0, 0.25)),
+        Polynomial((2.0,)),
+        MoebiusBall(0.3 + 0.1j),
+        CayleyLike(2.0, 1j),
+        ScalarCalculus(EXP_COEFFS, 4.0),
+        Composition((MoebiusBall(0.2), Polynomial((0.0, 1.0, 1.0)))),
+    ],
+)
+def test_eval_on_a_stack_matches_rows(f):
+    # the rows' norms differ, so the series truncates at different orders
+    rng = _rng(17)
+    stack = np.stack([_cmat(rng, 2, scale) for scale in (0.01, 0.3, 0.8)])
+    got = eval_mat(f, stack)
+    assert got.shape == stack.shape
+    for row, m in zip(got, stack):
+        np.testing.assert_array_equal(row, eval_mat(f, m))
