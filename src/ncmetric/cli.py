@@ -127,6 +127,12 @@ def _load_direction(path, base_dim: int):
     return direction(mat_from_json(obj), base_dim)
 
 
+def _at_least_one(flag: str, value: int):
+    """Reject a count flag below 1 before any work is done."""
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _write_text(path, text: str):
     with open(path, "w") as fh:
         fh.write(text)
@@ -174,8 +180,7 @@ def cmd_delta(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    if args.quad_points < 1:
-        raise ValueError(f"--quad-points must be at least 1, got {args.quad_points}")
+    _at_least_one("--quad-points", args.quad_points)
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))
@@ -201,6 +206,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_contract(args) -> int:
+    _at_least_one("--samples", args.samples)
     f = func_from_json(_load_json(args.function))
     src = domain_from_json(_load_json(args.src))
     dst = domain_from_json(_load_json(args.dst))
@@ -241,6 +247,8 @@ def _build_rho(args):
 
 
 def cmd_convolve(args) -> int:
+    _at_least_one("--points", args.points)
+    _at_least_one("--max-iter", args.max_iter)
     model = _build_model(args)
     rho = _build_rho(args)
     result = density_grid(
@@ -283,6 +291,7 @@ def cmd_props(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    _at_least_one("--samples", args.samples)
     # spectrum inside the disk at every level, norm bounded by the level
     graded = SpectralDisk(0.0, 1.0, NormBound("level", 1.0))
     big = np.zeros((4, 4), dtype=complex)

@@ -14,12 +14,16 @@ Every route takes stacks of points (N, n, n) and directions as well
 as single ones and then returns one result per row, equal to what the
 route returns on that row alone. d_upper and dtilde_upper use this to
 evaluate all quadrature nodes of a segment, or all pairs of a
-division, in one stacked call.
+division, in one stacked call. check_contraction and compare_nested
+stack their samples per shape group (base dimension, the levels of
+the points, the shape of the direction); a group whose stacked
+evaluation raises is evaluated again one sample at a time, in sample
+order, so the first failing sample raises what it raises alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -342,7 +346,7 @@ def _sqrt_top(sym: np.ndarray) -> np.ndarray:
 
 def _kernel_value(kernel, a: NcPoint, c: NcPoint, b: NcDirection) -> np.ndarray:
     qa = herm_part(gram(kernel, a))
-    qc = herm_part(gram(kernel, c))
+    qc = qa if c is a else herm_part(gram(kernel, c))
     d0, d1, d01 = kernel_diffs(kernel, a, c, b)
     sa = psd_inv_sqrt(qa)
     operand = d0 @ inverse(qc) @ d1 - d01
@@ -419,20 +423,20 @@ def delta_auto_tilde(domain, a: NcPoint, c: NcPoint, **kw) -> DeltaResult | list
     return delta_ray(domain, a, c, diff, **kw)
 
 
-def _path_values(domain, x: NcPoint, chord: NcDirection, margin: float) -> np.ndarray:
-    """delta(x, x)(chord) per row of the stack x, by delta_auto's route.
+def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> np.ndarray:
+    """delta(a, c)(b) per row of the stacks, by delta_auto's route.
 
-    The rows must already be known to lie inside the domain.
+    The points must already be known to lie inside the domain.
     """
     if isinstance(domain, KernelDomain):
         k = domain.kernel
         if isinstance(k, BallKernel):
-            return _closed_ball(x, x, chord)
+            return _closed_ball(a, c, b)
         if isinstance(k, HalfPlaneKernel):
-            return _closed_halfplane(x, x, chord)
+            return _closed_halfplane(a, c, b)
         if isinstance(k, (ComposedBallKernel, ComposedHalfPlaneKernel)):
-            return _kernel_value(k, x, x, chord)
-    return np.array([r.value for r in _ray_rows(domain, x, x, chord, RAY_TOL, margin)])
+            return _kernel_value(k, a, c, b)
+    return np.array([r.value for r in _ray_rows(domain, a, c, b, RAY_TOL, margin)])
 
 
 def _chain_values(domain, x: NcPoint, y: NcPoint, margin: float) -> np.ndarray:
@@ -563,7 +567,7 @@ def d_upper(
                     "is outside the domain"
                 )
             # summed left to right, not pairwise as np.sum would
-            seg = np.cumsum(_path_values(domain, x, chord, margin))[-1]
+            seg = np.cumsum(_delta_values(domain, x, x, chord, margin))[-1]
             val += float(seg) / q
             used += q
         return val, used
@@ -571,6 +575,49 @@ def d_upper(
     value, used = integrate(quad_points)
     half, _ = integrate(max(1, quad_points // 2))
     return PathBound(value, abs(value - half), used)
+
+
+def _members(domain, x: NcPoint, margin: float) -> np.ndarray:
+    """contains per row of a stack; a single point is one row."""
+    mem = contains(domain, x, margin)
+    return np.atleast_1d(mem.inside if x.mat.ndim == 2 else mem)
+
+
+def _floats(values) -> list:
+    """Per-row values as Python floats; a single point's value is one row."""
+    return np.atleast_1d(values).tolist()
+
+
+def _sample_outcomes(items, evaluate, label: str):
+    """evaluate's outcome for each item (a tuple of points and directions), in item order.
+
+    The items are grouped by the shapes of their parts, and each group
+    is evaluated as one stack: evaluate(*parts, name) returns one
+    outcome per row. If that call raises, the items of the group are
+    evaluated again one at a time, as plain points named
+    f"{label} {idx}", when their turn comes; so the first failing item
+    raises what it raises alone, and no item after it is evaluated.
+    """
+    items = list(items)
+    groups = {}
+    for idx, item in enumerate(items):
+        groups.setdefault(tuple((x.base_dim, x.mat.shape) for x in item), []).append(idx)
+    outcomes = [None] * len(items)
+    alone = set()
+    for idxs in groups.values():
+        parts = [
+            replace(xs[0], mat=np.stack([x.mat for x in xs]))
+            for xs in zip(*(items[i] for i in idxs))
+        ]
+        try:
+            rows = evaluate(*parts, label)
+        except NcmetricError:
+            alone.update(idxs)
+            continue
+        for idx, row in zip(idxs, rows):
+            outcomes[idx] = row
+    for idx, item in enumerate(items):
+        yield evaluate(*item, f"{label} {idx}")[0] if idx in alone else outcomes[idx]
 
 
 def check_contraction(
@@ -589,30 +636,49 @@ def check_contraction(
     leaving the target domain are collected as violations (raised as
     MappingViolation when requested). The report carries the worst
     excess lhs - rhs, and in equality mode the worst |lhs - rhs|.
+
+    The triples are evaluated per shape group: one stacked membership
+    test of a and of c, one stacked evaluation of f on each, one
+    membership test of each image, and on the rows whose images stay
+    inside one difference-differential and one delta per side. A group
+    whose stacked evaluation raises is redone triple by triple, so
+    errors, violations and their sample indices are those of checking
+    the triples one at a time in order.
     """
+
+    def evaluate(a, c, b, name):
+        # per row: (lhs, rhs), or the names of the images outside the target
+        require_inside(d_src, a, margin, f"{name} point a")
+        require_inside(d_src, c, margin, f"{name} point c")
+        fa, fc = eval_point(f, a), eval_point(f, c)
+        out_a, out_c = ~_members(d_dst, fa, margin), ~_members(d_dst, fc, margin)
+        escaped = [
+            ", ".join(img for img, out in (("f(a)", oa), ("f(c)", oc)) if out)
+            for oa, oc in zip(out_a, out_c)
+        ]
+        keep = ~(out_a | out_c)
+        if not keep.any():
+            return escaped
+        if not keep.all():
+            a, c, b, fa, fc = (replace(x, mat=x.mat[keep]) for x in (a, c, b, fa, fc))
+        fb = func_delta(f, a, c, b)
+        lhs = _floats(_delta_values(d_dst, fa, fc, fb, margin))
+        pairs = zip(lhs, _floats(_delta_values(d_src, a, c, b, margin)))
+        return [e or next(pairs) for e in escaped]
+
     rows = []
     violations = []
-    worst_excess = -float("inf")
-    worst_gap = 0.0
-    for idx, (a, c, b) in enumerate(triples):
-        require_inside(d_src, a, margin, f"sample {idx} point a")
-        require_inside(d_src, c, margin, f"sample {idx} point c")
-        fa, fc = eval_point(f, a), eval_point(f, c)
-        bad = [
-            name
-            for name, img in (("f(a)", fa), ("f(c)", fc))
-            if not contains(d_dst, img, margin).inside
-        ]
-        if bad:
-            msg = f"sample {idx}: {', '.join(bad)} outside the target domain"
+    for idx, out in enumerate(_sample_outcomes(triples, evaluate, "sample")):
+        if isinstance(out, str):
+            msg = f"sample {idx}: {out} outside the target domain"
             if raise_on_violation:
                 raise MappingViolation(msg)
             violations.append(msg)
-            continue
-        fb = func_delta(f, a, c, b)
-        lhs = delta_auto(d_dst, fa, fc, fb, margin=margin).value
-        rhs = delta_auto(d_src, a, c, b, margin=margin).value
-        rows.append((lhs, rhs))
+        else:
+            rows.append(out)
+    worst_excess = -float("inf")
+    worst_gap = 0.0
+    for lhs, rhs in rows:
         worst_excess = max(worst_excess, lhs - rhs)
         worst_gap = max(worst_gap, abs(lhs - rhs))
     report = {
@@ -642,24 +708,35 @@ def compare_nested(
     Pairs must lie in the inner domain; a pair escaping the outer
     domain raises NestingViolation since the premise D' subset D
     failed on data.
+
+    The pairs are evaluated per shape group, with one stacked
+    membership test and one stacked gauge evaluation per domain and
+    point; a group whose stacked evaluation raises is redone pair by
+    pair, so the first failing pair raises what it raises alone.
     """
     if not (big_m > 0 and small_m > 0):
         raise ValueError("radii M and m must be positive")
     k = big_m / (small_m + big_m)
-    min_margin = float("inf")
-    rows = []
-    for idx, (a, c) in enumerate(pairs):
-        require_inside(d_inner, a, margin, f"pair {idx} point a")
-        require_inside(d_inner, c, margin, f"pair {idx} point c")
-        for name, p in (("a", a), ("c", c)):
-            if not contains(d_outer, p, margin).inside:
+
+    def evaluate(a, c, name):
+        # per row: (delta~ on the inner domain, delta~ on the outer one)
+        require_inside(d_inner, a, margin, f"{name} point a")
+        require_inside(d_inner, c, margin, f"{name} point c")
+        for part, p in (("a", a), ("c", c)):
+            if not _members(d_outer, p, margin).all():
                 raise NestingViolation(
-                    f"pair {idx} point {name} lies in the inner domain "
-                    "but escapes the outer one"
+                    f"{name} point {part} lies in the inner domain but escapes the outer one"
                 )
-        di = delta_auto_tilde(d_inner, a, c, margin=margin).value
-        do = delta_auto_tilde(d_outer, a, c, margin=margin).value
-        rows.append((di, do))
+        return list(
+            zip(
+                _floats(_chain_values(d_inner, a, c, margin)),
+                _floats(_chain_values(d_outer, a, c, margin)),
+            )
+        )
+
+    rows = list(_sample_outcomes(pairs, evaluate, "pair"))
+    min_margin = float("inf")
+    for di, do in rows:
         min_margin = min(min_margin, k * di - do)
     return {
         "k": k,

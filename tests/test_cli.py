@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ncmetric.cli import main
-from ncmetric.domains import ball_domain, domain_to_json
+from ncmetric.domains import NormBound, SpectralDisk, ball_domain, domain_to_json
 from ncmetric.matcore import mat_to_json
-from ncmetric.ncfunc import Polynomial, func_to_json
+from ncmetric.ncfunc import MoebiusBall, Polynomial, func_to_json
 from ncmetric.ncpoint import point, point_to_json
 
 
@@ -118,6 +118,76 @@ def test_contract_exit_codes(tmp_path, ball_files, capsys):
         code = main(base + ["--function", half, "--levels", levels])
         assert code == 3
         assert "at least one level" in capsys.readouterr().err
+
+
+def _contract_argv(tmp_path, func, dom, out):
+    f = _dump(tmp_path, "f.json", func_to_json(func))
+    d = _dump(tmp_path, "dom.json", domain_to_json(dom))
+    return ["contract", "--function", f, "--src", d, "--dst", d, "--samples", "6",
+            "--levels", "1,2,3", "--seed", "11", "--out", str(out)]
+
+
+def test_contract_frozen_outputs(tmp_path, capsys):
+    # levels 1, 2, 3 interleave: three shape groups of two samples, each stacked
+    out = tmp_path / "moebius.csv"
+    argv = _contract_argv(tmp_path, MoebiusBall(0.3 - 0.2j), ball_domain(), out)
+    assert main(argv + ["--equality"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "ok": true,\n  "samples": 6,\n  "violations": [],\n'
+        '  "worst_abs_gap": 7.771561172376096e-16,\n'
+        '  "worst_excess": 7.771561172376096e-16\n}\n'
+    )
+    assert out.read_text() == (
+        "lhs,rhs\n"
+        "0.4144454846328354,0.4144454846328353\n"
+        "0.48858560653795186,0.4885856065379518\n"
+        "0.9134884369706396,0.91348843697064\n"
+        "0.3092647401134443,0.30926474011344435\n"
+        "0.9104437677297483,0.9104437677297489\n"
+        "0.9154597906640891,0.9154597906640883\n"
+    )
+    # the spectral disk takes the ray search on both sides
+    out = tmp_path / "halve.csv"
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    assert main(_contract_argv(tmp_path, Polynomial((0.0, 0.5)), disk, out)) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "ok": true,\n  "samples": 6,\n  "violations": [],\n'
+        '  "worst_excess": -0.13337213392371589\n}\n'
+    )
+    assert out.read_text() == (
+        "lhs,rhs\n"
+        "0.15740413829635302,0.3420195992224584\n"
+        "0.20377380784007537,0.4370876938201608\n"
+        "0.42381193733319966,0.8518792182128674\n"
+        "0.11105801330735969,0.2444301472310756\n"
+        "0.41865371363073967,0.858075864447895\n"
+        "0.4537895278943639,0.9084939544262773\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["contract", "--samples", "0"], "--samples"),
+        (["contract", "--samples", "-3"], "--samples"),
+        (["convolve", "--law", "bernoulli", "--rho-t", "2", "--points", "0"], "--points"),
+        (["convolve", "--law", "bernoulli", "--rho-t", "2", "--max-iter", "0"], "--max-iter"),
+        (["counterexample", "--samples", "0"], "--samples"),
+    ],
+)
+def test_count_below_one_is_exit_3(tmp_path, ball_files, capsys, argv, flag):
+    out = tmp_path / "out.csv"
+    if argv[0] == "contract":
+        f = _dump(tmp_path, "f.json", func_to_json(Polynomial((0.0, 0.5))))
+        dom = ball_files["domain"]
+        argv = argv + ["--function", f, "--src", dom, "--dst", dom]
+    elif argv[0] == "convolve":
+        argv = argv + ["--xmin", "-1", "--xmax", "1"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 1" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_convolve_csv_deterministic(capsys):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncmetric.domains
+import ncmetric.metric
 from ncmetric.domains import (
     BallKernel,
     ComposedBallKernel,
@@ -12,6 +14,7 @@ from ncmetric.domains import (
     KernelDomain,
     NilpotentCone,
     NormBound,
+    PointOutsideDomain,
     SpectralDisk,
     ball_domain,
     halfplane_domain,
@@ -26,14 +29,23 @@ from ncmetric.metric import (
     compare_nested,
     d_upper,
     delta_auto,
+    delta_auto_tilde,
     delta_closed,
     delta_kernel,
     delta_ray,
     delta_tilde,
     dtilde_upper,
 )
-from ncmetric.ncfunc import CayleyLike, MoebiusBall, Polynomial
+from ncmetric.ncfunc import (
+    CayleyLike,
+    DomainViolation,
+    MoebiusBall,
+    Polynomial,
+    delta_f,
+    eval_point,
+)
 from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
+from ncmetric.sampling import direction_sample, sample_in_domain
 
 import oracles
 
@@ -268,6 +280,24 @@ def test_path_distance_frozen_values():
     )
 
 
+def test_path_distance_evaluates_each_gram_once(monkeypatch):
+    # the membership test and the kernel formula each evaluate the node
+    # stack's gram once; delta(x, x) reuses the gram of x for both sides
+    shapes = []
+    real_gram = ncmetric.domains.gram
+
+    def counted(kernel, a, c=None):
+        shapes.append(a.mat.shape[:-2])
+        return real_gram(kernel, a, c)
+
+    monkeypatch.setattr(ncmetric.domains, "gram", counted)
+    monkeypatch.setattr(ncmetric.metric, "gram", counted)
+    composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
+    d_upper(composed, point([[0.1]]), point([[0.3j]]), quad_points=8)
+    # the two path endpoints, then the 8 and the 4 nodes
+    assert shapes == [(), (), (8,), (8,), (4,), (4,)]
+
+
 def _stacked(items):
     """The rows as one stacked point or direction."""
     first = items[0]
@@ -366,6 +396,153 @@ def test_nested_comparison_rejects_escapes():
     pairs = [(point([[0.8]]), point([[0.1]]))]
     with pytest.raises(NestingViolation):
         compare_nested(ball_domain(), ball_domain(0.5), 0.5, 1.0, pairs)
+
+
+SPECTRAL = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+COMPOSED = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
+
+
+def _mixed_triples(rng, domain, count=9):
+    """Triples inside the domain; levels 1, 2, 3 interleave over base dims 1 and 2."""
+    triples = []
+    for i in range(count):
+        lvl, base = 1 + i % 3, 1 + (i // 3) % 2
+        a = sample_in_domain(domain, rng, lvl, base)
+        c = sample_in_domain(domain, rng, lvl, base)
+        triples.append((a, c, direction_sample(rng, base, lvl, lvl)))
+    return triples
+
+
+def _assert_contraction_parity(f, src, dst, triples):
+    full = check_contraction(f, src, dst, triples, equality=True)
+    alone = [check_contraction(f, src, dst, [t], equality=True) for t in triples]
+    assert full["rows"] == [row for rep in alone for row in rep["rows"]]
+    # a one-triple report names its triple sample 0
+    assert full["violations"] == [
+        m.replace("sample 0:", f"sample {i}:", 1)
+        for i, rep in enumerate(alone)
+        for m in rep["violations"]
+    ]
+    rows = [rep for rep in alone if rep["rows"]]
+    assert full["worst_excess"] == max((rep["worst_excess"] for rep in rows), default=None)
+    assert full["worst_abs_gap"] == max((rep["worst_abs_gap"] for rep in rows), default=None)
+    assert full["ok"] == all(rep["ok"] for rep in alone)
+    return full
+
+
+@pytest.mark.parametrize(
+    "f, domain",
+    [
+        (MoebiusBall(0.3 - 0.2j), ball_domain()),
+        (CayleyLike(1.5, 0.3), halfplane_domain()),
+        (Polynomial((0.0, 0.5)), COMPOSED),
+        (Polynomial((0.0, 0.5)), SPECTRAL),
+    ],
+)
+def test_contraction_report_matches_per_triple_reports(f, domain):
+    triples = _mixed_triples(_rng(50), domain)
+    full = _assert_contraction_parity(f, domain, domain, triples)
+    assert full["samples"] == len(triples) and not full["violations"]
+    # each row is what the public routes give on the triple's plain points
+    for (a, c, b), row in zip(triples, full["rows"]):
+        fa, fc = eval_point(f, a), eval_point(f, c)
+        lhs = delta_auto(domain, fa, fc, delta_f(f, a, c, b)).value
+        assert row == (lhs, delta_auto(domain, a, c, b).value)
+
+
+def _escape_triples(rng):
+    # level 1 and level 2 samples; doubling sends 2 and 4 out of the ball
+    small = [_ball_triple(rng, n, fill=0.4) for n in (1, 2, 2, 1, 1, 2)]
+    out_a = (point(np.diag([0.7, 0.1])), point(np.diag([0.1, 0.2])), direction(np.eye(2)))
+    out_both = (point([[0.6]]), point([[-0.7]]), direction([[1.0]]))
+    return small[:2] + [out_a] + small[2:4] + [out_both] + small[4:]
+
+
+def test_contraction_escape_keeps_its_index():
+    triples = _escape_triples(_rng(51))
+    full = _assert_contraction_parity(CayleyLike(2.0, 0.0), ball_domain(), ball_domain(), triples)
+    assert full["violations"] == [
+        "sample 2: f(a) outside the target domain",
+        "sample 5: f(a), f(c) outside the target domain",
+    ]
+    assert full["samples"] == len(triples) - 2 and not full["ok"]
+
+
+def test_contraction_raises_at_first_violation():
+    # the level-1 group (samples 0, 3, 4, 5, ...) is stacked before the
+    # level-2 group, but sample 2 comes first
+    triples = _escape_triples(_rng(52))
+    with pytest.raises(MappingViolation, match=r"^sample 2: f\(a\) outside the target domain$"):
+        check_contraction(
+            CayleyLike(2.0, 0.0), ball_domain(), ball_domain(), triples, raise_on_violation=True
+        )
+
+
+def test_contraction_names_the_first_source_point_outside():
+    rng = _rng(53)
+    triples = [_ball_triple(rng, n, fill=0.4) for n in (1, 2, 2, 1, 1)]
+    triples[2] = (point(np.diag([1.2, 0.1])),) + triples[2][1:]
+    triples[3] = (triples[3][0], point([[1.5]]), triples[3][2])
+    f = MoebiusBall(0.3)
+    with pytest.raises(PointOutsideDomain) as exc:
+        check_contraction(f, ball_domain(), ball_domain(), triples)
+    assert str(exc.value) == "sample 2 point a is not strictly inside the domain"
+    # an escape at an earlier index is raised first when asked for
+    triples[1] = (point(np.diag([0.7, 0.1])), point(np.diag([0.1, 0.2])), direction(np.eye(2)))
+    with pytest.raises(MappingViolation, match="^sample 1: "):
+        check_contraction(
+            CayleyLike(2.0, 0.0), ball_domain(), ball_domain(), triples, raise_on_violation=True
+        )
+
+
+def test_contraction_raises_at_a_moebius_pole():
+    # 1 - conj(alpha) z is singular at z = 2i, a point of the half-plane
+    rng = _rng(54)
+    f = MoebiusBall(0.5j)
+    hp = halfplane_domain()
+    triples = _mixed_triples(rng, hp, count=4)
+    triples.insert(3, (point([[2j]]), point([[1j]]), direction([[1.0]])))
+    with pytest.raises(DomainViolation) as exc:
+        check_contraction(f, hp, hp, triples)
+    with pytest.raises(DomainViolation) as alone:
+        eval_point(f, point([[2j]]))
+    assert str(exc.value) == str(alone.value)
+
+
+def _mixed_pairs(rng, domain, count=9):
+    return [(a, c) for a, c, _ in _mixed_triples(rng, domain, count)]
+
+
+@pytest.mark.parametrize(
+    "inner, outer, big_m, small_m",
+    [
+        (ball_domain(0.5), ball_domain(), 1.0, 0.5),
+        (SpectralDisk(0.0, 0.25, NormBound("constant", 1.0)), SPECTRAL, 0.5, 0.25),
+    ],
+)
+def test_nesting_report_matches_per_pair_reports(inner, outer, big_m, small_m):
+    pairs = _mixed_pairs(_rng(55), inner)
+    full = compare_nested(inner, outer, big_m, small_m, pairs)
+    alone = [compare_nested(inner, outer, big_m, small_m, [p]) for p in pairs]
+    assert full["rows"] == [row for rep in alone for row in rep["rows"]]
+    assert full["min_margin"] == min(rep["min_margin"] for rep in alone)
+    assert full["ok"] == all(rep["ok"] for rep in alone)
+    for (a, c), row in zip(pairs, full["rows"]):
+        assert row == (delta_auto_tilde(inner, a, c).value, delta_auto_tilde(outer, a, c).value)
+
+
+def test_nesting_violation_names_the_first_escaping_pair():
+    # inner ball of radius 1, outer of radius 0.5: pair 1 (level 2) and
+    # pair 2 (level 1) escape, the level-1 group is stacked first
+    rng = _rng(56)
+    pairs = [(a, c) for a, c, _ in (_ball_triple(rng, n, fill=0.3) for n in (1, 2, 1, 1))]
+    pairs[1] = (pairs[1][0], point(np.diag([0.1, 0.8])))
+    pairs[2] = (point([[0.9]]), pairs[2][1])
+    with pytest.raises(NestingViolation) as exc:
+        compare_nested(ball_domain(), ball_domain(0.5), 0.5, 1.0, pairs)
+    assert str(exc.value) == (
+        "pair 1 point c lies in the inner domain but escapes the outer one"
+    )
 
 
 def test_tilde_dominates_norm_gap():
