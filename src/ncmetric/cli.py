@@ -9,6 +9,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -339,7 +340,10 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: each tree is cyclic garbage once dropped,
+    # and parse_args leaves the parser unchanged
     parser = _Parser(prog="ncmetric", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

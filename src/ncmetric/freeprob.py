@@ -9,12 +9,14 @@ quadrature at matrix levels and closed forms at level one).
 
 subordination_solve iterates w -> b + (rho - Id) h(w) from w0 = b
 with adaptive damping and keeps a full trace: residuals, consecutive
-ratios, gauge steps, and the contraction certificate driven by
-eps0 = lambda_min(Im b).
+ratios, and the contraction certificate driven by eps0 = lambda_min(Im b).
+The transforms take stacks of points (..., n, n); density_grid solves
+all its grid rows as one stack, each row on its own trajectory.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .matcore import (
     NonHermitianInput,
     SingularMatrix,
     as_matrix,
+    as_stack,
     imag_part,
     inverse,
     is_hermitian,
@@ -136,23 +139,28 @@ def _block_slices(blocks):
     return out
 
 
+def _trace(m: np.ndarray, axis1: int = -2, axis2: int = -1):
+    """Trace over two axes, each summed exactly as np.trace sums one matrix."""
+    # a contiguous last axis keeps numpy's pairwise summation per trace
+    return np.ascontiguousarray(np.diagonal(m, axis1=axis1, axis2=axis2)).sum(-1)
+
+
 def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
-    """Apply Id_n (x) E to an (n d) x (n d) matrix, entrywise in levels."""
-    m = as_matrix(m)
+    """Apply Id_n (x) E to an (n d) x (n d) matrix, entrywise in levels.
+
+    A stack of such matrices is taken per matrix.
+    """
+    m = as_stack(m)
     d = model.base_dim
-    if m.shape[0] != m.shape[1] or m.shape[0] % d:
+    if m.shape[-2] != m.shape[-1] or m.shape[-1] % d:
         raise ValueError(f"shape {m.shape} is not a level matrix over base {d}")
-    n = m.shape[0] // d
-    sls = _block_slices(model.blocks)
-    out = np.zeros_like(m)
-    for i in range(n):
-        for j in range(n):
-            q = m[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            eq = np.zeros((d, d), dtype=np.complex128)
-            for sl, k in zip(sls, model.blocks):
-                eq[sl, sl] = (np.trace(q[sl, sl]) / k) * np.eye(k)
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = eq
-    return out
+    n = m.shape[-1] // d
+    q = m.reshape(m.shape[:-2] + (n, d, n, d))
+    out = np.zeros_like(q)
+    for sl, k in zip(_block_slices(model.blocks), model.blocks):
+        tr = _trace(q[..., :, sl, :, sl], -3, -1)
+        out[..., :, sl, :, sl] = (tr / k)[..., :, None, :, None] * np.eye(k)[:, None, :]
+    return out.reshape(m.shape)
 
 
 def law_atoms(law: ScalarLaw):
@@ -186,28 +194,46 @@ def law_quadrature(law: ScalarLaw):
     return law_atoms(law)
 
 
-def _scalar_G_closed(law: ScalarLaw, z: complex) -> complex:
-    """Closed forms at level one; branch cuts split per endpoint factor."""
+def _product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a * c elementwise, rounded as a product of two complex scalars is.
+
+    numpy's array multiply may fuse the multiply-adds, which changes the
+    last bit of about a third of the products.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, c.shape), dtype=np.complex128)
+    out.real = a.real * c.real - a.imag * c.imag
+    out.imag = a.real * c.imag + a.imag * c.real
+    return out
+
+
+def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
+    """Closed forms at level one, elementwise; branch cuts split per endpoint factor."""
     if law.kind == "semicircle":
         v = law.variance
-        root = np.sqrt(z - 2 * np.sqrt(v)) * np.sqrt(z + 2 * np.sqrt(v))
+        root = _product(np.sqrt(z - 2 * np.sqrt(v)), np.sqrt(z + 2 * np.sqrt(v)))
         return (z - root) / (2 * v)
     if law.kind == "arcsine":
-        return 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
+        return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
     raise ValueError(f"no closed form for {law.kind}")
 
 
 def _require_upper(b: NcPoint):
     im = imag_part(b.mat)
-    if not is_strictly_positive(im, HALF_PLANE_MARGIN):
+    inside = is_strictly_positive(im, HALF_PLANE_MARGIN)
+    if not np.all(inside):
+        first = im.reshape((-1,) + im.shape[-2:])[np.argmin(np.ravel(inside))]
         raise NotInHalfPlane(
-            f"lambda_min(Im b) = {float(np.linalg.eigvalsh(im)[0]):.3e} "
+            f"lambda_min(Im b) = {float(np.linalg.eigvalsh(first)[0]):.3e} "
             "is not strictly positive"
         )
 
 
 def cauchy_G(model, b: NcPoint) -> NcPoint:
-    """G(b) = (Id (x) E)[(b - X)^(-1)] for b strictly in the half-plane."""
+    """G(b) = (Id (x) E)[(b - X)^(-1)] for b strictly in the half-plane.
+
+    b may hold a stack of points; each gets the checks a single point
+    gets, and a check that fails on any point raises.
+    """
     if b.base_dim != model_base_dim(model):
         raise ValueError(
             f"point base_dim {b.base_dim} != model base_dim {model_base_dim(model)}"
@@ -220,32 +246,34 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
         except SingularMatrix as exc:
             raise SingularResolvent(str(exc)) from None
         g = expectation(model, res)
+    elif b.level == 1 and model.kind in ("semicircle", "arcsine"):
+        g = _scalar_G_closed(model, b.mat)
     else:
-        if b.level == 1 and model.kind in ("semicircle", "arcsine"):
-            g = np.array([[_scalar_G_closed(model, complex(b.mat[0, 0]))]])
-        else:
-            nodes, weights = law_quadrature(model)
-            eye = np.eye(b.dim, dtype=np.complex128)
-            g = np.zeros_like(b.mat)
-            try:
-                for s, w in zip(nodes, weights):
-                    g = g + w * inverse(b.mat - s * eye)
-            except SingularMatrix as exc:
-                raise SingularResolvent(str(exc)) from None
-    if float(np.linalg.eigvalsh(imag_part(g))[-1]) >= 0.0:
+        nodes, weights = law_quadrature(model)
+        eye = np.eye(b.dim, dtype=np.complex128)
+        g = np.zeros_like(b.mat)
+        try:
+            for s, w in zip(nodes, weights):
+                g = g + w * inverse(b.mat - s * eye)
+        except SingularMatrix as exc:
+            raise SingularResolvent(str(exc)) from None
+    if (np.linalg.eigvalsh(imag_part(g))[..., -1] >= 0.0).any():
         raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
     return NcPoint(b.base_dim, b.level, g)
 
 
 def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
-    """F = G^(-1) and h = F - b; Im h stays (numerically) nonnegative."""
+    """F = G^(-1) and h = F - b; Im h stays (numerically) nonnegative.
+
+    Stacks are taken per point, as in cauchy_G.
+    """
     g = cauchy_G(model, b)
     try:
         f = inverse(g.mat)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
     h = f - b.mat
-    if float(np.linalg.eigvalsh(imag_part(h))[0]) < -H_IMAG_SLACK:
+    if (np.linalg.eigvalsh(imag_part(h))[..., 0] < -H_IMAG_SLACK).any():
         raise SingularResolvent(
             "Im h dropped below zero beyond roundoff; "
             "b is likely outside the half-plane of the block algebra"
@@ -294,8 +322,8 @@ def validate_rho(model, rho):
 
 
 def rho_minus_id(model, rho, m: np.ndarray, level: int) -> np.ndarray:
-    """(rho - Id) applied entrywise in levels."""
-    m = as_matrix(m)
+    """(rho - Id) applied entrywise in levels, per matrix of a stack."""
+    m = as_stack(m)
     if isinstance(rho, ScalarPower):
         return (rho.t - 1.0) * m
     if isinstance(rho, KrausAugment):
@@ -325,7 +353,6 @@ class SolveTrace:
     converged: bool
     residuals: tuple
     ratios: tuple
-    gauge_steps: tuple
     epsilon0: float
     omega_im_min: float
     contraction_bound: float | None
@@ -334,24 +361,158 @@ class SolveTrace:
     damping_events: int = 0
 
 
-def _tail_ratio(ratios) -> float | None:
-    usable = [r for r in ratios[-10:] if 0.0 < r < 10.0]
-    if not usable:
+def _ratios(residuals: np.ndarray) -> np.ndarray:
+    """r_(k+1) / r_k over the consecutive residuals with r_k > 0."""
+    r0, r1 = residuals[:-1], residuals[1:]
+    return r1[r0 > 0.0] / r0[r0 > 0.0]
+
+
+def _tail_ratio(ratios: np.ndarray) -> float | None:
+    usable = ratios[-10:]
+    usable = usable[(usable > 0.0) & (usable < 10.0)]
+    if not usable.size:
         return None
     return float(np.exp(np.mean(np.log(usable))))
 
 
-def _contraction_bound(eps0: float, im_omega: np.ndarray) -> float | None:
+def _contraction_bound(eps0: float, im_eigs: np.ndarray) -> float | None:
     """||1 - eps0 (Im omega)^(-1)||, the provable per-step factor.
 
-    For scalar fibers this is 1 - eps0 / Im omega. The operator form
-    is the one the Schwarz-Pick derivation actually yields; collapsing
-    the norm onto lambda_min only works when Im omega is a scalar.
+    im_eigs are the ascending eigenvalues of Im omega. For scalar fibers
+    this is 1 - eps0 / Im omega. The operator form is the one the
+    Schwarz-Pick derivation actually yields; collapsing the norm onto
+    lambda_min only works when Im omega is a scalar.
     """
-    w = np.linalg.eigvalsh(im_omega)
-    if w[0] <= 0:
+    if im_eigs[0] <= 0:
         return None
-    return float(max(0.0, np.max(np.abs(1.0 - eps0 / w))))
+    return float(max(0.0, np.max(np.abs(1.0 - eps0 / im_eigs))))
+
+
+def _check_max_iter(max_iter: int):
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+
+
+def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
+    """Solve w = b + (rho - Id) h(w) for every point of the stack b (N, n, n).
+
+    One loop advances all rows that have not converged yet, with one
+    stacked transform evaluation per iteration. Each row keeps its own
+    state (step size, previous update and residual, eps0, damping
+    count), so it takes exactly the steps, and reaches exactly the
+    values, that it reaches when solved alone. Returns the stack of
+    final iterates and a _StackTrace of all rows; unconverged rows are
+    reported, not raised.
+    """
+    validate_rho(model, rho)
+    _require_upper(b)
+    bm = b.mat
+    n_rows, entries = bm.shape[0], bm.shape[-1] ** 2
+
+    def at(mats):
+        return NcPoint(b.base_dim, b.level, mats)
+
+    eps0 = np.linalg.eigvalsh(imag_part(bm))[:, 0]
+    im_floor = 0.1 * eps0
+    w = bm.copy()
+    prev_g = np.empty_like(bm)
+    prev_f = np.empty_like(bm)
+    has_prev = np.zeros(n_rows, dtype=bool)
+    last_r = np.full(n_rows, np.nan)
+    alpha = np.ones(n_rows)
+    damping = np.zeros(n_rows, dtype=int)
+    converged = np.zeros(n_rows, dtype=bool)
+    active = np.arange(n_rows)
+    steps = []  # (active rows, their residuals) per iteration
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        wa = w[active]
+        _, h = F_and_h(model, at(wa))
+        upd = bm[active] + rho_minus_id(model, rho, h.mat, b.level)
+        lam = np.linalg.eigvalsh(imag_part(upd))[:, 0]
+        eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
+        f = upd - wa
+        # np.linalg.norm of each row: the same strided dot products
+        re, im = f.real.reshape(active.size, entries), f.imag.reshape(active.size, entries)
+        r = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        steps.append((active, r))
+        done = r <= tol
+        w[active[done]] = upd[done]
+        converged[active[done]] = True
+        go = ~done
+        active, wa, upd, f, r = active[go], wa[go], upd[go], f[go], r[go]
+        grew = r > last_r[active]
+        damping[active] += grew
+        alpha[active] = np.where(grew, np.maximum(alpha[active] / 2.0, 1.0 / 64.0), 1.0)
+        cand = wa + alpha[active][:, None, None] * f
+        # secant extrapolation of the fixed-point update, where it stays
+        # properly inside the half-plane
+        sec = np.flatnonzero(~grew & has_prev[active])
+        df = (f[sec] - prev_f[active[sec]]).reshape(sec.size, entries)
+        den = np.vecdot(df, df).real
+        pos = den > 0.0
+        sec = sec[pos]
+        gamma = np.vecdot(df[pos], f[sec].reshape(sec.size, entries)) / den[pos]
+        near = np.hypot(gamma.real, gamma.imag) <= 8.0
+        sec, gamma = sec[near], gamma[near]
+        trial = upd[sec] - gamma[:, None, None] * (upd[sec] - prev_g[active[sec]])
+        inside = np.linalg.eigvalsh(imag_part(trial))[:, 0] > im_floor[active[sec]]
+        cand[sec[inside]] = trial[inside]
+        prev_g[active], prev_f[active] = upd, f
+        has_prev[active] = True
+        last_r[active] = r
+        w[active] = cand
+    # the loop leaves each iterate's half-plane check to the next
+    # cauchy_G; the iterates returned get theirs here
+    _require_upper(at(w))
+    # each row's residuals in iteration order, the rows one after another
+    visits = np.concatenate([s[0] for s in steps])
+    flat = np.concatenate([s[1] for s in steps])[np.argsort(visits, kind="stable")]
+    counts = np.bincount(visits, minlength=n_rows).tolist()
+    residuals = tuple(flat[end - n : end] for n, end in zip(counts, itertools.accumulate(counts)))
+    im_eigs = np.linalg.eigvalsh(imag_part(w))
+    return at(w), _StackTrace(residuals, converged, eps0, im_eigs, damping)
+
+
+@dataclass(frozen=True)
+class _StackTrace:
+    """The trace of every row of a stacked solve, kept in arrays.
+
+    Rows become Python objects only as far as a caller asks: a grid row
+    needs its last residual, tail ratio and bound, a single solve its
+    full SolveTrace. (Building every row's residual and ratio tuples
+    grows the allocator's arenas over many grids.)
+    """
+
+    residuals: tuple  # one array per row
+    converged: np.ndarray
+    epsilon0: np.ndarray
+    im_eigs: np.ndarray  # ascending eigenvalues of Im omega, per row
+    damping: np.ndarray
+
+    def contraction_bound(self, i: int) -> float | None:
+        return _contraction_bound(self.epsilon0[i], self.im_eigs[i])
+
+    def tail_ratio(self, i: int) -> float | None:
+        return _tail_ratio(_ratios(self.residuals[i]))
+
+    def row(self, i: int) -> SolveTrace:
+        ratios = _ratios(self.residuals[i])
+        bound = self.contraction_bound(i)
+        tail = _tail_ratio(ratios)
+        return SolveTrace(
+            iterations=self.residuals[i].size,
+            converged=bool(self.converged[i]),
+            residuals=tuple(self.residuals[i].tolist()),
+            ratios=tuple(ratios.tolist()),
+            epsilon0=float(self.epsilon0[i]),
+            omega_im_min=float(self.im_eigs[i, 0]),
+            contraction_bound=bound,
+            tail_ratio=tail,
+            certificate_ok=bool(tail is None or (bound is not None and tail <= bound + 0.05)),
+            damping_events=int(self.damping[i]),
+        )
 
 
 def subordination_solve(
@@ -371,82 +532,21 @@ def subordination_solve(
     count flat near spectral edges, where the plain Picard factor
     crawls toward one.
 
-    The trace records full-step residuals ||g(w_k) - w_k||, their
-    ratios, per-step gauge distances, and the contraction certificate
-    against ||1 - eps0 (Im omega)^(-1)|| with eps0 = lambda_min(Im b),
+    The trace records full-step residuals ||g(w_k) - w_k|| and their
+    ratios, and the contraction certificate against
+    ||1 - eps0 (Im omega)^(-1)|| with eps0 = lambda_min(Im b),
     refreshed only downward along Im h0(w_k) as a roundoff guard.
 
     Raises MaxIterExceeded (carrying the best iterate and trace) when
-    the budget runs out.
+    the budget runs out, and ValueError when max_iter < 1.
     """
-    validate_rho(model, rho)
-    _require_upper(b)
-    eps0 = float(np.linalg.eigvalsh(imag_part(b.mat))[0])
-    im_floor = 0.1 * eps0
-    w = NcPoint(b.base_dim, b.level, b.mat.copy())
-    residuals: list[float] = []
-    gauge_steps: list[float] = []
-    prev_g = prev_f = None
-    alpha = 1.0
-    damping_events = 0
-    converged = False
-    for _ in range(max_iter):
-        _, h = F_and_h(model, w)
-        upd = b.mat + rho_minus_id(model, rho, h.mat, b.level)
-        eps0 = min(eps0, float(np.linalg.eigvalsh(imag_part(upd))[0]))
-        f = upd - w.mat
-        r = float(np.linalg.norm(f))
-        residuals.append(r)
-        if r <= tol:
-            gauge_steps.append(halfplane_gauge(NcPoint(b.base_dim, b.level, upd), w) if r > 0 else 0.0)
-            w = NcPoint(b.base_dim, b.level, upd)
-            converged = True
-            break
-        cand = None
-        if len(residuals) >= 2 and r > residuals[-2]:
-            alpha = max(alpha / 2.0, 1.0 / 64.0)
-            damping_events += 1
-        else:
-            alpha = 1.0
-            if prev_f is not None:
-                df = f - prev_f
-                den = float(np.real(np.vdot(df, df)))
-                if den > 0.0:
-                    gamma = complex(np.vdot(df, f) / den)
-                    if abs(gamma) <= 8.0:
-                        trial = upd - gamma * (upd - prev_g)
-                        if float(np.linalg.eigvalsh(imag_part(trial))[0]) > im_floor:
-                            cand = trial
-        if cand is None:
-            cand = w.mat + alpha * f
-        prev_g, prev_f = upd, f
-        new = NcPoint(b.base_dim, b.level, cand)
-        gauge_steps.append(halfplane_gauge(new, w) if r > 0 else 0.0)
-        w = new
-    ratios = tuple(
-        r1 / r0 for r0, r1 in zip(residuals, residuals[1:]) if r0 > 0.0
-    )
-    im_min = float(np.linalg.eigvalsh(imag_part(w.mat))[0])
-    bound = _contraction_bound(eps0, imag_part(w.mat))
-    tail = _tail_ratio(ratios)
-    cert = bool(tail is None or (bound is not None and tail <= bound + 0.05))
-    trace = SolveTrace(
-        iterations=len(residuals),
-        converged=converged,
-        residuals=tuple(residuals),
-        ratios=ratios,
-        gauge_steps=tuple(gauge_steps),
-        epsilon0=eps0,
-        omega_im_min=im_min,
-        contraction_bound=bound,
-        tail_ratio=tail,
-        certificate_ok=cert,
-        damping_events=damping_events,
-    )
-    if not converged:
+    _check_max_iter(max_iter)
+    omega, traces = _solve_stack(model, rho, NcPoint(b.base_dim, b.level, b.mat[None]), tol, max_iter)
+    w, trace = NcPoint(b.base_dim, b.level, omega.mat[0]), traces.row(0)
+    if not trace.converged:
         raise MaxIterExceeded(
             f"no convergence in {max_iter} iterations "
-            f"(last residual {residuals[-1]:.3e})",
+            f"(last residual {trace.residuals[-1]:.3e})",
             omega=w,
             trace=trace,
         )
@@ -478,15 +578,34 @@ class DensityResult:
     state: str
 
 
-def _state_value(model, g: np.ndarray, state) -> complex:
+def _state_value(model, g: np.ndarray, state):
+    """phi(g) per matrix of a stack."""
     if state == "trace":
-        return complex(np.trace(g) / g.shape[0])
+        return _trace(g) / g.shape[-1]
     if isinstance(state, tuple) and state and state[0] == "block":
         if not isinstance(model, MatrixModel):
             raise ValueError("block states need a MatrixModel")
         sl = _block_slices(model.blocks)[state[1]]
-        return complex(np.trace(g[sl, sl]) / model.blocks[state[1]])
+        return _trace(g[..., sl, sl]) / model.blocks[state[1]]
     raise ValueError(f"unknown state {state!r}")
+
+
+def _density_rows(model, rho, xs, bs, state, tol, max_iter) -> list:
+    """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
+    omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
+    density = -_state_value(model, cauchy_G(model, omega).mat, state).imag / np.pi
+    return [
+        DensityRow(
+            x=float(x),
+            density=float(dens),
+            residual=float(traces.residuals[i][-1]),
+            iterations=traces.residuals[i].size,
+            converged=bool(traces.converged[i]),
+            tail_ratio=traces.tail_ratio(i),
+            contraction_bound=traces.contraction_bound(i),
+        )
+        for i, (x, dens) in enumerate(zip(xs, density))
+    ]
 
 
 def density_grid(
@@ -504,32 +623,27 @@ def density_grid(
 
     Each grid row solves subordination at x + i eps (level one, scalar
     multiple of the identity, so the point lies in the model algebra)
-    and evaluates density(x) = -Im phi(G_rho) / pi. Unconverged rows
-    are recorded, not raised. The mass field integrates the density by
-    the trapezoid rule.
+    and evaluates density(x) = -Im phi(G_rho) / pi. All rows are solved
+    as one stack; each row gets exactly the values of its own solve.
+    Unconverged rows are recorded, not raised. The mass field
+    integrates the density by the trapezoid rule.
     """
+    _check_max_iter(max_iter)
     d = model_base_dim(model)
     xs = np.linspace(float(xmin), float(xmax), int(points))
-    rows = []
-    for x in xs:
-        b = NcPoint(d, 1, (x + 1j * eps) * np.eye(d, dtype=np.complex128))
-        try:
-            omega, trace = subordination_solve(model, rho, b, tol=tol, max_iter=max_iter)
-        except MaxIterExceeded as exc:
-            omega, trace = exc.omega, exc.trace
-        g = cauchy_G(model, omega)
-        phi = _state_value(model, g.mat, state)
-        rows.append(
-            DensityRow(
-                x=float(x),
-                density=float(-phi.imag / np.pi),
-                residual=float(trace.residuals[-1]) if trace.residuals else 0.0,
-                iterations=trace.iterations,
-                converged=trace.converged,
-                tail_ratio=trace.tail_ratio,
-                contraction_bound=trace.contraction_bound,
-            )
-        )
+    if not xs.size:
+        return DensityResult((), float(eps), 0.0, str(state))
+    bs = (xs + 1j * eps)[:, None, None] * np.eye(d, dtype=np.complex128)
+    try:
+        rows = _density_rows(model, rho, xs, bs, state, tol, max_iter)
+    except (NcmetricError, np.linalg.LinAlgError):
+        # one row at a time in grid order, so the first failing row
+        # raises what it raises when solved alone
+        rows = [
+            row
+            for i in range(xs.size)
+            for row in _density_rows(model, rho, xs[i : i + 1], bs[i : i + 1], state, tol, max_iter)
+        ]
     dens = np.array([r.density for r in rows])
     mass = float(np.trapezoid(dens, xs))
     return DensityResult(tuple(rows), float(eps), mass, str(state))

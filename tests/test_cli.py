@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -241,6 +242,96 @@ def test_convolve_out_file_summary(tmp_path, capsys):
     assert summary["converged"] == 9
     assert summary["out"] == str(out)
     assert out.read_text().startswith("x,density,residual,iterations\n")
+
+
+_EDGE_GRID = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-2.4875",
+              "--xmax", "2.4875", "--points", "21", "--eps", "1e-3"]
+
+
+def test_convolve_frozen_outputs(tmp_path, capsys):
+    # x = +-1.99 hit the 200-iteration cap; rows are solved as one stack
+    assert main(_EDGE_GRID) == 0
+    assert capsys.readouterr().out == (
+        "x,density,residual,iterations\n"
+        "-2.4875,0.0002447053634463249,1.4033321350868907e-12,6\n"
+        "-2.23875,0.0006999697662214808,8.453862563689851e-15,7\n"
+        "-1.9899999999999998,0.39694807698790574,0.025256281802215667,200\n"
+        "-1.74125,0.32351859740351974,2.2443863712672982e-10,19\n"
+        "-1.4925,0.2390910460968562,6.830100329045282e-12,16\n"
+        "-1.24375,0.20323265466746743,7.380344584625571e-10,14\n"
+        "-0.9950000000000001,0.183471469629943,5.953959248944283e-11,18\n"
+        "-0.7462500000000001,0.17154360227235904,1.9076784904469936e-15,19\n"
+        "-0.49750000000000005,0.16431986490658998,1.0867282472665e-10,17\n"
+        "-0.24875000000000025,0.16040038532550513,2.5210501783828628e-14,20\n"
+        "0.0,0.15915492319753127,1.4344081478157023e-12,21\n"
+        "0.2487499999999998,0.16040038532550513,2.476388869408259e-14,20\n"
+        "0.4974999999999996,0.16431986490658998,1.0867239827916104e-10,17\n"
+        "0.7462499999999999,0.17154360227235907,1.6662594659381951e-15,19\n"
+        "0.9949999999999997,0.18347146962994298,5.953959904600757e-11,18\n"
+        "1.24375,0.20323265466746743,7.380344584625571e-10,14\n"
+        "1.4924999999999997,0.23909104609685608,6.830188156363464e-12,16\n"
+        "1.74125,0.32351859740351974,2.2443863712672982e-10,19\n"
+        "1.9899999999999993,0.3969480769878374,0.02525628180222178,200\n"
+        "2.2387499999999996,0.0006999697662214827,8.232309156372408e-15,7\n"
+        "2.4875,0.0002447053634463249,1.4033321350868907e-12,6\n"
+    )
+    x = np.array(
+        [
+            [0.5, 0.3 + 0.2j, 0.0, 0.1 - 0.4j],
+            [0.3 - 0.2j, -0.7, 0.25, 0.0],
+            [0.0, 0.25, 0.2, -0.6 + 0.1j],
+            [0.1 + 0.4j, 0.0, -0.6 - 0.1j, -0.3],
+        ]
+    )
+    model = _dump(tmp_path, "model.json", {"variant": "matrix_model", "x": mat_to_json(x), "blocks": [2, 2]})
+    v = np.diag([0.8, 0.8, 0.6, 0.6])
+    rho = _dump(tmp_path, "rho.json", {"variant": "kraus_augment", "vs": [mat_to_json(v)]})
+    out = tmp_path / "kraus.csv"
+    argv = ["convolve", "--model", model, "--rho", rho, "--xmin", "-2.5", "--xmax", "2.5",
+            "--points", "11", "--eps", "1e-2", "--out", str(out)]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537492318241, "out": str(out), "points": 11}
+    assert out.read_text() == (
+        "x,density,residual,iterations\n"
+        "-2.5,0.0009658976717463215,1.1562260097237215e-10,7\n"
+        "-2.0,0.0024757786742740542,6.30082012876211e-11,8\n"
+        "-1.5,0.2706971929740646,2.1606164508769293e-11,11\n"
+        "-1.0,0.6011828819844276,2.371506568982594e-10,32\n"
+        "-0.5,0.2305806574329097,9.508008020713658e-10,25\n"
+        "0.0,0.2168339949239346,6.980088387542008e-10,32\n"
+        "0.5,0.2926725382250874,5.787788674927259e-10,39\n"
+        "1.0,0.3175327192036879,1.4793813448228997e-11,15\n"
+        "1.5,0.009119950256902695,3.157863408449888e-11,9\n"
+        "2.0,0.0015614986958025353,5.13446884370044e-10,7\n"
+        "2.5,0.0007346745133682786,1.475684164753706e-11,7\n"
+    )
+
+
+def test_consecutive_calls_behave_like_fresh_processes(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(_EDGE_GRID + ["--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == str(out)
+    out.unlink()
+    assert main(_EDGE_GRID) == 0
+    assert capsys.readouterr().out.startswith("x,density,residual,iterations\n")
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(_EDGE_GRID + ["--no-such-flag"])
+    assert exc.value.code == 3
+    capsys.readouterr()
+    assert main(_EDGE_GRID) == 0
+
+
+def test_warm_convolve_leaves_no_cyclic_garbage(capsys):
+    main(_EDGE_GRID)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(_EDGE_GRID) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_props_runs_are_byte_identical(capsys):

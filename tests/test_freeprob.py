@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from ncmetric import freeprob
 from ncmetric.freeprob import (
     DensityResult,
+    DensityRow,
     KrausAugment,
     MatrixModel,
     MaxIterExceeded,
@@ -25,6 +27,7 @@ from ncmetric.freeprob import (
     model_from_json,
     model_to_json,
     rho_from_json,
+    rho_minus_id,
     rho_to_json,
     subordination_solve,
     support_interval,
@@ -65,6 +68,21 @@ def test_scalar_closed_forms_match_oracles():
         assert got == pytest.approx(oracles.semicircle_G(z), abs=1e-12)
         got = complex(cauchy_G(ScalarLaw("arcsine"), _scalar(z)).mat[0, 0])
         assert got == pytest.approx(oracles.arcsine_G(z), abs=1e-12)
+
+
+def test_closed_forms_frozen_to_the_bit():
+    # at these points a fused complex multiply changes the last bit
+    cases = [
+        (ScalarLaw("semicircle", 1.3), 2.74 + 0.287j, 0.4487544707749498 - 0.0818646017529056j),
+        (ScalarLaw("semicircle", 1.3), 2.84 + 0.323j, 0.42190274648595455 - 0.07818155737541531j),
+        (ScalarLaw("arcsine"), -0.4 + 0.075j, -0.003977450553683344 - 0.5098904693429489j),
+        (ScalarLaw("arcsine"), -0.13 + 0.105j, -0.0017099660670827485 - 0.5003588267548204j),
+    ]
+    for law, z, want in cases:
+        assert complex(cauchy_G(law, _scalar(z)).mat[0, 0]) == want
+    stack = NcPoint(1, 1, np.array([[[z]] for _, z, _ in cases[2:]]))
+    got = cauchy_G(ScalarLaw("arcsine"), stack).mat[:, 0, 0]
+    assert got.tolist() == [want for _, _, want in cases[2:]]
 
 
 def test_quadrature_route_matches_closed_form():
@@ -255,3 +273,175 @@ def test_rho_json_round_trips():
     back = rho_from_json(rho_to_json(kr))
     assert len(back.vs) == 2
     np.testing.assert_array_equal(back.vs[0], kr.vs[0])
+
+
+# ---------------------------------------------------------- stacked solver
+
+
+def _one_row(model, rho, x, eps, tol=1e-9, max_iter=200):
+    """A grid row solved alone, as density_grid solved each row before stacking."""
+    d = model.base_dim
+    b = NcPoint(d, 1, (x + 1j * eps) * np.eye(d, dtype=np.complex128))
+    try:
+        omega, trace = subordination_solve(model, rho, b, tol=tol, max_iter=max_iter)
+    except MaxIterExceeded as exc:
+        omega, trace = exc.omega, exc.trace
+    g = cauchy_G(model, omega).mat
+    phi = complex(np.trace(g) / g.shape[0])
+    return DensityRow(
+        x=float(x),
+        density=float(-phi.imag / np.pi),
+        residual=float(trace.residuals[-1]),
+        iterations=trace.iterations,
+        converged=trace.converged,
+        tail_ratio=trace.tail_ratio,
+        contraction_bound=trace.contraction_bound,
+    )
+
+
+_X4 = np.array(
+    [
+        [0.5, 0.3 + 0.2j, 0.0, 0.1 - 0.4j],
+        [0.3 - 0.2j, -0.7, 0.25, 0.0],
+        [0.0, 0.25, 0.2, -0.6 + 0.1j],
+        [0.1 + 0.4j, 0.0, -0.6 - 0.1j, -0.3],
+    ]
+)
+
+GRIDS = {
+    # x = +-1.99 are grid points and hit the 200-iteration cap
+    "bernoulli_edge": (ScalarLaw("bernoulli"), ScalarPower(2.0), 2.4875, 21, 1e-3),
+    "semicircle": (ScalarLaw("semicircle"), ScalarPower(2.5), 3.6, 25, 3e-3),
+    "arcsine": (ScalarLaw("arcsine"), ScalarPower(1.5), 3.0, 25, 1e-2),
+    "point_mass": (ScalarLaw("point_mass", atom=0.3), ScalarPower(2.0), 1.5, 13, 1e-2),
+    "matrix_power": (MatrixModel(_X4, (2, 2)), ScalarPower(2.2), 3.0, 21, 3e-3),
+    "matrix_kraus": (
+        MatrixModel(_X4, (2, 2)),
+        KrausAugment((np.diag([0.8, 0.8, 0.6, 0.6]).astype(complex),)),
+        2.5,
+        21,
+        1e-2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_stacked_grid_rows_equal_one_row_solves(name):
+    model, rho, half, points, eps = GRIDS[name]
+    res = density_grid(model, rho, -half, half, points=points, eps=eps)
+    want = tuple(_one_row(model, rho, x, eps) for x in np.linspace(-half, half, points))
+    assert res.rows == want
+    if name == "bernoulli_edge":
+        capped = [r.x for r in res.rows if not r.converged]
+        assert capped == pytest.approx([-1.99, 1.99])
+        assert all(r.iterations == 200 for r in res.rows if not r.converged)
+
+
+def test_stacked_transforms_equal_per_point():
+    rng = _rng(50)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = [
+        (ScalarLaw("semicircle"), 1, 1),
+        (ScalarLaw("arcsine"), 1, 2),  # level 2: the quadrature route
+        (ScalarLaw("bernoulli"), 1, 3),
+        (MatrixModel((h + h.conj().T) / 4, (2, 4)), 6, 2),
+    ]
+    rho = ScalarPower(1.7)
+    for model, d, level in cases:
+        n = d * level
+        re = rng.standard_normal((5, n, n))
+        im = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        im = im @ im.conj().mT / n + 0.3 * np.eye(n)
+        pts = (re + re.mT) / 2 + 1j * im
+        if isinstance(model, MatrixModel):
+            # block-scalar points keep Im h nonnegative
+            pts = np.kron(pts[:, :level, :level], np.eye(d))
+        g = cauchy_G(model, NcPoint(d, level, pts)).mat
+        _, hs = F_and_h(model, NcPoint(d, level, pts))
+        for i, p in enumerate(pts):
+            np.testing.assert_array_equal(g[i], cauchy_G(model, NcPoint(d, level, p)).mat)
+            np.testing.assert_array_equal(hs.mat[i], F_and_h(model, NcPoint(d, level, p))[1].mat)
+            np.testing.assert_array_equal(
+                rho_minus_id(model, rho, hs.mat, level)[i], rho_minus_id(model, rho, hs.mat[i], level)
+            )
+
+
+def _expectation_loop(model, m):
+    # the per-block reference: np.trace of each partition block
+    d = model.base_dim
+    n = m.shape[0] // d
+    out = np.zeros_like(m)
+    for i in range(n):
+        for j in range(n):
+            q = m[i * d : (i + 1) * d, j * d : (j + 1) * d]
+            off = 0
+            for k in model.blocks:
+                sl = slice(off, off + k)
+                out[i * d + off : i * d + off + k, j * d + off : j * d + off + k] = (
+                    np.trace(q[sl, sl]) / k
+                ) * np.eye(k)
+                off += k
+    return out
+
+
+def test_stacked_expectation_equals_block_traces():
+    rng = _rng(51)
+    # a partition block of 9 sums its trace pairwise in numpy
+    model = MatrixModel(np.diag(rng.standard_normal(12)), (9, 3))
+    ms = rng.standard_normal((3, 24, 24)) + 1j * rng.standard_normal((3, 24, 24))
+    stacked = expectation(model, ms)
+    for i, m in enumerate(ms):
+        np.testing.assert_array_equal(stacked[i], _expectation_loop(model, m))
+        np.testing.assert_array_equal(expectation(model, m), stacked[i])
+
+
+def test_failing_rows_raise_in_grid_order(monkeypatch):
+    # row 3 fails at its third transform call, row 7 at its first; solved
+    # together, row 7 fails first, but row 3 comes first in grid order
+    law, rho, eps = ScalarLaw("bernoulli"), ScalarPower(2.0), 1e-3
+    xs = np.linspace(-1.0, 1.0, 11)
+    starts = {complex(x + 1j * eps): i for i, x in enumerate(xs)}
+    fail_at = {3: 3, 7: 1}
+    real = freeprob.cauchy_G
+    state = {"row": None, "calls": {}}
+
+    def flaky(model, b):
+        pts = b.mat.reshape(-1)
+        if pts.size > 1:
+            rows = [starts[complex(z)] for z in pts] if state["row"] is None else []
+        elif complex(pts[0]) in starts:
+            rows = [starts[complex(pts[0])]]
+        else:
+            rows = [state["row"]]
+        for row in rows:
+            state["row"] = row
+            state["calls"][row] = state["calls"].get(row, 0) + 1
+            if state["calls"][row] >= fail_at.get(row, np.inf):
+                raise SingularResolvent(f"planted failure in row {row}")
+        return real(model, b)
+
+    monkeypatch.setattr(freeprob, "cauchy_G", flaky)
+    with pytest.raises(SingularResolvent, match="planted failure in row 3$"):
+        density_grid(law, rho, -1.0, 1.0, points=11, eps=eps)
+    # rows 0-2 were solved alone before row 3 failed
+    assert all(state["calls"][row] > 3 for row in (0, 1, 2))
+
+
+def test_empty_grid_has_no_rows():
+    res = density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=0)
+    assert res.rows == ()
+    assert res.mass == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=5, max_iter=0),
+        lambda b: convolved_G(ScalarLaw("bernoulli"), ScalarPower(2.0), b, max_iter=0),
+        lambda b: subordination_solve(ScalarLaw("bernoulli"), ScalarPower(2.0), b, max_iter=0),
+    ],
+    ids=["density_grid", "convolved_G", "subordination_solve"],
+)
+def test_max_iter_below_one_is_value_error(call):
+    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+        call(_scalar(0.3 + 1j))

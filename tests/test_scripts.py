@@ -1,0 +1,49 @@
+"""The scripts under scripts/ run end to end with small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_density_sweep_writes_csv_and_summary(tmp_path):
+    proc = _run("density_sweep.py", "--ts", "2", "--out-dir", str(tmp_path / "sweep"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    csv = tmp_path / "sweep" / "semicircle_t2.csv"
+    assert proc.stdout.startswith("t=2: support [")
+    assert f"wrote {csv}" in proc.stdout
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "x,density,residual,iterations"
+    assert len(lines) == 1 + int(2 * (2 * 2**0.5 + 0.6) / 0.02) + 1
+
+
+def test_contraction_profile_prints_table(tmp_path):
+    proc = _run("contraction_profile.py", "--ys", "1,0.3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "y,iterations,residual,tail_ratio,bound,certificate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "0.3"]
+    assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_blowup_profile_prints_table(tmp_path):
+    proc = _run("blowup_profile.py", "--samples", "3", "--js", "2,4", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "fill,ball_tilde,disk_worst_tilde"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.750000", "0.937500"]
