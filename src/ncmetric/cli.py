@@ -200,9 +200,10 @@ def cmd_distance(args) -> int:
             "points_used": path.points_used,
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
     if args.out:
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_text(args.out, text)
     return EXIT_OK
 
 

@@ -99,7 +99,11 @@ class NormBound:
 
 @dataclass(frozen=True)
 class SpectralDisk:
-    """Points whose spectrum sits in an open disk, with a norm cap."""
+    """Points whose spectrum sits in an open disk, with a norm cap.
+
+    Membership tests the norm cap first and the spectrum second, on
+    the matrices that pass the cap.
+    """
 
     center: complex
     radius: float
@@ -193,10 +197,34 @@ def kernel_diffs(kernel, a: NcPoint, c: NcPoint, b: NcDirection):
     return d0, d1, d01
 
 
+def _finite(a: NcPoint, test: str):
+    # LAPACK either rejects non-finite input or quietly returns NaN
+    if not np.isfinite(a.mat).all():
+        raise EvaluationFailure(f"{test} failure: Array must not contain infs or NaNs")
+
+
+def _lapack(test: str, fn, *args):
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationFailure(f"{test} failure: {exc}") from None
+
+
+def _in_disk(domain: SpectralDisk, m: np.ndarray, margin: float):
+    eigs = _lapack("eigenvalue", np.linalg.eigvals, m)
+    return np.max(np.abs(eigs - domain.center), axis=-1) < domain.radius - margin
+
+
 def _inside(domain, a: NcPoint, margin: float):
     """Membership of a point or of each matrix of a stack.
 
-    Raises EvaluationFailure when the test cannot be evaluated.
+    A spectral disk tests the norm bound first and the spectrum only
+    where the norm bound holds. A ray point [[a, s b], [0, c]] has the
+    spectrum of a and c, so along a ray the norm bound alone decides,
+    and the eigenvalues of the points over it are never computed.
+
+    Raises EvaluationFailure when the test cannot be evaluated,
+    non-finite entries included.
     """
     if isinstance(domain, KernelDomain):
         g = gram(domain.kernel, a)
@@ -204,18 +232,21 @@ def _inside(domain, a: NcPoint, margin: float):
             raise EvaluationFailure("gram evaluation overflowed")
         return is_strictly_positive(herm_part(g), margin)
     if isinstance(domain, SpectralDisk):
-        try:
-            eigs = np.linalg.eigvals(a.mat)
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationFailure(f"eigenvalue failure: {exc}") from None
-        in_disk = np.max(np.abs(eigs - domain.center), axis=-1) < domain.radius - margin
+        _finite(a, "eigenvalue")
         bound = domain.norm_bound.at_level(a.level)
-        return in_disk & (operator_norm(a.mat) < bound - margin)
+        inside = _lapack("norm", operator_norm, a.mat) < bound - margin
+        if a.mat.ndim == 2:
+            return inside and _in_disk(domain, a.mat, margin)
+        if inside.any():
+            inside[inside] = _in_disk(domain, a.mat[inside], margin)
+        return inside
     if isinstance(domain, NilpotentCone):
+        _finite(a, "norm")
         m = a.dim
-        norm = operator_norm(a.mat)
+        norm = _lapack("norm", operator_norm, a.mat)
         power = np.linalg.matrix_power(a.mat, m)
-        return operator_norm(power) <= NILPOTENT_TOL * norm**m
+        # np.power: a bound past the float range is inf, not an OverflowError
+        return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
     raise TypeError(f"not a domain spec: {type(domain).__name__}")
 
 

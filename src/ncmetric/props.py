@@ -8,12 +8,20 @@ because each check's substreams depend only on the seed and its name.
 
 Count-valued checks (membership agreement and the like) report the
 number of offending samples as the defect.
+
+Checks whose evaluation draws no random numbers draw all their samples
+first, exactly as a sample-by-sample loop would, and then evaluate
+them as stacks, one stacked call per route and shape group (see
+_stacked). Each sample's values equal those of its evaluation alone,
+and the worst defect is folded in sample order, so the report is the
+same as that of evaluating one sample at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,8 +41,10 @@ from .domains import (
 from .freeprob import (
     KrausAugment,
     MatrixModel,
+    MaxIterExceeded,
     ScalarLaw,
     ScalarPower,
+    _solve_stack,
     cauchy_G,
     expectation,
     F_and_h,
@@ -52,6 +62,7 @@ from .matcore import (
     psd_inv_sqrt,
 )
 from .metric import (
+    _sample_outcomes,
     check_contraction,
     compare_nested,
     d_upper,
@@ -96,6 +107,36 @@ class CheckResult:
 def _result(name: str, samples: int, worst: float, tol: float) -> CheckResult:
     worst = float(worst)
     return CheckResult(name, samples, worst, float(tol), bool(worst <= tol))
+
+
+def _values(results) -> list:
+    """The values of a route's result, or of its list of per-row results."""
+    return [r.value for r in results] if isinstance(results, list) else [results.value]
+
+
+def _stacked(samples, *routes):
+    """Per sample in sample order, the tuple of each route's value on it.
+
+    A sample holds one tuple of arguments (points and directions) per
+    route, and routes[i] is a metric route called on the sample's i-th
+    tuple. The samples go through metric._sample_outcomes: one stacked
+    call of each route per shape group, and a group whose stacked call
+    raises is redone one sample at a time, so the first failing sample
+    raises what it raises alone.
+    """
+    sizes = [len(args) for args in samples[0]] if samples else []
+
+    def evaluate(*parts):
+        # the sample name _sample_outcomes appends goes unused: the
+        # routes name the points they reject themselves
+        values, pos = [], 0
+        for route, size in zip(routes, sizes):
+            values.append(_values(route(*parts[pos : pos + size])))
+            pos += size
+        return list(zip(*values))
+
+    flat = [tuple(x for args in sample for x in args) for sample in samples]
+    return _sample_outcomes(flat, evaluate, "sample")
 
 
 # ---------------------------------------------------------------- matcore
@@ -345,10 +386,12 @@ def _oracle_worst(kind: str, triples) -> float:
     dom = ball_domain() if kind == "ball" else halfplane_domain()
     kernel = BallKernel() if kind == "ball" else HalfPlaneKernel()
     worst = 0.0
-    for a, c, b in triples:
-        ray = delta_ray(dom, a, c, b, tol=1e-7).value
-        closed = delta_closed(kind, a, c, b).value
-        kern = delta_kernel(kernel, a, c, b).value
+    for ray, closed, kern in _stacked(
+        [(t, t, t) for t in triples],
+        partial(delta_ray, dom, tol=1e-7),
+        partial(delta_closed, kind),
+        partial(delta_kernel, kernel),
+    ):
         worst = max(worst, abs(ray - closed), abs(ray - kern))
     return worst
 
@@ -368,17 +411,20 @@ def check_oracle_halfplane(seed: int) -> CheckResult:
 def check_delta_homogeneity(seed: int) -> CheckResult:
     rng = rng_stream(seed, "delta_homogeneity")
     kernel = ComposedBallKernel(Polynomial((0.0, 2.0)))
-    worst = 0.0
-    n = 0
+    scales = (0.5, 2.0)
+    samples = []
     for _ in range(10):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a = ball_point(rng, lvl, d, radius=0.5, fill=0.7)
         c = ball_point(rng, lvl, d, radius=0.5, fill=0.7)
         b = direction_sample(rng, d, lvl, lvl)
-        base = delta_kernel(kernel, a, c, b).value
-        for s in (0.5, 2.0):
-            sb = NcDirection(d, lvl, lvl, s * b.mat)
-            worst = max(worst, abs(delta_kernel(kernel, a, c, sb).value - s * base) / max(1e-12, s * base))
+        samples.append(((a, c, b), *((a, c, NcDirection(d, lvl, lvl, s * b.mat)) for s in scales)))
+    worst = 0.0
+    n = 0
+    route = partial(delta_kernel, kernel)
+    for base, *scaled in _stacked(samples, route, route, route):
+        for s, val in zip(scales, scaled):
+            worst = max(worst, abs(val - s * base) / max(1e-12, s * base))
             n += 1
     return _result("delta_homogeneity", n, worst, 1e-9)
 
@@ -388,6 +434,7 @@ def check_delta_unitary_invariance(seed: int) -> CheckResult:
     worst = 0.0
     n = 0
     for kind in ("ball", "halfplane"):
+        samples = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             if kind == "ball":
@@ -397,13 +444,14 @@ def check_delta_unitary_invariance(seed: int) -> CheckResult:
             b = direction_sample(rng, d, lvl, lvl)
             u, v = unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)
             uk, vk = np.kron(u, np.eye(d)), np.kron(v, np.eye(d))
-            before = delta_closed(kind, a, c, b).value
-            after = delta_closed(
-                kind,
+            conjugated = (
                 unitary_conjugate(u, a),
                 unitary_conjugate(v, c),
                 NcDirection(d, lvl, lvl, uk @ b.mat @ vk.conj().T),
-            ).value
+            )
+            samples.append(((a, c, b), conjugated))
+        route = partial(delta_closed, kind)
+        for before, after in _stacked(samples, route, route):
             worst = max(worst, abs(before - after))
             n += 1
     return _result("delta_unitary_invariance", n, worst, 1e-8)
@@ -411,47 +459,56 @@ def check_delta_unitary_invariance(seed: int) -> CheckResult:
 
 def check_delta_direct_sum_max(seed: int) -> CheckResult:
     rng = rng_stream(seed, "delta_direct_sum_max")
-    worst = 0.0
+    samples = []
     for _ in range(10):
         d = int(rng.integers(1, 3))
         lvl = int(rng.integers(1, 3))
         pairs = [(ball_point(rng, lvl, d), ball_point(rng, lvl, d)) for _ in range(2)]
         big_a = direct_sum(pairs[0][0], pairs[1][0])
         big_c = direct_sum(pairs[0][1], pairs[1][1])
-        parts = [delta_tilde("ball", a, c).value for a, c in pairs]
-        whole = delta_tilde("ball", big_a, big_c).value
+        samples.append((*pairs, (big_a, big_c)))
+    worst = 0.0
+    route = partial(delta_tilde, "ball")
+    for *parts, whole in _stacked(samples, route, route, route):
         worst = max(worst, abs(whole - max(parts)))
     return _result("delta_direct_sum_max", 10, worst, 1e-8)
 
 
 def check_delta_amplification(seed: int) -> CheckResult:
     rng = rng_stream(seed, "delta_amplification")
-    worst = 0.0
-    n = 0
+    samples, z_norms = [], []
     for _ in range(8):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
         b = direction_sample(rng, d, lvl, lvl)
-        base = delta_closed("ball", a, c, b).value
+        sample, norms = [(a, c, b)], []
         for k in (2, 3):
             z = complex_matrix(rng, k, k)
             big_b = NcDirection(d, k * lvl, k * lvl, np.kron(z, b.mat))
-            val = delta_closed(
-                "ball", amplify(np.eye(k), a), amplify(np.eye(k), c), big_b
-            ).value
-            worst = max(worst, abs(val - operator_norm(z) * base))
+            sample.append((amplify(np.eye(k), a), amplify(np.eye(k), c), big_b))
+            norms.append(operator_norm(z))
+        samples.append(sample)
+        z_norms.append(norms)
+    worst = 0.0
+    n = 0
+    route = partial(delta_closed, "ball")
+    for (base, *vals), norms in zip(_stacked(samples, route, route, route), z_norms):
+        for val, z_norm in zip(vals, norms):
+            worst = max(worst, abs(val - z_norm * base))
             n += 1
     return _result("delta_amplification", n, worst, 1e-8)
 
 
 def check_delta_nondegeneracy(seed: int) -> CheckResult:
     rng = rng_stream(seed, "delta_nondegeneracy")
-    min_val = float("inf")
+    samples = []
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a = ball_point(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
-        min_val = min(min_val, delta_closed("ball", a, a, b).value)
+        samples.append(((a, a, direction_sample(rng, d, lvl, lvl)),))
+    min_val = float("inf")
+    for (val,) in _stacked(samples, partial(delta_closed, "ball")):
+        min_val = min(min_val, val)
     return _result("delta_nondegeneracy", 15, 1e-9 - min_val, 0.0)
 
 
@@ -460,14 +517,16 @@ def check_tilde_matches_delta(seed: int) -> CheckResult:
     worst = 0.0
     n = 0
     for kind in ("ball", "halfplane"):
+        samples = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             if kind == "ball":
                 a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
             else:
                 a, c = halfplane_point(rng, lvl, d), halfplane_point(rng, lvl, d)
-            b = NcDirection(d, lvl, lvl, a.mat - c.mat)
-            worst = max(worst, abs(delta_tilde(kind, a, c).value - delta_closed(kind, a, c, b).value))
+            samples.append(((a, c), (a, c, NcDirection(d, lvl, lvl, a.mat - c.mat))))
+        for tilde, closed in _stacked(samples, partial(delta_tilde, kind), partial(delta_closed, kind)):
+            worst = max(worst, abs(tilde - closed))
             n += 1
     return _result("tilde_matches_delta", n, worst, 1e-8)
 
@@ -489,11 +548,15 @@ def check_ordering_chain(seed: int) -> CheckResult:
 
 def check_norm_lower_bound(seed: int) -> CheckResult:
     rng = rng_stream(seed, "norm_lower_bound")
-    worst = 0.0
+    samples, gaps = [], []
     for _ in range(20):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        worst = max(worst, operator_norm(a.mat - c.mat) - delta_tilde("ball", a, c).value)
+        samples.append(((a, c),))
+        gaps.append(operator_norm(a.mat - c.mat))
+    worst = 0.0
+    for gap, (tilde,) in zip(gaps, _stacked(samples, partial(delta_tilde, "ball"))):
+        worst = max(worst, gap - tilde)
     return _result("norm_lower_bound", 20, worst, 1e-9)
 
 
@@ -529,12 +592,15 @@ def check_spectral_disk_bounded(seed: int) -> CheckResult:
     # points approach the boundary of the spectral disk
     rng = rng_stream(seed, "spectral_disk_bounded")
     dom = SpectralDisk(0.0, 0.25, NormBound("constant", 1.0))
-    worst = -float("inf")
+    samples = []
     for _ in range(25):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a = selfadjoint_disk_point(rng, lvl, d, 0.25)
         c = selfadjoint_disk_point(rng, lvl, d, 0.25)
-        worst = max(worst, delta_auto_tilde(dom, a, c).value - 4.0 / 3.0)
+        samples.append(((a, c),))
+    worst = -float("inf")
+    for (val,) in _stacked(samples, partial(delta_auto_tilde, dom)):
+        worst = max(worst, val - 4.0 / 3.0)
     return _result("spectral_disk_bounded", 25, worst, 1e-9)
 
 
@@ -659,13 +725,29 @@ def check_subordination_certificate(seed: int) -> CheckResult:
     for law_kind, t in (("bernoulli", 2.0), ("bernoulli", 3.0), ("semicircle", 2.0)):
         law = ScalarLaw(law_kind)
         rho = ScalarPower(t)
-        for _ in range(5):
-            z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 2.0))
-            _, trace = subordination_solve(law, rho, point(np.array([[z]])))
-            if trace.tail_ratio is not None and trace.contraction_bound is not None:
-                worst = max(worst, trace.tail_ratio - trace.contraction_bound - 0.05)
+        zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 2.0)) for _ in range(5)]
+        pts = [(point(np.array([[z]])),) for z in zs]
+        for tail, bound in _sample_outcomes(pts, partial(_certificates, law, rho), "sample"):
+            if tail is not None and bound is not None:
+                worst = max(worst, tail - bound - 0.05)
             n += 1
     return _result("subordination_certificate", n, worst, 0.0)
+
+
+def _certificates(law, rho, b: NcPoint, name: str) -> list:
+    """(tail ratio, contraction bound) of subordination_solve at each point of b.
+
+    A stack is solved in one lockstep solve, whose rows equal
+    subordination_solve's; a row that does not converge fails the
+    stack, which is then solved point by point.
+    """
+    if b.mat.ndim == 2:
+        _, trace = subordination_solve(law, rho, b)
+        return [(trace.tail_ratio, trace.contraction_bound)]
+    _, traces = _solve_stack(law, rho, b, tol=1e-10, max_iter=200)  # subordination_solve's defaults
+    if not traces.converged.all():
+        raise MaxIterExceeded("a stacked solve did not converge")
+    return [(traces.tail_ratio(i), traces.contraction_bound(i)) for i in range(len(b.mat))]
 
 
 def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:

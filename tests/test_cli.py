@@ -82,6 +82,29 @@ def test_distance_payload_values(ball_files, capsys):
     assert len(dt["division"]) >= 2
 
 
+def test_distance_spectral_disk_frozen(tmp_path, capsys):
+    # a level-2 pair: every ray exit on the disk is a norm-bound exit
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    a = point([[0.1 + 0.05j, 0.3], [0.0, -0.2]])
+    c = point([[-0.15, 0.1j], [0.25, 0.2 + 0.1j]])
+    out = tmp_path / "distance.json"
+    argv = ["distance", "--domain", _dump(tmp_path, "disk.json", domain_to_json(disk)),
+            "--a", _dump(tmp_path, "a.json", point_to_json(a)),
+            "--c", _dump(tmp_path, "c.json", point_to_json(c)),
+            "--refine", "2", "--quad-points", "32", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    payload = json.loads(printed)
+    dt, du = payload["dtilde_upper"], payload["d_upper"]
+    assert dt["value"] == 0.6571373195474552
+    assert dt["stage_values"] == [0.703058569217232, 0.6670212403848435, 0.6604787658851825, 0.6571373195474552]
+    assert dt["diagnostics"] == [] and len(dt["division"]) == 6
+    assert du["value"] == 0.6552346388282818
+    assert du["quad_estimate"] == 7.576873709147502e-05
+    assert du["points_used"] == 32
+
+
 @pytest.mark.parametrize("quad", ["0", "-2"])
 def test_distance_without_quadrature_nodes_is_exit_3(ball_files, capsys, quad):
     argv = ["distance", "--domain", ball_files["domain"], "--a", ball_files["a"],
@@ -334,12 +357,56 @@ def test_warm_convolve_leaves_no_cyclic_garbage(capsys):
         gc.enable()
 
 
+_PROPS_SEED_7 = (
+    "check,samples,worst,tol,status\n"
+    "eig_reconstruction,20,1.3565697580237572e-15,1e-10,pass\n"
+    "norm_unitary_invariance,20,6.583819091601832e-16,1e-10,pass\n"
+    "psd_inv_sqrt,20,5.399767553852603e-15,1e-08,pass\n"
+    "direct_sum_assoc,10,0.0,0.0,pass\n"
+    "amplify_product,10,1.7075780894282496e-16,1e-12,pass\n"
+    "unitary_conj_spectrum,15,5.329070518200751e-15,1e-09,pass\n"
+    "fdc_identity,18,1.6172686685181527e-16,1e-09,pass\n"
+    "function_axioms,12,1.1419539396602546e-13,1e-08,pass\n"
+    "moebius_ball_image,20,-0.04384289648921014,0.0,pass\n"
+    "kernel_direct_sum_blocks,20,1.176103173279581e-16,1e-12,pass\n"
+    "kernel_unitary_intertwine,20,3.473692595673946e-16,1e-10,pass\n"
+    "ball_membership_norm,30,0.0,0.0,pass\n"
+    "halfplane_membership,40,0.0,0.0,pass\n"
+    "oracle_ball,12,3.709661333672898e-08,5e-06,pass\n"
+    "oracle_halfplane,12,3.6879742287831974e-08,5e-06,pass\n"
+    "delta_homogeneity,20,0.0,1e-09,pass\n"
+    "delta_unitary_invariance,16,9.992007221626409e-16,1e-08,pass\n"
+    "delta_direct_sum_max,10,2.220446049250313e-16,1e-08,pass\n"
+    "delta_amplification,16,8.881784197001252e-16,1e-08,pass\n"
+    "delta_nondegeneracy,15,-0.24014879412766715,0.0,pass\n"
+    "tilde_matches_delta,16,1.4432899320127035e-15,1e-08,pass\n"
+    "ordering_chain,2,0.0,1e-09,pass\n"
+    "norm_lower_bound,20,0.0,1e-09,pass\n"
+    "upper_semicontinuity,5,0.0001310083073299273,0.001,pass\n"
+    "boundary_blowup,7,-1.2115533573603914,0.0,pass\n"
+    "spectral_disk_bounded,25,-1.0341283021448275,1e-09,pass\n"
+    "nesting_halves,20,-0.004094785072284363,1e-08,pass\n"
+    "moebius_isometry,12,4.440892098500626e-16,1e-06,pass\n"
+    "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
+    "resolvent_negative_imag,15,-0.13644779290040385,0.0,pass\n"
+    "expectation_axioms,10,1.5334541241777669e-15,1e-12,pass\n"
+    "omega_direct_sum,2,4.742874840267547e-16,1e-08,pass\n"
+    "subordination_certificate,15,-0.1857726786375472,0.0,pass\n"
+    "schwarz_pick_h0,14,-2.2035758674422412e-12,0.0,pass\n"
+    "imh_decay,8,-0.0006863095266754762,0.0,pass\n"
+    "gauge_matches_delta,15,3.1086244689504383e-15,1e-10,pass\n"
+    "fixed_point_range,3,-9.930212724847883e-10,0.0,pass\n"
+)
+
+
 def test_props_runs_are_byte_identical(capsys):
     assert main(["props", "--seed", "7"]) == 0
     first = capsys.readouterr().out
     assert main(["props", "--seed", "7"]) == 0
     second = capsys.readouterr().out
     assert first == second
+    # stacked checks must reproduce the sample-by-sample values to the bit
+    assert first == _PROPS_SEED_7
     header, *rows = first.rstrip("\n").split("\n")
     assert header == "check,samples,worst,tol,status"
     assert rows and all(r.endswith(",pass") for r in rows)

@@ -126,6 +126,46 @@ def test_membership_of_a_stack_matches_rows(domain):
     assert True in got.tolist() and False in got.tolist()
 
 
+def test_spectral_disk_stack_matches_rows_on_each_failing_test():
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    rows = [
+        np.diag([0.1, 0.2]),  # inside
+        np.array([[0.1, 1.5], [0.0, 0.1]]),  # spectrum inside, norm over the bound
+        np.diag([0.7, 0.1]),  # norm under the bound, spectrum outside
+        np.array([[0.8, 1.2], [0.0, 0.1]]),  # both
+        0.3 * np.eye(2) + np.array([[0.0, 0.2], [0.0, 0.0]]),  # inside
+    ]
+    one_by_one = [contains(disk, point(r)).inside for r in rows]
+    assert one_by_one == [True, False, False, False, True]
+    assert contains(disk, NcPoint(1, 2, np.stack(rows))).tolist() == one_by_one
+    # a non-finite row fails the stacked test, and the rows are retried one by one
+    rows.append(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    assert contains(disk, NcPoint(1, 2, np.stack(rows))).tolist() == one_by_one + [False]
+
+
+_NON_FINITE = [np.array([[np.nan, 0.0], [0.0, 0.0]]), np.array([[0.0, np.inf], [0.0, 0.0]])]
+
+
+@pytest.mark.parametrize("domain", [SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)), NilpotentCone()])
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_non_finite_points_are_outside_without_raising(domain, bad):
+    mem = contains(domain, point(bad))
+    assert not mem.inside
+    assert "Array must not contain infs or NaNs" in mem.diagnostic
+    good = np.array([[0.0, 0.3], [0.0, 0.0]])  # nilpotent and inside the disk
+    got = contains(domain, NcPoint(1, 2, np.stack([good, bad, good])))
+    assert got.tolist() == [True, False, True]
+    with pytest.raises(PointOutsideDomain, match="infs or NaNs"):
+        require_inside(domain, point(bad))
+
+
+def test_nilpotent_bound_past_the_float_range_does_not_raise():
+    big = np.array([[0.0, 1e200], [0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        assert contains(NilpotentCone(), point(big)).inside
+        assert contains(NilpotentCone(), NcPoint(1, 2, np.stack([big, np.eye(2)]))).tolist() == [True, False]
+
+
 def test_require_inside_names_the_row_of_a_stack():
     stack = NcPoint(1, 1, np.array([[[0.2]], [[0.5]], [[1.2]]]))
     require_inside(ball_domain(), NcPoint(1, 1, stack.mat[:2]))

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end with small arguments."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,24 @@ def test_blowup_profile_prints_table(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[0] == "fill,ball_tilde,disk_worst_tilde"
     assert [line.split(",")[0] for line in lines[1:]] == ["0.750000", "0.937500"]
+
+
+def test_parity_of_the_tree_with_itself(tmp_path):
+    proc = _run("parity.py", "--base", str(ROOT), "--metric-seeds", "", "--props-seeds", "",
+                "--density-seeds", "1", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "12 of 12 ops identical (exit code, stdout, --out file)\n"
+
+
+def test_parity_reports_the_first_differing_op(tmp_path):
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src", base / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = base / "src" / "ncmetric" / "cli.py"
+    cli.write_text(cli.read_text().replace('"x,density,residual,iterations"', '"x,density,residual,iters"'))
+    proc = _run("parity.py", "--base", str(base), "--metric-seeds", "", "--props-seeds", "",
+                "--density-seeds", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    first, detail = proc.stdout.splitlines()
+    assert first.startswith("first difference: density seed 1 op 0: convolve ")
+    assert detail == ("  stdout: line 1: 'x,density,residual,iters' != 'x,density,residual,iterations'"
+                      " (base != this tree)")
