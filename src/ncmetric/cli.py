@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -134,6 +135,12 @@ def _at_least_one(flag: str, value: int):
         raise ValueError(f"{flag} must be at least 1, got {value}")
 
 
+def _positive_finite(flag: str, value: float):
+    """Reject a tolerance flag that is not a positive finite number before any work is done."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{flag} must be positive and finite, got {value}")
+
+
 def _write_text(path, text: str):
     with open(path, "w") as fh:
         fh.write(text)
@@ -161,6 +168,7 @@ def _delta_result_json(r) -> dict:
 
 
 def cmd_delta(args) -> int:
+    _positive_finite("--tol", args.tol)
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))
@@ -251,6 +259,8 @@ def _build_rho(args):
 def cmd_convolve(args) -> int:
     _at_least_one("--points", args.points)
     _at_least_one("--max-iter", args.max_iter)
+    _positive_finite("--eps", args.eps)
+    _positive_finite("--tol", args.tol)
     model = _build_model(args)
     rho = _build_rho(args)
     result = density_grid(

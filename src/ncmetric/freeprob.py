@@ -27,6 +27,7 @@ from .matcore import (
     SingularMatrix,
     as_matrix,
     as_stack,
+    herm_eigvals,
     imag_part,
     inverse,
     is_hermitian,
@@ -223,7 +224,7 @@ def _require_upper(b: NcPoint):
     if not np.all(inside):
         first = im.reshape((-1,) + im.shape[-2:])[np.argmin(np.ravel(inside))]
         raise NotInHalfPlane(
-            f"lambda_min(Im b) = {float(np.linalg.eigvalsh(first)[0]):.3e} "
+            f"lambda_min(Im b) = {float(herm_eigvals(first)[0]):.3e} "
             "is not strictly positive"
         )
 
@@ -257,7 +258,7 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
                 g = g + w * inverse(b.mat - s * eye)
         except SingularMatrix as exc:
             raise SingularResolvent(str(exc)) from None
-    if (np.linalg.eigvalsh(imag_part(g))[..., -1] >= 0.0).any():
+    if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
         raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
     return NcPoint(b.base_dim, b.level, g)
 
@@ -273,7 +274,7 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
     h = f - b.mat
-    if (np.linalg.eigvalsh(imag_part(h))[..., 0] < -H_IMAG_SLACK).any():
+    if (herm_eigvals(imag_part(h))[..., 0] < -H_IMAG_SLACK).any():
         raise SingularResolvent(
             "Im h dropped below zero beyond roundoff; "
             "b is likely outside the half-plane of the block algebra"
@@ -335,12 +336,16 @@ def rho_minus_id(model, rho, m: np.ndarray, level: int) -> np.ndarray:
     raise TypeError(f"not a cp-map spec: {type(rho).__name__}")
 
 
-def halfplane_gauge(a: NcPoint, c: NcPoint) -> float:
-    """||(Im a)^(-1/2) (a - c) (Im c)^(-1/2)||; zero exactly when a = c."""
+def halfplane_gauge(a: NcPoint, c: NcPoint):
+    """||(Im a)^(-1/2) (a - c) (Im c)^(-1/2)||; zero exactly when a = c.
+
+    Stacks of points give one value per row; a point of either stack
+    outside the half-plane raises.
+    """
     if a.level != c.level or a.base_dim != c.base_dim:
         raise ValueError("gauge needs points at the same level and base")
     for name, p in (("a", a), ("c", c)):
-        if not is_strictly_positive(imag_part(p.mat), HALF_PLANE_MARGIN):
+        if not np.all(is_strictly_positive(imag_part(p.mat), HALF_PLANE_MARGIN)):
             raise NotInHalfPlane(f"point {name} is not strictly in the half-plane")
     sa = psd_inv_sqrt(imag_part(a.mat))
     sc = psd_inv_sqrt(imag_part(c.mat))
@@ -412,7 +417,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     def at(mats):
         return NcPoint(b.base_dim, b.level, mats)
 
-    eps0 = np.linalg.eigvalsh(imag_part(bm))[:, 0]
+    eps0 = herm_eigvals(imag_part(bm))[:, 0]
     im_floor = 0.1 * eps0
     w = bm.copy()
     prev_g = np.empty_like(bm)
@@ -430,7 +435,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         wa = w[active]
         _, h = F_and_h(model, at(wa))
         upd = bm[active] + rho_minus_id(model, rho, h.mat, b.level)
-        lam = np.linalg.eigvalsh(imag_part(upd))[:, 0]
+        lam = herm_eigvals(imag_part(upd))[:, 0]
         eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
         f = upd - wa
         # np.linalg.norm of each row: the same strided dot products
@@ -449,16 +454,17 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         # secant extrapolation of the fixed-point update, where it stays
         # properly inside the half-plane
         sec = np.flatnonzero(~grew & has_prev[active])
-        df = (f[sec] - prev_f[active[sec]]).reshape(sec.size, entries)
-        den = np.vecdot(df, df).real
-        pos = den > 0.0
-        sec = sec[pos]
-        gamma = np.vecdot(df[pos], f[sec].reshape(sec.size, entries)) / den[pos]
-        near = np.hypot(gamma.real, gamma.imag) <= 8.0
-        sec, gamma = sec[near], gamma[near]
-        trial = upd[sec] - gamma[:, None, None] * (upd[sec] - prev_g[active[sec]])
-        inside = np.linalg.eigvalsh(imag_part(trial))[:, 0] > im_floor[active[sec]]
-        cand[sec[inside]] = trial[inside]
+        if sec.size:
+            df = (f[sec] - prev_f[active[sec]]).reshape(sec.size, entries)
+            den = np.vecdot(df, df).real
+            pos = den > 0.0
+            sec = sec[pos]
+            gamma = np.vecdot(df[pos], f[sec].reshape(sec.size, entries)) / den[pos]
+            near = np.hypot(gamma.real, gamma.imag) <= 8.0
+            sec, gamma = sec[near], gamma[near]
+            trial = upd[sec] - gamma[:, None, None] * (upd[sec] - prev_g[active[sec]])
+            inside = herm_eigvals(imag_part(trial))[:, 0] > im_floor[active[sec]]
+            cand[sec[inside]] = trial[inside]
         prev_g[active], prev_f[active] = upd, f
         has_prev[active] = True
         last_r[active] = r
@@ -471,7 +477,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     flat = np.concatenate([s[1] for s in steps])[np.argsort(visits, kind="stable")]
     counts = np.bincount(visits, minlength=n_rows).tolist()
     residuals = tuple(flat[end - n : end] for n, end in zip(counts, itertools.accumulate(counts)))
-    im_eigs = np.linalg.eigvalsh(imag_part(w))
+    im_eigs = herm_eigvals(imag_part(w))
     return at(w), _StackTrace(residuals, converged, eps0, im_eigs, damping)
 
 
@@ -698,7 +704,7 @@ class H0Map:
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
     validate_rho(model, rho)
     _require_upper(b0)
-    eps0 = float(np.linalg.eigvalsh(imag_part(b0.mat))[0])
+    eps0 = float(herm_eigvals(imag_part(b0.mat))[0])
     return H0Map(model, rho, b0, eps0)
 
 

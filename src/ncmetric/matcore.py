@@ -5,7 +5,9 @@ numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root with a verified
 reconstruction. JSON (de)serialization of matrices lives here too so
-the wire format has a single owner.
+the wire format has a single owner. No other module calls
+np.linalg.eigvalsh, svd or inv: herm_eigvals, operator_norm and
+inverse are the one place each factorization is asked for.
 
 The linear-algebra helpers also take stacks of matrices (..., n, n):
 each matrix gets the checks a single one gets, a check that fails on
@@ -136,6 +138,19 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_checked_herm_part(as_stack(a), "herm_eig needs a Hermitian matrix"))
 
 
+def herm_eigvals(h: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvalsh(h), ascending; the one place that computes it.
+
+    A 1x1 matrix is its own eigenvalue: its real part is read off,
+    bitwise what LAPACK returns (-0.0, infinities and NaN included), and
+    no LAPACK call is made. Like eigvalsh, only the lower triangle and
+    the real part of the diagonal are read; no Hermiticity check.
+    """
+    if h.shape[-1] == 1:
+        return h.real[..., 0].copy()
+    return np.linalg.eigvalsh(h)
+
+
 def operator_norm(a):
     """Largest singular value; one per matrix of a stack."""
     a = as_stack(a)
@@ -153,7 +168,7 @@ def is_strictly_positive(a, margin: float = POS_MARGIN):
     if roundoff is expected.
     """
     h = _checked_herm_part(as_stack(a), "positivity is only defined for Hermitian matrices")
-    w = np.linalg.eigvalsh(h)
+    w = herm_eigvals(h)
     lo, hi = w[..., 0], w[..., -1]
     # eigenvalues ascend, so max(|lo|, |hi|) = max(-lo, hi)
     return _one(lo > margin * np.maximum(1.0, np.maximum(-lo, hi)))
@@ -164,10 +179,28 @@ def inverse(a) -> np.ndarray:
 
     Raises SingularMatrix when sigma_min <= SINGULAR_RATIO * sigma_max
     for any matrix.
+
+    The LU inverse comes first and is returned as it is when every
+    matrix has ||A||_F^2 ||A^-1||_F^2 < (0.1 / SINGULAR_RATIO)^2: since
+    sigma_max / sigma_min <= ||A||_F ||A^-1||_F, such a matrix is ten
+    times too well conditioned for the singular-value rule to reject,
+    and its SVD is not needed. An LU that fails, a product that is not
+    finite or a larger one falls back to the singular values, so
+    singular and non-finite input raise what they raise under that
+    rule alone (NaN entries: LinAlgError "SVD did not converge").
     """
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        inv = None
+    else:
+        # extreme scales overflow the squared norms; inf and nan fail the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            if _all(_fro2(a) * _fro2(inv) < (0.1 / SINGULAR_RATIO) ** 2):
+                return inv
     sv = np.linalg.svd(a, compute_uv=False)
     singular = sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
     if not _all(~singular):
@@ -176,7 +209,7 @@ def inverse(a) -> np.ndarray:
             f"matrix is numerically singular (sigma_min/sigma_max = "
             f"{0.0 if top == 0.0 else bottom / top:.3e})"
         )
-    return np.linalg.inv(a)
+    return np.linalg.inv(a) if inv is None else inv
 
 
 def psd_inv_sqrt(a) -> np.ndarray:

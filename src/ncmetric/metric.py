@@ -23,6 +23,7 @@ order, so the first failing sample raises what it raises alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +43,7 @@ from .domains import (
 )
 from .matcore import (
     NcmetricError,
+    herm_eigvals,
     herm_part,
     imag_part,
     inverse,
@@ -271,8 +273,11 @@ def delta_ray(
 
     Stacks (N, ...) of a, c and b (broadcast against each other) are
     searched in lockstep and give a list of N results; row i equals
-    the call on row i alone.
+    the call on row i alone. Raises ValueError unless tol is positive
+    and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     _check_triple(a, c, b)
     require_inside(domain, a, margin, "a")
     require_inside(domain, c, margin, "c")
@@ -340,7 +345,7 @@ def delta_kernel(
 
 def _sqrt_top(sym: np.ndarray) -> np.ndarray:
     """sqrt of the top eigenvalue of each Hermitian matrix, clipped at zero."""
-    top = np.linalg.eigvalsh(sym)[..., -1]
+    top = herm_eigvals(sym)[..., -1]
     return np.sqrt(np.where(top > 0.0, top, 0.0))
 
 

@@ -55,6 +55,7 @@ from .freeprob import (
 )
 from .matcore import (
     herm_eig,
+    herm_eigvals,
     herm_part,
     imag_part,
     inverse,
@@ -110,19 +111,24 @@ def _result(name: str, samples: int, worst: float, tol: float) -> CheckResult:
 
 
 def _values(results) -> list:
-    """The values of a route's result, or of its list of per-row results."""
-    return [r.value for r in results] if isinstance(results, list) else [results.value]
+    """The values of a route's result, of its list of per-row results, or
+    of the float or per-row array halfplane_gauge returns."""
+    if isinstance(results, list):
+        return [r.value for r in results]
+    if isinstance(results, (float, np.ndarray)):
+        return np.atleast_1d(results).tolist()
+    return [results.value]
 
 
 def _stacked(samples, *routes):
     """Per sample in sample order, the tuple of each route's value on it.
 
     A sample holds one tuple of arguments (points and directions) per
-    route, and routes[i] is a metric route called on the sample's i-th
-    tuple. The samples go through metric._sample_outcomes: one stacked
-    call of each route per shape group, and a group whose stacked call
-    raises is redone one sample at a time, so the first failing sample
-    raises what it raises alone.
+    route, and routes[i] is a metric route or halfplane_gauge, called
+    on the sample's i-th tuple. The samples go through
+    metric._sample_outcomes: one stacked call of each route per shape
+    group, and a group whose stacked call raises is redone one sample
+    at a time, so the first failing sample raises what it raises alone.
     """
     sizes = [len(args) for args in samples[0]] if samples else []
 
@@ -217,8 +223,8 @@ def check_unitary_conj_spectrum(seed: int) -> CheckResult:
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         h = NcPoint(d, lvl, hermitian_matrix(rng, lvl * d, scale=2.0))
         u = unitary_matrix(rng, lvl)
-        before = np.linalg.eigvalsh(h.mat)
-        after = np.linalg.eigvalsh(unitary_conjugate(u, h).mat)
+        before = herm_eigvals(h.mat)
+        after = herm_eigvals(unitary_conjugate(u, h).mat)
         worst = max(worst, float(np.max(np.abs(before - after))))
     return _result("unitary_conj_spectrum", 15, worst, 1e-9)
 
@@ -671,7 +677,7 @@ def check_resolvent_negative_imag(seed: int) -> CheckResult:
         lvl = int(rng.integers(1, 3))
         b = halfplane_point(rng, lvl, 6)
         g = cauchy_G(model, b)
-        worst = max(worst, float(np.linalg.eigvalsh(imag_part(g.mat))[-1]))
+        worst = max(worst, float(herm_eigvals(imag_part(g.mat))[-1]))
     return _result("resolvent_negative_imag", 15, worst, 0.0)
 
 
@@ -690,7 +696,7 @@ def check_expectation_axioms(seed: int) -> CheckResult:
         worst = max(worst, operator_norm(expectation(model, b1 @ m @ b2) - b1 @ em @ b2))
         worst = max(worst, operator_norm(expectation(model, m.conj().T) - em.conj().T))
         pos = expectation(model, m @ m.conj().T)
-        worst = max(worst, max(0.0, -float(np.linalg.eigvalsh(herm_part(pos))[0])))
+        worst = max(worst, max(0.0, -float(herm_eigvals(herm_part(pos))[0])))
     worst = max(worst, operator_norm(expectation(model, np.eye(6)) - np.eye(6)))
     return _result("expectation_axioms", 10, worst, 1e-12)
 
@@ -762,8 +768,8 @@ def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:
     corner = big.mat[: a.dim, a.dim :]
     ha, hc = h0(a), h0(c)
     lhs = operator_norm(psd_inv_sqrt(imag_part(ha.mat)) @ corner @ psd_inv_sqrt(imag_part(hc.mat)))
-    factor_a = 1.0 - h0.eps0 / float(np.linalg.eigvalsh(imag_part(ha.mat))[-1])
-    factor_c = 1.0 - h0.eps0 / float(np.linalg.eigvalsh(imag_part(hc.mat))[-1])
+    factor_a = 1.0 - h0.eps0 / float(herm_eigvals(imag_part(ha.mat))[-1])
+    factor_c = 1.0 - h0.eps0 / float(herm_eigvals(imag_part(hc.mat))[-1])
     rhs_sq = gauge * gauge * factor_a * factor_c
     return lhs * lhs - rhs_sq * (1.0 + 1e-9) - 1e-12
 
@@ -813,13 +819,17 @@ def check_imh_decay(seed: int) -> CheckResult:
 
 def check_gauge_matches_delta(seed: int) -> CheckResult:
     rng = rng_stream(seed, "gauge_matches_delta")
-    worst = 0.0
+    samples = []
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a = halfplane_point(rng, lvl, d)
         c = halfplane_point(rng, lvl, d)
-        worst = max(worst, abs(halfplane_gauge(a, c) - 2.0 * delta_tilde("halfplane", a, c).value))
-        worst = max(worst, halfplane_gauge(a, a))
+        samples.append(((a, c), (a, c), (a, a)))
+    worst = 0.0
+    routes = (halfplane_gauge, partial(delta_tilde, "halfplane"), halfplane_gauge)
+    for gauge, tilde, zero in _stacked(samples, *routes):
+        worst = max(worst, abs(gauge - 2.0 * tilde))
+        worst = max(worst, zero)
     return _result("gauge_matches_delta", 15, worst, 1e-10)
 
 

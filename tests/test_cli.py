@@ -473,3 +473,23 @@ def test_point_outside_domain_is_exit_3(tmp_path, ball_files, capsys):
         ]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["delta"], "--tol"),
+        (["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"], "--tol"),
+        (["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"], "--eps"),
+    ],
+)
+def test_tolerance_that_cannot_work_is_exit_3(tmp_path, ball_files, capsys, argv, flag, value):
+    out = tmp_path / "out.csv"
+    if argv[0] == "delta":
+        argv = argv + [x for k in ("domain", "a", "c", "b") for x in (f"--{k}", ball_files[k])]
+    assert main(argv + [f"{flag}={value}", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert f"{flag} must be positive and finite" in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -35,6 +35,7 @@ from ncmetric.freeprob import (
 )
 from ncmetric.matcore import NonHermitianInput
 from ncmetric.ncpoint import NcPoint, point
+from ncmetric.sampling import halfplane_point
 
 import oracles
 
@@ -445,3 +446,21 @@ def test_empty_grid_has_no_rows():
 def test_max_iter_below_one_is_value_error(call):
     with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
         call(_scalar(0.3 + 1j))
+
+
+def test_gauge_on_stacks_gives_the_values_of_its_rows():
+    rng = np.random.Generator(np.random.Philox(8))
+    for level, base in ((1, 1), (2, 1), (1, 2)):
+        a_mats = np.stack([halfplane_point(rng, level, base).mat for _ in range(5)])
+        c_mats = a_mats[::-1].copy()
+        a, c = NcPoint(base, level, a_mats), NcPoint(base, level, c_mats)
+        rows = [halfplane_gauge(NcPoint(base, level, x), NcPoint(base, level, y))
+                for x, y in zip(a_mats, c_mats)]
+        values = halfplane_gauge(a, c)
+        assert values.shape == (5,)
+        assert values.tolist() == rows
+        assert halfplane_gauge(a, a).tolist() == [0.0] * 5
+        outside = c_mats.copy()
+        outside[3] = outside[3].real
+        with pytest.raises(NotInHalfPlane, match="point c"):
+            halfplane_gauge(a, NcPoint(base, level, outside))

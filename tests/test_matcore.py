@@ -1,15 +1,24 @@
+import re
+import struct
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncmetric
 from ncmetric.matcore import (
+    SINGULAR_RATIO,
     NonHermitianInput,
     NotPositiveDefinite,
     SingularMatrix,
     as_matrix,
+    as_stack,
     direct_sum_mats,
     herm_eig,
+    herm_eigvals,
     herm_part,
     imag_part,
     inverse,
@@ -178,3 +187,136 @@ def test_one_bad_matrix_fails_a_stack():
         psd_inv_sqrt(np.concatenate([good, [-np.eye(2)]]))
     with pytest.raises(SingularMatrix):
         inverse(np.concatenate([good, [np.zeros((2, 2))]]))
+
+
+def _inverse_svd_then_lu(a):
+    """inverse before its LU-first rule: the singular-value rule, then the LU."""
+    a = as_stack(a)
+    if a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
+    sv = np.linalg.svd(a, compute_uv=False)
+    singular = sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
+    if not np.all(~singular):
+        top, bottom = sv[singular][0, [0, -1]]
+        raise SingularMatrix(
+            f"matrix is numerically singular (sigma_min/sigma_max = "
+            f"{0.0 if top == 0.0 else bottom / top:.3e})"
+        )
+    return np.linalg.inv(a)
+
+
+def _outcome(fn, a):
+    try:
+        out = fn(a)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+def _conditioned(rng, n, cond, scale=1.0):
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = scale * np.geomspace(1.0, 1.0 / cond, n)
+    return (u * s) @ v.conj().T
+
+
+def _inverse_cases():
+    rng = _rng(21)
+    conds = [10.0**e for e in range(17)] + [3e11, 9e11, 2e12, 5e12, 9.9e12, 1.01e13, 3e13]
+    cases = [_conditioned(rng, n, c) for c in conds for n in (2, 3, 5)]
+    cases += [np.stack([_conditioned(rng, 3, c) for c in conds])]
+    cases += [
+        np.zeros((1, 1)),
+        np.zeros((3, 1, 1)),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),  # exact zero pivot
+        np.array([[0.0, 1.0], [1.0, 0.0]]),  # zero leading entry, pivoted away
+        np.array([[0.0, 0.0], [0.0, 1.0]]),
+        np.array([[np.nan]]),
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[np.inf]]),
+        np.array([[complex(1.0, np.inf)]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[-np.inf, 1.0], [2.0, np.inf]]),
+        np.array([[5e-324]]),
+        np.array([[1e-320, 0.0], [0.0, 1.0]]),
+    ]
+    for scale in (1e-300, 1e-200, 1e-150, 1e150, 1e200, 1e300):
+        cases += [_conditioned(rng, n, c, scale) for c in (1.0, 1e6, 1e12, 1e14) for n in (1, 2, 4)]
+    good = np.stack([_conditioned(rng, 3, 10.0) for _ in range(4)])
+    for bad in (np.zeros((3, 3)), np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf]),
+                _conditioned(rng, 3, 5e12), _conditioned(rng, 3, 1e15), 1e200 * good[0]):
+        for k in (0, 2, 4):
+            cases.append(np.insert(good, k, bad, axis=0))
+    return cases
+
+
+def test_inverse_equals_the_svd_then_lu_rule():
+    # same class and message, or bitwise the same values, as the
+    # singular-value rule run first; and no warning at any scale
+    cases = _inverse_cases()
+    for a in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            expected = _outcome(_inverse_svd_then_lu, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(inverse, a) == expected, a
+    raised = {_outcome(inverse, a)[0] for a in cases}
+    assert {SingularMatrix, np.linalg.LinAlgError} <= raised
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        inverse(np.array([[np.nan]]))
+
+
+def test_inverse_skips_the_svd_when_the_lu_is_well_conditioned(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    rng = _rng(4)
+    inverse(np.stack([_conditioned(rng, 4, 1e11) for _ in range(3)]))
+    inverse(np.array([[2.0 + 1.0j]]))
+    assert calls == []
+    inverse(np.stack([_conditioned(rng, 4, 1e11), _conditioned(rng, 4, 3e12)]))
+    assert calls == [1]
+
+
+def _float_values():
+    neg_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
+    return [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5, -2.0, 1e308,
+            np.inf, -np.inf, np.nan, neg_nan]
+
+
+def test_herm_eigvals_is_eigvalsh_bitwise():
+    vals = _float_values()
+    for dtype in (np.complex128, np.float64, np.complex64, np.float32):
+        with np.errstate(over="ignore"):  # 1e308 is inf in single precision
+            parts = np.array(vals).astype(np.empty(0, dtype).real.dtype)
+        h = np.zeros((len(vals), len(vals), 1, 1), dtype=dtype)
+        h.real = parts[:, None, None, None]
+        if np.iscomplexobj(h):
+            h.imag = parts[None, :, None, None]
+        for stack in (h, h[0], h[0, 0]):
+            got, want = herm_eigvals(stack), np.linalg.eigvalsh(stack)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    rng = _rng(5)
+    for n in (2, 3, 5):
+        for stack in (_hermitian(rng, n), np.stack([_hermitian(rng, n) for _ in range(4)])):
+            np.testing.assert_array_equal(herm_eigvals(stack), np.linalg.eigvalsh(stack))
+    # the result is a new array, not a view of the input
+    h = np.array([[[3.0 + 0.0j]]])
+    herm_eigvals(h)[0, 0] = 7.0
+    assert h[0, 0, 0] == 3.0
+
+
+def test_only_matcore_calls_the_lapack_choke_points():
+    # eigvalsh, svd and inv are called in matcore alone, behind
+    # herm_eigvals, operator_norm and inverse
+    src = Path(ncmetric.__file__).parent
+    pattern = re.compile(r"linalg\.(eigvalsh|svd|inv)\b|from\s+numpy\S*\s+import|import\s+numpy\.linalg")
+    offenders = [
+        f"{path.name}:{k}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "matcore.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

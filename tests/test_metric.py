@@ -575,3 +575,9 @@ def test_closed_ball_unitary_invariance(n, seed):
         direction(q @ b.mat @ q.conj().T),
     ).value
     assert rot == pytest.approx(base, rel=1e-9, abs=1e-11)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_ray_rejects_a_tolerance_that_cannot_work(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        delta_ray(ball_domain(), point([[0.0]]), point([[0.5]]), direction([[1.0]]), tol=tol)

@@ -21,3 +21,11 @@ def test_failed_stacks_are_redone_sample_by_sample_with_the_same_report(monkeypa
         monkeypatch.setattr(props, name, _single_points_only(getattr(props, name)))
     assert props.run_suite(3) == stacked
     assert props.all_passed(stacked)
+
+
+def test_gauge_check_redone_point_by_point_gives_the_same_report(monkeypatch):
+    stacked = props.check_gauge_matches_delta(3)
+    for name in ("halfplane_gauge", "delta_tilde"):
+        monkeypatch.setattr(props, name, _single_points_only(getattr(props, name)))
+    assert props.check_gauge_matches_delta(3) == stacked
+    assert stacked.passed and stacked.samples == 15
