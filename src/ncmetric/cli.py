@@ -11,23 +11,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import props as props_mod
 from .domains import (
-    BallKernel,
     EvaluationFailure,
-    HalfPlaneKernel,
     KernelDomain,
     NormBound,
     PointOutsideDomain,
     SpectralDisk,
     contains,
-    domain_from_json,
-    kernel_from_json,
 )
 from .freeprob import (
     MaxIterExceeded,
@@ -37,15 +32,15 @@ from .freeprob import (
     ScalarPower,
     SingularResolvent,
     density_grid,
-    model_from_json,
-    rho_from_json,
 )
 from .matcore import (
     NonHermitianInput,
     NotPositiveDefinite,
     SingularMatrix,
+    from_json,
     mat_from_json,
     mat_to_json,
+    positive_finite,
 )
 from .metric import (
     PathBlocked,
@@ -57,7 +52,7 @@ from .metric import (
     delta_tilde,
     dtilde_upper,
 )
-from .ncfunc import DomainViolation, SeriesNotConverged, func_from_json
+from .ncfunc import DomainViolation, SeriesNotConverged
 from .ncpoint import (
     BaseDimMismatch,
     DimMismatch,
@@ -116,9 +111,9 @@ def _load_json(path):
 
 def _load_domain(args) -> object:
     if getattr(args, "domain", None):
-        return domain_from_json(_load_json(args.domain))
+        return from_json(_load_json(args.domain), "domain")
     if getattr(args, "kernel", None):
-        return KernelDomain(kernel_from_json(_load_json(args.kernel)))
+        return KernelDomain(from_json(_load_json(args.kernel), "kernel"))
     raise ValueError("provide --domain or --kernel")
 
 
@@ -133,12 +128,6 @@ def _at_least_one(flag: str, value: int):
     """Reject a count flag below 1 before any work is done."""
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
-
-
-def _positive_finite(flag: str, value: float):
-    """Reject a tolerance flag that is not a positive finite number before any work is done."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{flag} must be positive and finite, got {value}")
 
 
 def _write_text(path, text: str):
@@ -168,18 +157,16 @@ def _delta_result_json(r) -> dict:
 
 
 def cmd_delta(args) -> int:
-    _positive_finite("--tol", args.tol)
+    positive_finite("--tol", args.tol)
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))
     b = _load_direction(args.b, a.base_dim)
     results = [delta_ray(dom, a, c, b, tol=args.tol, margin=args.margin)]
-    if isinstance(dom, KernelDomain):
-        k = dom.kernel
-        if isinstance(k, BallKernel):
-            results.append(delta_closed("ball", a, c, b, margin=args.margin))
-        elif isinstance(k, HalfPlaneKernel):
-            results.append(delta_closed("halfplane", a, c, b, margin=args.margin))
+    k = dom.kernel
+    if k is not None:
+        if k.closed:
+            results.append(delta_closed(k.closed, a, c, b, margin=args.margin))
         results.append(delta_kernel(k, a, c, b, margin=args.margin))
     payload = {"level": a.level, "results": [_delta_result_json(r) for r in results]}
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -217,9 +204,9 @@ def cmd_distance(args) -> int:
 
 def cmd_contract(args) -> int:
     _at_least_one("--samples", args.samples)
-    f = func_from_json(_load_json(args.function))
-    src = domain_from_json(_load_json(args.src))
-    dst = domain_from_json(_load_json(args.dst))
+    f = from_json(_load_json(args.function), "function")
+    src = from_json(_load_json(args.src), "domain")
+    dst = from_json(_load_json(args.dst), "domain")
     rng = rng_stream(args.seed, "contract")
     levels = [int(s) for s in args.levels.split(",") if s]
     if not levels:
@@ -242,7 +229,7 @@ def cmd_contract(args) -> int:
 
 def _build_model(args):
     if args.model:
-        return model_from_json(_load_json(args.model))
+        return from_json(_load_json(args.model), "model")
     if args.law:
         return ScalarLaw(args.law, variance=args.variance, atom=args.atom)
     raise ValueError("provide --model or --law")
@@ -250,7 +237,7 @@ def _build_model(args):
 
 def _build_rho(args):
     if args.rho:
-        return rho_from_json(_load_json(args.rho))
+        return from_json(_load_json(args.rho), "cp-map")
     if args.rho_t is not None:
         return ScalarPower(args.rho_t)
     raise ValueError("provide --rho or --rho-t")
@@ -259,8 +246,8 @@ def _build_rho(args):
 def cmd_convolve(args) -> int:
     _at_least_one("--points", args.points)
     _at_least_one("--max-iter", args.max_iter)
-    _positive_finite("--eps", args.eps)
-    _positive_finite("--tol", args.tol)
+    positive_finite("--eps", args.eps)
+    positive_finite("--tol", args.tol)
     model = _build_model(args)
     rho = _build_rho(args)
     result = density_grid(

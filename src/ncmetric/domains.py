@@ -15,6 +15,15 @@ KernelDomain(K) is the set where K(a,a)(I) is strictly positive.
 SpectralDisk and NilpotentCone are the two non-kernel domains used by
 the counterexample reproductions.
 
+Each variant is one class that registers its JSON form (see
+matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
+is the affine pairing H(x, y)(P), y on the starred side (K(a, c)(P) at
+y = c*; the composed kernels apply z -> G(z*)* there, so block
+evaluations stay matrix arithmetic); its closed attribute names its
+closed form in metric, or is None. A domain's _inside(a, margin) tests
+membership, raising EvaluationFailure when the test cannot be
+evaluated; its kernel attribute is the kernel that cuts it out, or None.
+
 Kernel evaluation, kernel_diffs and membership take stacked points
 (see ncpoint) and work per matrix of the stack.
 
@@ -35,11 +44,14 @@ import numpy as np
 from .matcore import (
     NcmetricError,
     as_matrix,
+    complex_from_json,
     herm_part,
     is_strictly_positive,
+    of_family,
     operator_norm,
+    variant,
 )
-from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat, func_from_json, func_to_json
+from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat
 from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper
 
 # Default membership margin (relative, via is_strictly_positive).
@@ -56,29 +68,63 @@ class PointOutsideDomain(NcmetricError):
     """An operation required a point strictly inside a domain."""
 
 
+def _apply_g(g, m: np.ndarray) -> np.ndarray:
+    try:
+        return eval_mat(g, m)
+    except (DomainViolation, SeriesNotConverged) as exc:
+        raise EvaluationFailure(f"composing function failed: {exc}") from None
+
+
+@variant("kernel", "half_plane")
 @dataclass(frozen=True)
 class HalfPlaneKernel:
-    pass
+    closed = "halfplane"
+
+    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return (x @ p - p @ y) / 2.0j
 
 
+@variant("kernel", "ball")
 @dataclass(frozen=True)
 class BallKernel:
-    pass
+    closed = "ball"
+
+    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return p - x @ p @ y
 
 
+@variant("kernel", "composed_ball", g=of_family("function"))
 @dataclass(frozen=True)
 class ComposedBallKernel:
     g: object
+    closed = None
+
+    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        gx, gy = _apply_g(self.g, x), _apply_g(self.g, y.conj().mT).conj().mT
+        return p - gx @ p @ gy
 
 
+@variant("kernel", "composed_half_plane", g=of_family("function"))
 @dataclass(frozen=True)
 class ComposedHalfPlaneKernel:
     g: object
+    closed = None
+
+    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        gx, gy = _apply_g(self.g, x), _apply_g(self.g, y.conj().mT).conj().mT
+        return (gx @ p - p @ gy) / 2.0j
 
 
+@variant("domain", "kernel_domain", kernel=of_family("kernel"))
 @dataclass(frozen=True)
 class KernelDomain:
     kernel: object
+
+    def _inside(self, a: NcPoint, margin: float):
+        g = gram(self.kernel, a)
+        if not np.isfinite(g).all():
+            raise EvaluationFailure("gram evaluation overflowed")
+        return is_strictly_positive(herm_part(g), margin)
 
 
 @dataclass(frozen=True)
@@ -97,26 +143,54 @@ class NormBound:
         return self.value if self.rule == "constant" else self.value * level
 
 
+@variant("domain", "spectral_disk", center=complex_from_json,
+         norm_bound=lambda nb: NormBound(nb["rule"], nb.get("value", 1.0)))
 @dataclass(frozen=True)
 class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.
 
-    Membership tests the norm cap first and the spectrum second, on
-    the matrices that pass the cap.
+    Membership tests the norm cap first and the spectrum only where
+    the norm cap holds. A ray point [[a, s b], [0, c]] has the
+    spectrum of a and c, so along a ray the norm cap alone decides,
+    and the eigenvalues of the points over it are never computed.
     """
 
     center: complex
     radius: float
     norm_bound: NormBound
+    kernel = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
 
+    def _in_disk(self, m: np.ndarray, margin: float):
+        eigs = _lapack("eigenvalue", np.linalg.eigvals, m)
+        return np.max(np.abs(eigs - self.center), axis=-1) < self.radius - margin
 
+    def _inside(self, a: NcPoint, margin: float):
+        _finite(a, "eigenvalue")
+        bound = self.norm_bound.at_level(a.level)
+        inside = _lapack("norm", operator_norm, a.mat) < bound - margin
+        if a.mat.ndim == 2:
+            return inside and self._in_disk(a.mat, margin)
+        if inside.any():
+            inside[inside] = self._in_disk(a.mat[inside], margin)
+        return inside
+
+
+@variant("domain", "nilpotent_cone")
 @dataclass(frozen=True)
 class NilpotentCone:
-    pass
+    kernel = None
+
+    def _inside(self, a: NcPoint, margin: float):
+        _finite(a, "norm")
+        m = a.dim
+        norm = _lapack("norm", operator_norm, a.mat)
+        power = np.linalg.matrix_power(a.mat, m)
+        # np.power: a bound past the float range is inf, not an OverflowError
+        return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
 
 
 @dataclass(frozen=True)
@@ -126,33 +200,6 @@ class Membership:
 
     def __bool__(self) -> bool:
         return self.inside
-
-
-def _apply_g(g, m: np.ndarray) -> np.ndarray:
-    try:
-        return eval_mat(g, m)
-    except (DomainViolation, SeriesNotConverged) as exc:
-        raise EvaluationFailure(f"composing function failed: {exc}") from None
-
-
-def _pair_eval(kernel, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Affine pairing H(x, y)(P): y enters on the starred side.
-
-    For plain points y = c*, this is K(a, c)(P). For the composed
-    variants the starred side applies z -> G(z*)* so that derivative
-    block evaluations remain plain matrix arithmetic.
-    """
-    if isinstance(kernel, BallKernel):
-        return p - x @ p @ y
-    if isinstance(kernel, HalfPlaneKernel):
-        return (x @ p - p @ y) / 2.0j
-    if isinstance(kernel, ComposedBallKernel):
-        return p - _apply_g(kernel.g, x) @ p @ _apply_g(kernel.g, y.conj().mT).conj().mT
-    if isinstance(kernel, ComposedHalfPlaneKernel):
-        gx = _apply_g(kernel.g, x)
-        gy = _apply_g(kernel.g, y.conj().mT).conj().mT
-        return (gx @ p - p @ gy) / 2.0j
-    raise TypeError(f"not a kernel spec: {type(kernel).__name__}")
 
 
 def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
@@ -166,7 +213,7 @@ def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
     p = as_matrix(p)
     if p.shape != (a.dim, c.dim):
         raise DimMismatch(f"P has shape {p.shape}, expected {(a.dim, c.dim)}")
-    return _pair_eval(kernel, a.mat, c.mat.conj().mT, p)
+    return kernel._pair(a.mat, c.mat.conj().mT, p)
 
 
 def gram(kernel, a: NcPoint, c: NcPoint | None = None) -> np.ndarray:
@@ -190,7 +237,7 @@ def kernel_diffs(kernel, a: NcPoint, c: NcPoint, b: NcDirection):
     y[..., mc:, mc:] = a.mat.conj().mT
     p = np.zeros((na + mc, mc + na), dtype=np.complex128)
     p[na:, :mc] = np.eye(mc)
-    r = _pair_eval(kernel, x, y, p)
+    r = kernel._pair(x, y, p)
     d0 = r[..., :na, :mc]
     d01 = r[..., :na, mc:]
     d1 = r[..., na:, mc:]
@@ -210,46 +257,6 @@ def _lapack(test: str, fn, *args):
         raise EvaluationFailure(f"{test} failure: {exc}") from None
 
 
-def _in_disk(domain: SpectralDisk, m: np.ndarray, margin: float):
-    eigs = _lapack("eigenvalue", np.linalg.eigvals, m)
-    return np.max(np.abs(eigs - domain.center), axis=-1) < domain.radius - margin
-
-
-def _inside(domain, a: NcPoint, margin: float):
-    """Membership of a point or of each matrix of a stack.
-
-    A spectral disk tests the norm bound first and the spectrum only
-    where the norm bound holds. A ray point [[a, s b], [0, c]] has the
-    spectrum of a and c, so along a ray the norm bound alone decides,
-    and the eigenvalues of the points over it are never computed.
-
-    Raises EvaluationFailure when the test cannot be evaluated,
-    non-finite entries included.
-    """
-    if isinstance(domain, KernelDomain):
-        g = gram(domain.kernel, a)
-        if not np.isfinite(g).all():
-            raise EvaluationFailure("gram evaluation overflowed")
-        return is_strictly_positive(herm_part(g), margin)
-    if isinstance(domain, SpectralDisk):
-        _finite(a, "eigenvalue")
-        bound = domain.norm_bound.at_level(a.level)
-        inside = _lapack("norm", operator_norm, a.mat) < bound - margin
-        if a.mat.ndim == 2:
-            return inside and _in_disk(domain, a.mat, margin)
-        if inside.any():
-            inside[inside] = _in_disk(domain, a.mat[inside], margin)
-        return inside
-    if isinstance(domain, NilpotentCone):
-        _finite(a, "norm")
-        m = a.dim
-        norm = _lapack("norm", operator_norm, a.mat)
-        power = np.linalg.matrix_power(a.mat, m)
-        # np.power: a bound past the float range is inf, not an OverflowError
-        return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
-    raise TypeError(f"not a domain spec: {type(domain).__name__}")
-
-
 def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
     """Strict membership with a positivity margin; never raises.
 
@@ -260,7 +267,7 @@ def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
     fails is False.
     """
     try:
-        inside = _inside(domain, a, margin)
+        inside = domain._inside(a, margin)
     except EvaluationFailure as exc:
         if a.mat.ndim == 2:
             return Membership(False, diagnostic=str(exc))
@@ -294,67 +301,3 @@ def ball_domain(radius: float = 1.0) -> KernelDomain:
 def halfplane_domain() -> KernelDomain:
     return KernelDomain(HalfPlaneKernel())
 
-
-def kernel_to_json(kernel) -> dict:
-    if isinstance(kernel, HalfPlaneKernel):
-        return {"variant": "half_plane"}
-    if isinstance(kernel, BallKernel):
-        return {"variant": "ball"}
-    if isinstance(kernel, ComposedBallKernel):
-        return {"variant": "composed_ball", "g": func_to_json(kernel.g)}
-    if isinstance(kernel, ComposedHalfPlaneKernel):
-        return {"variant": "composed_half_plane", "g": func_to_json(kernel.g)}
-    raise TypeError(f"not a kernel spec: {type(kernel).__name__}")
-
-
-def kernel_from_json(obj):
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("kernel JSON must be an object with a 'variant' tag")
-    v = obj["variant"]
-    if v == "half_plane":
-        return HalfPlaneKernel()
-    if v == "ball":
-        return BallKernel()
-    if v in ("composed_ball", "composed_half_plane"):
-        try:
-            g = func_from_json(obj["g"])
-        except KeyError:
-            raise ValueError("composed kernel JSON missing field 'g'") from None
-        return ComposedBallKernel(g) if v == "composed_ball" else ComposedHalfPlaneKernel(g)
-    raise ValueError(f"unknown kernel variant {v!r}")
-
-
-def domain_to_json(domain) -> dict:
-    if isinstance(domain, KernelDomain):
-        return {"variant": "kernel_domain", "kernel": kernel_to_json(domain.kernel)}
-    if isinstance(domain, SpectralDisk):
-        return {
-            "variant": "spectral_disk",
-            "center": [domain.center.real, domain.center.imag],
-            "radius": domain.radius,
-            "norm_bound": {"rule": domain.norm_bound.rule, "value": domain.norm_bound.value},
-        }
-    if isinstance(domain, NilpotentCone):
-        return {"variant": "nilpotent_cone"}
-    raise TypeError(f"not a domain spec: {type(domain).__name__}")
-
-
-def domain_from_json(obj):
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("domain JSON must be an object with a 'variant' tag")
-    v = obj["variant"]
-    try:
-        if v == "kernel_domain":
-            return KernelDomain(kernel_from_json(obj["kernel"]))
-        if v == "spectral_disk":
-            nb = obj["norm_bound"]
-            return SpectralDisk(
-                complex(float(obj["center"][0]), float(obj["center"][1])),
-                float(obj["radius"]),
-                NormBound(nb["rule"], nb.get("value", 1.0)),
-            )
-        if v == "nilpotent_cone":
-            return NilpotentCone()
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed domain JSON: {exc}") from None
-    raise ValueError(f"unknown domain variant {v!r}")

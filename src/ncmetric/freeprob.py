@@ -12,12 +12,17 @@ with adaptive damping and keeps a full trace: residuals, consecutive
 ratios, and the contraction certificate driven by eps0 = lambda_min(Im b).
 The transforms take stacks of points (..., n, n); density_grid solves
 all its grid rows as one stack, each row on its own trajectory.
+
+Models and cp maps register their JSON forms (see matcore.variant). A
+model's _G(b) is its Cauchy transform, behind cauchy_G's checks; a cp
+map's _minus_id(m, level) applies rho - Id per matrix of a stack, and
+its _validate(model) raises ValueError unless it acts on the model.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,15 +32,18 @@ from .matcore import (
     SingularMatrix,
     as_matrix,
     as_stack,
+    complex_from_json,
+    each,
     herm_eigvals,
     imag_part,
     inverse,
     is_hermitian,
     is_strictly_positive,
     mat_from_json,
-    mat_to_json,
     operator_norm,
+    positive_finite,
     psd_inv_sqrt,
+    variant,
 )
 from .ncpoint import NcPoint
 
@@ -68,6 +76,7 @@ class MaxIterExceeded(NcmetricError):
         self.trace = trace
 
 
+@variant("model", "matrix_model", x=mat_from_json)
 @dataclass(frozen=True)
 class MatrixModel:
     """Hermitian X in M_d with E compressing onto block-scalar matrices.
@@ -96,18 +105,24 @@ class MatrixModel:
     def base_dim(self) -> int:
         return self.x.shape[0]
 
+    def _G(self, b: NcPoint) -> np.ndarray:
+        return expectation(self, inverse(b.mat - np.kron(np.eye(b.level), self.x)))
+
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
 
 
+@variant("model", "scalar_law", atom=complex_from_json)
 @dataclass(frozen=True)
 class ScalarLaw:
     """A classical law fed in as the scalar-valued model (base_dim 1)."""
 
-    kind: str
+    kind: str = field(metadata={"json": "law"})
     variance: float = 1.0
     atom: complex = 0.0
     quad_nodes: int = QUAD_NODES
+    base_dim = 1
+    blocks = (1,)  # its algebra, the scalars, is one block of size one
 
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS:
@@ -120,15 +135,15 @@ class ScalarLaw:
             raise ValueError("need at least two quadrature nodes")
         object.__setattr__(self, "quad_nodes", int(self.quad_nodes))
 
-    @property
-    def base_dim(self) -> int:
-        return 1
-
-
-def model_base_dim(model) -> int:
-    if isinstance(model, (MatrixModel, ScalarLaw)):
-        return model.base_dim
-    raise TypeError(f"not a model spec: {type(model).__name__}")
+    def _G(self, b: NcPoint) -> np.ndarray:
+        if b.level == 1 and self.kind in ("semicircle", "arcsine"):
+            return _scalar_G_closed(self, b.mat)
+        nodes, weights = law_quadrature(self)
+        eye = np.eye(b.dim, dtype=np.complex128)
+        g = np.zeros_like(b.mat)
+        for s, w in zip(nodes, weights):
+            g = g + w * inverse(b.mat - s * eye)
+        return g
 
 
 def _block_slices(blocks):
@@ -235,29 +250,13 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
     b may hold a stack of points; each gets the checks a single point
     gets, and a check that fails on any point raises.
     """
-    if b.base_dim != model_base_dim(model):
-        raise ValueError(
-            f"point base_dim {b.base_dim} != model base_dim {model_base_dim(model)}"
-        )
+    if b.base_dim != model.base_dim:
+        raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
     _require_upper(b)
-    if isinstance(model, MatrixModel):
-        big = np.kron(np.eye(b.level), model.x)
-        try:
-            res = inverse(b.mat - big)
-        except SingularMatrix as exc:
-            raise SingularResolvent(str(exc)) from None
-        g = expectation(model, res)
-    elif b.level == 1 and model.kind in ("semicircle", "arcsine"):
-        g = _scalar_G_closed(model, b.mat)
-    else:
-        nodes, weights = law_quadrature(model)
-        eye = np.eye(b.dim, dtype=np.complex128)
-        g = np.zeros_like(b.mat)
-        try:
-            for s, w in zip(nodes, weights):
-                g = g + w * inverse(b.mat - s * eye)
-        except SingularMatrix as exc:
-            raise SingularResolvent(str(exc)) from None
+    try:
+        g = model._G(b)
+    except SingularMatrix as exc:
+        raise SingularResolvent(str(exc)) from None
     if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
         raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
     return NcPoint(b.base_dim, b.level, g)
@@ -282,6 +281,7 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
     return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, h)
 
 
+@variant("cp-map", "scalar_power")
 @dataclass(frozen=True)
 class ScalarPower:
     """rho = t Id with t >= 1, so rho - Id = (t - 1) Id is cp."""
@@ -293,7 +293,14 @@ class ScalarPower:
         if self.t < 1.0:
             raise ValueError("ScalarPower needs t >= 1")
 
+    def _validate(self, model):
+        pass
 
+    def _minus_id(self, m: np.ndarray, level: int) -> np.ndarray:
+        return (self.t - 1.0) * m
+
+
+@variant("cp-map", "kraus_augment", vs=each(mat_from_json))
 @dataclass(frozen=True)
 class KrausAugment:
     """rho(m) = m + sum V_i* m V_i with every V_i in the model algebra."""
@@ -305,35 +312,31 @@ class KrausAugment:
         if not self.vs:
             raise ValueError("KrausAugment needs at least one V")
 
-
-def validate_rho(model, rho):
-    """KrausAugment factors must be square over the model's block algebra."""
-    d = model_base_dim(model)
-    if isinstance(rho, ScalarPower):
-        return
-    if not isinstance(rho, KrausAugment):
-        raise TypeError(f"not a cp-map spec: {type(rho).__name__}")
-    for i, v in enumerate(rho.vs):
-        if v.shape != (d, d):
-            raise ValueError(f"V[{i}] has shape {v.shape}, expected {(d, d)}")
-        if isinstance(model, MatrixModel):
+    def _validate(self, model):
+        d = model.base_dim
+        for i, v in enumerate(self.vs):
+            if v.shape != (d, d):
+                raise ValueError(f"V[{i}] has shape {v.shape}, expected {(d, d)}")
             proj = expectation(model, v)
             if operator_norm(v - proj) > 1e-12 * max(1.0, operator_norm(v)):
                 raise ValueError(f"V[{i}] is not block-scalar over blocks {model.blocks}")
 
-
-def rho_minus_id(model, rho, m: np.ndarray, level: int) -> np.ndarray:
-    """(rho - Id) applied entrywise in levels, per matrix of a stack."""
-    m = as_stack(m)
-    if isinstance(rho, ScalarPower):
-        return (rho.t - 1.0) * m
-    if isinstance(rho, KrausAugment):
+    def _minus_id(self, m: np.ndarray, level: int) -> np.ndarray:
         out = np.zeros_like(m)
-        for v in rho.vs:
+        for v in self.vs:
             big = np.kron(np.eye(level), v)
             out = out + big.conj().T @ m @ big
         return out
-    raise TypeError(f"not a cp-map spec: {type(rho).__name__}")
+
+
+def validate_rho(model, rho):
+    """Raise ValueError unless rho acts on the model's algebra."""
+    rho._validate(model)
+
+
+def rho_minus_id(model, rho, m: np.ndarray, level: int) -> np.ndarray:
+    """(rho - Id) applied entrywise in levels, per matrix of a stack."""
+    return rho._minus_id(as_stack(m), level)
 
 
 def halfplane_gauge(a: NcPoint, c: NcPoint):
@@ -393,9 +396,10 @@ def _contraction_bound(eps0: float, im_eigs: np.ndarray) -> float | None:
     return float(max(0.0, np.max(np.abs(1.0 - eps0 / im_eigs))))
 
 
-def _check_max_iter(max_iter: int):
+def _check_budget(tol: float, max_iter: int):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
+    positive_finite("tol", tol)
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
@@ -544,9 +548,10 @@ def subordination_solve(
     refreshed only downward along Im h0(w_k) as a roundoff guard.
 
     Raises MaxIterExceeded (carrying the best iterate and trace) when
-    the budget runs out, and ValueError when max_iter < 1.
+    the budget runs out, and ValueError when max_iter < 1 or tol is not
+    positive and finite.
     """
-    _check_max_iter(max_iter)
+    _check_budget(tol, max_iter)
     omega, traces = _solve_stack(model, rho, NcPoint(b.base_dim, b.level, b.mat[None]), tol, max_iter)
     w, trace = NcPoint(b.base_dim, b.level, omega.mat[0]), traces.row(0)
     if not trace.converged:
@@ -632,10 +637,12 @@ def density_grid(
     and evaluates density(x) = -Im phi(G_rho) / pi. All rows are solved
     as one stack; each row gets exactly the values of its own solve.
     Unconverged rows are recorded, not raised. The mass field
-    integrates the density by the trapezoid rule.
+    integrates the density by the trapezoid rule. Raises ValueError
+    when max_iter < 1 or tol or eps is not positive and finite.
     """
-    _check_max_iter(max_iter)
-    d = model_base_dim(model)
+    _check_budget(tol, max_iter)
+    positive_finite("eps", eps)
+    d = model.base_dim
     xs = np.linspace(float(xmin), float(xmax), int(points))
     if not xs.size:
         return DensityResult((), float(eps), 0.0, str(state))
@@ -772,62 +779,3 @@ def k0_and_fixed_point(
             return FixedPointResult(x, it, r, last_rad)
     raise MaxIterExceeded(f"fixed point not reached in {max_iter} iterations", omega=x)
 
-
-def model_to_json(model) -> dict:
-    if isinstance(model, MatrixModel):
-        return {
-            "variant": "matrix_model",
-            "x": mat_to_json(model.x),
-            "blocks": list(model.blocks),
-        }
-    if isinstance(model, ScalarLaw):
-        return {
-            "variant": "scalar_law",
-            "law": model.kind,
-            "variance": model.variance,
-            "atom": [model.atom.real, model.atom.imag],
-            "quad_nodes": model.quad_nodes,
-        }
-    raise TypeError(f"not a model spec: {type(model).__name__}")
-
-
-def model_from_json(obj):
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("model JSON must be an object with a 'variant' tag")
-    v = obj["variant"]
-    try:
-        if v == "matrix_model":
-            return MatrixModel(mat_from_json(obj["x"]), tuple(obj["blocks"]))
-        if v == "scalar_law":
-            atom = obj.get("atom", [0.0, 0.0])
-            return ScalarLaw(
-                obj["law"],
-                float(obj.get("variance", 1.0)),
-                complex(float(atom[0]), float(atom[1])),
-                int(obj.get("quad_nodes", QUAD_NODES)),
-            )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed model JSON: {exc}") from None
-    raise ValueError(f"unknown model variant {v!r}")
-
-
-def rho_to_json(rho) -> dict:
-    if isinstance(rho, ScalarPower):
-        return {"variant": "scalar_power", "t": rho.t}
-    if isinstance(rho, KrausAugment):
-        return {"variant": "kraus_augment", "vs": [mat_to_json(v) for v in rho.vs]}
-    raise TypeError(f"not a cp-map spec: {type(rho).__name__}")
-
-
-def rho_from_json(obj):
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("cp-map JSON must be an object with a 'variant' tag")
-    v = obj["variant"]
-    try:
-        if v == "scalar_power":
-            return ScalarPower(float(obj["t"]))
-        if v == "kraus_augment":
-            return KrausAugment(tuple(mat_from_json(m) for m in obj["vs"]))
-    except KeyError as exc:
-        raise ValueError(f"cp-map JSON missing field {exc}") from None
-    raise ValueError(f"unknown cp-map variant {v!r}")

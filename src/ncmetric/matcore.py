@@ -4,10 +4,13 @@ All matrices are numpy complex128 arrays. The functions here wrap
 numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root with a verified
-reconstruction. JSON (de)serialization of matrices lives here too so
-the wire format has a single owner. No other module calls
-np.linalg.eigvalsh, svd or inv: herm_eigvals, operator_norm and
-inverse are the one place each factorization is asked for.
+reconstruction. No other module calls np.linalg.eigvalsh, svd, inv or
+cond: herm_eigvals, operator_norm, condition_number and inverse are the
+one place each factorization is asked for.
+
+The wire format has one owner too: the matrix and complex codecs, and
+the registry through which to_json and from_json serve every tagged
+format (kernel, domain, function, model, cp-map; see variant).
 
 The linear-algebra helpers also take stacks of matrices (..., n, n):
 each matrix gets the checks a single one gets, a check that fails on
@@ -16,6 +19,9 @@ the leading axes.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -159,6 +165,12 @@ def operator_norm(a):
     return _one(np.linalg.svd(a, compute_uv=False)[..., 0])
 
 
+def condition_number(a):
+    """sigma_max / sigma_min from one SVD; one per matrix of a stack."""
+    sv = np.linalg.svd(as_stack(a), compute_uv=False)
+    return _one(sv[..., 0] / sv[..., -1])
+
+
 def is_strictly_positive(a, margin: float = POS_MARGIN):
     """True when the Hermitian input has lambda_min > margin * max(1, ||A||).
 
@@ -277,3 +289,83 @@ def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex JSON must be a [re, im] pair")
     return complex(float(obj[0]), float(obj[1]))
+
+
+def positive_finite(name: str, value: float):
+    """Reject a tolerance that is not a positive finite number."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+# family -> {tag: class}, and class -> (tag, field decoders), filled by @variant
+VARIANTS: dict[str, dict[str, type]] = {}
+_TAGS: dict[type, tuple] = {}
+
+
+def variant(family: str, tag: str, **field_decoders):
+    """Class decorator: the frozen dataclass is the `tag` variant of `family`.
+
+    Its JSON is {"variant": tag} plus a key per field, named by the field's
+    "json" metadata or else the field. to_json encodes values by type;
+    from_json decodes them by field_decoders (default: as they are) and
+    defaults absent fields that have a default.
+    """
+
+    def register(cls):
+        VARIANTS.setdefault(family, {})[tag] = cls
+        _TAGS[cls] = (tag, field_decoders)
+        return cls
+
+    return register
+
+
+def to_json(obj) -> dict:
+    """The tagged JSON object of a registered variant."""
+    if type(obj) not in _TAGS:
+        raise TypeError(f"not a registered variant: {type(obj).__name__}")
+    return _encode(obj)
+
+
+def _encode(v):
+    if isinstance(v, complex):
+        return complex_to_json(v)
+    if isinstance(v, np.ndarray):
+        return mat_to_json(v)
+    if isinstance(v, tuple):
+        return [_encode(x) for x in v]
+    if not is_dataclass(v):
+        return v
+    tag = {"variant": _TAGS[type(v)][0]} if type(v) in _TAGS else {}
+    return tag | {f.metadata.get("json", f.name): _encode(getattr(v, f.name)) for f in fields(v)}
+
+
+def from_json(obj, family: str):
+    """The variant of `family` that obj encodes; ValueError if malformed."""
+    if not isinstance(obj, dict) or "variant" not in obj:
+        raise ValueError(f"{family} JSON must be an object with a 'variant' tag")
+    tag = obj["variant"]
+    cls = VARIANTS[family].get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise ValueError(f"unknown {family} variant {tag!r}")
+    decoders, kwargs = _TAGS[cls][1], {}
+    try:
+        for f in fields(cls):
+            key = f.metadata.get("json", f.name)
+            if key in obj:
+                decode = decoders.get(f.name)
+                kwargs[f.name] = decode(obj[key]) if decode else obj[key]
+            elif f.default is MISSING:
+                raise ValueError(f"{family} JSON missing field {key!r}")
+        return cls(**kwargs)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {family} JSON: {exc}") from None
+
+
+def each(decode):
+    """Field decoder of a JSON list: a tuple of decode applied to each item."""
+    return lambda items: tuple(decode(x) for x in items)
+
+
+def of_family(family: str):
+    """Field decoder of a nested tagged object of `family`."""
+    return lambda obj: from_json(obj, family)

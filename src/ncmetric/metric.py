@@ -23,15 +23,12 @@ order, so the first failing sample raises what it raises alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .domains import (
     BallKernel,
-    ComposedBallKernel,
-    ComposedHalfPlaneKernel,
     HalfPlaneKernel,
     KernelDomain,
     MEMBERSHIP_MARGIN,
@@ -48,6 +45,7 @@ from .matcore import (
     imag_part,
     inverse,
     operator_norm,
+    positive_finite,
     psd_inv_sqrt,
 )
 from .ncfunc import delta_f as func_delta, eval_point
@@ -276,8 +274,7 @@ def delta_ray(
     the call on row i alone. Raises ValueError unless tol is positive
     and finite.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    positive_finite("tol", tol)
     _check_triple(a, c, b)
     require_inside(domain, a, margin, "a")
     require_inside(domain, c, margin, "c")
@@ -300,6 +297,9 @@ def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection):
     return 0.5 * operator_norm(sa @ b.mat @ sc)
 
 
+_CLOSED = {"ball": (BallKernel(), _closed_ball), "halfplane": (HalfPlaneKernel(), _closed_halfplane)}
+
+
 def delta_closed(
     kind: str,
     a: NcPoint,
@@ -309,15 +309,14 @@ def delta_closed(
 ) -> DeltaResult | list[DeltaResult]:
     """Closed form on the operator ball ('ball') or half-plane ('halfplane').
 
-    Stacks give a list with one result per row.
+    Stacks give a list with one result per row. Raises ValueError for
+    any other kind.
     """
-    _check_triple(a, c, b)
-    if kind == "ball":
-        dom, closed = KernelDomain(BallKernel()), _closed_ball
-    elif kind == "halfplane":
-        dom, closed = KernelDomain(HalfPlaneKernel()), _closed_halfplane
-    else:
+    if kind not in _CLOSED:
         raise ValueError(f"unknown closed-form kind {kind!r}")
+    kernel, closed = _CLOSED[kind]
+    _check_triple(a, c, b)
+    dom = KernelDomain(kernel)
     require_inside(dom, a, margin, "a")
     require_inside(dom, c, margin, "c")
     return _results(closed(a, c, b), f"closed_{kind}", _is_stack(a, c, b))
@@ -375,22 +374,18 @@ def delta_tilde(
 ) -> DeltaResult | list[DeltaResult]:
     """Two-point gauge delta(a, c)(a - c), evaluated from cross grams.
 
-    Accepts 'ball' / 'halfplane' or any kernel spec. Agrees with
-    delta(a, c)(a - c) and vanishes exactly at a = c. Stacks give a
-    list with one result per row.
+    Accepts 'ball' / 'halfplane' or any kernel spec; another string
+    raises ValueError. Agrees with delta(a, c)(a - c) and vanishes
+    exactly at a = c. Stacks give a list with one result per row.
     """
     if a.level != c.level or a.base_dim != c.base_dim:
         raise DimMismatch("delta_tilde needs points at the same level and base")
     kernel = kernel_or_kind
-    method = "kernel"
-    if kernel_or_kind == "ball":
-        kernel, method = BallKernel(), "closed_ball"
-    elif kernel_or_kind == "halfplane":
-        kernel, method = HalfPlaneKernel(), "closed_halfplane"
-    elif isinstance(kernel_or_kind, BallKernel):
-        method = "closed_ball"
-    elif isinstance(kernel_or_kind, HalfPlaneKernel):
-        method = "closed_halfplane"
+    if isinstance(kernel, str):
+        if kernel not in _CLOSED:
+            raise ValueError(f"unknown closed-form kind {kernel!r}")
+        kernel = _CLOSED[kernel][0]
+    method = f"closed_{kernel.closed}" if kernel.closed else "kernel"
     dom = KernelDomain(kernel)
     require_inside(dom, a, margin, "a")
     require_inside(dom, c, margin, "c")
@@ -409,20 +404,17 @@ def _tilde_values(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
 def delta_auto(
     domain, a: NcPoint, c: NcPoint, b: NcDirection, **kw
 ) -> DeltaResult | list[DeltaResult]:
-    """Dispatch to the closed form, kernel formula, or ray search."""
-    if isinstance(domain, KernelDomain):
-        k = domain.kernel
-        if isinstance(k, BallKernel):
-            return delta_closed("ball", a, c, b, **kw)
-        if isinstance(k, HalfPlaneKernel):
-            return delta_closed("halfplane", a, c, b, **kw)
-        if isinstance(k, (ComposedBallKernel, ComposedHalfPlaneKernel)):
-            return delta_kernel(k, a, c, b, **kw)
-    return delta_ray(domain, a, c, b, **kw)
+    """Dispatch by the domain's kernel to its closed form, the kernel formula, or ray search."""
+    k = domain.kernel
+    if k is None:
+        return delta_ray(domain, a, c, b, **kw)
+    if k.closed:
+        return delta_closed(k.closed, a, c, b, **kw)
+    return delta_kernel(k, a, c, b, **kw)
 
 
 def delta_auto_tilde(domain, a: NcPoint, c: NcPoint, **kw) -> DeltaResult | list[DeltaResult]:
-    if isinstance(domain, KernelDomain):
+    if domain.kernel is not None:
         return delta_tilde(domain.kernel, a, c, **kw)
     diff = NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
     return delta_ray(domain, a, c, diff, **kw)
@@ -433,20 +425,17 @@ def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float)
 
     The points must already be known to lie inside the domain.
     """
-    if isinstance(domain, KernelDomain):
-        k = domain.kernel
-        if isinstance(k, BallKernel):
-            return _closed_ball(a, c, b)
-        if isinstance(k, HalfPlaneKernel):
-            return _closed_halfplane(a, c, b)
-        if isinstance(k, (ComposedBallKernel, ComposedHalfPlaneKernel)):
-            return _kernel_value(k, a, c, b)
-    return np.array([r.value for r in _ray_rows(domain, a, c, b, RAY_TOL, margin)])
+    k = domain.kernel
+    if k is None:
+        return np.array([r.value for r in _ray_rows(domain, a, c, b, RAY_TOL, margin)])
+    if k.closed:
+        return _CLOSED[k.closed][1](a, c, b)
+    return _kernel_value(k, a, c, b)
 
 
 def _chain_values(domain, x: NcPoint, y: NcPoint, margin: float) -> np.ndarray:
     """delta_auto_tilde per row of the stacks x, y, already known to lie inside."""
-    if isinstance(domain, KernelDomain):
+    if domain.kernel is not None:
         return _tilde_values(domain.kernel, x, y)
     diff = NcDirection(x.base_dim, x.level, y.level, x.mat - y.mat)
     return np.array([r.value for r in _ray_rows(domain, x, y, diff, RAY_TOL, margin)])

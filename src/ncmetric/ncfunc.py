@@ -2,9 +2,10 @@
 
 Variants: polynomials, a ball Moebius map, affine maps, scalar
 calculus from a coefficient list with a convergence radius, and
-compositions. Evaluation is plain matrix substitution, so the
-direct-sum and intertwining laws hold automatically; check_axioms
-measures them anyway on supplied samples.
+compositions. Each evaluates itself in _eval, behind eval_mat, and
+registers its JSON form (see matcore.variant). Evaluation is plain
+matrix substitution, so the direct-sum and intertwining laws hold
+automatically; check_axioms measures them anyway on supplied samples.
 
 delta_f extracts the difference-differential from one evaluation at
 an upper-triangular 2x2 block point: the (1,2) corner of
@@ -16,7 +17,7 @@ axes and evaluate each matrix of the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +26,12 @@ from .matcore import (
     SingularMatrix,
     as_stack,
     complex_from_json,
-    complex_to_json,
+    condition_number,
+    each,
     inverse,
+    of_family,
     operator_norm,
+    variant,
 )
 from .ncpoint import NcDirection, NcPoint, block_upper
 
@@ -46,6 +50,7 @@ class SeriesNotConverged(NcmetricError):
     """The argument lies outside the stated convergence radius."""
 
 
+@variant("function", "polynomial", coeffs=each(complex_from_json))
 @dataclass(frozen=True)
 class Polynomial:
     """p(z) = sum coeffs[k] z^k, evaluated by Horner substitution."""
@@ -55,7 +60,17 @@ class Polynomial:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
 
+    def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+        if not self.coeffs:
+            return np.zeros_like(m)
+        acc = self.coeffs[-1] * eye
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc @ m + c * eye
+        # a constant polynomial never met m
+        return acc if acc.shape == m.shape else np.broadcast_to(acc, m.shape).copy()
 
+
+@variant("function", "moebius_ball", alpha=complex_from_json)
 @dataclass(frozen=True)
 class MoebiusBall:
     """z -> (z - alpha)(1 - conj(alpha) z)^(-1), an automorphism of the ball.
@@ -74,7 +89,15 @@ class MoebiusBall:
         if abs(a) >= MOEBIUS_ALPHA_MAX:
             raise ValueError(f"|alpha| = {abs(a):.12f} must be < {MOEBIUS_ALPHA_MAX}")
 
+    def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+        try:
+            res = inverse(eye - np.conj(self.alpha) * m)
+        except SingularMatrix as exc:
+            raise DomainViolation(f"Moebius pole proximity: {exc}") from None
+        return (m - self.alpha * eye) @ res
 
+
+@variant("function", "cayley_like", beta=complex_from_json, gamma=complex_from_json)
 @dataclass(frozen=True)
 class CayleyLike:
     """Affine map z -> beta z + gamma."""
@@ -86,7 +109,11 @@ class CayleyLike:
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
 
+    def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+        return self.beta * m + self.gamma * eye
 
+
+@variant("function", "scalar_calculus", coeffs=each(complex_from_json))
 @dataclass(frozen=True)
 class ScalarCalculus:
     """Power series sum coeffs[k] z^k with a stated convergence radius.
@@ -105,17 +132,44 @@ class ScalarCalculus:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
+    def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+        if m.ndim > 2:
+            # the truncation depends on each matrix's norm
+            rows = [eval_mat(self, row) for row in m.reshape((-1,) + m.shape[-2:])]
+            return np.array(rows, dtype=np.complex128).reshape(m.shape)
+        r = operator_norm(m)
+        if r >= self.radius:
+            raise SeriesNotConverged(f"||a|| = {r:.6g} is not inside radius {self.radius:.6g}")
+        majorant = np.array([abs(c) for c in self.coeffs], dtype=np.float64)
+        powers = r ** np.arange(len(self.coeffs))
+        # tails[k] = sum_{j >= k} |c_j| r^j
+        tails = np.concatenate([np.cumsum((majorant * powers)[::-1])[::-1], [0.0]])
+        acc = np.zeros_like(m)
+        term = eye
+        for k, c in enumerate(self.coeffs):
+            if tails[k] < SERIES_TAIL_TOL:
+                break
+            acc = acc + c * term
+            term = term @ m
+        return acc
 
+
+@variant("function", "composition", parts=each(of_family("function")))
 @dataclass(frozen=True)
 class Composition:
     """parts applied left to right: f = parts[-1] o ... o parts[0]."""
 
-    parts: tuple = field(default_factory=tuple)
+    parts: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("composition needs at least one part")
+
+    def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
+        for part in self.parts:
+            m = eval_mat(part, m)
+        return m
 
 
 def eval_mat(f, m: np.ndarray) -> np.ndarray:
@@ -125,50 +179,7 @@ def eval_mat(f, m: np.ndarray) -> np.ndarray:
     stack cannot be evaluated.
     """
     m = as_stack(m)
-    eye = np.eye(m.shape[-1], dtype=np.complex128)
-    if isinstance(f, Polynomial):
-        if not f.coeffs:
-            return np.zeros_like(m)
-        acc = f.coeffs[-1] * eye
-        for c in reversed(f.coeffs[:-1]):
-            acc = acc @ m + c * eye
-        # a constant polynomial never met m
-        return acc if acc.shape == m.shape else np.broadcast_to(acc, m.shape).copy()
-    if isinstance(f, MoebiusBall):
-        try:
-            res = inverse(eye - np.conj(f.alpha) * m)
-        except SingularMatrix as exc:
-            raise DomainViolation(f"Moebius pole proximity: {exc}") from None
-        return (m - f.alpha * eye) @ res
-    if isinstance(f, CayleyLike):
-        return f.beta * m + f.gamma * eye
-    if isinstance(f, ScalarCalculus):
-        if m.ndim > 2:
-            # the truncation depends on each matrix's norm
-            rows = [eval_mat(f, row) for row in m.reshape((-1,) + m.shape[-2:])]
-            return np.array(rows, dtype=np.complex128).reshape(m.shape)
-        r = operator_norm(m)
-        if r >= f.radius:
-            raise SeriesNotConverged(
-                f"||a|| = {r:.6g} is not inside radius {f.radius:.6g}"
-            )
-        majorant = np.array([abs(c) for c in f.coeffs], dtype=np.float64)
-        powers = r ** np.arange(len(f.coeffs))
-        # tails[k] = sum_{j >= k} |c_j| r^j
-        tails = np.concatenate([np.cumsum((majorant * powers)[::-1])[::-1], [0.0]])
-        acc = np.zeros_like(m)
-        term = eye
-        for k, c in enumerate(f.coeffs):
-            if tails[k] < SERIES_TAIL_TOL:
-                break
-            acc = acc + c * term
-            term = term @ m
-        return acc
-    if isinstance(f, Composition):
-        for part in f.parts:
-            m = eval_mat(part, m)
-        return m
-    raise TypeError(f"not a function spec: {type(f).__name__}")
+    return f._eval(m, np.eye(m.shape[-1], dtype=np.complex128))
 
 
 def eval_point(f, a: NcPoint) -> NcPoint:
@@ -235,7 +246,7 @@ def check_axioms(f, points, rng=None, rel_tol: float = 1e-10) -> dict:
         c = inverse(s) @ a.mat @ s
         lhs = eval_mat(f, a.mat) @ s
         rhs = s @ eval_mat(f, c)
-        scale = max(1.0, float(np.linalg.norm(lhs))) * float(np.linalg.cond(s))
+        scale = max(1.0, float(np.linalg.norm(lhs))) * condition_number(s)
         intertwine_defects.append(float(np.linalg.norm(lhs - rhs)) / scale)
     worst = max(direct_sum_defects + intertwine_defects, default=0.0)
     worst_swap = max(swap_defects, default=0.0)
@@ -247,46 +258,3 @@ def check_axioms(f, points, rng=None, rel_tol: float = 1e-10) -> dict:
         "ok": bool(worst <= rel_tol and worst_swap <= rel_tol),
     }
 
-
-def func_to_json(f) -> dict:
-    if isinstance(f, Polynomial):
-        return {"variant": "polynomial", "coeffs": [complex_to_json(c) for c in f.coeffs]}
-    if isinstance(f, MoebiusBall):
-        return {"variant": "moebius_ball", "alpha": complex_to_json(f.alpha)}
-    if isinstance(f, CayleyLike):
-        return {
-            "variant": "cayley_like",
-            "beta": complex_to_json(f.beta),
-            "gamma": complex_to_json(f.gamma),
-        }
-    if isinstance(f, ScalarCalculus):
-        return {
-            "variant": "scalar_calculus",
-            "coeffs": [complex_to_json(c) for c in f.coeffs],
-            "radius": float(f.radius),
-        }
-    if isinstance(f, Composition):
-        return {"variant": "composition", "parts": [func_to_json(p) for p in f.parts]}
-    raise TypeError(f"not a function spec: {type(f).__name__}")
-
-
-def func_from_json(obj):
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError("function JSON must be an object with a 'variant' tag")
-    v = obj["variant"]
-    try:
-        if v == "polynomial":
-            return Polynomial(tuple(complex_from_json(c) for c in obj["coeffs"]))
-        if v == "moebius_ball":
-            return MoebiusBall(complex_from_json(obj["alpha"]))
-        if v == "cayley_like":
-            return CayleyLike(complex_from_json(obj["beta"]), complex_from_json(obj["gamma"]))
-        if v == "scalar_calculus":
-            return ScalarCalculus(
-                tuple(complex_from_json(c) for c in obj["coeffs"]), float(obj["radius"])
-            )
-        if v == "composition":
-            return Composition(tuple(func_from_json(p) for p in obj["parts"]))
-    except KeyError as exc:
-        raise ValueError(f"function JSON missing field {exc}") from None
-    raise ValueError(f"unknown function variant {v!r}")

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from ncmetric.cli import main
-from ncmetric.domains import NormBound, SpectralDisk, ball_domain, domain_to_json
-from ncmetric.matcore import mat_to_json
-from ncmetric.ncfunc import MoebiusBall, Polynomial, func_to_json
+from ncmetric.domains import NormBound, SpectralDisk, ball_domain
+from ncmetric.matcore import mat_to_json, to_json
+from ncmetric.ncfunc import MoebiusBall, Polynomial
 from ncmetric.ncpoint import point, point_to_json
 
 
@@ -21,7 +21,7 @@ def _dump(tmp_path, name, obj):
 @pytest.fixture
 def ball_files(tmp_path):
     return {
-        "domain": _dump(tmp_path, "ball.json", domain_to_json(ball_domain())),
+        "domain": _dump(tmp_path, "ball.json", to_json(ball_domain())),
         "a": _dump(tmp_path, "a.json", point_to_json(point([[0.0]]))),
         "c": _dump(tmp_path, "c.json", point_to_json(point([[0.5]]))),
         "b": _dump(tmp_path, "b.json", mat_to_json(np.array([[1.0]]))),
@@ -88,7 +88,7 @@ def test_distance_spectral_disk_frozen(tmp_path, capsys):
     a = point([[0.1 + 0.05j, 0.3], [0.0, -0.2]])
     c = point([[-0.15, 0.1j], [0.25, 0.2 + 0.1j]])
     out = tmp_path / "distance.json"
-    argv = ["distance", "--domain", _dump(tmp_path, "disk.json", domain_to_json(disk)),
+    argv = ["distance", "--domain", _dump(tmp_path, "disk.json", to_json(disk)),
             "--a", _dump(tmp_path, "a.json", point_to_json(a)),
             "--c", _dump(tmp_path, "c.json", point_to_json(c)),
             "--refine", "2", "--quad-points", "32", "--out", str(out)]
@@ -116,8 +116,8 @@ def test_distance_without_quadrature_nodes_is_exit_3(ball_files, capsys, quad):
 
 
 def test_contract_exit_codes(tmp_path, ball_files, capsys):
-    half = _dump(tmp_path, "half.json", func_to_json(Polynomial((0.0, 0.5))))
-    double = _dump(tmp_path, "double.json", func_to_json(Polynomial((0.0, 2.0))))
+    half = _dump(tmp_path, "half.json", to_json(Polynomial((0.0, 0.5))))
+    double = _dump(tmp_path, "double.json", to_json(Polynomial((0.0, 2.0))))
     base = [
         "contract",
         "--src",
@@ -145,8 +145,8 @@ def test_contract_exit_codes(tmp_path, ball_files, capsys):
 
 
 def _contract_argv(tmp_path, func, dom, out):
-    f = _dump(tmp_path, "f.json", func_to_json(func))
-    d = _dump(tmp_path, "dom.json", domain_to_json(dom))
+    f = _dump(tmp_path, "f.json", to_json(func))
+    d = _dump(tmp_path, "dom.json", to_json(dom))
     return ["contract", "--function", f, "--src", d, "--dst", d, "--samples", "6",
             "--levels", "1,2,3", "--seed", "11", "--out", str(out)]
 
@@ -202,7 +202,7 @@ def test_contract_frozen_outputs(tmp_path, capsys):
 def test_count_below_one_is_exit_3(tmp_path, ball_files, capsys, argv, flag):
     out = tmp_path / "out.csv"
     if argv[0] == "contract":
-        f = _dump(tmp_path, "f.json", func_to_json(Polynomial((0.0, 0.5))))
+        f = _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5))))
         dom = ball_files["domain"]
         argv = argv + ["--function", f, "--src", dom, "--dst", dom]
     elif argv[0] == "convolve":

@@ -15,16 +15,13 @@ from ncmetric.domains import (
     SpectralDisk,
     ball_domain,
     contains,
-    domain_from_json,
-    domain_to_json,
     gram,
     halfplane_domain,
     kernel_diffs,
     kernel_eval,
-    kernel_from_json,
-    kernel_to_json,
     require_inside,
 )
+from ncmetric.matcore import from_json
 from ncmetric.ncfunc import MoebiusBall, Polynomial, delta_f, eval_point
 from ncmetric.ncpoint import DimMismatch, NcPoint, direction, point
 
@@ -235,31 +232,9 @@ def test_gram_respects_direct_sums():
     np.testing.assert_allclose(g[:2, 2:], np.zeros((2, 3)), atol=1e-14)
 
 
-def test_kernel_json_round_trips():
-    kernels = (
-        BallKernel(),
-        HalfPlaneKernel(),
-        ComposedBallKernel(Polynomial((0.0, 2.0))),
-        ComposedHalfPlaneKernel(MoebiusBall(0.25j)),
-    )
-    for k in kernels:
-        assert kernel_from_json(kernel_to_json(k)) == k
-
-
-def test_domain_json_round_trips():
-    domains = (
-        ball_domain(0.5),
-        halfplane_domain(),
-        SpectralDisk(0.3 - 0.1j, 1.5, NormBound("level", 2.0)),
-        NilpotentCone(),
-    )
-    for d in domains:
-        assert domain_from_json(domain_to_json(d)) == d
-
-
 def test_domain_json_rejects_unknown_variant():
     with pytest.raises(ValueError):
-        domain_from_json({"variant": "torus"})
+        from_json({"variant": "torus"}, "domain")
 
 
 def test_norm_bound_rules():

@@ -24,11 +24,7 @@ from ncmetric.freeprob import (
     k0_and_fixed_point,
     law_quadrature,
     make_h0,
-    model_from_json,
-    model_to_json,
-    rho_from_json,
     rho_minus_id,
-    rho_to_json,
     subordination_solve,
     support_interval,
     validate_rho,
@@ -252,30 +248,6 @@ def test_overestimated_eps0_is_caught():
         k0_and_fixed_point(h0, _scalar(1j), eps0=50.0)
 
 
-def test_model_json_round_trips():
-    models = (
-        MatrixModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 1)),
-        ScalarLaw("semicircle", 2.0),
-        ScalarLaw("point_mass", atom=1.5),
-    )
-    for m in models:
-        back = model_from_json(model_to_json(m))
-        if isinstance(m, MatrixModel):
-            np.testing.assert_array_equal(back.x, m.x)
-            assert back.blocks == m.blocks
-        else:
-            assert back == m
-
-
-def test_rho_json_round_trips():
-    back = rho_from_json(rho_to_json(ScalarPower(3.0)))
-    assert back == ScalarPower(3.0)
-    kr = KrausAugment((np.diag([0.5, 0.5]), np.diag([0.1, 0.9])))
-    back = rho_from_json(rho_to_json(kr))
-    assert len(back.vs) == 2
-    np.testing.assert_array_equal(back.vs[0], kr.vs[0])
-
-
 # ---------------------------------------------------------- stacked solver
 
 
@@ -464,3 +436,41 @@ def test_gauge_on_stacks_gives_the_values_of_its_rows():
         outside[3] = outside[3].real
         with pytest.raises(NotInHalfPlane, match="point c"):
             halfplane_gauge(a, NcPoint(base, level, outside))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the solver ran")
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_solver_rejects_a_tolerance_that_cannot_work(monkeypatch, tol):
+    monkeypatch.setattr(freeprob, "_solve_stack", _no_solve)
+    law, rho, b = ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(0.5 + 0.1j)
+    calls = (
+        lambda: subordination_solve(law, rho, b, tol=tol),
+        lambda: convolved_G(law, rho, b, tol=tol),
+        lambda: density_grid(law, rho, -1.0, 1.0, points=3, tol=tol),
+        lambda: density_grid(law, rho, -1.0, 1.0, points=0, tol=tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_density_grid_rejects_an_eps_that_cannot_work(monkeypatch, eps):
+    monkeypatch.setattr(freeprob, "_solve_stack", _no_solve)
+    for points in (3, 0):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=points, eps=eps)
+
+
+def test_kraus_augment_acts_on_a_scalar_law_as_a_scalar_power():
+    law, v = ScalarLaw("semicircle"), 0.5
+    validate_rho(law, KrausAugment((np.array([[v]]),)))
+    with pytest.raises(ValueError, match="expected"):
+        validate_rho(law, KrausAugment((np.eye(2),)))
+    b = _scalar(0.3 + 0.2j)
+    w_kraus, _ = subordination_solve(law, KrausAugment((np.array([[v]]),)), b)
+    w_power, _ = subordination_solve(law, ScalarPower(1.0 + v * v), b)
+    np.testing.assert_allclose(w_kraus.mat, w_power.mat, atol=1e-9)

@@ -16,6 +16,7 @@ from ncmetric.matcore import (
     SingularMatrix,
     as_matrix,
     as_stack,
+    condition_number,
     direct_sum_mats,
     herm_eig,
     herm_eigvals,
@@ -308,10 +309,10 @@ def test_herm_eigvals_is_eigvalsh_bitwise():
 
 
 def test_only_matcore_calls_the_lapack_choke_points():
-    # eigvalsh, svd and inv are called in matcore alone, behind
-    # herm_eigvals, operator_norm and inverse
+    # eigvalsh, svd, inv and cond are called in matcore alone, behind
+    # herm_eigvals, operator_norm, inverse and condition_number
     src = Path(ncmetric.__file__).parent
-    pattern = re.compile(r"linalg\.(eigvalsh|svd|inv)\b|from\s+numpy\S*\s+import|import\s+numpy\.linalg")
+    pattern = re.compile(r"linalg\.(eigvalsh|svd|inv|cond)\b|from\s+numpy\S*\s+import|import\s+numpy\.linalg")
     offenders = [
         f"{path.name}:{k}: {line.strip()}"
         for path in sorted(src.glob("*.py"))
@@ -320,3 +321,15 @@ def test_only_matcore_calls_the_lapack_choke_points():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_condition_number_is_cond_bitwise():
+    rng = _rng(12)
+    for n in range(1, 13):
+        for _ in range(25):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            # the intertwiner shape check_axioms draws, and a plain random matrix
+            for s in (np.eye(n) + 0.2 * g / max(1.0, operator_norm(g)), g):
+                assert condition_number(s) == float(np.linalg.cond(s))
+    stack = np.stack([np.eye(3) + 0.1 * k * np.diag([1.0, 2.0, 3.0]) for k in range(4)])
+    np.testing.assert_array_equal(condition_number(stack), np.linalg.cond(stack))

@@ -581,3 +581,12 @@ def test_closed_ball_unitary_invariance(n, seed):
 def test_ray_rejects_a_tolerance_that_cannot_work(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         delta_ray(ball_domain(), point([[0.0]]), point([[0.5]]), direction([[1.0]]), tol=tol)
+
+
+@pytest.mark.parametrize("kind", ["disk", "Ball", "half_plane", ""])
+def test_unknown_closed_form_kind_is_a_value_error(kind):
+    a, c = point([[0.1]]), point([[0.2 + 0.5j]])
+    with pytest.raises(ValueError, match="unknown closed-form kind"):
+        delta_tilde(kind, a, c)
+    with pytest.raises(ValueError, match="unknown closed-form kind"):
+        delta_closed(kind, a, c, direction([[1.0]]))

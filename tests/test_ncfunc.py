@@ -17,8 +17,6 @@ from ncmetric.ncfunc import (
     delta_f,
     eval_mat,
     eval_point,
-    func_from_json,
-    func_to_json,
 )
 from ncmetric.ncpoint import direction, point
 
@@ -148,19 +146,6 @@ def test_axiom_report_passes_for_specs():
     for f in (Polynomial((0.1, 0.9, -0.2)), MoebiusBall(0.2j), ScalarCalculus(EXP_COEFFS, 8.0)):
         report = check_axioms(f, pts, rng=_rng(7))
         assert report["ok"], report
-
-
-def test_function_json_round_trips():
-    funcs = (
-        Polynomial((1.0, 2.0j)),
-        MoebiusBall(0.5 - 0.25j),
-        CayleyLike(1.0j, -2.0),
-        ScalarCalculus((1.0, 0.5), 3.0),
-        Composition((Polynomial((0.0, 1.0)), MoebiusBall(0.1))),
-    )
-    for f in funcs:
-        back = func_from_json(func_to_json(f))
-        assert back == f
 
 
 @settings(max_examples=30, deadline=None)

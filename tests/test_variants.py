@@ -1,0 +1,247 @@
+"""The registry of tagged JSON formats, and what a variant class alone can add.
+
+NormBall below is a domain kind that the package does not know: one
+class, registered here, that must work through membership, every
+metric route, the distance drivers, the codec and the CLI.
+"""
+
+import json
+import re
+from dataclasses import dataclass, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ncmetric
+from ncmetric.cli import main
+from ncmetric.domains import (
+    BallKernel,
+    ComposedBallKernel,
+    ComposedHalfPlaneKernel,
+    HalfPlaneKernel,
+    KernelDomain,
+    NilpotentCone,
+    NormBound,
+    SpectralDisk,
+    ball_domain,
+    contains,
+    halfplane_domain,
+)
+from ncmetric.freeprob import KrausAugment, MatrixModel, ScalarLaw, ScalarPower
+from ncmetric.matcore import VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
+from ncmetric.metric import (
+    compare_nested,
+    d_upper,
+    delta_auto,
+    delta_auto_tilde,
+    delta_closed,
+    delta_tilde,
+    dtilde_upper,
+)
+from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
+from ncmetric.ncpoint import NcPoint, direction, point, point_to_json
+
+SRC = Path(ncmetric.__file__).parent
+ROOT = SRC.parents[1]
+
+# class -> family, for the classes the package itself registers
+PACKAGE_VARIANTS = {
+    cls: family
+    for family, tags in VARIANTS.items()
+    for cls in tags.values()
+    if cls.__module__.startswith("ncmetric.")
+}
+
+EXAMPLES = {
+    BallKernel: (BallKernel(),),
+    HalfPlaneKernel: (HalfPlaneKernel(),),
+    ComposedBallKernel: (ComposedBallKernel(Polynomial((0.0, 2.0))),),
+    ComposedHalfPlaneKernel: (ComposedHalfPlaneKernel(MoebiusBall(0.25j)),),
+    KernelDomain: (ball_domain(0.5), halfplane_domain()),
+    SpectralDisk: (SpectralDisk(0.3 - 0.1j, 1.5, NormBound("level", 2.0)),),
+    NilpotentCone: (NilpotentCone(),),
+    Polynomial: (Polynomial((1.0, 2.0j)),),
+    MoebiusBall: (MoebiusBall(0.5 - 0.25j),),
+    CayleyLike: (CayleyLike(1.0j, -2.0),),
+    ScalarCalculus: (ScalarCalculus((1.0, 0.5), 3.0),),
+    Composition: (Composition((Polynomial((0.0, 1.0)), MoebiusBall(0.1))),),
+    MatrixModel: (MatrixModel(np.array([[0.0, 1.0], [1.0, 0.0]]), (1, 1)),),
+    ScalarLaw: (ScalarLaw("semicircle", 2.0), ScalarLaw("point_mass", atom=1.5)),
+    ScalarPower: (ScalarPower(3.0),),
+    KrausAugment: (KrausAugment((np.diag([0.5, 0.5]), np.diag([0.1, 0.9]))),),
+}
+
+
+def _same(x, y) -> bool:
+    # arrays do not compare with ==
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    return x == y
+
+
+@pytest.mark.parametrize("cls", sorted(PACKAGE_VARIANTS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_every_variant_round_trips_through_json(cls):
+    for obj in EXAMPLES[cls]:
+        back = from_json(json.loads(json.dumps(to_json(obj))), PACKAGE_VARIANTS[cls])
+        assert type(back) is cls
+        assert all(_same(getattr(back, f.name), getattr(obj, f.name)) for f in fields(cls)), back
+
+
+def test_tagged_json_keeps_its_wire_format():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert to_json(ScalarLaw("point_mass", atom=1.5)) == {
+        "variant": "scalar_law", "law": "point_mass", "variance": 1.0, "atom": [1.5, 0.0], "quad_nodes": 256,
+    }
+    assert to_json(SpectralDisk(0.3 - 0.1j, 1.5, NormBound("level", 2.0))) == {
+        "variant": "spectral_disk", "center": [0.3, -0.1], "radius": 1.5,
+        "norm_bound": {"rule": "level", "value": 2.0},
+    }
+    assert to_json(ball_domain(0.5)) == {
+        "variant": "kernel_domain",
+        "kernel": {"variant": "composed_ball", "g": {"variant": "polynomial", "coeffs": [[0.0, 0.0], [2.0, 0.0]]}},
+    }
+    assert to_json(MatrixModel(x, (1, 1))) == {"variant": "matrix_model", "x": mat_to_json(x), "blocks": [1, 1]}
+    assert to_json(KrausAugment((x,))) == {"variant": "kraus_augment", "vs": [mat_to_json(x)]}
+    # optional fields take their defaults
+    assert from_json({"variant": "scalar_law", "law": "arcsine"}, "model") == ScalarLaw("arcsine")
+    assert from_json(
+        {"variant": "spectral_disk", "center": [0, 0], "radius": 1, "norm_bound": {"rule": "level"}}, "domain"
+    ) == SpectralDisk(0.0, 1.0, NormBound("level", 1.0))
+    with pytest.raises(TypeError, match="not a registered variant"):
+        to_json(NormBound("level"))
+
+
+@pytest.mark.parametrize(
+    "obj, family, message",
+    [
+        ({"variant": "polynomial"}, "function", "function JSON missing field 'coeffs'"),
+        ({"variant": "composition"}, "function", "function JSON missing field 'parts'"),
+        ({"variant": "composed_ball"}, "kernel", "kernel JSON missing field 'g'"),
+        ({"variant": "scalar_law"}, "model", "model JSON missing field 'law'"),
+        ({"variant": "scalar_power"}, "cp-map", "cp-map JSON missing field 't'"),
+        ({"variant": "spectral_disk", "center": [0, 0], "radius": 1}, "domain", "missing field 'norm_bound'"),
+        ({"variant": "ball"}, "domain", "unknown domain variant 'ball'"),
+        ({"variant": "scalar_power", "t": 2.0}, "model", "unknown model variant 'scalar_power'"),
+        ({"variant": "kernel_domain", "kernel": {"variant": "polynomial", "coeffs": []}}, "domain",
+         "unknown kernel variant 'polynomial'"),
+        ({"variant": ["ball"]}, "kernel", "unknown kernel variant"),
+        (["ball"], "kernel", "kernel JSON must be an object with a 'variant' tag"),
+        ({"variant": "polynomial", "coeffs": 3}, "function", "malformed function JSON"),
+        ({"variant": "moebius_ball", "alpha": [0.1]}, "function", "complex JSON must be a [re, im] pair"),
+        ({"variant": "spectral_disk", "center": [0, 0], "radius": 1, "norm_bound": {}}, "domain",
+         "malformed domain JSON"),
+        ({"variant": "matrix_model", "x": {"rows": 1}, "blocks": [1]}, "model", "malformed matrix JSON"),
+        ({"variant": "kraus_augment", "vs": None}, "cp-map", "malformed cp-map JSON"),
+    ],
+)
+def test_malformed_json_is_a_value_error(obj, family, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(obj, family)
+
+
+def _dump(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv, flag, obj, family",
+    [
+        (["distance"], "--domain", {"variant": "ball"}, "domain"),
+        (["delta", "--b", "B"], "--kernel", {"variant": "kernel_domain", "kernel": {"variant": "ball"}}, "kernel"),
+        (["contract", "--src", "D", "--dst", "D"], "--function", {"variant": "ball"}, "function"),
+        (["convolve", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"], "--model",
+         {"variant": "scalar_power", "t": 2.0}, "model"),
+        (["convolve", "--law", "bernoulli", "--xmin", "-1", "--xmax", "1"], "--rho",
+         {"variant": "scalar_law", "law": "bernoulli"}, "cp-map"),
+    ],
+)
+def test_a_tag_from_another_family_is_exit_3(tmp_path, capsys, argv, flag, obj, family):
+    files = {
+        "B": _dump(tmp_path, "b.json", mat_to_json(np.array([[1.0]]))),
+        "D": _dump(tmp_path, "d.json", to_json(ball_domain())),
+    }
+    argv = [files.get(x, x) for x in argv]
+    if argv[0] in ("distance", "delta"):
+        argv += ["--a", _dump(tmp_path, "a.json", point_to_json(point([[0.1]]))),
+                 "--c", _dump(tmp_path, "c.json", point_to_json(point([[0.2]])))]
+    assert main(argv + [flag, _dump(tmp_path, "obj.json", obj)]) == 3
+    captured = capsys.readouterr()
+    assert f"unknown {family} variant" in captured.err
+    assert captured.out == ""
+
+
+def test_every_registered_tag_is_in_schemas():
+    schemas = (ROOT / "SCHEMAS.md").read_text()
+    tags = [tag for tags in VARIANTS.values() for tag, cls in tags.items() if cls in PACKAGE_VARIANTS]
+    assert len(tags) == len(PACKAGE_VARIANTS) == 16
+    assert [tag for tag in tags if f"`{tag}`" not in schemas] == []
+
+
+def test_no_module_that_routes_by_variant_asks_for_its_class():
+    # the variants carry their behaviour; these modules call it and never
+    # branch on a variant's class
+    names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
+    pattern = re.compile(rf"isinstance\([^)]*\b({names})\b")
+    offenders = []
+    for name in ("metric.py", "cli.py", "domains.py", "ncfunc.py"):
+        text = (SRC / name).read_text()
+        for m in pattern.finditer(text):
+            offenders.append(f"{name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
+    assert offenders == []
+
+
+@variant("domain", "test_norm_ball")
+@dataclass(frozen=True)
+class NormBall:
+    """||a|| < radius by the operator norm alone: the ball as a domain without a kernel."""
+
+    radius: float
+    kernel = None
+
+    def _inside(self, a: NcPoint, margin: float):
+        return operator_norm(a.mat) < self.radius - margin
+
+
+def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, capsys):
+    dom = NormBall(1.0)
+    a = point([[0.1, 0.2j], [0.0, -0.3]])
+    c = point([[0.4, 0.0], [0.1j, 0.2]])
+    b = direction([[0.3, 0.1], [0.0, 0.2j]])
+
+    assert contains(dom, a).inside and not contains(dom, point(1.5 * np.eye(2))).inside
+    stack = NcPoint(1, 2, np.stack([a.mat, 3.0 * a.mat, c.mat]))
+    assert contains(dom, stack).tolist() == [True, False, True]
+
+    # the ray search on it finds the ball's closed forms
+    ray = delta_auto(dom, a, c, b)
+    assert ray.method == "ray"
+    assert ray.value == pytest.approx(delta_closed("ball", a, c, b).value, rel=1e-5)
+    tilde = delta_auto_tilde(dom, a, c)
+    assert tilde.method == "ray"
+    assert tilde.value == pytest.approx(delta_tilde("ball", a, c).value, rel=1e-5)
+
+    bound = dtilde_upper(dom, a, c, refinement_budget=2)
+    assert bound.value == pytest.approx(dtilde_upper(ball_domain(), a, c, refinement_budget=2).value, rel=1e-5)
+    path = d_upper(dom, a, c, quad_points=8)
+    assert path.value == pytest.approx(d_upper(ball_domain(), a, c, quad_points=8).value, rel=1e-5)
+    pairs = [(point([[0.1]]), point([[0.3]])), (point(0.2 * a.mat), point(0.3 * c.mat))]
+    nested = compare_nested(NormBall(0.5), ball_domain(), 1.0, 0.5, pairs)
+    assert nested["ok"], nested
+    assert [inner for inner, _ in nested["rows"]] == pytest.approx(
+        [delta_tilde(ball_domain(0.5).kernel, p, q).value for p, q in pairs], rel=1e-5
+    )
+
+    assert from_json(json.loads(json.dumps(to_json(dom))), "domain") == dom
+    argv = ["distance", "--domain", _dump(tmp_path, "dom.json", to_json(dom)),
+            "--a", _dump(tmp_path, "a.json", point_to_json(a)),
+            "--c", _dump(tmp_path, "c.json", point_to_json(c)),
+            "--refine", "2", "--quad-points", "8"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dtilde_upper"]["value"] == bound.value
+    assert payload["d_upper"]["value"] == path.value
