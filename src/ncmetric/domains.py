@@ -23,6 +23,7 @@ evaluations stay matrix arithmetic); its closed attribute names its
 closed form in metric, or is None. A domain's _inside(a, margin) tests
 membership, raising EvaluationFailure when the test cannot be
 evaluated; its kernel attribute is the kernel that cuts it out, or None.
+_propose(rng, level, base_dim) draws candidate points for sampling.
 
 Kernel evaluation, kernel_diffs and membership take stacked points
 (see ncpoint) and work per matrix of the stack.
@@ -47,12 +48,16 @@ from .matcore import (
     complex_from_json,
     herm_part,
     is_strictly_positive,
+    json_number,
+    norm_below,
     of_family,
     operator_norm,
+    spectrum,
     variant,
 )
 from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat
 from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper
+from .sampling import ball_point, halfplane_point, nilpotent_point, selfadjoint_disk_point
 
 # Default membership margin (relative, via is_strictly_positive).
 MEMBERSHIP_MARGIN = 1e-9
@@ -126,6 +131,14 @@ class KernelDomain:
             raise EvaluationFailure("gram evaluation overflowed")
         return is_strictly_positive(herm_part(g), margin)
 
+    def _propose(self, rng, level: int, base_dim: int):
+        if self.kernel.closed == "halfplane":
+            p = halfplane_point(rng, level, base_dim)
+        else:
+            p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
+        # composed domains can be much smaller than the unit ball
+        return p, NcPoint(base_dim, level, p.mat * 0.2)
+
 
 @dataclass(frozen=True)
 class NormBound:
@@ -143,16 +156,26 @@ class NormBound:
         return self.value if self.rule == "constant" else self.value * level
 
 
-@variant("domain", "spectral_disk", center=complex_from_json,
-         norm_bound=lambda nb: NormBound(nb["rule"], nb.get("value", 1.0)))
+@dataclass(frozen=True)
+class _NormCap:
+    """||a|| < the norm bound at a's level: what decides along a SpectralDisk ray."""
+
+    norm_bound: NormBound
+
+    def _inside(self, a: NcPoint, margin: float):
+        return _lapack("norm", norm_below, a.mat, self.norm_bound.at_level(a.level) - margin)
+
+
+@variant("domain", "spectral_disk", center=complex_from_json, radius=json_number,
+         norm_bound=lambda nb: NormBound(nb["rule"], json_number(nb.get("value", 1.0))))
 @dataclass(frozen=True)
 class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.
 
     Membership tests the norm cap first and the spectrum only where
     the norm cap holds. A ray point [[a, s b], [0, c]] has the
-    spectrum of a and c, so along a ray the norm cap alone decides,
-    and the eigenvalues of the points over it are never computed.
+    spectrum of a and c, so between two points inside only the cap can
+    end the ray: the ray search tests ray_domain, the cap alone.
     """
 
     center: complex
@@ -163,20 +186,26 @@ class SpectralDisk:
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "ray_domain", _NormCap(self.norm_bound))
 
     def _in_disk(self, m: np.ndarray, margin: float):
-        eigs = _lapack("eigenvalue", np.linalg.eigvals, m)
+        eigs = _lapack("eigenvalue", spectrum, m)
         return np.max(np.abs(eigs - self.center), axis=-1) < self.radius - margin
 
     def _inside(self, a: NcPoint, margin: float):
         _finite(a, "eigenvalue")
-        bound = self.norm_bound.at_level(a.level)
-        inside = _lapack("norm", operator_norm, a.mat) < bound - margin
+        inside = self.ray_domain._inside(a, margin)
         if a.mat.ndim == 2:
             return inside and self._in_disk(a.mat, margin)
         if inside.any():
             inside[inside] = self._in_disk(a.mat[inside], margin)
         return inside
+
+    def _propose(self, rng, level: int, base_dim: int):
+        p = selfadjoint_disk_point(rng, level, base_dim, self.radius)
+        if self.center:
+            p = NcPoint(base_dim, level, p.mat + self.center * np.eye(level * base_dim))
+        return (p,)
 
 
 @variant("domain", "nilpotent_cone")
@@ -191,6 +220,9 @@ class NilpotentCone:
         power = np.linalg.matrix_power(a.mat, m)
         # np.power: a bound past the float range is inf, not an OverflowError
         return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
+
+    def _propose(self, rng, level: int, base_dim: int):
+        return (nilpotent_point(rng, level, base_dim),)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ from .matcore import (
     inverse,
     is_hermitian,
     is_strictly_positive,
+    json_int,
+    json_number,
     mat_from_json,
     operator_norm,
     positive_finite,
@@ -76,7 +78,7 @@ class MaxIterExceeded(NcmetricError):
         self.trace = trace
 
 
-@variant("model", "matrix_model", x=mat_from_json)
+@variant("model", "matrix_model", x=mat_from_json, blocks=each(json_int))
 @dataclass(frozen=True)
 class MatrixModel:
     """Hermitian X in M_d with E compressing onto block-scalar matrices.
@@ -112,7 +114,7 @@ class MatrixModel:
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
 
 
-@variant("model", "scalar_law", atom=complex_from_json)
+@variant("model", "scalar_law", atom=complex_from_json, variance=json_number, quad_nodes=json_int)
 @dataclass(frozen=True)
 class ScalarLaw:
     """A classical law fed in as the scalar-valued model (base_dim 1)."""
@@ -281,7 +283,7 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
     return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, h)
 
 
-@variant("cp-map", "scalar_power")
+@variant("cp-map", "scalar_power", t=json_number)
 @dataclass(frozen=True)
 class ScalarPower:
     """rho = t Id with t >= 1, so rho - Id = (t - 1) Id is cp."""

@@ -4,9 +4,13 @@ All matrices are numpy complex128 arrays. The functions here wrap
 numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root with a verified
-reconstruction. No other module calls np.linalg.eigvalsh, svd, inv or
-cond: herm_eigvals, operator_norm, condition_number and inverse are the
-one place each factorization is asked for.
+reconstruction. No other module calls np.linalg.eigvalsh, eigvals,
+svd, inv or cond: herm_eigvals, spectrum, operator_norm,
+condition_number and inverse are the one place each factorization is
+asked for.
+
+norm_below decides ||A|| < r for membership tests from the top
+eigenvalue of A A*, with no SVD; operator_norm gives printed norms.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
@@ -157,6 +161,29 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)
 
 
+def spectrum(a) -> np.ndarray:
+    """np.linalg.eigvals(a): the eigenvalues of a square matrix, or of each in a stack."""
+    return np.linalg.eigvals(a)
+
+
+def norm_below(a, r: float):
+    """||A|| < r per matrix of a stack: the top eigenvalue of A A* against r^2.
+
+    r <= 0 gives False, and so does a Gram that is not finite (entries
+    past about 1e154, inf, NaN), without a warning; below about 1e-154
+    norms and r square to 0.
+    """
+    a = as_stack(a)
+    if not r > 0.0:
+        return _one(np.zeros(a.shape[:-2], dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a @ a.conj().mT
+        finite = np.isfinite(g).all(axis=(-2, -1))
+    if not _all(finite):
+        g = np.where(finite[..., None, None], g, 0.0)
+    return _one(finite & (herm_eigvals(g)[..., -1] < r * r))
+
+
 def operator_norm(a):
     """Largest singular value; one per matrix of a stack."""
     a = as_stack(a)
@@ -269,8 +296,8 @@ def mat_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = json_int(obj["rows"]), json_int(obj["cols"]), obj["data"]
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
     arr = np.asarray(data, dtype=np.float64)
     if arr.shape != (rows, cols, 2):
@@ -288,7 +315,21 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex JSON must be a [re, im] pair")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(json_number(obj[0]), json_number(obj[1]))
+
+
+def json_int(x) -> int:
+    """A JSON integer as it is; a float, bool or string raises ValueError."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def json_number(x):
+    """A JSON number as it is; a bool, string or anything else raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"expected a number, got {x!r}")
+    return x
 
 
 def positive_finite(name: str, value: float):
@@ -348,14 +389,17 @@ def from_json(obj, family: str):
     if cls is None:
         raise ValueError(f"unknown {family} variant {tag!r}")
     decoders, kwargs = _TAGS[cls][1], {}
-    try:
-        for f in fields(cls):
-            key = f.metadata.get("json", f.name)
-            if key in obj:
-                decode = decoders.get(f.name)
+    for f in fields(cls):
+        key = f.metadata.get("json", f.name)
+        if key in obj:
+            decode = decoders.get(f.name)
+            try:
                 kwargs[f.name] = decode(obj[key]) if decode else obj[key]
-            elif f.default is MISSING:
-                raise ValueError(f"{family} JSON missing field {key!r}")
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise ValueError(f"malformed {family} JSON field {key!r}: {exc}") from None
+        elif f.default is MISSING:
+            raise ValueError(f"{family} JSON missing field {key!r}")
+    try:
         return cls(**kwargs)
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed {family} JSON: {exc}") from None

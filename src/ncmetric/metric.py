@@ -219,7 +219,11 @@ def _ray_rows(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin
     Each round tests the pending scalings of all unfinished rows with
     one stacked contains call, so every row visits exactly the
     scalings its own search asks for. Returns one DeltaResult per row.
+    Ray points are tested against the domain's ray_domain where it
+    names one, which is sound only because every caller has found a
+    and c inside at this margin first.
     """
+    domain = getattr(domain, "ray_domain", domain)
     stacked = _is_stack(a, c, b)
     na = a.dim
     # every round overwrites the corner with the scaled direction
@@ -267,7 +271,8 @@ def delta_ray(
     that persists to the growth cap is reported as value 0 with a
     note; no exit above the shrink floor reports +inf. The first exit
     decides for non-convex domains. Only membership tests are used,
-    so the route stays independent of the closed forms.
+    so the route stays independent of the closed forms. a and c must
+    be inside, which lets a domain's ray_domain decide the ray points.
 
     Stacks (N, ...) of a, c and b (broadcast against each other) are
     searched in lockstep and give a list of N results; row i equals

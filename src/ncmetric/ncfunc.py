@@ -29,6 +29,7 @@ from .matcore import (
     condition_number,
     each,
     inverse,
+    json_number,
     of_family,
     operator_norm,
     variant,
@@ -113,7 +114,7 @@ class CayleyLike:
         return self.beta * m + self.gamma * eye
 
 
-@variant("function", "scalar_calculus", coeffs=each(complex_from_json))
+@variant("function", "scalar_calculus", coeffs=each(complex_from_json), radius=json_number)
 @dataclass(frozen=True)
 class ScalarCalculus:
     """Power series sum coeffs[k] z^k with a stated convergence radius.

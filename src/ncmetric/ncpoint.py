@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import NcmetricError, as_matrix, as_stack, mat_from_json, mat_to_json
+from .matcore import NcmetricError, as_matrix, as_stack, json_int, mat_from_json, mat_to_json
 
 UNITARY_TOL = 1e-10
 
@@ -166,7 +166,7 @@ def point_from_json(obj) -> NcPoint:
     if not isinstance(obj, dict):
         raise ValueError("point JSON must be an object")
     try:
-        return NcPoint(int(obj["base_dim"]), int(obj["level"]), mat_from_json(obj["mat"]))
+        return NcPoint(json_int(obj["base_dim"]), json_int(obj["level"]), mat_from_json(obj["mat"]))
     except KeyError as exc:
         raise ValueError(f"point JSON missing field {exc}") from None
 
@@ -185,9 +185,9 @@ def direction_from_json(obj) -> NcDirection:
         raise ValueError("direction JSON must be an object")
     try:
         return NcDirection(
-            int(obj["base_dim"]),
-            int(obj["row_level"]),
-            int(obj["col_level"]),
+            json_int(obj["base_dim"]),
+            json_int(obj["row_level"]),
+            json_int(obj["col_level"]),
             mat_from_json(obj["mat"]),
         )
     except KeyError as exc:

@@ -12,13 +12,6 @@ import zlib
 
 import numpy as np
 
-from .domains import (
-    HalfPlaneKernel,
-    KernelDomain,
-    NilpotentCone,
-    SpectralDisk,
-    contains,
-)
 from .matcore import operator_norm
 from .ncpoint import NcDirection, NcPoint
 
@@ -93,31 +86,17 @@ def direction_sample(
 def sample_in_domain(
     domain, rng, level: int, base_dim: int, max_tries: int = 200
 ) -> NcPoint:
-    """Draw a point strictly inside the domain, by shape-aware proposal
-    plus rejection for the composed kernels."""
+    """Draw a point strictly inside the domain: the first of its _propose
+    candidates inside, over max_tries draws; TypeError if it has none."""
+    from .domains import contains  # domains proposes with the samplers above
+
+    propose = getattr(domain, "_propose", None)
+    if propose is None:
+        raise TypeError(f"no sampler for {type(domain).__name__}")
     for _ in range(max_tries):
-        if isinstance(domain, KernelDomain):
-            if isinstance(domain.kernel, HalfPlaneKernel):
-                p = halfplane_point(rng, level, base_dim)
-            else:
-                # Ball-like proposals, shrunk progressively for composed kernels.
-                p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
-        elif isinstance(domain, SpectralDisk):
-            p = selfadjoint_disk_point(rng, level, base_dim, domain.radius)
-            if domain.center:
-                n = level * base_dim
-                p = NcPoint(base_dim, level, p.mat + complex(domain.center) * np.eye(n))
-        elif isinstance(domain, NilpotentCone):
-            p = nilpotent_point(rng, level, base_dim)
-        else:
-            raise TypeError(f"no sampler for {type(domain).__name__}")
-        if contains(domain, p).inside:
-            return p
-        if isinstance(domain, KernelDomain):
-            # Composed domains can be much smaller than the unit ball.
-            p2 = NcPoint(base_dim, level, p.mat * 0.2)
-            if contains(domain, p2).inside:
-                return p2
+        for p in propose(rng, level, base_dim):
+            if contains(domain, p).inside:
+                return p
     raise RuntimeError(
         f"could not hit {type(domain).__name__} in {max_tries} tries"
     )

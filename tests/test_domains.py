@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncmetric.domains
 from ncmetric.domains import (
     BallKernel,
     ComposedBallKernel,
@@ -154,6 +155,25 @@ def test_non_finite_points_are_outside_without_raising(domain, bad):
     assert got.tolist() == [True, False, True]
     with pytest.raises(PointOutsideDomain, match="infs or NaNs"):
         require_inside(domain, point(bad))
+
+
+def test_a_disk_ray_point_that_cannot_be_evaluated_is_outside(monkeypatch):
+    cap = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)).ray_domain
+    good = np.array([[0.1, 0.9], [0.0, 0.2]])
+    for bad in _NON_FINITE + [1e200 * np.eye(2)]:
+        assert not contains(cap, point(bad)).inside
+        assert contains(cap, NcPoint(1, 2, np.stack([good, bad, good]))).tolist() == [True, False, True]
+    real = ncmetric.domains.norm_below
+
+    def fails_on_nan(m, r):
+        if np.isnan(m).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real(m, r)
+
+    monkeypatch.setattr(ncmetric.domains, "norm_below", fails_on_nan)
+    mem = contains(cap, point(_NON_FINITE[0]))
+    assert not mem.inside and "norm failure: Eigenvalues did not converge" in mem.diagnostic
+    assert contains(cap, NcPoint(1, 2, np.stack([good, _NON_FINITE[0], good]))).tolist() == [True, False, True]
 
 
 def test_nilpotent_bound_past_the_float_range_does_not_raise():

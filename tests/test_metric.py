@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -350,6 +351,52 @@ def test_ray_search_on_stacks_matches_rows():
         for t in (0.0, 0.5, 2.0)
     ]
     _assert_rows(lambda a, c, b: delta_ray(NilpotentCone(), a, c, b), nilpotent)
+
+
+@dataclass(frozen=True)
+class _FullDisk:
+    """The disk as every ray point was once tested: SVD norm cap, then eigenvalues."""
+
+    disk: SpectralDisk
+    kernel = None
+
+    def _inside(self, a, margin):
+        cap = self.disk.norm_bound.at_level(a.level) - margin
+        spectral = np.abs(np.linalg.eigvals(a.mat) - self.disk.center).max(axis=-1)
+        return (np.linalg.svd(a.mat, compute_uv=False)[..., 0] < cap) & (spectral < self.disk.radius - margin)
+
+
+def _rim_point(rng, level, lam):
+    """U (lam I + N) U*, N the nilpotent shift: dense, non-normal, spectrum {lam}."""
+    u, _ = np.linalg.qr(_cmat(rng, level))
+    return point(u @ (lam * np.eye(level) + np.eye(level, k=1)) @ u.conj().T)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_ray_search_through_the_norm_cap_equals_full_membership(level):
+    # the endpoints are inside, so only the cap can end a disk ray
+    rng = _rng(60 + level)
+    radius = 0.25
+    disk = SpectralDisk(0.05j, radius, NormBound("level", 1.0))
+    full = _FullDisk(disk)
+    triples = []
+    for k in range(4):
+        h = [_cmat(rng, level) for _ in range(2)]
+        a, c = (point(0.2 * (m + m.conj().T) / (2 * operator_norm(m)) + 0.05j * np.eye(level)) for m in h)
+        triples.append((a, c, direction(_cmat(rng, level, scale=10.0 ** (k - 2)))))
+        phase = np.exp(2j * np.pi * rng.uniform(size=2))
+        a, c = (_rim_point(rng, level, 0.05j + (radius - 1e-3) * z) for z in phase)
+        triples.append((a, c, direction(_cmat(rng, level, scale=10.0 ** (k - 2)))))
+    for a, c, b in triples:
+        assert delta_ray(disk, a, c, b) == delta_ray(full, a, c, b)
+        assert delta_auto_tilde(disk, a, c) == delta_auto_tilde(full, a, c)
+    stacks = [_stacked(list(part)) for part in zip(*triples)]
+    assert delta_ray(disk, *stacks) == delta_ray(full, *stacks)
+    assert delta_auto_tilde(disk, *stacks[:2]) == delta_auto_tilde(full, *stacks[:2])
+    a, c, _ = triples[0]  # a straight path between rim points can leave the disk
+    got, want = (dtilde_upper(d, a, c, refinement_budget=2) for d in (disk, full))
+    assert (got.value, got.stage_values, got.diagnostics) == (want.value, want.stage_values, want.diagnostics)
+    assert d_upper(disk, a, c, quad_points=8) == d_upper(full, a, c, quad_points=8)
 
 
 def test_moebius_is_an_isometry_of_the_ball():

@@ -1,8 +1,8 @@
 """The registry of tagged JSON formats, and what a variant class alone can add.
 
 NormBall below is a domain kind that the package does not know: one
-class, registered here, that must work through membership, every
-metric route, the distance drivers, the codec and the CLI.
+class, registered here, that must work through membership, sampling,
+every metric route, the distance drivers, the codec and the CLI.
 """
 
 import json
@@ -41,6 +41,7 @@ from ncmetric.metric import (
 )
 from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
 from ncmetric.ncpoint import NcPoint, direction, point, point_to_json
+from ncmetric.sampling import ball_point
 
 SRC = Path(ncmetric.__file__).parent
 ROOT = SRC.parents[1]
@@ -114,6 +115,19 @@ def test_tagged_json_keeps_its_wire_format():
         to_json(NormBound("level"))
 
 
+_DISK = {"variant": "spectral_disk", "center": [0, 0], "radius": 0.5, "norm_bound": {"rule": "constant"}}
+_X = mat_to_json(np.diag([1.0, -1.0]))
+# a number or integer field given a JSON value of another type: (family, object, field)
+MISTYPED = [
+    ("model", {"variant": "matrix_model", "x": _X, "blocks": "11"}, "blocks"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "quad_nodes": 2.9}, "quad_nodes"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "variance": "4"}, "variance"),
+    ("cp-map", {"variant": "scalar_power", "t": True}, "t"),
+    ("domain", _DISK | {"radius": "0.5"}, "radius"),
+    ("domain", _DISK | {"norm_bound": {"rule": "constant", "value": True}}, "norm_bound"),
+]
+
+
 @pytest.mark.parametrize(
     "obj, family, message",
     [
@@ -135,7 +149,8 @@ def test_tagged_json_keeps_its_wire_format():
          "malformed domain JSON"),
         ({"variant": "matrix_model", "x": {"rows": 1}, "blocks": [1]}, "model", "malformed matrix JSON"),
         ({"variant": "kraus_augment", "vs": None}, "cp-map", "malformed cp-map JSON"),
-    ],
+    ]
+    + [(obj, family, f"malformed {family} JSON field {key!r}: expected") for family, obj, key in MISTYPED],
 )
 def test_malformed_json_is_a_value_error(obj, family, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -175,6 +190,37 @@ def test_a_tag_from_another_family_is_exit_3(tmp_path, capsys, argv, flag, obj, 
     assert captured.out == ""
 
 
+_FAMILY_ARGV = {
+    "model": ["convolve", "--rho-t", "2", "--xmin", "-1", "--xmax", "1", "--points", "3", "--model"],
+    "cp-map": ["convolve", "--law", "bernoulli", "--xmin", "-1", "--xmax", "1", "--points", "3", "--rho"],
+    "domain": ["distance", "--a", "A", "--c", "A", "--domain"],
+}
+_A = point_to_json(point([[0.1]]))
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [(_FAMILY_ARGV[family], obj) for family, obj, _ in MISTYPED]
+    + [
+        (["distance", "--domain", "D", "--c", "A", "--a"], _A | {"level": 1.0}),
+        (["distance", "--domain", "D", "--c", "A", "--a"], _A | {"base_dim": True}),
+        (["distance", "--domain", "D", "--c", "A", "--a"], _A | {"mat": _A["mat"] | {"cols": "1"}}),
+        (["delta", "--kernel", "K", "--a", "A", "--c", "A", "--b"], _A["mat"] | {"rows": 1.0}),
+    ],
+)
+def test_a_field_of_the_wrong_json_type_is_exit_3(tmp_path, capsys, argv, obj):
+    files = {
+        "A": _dump(tmp_path, "a.json", _A),
+        "D": _dump(tmp_path, "d.json", to_json(ball_domain())),
+        "K": _dump(tmp_path, "k.json", to_json(BallKernel())),
+    }
+    argv = [files.get(x, x) for x in argv] + [_dump(tmp_path, "obj.json", obj)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "input error: " in captured.err and "expected " in captured.err
+    assert captured.out == ""
+
+
 def test_every_registered_tag_is_in_schemas():
     schemas = (ROOT / "SCHEMAS.md").read_text()
     tags = [tag for tags in VARIANTS.values() for tag, cls in tags.items() if cls in PACKAGE_VARIANTS]
@@ -188,7 +234,7 @@ def test_no_module_that_routes_by_variant_asks_for_its_class():
     names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
     pattern = re.compile(rf"isinstance\([^)]*\b({names})\b")
     offenders = []
-    for name in ("metric.py", "cli.py", "domains.py", "ncfunc.py"):
+    for name in ("metric.py", "cli.py", "domains.py", "ncfunc.py", "sampling.py"):
         text = (SRC / name).read_text()
         for m in pattern.finditer(text):
             offenders.append(f"{name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
@@ -205,6 +251,15 @@ class NormBall:
 
     def _inside(self, a: NcPoint, margin: float):
         return operator_norm(a.mat) < self.radius - margin
+
+    def _propose(self, rng, level: int, base_dim: int):
+        return (ball_point(rng, level, base_dim, radius=self.radius),)
+
+
+@variant("domain", "test_unsampled_ball")
+@dataclass(frozen=True)
+class UnsampledBall(NormBall):
+    _propose = None
 
 
 def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, capsys):
@@ -245,3 +300,16 @@ def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, ca
     payload = json.loads(capsys.readouterr().out)
     assert payload["dtilde_upper"]["value"] == bound.value
     assert payload["d_upper"]["value"] == path.value
+
+
+def test_contract_samples_a_domain_kind_by_its_own_proposals(tmp_path, capsys):
+    argv = ["contract", "--function", _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5)))),
+            "--dst", _dump(tmp_path, "dst.json", to_json(ball_domain())),
+            "--samples", "4", "--levels", "1,2", "--src"]
+    assert main(argv + [_dump(tmp_path, "src.json", to_json(NormBall(1.0)))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples"] == 4 and report["ok"], report
+    # a kind that brings no proposals is an input error that names it
+    assert main(argv + [_dump(tmp_path, "bare.json", to_json(UnsampledBall(1.0)))]) == 3
+    captured = capsys.readouterr()
+    assert "input error: no sampler for UnsampledBall" in captured.err and captured.out == ""
