@@ -588,25 +588,13 @@ class DensityResult:
     rows: tuple
     eps: float
     mass: float
-    state: str
 
 
-def _state_value(model, g: np.ndarray, state):
-    """phi(g) per matrix of a stack."""
-    if state == "trace":
-        return _trace(g) / g.shape[-1]
-    if isinstance(state, tuple) and state and state[0] == "block":
-        if not isinstance(model, MatrixModel):
-            raise ValueError("block states need a MatrixModel")
-        sl = _block_slices(model.blocks)[state[1]]
-        return _trace(g[..., sl, sl]) / model.blocks[state[1]]
-    raise ValueError(f"unknown state {state!r}")
-
-
-def _density_rows(model, rho, xs, bs, state, tol, max_iter) -> list:
+def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
     omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
-    density = -_state_value(model, cauchy_G(model, omega).mat, state).imag / np.pi
+    g = cauchy_G(model, omega).mat
+    density = -(_trace(g) / g.shape[-1]).imag / np.pi
     return [
         DensityRow(
             x=float(x),
@@ -628,7 +616,6 @@ def density_grid(
     xmax: float,
     points: int = 501,
     eps: float = 5e-3,
-    state="trace",
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> DensityResult:
@@ -636,32 +623,35 @@ def density_grid(
 
     Each grid row solves subordination at x + i eps (level one, scalar
     multiple of the identity, so the point lies in the model algebra)
-    and evaluates density(x) = -Im phi(G_rho) / pi. All rows are solved
-    as one stack; each row gets exactly the values of its own solve.
-    Unconverged rows are recorded, not raised. The mass field
-    integrates the density by the trapezoid rule. Raises ValueError
-    when max_iter < 1 or tol or eps is not positive and finite.
+    and evaluates density(x) = -Im tr(G_rho) / (d pi) at base dimension
+    d. All rows are solved as one stack; each row gets exactly the
+    values of its own solve. Unconverged rows are recorded, not
+    raised. The mass field integrates the density by the trapezoid
+    rule. Raises ValueError when xmin > xmax, max_iter < 1 or tol or
+    eps is not positive and finite.
     """
+    if xmin > xmax:
+        raise ValueError(f"xmin {xmin} exceeds xmax {xmax}")
     _check_budget(tol, max_iter)
     positive_finite("eps", eps)
     d = model.base_dim
     xs = np.linspace(float(xmin), float(xmax), int(points))
     if not xs.size:
-        return DensityResult((), float(eps), 0.0, str(state))
+        return DensityResult((), float(eps), 0.0)
     bs = (xs + 1j * eps)[:, None, None] * np.eye(d, dtype=np.complex128)
     try:
-        rows = _density_rows(model, rho, xs, bs, state, tol, max_iter)
+        rows = _density_rows(model, rho, xs, bs, tol, max_iter)
     except (NcmetricError, np.linalg.LinAlgError):
         # one row at a time in grid order, so the first failing row
         # raises what it raises when solved alone
         rows = [
             row
             for i in range(xs.size)
-            for row in _density_rows(model, rho, xs[i : i + 1], bs[i : i + 1], state, tol, max_iter)
+            for row in _density_rows(model, rho, xs[i : i + 1], bs[i : i + 1], tol, max_iter)
         ]
     dens = np.array([r.density for r in rows])
     mass = float(np.trapezoid(dens, xs))
-    return DensityResult(tuple(rows), float(eps), mass, str(state))
+    return DensityResult(tuple(rows), float(eps), mass)
 
 
 def support_interval(result: DensityResult, threshold: float = 0.015):

@@ -299,11 +299,17 @@ def mat_from_json(obj) -> np.ndarray:
         rows, cols, data = json_int(obj["rows"]), json_int(obj["cols"]), obj["data"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from None
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.shape != (rows, cols, 2):
+    entries = np.asarray(data, dtype=object)
+    if entries.shape != (rows, cols, 2):
         raise ValueError(
-            f"matrix JSON data has shape {arr.shape}, expected {(rows, cols, 2)}"
+            f"matrix JSON data has shape {entries.shape}, expected {(rows, cols, 2)}"
         )
+    for x in entries.flat:
+        json_number(x)
+    arr = entries.astype(np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"matrix JSON entries must be finite, got {float(arr[~finite][0])!r}")
     return (arr[..., 0] + 1j * arr[..., 1]).astype(np.complex128)
 
 
@@ -326,9 +332,14 @@ def json_int(x) -> int:
 
 
 def json_number(x):
-    """A JSON number as it is; a bool, string or anything else raises ValueError."""
+    """A JSON number as it is; a bool, a string, anything else or an integer
+    too large for a float raises ValueError."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"expected a number, got an integer of {x.bit_length()} bits") from None
     return x
 
 

@@ -463,8 +463,11 @@ def dtilde_upper(
     point outside the domain) are skipped and reported in diagnostics.
 
     Each stage tests its interior points with one stacked contains
-    call and evaluates its chain of pairs with one stacked call.
+    call and evaluates its chain of pairs with one stacked call. Raises
+    ValueError when refinement_budget < 0.
     """
+    if refinement_budget < 0:
+        raise ValueError(f"refinement_budget must be at least 0, got {refinement_budget}")
     if a.level != c.level or a.base_dim != c.base_dim:
         raise DimMismatch("endpoints must live at the same level and base")
     require_inside(domain, a, margin, "a")

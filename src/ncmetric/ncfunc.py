@@ -27,6 +27,7 @@ from .matcore import (
     as_stack,
     complex_from_json,
     condition_number,
+    direct_sum_mats,
     each,
     inverse,
     json_number,
@@ -220,21 +221,13 @@ def check_axioms(f, points, rng=None, rel_tol: float = 1e-10) -> dict:
     intertwine_defects = []
     for a, c in zip(points, points[1:]):
         fa, fc = eval_mat(f, a.mat), eval_mat(f, c.mat)
-        both = np.zeros((a.dim + c.dim, a.dim + c.dim), dtype=np.complex128)
-        both[: a.dim, : a.dim] = a.mat
-        both[a.dim :, a.dim :] = c.mat
-        fboth = eval_mat(f, both)
-        expect = np.zeros_like(both)
-        expect[: a.dim, : a.dim] = fa
-        expect[a.dim :, a.dim :] = fc
+        fboth = eval_mat(f, direct_sum_mats(a.mat, c.mat))
+        expect = direct_sum_mats(fa, fc)
         scale = max(1.0, float(np.linalg.norm(expect)))
         direct_sum_defects.append(float(np.linalg.norm(fboth - expect)) / scale)
         # Swapped order reproduces the diagonal blocks up to an ulp; blas
         # reduction grouping shifts with the block offset when dims differ.
-        swapped = np.zeros_like(both)
-        swapped[: c.dim, : c.dim] = c.mat
-        swapped[c.dim :, c.dim :] = a.mat
-        fswapped = eval_mat(f, swapped)
+        fswapped = eval_mat(f, direct_sum_mats(c.mat, a.mat))
         swap = max(
             float(np.max(np.abs(fswapped[c.dim :, c.dim :] - fboth[: a.dim, : a.dim]))),
             float(np.max(np.abs(fswapped[: c.dim, : c.dim] - fboth[a.dim :, a.dim :]))),

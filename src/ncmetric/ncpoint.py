@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import NcmetricError, as_matrix, as_stack, json_int, mat_from_json, mat_to_json
+from .matcore import NcmetricError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, mat_to_json
 
 UNITARY_TOL = 1e-10
 
@@ -111,10 +111,7 @@ def direct_sum(a: NcPoint, c: NcPoint) -> NcPoint:
     """diag(a, c) at level a.level + c.level."""
     if a.base_dim != c.base_dim:
         raise BaseDimMismatch(f"base dims {a.base_dim} != {c.base_dim}")
-    out = np.zeros((a.dim + c.dim, a.dim + c.dim), dtype=np.complex128)
-    out[: a.dim, : a.dim] = a.mat
-    out[a.dim :, a.dim :] = c.mat
-    return NcPoint(a.base_dim, a.level + c.level, out)
+    return NcPoint(a.base_dim, a.level + c.level, direct_sum_mats(a.mat, c.mat))
 
 
 def amplify(z, b: NcPoint) -> NcPoint:

@@ -6,6 +6,14 @@ defect is at most its tolerance. The suite is what `ncmetric props`
 runs; with a fixed seed the report is byte-identical across runs,
 because each check's substreams depend only on the seed and its name.
 
+A check is declared once, as a function check_<name>(rng) under
+@_check(tol). Its name, the function name without "check_", is its
+report row and picks its substream: the decorator hands the body
+rng_stream(seed, name), and the body draws from nothing else. The
+decorator also appends the check to CHECKS, so run_suite runs the
+checks in definition order, and any check run alone gives its row of
+the suite.
+
 Count-valued checks (membership agreement and the like) report the
 number of offending samples as the defect.
 
@@ -54,6 +62,7 @@ from .freeprob import (
     subordination_solve,
 )
 from .matcore import (
+    direct_sum_mats,
     herm_eig,
     herm_eigvals,
     herm_part,
@@ -105,9 +114,31 @@ class CheckResult:
     passed: bool
 
 
-def _result(name: str, samples: int, worst: float, tol: float) -> CheckResult:
-    worst = float(worst)
-    return CheckResult(name, samples, worst, float(tol), bool(worst <= tol))
+# every check in definition order, filled by @_check; the report's row order
+CHECKS = []
+
+
+def _check(tol: float):
+    """Register the decorated check_<name>(rng) as the check <name>.
+
+    The body draws from the rng it is given and returns (samples, worst).
+    The registered check_<name>(seed) gives it the seed's substream
+    named <name> and reports the check as passed when worst <= tol.
+    """
+
+    def register(body):
+        name = body.__name__.removeprefix("check_")
+
+        def check(seed: int) -> CheckResult:
+            samples, worst = body(rng_stream(seed, name))
+            worst = float(worst)
+            return CheckResult(name, samples, worst, float(tol), bool(worst <= tol))
+
+        check.__name__ = check.__qualname__ = body.__name__
+        CHECKS.append(check)
+        return check
+
+    return register
 
 
 def _values(results) -> list:
@@ -148,8 +179,8 @@ def _stacked(samples, *routes):
 # ---------------------------------------------------------------- matcore
 
 
-def check_eig_reconstruction(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "eig_reconstruction")
+@_check(1e-10)
+def check_eig_reconstruction(rng):
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -161,22 +192,22 @@ def check_eig_reconstruction(seed: int) -> CheckResult:
             operator_norm(v @ np.diag(w) @ v.conj().T - a) / scale,
             operator_norm(v.conj().T @ v - np.eye(n)),
         )
-    return _result("eig_reconstruction", 20, worst, 1e-10)
+    return 20, worst
 
 
-def check_norm_unitary_invariance(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "norm_unitary_invariance")
+@_check(1e-10)
+def check_norm_unitary_invariance(rng):
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 7))
         a = complex_matrix(rng, n, n, scale=3.0)
         u, v = unitary_matrix(rng, n), unitary_matrix(rng, n)
         worst = max(worst, abs(operator_norm(u @ a @ v) - operator_norm(a)) / max(1.0, operator_norm(a)))
-    return _result("norm_unitary_invariance", 20, worst, 1e-10)
+    return 20, worst
 
 
-def check_psd_inv_sqrt(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "psd_inv_sqrt")
+@_check(1e-8)
+def check_psd_inv_sqrt(rng):
     worst = 0.0
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -184,14 +215,14 @@ def check_psd_inv_sqrt(seed: int) -> CheckResult:
         a = w @ w.conj().T / n + 0.1 * np.eye(n)
         s = psd_inv_sqrt(a)
         worst = max(worst, operator_norm(s @ a @ s - np.eye(n)))
-    return _result("psd_inv_sqrt", 20, worst, 1e-8)
+    return 20, worst
 
 
 # ---------------------------------------------------------------- ncpoint
 
 
-def check_direct_sum_assoc(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "direct_sum_assoc")
+@_check(0.0)
+def check_direct_sum_assoc(rng):
     worst = 0.0
     for _ in range(10):
         d = int(rng.integers(1, 3))
@@ -199,11 +230,11 @@ def check_direct_sum_assoc(seed: int) -> CheckResult:
         left = direct_sum(direct_sum(ps[0], ps[1]), ps[2])
         right = direct_sum(ps[0], direct_sum(ps[1], ps[2]))
         worst = max(worst, float(np.max(np.abs(left.mat - right.mat))))
-    return _result("direct_sum_assoc", 10, worst, 0.0)
+    return 10, worst
 
 
-def check_amplify_product(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "amplify_product")
+@_check(1e-12)
+def check_amplify_product(rng):
     worst = 0.0
     for _ in range(10):
         d, lvl, k = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(2, 4))
@@ -213,11 +244,11 @@ def check_amplify_product(seed: int) -> CheckResult:
         lhs = amplify(z1, a).mat @ amplify(z2, c).mat
         rhs = np.kron(z1 @ z2, a.mat @ c.mat)
         worst = max(worst, operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)))
-    return _result("amplify_product", 10, worst, 1e-12)
+    return 10, worst
 
 
-def check_unitary_conj_spectrum(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "unitary_conj_spectrum")
+@_check(1e-9)
+def check_unitary_conj_spectrum(rng):
     worst = 0.0
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 4))
@@ -226,7 +257,7 @@ def check_unitary_conj_spectrum(seed: int) -> CheckResult:
         before = herm_eigvals(h.mat)
         after = herm_eigvals(unitary_conjugate(u, h).mat)
         worst = max(worst, float(np.max(np.abs(before - after))))
-    return _result("unitary_conj_spectrum", 15, worst, 1e-9)
+    return 15, worst
 
 
 # ---------------------------------------------------------------- ncfunc
@@ -239,9 +270,9 @@ _FDC_FUNCS = (
 )
 
 
-def check_fdc_identity(seed: int) -> CheckResult:
+@_check(1e-9)
+def check_fdc_identity(rng):
     # corner of f on the block point must reproduce f(a) - f(c) at b = a - c
-    rng = rng_stream(seed, "fdc_identity")
     worst = 0.0
     n = 0
     for f in _FDC_FUNCS:
@@ -255,11 +286,11 @@ def check_fdc_identity(seed: int) -> CheckResult:
             diff = eval_point(f, a).mat - eval_point(f, c).mat
             worst = max(worst, operator_norm(corner - diff) / max(1.0, operator_norm(diff)))
             n += 1
-    return _result("fdc_identity", n, worst, 1e-9)
+    return n, worst
 
 
-def check_function_axioms(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "function_axioms")
+@_check(1e-8)
+def check_function_axioms(rng):
     exp_like = ScalarCalculus(tuple(1.0 / math.factorial(k) for k in range(12)), radius=6.0)
     worst = 0.0
     n = 0
@@ -268,67 +299,55 @@ def check_function_axioms(seed: int) -> CheckResult:
         rep = check_axioms(f, pts, rng=rng)
         worst = max(worst, rep["direct_sum_max"], rep["swap_max"], rep["intertwining_max"])
         n += len(pts)
-    return _result("function_axioms", n, worst, 1e-8)
+    return n, worst
 
 
-def check_moebius_ball_image(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "moebius_ball_image")
+@_check(0.0)
+def check_moebius_ball_image(rng):
     worst = -1.0
     for _ in range(20):
         alpha = 0.85 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         f = MoebiusBall(complex(alpha))
         a = ball_point(rng, int(rng.integers(1, 4)), 1, fill=0.85)
         worst = max(worst, operator_norm(eval_point(f, a).mat) - 1.0)
-    return _result("moebius_ball_image", 20, worst, 0.0)
+    return 20, worst
 
 
 # ---------------------------------------------------------------- domains
 
 
-def _prop_kernels():
-    return (
-        BallKernel(),
-        HalfPlaneKernel(),
-        ComposedBallKernel(Polynomial((0.0, 2.0))),
-        ComposedHalfPlaneKernel(Polynomial((0.2j, 1.0))),
-    )
+# each kernel with the sampler of its test points
+_PROP_KERNELS = (
+    (BallKernel(), ball_point),
+    (HalfPlaneKernel(), halfplane_point),
+    (ComposedBallKernel(Polynomial((0.0, 2.0))), partial(ball_point, radius=0.5, fill=0.7)),
+    (ComposedHalfPlaneKernel(Polynomial((0.2j, 1.0))), halfplane_point),
+)
 
 
-def _kernel_sample(kernel, rng, lvl: int, d: int) -> NcPoint:
-    if isinstance(kernel, (HalfPlaneKernel, ComposedHalfPlaneKernel)):
-        return halfplane_point(rng, lvl, d)
-    if isinstance(kernel, ComposedBallKernel):
-        return ball_point(rng, lvl, d, radius=0.5, fill=0.7)
-    return ball_point(rng, lvl, d)
-
-
-def check_kernel_direct_sum_blocks(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "kernel_direct_sum_blocks")
+@_check(1e-12)
+def check_kernel_direct_sum_blocks(rng):
     worst = 0.0
     n = 0
-    for kernel in _prop_kernels():
+    for kernel, sample in _PROP_KERNELS:
         for _ in range(5):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            a1 = _kernel_sample(kernel, rng, lvl, d)
-            a2 = _kernel_sample(kernel, rng, lvl, d)
+            a1, a2 = sample(rng, lvl, d), sample(rng, lvl, d)
             q = gram(kernel, direct_sum(a1, a2))
-            blocks = np.zeros_like(q)
-            blocks[: a1.dim, : a1.dim] = gram(kernel, a1)
-            blocks[a1.dim :, a1.dim :] = gram(kernel, a2)
+            blocks = direct_sum_mats(gram(kernel, a1), gram(kernel, a2))
             worst = max(worst, operator_norm(q - blocks) / max(1.0, operator_norm(q)))
             n += 1
-    return _result("kernel_direct_sum_blocks", n, worst, 1e-12)
+    return n, worst
 
 
-def check_kernel_unitary_intertwine(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "kernel_unitary_intertwine")
+@_check(1e-10)
+def check_kernel_unitary_intertwine(rng):
     worst = 0.0
     n = 0
-    for kernel in _prop_kernels():
+    for kernel, sample in _PROP_KERNELS:
         for _ in range(5):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            a = _kernel_sample(kernel, rng, lvl, d)
-            c = _kernel_sample(kernel, rng, lvl, d)
+            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
             p = complex_matrix(rng, a.dim, c.dim)
             u = unitary_matrix(rng, lvl)
             v = unitary_matrix(rng, lvl)
@@ -339,11 +358,11 @@ def check_kernel_unitary_intertwine(seed: int) -> CheckResult:
             rhs = uk @ kernel_eval(kernel, a, c, p) @ vk.conj().T
             worst = max(worst, operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)))
             n += 1
-    return _result("kernel_unitary_intertwine", n, worst, 1e-10)
+    return n, worst
 
 
-def check_ball_membership_norm(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "ball_membership_norm")
+@_check(0.0)
+def check_ball_membership_norm(rng):
     dom = ball_domain()
     bad = 0
     for _ in range(30):
@@ -355,11 +374,11 @@ def check_ball_membership_norm(seed: int) -> CheckResult:
         p = NcPoint(d, lvl, g * (target / operator_norm(g)))
         if contains(dom, p).inside != (target < 1.0):
             bad += 1
-    return _result("ball_membership_norm", 30, float(bad), 0.0)
+    return 30, bad
 
 
-def check_halfplane_membership(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "halfplane_membership")
+@_check(0.0)
+def check_halfplane_membership(rng):
     dom = halfplane_domain()
     bad = 0
     for _ in range(20):
@@ -368,7 +387,7 @@ def check_halfplane_membership(seed: int) -> CheckResult:
         flipped = NcPoint(d, lvl, p.mat.conj().T)
         bad += int(not contains(dom, p).inside)
         bad += int(contains(dom, flipped).inside)
-    return _result("halfplane_membership", 40, float(bad), 0.0)
+    return 40, bad
 
 
 # ---------------------------------------------------------------- metric
@@ -402,20 +421,18 @@ def _oracle_worst(kind: str, triples) -> float:
     return worst
 
 
-def check_oracle_ball(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "oracle_ball")
-    worst = _oracle_worst("ball", _oracle_triples(rng, "ball", 12))
-    return _result("oracle_ball", 12, worst, 5e-6)
+@_check(5e-6)
+def check_oracle_ball(rng):
+    return 12, _oracle_worst("ball", _oracle_triples(rng, "ball", 12))
 
 
-def check_oracle_halfplane(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "oracle_halfplane")
-    worst = _oracle_worst("halfplane", _oracle_triples(rng, "halfplane", 12))
-    return _result("oracle_halfplane", 12, worst, 5e-6)
+@_check(5e-6)
+def check_oracle_halfplane(rng):
+    return 12, _oracle_worst("halfplane", _oracle_triples(rng, "halfplane", 12))
 
 
-def check_delta_homogeneity(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "delta_homogeneity")
+@_check(1e-9)
+def check_delta_homogeneity(rng):
     kernel = ComposedBallKernel(Polynomial((0.0, 2.0)))
     scales = (0.5, 2.0)
     samples = []
@@ -432,11 +449,11 @@ def check_delta_homogeneity(seed: int) -> CheckResult:
         for s, val in zip(scales, scaled):
             worst = max(worst, abs(val - s * base) / max(1e-12, s * base))
             n += 1
-    return _result("delta_homogeneity", n, worst, 1e-9)
+    return n, worst
 
 
-def check_delta_unitary_invariance(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "delta_unitary_invariance")
+@_check(1e-8)
+def check_delta_unitary_invariance(rng):
     worst = 0.0
     n = 0
     for kind in ("ball", "halfplane"):
@@ -460,11 +477,11 @@ def check_delta_unitary_invariance(seed: int) -> CheckResult:
         for before, after in _stacked(samples, route, route):
             worst = max(worst, abs(before - after))
             n += 1
-    return _result("delta_unitary_invariance", n, worst, 1e-8)
+    return n, worst
 
 
-def check_delta_direct_sum_max(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "delta_direct_sum_max")
+@_check(1e-8)
+def check_delta_direct_sum_max(rng):
     samples = []
     for _ in range(10):
         d = int(rng.integers(1, 3))
@@ -477,11 +494,11 @@ def check_delta_direct_sum_max(seed: int) -> CheckResult:
     route = partial(delta_tilde, "ball")
     for *parts, whole in _stacked(samples, route, route, route):
         worst = max(worst, abs(whole - max(parts)))
-    return _result("delta_direct_sum_max", 10, worst, 1e-8)
+    return 10, worst
 
 
-def check_delta_amplification(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "delta_amplification")
+@_check(1e-8)
+def check_delta_amplification(rng):
     samples, z_norms = [], []
     for _ in range(8):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -502,11 +519,11 @@ def check_delta_amplification(seed: int) -> CheckResult:
         for val, z_norm in zip(vals, norms):
             worst = max(worst, abs(val - z_norm * base))
             n += 1
-    return _result("delta_amplification", n, worst, 1e-8)
+    return n, worst
 
 
-def check_delta_nondegeneracy(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "delta_nondegeneracy")
+@_check(0.0)
+def check_delta_nondegeneracy(rng):
     samples = []
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -515,11 +532,11 @@ def check_delta_nondegeneracy(seed: int) -> CheckResult:
     min_val = float("inf")
     for (val,) in _stacked(samples, partial(delta_closed, "ball")):
         min_val = min(min_val, val)
-    return _result("delta_nondegeneracy", 15, 1e-9 - min_val, 0.0)
+    return 15, 1e-9 - min_val
 
 
-def check_tilde_matches_delta(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "tilde_matches_delta")
+@_check(1e-8)
+def check_tilde_matches_delta(rng):
     worst = 0.0
     n = 0
     for kind in ("ball", "halfplane"):
@@ -534,10 +551,11 @@ def check_tilde_matches_delta(seed: int) -> CheckResult:
         for tilde, closed in _stacked(samples, partial(delta_tilde, kind), partial(delta_closed, kind)):
             worst = max(worst, abs(tilde - closed))
             n += 1
-    return _result("tilde_matches_delta", n, worst, 1e-8)
+    return n, worst
 
 
-def check_ordering_chain(seed: int) -> CheckResult:
+@_check(1e-9)
+def check_ordering_chain(_rng):
     dom = ball_domain()
     worst = 0.0
     for r in (0.3, 0.45):
@@ -549,11 +567,11 @@ def check_ordering_chain(seed: int) -> CheckResult:
             worst = max(worst, later - earlier - 1e-9)
         path = d_upper(dom, a, c, quad_points=128)
         worst = max(worst, bound.value - path.value - 1e-4)
-    return _result("ordering_chain", 2, worst, 1e-9)
+    return 2, worst
 
 
-def check_norm_lower_bound(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "norm_lower_bound")
+@_check(1e-9)
+def check_norm_lower_bound(rng):
     samples, gaps = [], []
     for _ in range(20):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -563,11 +581,11 @@ def check_norm_lower_bound(seed: int) -> CheckResult:
     worst = 0.0
     for gap, (tilde,) in zip(gaps, _stacked(samples, partial(delta_tilde, "ball"))):
         worst = max(worst, gap - tilde)
-    return _result("norm_lower_bound", 20, worst, 1e-9)
+    return 20, worst
 
 
-def check_upper_semicontinuity(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "upper_semicontinuity")
+@_check(1e-3)
+def check_upper_semicontinuity(rng):
     worst = -float("inf")
     for _ in range(5):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -579,10 +597,11 @@ def check_upper_semicontinuity(seed: int) -> CheckResult:
         base = delta_closed("ball", a, c, b).value
         ak = NcPoint(d, lvl, a.mat + (2.0 ** -8) * e)
         worst = max(worst, delta_closed("ball", ak, c, b).value - base)
-    return _result("upper_semicontinuity", 5, worst, 1e-3)
+    return 5, worst
 
 
-def check_boundary_blowup(seed: int) -> CheckResult:
+@_check(0.0)
+def check_boundary_blowup(_rng):
     vals = []
     zero = point(np.zeros((1, 1)))
     for j in range(4, 11):
@@ -590,13 +609,13 @@ def check_boundary_blowup(seed: int) -> CheckResult:
         vals.append(delta_tilde("ball", zero, point(np.array([[r]]))).value)
     worst = max(earlier - later for earlier, later in zip(vals, vals[1:]))
     worst = max(worst, 10.0 - vals[-1])
-    return _result("boundary_blowup", len(vals), worst, 0.0)
+    return len(vals), worst
 
 
-def check_spectral_disk_bounded(seed: int) -> CheckResult:
+@_check(1e-9)
+def check_spectral_disk_bounded(rng):
     # delta~ stays below 4/3 on the self-adjoint slice even though the
     # points approach the boundary of the spectral disk
-    rng = rng_stream(seed, "spectral_disk_bounded")
     dom = SpectralDisk(0.0, 0.25, NormBound("constant", 1.0))
     samples = []
     for _ in range(25):
@@ -607,11 +626,11 @@ def check_spectral_disk_bounded(seed: int) -> CheckResult:
     worst = -float("inf")
     for (val,) in _stacked(samples, partial(delta_auto_tilde, dom)):
         worst = max(worst, val - 4.0 / 3.0)
-    return _result("spectral_disk_bounded", 25, worst, 1e-9)
+    return 25, worst
 
 
-def check_nesting_halves(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "nesting_halves")
+@_check(1e-8)
+def check_nesting_halves(rng):
     inner, outer = ball_domain(0.5), ball_domain(1.0)
     pairs = []
     for _ in range(20):
@@ -620,11 +639,11 @@ def check_nesting_halves(seed: int) -> CheckResult:
             (ball_point(rng, lvl, d, radius=0.5, fill=0.9), ball_point(rng, lvl, d, radius=0.5, fill=0.9))
         )
     rep = compare_nested(inner, outer, big_m=0.5, small_m=0.5, pairs=pairs)
-    return _result("nesting_halves", rep["samples"], -rep["min_margin"], 1e-8)
+    return rep["samples"], -rep["min_margin"]
 
 
-def check_moebius_isometry(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "moebius_isometry")
+@_check(1e-6)
+def check_moebius_isometry(rng):
     dom = ball_domain()
     worst = 0.0
     n = 0
@@ -634,15 +653,15 @@ def check_moebius_isometry(seed: int) -> CheckResult:
         rep = check_contraction(MoebiusBall(complex(alpha)), dom, dom, triples, equality=True, tol=1e-6)
         worst = max(worst, rep["worst_abs_gap"])
         n += rep["samples"]
-    return _result("moebius_isometry", n, worst, 1e-6)
+    return n, worst
 
 
-def check_polynomial_contraction(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "polynomial_contraction")
+@_check(1e-7)
+def check_polynomial_contraction(rng):
     dom = ball_domain()
     triples = _oracle_triples(rng, "ball", 12)
     rep = check_contraction(Polynomial((0.0, 0.0, 0.5)), dom, dom, triples, tol=1e-7)
-    return _result("polynomial_contraction", rep["samples"], rep["worst_excess"], 1e-7)
+    return rep["samples"], rep["worst_excess"]
 
 
 # ---------------------------------------------------------------- freeprob
@@ -661,16 +680,11 @@ def _block_scalar(rng, blocks, im_floor: float | None = None) -> np.ndarray:
         if im_floor is not None:
             z = complex(z.real, float(rng.uniform(im_floor, im_floor + 1.0)))
         parts.append(z * np.eye(width, dtype=np.complex128))
-    out = np.zeros((sum(blocks), sum(blocks)), dtype=np.complex128)
-    pos = 0
-    for width, cell in zip(blocks, parts):
-        out[pos : pos + width, pos : pos + width] = cell
-        pos += width
-    return out
+    return direct_sum_mats(*parts)
 
 
-def check_resolvent_negative_imag(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "resolvent_negative_imag")
+@_check(0.0)
+def check_resolvent_negative_imag(rng):
     model = _sample_model(rng)
     worst = -float("inf")
     for _ in range(15):
@@ -678,11 +692,11 @@ def check_resolvent_negative_imag(seed: int) -> CheckResult:
         b = halfplane_point(rng, lvl, 6)
         g = cauchy_G(model, b)
         worst = max(worst, float(herm_eigvals(imag_part(g.mat))[-1]))
-    return _result("resolvent_negative_imag", 15, worst, 0.0)
+    return 15, worst
 
 
-def check_expectation_axioms(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "expectation_axioms")
+@_check(1e-12)
+def check_expectation_axioms(rng):
     model = _sample_model(rng)
     worst = 0.0
     for _ in range(10):
@@ -698,11 +712,11 @@ def check_expectation_axioms(seed: int) -> CheckResult:
         pos = expectation(model, m @ m.conj().T)
         worst = max(worst, max(0.0, -float(herm_eigvals(herm_part(pos))[0])))
     worst = max(worst, operator_norm(expectation(model, np.eye(6)) - np.eye(6)))
-    return _result("expectation_axioms", 10, worst, 1e-12)
+    return 10, worst
 
 
-def check_omega_direct_sum(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "omega_direct_sum")
+@_check(1e-8)
+def check_omega_direct_sum(rng):
     worst = 0.0
     # scalar law
     law = ScalarLaw("bernoulli")
@@ -721,11 +735,11 @@ def check_omega_direct_sum(seed: int) -> CheckResult:
     mb2 = NcPoint(6, 2, np.kron(np.eye(2), mb1.mat))
     mw2, _ = subordination_solve(model, rho_m, mb2)
     worst = max(worst, operator_norm(mw2.mat - np.kron(np.eye(2), mw1.mat)))
-    return _result("omega_direct_sum", 2, worst, 1e-8)
+    return 2, worst
 
 
-def check_subordination_certificate(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "subordination_certificate")
+@_check(0.0)
+def check_subordination_certificate(rng):
     worst = -float("inf")
     n = 0
     for law_kind, t in (("bernoulli", 2.0), ("bernoulli", 3.0), ("semicircle", 2.0)):
@@ -737,7 +751,7 @@ def check_subordination_certificate(seed: int) -> CheckResult:
             if tail is not None and bound is not None:
                 worst = max(worst, tail - bound - 0.05)
             n += 1
-    return _result("subordination_certificate", n, worst, 0.0)
+    return n, worst
 
 
 def _certificates(law, rho, b: NcPoint, name: str) -> list:
@@ -774,8 +788,8 @@ def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:
     return lhs * lhs - rhs_sq * (1.0 + 1e-9) - 1e-12
 
 
-def check_schwarz_pick_h0(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "schwarz_pick_h0")
+@_check(0.0)
+def check_schwarz_pick_h0(rng):
     worst = -float("inf")
     n = 0
     h0_scalar = make_h0(ScalarLaw("bernoulli"), ScalarPower(2.0), point(np.array([[1.0j]])))
@@ -795,17 +809,17 @@ def check_schwarz_pick_h0(seed: int) -> CheckResult:
         b = _block_scalar(rng, model.blocks)
         worst = max(worst, _h0_pair_defect(h0_mat, a, c, b))
         n += 1
-    return _result("schwarz_pick_h0", n, worst, 0.0)
+    return n, worst
 
 
-def check_imh_decay(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "imh_decay")
+@_check(0.0)
+def check_imh_decay(rng):
     worst = -float("inf")
     for model in (ScalarLaw("semicircle"), _sample_model(rng)):
-        if isinstance(model, ScalarLaw):
-            d, u = 1, hermitian_matrix(rng, 1)
+        d = model.base_dim
+        if d == 1:
+            u = hermitian_matrix(rng, 1)
         else:
-            d = 6
             u = np.real(_block_scalar(rng, model.blocks)).astype(complex)
         ratios = []
         for y in (2.0, 8.0, 32.0, 128.0):
@@ -814,11 +828,11 @@ def check_imh_decay(seed: int) -> CheckResult:
             ratios.append(operator_norm(imag_part(h.mat)) / y)
         worst = max(worst, max(later - earlier for earlier, later in zip(ratios, ratios[1:])))
         worst = max(worst, ratios[-1] - 1e-3)
-    return _result("imh_decay", 8, worst, 0.0)
+    return 8, worst
 
 
-def check_gauge_matches_delta(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "gauge_matches_delta")
+@_check(1e-10)
+def check_gauge_matches_delta(rng):
     samples = []
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
@@ -830,11 +844,11 @@ def check_gauge_matches_delta(seed: int) -> CheckResult:
     for gauge, tilde, zero in _stacked(samples, *routes):
         worst = max(worst, abs(gauge - 2.0 * tilde))
         worst = max(worst, zero)
-    return _result("gauge_matches_delta", 15, worst, 1e-10)
+    return 15, worst
 
 
-def check_fixed_point_range(seed: int) -> CheckResult:
-    rng = rng_stream(seed, "fixed_point_range")
+@_check(0.0)
+def check_fixed_point_range(rng):
     h0 = make_h0(ScalarLaw("bernoulli"), ScalarPower(2.0), point(np.array([[2.0j]])))
     worst = -float("inf")
     n = 0
@@ -849,48 +863,7 @@ def check_fixed_point_range(seed: int) -> CheckResult:
         recompute = a.mat - inverse(h0(NcPoint(1, a.level, -inverse(res.x.mat))).mat)
         worst = max(worst, operator_norm(recompute - res.x.mat) - 1e-9)
         n += 1
-    return _result("fixed_point_range", n, worst, 0.0)
-
-
-CHECKS = (
-    check_eig_reconstruction,
-    check_norm_unitary_invariance,
-    check_psd_inv_sqrt,
-    check_direct_sum_assoc,
-    check_amplify_product,
-    check_unitary_conj_spectrum,
-    check_fdc_identity,
-    check_function_axioms,
-    check_moebius_ball_image,
-    check_kernel_direct_sum_blocks,
-    check_kernel_unitary_intertwine,
-    check_ball_membership_norm,
-    check_halfplane_membership,
-    check_oracle_ball,
-    check_oracle_halfplane,
-    check_delta_homogeneity,
-    check_delta_unitary_invariance,
-    check_delta_direct_sum_max,
-    check_delta_amplification,
-    check_delta_nondegeneracy,
-    check_tilde_matches_delta,
-    check_ordering_chain,
-    check_norm_lower_bound,
-    check_upper_semicontinuity,
-    check_boundary_blowup,
-    check_spectral_disk_bounded,
-    check_nesting_halves,
-    check_moebius_isometry,
-    check_polynomial_contraction,
-    check_resolvent_negative_imag,
-    check_expectation_axioms,
-    check_omega_direct_sum,
-    check_subordination_certificate,
-    check_schwarz_pick_h0,
-    check_imh_decay,
-    check_gauge_matches_delta,
-    check_fixed_point_range,
-)
+    return n, worst
 
 
 def run_suite(seed: int) -> tuple[CheckResult, ...]:

@@ -493,3 +493,42 @@ def test_tolerance_that_cannot_work_is_exit_3(tmp_path, ball_files, capsys, argv
     assert f"{flag} must be positive and finite" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ([math.inf, 0.0], "inf"),
+        ([0.0, math.nan], "nan"),
+        (["0.5", 0.0], "'0.5'"),
+        ([0.5, True], "True"),
+        ([10**400, 0.0], "an integer of 1329 bits"),
+    ],
+)
+def test_a_matrix_entry_that_is_not_a_finite_number_is_exit_3(tmp_path, ball_files, capsys, entry, named):
+    # an infinite direction on the spectral disk used to print "value": Infinity and exit 0
+    disk = _dump(tmp_path, "disk.json", to_json(SpectralDisk(0.0, 1.0, NormBound("constant", 2.0))))
+    b = _dump(tmp_path, "bad_b.json", {"rows": 1, "cols": 1, "data": [[entry]]})
+    out = tmp_path / "out.csv"
+    argv = ["delta", "--domain", disk, "--a", ball_files["a"], "--c", ball_files["c"], "--b", b]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and f"got {named}\n" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_range_that_would_give_wrong_output_is_exit_3(tmp_path, ball_files, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "1", "--xmax", "-1", "--points", "5"]
+    assert main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "input error: xmin 1.0 exceeds xmax -1.0" in captured.err and captured.out == ""
+    assert not out.exists()
+
+    argv = ["distance", "--domain", ball_files["domain"], "--a", ball_files["a"], "--c", ball_files["c"]]
+    assert main(argv + ["--refine", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert "input error: refinement_budget must be at least 0, got -3" in captured.err and captured.out == ""
+    assert main(argv + ["--refine", "0", "--quad-points", "8"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["dtilde_upper"]["stage_values"]) == 2

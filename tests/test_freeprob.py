@@ -465,6 +465,16 @@ def test_density_grid_rejects_an_eps_that_cannot_work(monkeypatch, eps):
             density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=points, eps=eps)
 
 
+def test_density_grid_rejects_xmin_above_xmax(monkeypatch):
+    law, rho = ScalarLaw("bernoulli"), ScalarPower(2.0)
+    one_point = density_grid(law, rho, 0.5, 0.5, points=3)
+    assert [row.x for row in one_point.rows] == [0.5, 0.5, 0.5] and one_point.mass == 0.0
+    monkeypatch.setattr(freeprob, "_solve_stack", _no_solve)
+    for points in (5, 0):
+        with pytest.raises(ValueError, match="^xmin 1.0 exceeds xmax -1.0$"):
+            density_grid(law, rho, 1.0, -1.0, points=points)
+
+
 def test_kraus_augment_acts_on_a_scalar_law_as_a_scalar_power():
     law, v = ScalarLaw("semicircle"), 0.5
     validate_rho(law, KrausAugment((np.array([[v]]),)))

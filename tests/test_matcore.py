@@ -147,6 +147,24 @@ def test_mat_json_round_trip():
     np.testing.assert_allclose(back, m)
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["0.5", 1.0], "expected a number, got '0.5'"),
+        ([0.5, True], "expected a number, got True"),
+        ([float("nan"), 0.0], "matrix JSON entries must be finite, got nan"),
+        ([0.0, float("inf")], "matrix JSON entries must be finite, got inf"),
+        ([-float("inf"), 0.0], "matrix JSON entries must be finite, got -inf"),
+        ([0.0, -(10**400)], "expected a number, got an integer of 1329 bits"),
+    ],
+)
+def test_mat_json_entries_are_finite_numbers(entry, message):
+    data = [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], entry]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mat_from_json({"rows": 2, "cols": 2, "data": data})
+    assert mat_from_json({"rows": 1, "cols": 1, "data": [[[1, -2.5]]]}).tolist() == [[1 - 2.5j]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_herm_eig_reconstructs(n, seed):

@@ -216,6 +216,20 @@ def test_division_bound_at_coarse_refinement():
     np.testing.assert_allclose(got, [0.0, 0.2, 0.4, 0.6], atol=1e-15)
 
 
+def test_negative_refinement_budget_is_value_error(monkeypatch):
+    # budget 0 is the two stages with 0 and 1 interior points
+    bound = dtilde_upper(ball_domain(), point([[0.0]]), point([[0.6]]), refinement_budget=0)
+    assert len(bound.stage_values) == 2 and bound.value == min(bound.stage_values)
+
+    def no_membership_test(*args, **kwargs):
+        raise AssertionError("a membership test ran")
+
+    for name in ("require_inside", "contains"):
+        monkeypatch.setattr(ncmetric.metric, name, no_membership_test)
+    with pytest.raises(ValueError, match="^refinement_budget must be at least 0, got -3$"):
+        dtilde_upper(ball_domain(), point([[0.0]]), point([[0.6]]), refinement_budget=-3)
+
+
 def test_path_distance_straight_ball():
     a, c = point([[0.0]]), point([[0.5]])
     got = d_upper(ball_domain(), a, c, quad_points=256)

@@ -1,3 +1,5 @@
+import pytest
+
 from ncmetric import props
 from ncmetric.matcore import NcmetricError
 
@@ -29,3 +31,15 @@ def test_gauge_check_redone_point_by_point_gives_the_same_report(monkeypatch):
         monkeypatch.setattr(props, name, _single_points_only(getattr(props, name)))
     assert props.check_gauge_matches_delta(3) == stacked
     assert stacked.passed and stacked.samples == 15
+
+
+@pytest.mark.parametrize("seed", [2, 19])
+def test_each_check_alone_gives_its_row_of_the_suite(seed):
+    # a check's substream depends only on the seed and its name, so the
+    # checks neither share draws nor depend on the order they run in
+    suite = props.run_suite(seed)
+    names = [r.name for r in suite]
+    assert len(names) == len(set(names)) == len(props.CHECKS) == 37
+    assert [check.__name__ for check in props.CHECKS] == [f"check_{name}" for name in names]
+    alone = [check(seed) for check in reversed(props.CHECKS)]
+    assert alone[::-1] == list(suite)

@@ -125,6 +125,7 @@ MISTYPED = [
     ("cp-map", {"variant": "scalar_power", "t": True}, "t"),
     ("domain", _DISK | {"radius": "0.5"}, "radius"),
     ("domain", _DISK | {"norm_bound": {"rule": "constant", "value": True}}, "norm_bound"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "variance": 10**400}, "variance"),
 ]
 
 
@@ -229,15 +230,17 @@ def test_every_registered_tag_is_in_schemas():
 
 
 def test_no_module_that_routes_by_variant_asks_for_its_class():
-    # the variants carry their behaviour; these modules call it and never
-    # branch on a variant's class
+    # the variants carry their behaviour; every module calls it and
+    # never branches on a variant's class
     names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
     pattern = re.compile(rf"isinstance\([^)]*\b({names})\b")
     offenders = []
-    for name in ("metric.py", "cli.py", "domains.py", "ncfunc.py", "sampling.py"):
-        text = (SRC / name).read_text()
+    modules = sorted(SRC.glob("*.py"))
+    assert {"metric.py", "cli.py", "props.py", "freeprob.py"} <= {path.name for path in modules}
+    for path in modules:
+        text = path.read_text()
         for m in pattern.finditer(text):
-            offenders.append(f"{name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
+            offenders.append(f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
     assert offenders == []
 
 
