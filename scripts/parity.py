@@ -5,8 +5,10 @@ Generates one seeded round of a benchmark workload per seed with
 perfbench/workloads.py, runs every op with ncmetric.cli.main on this
 tree and on the tree at --base, each tree in its own subprocess, and
 compares each op's exit code, stdout and --out file. Both trees read
-the same input files. Prints the first op that differs and exits 1;
-prints the number of identical ops and exits 0 when every op matches.
+the same input files. Prints every op that differs, with its label and
+the first differing line of each stream that differs, then the number
+of differing ops, and exits 1; prints the number of identical ops and
+exits 0 when every op matches.
 
     python scripts/parity.py --base /path/to/other/checkout
     python scripts/parity.py --base . --metric-seeds "" --props-seeds "" --density-seeds 1
@@ -127,13 +129,17 @@ def main():
         here = _run_tree(ROOT, ops_file, work / "here.json")
         base = _run_tree(args.base.resolve(), ops_file, work / "base.json")
 
+    differing = 0
     for (label, argv, _), mine, theirs in zip(ops, here, base):
         differ = [k for k in mine if mine[k] != theirs[k]]
         if differ:
-            print(f"first difference: {label}: {' '.join(argv)}")
+            differing += 1
+            print(f"{label}: {' '.join(argv)}")
             for k in differ:
                 print(f"  {k}: {_first_difference(theirs[k], mine[k])} (base != this tree)")
-            return 1
+    if differing:
+        print(f"{differing} of {len(ops)} ops differ (exit code, stdout, --out file)")
+        return 1
     print(f"{len(ops)} of {len(ops)} ops identical (exit code, stdout, --out file)")
     return 0
 

@@ -13,7 +13,9 @@ intertwining law depend on that.
 
 KernelDomain(K) is the set where K(a,a)(I) is strictly positive.
 SpectralDisk and NilpotentCone are the two non-kernel domains used by
-the counterexample reproductions.
+the counterexample reproductions. A ray [[a, s b], [0, c]] keeps the
+spectrum of a and c, so on a disk only the norm cap ends it and on the
+cone nothing does; both give delta exactly.
 
 Each variant is one class that registers its JSON form (see
 matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
@@ -23,7 +25,8 @@ evaluations stay matrix arithmetic); its closed attribute names its
 closed form in metric, or is None. A domain's _inside(a, margin) tests
 membership, raising EvaluationFailure when the test cannot be
 evaluated; its kernel attribute is the kernel that cuts it out, or None.
-_propose(rng, level, base_dim) draws candidate points for sampling.
+_propose(rng, level, base_dim) draws candidate points for sampling,
+and the optional _delta(a, c, b, margin) gives delta(a, c)(b) exactly.
 
 Kernel evaluation, kernel_diffs and membership take stacked points
 (see ncpoint) and work per matrix of the stack.
@@ -46,12 +49,13 @@ from .matcore import (
     NcmetricError,
     as_matrix,
     complex_from_json,
+    finite,
     herm_part,
     is_strictly_positive,
     json_number,
-    norm_below,
     of_family,
     operator_norm,
+    psd_inv_sqrt,
     spectrum,
     variant,
 )
@@ -150,20 +154,10 @@ class NormBound:
     def __post_init__(self):
         if self.rule not in ("constant", "level"):
             raise ValueError(f"unknown norm bound rule {self.rule!r}")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", finite("norm_bound value", float(self.value)))
 
     def at_level(self, level: int) -> float:
         return self.value if self.rule == "constant" else self.value * level
-
-
-@dataclass(frozen=True)
-class _NormCap:
-    """||a|| < the norm bound at a's level: what decides along a SpectralDisk ray."""
-
-    norm_bound: NormBound
-
-    def _inside(self, a: NcPoint, margin: float):
-        return _lapack("norm", norm_below, a.mat, self.norm_bound.at_level(a.level) - margin)
 
 
 @variant("domain", "spectral_disk", center=complex_from_json, radius=json_number,
@@ -173,9 +167,7 @@ class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.
 
     Membership tests the norm cap first and the spectrum only where
-    the norm cap holds. A ray point [[a, s b], [0, c]] has the
-    spectrum of a and c, so between two points inside only the cap can
-    end the ray: the ray search tests ray_domain, the cap alone.
+    the norm cap holds.
     """
 
     center: complex
@@ -184,9 +176,8 @@ class SpectralDisk:
     kernel = None
 
     def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "ray_domain", _NormCap(self.norm_bound))
+        object.__setattr__(self, "center", finite("center", complex(self.center)))
+        object.__setattr__(self, "radius", finite("radius", float(self.radius)))
 
     def _in_disk(self, m: np.ndarray, margin: float):
         eigs = _lapack("eigenvalue", spectrum, m)
@@ -194,12 +185,18 @@ class SpectralDisk:
 
     def _inside(self, a: NcPoint, margin: float):
         _finite(a, "eigenvalue")
-        inside = self.ray_domain._inside(a, margin)
+        cap = self.norm_bound.at_level(a.level) - margin
+        inside = _lapack("norm", operator_norm, a.mat) < cap
         if a.mat.ndim == 2:
             return inside and self._in_disk(a.mat, margin)
         if inside.any():
             inside[inside] = self._in_disk(a.mat[inside], margin)
         return inside
+
+    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
+        # the ray leaves at the cap of its level; a and c inside have
+        # norms below it under either rule, so both factors are definite
+        return ball_delta(a, c, b, self.norm_bound.at_level(a.level + c.level) - margin)
 
     def _propose(self, rng, level: int, base_dim: int):
         p = selfadjoint_disk_point(rng, level, base_dim, self.radius)
@@ -220,6 +217,9 @@ class NilpotentCone:
         power = np.linalg.matrix_power(a.mat, m)
         # np.power: a bound past the float range is inf, not an OverflowError
         return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
+
+    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
+        return np.zeros(np.broadcast_shapes(a.mat.shape[:-2], c.mat.shape[:-2], b.mat.shape[:-2]))
 
     def _propose(self, rng, level: int, base_dim: int):
         return (nilpotent_point(rng, level, base_dim),)
@@ -319,6 +319,16 @@ def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: 
     elif not mem.inside:
         extra = f" ({mem.diagnostic})" if mem.diagnostic else ""
         raise PointOutsideDomain(f"{name} is not strictly inside the domain{extra}")
+
+
+def ball_delta(a: NcPoint, c: NcPoint, b: NcDirection, radius: float = 1.0):
+    """delta(a, c)(b) = r ||(r^2 - a a*)^(-1/2) b (r^2 - c* c)^(-1/2)|| on the
+    ball of radius r, per row of the stacks; at r = 1.0 it is the unit ball's."""
+    r2 = radius * radius
+    qa = herm_part(r2 * np.eye(a.dim, dtype=np.complex128) - a.mat @ a.mat.conj().mT)
+    qc = herm_part(r2 * np.eye(c.dim, dtype=np.complex128) - c.mat.conj().mT @ c.mat)  # right gram
+    sa, sc = psd_inv_sqrt(qa), psd_inv_sqrt(qc)
+    return radius * operator_norm(sa @ b.mat @ sc)
 
 
 def ball_domain(radius: float = 1.0) -> KernelDomain:

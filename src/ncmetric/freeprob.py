@@ -34,6 +34,7 @@ from .matcore import (
     as_stack,
     complex_from_json,
     each,
+    finite,
     herm_eigvals,
     imag_part,
     inverse,
@@ -129,8 +130,8 @@ class ScalarLaw:
     def __post_init__(self):
         if self.kind not in SCALAR_KINDS:
             raise ValueError(f"unknown scalar law {self.kind!r}")
-        object.__setattr__(self, "variance", float(self.variance))
-        object.__setattr__(self, "atom", complex(self.atom))
+        object.__setattr__(self, "variance", finite("variance", float(self.variance)))
+        object.__setattr__(self, "atom", finite("atom", complex(self.atom)))
         if self.kind == "semicircle" and self.variance <= 0:
             raise ValueError("semicircle variance must be positive")
         if int(self.quad_nodes) < 2:
@@ -291,7 +292,7 @@ class ScalarPower:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", finite("t", float(self.t)))
         if self.t < 1.0:
             raise ValueError("ScalarPower needs t >= 1")
 
@@ -627,10 +628,10 @@ def density_grid(
     d. All rows are solved as one stack; each row gets exactly the
     values of its own solve. Unconverged rows are recorded, not
     raised. The mass field integrates the density by the trapezoid
-    rule. Raises ValueError when xmin > xmax, max_iter < 1 or tol or
-    eps is not positive and finite.
+    rule. Raises ValueError when xmin or xmax is not finite, xmin >
+    xmax, max_iter < 1 or tol or eps is not positive and finite.
     """
-    if xmin > xmax:
+    if finite("xmin", xmin) > finite("xmax", xmax):
         raise ValueError(f"xmin {xmin} exceeds xmax {xmax}")
     _check_budget(tol, max_iter)
     positive_finite("eps", eps)

@@ -9,9 +9,6 @@ svd, inv or cond: herm_eigvals, spectrum, operator_norm,
 condition_number and inverse are the one place each factorization is
 asked for.
 
-norm_below decides ||A|| < r for membership tests from the top
-eigenvalue of A A*, with no SVD; operator_norm gives printed norms.
-
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
 format (kernel, domain, function, model, cp-map; see variant).
@@ -24,6 +21,7 @@ the leading axes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -164,24 +162,6 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
 def spectrum(a) -> np.ndarray:
     """np.linalg.eigvals(a): the eigenvalues of a square matrix, or of each in a stack."""
     return np.linalg.eigvals(a)
-
-
-def norm_below(a, r: float):
-    """||A|| < r per matrix of a stack: the top eigenvalue of A A* against r^2.
-
-    r <= 0 gives False, and so does a Gram that is not finite (entries
-    past about 1e154, inf, NaN), without a warning; below about 1e-154
-    norms and r square to 0.
-    """
-    a = as_stack(a)
-    if not r > 0.0:
-        return _one(np.zeros(a.shape[:-2], dtype=bool))
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = a @ a.conj().mT
-        finite = np.isfinite(g).all(axis=(-2, -1))
-    if not _all(finite):
-        g = np.where(finite[..., None, None], g, 0.0)
-    return _one(finite & (herm_eigvals(g)[..., -1] < r * r))
 
 
 def operator_norm(a):
@@ -347,6 +327,13 @@ def positive_finite(name: str, value: float):
     """Reject a tolerance that is not a positive finite number."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def finite(name: str, value):
+    """A real or complex number as it is; ValueError naming it if NaN or infinite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 # family -> {tag: class}, and class -> (tag, field decoders), filled by @variant

@@ -1,10 +1,13 @@
 """Infinitesimal pseudometrics and the distances built from them.
 
 delta_ray is the definition: the reciprocal first-exit parameter of
-the ray s -> [[a, s b], [0, c]] out of the domain. delta_closed gives
-the two classical closed forms (ball, half-plane), delta_kernel the
-general kernel-domain formula; all three must agree on their common
-ground, and the test suite treats the routes as independent.
+the ray s -> [[a, s b], [0, c]] out of the domain, found from
+membership tests alone. delta_closed gives the two classical closed
+forms (ball, half-plane), delta_kernel the general kernel-domain
+formula, and a domain's own _delta its exact value (spectral disks,
+nilpotent cone); each must agree with the ray search, and the test
+suite treats the routes as independent. delta_auto and the distances
+take the exact route; only kinds without one search the ray.
 
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
 dtilde_upper gives certified upper bounds on the division distance it
@@ -32,6 +35,7 @@ from .domains import (
     HalfPlaneKernel,
     KernelDomain,
     MEMBERSHIP_MARGIN,
+    ball_delta,
     contains,
     gram,
     kernel_diffs,
@@ -213,19 +217,35 @@ def _ray_search(tol: float):
     return DeltaResult(0.5 * (lower + upper), "ray", (lower, upper), evals)
 
 
-def _ray_rows(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: float):
-    """Ray searches of every row of the stacks a, c, b, run in lockstep.
+def delta_ray(
+    domain,
+    a: NcPoint,
+    c: NcPoint,
+    b: NcDirection,
+    tol: float = RAY_TOL,
+    margin: float = MEMBERSHIP_MARGIN,
+) -> DeltaResult | list[DeltaResult]:
+    """Pseudometric by ray search: 1 / sup{t : the block ray stays inside}.
 
-    Each round tests the pending scalings of all unfinished rows with
-    one stacked contains call, so every row visits exactly the
-    scalings its own search asks for. Returns one DeltaResult per row.
-    Ray points are tested against the domain's ray_domain where it
-    names one, which is sound only because every caller has found a
-    and c inside at this margin first.
+    The bracket is located by doubling/halving from s = 1 and then
+    bisected until its width is below tol * max(1, value). Membership
+    that persists to the growth cap is reported as value 0 with a
+    note; no exit above the shrink floor reports +inf. The first exit
+    decides for non-convex domains. Only membership tests are used,
+    so the route stays independent of the closed forms.
+
+    Stacks (N, ...) of a, c and b (broadcast against each other) are
+    searched in lockstep, each round testing the pending scalings of
+    all unfinished rows with one stacked contains call, and give a
+    list of N results; row i equals the call on row i alone. Raises
+    ValueError unless tol is positive and finite.
     """
-    domain = getattr(domain, "ray_domain", domain)
+    positive_finite("tol", tol)
+    _check_triple(a, c, b)
+    require_inside(domain, a, margin, "a")
+    require_inside(domain, c, margin, "c")
     stacked = _is_stack(a, c, b)
-    na = a.dim
+    na, level = a.dim, a.level + c.level
     # every round overwrites the corner with the scaled direction
     base = block_upper(a, b, c).mat
     base = base.reshape((-1,) + base.shape[-2:])
@@ -242,7 +262,6 @@ def _ray_rows(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin
         rows = list(searches)
         ray, corner = (base, bm) if len(rows) == len(base) else (base[rows], bm[rows])
         ray[:, :na, na:] = np.array([scalings[i] for i in rows])[:, None, None] * corner
-        level = a.level + c.level
         if stacked:
             inside = contains(domain, NcPoint(a.base_dim, level, ray), margin).tolist()
         else:  # a plain point tests faster than a stack of one
@@ -253,47 +272,7 @@ def _ray_rows(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin
             except StopIteration as done:
                 results[i] = done.value
                 del searches[i]
-    return results
-
-
-def delta_ray(
-    domain,
-    a: NcPoint,
-    c: NcPoint,
-    b: NcDirection,
-    tol: float = RAY_TOL,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> DeltaResult | list[DeltaResult]:
-    """Pseudometric by ray search: 1 / sup{t : the block ray stays inside}.
-
-    The bracket is located by doubling/halving from s = 1 and then
-    bisected until its width is below tol * max(1, value). Membership
-    that persists to the growth cap is reported as value 0 with a
-    note; no exit above the shrink floor reports +inf. The first exit
-    decides for non-convex domains. Only membership tests are used,
-    so the route stays independent of the closed forms. a and c must
-    be inside, which lets a domain's ray_domain decide the ray points.
-
-    Stacks (N, ...) of a, c and b (broadcast against each other) are
-    searched in lockstep and give a list of N results; row i equals
-    the call on row i alone. Raises ValueError unless tol is positive
-    and finite.
-    """
-    positive_finite("tol", tol)
-    _check_triple(a, c, b)
-    require_inside(domain, a, margin, "a")
-    require_inside(domain, c, margin, "c")
-    results = _ray_rows(domain, a, c, b, tol, margin)
-    return results if _is_stack(a, c, b) else results[0]
-
-
-def _closed_ball(a: NcPoint, c: NcPoint, b: NcDirection):
-    eye_a = np.eye(a.dim, dtype=np.complex128)
-    eye_c = np.eye(c.dim, dtype=np.complex128)
-    qa = herm_part(eye_a - a.mat @ a.mat.conj().mT)
-    qc = herm_part(eye_c - c.mat.conj().mT @ c.mat)  # right gram: 1 - c* c
-    sa, sc = psd_inv_sqrt(qa), psd_inv_sqrt(qc)
-    return operator_norm(sa @ b.mat @ sc)
+    return results if stacked else results[0]
 
 
 def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection):
@@ -302,7 +281,7 @@ def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection):
     return 0.5 * operator_norm(sa @ b.mat @ sc)
 
 
-_CLOSED = {"ball": (BallKernel(), _closed_ball), "halfplane": (HalfPlaneKernel(), _closed_halfplane)}
+_CLOSED = {"ball": (BallKernel(), ball_delta), "halfplane": (HalfPlaneKernel(), _closed_halfplane)}
 
 
 def delta_closed(
@@ -319,12 +298,7 @@ def delta_closed(
     """
     if kind not in _CLOSED:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    kernel, closed = _CLOSED[kind]
-    _check_triple(a, c, b)
-    dom = KernelDomain(kernel)
-    require_inside(dom, a, margin, "a")
-    require_inside(dom, c, margin, "c")
-    return _results(closed(a, c, b), f"closed_{kind}", _is_stack(a, c, b))
+    return delta_auto(KernelDomain(_CLOSED[kind][0]), a, c, b, margin)
 
 
 def delta_kernel(
@@ -406,44 +380,67 @@ def _tilde_values(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
     return np.where(same, 0.0, _tilde_value(kernel, a, c))
 
 
-def delta_auto(
-    domain, a: NcPoint, c: NcPoint, b: NcDirection, **kw
-) -> DeltaResult | list[DeltaResult]:
-    """Dispatch by the domain's kernel to its closed form, the kernel formula, or ray search."""
+def _route(domain):
+    """delta_auto's route on the domain: (method, values).
+
+    values(a, c, b, margin) is delta(a, c)(b) per row of the stacks,
+    for a and c already known to lie inside at that margin.
+    """
+    exact = getattr(domain, "_delta", None)
+    if exact is not None:
+        return "exact", exact
     k = domain.kernel
     if k is None:
-        return delta_ray(domain, a, c, b, **kw)
+        return "ray", lambda a, c, b, margin: _ray_values(domain, a, c, b, margin)
     if k.closed:
-        return delta_closed(k.closed, a, c, b, **kw)
-    return delta_kernel(k, a, c, b, **kw)
+        closed = _CLOSED[k.closed][1]
+        return f"closed_{k.closed}", lambda a, c, b, margin: closed(a, c, b)
+    return "kernel", lambda a, c, b, margin: _kernel_value(k, a, c, b)
 
 
-def delta_auto_tilde(domain, a: NcPoint, c: NcPoint, **kw) -> DeltaResult | list[DeltaResult]:
+def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
+    res = delta_ray(domain, a, c, b, margin=margin)
+    return np.array([r.value for r in res]) if _is_stack(a, c, b) else res.value
+
+
+def _difference(a: NcPoint, c: NcPoint) -> NcDirection:
+    return NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
+
+
+def delta_auto(
+    domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float = MEMBERSHIP_MARGIN
+) -> DeltaResult | list[DeltaResult]:
+    """delta by the domain's exact route: its own _delta, its kernel's
+    closed form, or the kernel formula; the ray search for a kind with
+    none of them. Stacks give a list with one result per row."""
+    method, values = _route(domain)
+    if method == "ray":
+        return delta_ray(domain, a, c, b, margin=margin)
+    _check_triple(a, c, b)
+    require_inside(domain, a, margin, "a")
+    require_inside(domain, c, margin, "c")
+    return _results(values(a, c, b, margin), method, _is_stack(a, c, b))
+
+
+def delta_auto_tilde(
+    domain, a: NcPoint, c: NcPoint, margin: float = MEMBERSHIP_MARGIN
+) -> DeltaResult | list[DeltaResult]:
+    """delta_auto(domain, a, c, a - c); a kernel domain's by delta_tilde."""
     if domain.kernel is not None:
-        return delta_tilde(domain.kernel, a, c, **kw)
-    diff = NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
-    return delta_ray(domain, a, c, diff, **kw)
+        return delta_tilde(domain.kernel, a, c, margin=margin)
+    return delta_auto(domain, a, c, _difference(a, c), margin=margin)
 
 
 def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> np.ndarray:
-    """delta(a, c)(b) per row of the stacks, by delta_auto's route.
-
-    The points must already be known to lie inside the domain.
-    """
-    k = domain.kernel
-    if k is None:
-        return np.array([r.value for r in _ray_rows(domain, a, c, b, RAY_TOL, margin)])
-    if k.closed:
-        return _CLOSED[k.closed][1](a, c, b)
-    return _kernel_value(k, a, c, b)
+    """delta_auto's values per row of the stacks, for points already known inside."""
+    return _route(domain)[1](a, c, b, margin)
 
 
 def _chain_values(domain, x: NcPoint, y: NcPoint, margin: float) -> np.ndarray:
-    """delta_auto_tilde per row of the stacks x, y, already known to lie inside."""
+    """delta_auto_tilde's values per row of the stacks x, y, already known to lie inside."""
     if domain.kernel is not None:
         return _tilde_values(domain.kernel, x, y)
-    diff = NcDirection(x.base_dim, x.level, y.level, x.mat - y.mat)
-    return np.array([r.value for r in _ray_rows(domain, x, y, diff, RAY_TOL, margin)])
+    return _delta_values(domain, x, y, _difference(x, y), margin)
 
 
 def dtilde_upper(

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ import pytest
 from ncmetric.cli import main
 from ncmetric.domains import NormBound, SpectralDisk, ball_domain
 from ncmetric.matcore import mat_to_json, to_json
+from ncmetric.metric import RAY_TOL
 from ncmetric.ncfunc import MoebiusBall, Polynomial
 from ncmetric.ncpoint import point, point_to_json
+
+
+def _near_ray_values(new, old, terms=1):
+    # old values were sums of `terms` ray-search midpoints below 1, each
+    # within RAY_TOL / 2 of the exact delta its bracket holds
+    for x, y in zip(new, old, strict=True):
+        assert abs(x - y) <= terms * RAY_TOL / 2
 
 
 def _dump(tmp_path, name, obj):
@@ -83,7 +92,7 @@ def test_distance_payload_values(ball_files, capsys):
 
 
 def test_distance_spectral_disk_frozen(tmp_path, capsys):
-    # a level-2 pair: every ray exit on the disk is a norm-bound exit
+    # a level-2 pair: delta on the disk is the ball's at its norm cap
     disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
     a = point([[0.1 + 0.05j, 0.3], [0.0, -0.2]])
     c = point([[-0.15, 0.1j], [0.25, 0.2 + 0.1j]])
@@ -97,12 +106,18 @@ def test_distance_spectral_disk_frozen(tmp_path, capsys):
     assert out.read_text() == printed
     payload = json.loads(printed)
     dt, du = payload["dtilde_upper"], payload["d_upper"]
-    assert dt["value"] == 0.6571373195474552
-    assert dt["stage_values"] == [0.703058569217232, 0.6670212403848435, 0.6604787658851825, 0.6571373195474552]
+    assert dt["value"] == 0.657137879810713
+    assert dt["stage_values"] == [0.7030587008464348, 0.667021298025247, 0.6604791938752244, 0.657137879810713]
     assert dt["diagnostics"] == [] and len(dt["division"]) == 6
-    assert du["value"] == 0.6552346388282818
-    assert du["quad_estimate"] == 7.576873709147502e-05
+    assert du["value"] == 0.6552347021387588
+    assert du["quad_estimate"] == 7.587832074318346e-05
     assert du["points_used"] == 32
+    # the values the ray search froze, with 1, 2, 3 and 5 pairs per stage
+    ray_stages = [0.703058569217232, 0.6670212403848435, 0.6604787658851825, 0.6571373195474552]
+    for terms, new, old in zip((1, 2, 3, 5), dt["stage_values"], ray_stages):
+        _near_ray_values([new], [old], terms)
+    _near_ray_values([du["value"]], [0.6552346388282818])
+    _near_ray_values([du["quad_estimate"]], [7.576873709147502e-05], terms=2)
 
 
 @pytest.mark.parametrize("quad", ["0", "-2"])
@@ -170,23 +185,35 @@ def test_contract_frozen_outputs(tmp_path, capsys):
         "0.9104437677297483,0.9104437677297489\n"
         "0.9154597906640891,0.9154597906640883\n"
     )
-    # the spectral disk takes the ray search on both sides
+    # the spectral disk takes its exact delta on both sides
     out = tmp_path / "halve.csv"
     disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
     assert main(_contract_argv(tmp_path, Polynomial((0.0, 0.5)), disk, out)) == 0
     assert capsys.readouterr().out == (
         '{\n  "ok": true,\n  "samples": 6,\n  "violations": [],\n'
-        '  "worst_excess": -0.13337213392371589\n}\n'
+        '  "worst_excess": -0.1333718119560046\n}\n'
     )
-    assert out.read_text() == (
-        "lhs,rhs\n"
-        "0.15740413829635302,0.3420195992224584\n"
-        "0.20377380784007537,0.4370876938201608\n"
-        "0.42381193733319966,0.8518792182128674\n"
-        "0.11105801330735969,0.2444301472310756\n"
-        "0.41865371363073967,0.858075864447895\n"
-        "0.4537895278943639,0.9084939544262773\n"
-    )
+    rows = [
+        "0.15740433245191662,0.3420191568735881",
+        "0.20377353332158699,0.437087583987631",
+        "0.42381181595420614,0.8518792372792501",
+        "0.11105797554405833,0.24442978750006292",
+        "0.41865376165570506,0.8580757807033615",
+        "0.4537895584701875,0.9084943339307212",
+    ]
+    assert out.read_text() == "lhs,rhs\n" + "".join(row + "\n" for row in rows)
+    # the values the ray search froze; worst_excess is a difference of two
+    ray_rows = [
+        "0.15740413829635302,0.3420195992224584",
+        "0.20377380784007537,0.4370876938201608",
+        "0.42381193733319966,0.8518792182128674",
+        "0.11105801330735969,0.2444301472310756",
+        "0.41865371363073967,0.858075864447895",
+        "0.4537895278943639,0.9084939544262773",
+    ]
+    for new, old in zip(rows, ray_rows, strict=True):
+        _near_ray_values(map(float, new.split(",")), map(float, old.split(",")))
+    _near_ray_values([-0.1333718119560046], [-0.13337213392371589], terms=2)
 
 
 @pytest.mark.parametrize(
@@ -384,7 +411,7 @@ _PROPS_SEED_7 = (
     "norm_lower_bound,20,0.0,1e-09,pass\n"
     "upper_semicontinuity,5,0.0001310083073299273,0.001,pass\n"
     "boundary_blowup,7,-1.2115533573603914,0.0,pass\n"
-    "spectral_disk_bounded,25,-1.0341283021448275,1e-09,pass\n"
+    "spectral_disk_bounded,25,-1.034128465053408,1e-09,pass\n"
     "nesting_halves,20,-0.004094785072284363,1e-08,pass\n"
     "moebius_isometry,12,4.440892098500626e-16,1e-06,pass\n"
     "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
@@ -407,6 +434,8 @@ def test_props_runs_are_byte_identical(capsys):
     assert first == second
     # stacked checks must reproduce the sample-by-sample values to the bit
     assert first == _PROPS_SEED_7
+    # the ray search froze worst = delta~ - 4/3 at -1.0341283021448275
+    _near_ray_values([-1.034128465053408 + 4.0 / 3.0], [-1.0341283021448275 + 4.0 / 3.0])
     header, *rows = first.rstrip("\n").split("\n")
     assert header == "check,samples,worst,tol,status"
     assert rows and all(r.endswith(",pass") for r in rows)
@@ -532,3 +561,30 @@ def test_a_range_that_would_give_wrong_output_is_exit_3(tmp_path, ball_files, ca
     assert "input error: refinement_budget must be at least 0, got -3" in captured.err and captured.out == ""
     assert main(argv + ["--refine", "0", "--quad-points", "8"]) == 0
     assert len(json.loads(capsys.readouterr().out)["dtilde_upper"]["stage_values"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--rho-t", "nan", "t must be finite, got nan"),
+        ("--rho-t", "inf", "t must be finite, got inf"),
+        ("--xmin", "nan", "xmin must be finite, got nan"),
+        ("--xmax", "nan", "xmax must be finite, got nan"),
+        ("--xmin", "-inf", "xmin must be finite, got -inf"),
+        ("--variance", "nan", "variance must be finite, got nan"),
+        ("--atom", "inf", "atom must be finite, got (inf+0j)"),
+    ],
+)
+def test_a_non_finite_number_flag_is_exit_3_naming_its_field(tmp_path, capsys, flag, value, message):
+    # NaN passes every range comparison and an infinity overflows later,
+    # so each is rejected where it enters, before any work
+    args = {"--law": "semicircle", "--rho-t": "2", "--xmin": "-1", "--xmax": "1", "--points": "5"}
+    args[flag] = value
+    out = tmp_path / "grid.csv"
+    argv = ["convolve", *(f"{k}={v}" for k, v in args.items()), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message}\n" and captured.out == ""
+    assert not out.exists()

@@ -158,22 +158,30 @@ def test_non_finite_points_are_outside_without_raising(domain, bad):
 
 
 def test_a_disk_ray_point_that_cannot_be_evaluated_is_outside(monkeypatch):
-    cap = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)).ray_domain
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
     good = np.array([[0.1, 0.9], [0.0, 0.2]])
     for bad in _NON_FINITE + [1e200 * np.eye(2)]:
-        assert not contains(cap, point(bad)).inside
-        assert contains(cap, NcPoint(1, 2, np.stack([good, bad, good]))).tolist() == [True, False, True]
-    real = ncmetric.domains.norm_below
+        assert not contains(disk, point(bad)).inside
+        assert contains(disk, NcPoint(1, 2, np.stack([good, bad, good]))).tolist() == [True, False, True]
+    real = ncmetric.domains.operator_norm
+    unlucky = np.array([[0.1, 0.7], [0.0, 0.2]])  # inside, but its norm fails
 
-    def fails_on_nan(m, r):
-        if np.isnan(m).any():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return real(m, r)
+    def fails_on_unlucky(m):
+        if (m == unlucky).all(axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(m)
 
-    monkeypatch.setattr(ncmetric.domains, "norm_below", fails_on_nan)
-    mem = contains(cap, point(_NON_FINITE[0]))
-    assert not mem.inside and "norm failure: Eigenvalues did not converge" in mem.diagnostic
-    assert contains(cap, NcPoint(1, 2, np.stack([good, _NON_FINITE[0], good]))).tolist() == [True, False, True]
+    monkeypatch.setattr(ncmetric.domains, "operator_norm", fails_on_unlucky)
+    mem = contains(disk, point(unlucky))
+    assert not mem.inside and "norm failure: SVD did not converge" in mem.diagnostic
+    assert contains(disk, NcPoint(1, 2, np.stack([good, unlucky, good]))).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_a_non_finite_norm_cap_is_rejected(value):
+    # an infinite cap would leave the disk's delta without a ball to exit
+    with pytest.raises(ValueError, match="norm_bound value must be finite"):
+        NormBound("level", value)
 
 
 def test_nilpotent_bound_past_the_float_range_does_not_raise():

@@ -27,7 +27,6 @@ from ncmetric.matcore import (
     is_strictly_positive,
     mat_from_json,
     mat_to_json,
-    norm_below,
     operator_norm,
     psd_inv_sqrt,
 )
@@ -353,26 +352,3 @@ def test_condition_number_is_cond_bitwise():
     stack = np.stack([np.eye(3) + 0.1 * k * np.diag([1.0, 2.0, 3.0]) for k in range(4)])
     np.testing.assert_array_equal(condition_number(stack), np.linalg.cond(stack))
 
-
-def test_norm_below_is_the_operator_norm_test():
-    rng = _rng(13)
-    for n in range(1, 13):
-        a = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
-        a *= rng.uniform(1e-3, 1e3, (6, 1, 1))
-        norms = operator_norm(a)
-        for r in np.concatenate([norms * (1 + 1e-9), norms * (1 - 1e-9), rng.uniform(0.0, 2.0 * norms.max(), 4)]):
-            if np.all(np.abs(norms - r) > 1e-12 * r):
-                assert norm_below(a, r).tolist() == (norms < r).tolist()
-                assert [norm_below(m, r) for m in a] == (norms < r).tolist()
-    a = np.stack([np.zeros((3, 3)), np.eye(3)])
-    assert norm_below(a, 0.0).tolist() == norm_below(a, -1.0).tolist() == [False, False]
-    assert norm_below(np.array([[-0.0]]), 1e-9) is True
-    assert norm_below(np.array([[-0.0]]), 0.0) is False
-
-
-def test_norm_below_is_false_where_the_gram_overflows():
-    big = np.stack([np.eye(2), 1e200 * np.eye(2), np.full((2, 2), np.nan), np.array([[0.0, np.inf], [0.0, 0.0]])])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert norm_below(big, 1e300).tolist() == [True, False, False, False]
-        assert norm_below(big[1], 1e300) is False

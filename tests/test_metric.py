@@ -22,6 +22,8 @@ from ncmetric.domains import (
 )
 from ncmetric.matcore import operator_norm
 from ncmetric.metric import (
+    RAY_TOL,
+    DeltaResult,
     MappingViolation,
     NestingViolation,
     Path,
@@ -175,7 +177,9 @@ def test_delta_auto_dispatch_methods():
     composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
     assert delta_auto(composed, a, c, b).method == "kernel"
     disk = SpectralDisk(0.0, 1.0, NormBound("constant", 1.0))
-    assert delta_auto(disk, a, c, b).method == "ray"
+    assert delta_auto(disk, a, c, b).method == "exact"
+    zero = point(np.zeros((2, 2)))
+    assert delta_auto(NilpotentCone(), zero, zero, b) == DeltaResult(0.0, "exact", (0.0, 0.0), 0)
 
 
 def test_delta_positive_homogeneity():
@@ -280,10 +284,14 @@ def test_path_distance_frozen_values():
     c = point(np.array([[-0.15, 0.0], [0.1, 0.25j]]))
     got = d_upper(disk, a, c, quad_points=16)
     assert (got.value, got.quad_estimate, got.points_used) == (
-        0.3962894664325218,
-        6.441199808421283e-05,
+        0.39628945210267297,
+        6.445793563836233e-05,
         16,
     )
+    # the ray search froze 0.3962894664325218 and 6.441199808421283e-05:
+    # means of midpoints below 1, each within RAY_TOL / 2 of its delta
+    assert abs(got.value - 0.3962894664325218) <= RAY_TOL / 2
+    assert abs(got.quad_estimate - 6.441199808421283e-05) <= RAY_TOL
     composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
     a = point(np.array([[0.1, 0.05], [0.0, -0.1j]]))
     c = point(np.array([[0.2, -0.1], [0.05, 0.15]]))
@@ -367,50 +375,57 @@ def test_ray_search_on_stacks_matches_rows():
     _assert_rows(lambda a, c, b: delta_ray(NilpotentCone(), a, c, b), nilpotent)
 
 
-@dataclass(frozen=True)
-class _FullDisk:
-    """The disk as every ray point was once tested: SVD norm cap, then eigenvalues."""
-
-    disk: SpectralDisk
-    kernel = None
-
-    def _inside(self, a, margin):
-        cap = self.disk.norm_bound.at_level(a.level) - margin
-        spectral = np.abs(np.linalg.eigvals(a.mat) - self.disk.center).max(axis=-1)
-        return (np.linalg.svd(a.mat, compute_uv=False)[..., 0] < cap) & (spectral < self.disk.radius - margin)
-
-
 def _rim_point(rng, level, lam):
     """U (lam I + N) U*, N the nilpotent shift: dense, non-normal, spectrum {lam}."""
     u, _ = np.linalg.qr(_cmat(rng, level))
     return point(u @ (lam * np.eye(level) + np.eye(level, k=1)) @ u.conj().T)
 
 
+def _cone_point(rng, level):
+    """U N U* with N strictly upper triangular: dense and nilpotent."""
+    u, _ = np.linalg.qr(_cmat(rng, level))
+    return point(u @ np.triu(_cmat(rng, level), 1) @ u.conj().T)
+
+
+def _in_bracket(exact, ray):
+    pairs = zip(exact, ray) if isinstance(ray, list) else [(exact, ray)]
+    for e, r in pairs:
+        assert e.method == "exact" and e.bracket == (e.value, e.value)
+        assert r.bracket[0] <= e.value <= r.bracket[1]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_ray_search_through_the_norm_cap_equals_full_membership(level):
-    # the endpoints are inside, so only the cap can end a disk ray
+def test_exact_delta_lies_in_the_ray_bracket(level):
+    # disk and cone deltas in closed form against the definition, the
+    # membership-only ray search, on Hermitian, dense non-normal and
+    # nilpotent points, single and stacked
     rng = _rng(60 + level)
     radius = 0.25
-    disk = SpectralDisk(0.05j, radius, NormBound("level", 1.0))
-    full = _FullDisk(disk)
-    triples = []
-    for k in range(4):
-        h = [_cmat(rng, level) for _ in range(2)]
-        a, c = (point(0.2 * (m + m.conj().T) / (2 * operator_norm(m)) + 0.05j * np.eye(level)) for m in h)
-        triples.append((a, c, direction(_cmat(rng, level, scale=10.0 ** (k - 2)))))
-        phase = np.exp(2j * np.pi * rng.uniform(size=2))
-        a, c = (_rim_point(rng, level, 0.05j + (radius - 1e-3) * z) for z in phase)
-        triples.append((a, c, direction(_cmat(rng, level, scale=10.0 ** (k - 2)))))
-    for a, c, b in triples:
-        assert delta_ray(disk, a, c, b) == delta_ray(full, a, c, b)
-        assert delta_auto_tilde(disk, a, c) == delta_auto_tilde(full, a, c)
-    stacks = [_stacked(list(part)) for part in zip(*triples)]
-    assert delta_ray(disk, *stacks) == delta_ray(full, *stacks)
-    assert delta_auto_tilde(disk, *stacks[:2]) == delta_auto_tilde(full, *stacks[:2])
-    a, c, _ = triples[0]  # a straight path between rim points can leave the disk
-    got, want = (dtilde_upper(d, a, c, refinement_budget=2) for d in (disk, full))
-    assert (got.value, got.stage_values, got.diagnostics) == (want.value, want.stage_values, want.diagnostics)
-    assert d_upper(disk, a, c, quad_points=8) == d_upper(full, a, c, quad_points=8)
+    disks = [SpectralDisk(0.05j, radius, NormBound("level", 1.0)),
+             SpectralDisk(0.05j, radius, NormBound("constant", 1.5))]
+    for lc in (1, 2):
+        disk_triples, cone_triples = [], []
+        for k in range(4):
+            b = direction(_cmat(rng, level, lc, scale=10.0 ** (k - 2)))
+            h = [_cmat(rng, n) for n in (level, lc)]
+            a, c = (point(0.2 * (m + m.conj().T) / (2 * operator_norm(m)) + 0.05j * np.eye(len(m))) for m in h)
+            disk_triples.append((a, c, b))
+            phase = np.exp(2j * np.pi * rng.uniform(size=2))
+            a, c = (_rim_point(rng, n, 0.05j + (radius - 1e-3) * z) for n, z in zip((level, lc), phase))
+            disk_triples.append((a, c, b))
+            cone_triples.append((_cone_point(rng, level), _cone_point(rng, lc), b))
+        for dom, triples in [(d, disk_triples) for d in disks] + [(NilpotentCone(), cone_triples)]:
+            for a, c, b in triples:
+                _in_bracket(delta_auto(dom, a, c, b), delta_ray(dom, a, c, b))
+                if lc == level:
+                    _in_bracket(delta_auto_tilde(dom, a, c), delta_ray(dom, a, c, NcDirection(1, level, lc, a.mat - c.mat)))
+            for a, c, b in triples[::2]:  # inside at a wide margin too, which lowers the cap
+                _in_bracket(delta_auto(dom, a, c, b, margin=0.05), delta_ray(dom, a, c, b, margin=0.05))
+            stacks = [_stacked(list(part)) for part in zip(*triples)]
+            _in_bracket(delta_auto(dom, *stacks), delta_ray(dom, *stacks))
+            _assert_rows(lambda a, c, b: delta_auto(dom, a, c, b), triples)
+            if lc == level:
+                _assert_rows(lambda a, c, b: delta_auto_tilde(dom, a, c), triples)
 
 
 def test_moebius_is_an_isometry_of_the_ball():

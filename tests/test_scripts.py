@@ -58,14 +58,22 @@ def test_parity_of_the_tree_with_itself(tmp_path):
 
 
 def test_parity_reports_the_first_differing_op(tmp_path):
+    # and every later one: the base tree renames a column for the semicircle grids only
     base = tmp_path / "base"
     shutil.copytree(ROOT / "src", base / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = base / "src" / "ncmetric" / "cli.py"
-    cli.write_text(cli.read_text().replace('"x,density,residual,iterations"', '"x,density,residual,iters"'))
+    header = '"x,density,residual,iterations"'
+    assert header in cli.read_text()
+    renamed = f'("x,density,residual,iters" if args.law == "semicircle" else {header})'
+    cli.write_text(cli.read_text().replace(header, renamed))
     proc = _run("parity.py", "--base", str(base), "--metric-seeds", "", "--props-seeds", "",
                 "--density-seeds", "1", cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
-    first, detail = proc.stdout.splitlines()
-    assert first.startswith("first difference: density seed 1 op 0: convolve ")
-    assert detail == ("  stdout: line 1: 'x,density,residual,iters' != 'x,density,residual,iterations'"
-                      " (base != this tree)")
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[::2]] == [
+        "density seed 1 op 2", "density seed 1 op 6", "density seed 1 op 10",
+        "3 of 12 ops differ (exit code, stdout, --out file)",
+    ]
+    assert lines[0].startswith("density seed 1 op 2: convolve --law semicircle ")
+    assert lines[1::2] == ["  stdout: line 1: 'x,density,residual,iters' != 'x,density,residual,iterations'"
+                           " (base != this tree)"] * 3

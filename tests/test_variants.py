@@ -7,6 +7,7 @@ every metric route, the distance drivers, the codec and the CLI.
 
 import json
 import re
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -222,6 +223,34 @@ def test_a_field_of_the_wrong_json_type_is_exit_3(tmp_path, capsys, argv, obj):
     assert captured.out == ""
 
 
+# a number field given NaN or an infinity, which Python's JSON reader
+# accepts: (family, object, the error naming the field)
+NON_FINITE = [
+    ("domain", _DISK | {"norm_bound": {"rule": "level", "value": float("inf")}},
+     "norm_bound value must be finite, got inf"),
+    ("domain", _DISK | {"radius": float("nan")}, "radius must be finite, got nan"),
+    ("domain", _DISK | {"center": [float("-inf"), 0.0]}, "center must be finite, got (-inf+0j)"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "variance": float("nan")},
+     "variance must be finite, got nan"),
+    ("model", {"variant": "scalar_law", "law": "point_mass", "atom": [0.0, float("nan")]},
+     "atom must be finite, got nanj"),
+    ("cp-map", {"variant": "scalar_power", "t": float("inf")}, "t must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("family, obj, message", NON_FINITE)
+def test_a_non_finite_number_field_is_exit_3_naming_its_field(tmp_path, capsys, family, obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_json(obj, family)
+    argv = [{"A": _dump(tmp_path, "a.json", _A)}.get(x, x) for x in _FAMILY_ARGV[family]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [_dump(tmp_path, "obj.json", obj)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and message in captured.err
+    assert captured.out == ""
+
+
 def test_every_registered_tag_is_in_schemas():
     schemas = (ROOT / "SCHEMAS.md").read_text()
     tags = [tag for tags in VARIANTS.values() for tag, cls in tags.items() if cls in PACKAGE_VARIANTS]
@@ -231,9 +260,11 @@ def test_every_registered_tag_is_in_schemas():
 
 def test_no_module_that_routes_by_variant_asks_for_its_class():
     # the variants carry their behaviour; every module calls it and
-    # never branches on a variant's class
+    # never branches on a variant's class, by isinstance or by type()
     names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
-    pattern = re.compile(rf"isinstance\([^)]*\b({names})\b")
+    pattern = re.compile(
+        rf"isinstance\([^)]*\b({names})\b|\btype\([^)]*\)\s*(is|==|!=)\s*(not\s+)?({names})\b"
+    )
     offenders = []
     modules = sorted(SRC.glob("*.py"))
     assert {"metric.py", "cli.py", "props.py", "freeprob.py"} <= {path.name for path in modules}
