@@ -158,6 +158,8 @@ def _delta_result_json(r) -> dict:
 
 def cmd_delta(args) -> int:
     positive_finite("--tol", args.tol)
+    if not 0.0 <= args.margin < float("inf"):
+        raise ValueError(f"--margin must be finite and at least 0, got {args.margin}")
     dom = _load_domain(args)
     a = point_from_json(_load_json(args.a))
     c = point_from_json(_load_json(args.c))

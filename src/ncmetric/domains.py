@@ -53,6 +53,7 @@ from .matcore import (
     herm_part,
     is_strictly_positive,
     json_number,
+    known_keys,
     of_family,
     operator_norm,
     psd_inv_sqrt,
@@ -160,8 +161,12 @@ class NormBound:
         return self.value if self.rule == "constant" else self.value * level
 
 
-@variant("domain", "spectral_disk", center=complex_from_json, radius=json_number,
-         norm_bound=lambda nb: NormBound(nb["rule"], json_number(nb.get("value", 1.0))))
+def _norm_bound_from_json(nb) -> NormBound:
+    known_keys(nb, ("rule", "value"), "norm_bound")
+    return NormBound(nb["rule"], json_number(nb.get("value", 1.0)))
+
+
+@variant("domain", "spectral_disk", center=complex_from_json, radius=json_number, norm_bound=_norm_bound_from_json)
 @dataclass(frozen=True)
 class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.

@@ -4,8 +4,8 @@ Two model kinds supply the Cauchy transform G(b) = E[(b - X)^(-1)]:
 a MatrixModel (deterministic Hermitian X with E the per-block
 normalized trace onto block-scalar matrices) and a ScalarLaw
 (semicircle, symmetric Bernoulli, arcsine, point mass; atoms are
-summed exactly, continuous laws use weight-matched Gauss-Chebyshev
-quadrature at matrix levels and closed forms at level one).
+summed exactly, continuous laws use their closed forms at every
+level, through a principal matrix square root above level one).
 
 subordination_solve iterates w -> b + (rho - Id) h(w) from w0 = b
 with adaptive damping and keeps a full trace: residuals, consecutive
@@ -45,6 +45,7 @@ from .matcore import (
     mat_from_json,
     operator_norm,
     positive_finite,
+    principal_sqrt,
     psd_inv_sqrt,
     variant,
 )
@@ -52,8 +53,6 @@ from .ncpoint import NcPoint
 
 # Relative margin for "strictly inside the upper half-plane".
 HALF_PLANE_MARGIN = 1e-10
-# Quadrature nodes for continuous scalar laws at matrix levels.
-QUAD_NODES = 256
 # Im h may dip this far below zero before we call it broken.
 H_IMAG_SLACK = 1e-6
 
@@ -115,7 +114,7 @@ class MatrixModel:
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
 
 
-@variant("model", "scalar_law", atom=complex_from_json, variance=json_number, quad_nodes=json_int)
+@variant("model", "scalar_law", atom=complex_from_json, variance=json_number)
 @dataclass(frozen=True)
 class ScalarLaw:
     """A classical law fed in as the scalar-valued model (base_dim 1)."""
@@ -123,7 +122,6 @@ class ScalarLaw:
     kind: str = field(metadata={"json": "law"})
     variance: float = 1.0
     atom: complex = 0.0
-    quad_nodes: int = QUAD_NODES
     base_dim = 1
     blocks = (1,)  # its algebra, the scalars, is one block of size one
 
@@ -134,14 +132,18 @@ class ScalarLaw:
         object.__setattr__(self, "atom", finite("atom", complex(self.atom)))
         if self.kind == "semicircle" and self.variance <= 0:
             raise ValueError("semicircle variance must be positive")
-        if int(self.quad_nodes) < 2:
-            raise ValueError("need at least two quadrature nodes")
-        object.__setattr__(self, "quad_nodes", int(self.quad_nodes))
 
     def _G(self, b: NcPoint) -> np.ndarray:
         if b.level == 1 and self.kind in ("semicircle", "arcsine"):
             return _scalar_G_closed(self, b.mat)
-        nodes, weights = law_quadrature(self)
+        if self.kind in ("semicircle", "arcsine"):
+            # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
+            c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
+            root, inv_root = principal_sqrt(c2 * np.eye(b.dim) - b.mat @ b.mat)
+            if self.kind == "semicircle":
+                return 2.0 * inverse(b.mat + 1j * root)
+            return -1j * inv_root
+        nodes, weights = ((-1.0, 1.0), (0.5, 0.5)) if self.kind == "bernoulli" else ((self.atom,), (1.0,))
         eye = np.eye(b.dim, dtype=np.complex128)
         g = np.zeros_like(b.mat)
         for s, w in zip(nodes, weights):
@@ -182,37 +184,6 @@ def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape)
 
 
-def law_atoms(law: ScalarLaw):
-    """Exact atoms (nodes, weights) for the purely atomic laws."""
-    if law.kind == "bernoulli":
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    if law.kind == "point_mass":
-        return np.array([law.atom]), np.array([1.0])
-    raise ValueError(f"{law.kind} is not atomic")
-
-
-def law_quadrature(law: ScalarLaw):
-    """Weight-matched Gauss-Chebyshev nodes for the continuous laws.
-
-    Semicircle (variance v, support [-2 sqrt v, 2 sqrt v]) uses the
-    second kind: the sqrt weight is the density itself. Arcsine
-    (support [-2, 2]) uses the first kind for the same reason. Both
-    weight vectors sum to one exactly.
-    """
-    n = law.quad_nodes
-    if law.kind == "semicircle":
-        k = np.arange(1, n + 1)
-        theta = k * np.pi / (n + 1)
-        nodes = 2.0 * np.sqrt(law.variance) * np.cos(theta)
-        weights = 2.0 / (n + 1) * np.sin(theta) ** 2
-        return nodes, weights
-    if law.kind == "arcsine":
-        k = np.arange(1, n + 1)
-        theta = (2 * k - 1) * np.pi / (2 * n)
-        return 2.0 * np.cos(theta), np.full(n, 1.0 / n)
-    return law_atoms(law)
-
-
 def _product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a * c elementwise, rounded as a product of two complex scalars is.
 
@@ -231,9 +202,7 @@ def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
         v = law.variance
         root = _product(np.sqrt(z - 2 * np.sqrt(v)), np.sqrt(z + 2 * np.sqrt(v)))
         return (z - root) / (2 * v)
-    if law.kind == "arcsine":
-        return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
-    raise ValueError(f"no closed form for {law.kind}")
+    return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
 
 
 def _require_upper(b: NcPoint):

@@ -37,6 +37,9 @@ SINGULAR_RATIO = 1e-13
 POS_MARGIN = 1e-10
 # psd_inv_sqrt must satisfy ||S A S - I|| <= this.
 INV_SQRT_TOL = 1e-9
+# principal_sqrt: ||M - I||_F that has converged (a rise below its root is roundoff too)
+SQRT_TOL = 1e-15
+SQRT_STEPS = 100  # principal_sqrt fails after this many steps
 
 
 class NcmetricError(Exception):
@@ -248,6 +251,34 @@ def psd_inv_sqrt(a) -> np.ndarray:
     return herm_part(s)
 
 
+def principal_sqrt(a) -> tuple[np.ndarray, np.ndarray]:
+    """(A^(1/2), A^(-1/2)) with the principal root, per matrix of a stack.
+
+    Product-form Denman-Beavers, one inverse per step (Higham, Functions of
+    Matrices, 2008, eq. 6.17). No eigenvalue of A may lie on (-inf, 0]; one
+    at distance e from it costs about log2(1/e) steps and up to 1e-16 / e
+    of relative accuracy. Each matrix stops on its own, with the bits it
+    gets alone; SingularMatrix if one has not after SQRT_STEPS steps.
+    """
+    a = as_stack(a)
+    x = a.reshape((-1,) + a.shape[-2:]).copy()
+    eye = np.eye(a.shape[-1])
+    m, y = x.copy(), np.broadcast_to(eye, x.shape).astype(np.complex128)
+    prev, live = np.full(len(m), np.inf), np.arange(len(m))
+    for _ in range(SQRT_STEPS):
+        step = (eye + inverse(m[live])) / 2.0
+        x[live] = x[live] @ step
+        y[live] = y[live] @ step
+        m[live] = (eye + m[live]) @ step / 2.0  # (2I + M + M^-1) / 4, no cancelling near M = -I
+        r2 = _fro2(m[live] - eye)
+        done = (r2 <= SQRT_TOL**2) | ((r2 >= prev[live]) & (prev[live] <= SQRT_TOL))
+        prev[live] = r2
+        live = live[~done]
+        if live.size == 0:
+            return x.reshape(a.shape), y.reshape(a.shape)
+    raise SingularMatrix(f"no principal square root: {live.size} matrices unconverged after {SQRT_STEPS} steps")
+
+
 def direct_sum_mats(*mats: np.ndarray) -> np.ndarray:
     """Block-diagonal stack of the given matrices."""
     mats = tuple(as_matrix(m) for m in mats)
@@ -329,6 +360,15 @@ def positive_finite(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def known_keys(obj, keys, what: str):
+    """ValueError unless obj is a JSON object with no key outside keys; it names the first."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON must be an object")
+    extra = [key for key in obj if key not in keys]
+    if extra:
+        raise ValueError(f"malformed {what} JSON field {extra[0]!r}: expected only {', '.join(keys)}")
+
+
 def finite(name: str, value):
     """A real or complex number as it is; ValueError naming it if NaN or infinite."""
     if not cmath.isfinite(value):
@@ -346,8 +386,8 @@ def variant(family: str, tag: str, **field_decoders):
 
     Its JSON is {"variant": tag} plus a key per field, named by the field's
     "json" metadata or else the field. to_json encodes values by type;
-    from_json decodes them by field_decoders (default: as they are) and
-    defaults absent fields that have a default.
+    from_json decodes them by field_decoders (default: as they are),
+    defaults absent fields that have a default and rejects any other key.
     """
 
     def register(cls):
@@ -387,8 +427,9 @@ def from_json(obj, family: str):
     if cls is None:
         raise ValueError(f"unknown {family} variant {tag!r}")
     decoders, kwargs = _TAGS[cls][1], {}
-    for f in fields(cls):
-        key = f.metadata.get("json", f.name)
+    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    known_keys(obj, ("variant", *keys), family)
+    for key, f in keys.items():
         if key in obj:
             decode = decoders.get(f.name)
             try:

@@ -29,6 +29,7 @@ from .matcore import (
     condition_number,
     direct_sum_mats,
     each,
+    finite,
     inverse,
     json_number,
     of_family,
@@ -60,7 +61,7 @@ class Polynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(finite("coeffs", complex(c)) for c in self.coeffs))
 
     def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
         if not self.coeffs:
@@ -86,7 +87,7 @@ class MoebiusBall:
     alpha: complex
 
     def __post_init__(self):
-        a = complex(self.alpha)
+        a = finite("alpha", complex(self.alpha))
         object.__setattr__(self, "alpha", a)
         if abs(a) >= MOEBIUS_ALPHA_MAX:
             raise ValueError(f"|alpha| = {abs(a):.12f} must be < {MOEBIUS_ALPHA_MAX}")
@@ -108,8 +109,8 @@ class CayleyLike:
     gamma: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "gamma", complex(self.gamma))
+        object.__setattr__(self, "beta", finite("beta", complex(self.beta)))
+        object.__setattr__(self, "gamma", finite("gamma", complex(self.gamma)))
 
     def _eval(self, m: np.ndarray, eye: np.ndarray) -> np.ndarray:
         return self.beta * m + self.gamma * eye
@@ -129,8 +130,8 @@ class ScalarCalculus:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "coeffs", tuple(finite("coeffs", complex(c)) for c in self.coeffs))
+        object.__setattr__(self, "radius", finite("radius", float(self.radius)))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 

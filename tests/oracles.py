@@ -97,6 +97,17 @@ def arcsine_G(z: complex) -> complex:
     return 1.0 / (np.sqrt(z - 2.0) * np.sqrt(z + 2.0))
 
 
+def semicircle_G_prime(z: complex, variance: float = 1.0) -> complex:
+    # differentiate v g^2 - z g + 1 = 0
+    g = semicircle_G(z, variance)
+    return g / (2.0 * variance * g - z)
+
+
+def arcsine_G_prime(z: complex) -> complex:
+    # g = (z^2 - 4)^(-1/2)
+    return -z * arcsine_G(z) ** 3
+
+
 def bernoulli_G(z: complex) -> complex:
     return 0.5 * (1.0 / (z - 1.0) + 1.0 / (z + 1.0))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ncmetric.cli import main
-from ncmetric.domains import NormBound, SpectralDisk, ball_domain
+from ncmetric.domains import BallKernel, NormBound, SpectralDisk, ball_domain
 from ncmetric.matcore import mat_to_json, to_json
 from ncmetric.metric import RAY_TOL
 from ncmetric.ncfunc import MoebiusBall, Polynomial
@@ -588,3 +588,20 @@ def test_a_non_finite_number_flag_is_exit_3_naming_its_field(tmp_path, capsys, f
     captured = capsys.readouterr()
     assert captured.err == f"input error: {message}\n" and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan", "inf", "-inf"])
+def test_a_margin_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, capsys, value):
+    # a negative margin widens the domain the ray search tests, so the
+    # routes disagree: ray 0.8219764 against closed_ball 1.0101010
+    files = {k: _dump(tmp_path, f"{k}.json", point_to_json(point([[0.1]]))) for k in ("a", "c")}
+    files["b"] = _dump(tmp_path, "b.json", mat_to_json(np.array([[1.0]])))
+    files["kernel"] = _dump(tmp_path, "k.json", to_json(BallKernel()))
+    argv = ["delta", *(x for k, path in files.items() for x in (f"--{k}", path))]
+    assert main(argv + [f"--margin={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: --margin must be finite and at least 0, got {float(value)}\n"
+    assert captured.out == ""
+    assert main(argv + ["--margin=0"]) == 0
+    values = [r["value"] for r in json.loads(capsys.readouterr().out)["results"]]
+    assert values == pytest.approx([1.0 / 0.99] * 3, rel=1e-6)

@@ -22,7 +22,6 @@ from ncmetric.freeprob import (
     expectation,
     halfplane_gauge,
     k0_and_fixed_point,
-    law_quadrature,
     make_h0,
     rho_minus_id,
     subordination_solve,
@@ -82,19 +81,66 @@ def test_closed_forms_frozen_to_the_bit():
     assert got.tolist() == [want for _, _, want in cases[2:]]
 
 
-def test_quadrature_route_matches_closed_form():
-    # level 2 diagonal forces the quadrature path
+def test_matrix_level_diagonal_matches_oracles():
+    # a level-2 diagonal point takes the matrix square root route
     law = ScalarLaw("semicircle")
     b = point(np.diag([2j, 0.4 + 1j]))
     g = cauchy_G(law, b)
-    assert complex(g.mat[0, 0]) == pytest.approx(oracles.semicircle_G(2j), abs=1e-8)
-    assert complex(g.mat[1, 1]) == pytest.approx(oracles.semicircle_G(0.4 + 1j), abs=1e-8)
+    assert complex(g.mat[0, 0]) == pytest.approx(oracles.semicircle_G(2j), abs=1e-12)
+    assert complex(g.mat[1, 1]) == pytest.approx(oracles.semicircle_G(0.4 + 1j), abs=1e-12)
 
 
-def test_law_quadrature_weights_sum_to_one():
-    for law in (ScalarLaw("semicircle", 2.0), ScalarLaw("arcsine"), ScalarLaw("bernoulli")):
-        _, weights = law_quadrature(law)
-        assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-13)
+CONTINUOUS = [ScalarLaw("semicircle"), ScalarLaw("semicircle", 2.5), ScalarLaw("arcsine")]
+
+
+def _edge(law):
+    return 2.0 * math.sqrt(law.variance) if law.kind == "semicircle" else 2.0
+
+
+def _G_prime(law, z):
+    if law.kind == "semicircle":
+        return oracles.semicircle_G_prime(z, law.variance)
+    return oracles.arcsine_G_prime(z)
+
+
+@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
+def test_matrix_levels_respect_direct_sums(law):
+    # G(kron(I_k, z)) = kron(I_k, G(z)) down to Im z = 1e-4, edge rows included
+    for y in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
+        for x in (0.0, 0.3, -0.7, 0.995 * _edge(law), -0.995 * _edge(law)):
+            z = x + 1j * y
+            g1 = complex(cauchy_G(law, _scalar(z)).mat[0, 0])
+            for k in (2, 3, 4):
+                gk = cauchy_G(law, point(z * np.eye(k))).mat
+                assert np.abs(gk - g1 * np.eye(k)).max() <= 1e-12, (x, y, k)
+
+
+@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
+def test_jordan_block_corner_is_the_derivative(law):
+    # G([[z, e], [0, z]]) = [[g, e g'], [0, g]]; |e| = Im z / 2 keeps Im B > 0
+    for y in (1.0, 1e-2, 1e-4):
+        for x in (0.0, 0.5 * _edge(law), 0.995 * _edge(law), -0.995 * _edge(law)):
+            z = x + 1j * y
+            e = y / 2
+            corner = complex(cauchy_G(law, point(np.array([[z, e], [0.0, z]]))).mat[0, 1])
+            assert abs(corner - e * _G_prime(law, z)) <= 1e-12, (x, y)
+
+
+def test_matrix_level_transforms_solve_their_equations():
+    # semicircle: v G^2 - B G + I = 0; arcsine: G^2 (B^2 - 4) = I
+    rng = _rng(60)
+    eye = np.eye(4)
+    for _ in range(20):
+        re = rng.standard_normal((4, 4))
+        im = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        b = (re + re.T) / 2 + 1j * (im @ im.conj().T / 4 + 0.3 * eye)
+        for law in CONTINUOUS:
+            g = cauchy_G(law, point(b)).mat
+            if law.kind == "semicircle":
+                residual = law.variance * g @ g - b @ g + eye
+            else:
+                residual = g @ g @ (b @ b - 4.0 * eye) - eye
+            assert np.abs(residual).max() <= 1e-12
 
 
 def test_scalar_law_validation():
@@ -315,7 +361,8 @@ def test_stacked_transforms_equal_per_point():
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     cases = [
         (ScalarLaw("semicircle"), 1, 1),
-        (ScalarLaw("arcsine"), 1, 2),  # level 2: the quadrature route
+        (ScalarLaw("arcsine"), 1, 2),  # level 2: the matrix square root route
+        (ScalarLaw("semicircle", 2.5), 1, 2),
         (ScalarLaw("bernoulli"), 1, 3),
         (MatrixModel((h + h.conj().T) / 4, (2, 4)), 6, 2),
     ]

@@ -28,6 +28,7 @@ from ncmetric.matcore import (
     mat_from_json,
     mat_to_json,
     operator_norm,
+    principal_sqrt,
     psd_inv_sqrt,
 )
 
@@ -118,6 +119,42 @@ def test_psd_inv_sqrt_whitens():
 def test_psd_inv_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         psd_inv_sqrt(np.diag([1.0, -0.1]))
+
+
+def _off_the_negative_axis(rng, n):
+    # Im B > 0 puts the spectrum of 4 - B^2 off (-inf, 0]
+    b = _hermitian(rng, n, 2.0) + 1j * (_hermitian(rng, n, 0.3) @ _hermitian(rng, n, 0.3) + 0.01 * np.eye(n))
+    return 4.0 * np.eye(n) - b @ b
+
+
+def test_principal_sqrt_squares_back_and_inverts():
+    rng = _rng(31)
+    for n in (1, 2, 4, 6):
+        a = _off_the_negative_axis(rng, n)
+        root, inv_root = principal_sqrt(a)
+        np.testing.assert_allclose(root @ root, a, atol=1e-12 * np.abs(a).max())
+        np.testing.assert_allclose(root @ inv_root, np.eye(n), atol=1e-12)
+        # the principal root has its spectrum in the right half-plane
+        assert (np.linalg.eigvals(root).real > 0).all()
+    # either side of the cut takes its own branch
+    d = np.array([4.0, -4.0 + 1e-3j, -4.0 - 1e-3j, 0.5j])
+    np.testing.assert_allclose(principal_sqrt(np.diag(d))[0], np.diag(np.sqrt(d)), atol=1e-12)
+
+
+def test_principal_sqrt_stack_rows_equal_single_matrices():
+    rng = _rng(32)
+    stack = np.stack([_off_the_negative_axis(rng, 3) for _ in range(5)] + [np.eye(3)])
+    before = stack.copy()
+    root, inv_root = principal_sqrt(stack)
+    np.testing.assert_array_equal(stack, before)
+    for k, a in enumerate(stack):
+        np.testing.assert_array_equal(root[k], principal_sqrt(a)[0])
+        np.testing.assert_array_equal(inv_root[k], principal_sqrt(a)[1])
+
+
+def test_principal_sqrt_raises_on_the_negative_axis():
+    with pytest.raises(SingularMatrix, match="no principal square root"):
+        principal_sqrt(np.diag([1.0, -4.0]))
 
 
 def test_herm_imag_parts_split():

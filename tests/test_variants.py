@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncmetric
 from ncmetric.cli import main
@@ -95,7 +97,7 @@ def test_every_variant_round_trips_through_json(cls):
 def test_tagged_json_keeps_its_wire_format():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert to_json(ScalarLaw("point_mass", atom=1.5)) == {
-        "variant": "scalar_law", "law": "point_mass", "variance": 1.0, "atom": [1.5, 0.0], "quad_nodes": 256,
+        "variant": "scalar_law", "law": "point_mass", "variance": 1.0, "atom": [1.5, 0.0],
     }
     assert to_json(SpectralDisk(0.3 - 0.1j, 1.5, NormBound("level", 2.0))) == {
         "variant": "spectral_disk", "center": [0.3, -0.1], "radius": 1.5,
@@ -118,15 +120,17 @@ def test_tagged_json_keeps_its_wire_format():
 
 _DISK = {"variant": "spectral_disk", "center": [0, 0], "radius": 0.5, "norm_bound": {"rule": "constant"}}
 _X = mat_to_json(np.diag([1.0, -1.0]))
-# a number or integer field given a JSON value of another type: (family, object, field)
+# a number or integer field given a JSON value of another type, or a key
+# the variant does not have: (family, object, field)
 MISTYPED = [
     ("model", {"variant": "matrix_model", "x": _X, "blocks": "11"}, "blocks"),
-    ("model", {"variant": "scalar_law", "law": "semicircle", "quad_nodes": 2.9}, "quad_nodes"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "quad_nodes": 256}, "quad_nodes"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "variance": "4"}, "variance"),
     ("cp-map", {"variant": "scalar_power", "t": True}, "t"),
     ("domain", _DISK | {"radius": "0.5"}, "radius"),
     ("domain", _DISK | {"norm_bound": {"rule": "constant", "value": True}}, "norm_bound"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "variance": 10**400}, "variance"),
+    ("model", {"variant": "scalar_law", "law": "semicircle", "varience": 4.0}, "varience"),
 ]
 
 
@@ -152,7 +156,12 @@ MISTYPED = [
         ({"variant": "matrix_model", "x": {"rows": 1}, "blocks": [1]}, "model", "malformed matrix JSON"),
         ({"variant": "kraus_augment", "vs": None}, "cp-map", "malformed cp-map JSON"),
     ]
-    + [(obj, family, f"malformed {family} JSON field {key!r}: expected") for family, obj, key in MISTYPED],
+    + [(obj, family, f"malformed {family} JSON field {key!r}: expected") for family, obj, key in MISTYPED]
+    + [
+        (_DISK | {"norm_bound": {"rule": "level", "vaule": 2.0}}, "domain",
+         "malformed norm_bound JSON field 'vaule': expected only rule, value"),
+        (_DISK | {"norm_bound": [1.0]}, "domain", "norm_bound JSON must be an object"),
+    ],
 )
 def test_malformed_json_is_a_value_error(obj, family, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -193,6 +202,7 @@ def test_a_tag_from_another_family_is_exit_3(tmp_path, capsys, argv, flag, obj, 
 
 
 _FAMILY_ARGV = {
+    "function": ["contract", "--src", "D", "--dst", "D", "--function"],
     "model": ["convolve", "--rho-t", "2", "--xmin", "-1", "--xmax", "1", "--points", "3", "--model"],
     "cp-map": ["convolve", "--law", "bernoulli", "--xmin", "-1", "--xmax", "1", "--points", "3", "--rho"],
     "domain": ["distance", "--a", "A", "--c", "A", "--domain"],
@@ -223,6 +233,24 @@ def test_a_field_of_the_wrong_json_type_is_exit_3(tmp_path, capsys, argv, obj):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "family, obj, key",
+    [
+        # read as its default, this typo printed the variance-1 density and exited 0
+        ("model", {"variant": "scalar_law", "law": "semicircle", "varience": 4.0}, "varience"),
+        ("domain", _DISK | {"norm_bound": {"rule": "level", "vaule": 2.0}}, "vaule"),
+        ("function", {"variant": "polynomial", "coeffs": [], "degree": 0}, "degree"),
+    ],
+)
+def test_an_unknown_key_is_exit_3_naming_it(tmp_path, capsys, family, obj, key):
+    files = {"A": _dump(tmp_path, "a.json", _A), "D": _dump(tmp_path, "d.json", to_json(ball_domain()))}
+    argv = [files.get(x, x) for x in _FAMILY_ARGV[family]]
+    assert main(argv + [_dump(tmp_path, "obj.json", obj)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and f"field {key!r}: expected only " in captured.err
+    assert captured.out == ""
+
+
 # a number field given NaN or an infinity, which Python's JSON reader
 # accepts: (family, object, the error naming the field)
 NON_FINITE = [
@@ -235,6 +263,16 @@ NON_FINITE = [
     ("model", {"variant": "scalar_law", "law": "point_mass", "atom": [0.0, float("nan")]},
      "atom must be finite, got nanj"),
     ("cp-map", {"variant": "scalar_power", "t": float("inf")}, "t must be finite, got inf"),
+    ("function", {"variant": "polynomial", "coeffs": [[float("nan"), 0.0]]}, "coeffs must be finite, got (nan+0j)"),
+    ("function", {"variant": "moebius_ball", "alpha": [float("inf"), 0.0]}, "alpha must be finite, got (inf+0j)"),
+    ("function", {"variant": "cayley_like", "beta": [float("nan"), 0.0], "gamma": [0.0, 0.0]},
+     "beta must be finite, got (nan+0j)"),
+    ("function", {"variant": "cayley_like", "beta": [1.0, 0.0], "gamma": [0.0, float("-inf")]},
+     "gamma must be finite, got -infj"),
+    ("function", {"variant": "scalar_calculus", "coeffs": [[0.0, float("nan")]], "radius": 1.0},
+     "coeffs must be finite, got nanj"),
+    ("function", {"variant": "scalar_calculus", "coeffs": [[1.0, 0.0]], "radius": float("inf")},
+     "radius must be finite, got inf"),
 ]
 
 
@@ -242,13 +280,68 @@ NON_FINITE = [
 def test_a_non_finite_number_field_is_exit_3_naming_its_field(tmp_path, capsys, family, obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         from_json(obj, family)
-    argv = [{"A": _dump(tmp_path, "a.json", _A)}.get(x, x) for x in _FAMILY_ARGV[family]]
+    files = {"A": _dump(tmp_path, "a.json", _A), "D": _dump(tmp_path, "d.json", to_json(ball_domain()))}
+    argv = [files.get(x, x) for x in _FAMILY_ARGV[family]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + [_dump(tmp_path, "obj.json", obj)]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("input error: ") and message in captured.err
     assert captured.out == ""
+
+
+def _sites(value, path=()):
+    """(kind, path) of every object ("object") and number ("number") in a JSON value."""
+    if isinstance(value, dict):
+        yield "object", path
+        for key, item in value.items():
+            yield from _sites(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _sites(item, path + (k,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield "number", path
+
+
+def _at(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
+_WIRE = [(PACKAGE_VARIANTS[cls], to_json(obj)) for cls in EXAMPLES for obj in EXAMPLES[cls]]
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), True, "0.5", 10**400]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_one_mutation_of_valid_json_is_decoded_or_named(data):
+    # one extra key, dropped key or bad number in a valid object: from_json
+    # returns or raises a ValueError naming the key, and never warns
+    family, wire = data.draw(st.sampled_from(_WIRE))
+    obj = json.loads(json.dumps(wire))
+    kind, path = data.draw(st.sampled_from(list(_sites(obj))))
+    target = _at(obj, path)
+    mutation = "number" if kind == "number" else data.draw(st.sampled_from(["extra", "drop"]))
+    if mutation == "number":
+        _at(obj, path[:-1])[path[-1]] = data.draw(st.sampled_from(_BAD_NUMBERS))
+        # a number inside a matrix is named by the field that holds the matrix
+        named = [step for step in path if isinstance(step, str)]
+    elif mutation == "extra":
+        named = [data.draw(st.sampled_from(["quad_nodes", "varience", "value2"]))]
+        target[named[0]] = 1.0
+    else:
+        named = [data.draw(st.sampled_from(sorted(target)))]
+        del target[named[0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            from_json(obj, family)
+        except ValueError as exc:
+            assert any(re.search(rf"\b{re.escape(key)}\b", str(exc)) for key in named), (str(exc), path)
+            return
+    # what may decode: a dropped optional key, or an extra key in a matrix
+    assert mutation == "drop" or (mutation == "extra" and "variant" not in target and path[-1:] != ("norm_bound",))
 
 
 def test_every_registered_tag_is_in_schemas():
