@@ -108,6 +108,7 @@ from .freeprob import (
     halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
+    picard_ratio,
     subordination_solve,
     support_interval,
 )

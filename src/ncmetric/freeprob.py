@@ -7,14 +7,18 @@ normalized trace onto block-scalar matrices) and a ScalarLaw
 summed exactly, continuous laws use their closed forms at every
 level, through a principal matrix square root above level one).
 
-subordination_solve iterates w -> b + (rho - Id) h(w) from w0 = b
-with adaptive damping and keeps a full trace: residuals, consecutive
-ratios, and the contraction certificate driven by eps0 = lambda_min(Im b).
-The transforms take stacks of points (..., n, n); density_grid solves
-all its grid rows as one stack, each row on its own trajectory.
+subordination_solve solves w = b + (rho - Id) h(w) from w0 = b by
+Newton's method in the coordinates of the model algebra, with a plain
+Picard step wherever a Newton step would leave the half-plane, and
+keeps a trace: residuals, Picard step count, and the contraction bound
+driven by eps0 = lambda_min(Im b). picard_ratio measures the plain
+Picard contraction near a solution, which that bound bounds. The
+transforms take stacks of points (..., n, n); density_grid solves all
+its grid rows as one stack, each row on its own trajectory.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
-model's _G(b) is its Cauchy transform, behind cauchy_G's checks; a cp
+model's _G(b) is its Cauchy transform, behind cauchy_G's checks, and
+_dG(b, dirs) its exact derivative at b in each direction of dirs; a cp
 map's _minus_id(m, level) applies rho - Id per matrix of a stack, and
 its _validate(model) raises ValueError unless it acts on the model.
 """
@@ -110,6 +114,10 @@ class MatrixModel:
     def _G(self, b: NcPoint) -> np.ndarray:
         return expectation(self, inverse(b.mat - np.kron(np.eye(b.level), self.x)))
 
+    def _dG(self, b: NcPoint, dirs: np.ndarray) -> np.ndarray:
+        r = inverse(b.mat - np.kron(np.eye(b.level), self.x))[..., None, :, :]
+        return -expectation(self, r @ dirs @ r)
+
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
 
@@ -143,12 +151,38 @@ class ScalarLaw:
             if self.kind == "semicircle":
                 return 2.0 * inverse(b.mat + 1j * root)
             return -1j * inv_root
-        nodes, weights = ((-1.0, 1.0), (0.5, 0.5)) if self.kind == "bernoulli" else ((self.atom,), (1.0,))
         eye = np.eye(b.dim, dtype=np.complex128)
         g = np.zeros_like(b.mat)
-        for s, w in zip(nodes, weights):
+        for s, w in self._atoms():
             g = g + w * inverse(b.mat - s * eye)
         return g
+
+    def _dG(self, b: NcPoint, dirs: np.ndarray) -> np.ndarray:
+        if b.level == 1 and self.kind in ("semicircle", "arcsine"):
+            z = b.mat
+            g = _scalar_G_closed(self, z)
+            if self.kind == "semicircle":
+                dg = g / (2.0 * self.variance * g - z)  # differentiate v g^2 - z g + 1 = 0
+            else:
+                dg = -_product(z, _product(g, _product(g, g)))  # g = (z^2 - 4)^(-1/2)
+            return dg[..., None, :, :] * dirs
+        if self.kind in ("semicircle", "arcsine"):
+            # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
+            n = b.dim
+            big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
+            big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
+            big[..., :n, n:] = dirs
+            return self._G(NcPoint(1, 2 * b.level, big))[..., :n, n:]
+        eye = np.eye(b.dim, dtype=np.complex128)
+        dg = np.zeros(b.mat.shape[:-2] + dirs.shape, dtype=np.complex128)
+        for s, w in self._atoms():
+            r = inverse(b.mat - s * eye)[..., None, :, :]
+            dg = dg - w * (r @ dirs @ r)
+        return dg
+
+    def _atoms(self):
+        """(node, weight) pairs of an atomic law."""
+        return ((-1.0, 0.5), (1.0, 0.5)) if self.kind == "bernoulli" else ((self.atom, 1.0),)
 
 
 def _block_slices(blocks):
@@ -166,6 +200,32 @@ def _trace(m: np.ndarray, axis1: int = -2, axis2: int = -1):
     return np.ascontiguousarray(np.diagonal(m, axis1=axis1, axis2=axis2)).sum(-1)
 
 
+def _coords(blocks, m: np.ndarray) -> np.ndarray:
+    """m's coordinates in the model algebra, per matrix of a stack (..., n d, n d).
+
+    Entry [..., i, j, k] is the normalized trace of partition block k of
+    level block (i, j): the coefficient of kron(E_ij, P_k), with P_k the
+    projection onto block k, when m lies in the algebra. Those basis
+    matrices are orthogonal, so off the algebra this is the orthogonal
+    projection's coordinates.
+    """
+    d = sum(blocks)
+    n = m.shape[-1] // d
+    q = m.reshape(m.shape[:-2] + (n, d, n, d))
+    return np.stack(
+        [_trace(q[..., :, sl, :, sl], -3, -1) / k for sl, k in zip(_block_slices(blocks), blocks)], axis=-1
+    )
+
+
+def _from_coords(blocks, c: np.ndarray) -> np.ndarray:
+    """sum c[..., i, j, k] kron(E_ij, P_k): the inverse of _coords on the algebra."""
+    d, n = sum(blocks), c.shape[-2]
+    out = np.zeros(c.shape[:-3] + (n, d, n, d), dtype=np.complex128)
+    for idx, (sl, k) in enumerate(zip(_block_slices(blocks), blocks)):
+        out[..., :, sl, :, sl] = c[..., idx][..., :, None, :, None] * np.eye(k)[:, None, :]
+    return out.reshape(c.shape[:-3] + (n * d, n * d))
+
+
 def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
     """Apply Id_n (x) E to an (n d) x (n d) matrix, entrywise in levels.
 
@@ -175,13 +235,7 @@ def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
     d = model.base_dim
     if m.shape[-2] != m.shape[-1] or m.shape[-1] % d:
         raise ValueError(f"shape {m.shape} is not a level matrix over base {d}")
-    n = m.shape[-1] // d
-    q = m.reshape(m.shape[:-2] + (n, d, n, d))
-    out = np.zeros_like(q)
-    for sl, k in zip(_block_slices(model.blocks), model.blocks):
-        tr = _trace(q[..., :, sl, :, sl], -3, -1)
-        out[..., :, sl, :, sl] = (tr / k)[..., :, None, :, None] * np.eye(k)[:, None, :]
-    return out.reshape(m.shape)
+    return _from_coords(model.blocks, _coords(model.blocks, m))
 
 
 def _product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -201,7 +255,7 @@ def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
     if law.kind == "semicircle":
         v = law.variance
         root = _product(np.sqrt(z - 2 * np.sqrt(v)), np.sqrt(z + 2 * np.sqrt(v)))
-        return (z - root) / (2 * v)
+        return 2.0 / (z + root)  # = (z - root) / 2v, which cancels far from the support
     return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
 
 
@@ -332,27 +386,10 @@ class SolveTrace:
     iterations: int
     converged: bool
     residuals: tuple
-    ratios: tuple
     epsilon0: float
     omega_im_min: float
     contraction_bound: float | None
-    tail_ratio: float | None
-    certificate_ok: bool
-    damping_events: int = 0
-
-
-def _ratios(residuals: np.ndarray) -> np.ndarray:
-    """r_(k+1) / r_k over the consecutive residuals with r_k > 0."""
-    r0, r1 = residuals[:-1], residuals[1:]
-    return r1[r0 > 0.0] / r0[r0 > 0.0]
-
-
-def _tail_ratio(ratios: np.ndarray) -> float | None:
-    usable = ratios[-10:]
-    usable = usable[(usable > 0.0) & (usable < 10.0)]
-    if not usable.size:
-        return None
-    return float(np.exp(np.mean(np.log(usable))))
+    picard_steps: int
 
 
 def _contraction_bound(eps0: float, im_eigs: np.ndarray) -> float | None:
@@ -374,77 +411,79 @@ def _check_budget(tol: float, max_iter: int):
     positive_finite("tol", tol)
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """||m||_F of each matrix of a stack (N, n, n), by the strided dot products of np.linalg.norm."""
+    flat = m.reshape(len(m), -1)
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
+def _picard(model, rho, b: NcPoint, w: np.ndarray):
+    """F(w) and the Picard update b + (rho - Id) h(w), per point of the stack w."""
+    f, h = F_and_h(model, NcPoint(b.base_dim, b.level, w))
+    return f.mat, b.mat + rho_minus_id(model, rho, h.mat, b.level)
+
+
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     """Solve w = b + (rho - Id) h(w) for every point of the stack b (N, n, n).
 
+    Newton's method on Phi(w) = b + (rho - Id) h(w) - w over the model
+    algebra, spanned by kron(E_ij, P_k) (see _coords): its Jacobian has
+    columns coords(DPhi[B_j]), with Dh[e] = -F DG[e] F - e and DG from
+    the model's _dG. A row whose Newton point would come within
+    im_floor = eps0 / 10 of the half-plane's edge takes the plain Picard
+    point instead, which stays inside; that step is the globally
+    convergent one. A row stops at its Picard update once the residual
+    ||update - w||_F is at most tol.
+
     One loop advances all rows that have not converged yet, with one
-    stacked transform evaluation per iteration. Each row keeps its own
-    state (step size, previous update and residual, eps0, damping
-    count), so it takes exactly the steps, and reaches exactly the
-    values, that it reaches when solved alone. Returns the stack of
-    final iterates and a _StackTrace of all rows; unconverged rows are
-    reported, not raised.
+    stacked transform and derivative evaluation per iteration. Each row
+    keeps its own state, so it takes exactly the steps, and reaches
+    exactly the values, that it reaches when solved alone. Returns the
+    stack of final iterates and a _StackTrace of all rows; unconverged
+    rows are reported, not raised.
     """
     validate_rho(model, rho)
     _require_upper(b)
     bm = b.mat
-    n_rows, entries = bm.shape[0], bm.shape[-1] ** 2
+    n_rows, level, blocks = bm.shape[0], b.level, model.blocks
+    m = level * level * len(blocks)
 
     def at(mats):
-        return NcPoint(b.base_dim, b.level, mats)
+        return NcPoint(b.base_dim, level, mats)
+
+    basis = _from_coords(blocks, np.eye(m).reshape(m, level, level, len(blocks)))
 
     eps0 = herm_eigvals(imag_part(bm))[:, 0]
     im_floor = 0.1 * eps0
     w = bm.copy()
-    prev_g = np.empty_like(bm)
-    prev_f = np.empty_like(bm)
-    has_prev = np.zeros(n_rows, dtype=bool)
-    last_r = np.full(n_rows, np.nan)
-    alpha = np.ones(n_rows)
-    damping = np.zeros(n_rows, dtype=int)
+    picard = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     active = np.arange(n_rows)
     steps = []  # (active rows, their residuals) per iteration
     for _ in range(max_iter):
-        if not active.size:
-            break
         wa = w[active]
-        _, h = F_and_h(model, at(wa))
-        upd = bm[active] + rho_minus_id(model, rho, h.mat, b.level)
+        f, upd = _picard(model, rho, at(bm[active]), wa)
         lam = herm_eigvals(imag_part(upd))[:, 0]
         eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
-        f = upd - wa
-        # np.linalg.norm of each row: the same strided dot products
-        re, im = f.real.reshape(active.size, entries), f.imag.reshape(active.size, entries)
-        r = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+        r = _frobenius(upd - wa)
         steps.append((active, r))
         done = r <= tol
         w[active[done]] = upd[done]
         converged[active[done]] = True
         go = ~done
-        active, wa, upd, f, r = active[go], wa[go], upd[go], f[go], r[go]
-        grew = r > last_r[active]
-        damping[active] += grew
-        alpha[active] = np.where(grew, np.maximum(alpha[active] / 2.0, 1.0 / 64.0), 1.0)
-        cand = wa + alpha[active][:, None, None] * f
-        # secant extrapolation of the fixed-point update, where it stays
-        # properly inside the half-plane
-        sec = np.flatnonzero(~grew & has_prev[active])
-        if sec.size:
-            df = (f[sec] - prev_f[active[sec]]).reshape(sec.size, entries)
-            den = np.vecdot(df, df).real
-            pos = den > 0.0
-            sec = sec[pos]
-            gamma = np.vecdot(df[pos], f[sec].reshape(sec.size, entries)) / den[pos]
-            near = np.hypot(gamma.real, gamma.imag) <= 8.0
-            sec, gamma = sec[near], gamma[near]
-            trial = upd[sec] - gamma[:, None, None] * (upd[sec] - prev_g[active[sec]])
-            inside = herm_eigvals(imag_part(trial))[:, 0] > im_floor[active[sec]]
-            cand[sec[inside]] = trial[inside]
-        prev_g[active], prev_f[active] = upd, f
-        has_prev[active] = True
-        last_r[active] = r
-        w[active] = cand
+        active, wa, upd, f = active[go], wa[go], upd[go], f[go]
+        if not active.size:
+            break
+        f4 = f[:, None]
+        dh = -(f4 @ model._dG(at(wa), basis) @ f4) - basis
+        jac = _coords(blocks, rho_minus_id(model, rho, dh, level) - basis).reshape(active.size, m, m)
+        phi = _coords(blocks, upd - wa).reshape(active.size, m, 1)
+        # jac[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is its transpose
+        delta = -(inverse(jac.mT) @ phi)
+        cand = wa + _from_coords(blocks, delta.reshape(active.size, level, level, len(blocks)))
+        newton = herm_eigvals(imag_part(cand))[:, 0] > im_floor[active]
+        w[active] = np.where(newton[:, None, None], cand, upd)
+        picard[active] += ~newton
     # the loop leaves each iterate's half-plane check to the next
     # cauchy_G; the iterates returned get theirs here
     _require_upper(at(w))
@@ -454,7 +493,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     counts = np.bincount(visits, minlength=n_rows).tolist()
     residuals = tuple(flat[end - n : end] for n, end in zip(counts, itertools.accumulate(counts)))
     im_eigs = herm_eigvals(imag_part(w))
-    return at(w), _StackTrace(residuals, converged, eps0, im_eigs, damping)
+    return at(w), _StackTrace(residuals, converged, eps0, im_eigs, picard)
 
 
 @dataclass(frozen=True)
@@ -462,38 +501,29 @@ class _StackTrace:
     """The trace of every row of a stacked solve, kept in arrays.
 
     Rows become Python objects only as far as a caller asks: a grid row
-    needs its last residual, tail ratio and bound, a single solve its
-    full SolveTrace. (Building every row's residual and ratio tuples
-    grows the allocator's arenas over many grids.)
+    needs its last residual and bound, a single solve its full
+    SolveTrace. (Building every row's residual tuple grows the
+    allocator's arenas over many grids.)
     """
 
     residuals: tuple  # one array per row
     converged: np.ndarray
     epsilon0: np.ndarray
     im_eigs: np.ndarray  # ascending eigenvalues of Im omega, per row
-    damping: np.ndarray
+    picard_steps: np.ndarray
 
     def contraction_bound(self, i: int) -> float | None:
         return _contraction_bound(self.epsilon0[i], self.im_eigs[i])
 
-    def tail_ratio(self, i: int) -> float | None:
-        return _tail_ratio(_ratios(self.residuals[i]))
-
     def row(self, i: int) -> SolveTrace:
-        ratios = _ratios(self.residuals[i])
-        bound = self.contraction_bound(i)
-        tail = _tail_ratio(ratios)
         return SolveTrace(
             iterations=self.residuals[i].size,
             converged=bool(self.converged[i]),
             residuals=tuple(self.residuals[i].tolist()),
-            ratios=tuple(ratios.tolist()),
             epsilon0=float(self.epsilon0[i]),
             omega_im_min=float(self.im_eigs[i, 0]),
-            contraction_bound=bound,
-            tail_ratio=tail,
-            certificate_ok=bool(tail is None or (bound is not None and tail <= bound + 0.05)),
-            damping_events=int(self.damping[i]),
+            contraction_bound=self.contraction_bound(i),
+            picard_steps=int(self.picard_steps[i]),
         )
 
 
@@ -506,18 +536,18 @@ def subordination_solve(
 ) -> tuple[NcPoint, SolveTrace]:
     """Solve w = b + (rho - Id) h(w) from w0 = b.
 
-    The base step is damped Picard (step halved after a residual
-    increase, reset on decrease); when two consecutive residual
-    vectors are available, a secant extrapolation of the fixed-point
-    update is preferred, guarded so the iterate stays properly inside
-    the half-plane. The extrapolation is what keeps the iteration
-    count flat near spectral edges, where the plain Picard factor
-    crawls toward one.
+    Newton's method over the model algebra, with the exact derivative
+    of the model's Cauchy transform; a step whose Newton point would
+    leave the half-plane (lambda_min(Im) <= eps0 / 10) is a plain
+    Picard step instead, and the trace counts those. The iteration
+    ends at the Picard update once the residual ||g(w_k) - w_k||_F is
+    at most tol.
 
-    The trace records full-step residuals ||g(w_k) - w_k|| and their
-    ratios, and the contraction certificate against
+    The trace records those residuals and the contraction bound
     ||1 - eps0 (Im omega)^(-1)|| with eps0 = lambda_min(Im b),
-    refreshed only downward along Im h0(w_k) as a roundoff guard.
+    refreshed only downward along Im h0(w_k) as a roundoff guard. The
+    bound bounds the plain Picard map's contraction near omega, which
+    picard_ratio measures.
 
     Raises MaxIterExceeded (carrying the best iterate and trace) when
     the budget runs out, and ValueError when max_iter < 1 or tol is not
@@ -536,6 +566,26 @@ def subordination_solve(
     return w, trace
 
 
+def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
+    """Residual ratio r_4 / r_3 of four plain Picard steps.
+
+    The steps iterate w -> b + (rho - Id) h(w) from omega + 1e-3 i Im omega,
+    near the solution omega of that map, so the ratio measures the map's
+    contraction there: the quantity that contraction_bound bounds.
+    b and omega may hold stacks of points; then one ratio per point.
+    """
+    stack = NcPoint(b.base_dim, b.level, b.mat.reshape((-1,) + b.mat.shape[-2:]))
+    w = omega.mat.reshape(stack.mat.shape)
+    w = w + 1e-3j * imag_part(w)
+    r = []
+    for _ in range(4):
+        _, upd = _picard(model, rho, stack, w)
+        r.append(_frobenius(upd - w))
+        w = upd
+    ratio = r[-1] / r[-2]
+    return float(ratio[0]) if b.mat.ndim == 2 else ratio
+
+
 def convolved_G(model, rho, b: NcPoint, tol: float = 1e-10, max_iter: int = 200) -> NcPoint:
     """Cauchy transform of the rho-convolved model: G_rho(b) = G(omega(b))."""
     omega, _ = subordination_solve(model, rho, b, tol=tol, max_iter=max_iter)
@@ -549,7 +599,6 @@ class DensityRow:
     residual: float
     iterations: int
     converged: bool
-    tail_ratio: float | None
     contraction_bound: float | None
 
 
@@ -572,7 +621,6 @@ def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
             residual=float(traces.residuals[i][-1]),
             iterations=traces.residuals[i].size,
             converged=bool(traces.converged[i]),
-            tail_ratio=traces.tail_ratio(i),
             contraction_bound=traces.contraction_bound(i),
         )
         for i, (x, dens) in enumerate(zip(xs, density))

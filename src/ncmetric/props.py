@@ -59,6 +59,7 @@ from .freeprob import (
     halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
+    picard_ratio,
     subordination_solve,
 )
 from .matcore import (
@@ -738,6 +739,10 @@ def check_omega_direct_sum(rng):
     return 2, worst
 
 
+# a Picard ratio below this is ~0: compared with it, a bound tests nothing
+PICARD_RATIO_FLOOR = 0.01
+
+
 @_check(0.0)
 def check_subordination_certificate(rng):
     worst = -float("inf")
@@ -747,27 +752,30 @@ def check_subordination_certificate(rng):
         rho = ScalarPower(t)
         zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 2.0)) for _ in range(5)]
         pts = [(point(np.array([[z]])),) for z in zs]
-        for tail, bound in _sample_outcomes(pts, partial(_certificates, law, rho), "sample"):
-            if tail is not None and bound is not None:
-                worst = max(worst, tail - bound - 0.05)
+        for ratio, bound in _sample_outcomes(pts, partial(_certificates, law, rho), "sample"):
+            if not ratio > PICARD_RATIO_FLOOR:
+                worst = math.inf  # a ratio of ~0 would pass any bound
+            elif bound is not None:
+                worst = max(worst, ratio - bound - 0.05)
             n += 1
     return n, worst
 
 
 def _certificates(law, rho, b: NcPoint, name: str) -> list:
-    """(tail ratio, contraction bound) of subordination_solve at each point of b.
+    """(Picard ratio near the solution, contraction bound) at each point of b.
 
     A stack is solved in one lockstep solve, whose rows equal
     subordination_solve's; a row that does not converge fails the
     stack, which is then solved point by point.
     """
     if b.mat.ndim == 2:
-        _, trace = subordination_solve(law, rho, b)
-        return [(trace.tail_ratio, trace.contraction_bound)]
-    _, traces = _solve_stack(law, rho, b, tol=1e-10, max_iter=200)  # subordination_solve's defaults
+        omega, trace = subordination_solve(law, rho, b)
+        return [(picard_ratio(law, rho, b, omega), trace.contraction_bound)]
+    omega, traces = _solve_stack(law, rho, b, tol=1e-10, max_iter=200)  # subordination_solve's defaults
     if not traces.converged.all():
         raise MaxIterExceeded("a stacked solve did not converge")
-    return [(traces.tail_ratio(i), traces.contraction_bound(i)) for i in range(len(b.mat))]
+    ratios = picard_ratio(law, rho, b, omega)
+    return [(float(ratios[i]), traces.contraction_bound(i)) for i in range(len(b.mat))]
 
 
 def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:

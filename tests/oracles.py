@@ -87,10 +87,12 @@ def poly_delta(coeffs, a, c, b) -> np.ndarray:
 
 
 def semicircle_G(z: complex, variance: float = 1.0) -> complex:
-    # factored square roots keep the branch right on all of C+
-    return (z - np.sqrt(z - 2 * np.sqrt(variance)) * np.sqrt(z + 2 * np.sqrt(variance))) / (
-        2.0 * variance
-    )
+    # factored square roots keep the branch right on all of C+; G is the
+    # root of v g^2 - z g + 1 = 0 that decays, 1 / (v g_big) by Vieta, where
+    # g_big = (z + s) / 2v does not cancel (z - s would, far from the support)
+    s = np.sqrt(z - 2 * np.sqrt(variance)) * np.sqrt(z + 2 * np.sqrt(variance))
+    g_big = (z + s) / (2.0 * variance)
+    return 1.0 / (variance * g_big)
 
 
 def arcsine_G(z: complex) -> complex:

@@ -13,6 +13,8 @@ from ncmetric.metric import RAY_TOL
 from ncmetric.ncfunc import MoebiusBall, Polynomial
 from ncmetric.ncpoint import point, point_to_json
 
+import oracles
+
 
 def _near_ray_values(new, old, terms=1):
     # old values were sums of `terms` ray-search midpoints below 1, each
@@ -299,32 +301,36 @@ _EDGE_GRID = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-2.48
 
 
 def test_convolve_frozen_outputs(tmp_path, capsys):
-    # x = +-1.99 hit the 200-iteration cap; rows are solved as one stack
+    # rows are solved as one stack; x = +-1.99 lie just inside the edge
     assert main(_EDGE_GRID) == 0
-    assert capsys.readouterr().out == (
+    out = capsys.readouterr().out
+    assert out == (
         "x,density,residual,iterations\n"
-        "-2.4875,0.0002447053634463249,1.4033321350868907e-12,6\n"
-        "-2.23875,0.0006999697662214808,8.453862563689851e-15,7\n"
-        "-1.9899999999999998,0.39694807698790574,0.025256281802215667,200\n"
-        "-1.74125,0.32351859740351974,2.2443863712672982e-10,19\n"
-        "-1.4925,0.2390910460968562,6.830100329045282e-12,16\n"
-        "-1.24375,0.20323265466746743,7.380344584625571e-10,14\n"
-        "-0.9950000000000001,0.183471469629943,5.953959248944283e-11,18\n"
-        "-0.7462500000000001,0.17154360227235904,1.9076784904469936e-15,19\n"
-        "-0.49750000000000005,0.16431986490658998,1.0867282472665e-10,17\n"
-        "-0.24875000000000025,0.16040038532550513,2.5210501783828628e-14,20\n"
-        "0.0,0.15915492319753127,1.4344081478157023e-12,21\n"
-        "0.2487499999999998,0.16040038532550513,2.476388869408259e-14,20\n"
-        "0.4974999999999996,0.16431986490658998,1.0867239827916104e-10,17\n"
-        "0.7462499999999999,0.17154360227235907,1.6662594659381951e-15,19\n"
-        "0.9949999999999997,0.18347146962994298,5.953959904600757e-11,18\n"
-        "1.24375,0.20323265466746743,7.380344584625571e-10,14\n"
-        "1.4924999999999997,0.23909104609685608,6.830188156363464e-12,16\n"
-        "1.74125,0.32351859740351974,2.2443863712672982e-10,19\n"
-        "1.9899999999999993,0.3969480769878374,0.02525628180222178,200\n"
-        "2.2387499999999996,0.0006999697662214827,8.232309156372408e-15,7\n"
-        "2.4875,0.0002447053634463249,1.4033321350868907e-12,6\n"
+        "-2.4875,0.0002447053634489269,2.168404344971009e-19,5\n"
+        "-2.23875,0.0006999697662206094,5.805291386649429e-14,5\n"
+        "-1.9899999999999998,1.5876199246460634,5.139020917890341e-11,11\n"
+        "-1.74125,0.32351859749519274,3.2671507653874523e-15,14\n"
+        "-1.4925,0.23909104609617163,3.627732227871349e-11,14\n"
+        "-1.24375,0.20323265460012518,5.661048867003676e-16,15\n"
+        "-0.9950000000000001,0.1834714696329472,3.3766115072321297e-16,15\n"
+        "-0.7462500000000001,0.17154360227235907,1.4271872719387392e-15,15\n"
+        "-0.49750000000000005,0.16431986490573272,7.583725362331457e-15,15\n"
+        "-0.24875000000000025,0.16040038532550524,1.852351991380454e-14,15\n"
+        "0.0,0.1591549231975312,2.353672812205332e-14,15\n"
+        "0.2487499999999998,0.16040038532550524,1.814884115864914e-14,15\n"
+        "0.4974999999999996,0.16431986490573272,7.953074325917342e-15,15\n"
+        "0.7462499999999999,0.17154360227235904,1.7527816313752602e-15,15\n"
+        "0.9949999999999997,0.1834714696329471,2.482534153247273e-16,15\n"
+        "1.24375,0.20323265460012518,5.661048867003676e-16,15\n"
+        "1.4924999999999997,0.23909104609617163,3.627724721661178e-11,14\n"
+        "1.74125,0.32351859749519274,3.2671507653874523e-15,14\n"
+        "1.9899999999999993,1.587619924646021,5.139012315545001e-11,11\n"
+        "2.2387499999999996,0.0006999697662206113,5.827447922107811e-14,5\n"
+        "2.4875,0.0002447053634489269,2.168404344971009e-19,5\n"
     )
+    for line in out.splitlines()[1:]:
+        x, density = (float(v) for v in line.split(",")[:2])
+        assert density == pytest.approx(-oracles.arcsine_G(complex(x, 1e-3)).imag / math.pi, abs=1e-8)
     x = np.array(
         [
             [0.5, 0.3 + 0.2j, 0.0, 0.1 - 0.4j],
@@ -341,20 +347,20 @@ def test_convolve_frozen_outputs(tmp_path, capsys):
             "--points", "11", "--eps", "1e-2", "--out", str(out)]
     assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537492318241, "out": str(out), "points": 11}
+    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537493310884, "out": str(out), "points": 11}
     assert out.read_text() == (
         "x,density,residual,iterations\n"
-        "-2.5,0.0009658976717463215,1.1562260097237215e-10,7\n"
-        "-2.0,0.0024757786742740542,6.30082012876211e-11,8\n"
-        "-1.5,0.2706971929740646,2.1606164508769293e-11,11\n"
-        "-1.0,0.6011828819844276,2.371506568982594e-10,32\n"
-        "-0.5,0.2305806574329097,9.508008020713658e-10,25\n"
-        "0.0,0.2168339949239346,6.980088387542008e-10,32\n"
-        "0.5,0.2926725382250874,5.787788674927259e-10,39\n"
-        "1.0,0.3175327192036879,1.4793813448228997e-11,15\n"
-        "1.5,0.009119950256902695,3.157863408449888e-11,9\n"
-        "2.0,0.0015614986958025353,5.13446884370044e-10,7\n"
-        "2.5,0.0007346745133682786,1.475684164753706e-11,7\n"
+        "-2.5,0.0009658976717162007,6.298408043515735e-16,4\n"
+        "-2.0,0.0024757786742132418,1.3182594094393014e-12,4\n"
+        "-1.5,0.27069719311861834,3.70466329259627e-11,6\n"
+        "-1.0,0.6011828819901833,5.620075719058478e-16,9\n"
+        "-0.5,0.230580657469326,2.2273741348820406e-15,10\n"
+        "0.0,0.2168339949320015,2.6078612148880595e-16,11\n"
+        "0.5,0.2926725382281191,1.0182930236715204e-15,10\n"
+        "1.0,0.3175327192067037,8.671119018262734e-16,9\n"
+        "1.5,0.00911995025504365,2.4532694666933987e-18,5\n"
+        "2.0,0.0015614986954261283,1.0158372415228895e-15,4\n"
+        "2.5,0.000734674513367171,5.485677294651096e-18,4\n"
     )
 
 
@@ -417,8 +423,8 @@ _PROPS_SEED_7 = (
     "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
     "resolvent_negative_imag,15,-0.13644779290040385,0.0,pass\n"
     "expectation_axioms,10,1.5334541241777669e-15,1e-12,pass\n"
-    "omega_direct_sum,2,4.742874840267547e-16,1e-08,pass\n"
-    "subordination_certificate,15,-0.1857726786375472,0.0,pass\n"
+    "omega_direct_sum,2,4.577566798522237e-16,1e-08,pass\n"
+    "subordination_certificate,15,-0.049954804862694394,0.0,pass\n"
     "schwarz_pick_h0,14,-2.2035758674422412e-12,0.0,pass\n"
     "imh_decay,8,-0.0006863095266754762,0.0,pass\n"
     "gauge_matches_delta,15,3.1086244689504383e-15,1e-10,pass\n"

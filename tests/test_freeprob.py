@@ -23,6 +23,7 @@ from ncmetric.freeprob import (
     halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
+    picard_ratio,
     rho_minus_id,
     subordination_solve,
     support_interval,
@@ -69,8 +70,8 @@ def test_scalar_closed_forms_match_oracles():
 def test_closed_forms_frozen_to_the_bit():
     # at these points a fused complex multiply changes the last bit
     cases = [
-        (ScalarLaw("semicircle", 1.3), 2.74 + 0.287j, 0.4487544707749498 - 0.0818646017529056j),
-        (ScalarLaw("semicircle", 1.3), 2.84 + 0.323j, 0.42190274648595455 - 0.07818155737541531j),
+        (ScalarLaw("semicircle", 1.3), 1.15 + 0.347j, 0.3659231084110736 - 0.6393523210556116j),
+        (ScalarLaw("semicircle", 1.3), 1.87 + 0.197j, 0.6141064756593898 - 0.44262247754864703j),
         (ScalarLaw("arcsine"), -0.4 + 0.075j, -0.003977450553683344 - 0.5098904693429489j),
         (ScalarLaw("arcsine"), -0.13 + 0.105j, -0.0017099660670827485 - 0.5003588267548204j),
     ]
@@ -79,6 +80,14 @@ def test_closed_forms_frozen_to_the_bit():
     stack = NcPoint(1, 1, np.array([[[z]] for _, z, _ in cases[2:]]))
     got = cauchy_G(ScalarLaw("arcsine"), stack).mat[:, 0, 0]
     assert got.tolist() == [want for _, _, want in cases[2:]]
+
+
+def test_semicircle_far_from_the_support_does_not_cancel():
+    z = 1e6 + 1j
+    got = complex(cauchy_G(ScalarLaw("semicircle"), _scalar(z)).mat[0, 0])
+    want = oracles.semicircle_G(z)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    assert abs(want - (1 / z + 1 / z**3)) <= 1e-12 * abs(want)  # the Laurent series
 
 
 def test_matrix_level_diagonal_matches_oracles():
@@ -124,6 +133,65 @@ def test_jordan_block_corner_is_the_derivative(law):
             e = y / 2
             corner = complex(cauchy_G(law, point(np.array([[z, e], [0.0, z]]))).mat[0, 1])
             assert abs(corner - e * _G_prime(law, z)) <= 1e-12, (x, y)
+
+
+def _G_oracle(law, z):
+    if law.kind == "semicircle":
+        return oracles.semicircle_G(z, law.variance)
+    return oracles.arcsine_G(z)
+
+
+_UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)  # E_11, E_12, E_21, E_22
+
+
+@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
+def test_continuous_dG_matches_the_derivative_oracles(law):
+    zs = [0.3 + 1.0j, -0.995 * _edge(law) + 1e-3j, 2.0 * _edge(law) + 0.5j]
+    # level 1: DG(z)[e] = g'(z) e
+    got = law._dG(NcPoint(1, 1, np.array(zs)[:, None, None]), np.ones((1, 1, 1)))
+    for z, dg in zip(zs, got[:, 0, 0, 0]):
+        want = _G_prime(law, z)
+        assert abs(dg - want) <= 1e-12 * max(1.0, abs(want)), z
+    # level 2 at diag(z1, z2): DG[E_ij] = c_ij E_ij, with c_ii = g'(z_i) and
+    # c_12 = c_21 the divided difference of g
+    for z1, z2 in ((zs[0], zs[1]), (zs[1], zs[2])):
+        dd = (_G_oracle(law, z1) - _G_oracle(law, z2)) / (z1 - z2)
+        coeff = np.array([_G_prime(law, z1), dd, dd, _G_prime(law, z2)])
+        got = law._dG(point(np.diag([z1, z2])), _UNITS)
+        want = coeff[:, None, None] * _UNITS
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (z1, z2)
+
+
+def _block_corner(model, b, dirs):
+    # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
+    n = b.dim
+    big = np.zeros((len(dirs), 2 * n, 2 * n), dtype=complex)
+    big[:, :n, :n] = big[:, n:, n:] = b.mat
+    big[:, :n, n:] = dirs
+    return model._G(NcPoint(b.base_dim, 2 * b.level, big))[:, :n, n:]
+
+
+def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
+    rng = _rng(61)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = [  # (model, base dim, (node, weight) pairs of an atomic law)
+        (ScalarLaw("bernoulli"), 1, ((-1.0, 0.5), (1.0, 0.5))),
+        (ScalarLaw("point_mass", atom=0.3 - 0.2j), 1, ((0.3 - 0.2j, 1.0),)),
+        (MatrixModel((h + h.conj().T) / 4, (2, 4)), 6, ()),
+    ]
+    for model, d, atoms in cases:
+        for level in (1, 2):
+            b = halfplane_point(rng, level, d, im_floor=0.2)
+            n = b.dim
+            dirs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+            got = model._dG(NcPoint(d, level, b.mat[None]), dirs)[0]
+            np.testing.assert_allclose(got, _block_corner(model, b, dirs), rtol=0, atol=1e-12)
+            if atoms:
+                want = np.zeros_like(got)
+                for s, w in atoms:
+                    r = np.linalg.inv(b.mat - s * np.eye(n))
+                    want -= w * (r @ dirs @ r)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_matrix_level_transforms_solve_their_equations():
@@ -227,12 +295,14 @@ def test_semicircle_power_adds_variance():
 
 
 def test_solver_certificate_fields():
-    _, trace = subordination_solve(ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(3j))
+    law, rho, b = ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(3j)
+    omega, trace = subordination_solve(law, rho, b)
     assert trace.epsilon0 == pytest.approx(3.0, abs=1e-9)
     assert trace.contraction_bound is not None and 0.0 < trace.contraction_bound < 1.0
-    assert trace.certificate_ok
-    if trace.tail_ratio is not None:
-        assert trace.tail_ratio <= trace.contraction_bound + 0.05
+    ratio = picard_ratio(law, rho, b, omega)
+    # a ratio near 0 would pass any bound; for bernoulli it equals the bound
+    assert 0.01 < ratio <= trace.contraction_bound + 0.05
+    assert ratio == pytest.approx(trace.contraction_bound, abs=1e-3)
     assert trace.omega_im_min > trace.epsilon0 - 1e-9
 
 
@@ -313,7 +383,6 @@ def _one_row(model, rho, x, eps, tol=1e-9, max_iter=200):
         residual=float(trace.residuals[-1]),
         iterations=trace.iterations,
         converged=trace.converged,
-        tail_ratio=trace.tail_ratio,
         contraction_bound=trace.contraction_bound,
     )
 
@@ -328,7 +397,7 @@ _X4 = np.array(
 )
 
 GRIDS = {
-    # x = +-1.99 are grid points and hit the 200-iteration cap
+    # x = +-1.99 are grid points just inside the support's edge
     "bernoulli_edge": (ScalarLaw("bernoulli"), ScalarPower(2.0), 2.4875, 21, 1e-3),
     "semicircle": (ScalarLaw("semicircle"), ScalarPower(2.5), 3.6, 25, 3e-3),
     "arcsine": (ScalarLaw("arcsine"), ScalarPower(1.5), 3.0, 25, 1e-2),
@@ -344,16 +413,55 @@ GRIDS = {
 }
 
 
+def test_omega_matches_the_bernoulli_oracle_up_to_the_edge():
+    law, rho = ScalarLaw("bernoulli"), ScalarPower(2.0)
+    for z in (3j, 0.5 + 0.01j, 1.99 + 1e-3j, -1.99 + 1e-3j, 2.2 + 1e-3j, 1e-3j):
+        omega, trace = subordination_solve(law, rho, _scalar(z))
+        assert trace.iterations <= 15, z
+        assert complex(omega.mat[0, 0]) == pytest.approx(oracles.bernoulli_power2_omega(z), abs=1e-8)
+
+
+@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
+def test_level_two_solve_is_the_direct_sum_of_level_one_solves(law):
+    # Newton at level 2 takes DG from the block identity, at level 1 from g'
+    rho, z1, z2 = ScalarPower(2.0), 0.3 + 0.2j, -1.1 + 0.05j
+    w1, _ = subordination_solve(law, rho, _scalar(z1))
+    w2, _ = subordination_solve(law, rho, _scalar(z2))
+    w, trace = subordination_solve(law, rho, point(np.diag([z1, z2])))
+    assert trace.iterations <= 10
+    np.testing.assert_allclose(w.mat, np.diag([w1.mat[0, 0], w2.mat[0, 0]]), rtol=0, atol=1e-12)
+
+
+def test_readme_grid_converges_in_every_row():
+    res = density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -2.5, 2.5, points=501, eps=1e-3)
+    assert all(r.converged for r in res.rows)
+    assert sum(r.iterations for r in res.rows) <= 6400
+    worst = max(abs(r.density + oracles.arcsine_G(complex(r.x, 1e-3)).imag / math.pi) for r in res.rows)
+    assert worst <= 1e-8
+
+
+def test_matrix_model_rows_take_picard_steps_where_newton_leaves():
+    model, rho, half, points, eps = GRIDS["matrix_power"]
+    traces = [
+        subordination_solve(model, rho, NcPoint(4, 1, (x + 1j * eps) * np.eye(4)), tol=1e-9)[1]
+        for x in np.linspace(-half, half, points)
+    ]
+    assert sum(t.picard_steps for t in traces) > 0
+    assert max(t.iterations for t in traces) <= 20
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_stacked_grid_rows_equal_one_row_solves(name):
     model, rho, half, points, eps = GRIDS[name]
     res = density_grid(model, rho, -half, half, points=points, eps=eps)
     want = tuple(_one_row(model, rho, x, eps) for x in np.linspace(-half, half, points))
     assert res.rows == want
+    assert all(r.converged for r in res.rows)
     if name == "bernoulli_edge":
-        capped = [r.x for r in res.rows if not r.converged]
-        assert capped == pytest.approx([-1.99, 1.99])
-        assert all(r.iterations == 200 for r in res.rows if not r.converged)
+        edge = [r for r in res.rows if abs(abs(r.x) - 1.99) < 1e-9]
+        assert len(edge) == 2
+        for r in edge:
+            assert r.density == pytest.approx(-oracles.arcsine_G(complex(r.x, eps)).imag / math.pi, abs=1e-8)
 
 
 def test_stacked_transforms_equal_per_point():
