@@ -17,15 +17,17 @@ transforms take stacks of points (..., n, n); density_grid solves all
 its grid rows as one stack, each row on its own trajectory.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
-model's _G(b) is its Cauchy transform, behind cauchy_G's checks, and
-_dG(b, dirs) its exact derivative at b in each direction of dirs; a cp
-map's _minus_id(m, level) applies rho - Id per matrix of a stack, and
-its _validate(model) raises ValueError unless it acts on the model.
+model's _G(b) is its Cauchy transform, and _G_dG(b, dirs) gives G(b)
+together with its exact derivative at b in each direction of dirs, from
+one resolvent (b - X)^(-1), one per atom of a discrete law, or one
+closed form of a continuous law at level one; cauchy_G and the solver
+take either behind the same checks. A cp map's _minus_id(m, level)
+applies rho - Id per matrix of a stack, and its _validate(model) raises
+ValueError unless it acts on the model.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,11 +114,12 @@ class MatrixModel:
         return self.x.shape[0]
 
     def _G(self, b: NcPoint) -> np.ndarray:
-        return expectation(self, inverse(b.mat - np.kron(np.eye(b.level), self.x)))
+        return expectation(self, inverse(b.mat - _lift(self.x, b.level)))
 
-    def _dG(self, b: NcPoint, dirs: np.ndarray) -> np.ndarray:
-        r = inverse(b.mat - np.kron(np.eye(b.level), self.x))[..., None, :, :]
-        return -expectation(self, r @ dirs @ r)
+    def _G_dG(self, b: NcPoint, dirs: np.ndarray):
+        r = inverse(b.mat - _lift(self.x, b.level))
+        r4 = r[..., None, :, :]
+        return expectation(self, r), -expectation(self, r4 @ dirs @ r4)
 
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
@@ -142,47 +145,50 @@ class ScalarLaw:
             raise ValueError("semicircle variance must be positive")
 
     def _G(self, b: NcPoint) -> np.ndarray:
-        if b.level == 1 and self.kind in ("semicircle", "arcsine"):
+        if self.kind not in ("semicircle", "arcsine"):
+            return sum(w * r for w, r in self._resolvents(b))
+        if b.level == 1:
             return _scalar_G_closed(self, b.mat)
-        if self.kind in ("semicircle", "arcsine"):
-            # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
-            c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
-            root, inv_root = principal_sqrt(c2 * np.eye(b.dim) - b.mat @ b.mat)
-            if self.kind == "semicircle":
-                return 2.0 * inverse(b.mat + 1j * root)
-            return -1j * inv_root
-        eye = np.eye(b.dim, dtype=np.complex128)
-        g = np.zeros_like(b.mat)
-        for s, w in self._atoms():
-            g = g + w * inverse(b.mat - s * eye)
-        return g
+        # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
+        c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
+        root, inv_root = principal_sqrt(c2 * np.eye(b.dim) - b.mat @ b.mat)
+        if self.kind == "semicircle":
+            return 2.0 * inverse(b.mat + 1j * root)
+        return -1j * inv_root
 
-    def _dG(self, b: NcPoint, dirs: np.ndarray) -> np.ndarray:
-        if b.level == 1 and self.kind in ("semicircle", "arcsine"):
+    def _G_dG(self, b: NcPoint, dirs: np.ndarray):
+        if self.kind not in ("semicircle", "arcsine"):
+            rs = self._resolvents(b)
+            dg = np.zeros(b.mat.shape[:-2] + dirs.shape, dtype=np.complex128)
+            for w, r in rs:
+                r = r[..., None, :, :]
+                dg = dg - w * (r @ dirs @ r)
+            return sum(w * r for w, r in rs), dg
+        if b.level == 1:
             z = b.mat
             g = _scalar_G_closed(self, z)
             if self.kind == "semicircle":
                 dg = g / (2.0 * self.variance * g - z)  # differentiate v g^2 - z g + 1 = 0
             else:
                 dg = -_product(z, _product(g, _product(g, g)))  # g = (z^2 - 4)^(-1/2)
-            return dg[..., None, :, :] * dirs
-        if self.kind in ("semicircle", "arcsine"):
-            # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
-            n = b.dim
-            big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
-            big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
-            big[..., :n, n:] = dirs
-            return self._G(NcPoint(1, 2 * b.level, big))[..., :n, n:]
-        eye = np.eye(b.dim, dtype=np.complex128)
-        dg = np.zeros(b.mat.shape[:-2] + dirs.shape, dtype=np.complex128)
-        for s, w in self._atoms():
-            r = inverse(b.mat - s * eye)[..., None, :, :]
-            dg = dg - w * (r @ dirs @ r)
-        return dg
+            return g, dg[..., None, :, :] * dirs
+        # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
+        n = b.dim
+        big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
+        big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
+        big[..., :n, n:] = dirs
+        return self._G(b), self._G(NcPoint(1, 2 * b.level, big))[..., :n, n:]
 
-    def _atoms(self):
-        """(node, weight) pairs of an atomic law."""
-        return ((-1.0, 0.5), (1.0, 0.5)) if self.kind == "bernoulli" else ((self.atom, 1.0),)
+    def _resolvents(self, b: NcPoint) -> list:
+        """(weight, (b - node)^(-1)) per atom of an atomic law."""
+        atoms = ((-1.0, 0.5), (1.0, 0.5)) if self.kind == "bernoulli" else ((self.atom, 1.0),)
+        eye = np.eye(b.dim, dtype=np.complex128)
+        return [(w, inverse(b.mat - s * eye)) for s, w in atoms]
+
+
+def _lift(m: np.ndarray, level: int) -> np.ndarray:
+    """kron(I_level, m), which is m itself at level one."""
+    return m if level == 1 else np.kron(np.eye(level), m)
 
 
 def _block_slices(blocks):
@@ -270,32 +276,34 @@ def _require_upper(b: NcPoint):
         )
 
 
+def _transform(model, b: NcPoint, dirs=None):
+    """G(b) behind cauchy_G's checks, with DG(b)[dirs] from the same evaluation (None without dirs)."""
+    if b.base_dim != model.base_dim:
+        raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
+    _require_upper(b)
+    try:
+        g, dg = (model._G(b), None) if dirs is None else model._G_dG(b, dirs)
+    except SingularMatrix as exc:
+        raise SingularResolvent(str(exc)) from None
+    if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
+        raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
+    return g, dg
+
+
 def cauchy_G(model, b: NcPoint) -> NcPoint:
     """G(b) = (Id (x) E)[(b - X)^(-1)] for b strictly in the half-plane.
 
     b may hold a stack of points; each gets the checks a single point
     gets, and a check that fails on any point raises.
     """
-    if b.base_dim != model.base_dim:
-        raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
-    _require_upper(b)
+    return NcPoint(b.base_dim, b.level, _transform(model, b)[0])
+
+
+def _F_h(model, b: NcPoint, dirs=None):
+    """F(b), h(b) and _transform's DG(b)[dirs], behind the checks of F_and_h."""
+    g, dg = _transform(model, b, dirs)
     try:
-        g = model._G(b)
-    except SingularMatrix as exc:
-        raise SingularResolvent(str(exc)) from None
-    if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
-        raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
-    return NcPoint(b.base_dim, b.level, g)
-
-
-def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
-    """F = G^(-1) and h = F - b; Im h stays (numerically) nonnegative.
-
-    Stacks are taken per point, as in cauchy_G.
-    """
-    g = cauchy_G(model, b)
-    try:
-        f = inverse(g.mat)
+        f = inverse(g)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
     h = f - b.mat
@@ -304,6 +312,15 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
             "Im h dropped below zero beyond roundoff; "
             "b is likely outside the half-plane of the block algebra"
         )
+    return f, h, dg
+
+
+def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
+    """F = G^(-1) and h = F - b; Im h stays (numerically) nonnegative.
+
+    Stacks are taken per point, as in cauchy_G.
+    """
+    f, h, _ = _F_h(model, b)
     return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, h)
 
 
@@ -350,7 +367,7 @@ class KrausAugment:
     def _minus_id(self, m: np.ndarray, level: int) -> np.ndarray:
         out = np.zeros_like(m)
         for v in self.vs:
-            big = np.kron(np.eye(level), v)
+            big = _lift(v, level)
             out = out + big.conj().T @ m @ big
         return out
 
@@ -392,19 +409,6 @@ class SolveTrace:
     picard_steps: int
 
 
-def _contraction_bound(eps0: float, im_eigs: np.ndarray) -> float | None:
-    """||1 - eps0 (Im omega)^(-1)||, the provable per-step factor.
-
-    im_eigs are the ascending eigenvalues of Im omega. For scalar fibers
-    this is 1 - eps0 / Im omega. The operator form is the one the
-    Schwarz-Pick derivation actually yields; collapsing the norm onto
-    lambda_min only works when Im omega is a scalar.
-    """
-    if im_eigs[0] <= 0:
-        return None
-    return float(max(0.0, np.max(np.abs(1.0 - eps0 / im_eigs))))
-
-
 def _check_budget(tol: float, max_iter: int):
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -417,10 +421,10 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _picard(model, rho, b: NcPoint, w: np.ndarray):
-    """F(w) and the Picard update b + (rho - Id) h(w), per point of the stack w."""
-    f, h = F_and_h(model, NcPoint(b.base_dim, b.level, w))
-    return f.mat, b.mat + rho_minus_id(model, rho, h.mat, b.level)
+def _picard(model, rho, b: NcPoint, w: np.ndarray, dirs=None):
+    """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs] (see _F_h), per point of the stack w."""
+    f, h, dg = _F_h(model, NcPoint(b.base_dim, b.level, w), dirs)
+    return f, b.mat + rho_minus_id(model, rho, h, b.level), dg
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
@@ -428,16 +432,16 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
 
     Newton's method on Phi(w) = b + (rho - Id) h(w) - w over the model
     algebra, spanned by kron(E_ij, P_k) (see _coords): its Jacobian has
-    columns coords(DPhi[B_j]), with Dh[e] = -F DG[e] F - e and DG from
-    the model's _dG. A row whose Newton point would come within
-    im_floor = eps0 / 10 of the half-plane's edge takes the plain Picard
-    point instead, which stays inside; that step is the globally
-    convergent one. A row stops at its Picard update once the residual
-    ||update - w||_F is at most tol.
+    columns coords(DPhi[B_j]), with Dh[e] = -F DG[e] F - e. A row whose
+    Newton point would come within im_floor = eps0 / 10 of the
+    half-plane's edge takes the plain Picard point instead, which stays
+    inside; that step is the globally convergent one. A row stops at its
+    Picard update once the residual ||update - w||_F is at most tol.
 
-    One loop advances all rows that have not converged yet, with one
-    stacked transform and derivative evaluation per iteration. Each row
-    keeps its own state, so it takes exactly the steps, and reaches
+    One loop advances all rows that have not converged yet. Each
+    iteration makes one stacked call of the model's _G_dG, in which one
+    resolvent per atom (or one closed form) gives both G and DG. Each
+    row keeps its own state, so it takes exactly the steps, and reaches
     exactly the values, that it reaches when solved alone. Returns the
     stack of final iterates and a _StackTrace of all rows; unconverged
     rows are reported, not raised.
@@ -462,7 +466,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     steps = []  # (active rows, their residuals) per iteration
     for _ in range(max_iter):
         wa = w[active]
-        f, upd = _picard(model, rho, at(bm[active]), wa)
+        f, upd, dg = _picard(model, rho, at(bm[active]), wa, basis)
         lam = herm_eigvals(imag_part(upd))[:, 0]
         eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
         r = _frobenius(upd - wa)
@@ -471,11 +475,11 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         w[active[done]] = upd[done]
         converged[active[done]] = True
         go = ~done
-        active, wa, upd, f = active[go], wa[go], upd[go], f[go]
+        active, wa, upd, f, dg = active[go], wa[go], upd[go], f[go], dg[go]
         if not active.size:
             break
         f4 = f[:, None]
-        dh = -(f4 @ model._dG(at(wa), basis) @ f4) - basis
+        dh = -(f4 @ dg @ f4) - basis
         jac = _coords(blocks, rho_minus_id(model, rho, dh, level) - basis).reshape(active.size, m, m)
         phi = _coords(blocks, upd - wa).reshape(active.size, m, 1)
         # jac[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is its transpose
@@ -485,15 +489,12 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         w[active] = np.where(newton[:, None, None], cand, upd)
         picard[active] += ~newton
     # the loop leaves each iterate's half-plane check to the next
-    # cauchy_G; the iterates returned get theirs here
+    # _transform; the iterates returned get theirs here
     _require_upper(at(w))
-    # each row's residuals in iteration order, the rows one after another
     visits = np.concatenate([s[0] for s in steps])
     flat = np.concatenate([s[1] for s in steps])[np.argsort(visits, kind="stable")]
-    counts = np.bincount(visits, minlength=n_rows).tolist()
-    residuals = tuple(flat[end - n : end] for n, end in zip(counts, itertools.accumulate(counts)))
-    im_eigs = herm_eigvals(imag_part(w))
-    return at(w), _StackTrace(residuals, converged, eps0, im_eigs, picard)
+    ends = np.cumsum(np.bincount(visits, minlength=n_rows))
+    return at(w), _StackTrace(flat, ends, converged, eps0, herm_eigvals(imag_part(w)), picard)
 
 
 @dataclass(frozen=True)
@@ -506,23 +507,38 @@ class _StackTrace:
     allocator's arenas over many grids.)
     """
 
-    residuals: tuple  # one array per row
+    residuals: np.ndarray  # each row's residuals in iteration order, the rows one after another
+    ends: np.ndarray  # row i's residuals end at ends[i]; every row has at least one
     converged: np.ndarray
     epsilon0: np.ndarray
     im_eigs: np.ndarray  # ascending eigenvalues of Im omega, per row
     picard_steps: np.ndarray
 
-    def contraction_bound(self, i: int) -> float | None:
-        return _contraction_bound(self.epsilon0[i], self.im_eigs[i])
+    @property
+    def iterations(self) -> np.ndarray:
+        return np.diff(self.ends, prepend=0)
+
+    def contraction_bounds(self) -> list:
+        """||1 - eps0 (Im omega)^(-1)||, the provable per-step factor, per row.
+
+        For scalar fibers this is 1 - eps0 / Im omega. The operator form
+        is the one the Schwarz-Pick derivation actually yields;
+        collapsing the norm onto lambda_min only works when Im omega is
+        a scalar. None for a row with lambda_min(Im omega) <= 0.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.fmax(0.0, np.abs(1.0 - self.epsilon0[:, None] / self.im_eigs).max(-1))
+        return [b if lo > 0 else None for b, lo in zip(bound.tolist(), self.im_eigs[:, 0].tolist())]
 
     def row(self, i: int) -> SolveTrace:
+        residuals = np.split(self.residuals, self.ends[:-1])[i]
         return SolveTrace(
-            iterations=self.residuals[i].size,
+            iterations=residuals.size,
             converged=bool(self.converged[i]),
-            residuals=tuple(self.residuals[i].tolist()),
+            residuals=tuple(residuals.tolist()),
             epsilon0=float(self.epsilon0[i]),
             omega_im_min=float(self.im_eigs[i, 0]),
-            contraction_bound=self.contraction_bound(i),
+            contraction_bound=self.contraction_bounds()[i],
             picard_steps=int(self.picard_steps[i]),
         )
 
@@ -579,7 +595,7 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     w = w + 1e-3j * imag_part(w)
     r = []
     for _ in range(4):
-        _, upd = _picard(model, rho, stack, w)
+        _, upd, _ = _picard(model, rho, stack, w)
         r.append(_frobenius(upd - w))
         w = upd
     ratio = r[-1] / r[-2]
@@ -614,17 +630,8 @@ def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
     g = cauchy_G(model, omega).mat
     density = -(_trace(g) / g.shape[-1]).imag / np.pi
-    return [
-        DensityRow(
-            x=float(x),
-            density=float(dens),
-            residual=float(traces.residuals[i][-1]),
-            iterations=traces.residuals[i].size,
-            converged=bool(traces.converged[i]),
-            contraction_bound=traces.contraction_bound(i),
-        )
-        for i, (x, dens) in enumerate(zip(xs, density))
-    ]
+    columns = (xs, density, traces.residuals[traces.ends - 1], traces.iterations, traces.converged)
+    return list(map(DensityRow, *(c.tolist() for c in columns), traces.contraction_bounds()))
 
 
 def density_grid(

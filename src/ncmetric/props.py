@@ -775,7 +775,7 @@ def _certificates(law, rho, b: NcPoint, name: str) -> list:
     if not traces.converged.all():
         raise MaxIterExceeded("a stacked solve did not converge")
     ratios = picard_ratio(law, rho, b, omega)
-    return [(float(ratios[i]), traces.contraction_bound(i)) for i in range(len(b.mat))]
+    return list(zip(ratios.tolist(), traces.contraction_bounds()))
 
 
 def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:

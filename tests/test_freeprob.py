@@ -148,7 +148,7 @@ _UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)  # E_11, E_12, E_21, E_22
 def test_continuous_dG_matches_the_derivative_oracles(law):
     zs = [0.3 + 1.0j, -0.995 * _edge(law) + 1e-3j, 2.0 * _edge(law) + 0.5j]
     # level 1: DG(z)[e] = g'(z) e
-    got = law._dG(NcPoint(1, 1, np.array(zs)[:, None, None]), np.ones((1, 1, 1)))
+    got = law._G_dG(NcPoint(1, 1, np.array(zs)[:, None, None]), np.ones((1, 1, 1)))[1]
     for z, dg in zip(zs, got[:, 0, 0, 0]):
         want = _G_prime(law, z)
         assert abs(dg - want) <= 1e-12 * max(1.0, abs(want)), z
@@ -157,7 +157,7 @@ def test_continuous_dG_matches_the_derivative_oracles(law):
     for z1, z2 in ((zs[0], zs[1]), (zs[1], zs[2])):
         dd = (_G_oracle(law, z1) - _G_oracle(law, z2)) / (z1 - z2)
         coeff = np.array([_G_prime(law, z1), dd, dd, _G_prime(law, z2)])
-        got = law._dG(point(np.diag([z1, z2])), _UNITS)
+        got = law._G_dG(point(np.diag([z1, z2])), _UNITS)[1]
         want = coeff[:, None, None] * _UNITS
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (z1, z2)
 
@@ -184,7 +184,7 @@ def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
             b = halfplane_point(rng, level, d, im_floor=0.2)
             n = b.dim
             dirs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-            got = model._dG(NcPoint(d, level, b.mat[None]), dirs)[0]
+            got = model._G_dG(NcPoint(d, level, b.mat[None]), dirs)[1][0]
             np.testing.assert_allclose(got, _block_corner(model, b, dirs), rtol=0, atol=1e-12)
             if atoms:
                 want = np.zeros_like(got)
@@ -192,6 +192,24 @@ def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
                     r = np.linalg.inv(b.mat - s * np.eye(n))
                     want -= w * (r @ dirs @ r)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_fused_transform_gives_the_bits_of_the_plain_one():
+    # the Newton loop takes G from _G_dG, cauchy_G takes it from _G
+    rng = _rng(62)
+    h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    cases = [
+        (ScalarLaw("semicircle", 2.5), 1),
+        (ScalarLaw("arcsine"), 1),
+        (ScalarLaw("bernoulli"), 1),
+        (ScalarLaw("point_mass", atom=0.3 - 0.2j), 1),
+        (MatrixModel((h + h.conj().T) / 4, (2, 4)), 6),
+    ]
+    for model, d in cases:
+        for level in (1, 2, 3):
+            b = NcPoint(d, level, np.stack([halfplane_point(rng, level, d, im_floor=0.2).mat for _ in range(3)]))
+            dirs = rng.standard_normal((2, b.dim, b.dim)) + 1j * rng.standard_normal((2, b.dim, b.dim))
+            np.testing.assert_array_equal(model._G_dG(b, dirs)[0], model._G(b))
 
 
 def test_matrix_level_transforms_solve_their_equations():
@@ -464,6 +482,60 @@ def test_stacked_grid_rows_equal_one_row_solves(name):
             assert r.density == pytest.approx(-oracles.arcsine_G(complex(r.x, eps)).imag / math.pi, abs=1e-8)
 
 
+# density_grid(*GRIDS["matrix_power"]) rows as (x, density, residual, iterations)
+_MATRIX_POWER_ROWS = [
+    (-3.0, 0.0002148067927342923, 1.6061187966020413e-13, 4),
+    (-2.7, 0.0003307732941438565, 9.066252222030139e-12, 4),
+    (-2.4, 0.0006227476695359666, 4.441082676824479e-16, 5),
+    (-2.1, 0.0023552597253403487, 2.6838353665061947e-11, 5),
+    (-1.8, 0.3533189838580505, 1.336885555457667e-15, 11),
+    (-1.5, 0.3331230093194394, 5.583176642693209e-12, 16),
+    (-1.2000000000000002, 0.28295976003515383, 2.9668100830751404e-14, 12),
+    (-0.8999999999999999, 0.24826531678520214, 3.1006841635969763e-15, 11),
+    (-0.6000000000000001, 0.23030491330549907, 1.8461109472584935e-15, 11),
+    (-0.30000000000000027, 0.22282289694512813, 2.6649803476333272e-12, 11),
+    (0.0, 0.22332921873386388, 3.387351089013392e-12, 11),
+    (0.2999999999999998, 0.2317236062503139, 6.461226714704378e-10, 9),
+    (0.5999999999999996, 0.24949937028521857, 9.739003948103862e-15, 13),
+    (0.8999999999999999, 0.275538083874381, 2.6781847177975285e-12, 11),
+    (1.2000000000000002, 0.29487584223015534, 1.6404613820521838e-11, 10),
+    (1.5, 0.2963957284917103, 1.2212009176007051e-10, 11),
+    (1.7999999999999998, 0.0040934666596163715, 6.332441666904009e-16, 6),
+    (2.0999999999999996, 0.0006583586121434226, 4.776073834491382e-10, 4),
+    (2.3999999999999995, 0.000334256925720872, 5.059025727348919e-13, 4),
+    (2.7, 0.00021423649971737314, 2.811106680763733e-15, 4),
+    (3.0, 0.000152869303861601, 1.776363298014732e-15, 4),
+]
+
+
+def test_matrix_power_grid_frozen_to_the_bit():
+    model, rho, half, points, eps = GRIDS["matrix_power"]
+    res = density_grid(model, rho, -half, half, points=points, eps=eps)
+    assert [(r.x, r.density, r.residual, r.iterations) for r in res.rows] == _MATRIX_POWER_ROWS
+    assert all(r.converged for r in res.rows)
+
+
+@pytest.mark.parametrize(
+    ("model", "rho", "b", "a", "iterations", "calls"),
+    [
+        (*GRIDS["matrix_power"][:2], NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)), 1, 11, 32),
+        (ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(0.5 + 0.01j), 2, 12, 47),
+        (ScalarLaw("semicircle"), ScalarPower(2.0), _scalar(0.5 + 0.01j), 0, 5, 9),
+    ],
+    ids=["matrix_model", "bernoulli", "semicircle"],
+)
+def test_each_newton_step_inverts_each_resolvent_once(monkeypatch, model, rho, b, a, iterations, calls):
+    # a resolvents give G and DG, then F = G^-1 and the Jacobian's inverse;
+    # the last step converges and builds no Jacobian
+    count = []
+    real = freeprob.inverse
+    monkeypatch.setattr(freeprob, "inverse", lambda m: count.append(1) or real(m))
+    _, trace = subordination_solve(model, rho, b)
+    k = trace.iterations
+    assert (k, len(count)) == (iterations, calls)
+    assert len(count) == (a + 2) * (k - 1) + (a + 1)
+
+
 def test_stacked_transforms_equal_per_point():
     rng = _rng(50)
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -530,10 +602,10 @@ def test_failing_rows_raise_in_grid_order(monkeypatch):
     xs = np.linspace(-1.0, 1.0, 11)
     starts = {complex(x + 1j * eps): i for i, x in enumerate(xs)}
     fail_at = {3: 3, 7: 1}
-    real = freeprob.cauchy_G
+    real = freeprob._transform
     state = {"row": None, "calls": {}}
 
-    def flaky(model, b):
+    def flaky(model, b, dirs=None):
         pts = b.mat.reshape(-1)
         if pts.size > 1:
             rows = [starts[complex(z)] for z in pts] if state["row"] is None else []
@@ -546,9 +618,9 @@ def test_failing_rows_raise_in_grid_order(monkeypatch):
             state["calls"][row] = state["calls"].get(row, 0) + 1
             if state["calls"][row] >= fail_at.get(row, np.inf):
                 raise SingularResolvent(f"planted failure in row {row}")
-        return real(model, b)
+        return real(model, b, dirs)
 
-    monkeypatch.setattr(freeprob, "cauchy_G", flaky)
+    monkeypatch.setattr(freeprob, "_transform", flaky)
     with pytest.raises(SingularResolvent, match="planted failure in row 3$"):
         density_grid(law, rho, -1.0, 1.0, points=11, eps=eps)
     # rows 0-2 were solved alone before row 3 failed
