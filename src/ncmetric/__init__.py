@@ -70,9 +70,7 @@ from .metric import (
     DeltaResult,
     Division,
     DtildeBound,
-    MappingViolation,
     NestingViolation,
-    Path,
     PathBlocked,
     PathBound,
     check_contraction,
@@ -85,7 +83,6 @@ from .metric import (
     delta_ray,
     delta_tilde,
     dtilde_upper,
-    straight_path,
 )
 from .freeprob import (
     DensityResult,

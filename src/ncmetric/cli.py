@@ -46,6 +46,7 @@ from .metric import (
     PathBlocked,
     check_contraction,
     d_upper,
+    delta_auto_tilde,
     delta_closed,
     delta_kernel,
     delta_ray,
@@ -307,8 +308,6 @@ def cmd_counterexample(args) -> int:
     disk = SpectralDisk(0.0, 0.25, NormBound("constant", 1.0))
     rng = rng_stream(args.seed, "counterexample")
     worst = 0.0
-    from .metric import delta_auto_tilde
-
     for _ in range(args.samples):
         lvl = int(rng.integers(1, 3))
         a = selfadjoint_disk_point(rng, lvl, 1, 0.25)

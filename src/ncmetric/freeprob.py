@@ -17,11 +17,13 @@ transforms take stacks of points (..., n, n); density_grid solves all
 its grid rows as one stack, each row on its own trajectory.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
-model's _G(b) is its Cauchy transform, and _G_dG(b, dirs) gives G(b)
-together with its exact derivative at b in each direction of dirs, from
-one resolvent (b - X)^(-1), one per atom of a discrete law, or one
-closed form of a continuous law at level one; cauchy_G and the solver
-take either behind the same checks. A cp map's _minus_id(m, level)
+model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
+the exact derivative at b in each direction of the stack dirs, from one
+resolvent (b - X)^(-1), one per atom of a discrete law, or one closed
+form of a continuous law at level one (above it, the closed form of b
+and of the block points [[b, e], [0, b]]). cauchy_G passes an empty
+stack of directions; it and the solver take the model behind the same
+checks. A cp map's _minus_id(m, level)
 applies rho - Id per matrix of a stack, and its _validate(model) raises
 ValueError unless it acts on the model.
 """
@@ -113,9 +115,6 @@ class MatrixModel:
     def base_dim(self) -> int:
         return self.x.shape[0]
 
-    def _G(self, b: NcPoint) -> np.ndarray:
-        return expectation(self, inverse(b.mat - _lift(self.x, b.level)))
-
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
         r = inverse(b.mat - _lift(self.x, b.level))
         r4 = r[..., None, :, :]
@@ -144,18 +143,6 @@ class ScalarLaw:
         if self.kind == "semicircle" and self.variance <= 0:
             raise ValueError("semicircle variance must be positive")
 
-    def _G(self, b: NcPoint) -> np.ndarray:
-        if self.kind not in ("semicircle", "arcsine"):
-            return sum(w * r for w, r in self._resolvents(b))
-        if b.level == 1:
-            return _scalar_G_closed(self, b.mat)
-        # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
-        c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
-        root, inv_root = principal_sqrt(c2 * np.eye(b.dim) - b.mat @ b.mat)
-        if self.kind == "semicircle":
-            return 2.0 * inverse(b.mat + 1j * root)
-        return -1j * inv_root
-
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
         if self.kind not in ("semicircle", "arcsine"):
             rs = self._resolvents(b)
@@ -177,7 +164,16 @@ class ScalarLaw:
         big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
         big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
         big[..., :n, n:] = dirs
-        return self._G(b), self._G(NcPoint(1, 2 * b.level, big))[..., :n, n:]
+        return self._G_matrix(b.mat), self._G_matrix(big)[..., :n, n:]
+
+    def _G_matrix(self, m: np.ndarray) -> np.ndarray:
+        """A continuous law's G per matrix of a stack, for levels above one."""
+        # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
+        c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
+        root, inv_root = principal_sqrt(c2 * np.eye(m.shape[-1]) - m @ m)
+        if self.kind == "semicircle":
+            return 2.0 * inverse(m + 1j * root)
+        return -1j * inv_root
 
     def _resolvents(self, b: NcPoint) -> list:
         """(weight, (b - node)^(-1)) per atom of an atomic law."""
@@ -277,12 +273,14 @@ def _require_upper(b: NcPoint):
 
 
 def _transform(model, b: NcPoint, dirs=None):
-    """G(b) behind cauchy_G's checks, with DG(b)[dirs] from the same evaluation (None without dirs)."""
+    """G(b) behind cauchy_G's checks, with DG(b)[dirs] from the same evaluation (empty without dirs)."""
     if b.base_dim != model.base_dim:
         raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
     _require_upper(b)
+    if dirs is None:
+        dirs = np.zeros((0, b.dim, b.dim), dtype=np.complex128)
     try:
-        g, dg = (model._G(b), None) if dirs is None else model._G_dG(b, dirs)
+        g, dg = model._G_dG(b, dirs)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
     if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
@@ -710,12 +708,8 @@ class H0Map:
     eps0: float
 
     def __call__(self, w: NcPoint) -> NcPoint:
-        _, h = F_and_h(self.model, w)
-        return NcPoint(
-            w.base_dim,
-            w.level,
-            self.b0_at(w.level) + rho_minus_id(self.model, self.rho, h.mat, w.level),
-        )
+        b0 = NcPoint(w.base_dim, w.level, self.b0_at(w.level))
+        return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, b0, w.mat)[1])
 
     def b0_at(self, level: int) -> np.ndarray:
         if level == self.b0.level:
@@ -741,27 +735,22 @@ class FixedPointResult:
 
 
 def k0_and_fixed_point(
-    h0,
+    h0: H0Map,
     a: NcPoint,
-    eps0: float | None = None,
     tol: float = 1e-10,
     max_iter: int = 500,
     allow_boundary: bool = False,
 ) -> FixedPointResult:
     """Iterate x = a + k0(x) with k0(w) = -h0(-w^(-1))^(-1).
 
-    h0 is an H0Map (or any callable on points, with eps0 passed
-    explicitly). Every k0 value must stay in the ball
+    eps0 is h0.eps0. Every k0 value must stay in the ball
     ||k0 - i/(2 eps0)|| < 1/(2 eps0) + 1e-9, else RangeViolation:
     that ball is what certifies the contraction, so leaving it means
     eps0 was overestimated. a with Im a not strictly positive is only
     accepted under allow_boundary (experimental): the iteration still
     lives in the half-plane because k0 pushes upward.
     """
-    if eps0 is None:
-        if not isinstance(h0, H0Map):
-            raise ValueError("pass eps0 explicitly for a bare-callable h0")
-        eps0 = h0.eps0
+    eps0 = h0.eps0
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
     if not allow_boundary and not is_strictly_positive(imag_part(a.mat), HALF_PLANE_MARGIN):

@@ -11,7 +11,10 @@ take the exact route; only kinds without one search the ray.
 
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
 dtilde_upper gives certified upper bounds on the division distance it
-generates; d_upper estimates the path distance by midpoint quadrature.
+generates; d_upper estimates the distance along the segment from a to c
+by midpoint quadrature. delta_ray, delta_closed, delta_kernel and
+delta_auto take a membership margin; the gauges, the distances and the
+reports test membership at MEMBERSHIP_MARGIN.
 
 Every route takes stacks of points (N, n, n) and directions as well
 as single ones and then returns one result per row, equal to what the
@@ -61,14 +64,12 @@ RAY_GROWTH_CAP = 1e8
 RAY_SHRINK_FLOOR = 1e-12
 # Default relative tolerance on the ray bracket width.
 RAY_TOL = 1e-6
+# compare_nested's slack on k delta~_inner - delta~_outer >= 0.
+NESTING_TOL = 1e-8
 
 
 class PathBlocked(NcmetricError):
     """A quadrature or division point left the domain."""
-
-
-class MappingViolation(NcmetricError):
-    """The function failed to map the source domain into the target."""
 
 
 class NestingViolation(NcmetricError):
@@ -102,26 +103,6 @@ class Division:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2:
             raise ValueError("a division needs at least two points")
-
-
-@dataclass(frozen=True)
-class Path:
-    """Piecewise-linear path: times strictly increasing from 0 to 1."""
-
-    times: tuple
-    points: tuple
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
-        pts = tuple(self.points)
-        object.__setattr__(self, "times", ts)
-        object.__setattr__(self, "points", pts)
-        if len(ts) != len(pts) or len(ts) < 2:
-            raise ValueError("path needs matching times and points, at least two")
-        if ts[0] != 0.0 or ts[-1] != 1.0:
-            raise ValueError("path times must start at 0 and end at 1")
-        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-            raise ValueError("path times must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -206,13 +187,13 @@ def _ray_search(tol: float):
 
     while (1.0 / lo - 1.0 / hi) > tol * max(1.0, 1.0 / hi):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # no float left between them: tol is below roundoff
+            break
         evals += 1
         if (yield mid):
             lo = mid
         else:
             hi = mid
-        if evals > 10_000:  # bisection cannot stall; belt and braces
-            break
     lower, upper = 1.0 / hi, 1.0 / lo
     return DeltaResult(0.5 * (lower + upper), "ray", (lower, upper), evals)
 
@@ -345,12 +326,7 @@ def _tilde_value(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
     return _sqrt_top(herm_part(m))
 
 
-def delta_tilde(
-    kernel_or_kind,
-    a: NcPoint,
-    c: NcPoint,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> DeltaResult | list[DeltaResult]:
+def delta_tilde(kernel_or_kind, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
     """Two-point gauge delta(a, c)(a - c), evaluated from cross grams.
 
     Accepts 'ball' / 'halfplane' or any kernel spec; another string
@@ -366,8 +342,8 @@ def delta_tilde(
         kernel = _CLOSED[kernel][0]
     method = f"closed_{kernel.closed}" if kernel.closed else "kernel"
     dom = KernelDomain(kernel)
-    require_inside(dom, a, margin, "a")
-    require_inside(dom, c, margin, "c")
+    require_inside(dom, a, name="a")
+    require_inside(dom, c, name="c")
     return _results(_tilde_values(kernel, a, c), method, _is_stack(a, c))
 
 
@@ -422,34 +398,26 @@ def delta_auto(
     return _results(values(a, c, b, margin), method, _is_stack(a, c, b))
 
 
-def delta_auto_tilde(
-    domain, a: NcPoint, c: NcPoint, margin: float = MEMBERSHIP_MARGIN
-) -> DeltaResult | list[DeltaResult]:
+def delta_auto_tilde(domain, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
     """delta_auto(domain, a, c, a - c); a kernel domain's by delta_tilde."""
     if domain.kernel is not None:
-        return delta_tilde(domain.kernel, a, c, margin=margin)
-    return delta_auto(domain, a, c, _difference(a, c), margin=margin)
+        return delta_tilde(domain.kernel, a, c)
+    return delta_auto(domain, a, c, _difference(a, c))
 
 
-def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> np.ndarray:
+def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection) -> np.ndarray:
     """delta_auto's values per row of the stacks, for points already known inside."""
-    return _route(domain)[1](a, c, b, margin)
+    return _route(domain)[1](a, c, b, MEMBERSHIP_MARGIN)
 
 
-def _chain_values(domain, x: NcPoint, y: NcPoint, margin: float) -> np.ndarray:
+def _chain_values(domain, x: NcPoint, y: NcPoint) -> np.ndarray:
     """delta_auto_tilde's values per row of the stacks x, y, already known to lie inside."""
     if domain.kernel is not None:
         return _tilde_values(domain.kernel, x, y)
-    return _delta_values(domain, x, y, _difference(x, y), margin)
+    return _delta_values(domain, x, y, _difference(x, y))
 
 
-def dtilde_upper(
-    domain,
-    a: NcPoint,
-    c: NcPoint,
-    refinement_budget: int = 6,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> DtildeBound:
+def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = 6) -> DtildeBound:
     """Upper bound on the division distance between a and c.
 
     Straight-line divisions with 0, 1, 2, 4, ..., 2^refinement_budget
@@ -467,8 +435,8 @@ def dtilde_upper(
         raise ValueError(f"refinement_budget must be at least 0, got {refinement_budget}")
     if a.level != c.level or a.base_dim != c.base_dim:
         raise DimMismatch("endpoints must live at the same level and base")
-    require_inside(domain, a, margin, "a")
-    require_inside(domain, c, margin, "c")
+    require_inside(domain, a, name="a")
+    require_inside(domain, c, name="c")
 
     diagnostics = []
     stage_values = []
@@ -477,17 +445,14 @@ def dtilde_upper(
     for m in counts:
         t = (np.arange(m) + 1) / (m + 1)
         interior = (1.0 - t)[:, None, None] * a.mat + t[:, None, None] * c.mat
-        inside = contains(domain, NcPoint(a.base_dim, a.level, interior), margin)
+        inside = contains(domain, NcPoint(a.base_dim, a.level, interior))
         blocked = (np.flatnonzero(~inside) + 1).tolist()
         if blocked:
             diagnostics.append(f"stage with {m} interior points blocked at indices {blocked}")
             continue
         pts = np.concatenate([a.mat[None], interior, c.mat[None]])
         values = _chain_values(
-            domain,
-            NcPoint(a.base_dim, a.level, pts[:-1]),
-            NcPoint(a.base_dim, a.level, pts[1:]),
-            margin,
+            domain, NcPoint(a.base_dim, a.level, pts[:-1]), NcPoint(a.base_dim, a.level, pts[1:])
         )
         val = float(np.cumsum(values)[-1])  # left to right, not pairwise
         stage_values.append(val)
@@ -503,82 +468,52 @@ def dtilde_upper(
     return DtildeBound(best_val, division, tuple(stage_values), tuple(diagnostics))
 
 
-def straight_path(a: NcPoint, c: NcPoint) -> Path:
-    return Path((0.0, 1.0), (a, c))
+def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = 256) -> PathBound:
+    """Midpoint-rule estimate of the path length along the segment from a to c.
 
-
-def d_upper(
-    domain,
-    a: NcPoint,
-    c: NcPoint,
-    path: Path | None = None,
-    quad_points: int = 256,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> PathBound:
-    """Midpoint-rule estimate of the path length along a piecewise-linear path.
-
-    Composite midpoint quadrature per segment; the chord is the exact
-    derivative of a linear segment, and positive homogeneity of delta
-    absorbs the segment length, so each segment contributes
-    mean_m delta(x_m, x_m)(chord). Each segment's nodes are tested
-    and evaluated as one stack.
+    Composite midpoint quadrature; the chord c - a is the exact
+    derivative of the segment, and positive homogeneity of delta
+    absorbs its length, so the value is mean_m delta(x_m, x_m)(chord).
+    The nodes are tested and evaluated as one stack.
 
     The value is an estimate, not a bound: where delta is convex along
     the segment the midpoint rule reads below the path length (on the
     ball from 0 to 0.5 it gives 0.5333 at 1 node against
     atanh(0.5) = 0.5493). quad_estimate is the difference against a
     half-resolution re-evaluation, and is 0 at quad_points = 1, where
-    both use the same node.
+    both use the same node. a = c gives (0, 0) with no node used.
 
     Raises ValueError when quad_points < 1, and PathBlocked (with the
-    offending parameter) when a quadrature node leaves the domain.
+    offending parameter) when an endpoint or a quadrature node lies
+    outside the domain.
     """
     if quad_points < 1:
         raise ValueError(f"quad_points must be at least 1, got {quad_points}")
-    if path is None:
-        path = straight_path(a, c)
-    scale = max(1.0, operator_norm(a.mat), operator_norm(c.mat))
-    if operator_norm(path.points[0].mat - a.mat) > 1e-10 * scale:
-        raise ValueError("path must start at a")
-    if operator_norm(path.points[-1].mat - c.mat) > 1e-10 * scale:
-        raise ValueError("path must end at c")
-    for t, p in zip(path.times, path.points):
-        if not contains(domain, p, margin).inside:
+    for t, p in ((0.0, a), (1.0, c)):
+        if not contains(domain, p).inside:
             raise PathBlocked(f"path sample at t = {t} is outside the domain")
+    chord = direction(c.mat - a.mat, a.base_dim)
+    if operator_norm(chord.mat) == 0.0:
+        return PathBound(0.0, 0.0, 0)
 
-    def integrate(total_points: int) -> tuple[float, int]:
-        val = 0.0
-        used = 0
-        for (t0, p0), (t1, p1) in zip(
-            zip(path.times, path.points), zip(path.times[1:], path.points[1:])
-        ):
-            q = max(1, round(total_points * (t1 - t0)))
-            chord = direction(p1.mat - p0.mat, a.base_dim)
-            if operator_norm(chord.mat) == 0.0:
-                continue
-            frac = (np.arange(q) + 0.5) / q
-            x = NcPoint(a.base_dim, a.level, p0.mat + frac[:, None, None] * chord.mat)
-            inside = contains(domain, x, margin)
-            if not inside.all():
-                m = int(np.flatnonzero(~inside)[0])
-                raise PathBlocked(
-                    f"quadrature node at t = {t0 + frac[m] * (t1 - t0):.6f} "
-                    "is outside the domain"
-                )
-            # summed left to right, not pairwise as np.sum would
-            seg = np.cumsum(_delta_values(domain, x, x, chord, margin))[-1]
-            val += float(seg) / q
-            used += q
-        return val, used
+    def integrate(q: int) -> float:
+        frac = (np.arange(q) + 0.5) / q
+        x = NcPoint(a.base_dim, a.level, a.mat + frac[:, None, None] * chord.mat)
+        inside = contains(domain, x)
+        if not inside.all():
+            m = int(np.flatnonzero(~inside)[0])
+            raise PathBlocked(f"quadrature node at t = {frac[m]:.6f} is outside the domain")
+        # summed left to right, not pairwise as np.sum would
+        return float(np.cumsum(_delta_values(domain, x, x, chord))[-1]) / q
 
-    value, used = integrate(quad_points)
-    half, _ = integrate(max(1, quad_points // 2))
-    return PathBound(value, abs(value - half), used)
+    value = integrate(quad_points)
+    half = integrate(max(1, quad_points // 2))
+    return PathBound(value, abs(value - half), quad_points)
 
 
-def _members(domain, x: NcPoint, margin: float) -> np.ndarray:
+def _members(domain, x: NcPoint) -> np.ndarray:
     """contains per row of a stack; a single point is one row."""
-    mem = contains(domain, x, margin)
+    mem = contains(domain, x)
     return np.atleast_1d(mem.inside if x.mat.ndim == 2 else mem)
 
 
@@ -626,15 +561,14 @@ def check_contraction(
     triples,
     equality: bool = False,
     tol: float = 1e-8,
-    margin: float = MEMBERSHIP_MARGIN,
-    raise_on_violation: bool = False,
 ) -> dict:
     """Schwarz-Pick check: delta(f(a), f(c))(Delta f(a,c)(b)) <= delta(a, c)(b).
 
     Each triple (a, c, b) must lie in the source domain. Images
-    leaving the target domain are collected as violations (raised as
-    MappingViolation when requested). The report carries the worst
-    excess lhs - rhs, and in equality mode the worst |lhs - rhs|.
+    leaving the target domain are reported as violations, one message
+    per triple in sample order, and make the report not ok. The report
+    carries the worst excess lhs - rhs, and in equality mode the worst
+    |lhs - rhs|.
 
     The triples are evaluated per shape group: one stacked membership
     test of a and of c, one stacked evaluation of f on each, one
@@ -647,10 +581,10 @@ def check_contraction(
 
     def evaluate(a, c, b, name):
         # per row: (lhs, rhs), or the names of the images outside the target
-        require_inside(d_src, a, margin, f"{name} point a")
-        require_inside(d_src, c, margin, f"{name} point c")
+        require_inside(d_src, a, name=f"{name} point a")
+        require_inside(d_src, c, name=f"{name} point c")
         fa, fc = eval_point(f, a), eval_point(f, c)
-        out_a, out_c = ~_members(d_dst, fa, margin), ~_members(d_dst, fc, margin)
+        out_a, out_c = ~_members(d_dst, fa), ~_members(d_dst, fc)
         escaped = [
             ", ".join(img for img, out in (("f(a)", oa), ("f(c)", oc)) if out)
             for oa, oc in zip(out_a, out_c)
@@ -661,18 +595,15 @@ def check_contraction(
         if not keep.all():
             a, c, b, fa, fc = (replace(x, mat=x.mat[keep]) for x in (a, c, b, fa, fc))
         fb = func_delta(f, a, c, b)
-        lhs = _floats(_delta_values(d_dst, fa, fc, fb, margin))
-        pairs = zip(lhs, _floats(_delta_values(d_src, a, c, b, margin)))
+        lhs = _floats(_delta_values(d_dst, fa, fc, fb))
+        pairs = zip(lhs, _floats(_delta_values(d_src, a, c, b)))
         return [e or next(pairs) for e in escaped]
 
     rows = []
     violations = []
     for idx, out in enumerate(_sample_outcomes(triples, evaluate, "sample")):
         if isinstance(out, str):
-            msg = f"sample {idx}: {out} outside the target domain"
-            if raise_on_violation:
-                raise MappingViolation(msg)
-            violations.append(msg)
+            violations.append(f"sample {idx}: {out} outside the target domain")
         else:
             rows.append(out)
     worst_excess = -float("inf")
@@ -693,20 +624,13 @@ def check_contraction(
     return report
 
 
-def compare_nested(
-    d_inner,
-    d_outer,
-    big_m: float,
-    small_m: float,
-    pairs,
-    tol: float = 1e-8,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> dict:
+def compare_nested(d_inner, d_outer, big_m: float, small_m: float, pairs) -> dict:
     """Nested-domain comparison: k delta~_inner >= delta~_outer, k = M/(m+M).
 
     Pairs must lie in the inner domain; a pair escaping the outer
     domain raises NestingViolation since the premise D' subset D
-    failed on data.
+    failed on data. The report is ok when every k delta~_inner -
+    delta~_outer is at least -NESTING_TOL.
 
     The pairs are evaluated per shape group, with one stacked
     membership test and one stacked gauge evaluation per domain and
@@ -719,17 +643,17 @@ def compare_nested(
 
     def evaluate(a, c, name):
         # per row: (delta~ on the inner domain, delta~ on the outer one)
-        require_inside(d_inner, a, margin, f"{name} point a")
-        require_inside(d_inner, c, margin, f"{name} point c")
+        require_inside(d_inner, a, name=f"{name} point a")
+        require_inside(d_inner, c, name=f"{name} point c")
         for part, p in (("a", a), ("c", c)):
-            if not _members(d_outer, p, margin).all():
+            if not _members(d_outer, p).all():
                 raise NestingViolation(
                     f"{name} point {part} lies in the inner domain but escapes the outer one"
                 )
         return list(
             zip(
-                _floats(_chain_values(d_inner, a, c, margin)),
-                _floats(_chain_values(d_outer, a, c, margin)),
+                _floats(_chain_values(d_inner, a, c)),
+                _floats(_chain_values(d_outer, a, c)),
             )
         )
 
@@ -741,6 +665,6 @@ def compare_nested(
         "k": k,
         "samples": len(rows),
         "min_margin": min_margin if rows else None,
-        "ok": bool(rows and min_margin >= -tol),
+        "ok": bool(rows and min_margin >= -NESTING_TOL),
         "rows": rows,
     }

@@ -83,20 +83,22 @@ def direction_sample(
     )
 
 
-def sample_in_domain(
-    domain, rng, level: int, base_dim: int, max_tries: int = 200
-) -> NcPoint:
+# sample_in_domain's number of _propose rounds before it gives up.
+SAMPLE_TRIES = 200
+
+
+def sample_in_domain(domain, rng, level: int, base_dim: int) -> NcPoint:
     """Draw a point strictly inside the domain: the first of its _propose
-    candidates inside, over max_tries draws; TypeError if it has none."""
+    candidates inside, over SAMPLE_TRIES draws; TypeError if it has none."""
     from .domains import contains  # domains proposes with the samplers above
 
     propose = getattr(domain, "_propose", None)
     if propose is None:
         raise TypeError(f"no sampler for {type(domain).__name__}")
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         for p in propose(rng, level, base_dim):
             if contains(domain, p).inside:
                 return p
     raise RuntimeError(
-        f"could not hit {type(domain).__name__} in {max_tries} tries"
+        f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries"
     )

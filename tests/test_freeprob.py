@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -168,7 +169,8 @@ def _block_corner(model, b, dirs):
     big = np.zeros((len(dirs), 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = big[:, n:, n:] = b.mat
     big[:, :n, n:] = dirs
-    return model._G(NcPoint(b.base_dim, 2 * b.level, big))[:, :n, n:]
+    no_dirs = np.zeros((0, 2 * n, 2 * n), dtype=complex)
+    return model._G_dG(NcPoint(b.base_dim, 2 * b.level, big), no_dirs)[0][:, :n, n:]
 
 
 def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
@@ -195,7 +197,8 @@ def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
 
 
 def test_fused_transform_gives_the_bits_of_the_plain_one():
-    # the Newton loop takes G from _G_dG, cauchy_G takes it from _G
+    # the Newton loop takes G from _G_dG with its basis directions, the
+    # density rows from cauchy_G, which asks for no direction
     rng = _rng(62)
     h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     cases = [
@@ -209,7 +212,7 @@ def test_fused_transform_gives_the_bits_of_the_plain_one():
         for level in (1, 2, 3):
             b = NcPoint(d, level, np.stack([halfplane_point(rng, level, d, im_floor=0.2).mat for _ in range(3)]))
             dirs = rng.standard_normal((2, b.dim, b.dim)) + 1j * rng.standard_normal((2, b.dim, b.dim))
-            np.testing.assert_array_equal(model._G_dG(b, dirs)[0], model._G(b))
+            np.testing.assert_array_equal(model._G_dG(b, dirs)[0], cauchy_G(model, b).mat)
 
 
 def test_matrix_level_transforms_solve_their_equations():
@@ -379,7 +382,7 @@ def test_fixed_point_boundary_start():
 def test_overestimated_eps0_is_caught():
     h0 = make_h0(ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(2j))
     with pytest.raises(RangeViolation):
-        k0_and_fixed_point(h0, _scalar(1j), eps0=50.0)
+        k0_and_fixed_point(dataclasses.replace(h0, eps0=50.0), _scalar(1j))
 
 
 # ---------------------------------------------------------- stacked solver

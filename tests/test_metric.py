@@ -24,9 +24,7 @@ from ncmetric.matcore import operator_norm
 from ncmetric.metric import (
     RAY_TOL,
     DeltaResult,
-    MappingViolation,
     NestingViolation,
-    Path,
     PathBlocked,
     check_contraction,
     compare_nested,
@@ -248,11 +246,70 @@ def test_path_distance_halfplane_segment():
     assert got.value == pytest.approx(0.5 * math.log(2.0), abs=1e-4)
 
 
-def test_path_blocked_at_listed_point():
-    a, c = point([[0.2]]), point([[-0.2]])
-    bad = Path((0.0, 0.5, 1.0), (a, point([[1.5]]), c))
-    with pytest.raises(PathBlocked):
-        d_upper(ball_domain(), a, c, path=bad)
+def test_path_blocked_at_an_endpoint():
+    inside, outside = point([[0.2]]), point([[1.5]])
+    with pytest.raises(PathBlocked, match=r"^path sample at t = 0\.0 is outside the domain$"):
+        d_upper(ball_domain(), outside, inside)
+    with pytest.raises(PathBlocked, match=r"^path sample at t = 1\.0 is outside the domain$"):
+        d_upper(ball_domain(), inside, outside)
+
+
+# (value, quad_estimate, points_used) at quad_points 1, 7 and 256, frozen
+# while d_upper still took piecewise-linear paths with this segment as default
+D_UPPER_FROZEN = [
+    (
+        ball_domain(),
+        np.array([[0.3, 0.1j], [-0.2, 0.1]]),
+        np.array([[-0.25, 0.0], [0.1, 0.4j]]),
+        [
+            (0.7094133284006555, 0.0, 1),
+            (0.7413209088464746, 0.00347385990743887, 7),
+            (0.742123603432874, 1.8113484153703396e-06, 256),
+        ],
+    ),
+    (
+        halfplane_domain(),
+        np.array([[0.5 + 1j, 0.2], [0.2, -0.3 + 2j]]),
+        np.array([[-1 + 0.5j, 0.1j], [-0.1j, 1.5j]]),
+        [
+            (1.0621906306472801, 0.0, 1),
+            (1.1031263988399214, 0.004366813602201702, 7),
+            (1.1041310952442513, 2.2652209594742345e-06, 256),
+        ],
+    ),
+    (
+        KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0)))),
+        np.array([[0.1, 0.05], [0.0, -0.1j]]),
+        np.array([[0.2, -0.1], [0.05, 0.15]]),
+        [
+            (0.50030267413838, 0.0, 1),
+            (0.5113583604359444, 0.0011151950132728405, 7),
+            (0.5116123034174191, 5.713945907537266e-07, 256),
+        ],
+    ),
+    (
+        SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)),
+        np.array([[0.2, 0.05], [0.0, -0.1]]),
+        np.array([[-0.15, 0.0], [0.1, 0.25j]]),
+        [
+            (0.39109871744932906, 0.0, 1),
+            (0.3961987109817394, 0.0004955779482213041, 7),
+            (0.39631087435329326, 2.5208515502805895e-07, 256),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("domain, a, c, want", D_UPPER_FROZEN, ids=["ball", "halfplane", "composed", "disk"])
+def test_path_distance_frozen_to_the_bit(domain, a, c, want):
+    for q, frozen in zip((1, 7, 256), want):
+        got = d_upper(domain, point(a), point(c), quad_points=q)
+        assert (got.value, got.quad_estimate, got.points_used) == frozen, q
+
+
+def test_path_distance_of_a_point_to_itself_uses_no_node():
+    got = d_upper(ball_domain(), point([[0.3]]), point([[0.3]]), quad_points=7)
+    assert (got.value, got.quad_estimate, got.points_used) == (0.0, 0.0, 0)
 
 
 def test_path_blocked_at_quadrature_node():
@@ -453,8 +510,6 @@ def test_contraction_flags_target_escape():
     rep = check_contraction(double, ball_domain(), ball_domain(), triples)
     assert not rep["ok"]
     assert rep["violations"]
-    with pytest.raises(MappingViolation):
-        check_contraction(double, ball_domain(), ball_domain(), triples, raise_on_violation=True)
 
 
 def test_nested_balls_comparison():
@@ -544,16 +599,6 @@ def test_contraction_escape_keeps_its_index():
     assert full["samples"] == len(triples) - 2 and not full["ok"]
 
 
-def test_contraction_raises_at_first_violation():
-    # the level-1 group (samples 0, 3, 4, 5, ...) is stacked before the
-    # level-2 group, but sample 2 comes first
-    triples = _escape_triples(_rng(52))
-    with pytest.raises(MappingViolation, match=r"^sample 2: f\(a\) outside the target domain$"):
-        check_contraction(
-            CayleyLike(2.0, 0.0), ball_domain(), ball_domain(), triples, raise_on_violation=True
-        )
-
-
 def test_contraction_names_the_first_source_point_outside():
     rng = _rng(53)
     triples = [_ball_triple(rng, n, fill=0.4) for n in (1, 2, 2, 1, 1)]
@@ -563,12 +608,6 @@ def test_contraction_names_the_first_source_point_outside():
     with pytest.raises(PointOutsideDomain) as exc:
         check_contraction(f, ball_domain(), ball_domain(), triples)
     assert str(exc.value) == "sample 2 point a is not strictly inside the domain"
-    # an escape at an earlier index is raised first when asked for
-    triples[1] = (point(np.diag([0.7, 0.1])), point(np.diag([0.1, 0.2])), direction(np.eye(2)))
-    with pytest.raises(MappingViolation, match="^sample 1: "):
-        check_contraction(
-            CayleyLike(2.0, 0.0), ball_domain(), ball_domain(), triples, raise_on_violation=True
-        )
 
 
 def test_contraction_raises_at_a_moebius_pole():
@@ -657,6 +696,17 @@ def test_closed_ball_unitary_invariance(n, seed):
 def test_ray_rejects_a_tolerance_that_cannot_work(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
         delta_ray(ball_domain(), point([[0.0]]), point([[0.5]]), direction([[1.0]]), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-300])
+def test_ray_bisection_stops_when_no_float_is_left_between(tol):
+    # a tolerance below roundoff ends the bisection at adjacent scalings;
+    # at margin 0 the exit on the unit ball is where 1 - s^2 rounds to 0
+    for a, c in ((0.0, 0.0), (0.3, -0.2)):
+        triple = (point([[a]]), point([[c]]), direction([[1.0]]))
+        res = delta_ray(ball_domain(), *triple, tol=tol, margin=0.0)
+        assert res.iterations < 100
+        assert res.bracket[0] <= delta_closed("ball", *triple).value <= res.bracket[1]
 
 
 @pytest.mark.parametrize("kind", ["disk", "Ball", "half_plane", ""])
