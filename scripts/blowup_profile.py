@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from ncmetric import NormBound, SpectralDisk, delta_auto_tilde, delta_tilde, point
+from ncmetric import BallKernel, NormBound, SpectralDisk, delta_auto_tilde, delta_tilde, point
 from ncmetric.sampling import rng_stream, selfadjoint_disk_point
 
 
@@ -28,7 +28,7 @@ def main():
     print("fill,ball_tilde,disk_worst_tilde")
     for j in (int(s) for s in args.js.split(",") if s):
         fill = 1.0 - 2.0 ** -j
-        ball_val = delta_tilde("ball", zero, point(np.array([[fill]]))).value
+        ball_val = delta_tilde(BallKernel(), zero, point(np.array([[fill]]))).value
         worst = 0.0
         for _ in range(args.samples):
             lvl = int(rng.integers(1, 3))

@@ -34,7 +34,7 @@ def main():
         bound = trace.contraction_bound
         ok = bound is not None and 0.01 < ratio <= bound + 0.05
         print(
-            f"{y:g},{trace.iterations},{trace.residuals[-1]:.2e},"
+            f"{y:g},{trace.iterations},{trace.residual:.2e},"
             f"{ratio:.4f},{'' if bound is None else f'{bound:.4f}'},{'ok' if ok else 'VIOLATED'}"
         )
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import props as props_mod
 from .domains import (
+    BallKernel,
     EvaluationFailure,
     KernelDomain,
     NormBound,
@@ -54,16 +55,8 @@ from .metric import (
     dtilde_upper,
 )
 from .ncfunc import DomainViolation, SeriesNotConverged
-from .ncpoint import (
-    BaseDimMismatch,
-    DimMismatch,
-    NotUnitary,
-    direction,
-    direction_from_json,
-    point,
-    point_from_json,
-)
-from .sampling import direction_sample, rng_stream, sample_in_domain, selfadjoint_disk_point
+from .ncpoint import BaseDimMismatch, DimMismatch, NotUnitary, direction, point
+from .sampling import SamplingFailure, direction_sample, rng_stream, sample_in_domain, selfadjoint_disk_point
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -79,6 +72,7 @@ NUMERICAL_ERRORS = (
     MaxIterExceeded,
     RangeViolation,
     PathBlocked,
+    SamplingFailure,
 )
 
 INPUT_ERRORS = (
@@ -110,18 +104,23 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _load(path, family: str):
+    """The registered object of `family` in the JSON file at path."""
+    return from_json(_load_json(path), family)
+
+
 def _load_domain(args) -> object:
     if getattr(args, "domain", None):
-        return from_json(_load_json(args.domain), "domain")
+        return _load(args.domain, "domain")
     if getattr(args, "kernel", None):
-        return KernelDomain(from_json(_load_json(args.kernel), "kernel"))
+        return KernelDomain(_load(args.kernel, "kernel"))
     raise ValueError("provide --domain or --kernel")
 
 
 def _load_direction(path, base_dim: int):
     obj = _load_json(path)
     if isinstance(obj, dict) and "row_level" in obj:
-        return direction_from_json(obj)
+        return from_json(obj, "direction")
     return direction(mat_from_json(obj), base_dim)
 
 
@@ -162,14 +161,13 @@ def cmd_delta(args) -> int:
     if not 0.0 <= args.margin < float("inf"):
         raise ValueError(f"--margin must be finite and at least 0, got {args.margin}")
     dom = _load_domain(args)
-    a = point_from_json(_load_json(args.a))
-    c = point_from_json(_load_json(args.c))
+    a, c = _load(args.a, "point"), _load(args.c, "point")
     b = _load_direction(args.b, a.base_dim)
     results = [delta_ray(dom, a, c, b, tol=args.tol, margin=args.margin)]
     k = dom.kernel
     if k is not None:
         if k.closed:
-            results.append(delta_closed(k.closed, a, c, b, margin=args.margin))
+            results.append(delta_closed(k, a, c, b, margin=args.margin))
         results.append(delta_kernel(k, a, c, b, margin=args.margin))
     payload = {"level": a.level, "results": [_delta_result_json(r) for r in results]}
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -181,8 +179,7 @@ def cmd_delta(args) -> int:
 def cmd_distance(args) -> int:
     _at_least_one("--quad-points", args.quad_points)
     dom = _load_domain(args)
-    a = point_from_json(_load_json(args.a))
-    c = point_from_json(_load_json(args.c))
+    a, c = _load(args.a, "point"), _load(args.c, "point")
     bound = dtilde_upper(dom, a, c, refinement_budget=args.refine)
     path = d_upper(dom, a, c, quad_points=args.quad_points)
     payload = {
@@ -207,9 +204,8 @@ def cmd_distance(args) -> int:
 
 def cmd_contract(args) -> int:
     _at_least_one("--samples", args.samples)
-    f = from_json(_load_json(args.function), "function")
-    src = from_json(_load_json(args.src), "domain")
-    dst = from_json(_load_json(args.dst), "domain")
+    f = _load(args.function, "function")
+    src, dst = _load(args.src, "domain"), _load(args.dst, "domain")
     rng = rng_stream(args.seed, "contract")
     levels = [int(s) for s in args.levels.split(",") if s]
     if not levels:
@@ -232,7 +228,7 @@ def cmd_contract(args) -> int:
 
 def _build_model(args):
     if args.model:
-        return from_json(_load_json(args.model), "model")
+        return _load(args.model, "model")
     if args.law:
         return ScalarLaw(args.law, variance=args.variance, atom=args.atom)
     raise ValueError("provide --model or --law")
@@ -240,7 +236,7 @@ def _build_model(args):
 
 def _build_rho(args):
     if args.rho:
-        return from_json(_load_json(args.rho), "cp-map")
+        return _load(args.rho, "cp-map")
     if args.rho_t is not None:
         return ScalarPower(args.rho_t)
     raise ValueError("provide --rho or --rho-t")
@@ -315,7 +311,7 @@ def cmd_counterexample(args) -> int:
         worst = max(worst, delta_auto_tilde(disk, a, c).value)
     bounded = bool(worst <= 4.0 / 3.0 + 1e-9)
     r = 1.0 - 1e-3
-    blowup_val = delta_tilde("ball", point(np.zeros((1, 1))), point(np.array([[r]]))).value
+    blowup_val = delta_tilde(BallKernel(), point(np.zeros((1, 1))), point(np.array([[r]]))).value
     blowup = bool(blowup_val > 10.0)
 
     payload = {
@@ -334,7 +330,10 @@ def cmd_counterexample(args) -> int:
             "reproduced": bounded and blowup,
         },
     }
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
+    if args.out:
+        _write_text(args.out, text)
     ok = payload["matrix_convexity"]["reproduced"] and payload["bounded_tilde"]["reproduced"]
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -21,12 +21,16 @@ Each variant is one class that registers its JSON form (see
 matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
 is the affine pairing H(x, y)(P), y on the starred side (K(a, c)(P) at
 y = c*; the composed kernels apply z -> G(z*)* there, so block
-evaluations stay matrix arithmetic); its closed attribute names its
-closed form in metric, or is None. A domain's _inside(a, margin) tests
-membership, raising EvaluationFailure when the test cannot be
-evaluated; its kernel attribute is the kernel that cuts it out, or None.
-_propose(rng, level, base_dim) draws candidate points for sampling,
-and the optional _delta(a, c, b, margin) gives delta(a, c)(b) exactly.
+evaluations stay matrix arithmetic), and its _propose(rng, level,
+base_dim) draws a candidate point from the ball or the half-plane it
+pulls back. The ball and half-plane kernels carry their closed form,
+_closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
+"halfplane"); the composed kernels have closed = None. A domain's
+_inside(a, margin) tests membership, raising EvaluationFailure when the
+test cannot be evaluated; its kernel attribute is the kernel that cuts
+it out, or None. _propose(rng, level, base_dim) draws candidate points
+for sampling, and the optional _delta(a, c, b, margin) gives
+delta(a, c)(b) exactly.
 
 Kernel evaluation, kernel_diffs and membership take stacked points
 (see ncpoint) and work per matrix of the stack.
@@ -51,12 +55,13 @@ from .matcore import (
     complex_from_json,
     finite,
     herm_part,
+    imag_part,
     is_strictly_positive,
     json_number,
-    known_keys,
     of_family,
     operator_norm,
     psd_inv_sqrt,
+    record,
     spectrum,
     variant,
 )
@@ -85,44 +90,63 @@ def _apply_g(g, m: np.ndarray) -> np.ndarray:
         raise EvaluationFailure(f"composing function failed: {exc}") from None
 
 
-@variant("kernel", "half_plane")
-@dataclass(frozen=True)
-class HalfPlaneKernel:
-    closed = "halfplane"
-
+class _HalfPlaneForm:
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return (x @ p - p @ y) / 2.0j
+
+    def _propose(self, rng, level: int, base_dim: int) -> NcPoint:
+        return halfplane_point(rng, level, base_dim)
+
+
+class _BallForm:
+    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return p - x @ p @ y
+
+    def _propose(self, rng, level: int, base_dim: int) -> NcPoint:
+        return ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
+
+
+def _composed(g, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(G(x), G(y*)*): the pairing's arguments pulled back through g."""
+    return _apply_g(g, x), _apply_g(g, y.conj().mT).conj().mT
+
+
+@variant("kernel", "half_plane")
+@dataclass(frozen=True)
+class HalfPlaneKernel(_HalfPlaneForm):
+    closed = "halfplane"
+
+    def _closed_form(self, a: NcPoint, c: NcPoint, b: NcDirection):
+        return halfplane_delta(a, c, b)
 
 
 @variant("kernel", "ball")
 @dataclass(frozen=True)
-class BallKernel:
+class BallKernel(_BallForm):
     closed = "ball"
 
-    def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return p - x @ p @ y
+    def _closed_form(self, a: NcPoint, c: NcPoint, b: NcDirection):
+        return ball_delta(a, c, b)
 
 
 @variant("kernel", "composed_ball", g=of_family("function"))
 @dataclass(frozen=True)
-class ComposedBallKernel:
+class ComposedBallKernel(_BallForm):
     g: object
     closed = None
 
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        gx, gy = _apply_g(self.g, x), _apply_g(self.g, y.conj().mT).conj().mT
-        return p - gx @ p @ gy
+        return super()._pair(*_composed(self.g, x, y), p)
 
 
 @variant("kernel", "composed_half_plane", g=of_family("function"))
 @dataclass(frozen=True)
-class ComposedHalfPlaneKernel:
+class ComposedHalfPlaneKernel(_HalfPlaneForm):
     g: object
     closed = None
 
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-        gx, gy = _apply_g(self.g, x), _apply_g(self.g, y.conj().mT).conj().mT
-        return (gx @ p - p @ gy) / 2.0j
+        return super()._pair(*_composed(self.g, x, y), p)
 
 
 @variant("domain", "kernel_domain", kernel=of_family("kernel"))
@@ -137,14 +161,12 @@ class KernelDomain:
         return is_strictly_positive(herm_part(g), margin)
 
     def _propose(self, rng, level: int, base_dim: int):
-        if self.kernel.closed == "halfplane":
-            p = halfplane_point(rng, level, base_dim)
-        else:
-            p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
+        p = self.kernel._propose(rng, level, base_dim)
         # composed domains can be much smaller than the unit ball
         return p, NcPoint(base_dim, level, p.mat * 0.2)
 
 
+@record("norm_bound", value=json_number)
 @dataclass(frozen=True)
 class NormBound:
     """Norm bound rule: 'constant' uses value, 'level' uses value * level."""
@@ -161,12 +183,7 @@ class NormBound:
         return self.value if self.rule == "constant" else self.value * level
 
 
-def _norm_bound_from_json(nb) -> NormBound:
-    known_keys(nb, ("rule", "value"), "norm_bound")
-    return NormBound(nb["rule"], json_number(nb.get("value", 1.0)))
-
-
-@variant("domain", "spectral_disk", center=complex_from_json, radius=json_number, norm_bound=_norm_bound_from_json)
+@variant("domain", "spectral_disk", center=complex_from_json, radius=json_number, norm_bound=of_family("norm_bound"))
 @dataclass(frozen=True)
 class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.
@@ -334,6 +351,14 @@ def ball_delta(a: NcPoint, c: NcPoint, b: NcDirection, radius: float = 1.0):
     qc = herm_part(r2 * np.eye(c.dim, dtype=np.complex128) - c.mat.conj().mT @ c.mat)  # right gram
     sa, sc = psd_inv_sqrt(qa), psd_inv_sqrt(qc)
     return radius * operator_norm(sa @ b.mat @ sc)
+
+
+def halfplane_delta(a: NcPoint, c: NcPoint, b: NcDirection):
+    """delta(a, c)(b) = ||(Im a)^(-1/2) b (Im c)^(-1/2)|| / 2 on the upper
+    half-plane, per row of the stacks."""
+    sa = psd_inv_sqrt(imag_part(a.mat))
+    sc = psd_inv_sqrt(imag_part(c.mat))
+    return 0.5 * operator_norm(sa @ b.mat @ sc)
 
 
 def ball_domain(radius: float = 1.0) -> KernelDomain:

@@ -10,11 +10,12 @@ level, through a principal matrix square root above level one).
 subordination_solve solves w = b + (rho - Id) h(w) from w0 = b by
 Newton's method in the coordinates of the model algebra, with a plain
 Picard step wherever a Newton step would leave the half-plane, and
-keeps a trace: residuals, Picard step count, and the contraction bound
-driven by eps0 = lambda_min(Im b). picard_ratio measures the plain
-Picard contraction near a solution, which that bound bounds. The
-transforms take stacks of points (..., n, n); density_grid solves all
-its grid rows as one stack, each row on its own trajectory.
+keeps a trace: step count, last residual, Picard step count, and the
+contraction bound driven by eps0 = lambda_min(Im b). picard_ratio
+measures the plain Picard contraction near a solution, which that
+bound bounds. The transforms take stacks of points (..., n, n);
+density_grid solves all its grid rows as one stack, each row on its
+own trajectory.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
@@ -400,7 +401,7 @@ def halfplane_gauge(a: NcPoint, c: NcPoint):
 class SolveTrace:
     iterations: int
     converged: bool
-    residuals: tuple
+    residual: float  # of the last step
     epsilon0: float
     omega_im_min: float
     contraction_bound: float | None
@@ -460,18 +461,21 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     w = bm.copy()
     picard = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
+    iterations = np.full(n_rows, max_iter)  # a row that converges sets its own
+    residual = np.zeros(n_rows)
     active = np.arange(n_rows)
-    steps = []  # (active rows, their residuals) per iteration
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         wa = w[active]
         f, upd, dg = _picard(model, rho, at(bm[active]), wa, basis)
         lam = herm_eigvals(imag_part(upd))[:, 0]
         eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
         r = _frobenius(upd - wa)
-        steps.append((active, r))
+        residual[active] = r
         done = r <= tol
-        w[active[done]] = upd[done]
-        converged[active[done]] = True
+        finished = active[done]
+        w[finished] = upd[done]
+        converged[finished] = True
+        iterations[finished] = it
         go = ~done
         active, wa, upd, f, dg = active[go], wa[go], upd[go], f[go], dg[go]
         if not active.size:
@@ -489,32 +493,19 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     # the loop leaves each iterate's half-plane check to the next
     # _transform; the iterates returned get theirs here
     _require_upper(at(w))
-    visits = np.concatenate([s[0] for s in steps])
-    flat = np.concatenate([s[1] for s in steps])[np.argsort(visits, kind="stable")]
-    ends = np.cumsum(np.bincount(visits, minlength=n_rows))
-    return at(w), _StackTrace(flat, ends, converged, eps0, herm_eigvals(imag_part(w)), picard)
+    return at(w), _StackTrace(iterations, residual, converged, eps0, herm_eigvals(imag_part(w)), picard)
 
 
 @dataclass(frozen=True)
 class _StackTrace:
-    """The trace of every row of a stacked solve, kept in arrays.
+    """The trace of every row of a stacked solve, kept in arrays."""
 
-    Rows become Python objects only as far as a caller asks: a grid row
-    needs its last residual and bound, a single solve its full
-    SolveTrace. (Building every row's residual tuple grows the
-    allocator's arenas over many grids.)
-    """
-
-    residuals: np.ndarray  # each row's residuals in iteration order, the rows one after another
-    ends: np.ndarray  # row i's residuals end at ends[i]; every row has at least one
+    iterations: np.ndarray
+    residual: np.ndarray  # of each row's last step
     converged: np.ndarray
     epsilon0: np.ndarray
     im_eigs: np.ndarray  # ascending eigenvalues of Im omega, per row
     picard_steps: np.ndarray
-
-    @property
-    def iterations(self) -> np.ndarray:
-        return np.diff(self.ends, prepend=0)
 
     def contraction_bounds(self) -> list:
         """||1 - eps0 (Im omega)^(-1)||, the provable per-step factor, per row.
@@ -529,11 +520,10 @@ class _StackTrace:
         return [b if lo > 0 else None for b, lo in zip(bound.tolist(), self.im_eigs[:, 0].tolist())]
 
     def row(self, i: int) -> SolveTrace:
-        residuals = np.split(self.residuals, self.ends[:-1])[i]
         return SolveTrace(
-            iterations=residuals.size,
+            iterations=int(self.iterations[i]),
             converged=bool(self.converged[i]),
-            residuals=tuple(residuals.tolist()),
+            residual=float(self.residual[i]),
             epsilon0=float(self.epsilon0[i]),
             omega_im_min=float(self.im_eigs[i, 0]),
             contraction_bound=self.contraction_bounds()[i],
@@ -557,7 +547,7 @@ def subordination_solve(
     ends at the Picard update once the residual ||g(w_k) - w_k||_F is
     at most tol.
 
-    The trace records those residuals and the contraction bound
+    The trace records the last residual and the contraction bound
     ||1 - eps0 (Im omega)^(-1)|| with eps0 = lambda_min(Im b),
     refreshed only downward along Im h0(w_k) as a roundoff guard. The
     bound bounds the plain Picard map's contraction near omega, which
@@ -573,7 +563,7 @@ def subordination_solve(
     if not trace.converged:
         raise MaxIterExceeded(
             f"no convergence in {max_iter} iterations "
-            f"(last residual {trace.residuals[-1]:.3e})",
+            f"(last residual {trace.residual:.3e})",
             omega=w,
             trace=trace,
         )
@@ -628,7 +618,7 @@ def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
     g = cauchy_G(model, omega).mat
     density = -(_trace(g) / g.shape[-1]).imag / np.pi
-    columns = (xs, density, traces.residuals[traces.ends - 1], traces.iterations, traces.converged)
+    columns = (xs, density, traces.residual, traces.iterations, traces.converged)
     return list(map(DensityRow, *(c.tolist() for c in columns), traces.contraction_bounds()))
 
 
@@ -739,24 +729,20 @@ def k0_and_fixed_point(
     a: NcPoint,
     tol: float = 1e-10,
     max_iter: int = 500,
-    allow_boundary: bool = False,
 ) -> FixedPointResult:
     """Iterate x = a + k0(x) with k0(w) = -h0(-w^(-1))^(-1).
 
     eps0 is h0.eps0. Every k0 value must stay in the ball
     ||k0 - i/(2 eps0)|| < 1/(2 eps0) + 1e-9, else RangeViolation:
     that ball is what certifies the contraction, so leaving it means
-    eps0 was overestimated. a with Im a not strictly positive is only
-    accepted under allow_boundary (experimental): the iteration still
-    lives in the half-plane because k0 pushes upward.
+    eps0 was overestimated. Raises NotInHalfPlane unless Im a is
+    strictly positive.
     """
     eps0 = h0.eps0
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
-    if not allow_boundary and not is_strictly_positive(imag_part(a.mat), HALF_PLANE_MARGIN):
-        raise NotInHalfPlane(
-            "Im a is not strictly positive; pass allow_boundary=True to try anyway"
-        )
+    if not is_strictly_positive(imag_part(a.mat), HALF_PLANE_MARGIN):
+        raise NotInHalfPlane("Im a is not strictly positive")
     eye = np.eye(a.dim, dtype=np.complex128)
     center = (1j / (2.0 * eps0)) * eye
     radius_cap = 1.0 / (2.0 * eps0) + 1e-9

@@ -11,7 +11,8 @@ asked for.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
-format (kernel, domain, function, model, cp-map; see variant).
+format (kernel, domain, function, model, cp-map; see variant) and every
+untagged record (point, direction, norm_bound; see record).
 
 The linear-algebra helpers also take stacks of matrices (..., n, n):
 each matrix gets the checks a single one gets, a check that fails on
@@ -304,8 +305,7 @@ def mat_to_json(a) -> dict:
 
 
 def mat_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError("matrix JSON must be an object")
+    known_keys(obj, ("rows", "cols", "data"), "matrix")
     try:
         rows, cols, data = json_int(obj["rows"]), json_int(obj["cols"]), obj["data"]
     except (KeyError, ValueError) as exc:
@@ -376,8 +376,10 @@ def finite(name: str, value):
     return value
 
 
-# family -> {tag: class}, and class -> (tag, field decoders), filled by @variant
+# family -> {tag: class}, family -> class of an untagged record, and
+# class -> (tag or None, field decoders), filled by @variant and @record
 VARIANTS: dict[str, dict[str, type]] = {}
+RECORDS: dict[str, type] = {}
 _TAGS: dict[type, tuple] = {}
 
 
@@ -398,10 +400,24 @@ def variant(family: str, tag: str, **field_decoders):
     return register
 
 
+def record(family: str, **field_decoders):
+    """Class decorator: the frozen dataclass is the one, untagged, `family`.
+
+    Its JSON is a variant's without the "variant" key, coded the same way.
+    """
+
+    def register(cls):
+        RECORDS[family] = cls
+        _TAGS[cls] = (None, field_decoders)
+        return cls
+
+    return register
+
+
 def to_json(obj) -> dict:
-    """The tagged JSON object of a registered variant."""
+    """The JSON object of a registered variant or record."""
     if type(obj) not in _TAGS:
-        raise TypeError(f"not a registered variant: {type(obj).__name__}")
+        raise TypeError(f"not a registered variant or record: {type(obj).__name__}")
     return _encode(obj)
 
 
@@ -414,21 +430,25 @@ def _encode(v):
         return [_encode(x) for x in v]
     if not is_dataclass(v):
         return v
-    tag = {"variant": _TAGS[type(v)][0]} if type(v) in _TAGS else {}
-    return tag | {f.metadata.get("json", f.name): _encode(getattr(v, f.name)) for f in fields(v)}
+    tag = _TAGS.get(type(v), (None,))[0]
+    head = {"variant": tag} if tag else {}
+    return head | {f.metadata.get("json", f.name): _encode(getattr(v, f.name)) for f in fields(v)}
 
 
 def from_json(obj, family: str):
-    """The variant of `family` that obj encodes; ValueError if malformed."""
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise ValueError(f"{family} JSON must be an object with a 'variant' tag")
-    tag = obj["variant"]
-    cls = VARIANTS[family].get(tag) if isinstance(tag, str) else None
+    """The variant or record of `family` that obj encodes; ValueError if malformed."""
+    cls = RECORDS.get(family)
     if cls is None:
-        raise ValueError(f"unknown {family} variant {tag!r}")
-    decoders, kwargs = _TAGS[cls][1], {}
+        if not isinstance(obj, dict) or "variant" not in obj:
+            raise ValueError(f"{family} JSON must be an object with a 'variant' tag")
+        tag = obj["variant"]
+        cls = VARIANTS[family].get(tag) if isinstance(tag, str) else None
+        if cls is None:
+            raise ValueError(f"unknown {family} variant {tag!r}")
+    tag, decoders = _TAGS[cls]
+    kwargs = {}
     keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
-    known_keys(obj, ("variant", *keys), family)
+    known_keys(obj, ("variant", *keys) if tag else tuple(keys), family)
     for key, f in keys.items():
         if key in obj:
             decode = decoders.get(f.name)
@@ -450,5 +470,5 @@ def each(decode):
 
 
 def of_family(family: str):
-    """Field decoder of a nested tagged object of `family`."""
+    """Field decoder of a nested object of `family`, tagged or a record."""
     return lambda obj: from_json(obj, family)

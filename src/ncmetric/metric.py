@@ -3,11 +3,12 @@
 delta_ray is the definition: the reciprocal first-exit parameter of
 the ray s -> [[a, s b], [0, c]] out of the domain, found from
 membership tests alone. delta_closed gives the two classical closed
-forms (ball, half-plane), delta_kernel the general kernel-domain
-formula, and a domain's own _delta its exact value (spectral disks,
-nilpotent cone); each must agree with the ray search, and the test
-suite treats the routes as independent. delta_auto and the distances
-take the exact route; only kinds without one search the ray.
+forms, each carried by its kernel (BallKernel, HalfPlaneKernel),
+delta_kernel the general kernel-domain formula, and a domain's own
+_delta its exact value (spectral disks, nilpotent cone); each must
+agree with the ray search, and the test suite treats the routes as
+independent. delta_auto and the distances take the exact route; only
+kinds without one search the ray.
 
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
 dtilde_upper gives certified upper bounds on the division distance it
@@ -34,11 +35,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .domains import (
-    BallKernel,
-    HalfPlaneKernel,
     KernelDomain,
     MEMBERSHIP_MARGIN,
-    ball_delta,
     contains,
     gram,
     kernel_diffs,
@@ -49,7 +47,6 @@ from .matcore import (
     NcmetricError,
     herm_eigvals,
     herm_part,
-    imag_part,
     inverse,
     operator_norm,
     positive_finite,
@@ -256,30 +253,22 @@ def delta_ray(
     return results if stacked else results[0]
 
 
-def _closed_halfplane(a: NcPoint, c: NcPoint, b: NcDirection):
-    sa = psd_inv_sqrt(imag_part(a.mat))
-    sc = psd_inv_sqrt(imag_part(c.mat))
-    return 0.5 * operator_norm(sa @ b.mat @ sc)
-
-
-_CLOSED = {"ball": (BallKernel(), ball_delta), "halfplane": (HalfPlaneKernel(), _closed_halfplane)}
-
-
 def delta_closed(
-    kind: str,
+    kernel,
     a: NcPoint,
     c: NcPoint,
     b: NcDirection,
     margin: float = MEMBERSHIP_MARGIN,
 ) -> DeltaResult | list[DeltaResult]:
-    """Closed form on the operator ball ('ball') or half-plane ('halfplane').
+    """The kernel's closed form: BallKernel() for the operator ball,
+    HalfPlaneKernel() for the upper half-plane.
 
-    Stacks give a list with one result per row. Raises ValueError for
-    any other kind.
+    Stacks give a list with one result per row. Raises ValueError naming
+    a kernel without one.
     """
-    if kind not in _CLOSED:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
-    return delta_auto(KernelDomain(_CLOSED[kind][0]), a, c, b, margin)
+    if not getattr(kernel, "closed", None):
+        raise ValueError(f"{kernel!r} has no closed form")
+    return delta_auto(KernelDomain(kernel), a, c, b, margin)
 
 
 def delta_kernel(
@@ -326,20 +315,16 @@ def _tilde_value(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
     return _sqrt_top(herm_part(m))
 
 
-def delta_tilde(kernel_or_kind, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
-    """Two-point gauge delta(a, c)(a - c), evaluated from cross grams.
+def delta_tilde(kernel, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
+    """Two-point gauge delta(a, c)(a - c) on the kernel's domain, evaluated
+    from cross grams.
 
-    Accepts 'ball' / 'halfplane' or any kernel spec; another string
-    raises ValueError. Agrees with delta(a, c)(a - c) and vanishes
-    exactly at a = c. Stacks give a list with one result per row.
+    Agrees with delta(a, c)(a - c) and vanishes exactly at a = c; the
+    method is labelled by the kernel's closed form, if it has one. Stacks
+    give a list with one result per row.
     """
     if a.level != c.level or a.base_dim != c.base_dim:
         raise DimMismatch("delta_tilde needs points at the same level and base")
-    kernel = kernel_or_kind
-    if isinstance(kernel, str):
-        if kernel not in _CLOSED:
-            raise ValueError(f"unknown closed-form kind {kernel!r}")
-        kernel = _CLOSED[kernel][0]
     method = f"closed_{kernel.closed}" if kernel.closed else "kernel"
     dom = KernelDomain(kernel)
     require_inside(dom, a, name="a")
@@ -369,8 +354,7 @@ def _route(domain):
     if k is None:
         return "ray", lambda a, c, b, margin: _ray_values(domain, a, c, b, margin)
     if k.closed:
-        closed = _CLOSED[k.closed][1]
-        return f"closed_{k.closed}", lambda a, c, b, margin: closed(a, c, b)
+        return f"closed_{k.closed}", lambda a, c, b, margin: k._closed_form(a, c, b)
     return "kernel", lambda a, c, b, margin: _kernel_value(k, a, c, b)
 
 

@@ -14,6 +14,9 @@ kron(Z, b). A point or direction may also hold a stack of matrices
 of one shape over leading axes; block_upper and the evaluation layers
 built on it (function and kernel evaluation, membership, the delta
 routes) work row by row on such stacks.
+
+NcPoint and NcDirection are the "point" and "direction" records of the
+JSON registry: matcore.from_json and to_json read and write them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import NcmetricError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, mat_to_json
+from .matcore import NcmetricError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, record
 
 UNITARY_TOL = 1e-10
 
@@ -31,7 +34,7 @@ class BaseDimMismatch(NcmetricError):
     """Operands live over different base dimensions."""
 
 
-class DimMismatch(NcmetricError):
+class DimMismatch(NcmetricError, ValueError):
     """Level or shape mismatch between operands."""
 
 
@@ -39,6 +42,7 @@ class NotUnitary(NcmetricError):
     """The supplied level matrix is not unitary to tolerance."""
 
 
+@record("point", base_dim=json_int, level=json_int, mat=mat_from_json)
 @dataclass(frozen=True)
 class NcPoint:
     """A level-n point: mat is (level*base_dim) square, or a stack of such."""
@@ -67,6 +71,7 @@ class NcPoint:
         return NcPoint(self.base_dim, self.level, self.mat.conj().mT)
 
 
+@record("direction", base_dim=json_int, row_level=json_int, col_level=json_int, mat=mat_from_json)
 @dataclass(frozen=True)
 class NcDirection:
     """A rectangular block direction from row_level to col_level, or a stack of such."""
@@ -81,9 +86,12 @@ class NcDirection:
         object.__setattr__(self, "mat", m)
         shape = (self.row_level * self.base_dim, self.col_level * self.base_dim)
         if self.base_dim < 1 or self.row_level < 1 or self.col_level < 1:
-            raise ValueError("base_dim and levels must be positive")
+            raise ValueError("base_dim, row_level and col_level must be positive")
         if m.shape[-2:] != shape:
-            raise DimMismatch(f"direction needs shape {shape}, got {m.shape}")
+            raise DimMismatch(
+                f"direction over base_dim {self.base_dim} from row_level {self.row_level} "
+                f"to col_level {self.col_level} needs shape {shape}, got {m.shape}"
+            )
 
     def adjoint(self) -> "NcDirection":
         return NcDirection(self.base_dim, self.col_level, self.row_level, self.mat.conj().mT)
@@ -153,39 +161,3 @@ def unitary_conjugate(u, a: NcPoint) -> NcPoint:
         raise NotUnitary(f"||U*U - I|| = {defect:.3e}")
     ud = np.kron(u, np.eye(a.base_dim, dtype=np.complex128))
     return NcPoint(a.base_dim, a.level, ud @ a.mat @ ud.conj().T)
-
-
-def point_to_json(a: NcPoint) -> dict:
-    return {"base_dim": a.base_dim, "level": a.level, "mat": mat_to_json(a.mat)}
-
-
-def point_from_json(obj) -> NcPoint:
-    if not isinstance(obj, dict):
-        raise ValueError("point JSON must be an object")
-    try:
-        return NcPoint(json_int(obj["base_dim"]), json_int(obj["level"]), mat_from_json(obj["mat"]))
-    except KeyError as exc:
-        raise ValueError(f"point JSON missing field {exc}") from None
-
-
-def direction_to_json(b: NcDirection) -> dict:
-    return {
-        "base_dim": b.base_dim,
-        "row_level": b.row_level,
-        "col_level": b.col_level,
-        "mat": mat_to_json(b.mat),
-    }
-
-
-def direction_from_json(obj) -> NcDirection:
-    if not isinstance(obj, dict):
-        raise ValueError("direction JSON must be an object")
-    try:
-        return NcDirection(
-            json_int(obj["base_dim"]),
-            json_int(obj["row_level"]),
-            json_int(obj["col_level"]),
-            mat_from_json(obj["mat"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"direction JSON missing field {exc}") from None

@@ -38,6 +38,7 @@ from .domains import (
     ComposedBallKernel,
     ComposedHalfPlaneKernel,
     HalfPlaneKernel,
+    KernelDomain,
     NormBound,
     SpectralDisk,
     ball_domain,
@@ -394,28 +395,26 @@ def check_halfplane_membership(rng):
 # ---------------------------------------------------------------- metric
 
 
-def _oracle_triples(rng, kind: str, count: int):
+# the kernels with a closed form, each with the sampler of its points
+CLOSED_KERNELS = ((BallKernel(), ball_point), (HalfPlaneKernel(), halfplane_point))
+
+
+def _oracle_triples(rng, sample, count: int):
     out = []
     for _ in range(count):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        if kind == "ball":
-            a = ball_point(rng, lvl, d)
-            c = ball_point(rng, lvl, d)
-        else:
-            a = halfplane_point(rng, lvl, d)
-            c = halfplane_point(rng, lvl, d)
+        a = sample(rng, lvl, d)
+        c = sample(rng, lvl, d)
         out.append((a, c, direction_sample(rng, d, lvl, lvl)))
     return out
 
 
-def _oracle_worst(kind: str, triples) -> float:
-    dom = ball_domain() if kind == "ball" else halfplane_domain()
-    kernel = BallKernel() if kind == "ball" else HalfPlaneKernel()
+def _oracle_worst(kernel, triples) -> float:
     worst = 0.0
     for ray, closed, kern in _stacked(
         [(t, t, t) for t in triples],
-        partial(delta_ray, dom, tol=1e-7),
-        partial(delta_closed, kind),
+        partial(delta_ray, KernelDomain(kernel), tol=1e-7),
+        partial(delta_closed, kernel),
         partial(delta_kernel, kernel),
     ):
         worst = max(worst, abs(ray - closed), abs(ray - kern))
@@ -424,12 +423,12 @@ def _oracle_worst(kind: str, triples) -> float:
 
 @_check(5e-6)
 def check_oracle_ball(rng):
-    return 12, _oracle_worst("ball", _oracle_triples(rng, "ball", 12))
+    return 12, _oracle_worst(BallKernel(), _oracle_triples(rng, ball_point, 12))
 
 
 @_check(5e-6)
 def check_oracle_halfplane(rng):
-    return 12, _oracle_worst("halfplane", _oracle_triples(rng, "halfplane", 12))
+    return 12, _oracle_worst(HalfPlaneKernel(), _oracle_triples(rng, halfplane_point, 12))
 
 
 @_check(1e-9)
@@ -457,14 +456,11 @@ def check_delta_homogeneity(rng):
 def check_delta_unitary_invariance(rng):
     worst = 0.0
     n = 0
-    for kind in ("ball", "halfplane"):
+    for kernel, sample in CLOSED_KERNELS:
         samples = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            if kind == "ball":
-                a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-            else:
-                a, c = halfplane_point(rng, lvl, d), halfplane_point(rng, lvl, d)
+            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
             b = direction_sample(rng, d, lvl, lvl)
             u, v = unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)
             uk, vk = np.kron(u, np.eye(d)), np.kron(v, np.eye(d))
@@ -474,7 +470,7 @@ def check_delta_unitary_invariance(rng):
                 NcDirection(d, lvl, lvl, uk @ b.mat @ vk.conj().T),
             )
             samples.append(((a, c, b), conjugated))
-        route = partial(delta_closed, kind)
+        route = partial(delta_closed, kernel)
         for before, after in _stacked(samples, route, route):
             worst = max(worst, abs(before - after))
             n += 1
@@ -492,7 +488,7 @@ def check_delta_direct_sum_max(rng):
         big_c = direct_sum(pairs[0][1], pairs[1][1])
         samples.append((*pairs, (big_a, big_c)))
     worst = 0.0
-    route = partial(delta_tilde, "ball")
+    route = partial(delta_tilde, BallKernel())
     for *parts, whole in _stacked(samples, route, route, route):
         worst = max(worst, abs(whole - max(parts)))
     return 10, worst
@@ -515,7 +511,7 @@ def check_delta_amplification(rng):
         z_norms.append(norms)
     worst = 0.0
     n = 0
-    route = partial(delta_closed, "ball")
+    route = partial(delta_closed, BallKernel())
     for (base, *vals), norms in zip(_stacked(samples, route, route, route), z_norms):
         for val, z_norm in zip(vals, norms):
             worst = max(worst, abs(val - z_norm * base))
@@ -531,7 +527,7 @@ def check_delta_nondegeneracy(rng):
         a = ball_point(rng, lvl, d)
         samples.append(((a, a, direction_sample(rng, d, lvl, lvl)),))
     min_val = float("inf")
-    for (val,) in _stacked(samples, partial(delta_closed, "ball")):
+    for (val,) in _stacked(samples, partial(delta_closed, BallKernel())):
         min_val = min(min_val, val)
     return 15, 1e-9 - min_val
 
@@ -540,16 +536,13 @@ def check_delta_nondegeneracy(rng):
 def check_tilde_matches_delta(rng):
     worst = 0.0
     n = 0
-    for kind in ("ball", "halfplane"):
+    for kernel, sample in CLOSED_KERNELS:
         samples = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            if kind == "ball":
-                a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-            else:
-                a, c = halfplane_point(rng, lvl, d), halfplane_point(rng, lvl, d)
+            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
             samples.append(((a, c), (a, c, NcDirection(d, lvl, lvl, a.mat - c.mat))))
-        for tilde, closed in _stacked(samples, partial(delta_tilde, kind), partial(delta_closed, kind)):
+        for tilde, closed in _stacked(samples, partial(delta_tilde, kernel), partial(delta_closed, kernel)):
             worst = max(worst, abs(tilde - closed))
             n += 1
     return n, worst
@@ -580,7 +573,7 @@ def check_norm_lower_bound(rng):
         samples.append(((a, c),))
         gaps.append(operator_norm(a.mat - c.mat))
     worst = 0.0
-    for gap, (tilde,) in zip(gaps, _stacked(samples, partial(delta_tilde, "ball"))):
+    for gap, (tilde,) in zip(gaps, _stacked(samples, partial(delta_tilde, BallKernel()))):
         worst = max(worst, gap - tilde)
     return 20, worst
 
@@ -595,9 +588,9 @@ def check_upper_semicontinuity(rng):
         b = direction_sample(rng, d, lvl, lvl)
         e = complex_matrix(rng, lvl * d, lvl * d)
         e *= 0.1 / operator_norm(e)
-        base = delta_closed("ball", a, c, b).value
+        base = delta_closed(BallKernel(), a, c, b).value
         ak = NcPoint(d, lvl, a.mat + (2.0 ** -8) * e)
-        worst = max(worst, delta_closed("ball", ak, c, b).value - base)
+        worst = max(worst, delta_closed(BallKernel(), ak, c, b).value - base)
     return 5, worst
 
 
@@ -607,7 +600,7 @@ def check_boundary_blowup(_rng):
     zero = point(np.zeros((1, 1)))
     for j in range(4, 11):
         r = 1.0 - 2.0 ** -j
-        vals.append(delta_tilde("ball", zero, point(np.array([[r]]))).value)
+        vals.append(delta_tilde(BallKernel(), zero, point(np.array([[r]]))).value)
     worst = max(earlier - later for earlier, later in zip(vals, vals[1:]))
     worst = max(worst, 10.0 - vals[-1])
     return len(vals), worst
@@ -650,7 +643,7 @@ def check_moebius_isometry(rng):
     n = 0
     for _ in range(4):
         alpha = 0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        triples = _oracle_triples(rng, "ball", 3)
+        triples = _oracle_triples(rng, ball_point, 3)
         rep = check_contraction(MoebiusBall(complex(alpha)), dom, dom, triples, equality=True, tol=1e-6)
         worst = max(worst, rep["worst_abs_gap"])
         n += rep["samples"]
@@ -660,7 +653,7 @@ def check_moebius_isometry(rng):
 @_check(1e-7)
 def check_polynomial_contraction(rng):
     dom = ball_domain()
-    triples = _oracle_triples(rng, "ball", 12)
+    triples = _oracle_triples(rng, ball_point, 12)
     rep = check_contraction(Polynomial((0.0, 0.0, 0.5)), dom, dom, triples, tol=1e-7)
     return rep["samples"], rep["worst_excess"]
 
@@ -848,7 +841,7 @@ def check_gauge_matches_delta(rng):
         c = halfplane_point(rng, lvl, d)
         samples.append(((a, c), (a, c), (a, a)))
     worst = 0.0
-    routes = (halfplane_gauge, partial(delta_tilde, "halfplane"), halfplane_gauge)
+    routes = (halfplane_gauge, partial(delta_tilde, HalfPlaneKernel()), halfplane_gauge)
     for gauge, tilde, zero in _stacked(samples, *routes):
         worst = max(worst, abs(gauge - 2.0 * tilde))
         worst = max(worst, zero)

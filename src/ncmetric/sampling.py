@@ -12,8 +12,12 @@ import zlib
 
 import numpy as np
 
-from .matcore import operator_norm
+from .matcore import NcmetricError, operator_norm
 from .ncpoint import NcDirection, NcPoint
+
+
+class SamplingFailure(NcmetricError):
+    """No proposal of a domain's sampler landed inside it."""
 
 
 def rng_stream(seed: int, stream: str) -> np.random.Generator:
@@ -89,7 +93,8 @@ SAMPLE_TRIES = 200
 
 def sample_in_domain(domain, rng, level: int, base_dim: int) -> NcPoint:
     """Draw a point strictly inside the domain: the first of its _propose
-    candidates inside, over SAMPLE_TRIES draws; TypeError if it has none."""
+    candidates inside, over SAMPLE_TRIES draws; TypeError if it has no
+    _propose, SamplingFailure if no candidate lands inside."""
     from .domains import contains  # domains proposes with the samplers above
 
     propose = getattr(domain, "_propose", None)
@@ -99,6 +104,4 @@ def sample_in_domain(domain, rng, level: int, base_dim: int) -> NcPoint:
         for p in propose(rng, level, base_dim):
             if contains(domain, p).inside:
                 return p
-    raise RuntimeError(
-        f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries"
-    )
+    raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")

@@ -84,19 +84,17 @@ def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
     rng = rng_stream(SEED, "acc_oracle")
     worst = 0.0
-    for kind in ("ball", "halfplane"):
-        kernel = BallKernel() if kind == "ball" else HalfPlaneKernel()
-        dom = ball_domain() if kind == "ball" else halfplane_domain()
+    for kernel, dom, sample in (
+        (BallKernel(), ball_domain(), ball_point),
+        (HalfPlaneKernel(), halfplane_domain(), halfplane_point),
+    ):
         for _ in range(100):
             lvl = int(rng.integers(1, 4))
             d = int(rng.integers(1, 3))
-            if kind == "ball":
-                a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-            else:
-                a, c = halfplane_point(rng, lvl, d), halfplane_point(rng, lvl, d)
+            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
             b = direction_sample(rng, d, lvl, lvl)
             ray = delta_ray(dom, a, c, b, tol=1e-7).value
-            closed = delta_closed(kind, a, c, b).value
+            closed = delta_closed(kernel, a, c, b).value
             kern = delta_kernel(kernel, a, c, b).value
             worst = max(worst, abs(ray - closed), abs(ray - kern))
     elapsed = time.perf_counter() - t0
@@ -111,26 +109,25 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_invariance_rules():
     rng = rng_stream(SEED, "acc_rules")
     worst_u = worst_d = worst_a = 0.0
+    kinds = ((BallKernel(), ball_point), (HalfPlaneKernel(), halfplane_point))
     for i in range(50):
-        kind = "ball" if i % 2 == 0 else "halfplane"
+        kernel, sample = kinds[i % 2]
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        sample = ball_point if kind == "ball" else halfplane_point
         a, c = sample(rng, lvl, d), sample(rng, lvl, d)
         b = direction_sample(rng, d, lvl, lvl)
         u, v = unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)
         uk, vk = np.kron(u, np.eye(d)), np.kron(v, np.eye(d))
-        before = delta_closed(kind, a, c, b).value
+        before = delta_closed(kernel, a, c, b).value
         after = delta_closed(
-            kind,
+            kernel,
             unitary_conjugate(u, a),
             unitary_conjugate(v, c),
             NcDirection(d, lvl, lvl, uk @ b.mat @ vk.conj().T),
         ).value
         worst_u = max(worst_u, abs(before - after))
     for i in range(50):
-        kind = "ball" if i % 2 == 0 else "halfplane"
+        kernel, sample = kinds[i % 2]
         d = int(rng.integers(1, 3))
-        sample = ball_point if kind == "ball" else halfplane_point
         lv1, lv2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a1, c1 = sample(rng, lv1, d), sample(rng, lv1, d)
         a2, c2 = sample(rng, lv2, d), sample(rng, lv2, d)
@@ -139,9 +136,9 @@ def test_criterion_02_invariance_rules():
         big_b = np.zeros((a1.dim + a2.dim, c1.dim + c2.dim), dtype=np.complex128)
         big_b[: a1.dim, : c1.dim] = b1.mat
         big_b[a1.dim :, c1.dim :] = b2.mat
-        parts = (delta_closed(kind, a1, c1, b1).value, delta_closed(kind, a2, c2, b2).value)
+        parts = (delta_closed(kernel, a1, c1, b1).value, delta_closed(kernel, a2, c2, b2).value)
         whole = delta_closed(
-            kind,
+            kernel,
             direct_sum(a1, a2),
             direct_sum(c1, c2),
             NcDirection(d, lv1 + lv2, lv1 + lv2, big_b),
@@ -153,9 +150,9 @@ def test_criterion_02_invariance_rules():
         a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
         b = direction_sample(rng, d, lvl, lvl)
         z = complex_matrix(rng, k, k)
-        base = delta_closed("ball", a, c, b).value
+        base = delta_closed(BallKernel(), a, c, b).value
         val = delta_closed(
-            "ball",
+            BallKernel(),
             amplify(np.eye(k), a),
             amplify(np.eye(k), c),
             NcDirection(d, k * lvl, k * lvl, np.kron(z, b.mat)),
@@ -195,7 +192,7 @@ def test_criterion_04_bounded_tilde_counterexample():
         a = selfadjoint_disk_point(rng, lvl, 1, 0.25)
         c = selfadjoint_disk_point(rng, lvl, 1, 0.25)
         worst = max(worst, delta_auto_tilde(disk, a, c).value)
-    blow = delta_tilde("ball", point([[0.0]]), point([[1.0 - 1e-3]])).value
+    blow = delta_tilde(BallKernel(), point([[0.0]]), point([[1.0 - 1e-3]])).value
     _report(
         4,
         "bounded tilde counterexample",
@@ -213,8 +210,8 @@ def test_criterion_05_schwarz_pick():
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
         b = direction_sample(rng, d, lvl, lvl)
-        lhs = delta_closed("ball", eval_point(f, a), eval_point(f, c), delta_f(f, a, c, b)).value
-        rhs = delta_closed("ball", a, c, b).value
+        lhs = delta_closed(BallKernel(), eval_point(f, a), eval_point(f, c), delta_f(f, a, c, b)).value
+        rhs = delta_closed(BallKernel(), a, c, b).value
         worst_eq = max(worst_eq, abs(lhs - rhs))
     half_square = Polynomial((0.0, 0.0, 0.5))
     worst_ex = -float("inf")
@@ -223,9 +220,9 @@ def test_criterion_05_schwarz_pick():
         a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
         b = direction_sample(rng, d, lvl, lvl)
         lhs = delta_closed(
-            "ball", eval_point(half_square, a), eval_point(half_square, c), delta_f(half_square, a, c, b)
+            BallKernel(), eval_point(half_square, a), eval_point(half_square, c), delta_f(half_square, a, c, b)
         ).value
-        rhs = delta_closed("ball", a, c, b).value
+        rhs = delta_closed(BallKernel(), a, c, b).value
         worst_ex = max(worst_ex, lhs - rhs)
     _report(
         5,
@@ -385,7 +382,7 @@ def test_criterion_10_nesting_constant():
         a = ball_point(rng, lvl, d, radius=0.5, fill=0.95)
         c = ball_point(rng, lvl, d, radius=0.5, fill=0.95)
         di = delta_tilde(inner, a, c).value
-        do = delta_tilde("ball", a, c).value
+        do = delta_tilde(BallKernel(), a, c).value
         min_margin = min(min_margin, 0.5 * di - do)
     _report(
         10,
@@ -403,7 +400,7 @@ def test_criterion_11_norm_lower_bound():
         d = int(rng.integers(1, 3))
         a = ball_point(rng, lvl, d, fill=0.9)
         c = ball_point(rng, lvl, d, fill=0.9)
-        val = delta_tilde("ball", a, c).value
+        val = delta_tilde(BallKernel(), a, c).value
         min_margin = min(min_margin, val - operator_norm(a.mat - c.mat))
     _report(
         11,

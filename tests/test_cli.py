@@ -11,7 +11,7 @@ from ncmetric.domains import BallKernel, NormBound, SpectralDisk, ball_domain
 from ncmetric.matcore import mat_to_json, to_json
 from ncmetric.metric import RAY_TOL
 from ncmetric.ncfunc import MoebiusBall, Polynomial
-from ncmetric.ncpoint import point, point_to_json
+from ncmetric.ncpoint import point
 
 import oracles
 
@@ -33,8 +33,8 @@ def _dump(tmp_path, name, obj):
 def ball_files(tmp_path):
     return {
         "domain": _dump(tmp_path, "ball.json", to_json(ball_domain())),
-        "a": _dump(tmp_path, "a.json", point_to_json(point([[0.0]]))),
-        "c": _dump(tmp_path, "c.json", point_to_json(point([[0.5]]))),
+        "a": _dump(tmp_path, "a.json", to_json(point([[0.0]]))),
+        "c": _dump(tmp_path, "c.json", to_json(point([[0.5]]))),
         "b": _dump(tmp_path, "b.json", mat_to_json(np.array([[1.0]]))),
     }
 
@@ -100,8 +100,8 @@ def test_distance_spectral_disk_frozen(tmp_path, capsys):
     c = point([[-0.15, 0.1j], [0.25, 0.2 + 0.1j]])
     out = tmp_path / "distance.json"
     argv = ["distance", "--domain", _dump(tmp_path, "disk.json", to_json(disk)),
-            "--a", _dump(tmp_path, "a.json", point_to_json(a)),
-            "--c", _dump(tmp_path, "c.json", point_to_json(c)),
+            "--a", _dump(tmp_path, "a.json", to_json(a)),
+            "--c", _dump(tmp_path, "c.json", to_json(c)),
             "--refine", "2", "--quad-points", "32", "--out", str(out)]
     assert main(argv) == 0
     printed = capsys.readouterr().out
@@ -447,10 +447,13 @@ def test_props_runs_are_byte_identical(capsys):
     assert rows and all(r.endswith(",pass") for r in rows)
 
 
-def test_counterexample_reproduces(capsys):
-    code = main(["counterexample", "--samples", "10"])
+def test_counterexample_reproduces(tmp_path, capsys):
+    out = tmp_path / "counterexample.json"
+    code = main(["counterexample", "--samples", "10", "--out", str(out)])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    printed = capsys.readouterr().out
+    assert out.read_text() == printed
+    payload = json.loads(printed)
     assert payload["matrix_convexity"]["reproduced"]
     assert payload["bounded_tilde"]["reproduced"]
     assert payload["bounded_tilde"]["ball_tilde_at_r"] > 10.0
@@ -493,7 +496,7 @@ def test_convolve_without_rho_is_exit_3(capsys):
 
 
 def test_point_outside_domain_is_exit_3(tmp_path, ball_files, capsys):
-    far = _dump(tmp_path, "far.json", point_to_json(point([[1.5]])))
+    far = _dump(tmp_path, "far.json", to_json(point([[1.5]])))
     code = main(
         [
             "delta",
@@ -600,7 +603,7 @@ def test_a_non_finite_number_flag_is_exit_3_naming_its_field(tmp_path, capsys, f
 def test_a_margin_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, capsys, value):
     # a negative margin widens the domain the ray search tests, so the
     # routes disagree: ray 0.8219764 against closed_ball 1.0101010
-    files = {k: _dump(tmp_path, f"{k}.json", point_to_json(point([[0.1]]))) for k in ("a", "c")}
+    files = {k: _dump(tmp_path, f"{k}.json", to_json(point([[0.1]]))) for k in ("a", "c")}
     files["b"] = _dump(tmp_path, "b.json", mat_to_json(np.array([[1.0]])))
     files["kernel"] = _dump(tmp_path, "k.json", to_json(BallKernel()))
     argv = ["delta", *(x for k, path in files.items() for x in (f"--{k}", path))]

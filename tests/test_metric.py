@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ import ncmetric.metric
 from ncmetric.domains import (
     BallKernel,
     ComposedBallKernel,
+    ComposedHalfPlaneKernel,
     HalfPlaneKernel,
     KernelDomain,
     NilpotentCone,
@@ -79,13 +81,13 @@ def _hp_point(rng, n):
 
 
 def test_tilde_ball_frozen_value():
-    res = delta_tilde("ball", point([[0.0]]), point([[0.5]]))
+    res = delta_tilde(BallKernel(), point([[0.0]]), point([[0.5]]))
     assert res.method == "closed_ball"
     assert res.value == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
 
 
 def test_halfplane_closed_frozen_value():
-    res = delta_closed("halfplane", point([[1j]]), point([[1j]]), direction([[1.0]]))
+    res = delta_closed(HalfPlaneKernel(), point([[1j]]), point([[1j]]), direction([[1.0]]))
     assert res.value == pytest.approx(0.5, abs=1e-14)
 
 
@@ -94,7 +96,7 @@ def test_ray_matches_closed_ball():
     for n in (1, 2, 3):
         a, c, b = _ball_triple(rng, n)
         ray = delta_ray(ball_domain(), a, c, b, tol=RAY_TEST_TOL)
-        closed = delta_closed("ball", a, c, b)
+        closed = delta_closed(BallKernel(), a, c, b)
         assert ray.value == pytest.approx(closed.value, abs=5e-6)
         lo, hi = ray.bracket
         assert lo <= closed.value <= hi + 5e-6
@@ -106,7 +108,7 @@ def test_ray_matches_closed_halfplane():
         a, c = _hp_point(rng, n), _hp_point(rng, n)
         b = direction(_cmat(rng, n))
         ray = delta_ray(halfplane_domain(), a, c, b, tol=RAY_TEST_TOL)
-        closed = delta_closed("halfplane", a, c, b)
+        closed = delta_closed(HalfPlaneKernel(), a, c, b)
         assert ray.value == pytest.approx(closed.value, abs=5e-6)
 
 
@@ -142,11 +144,11 @@ def test_kernel_formula_matches_closed_forms():
     rng = _rng(23)
     a, c, b = _ball_triple(rng, 2)
     got = delta_kernel(BallKernel(), a, c, b).value
-    assert got == pytest.approx(delta_closed("ball", a, c, b).value, abs=1e-10)
+    assert got == pytest.approx(delta_closed(BallKernel(), a, c, b).value, abs=1e-10)
     ah, ch = _hp_point(rng, 2), _hp_point(rng, 2)
     bh = direction(_cmat(rng, 2))
     goth = delta_kernel(HalfPlaneKernel(), ah, ch, bh).value
-    assert goth == pytest.approx(delta_closed("halfplane", ah, ch, bh).value, abs=1e-10)
+    assert goth == pytest.approx(delta_closed(HalfPlaneKernel(), ah, ch, bh).value, abs=1e-10)
 
 
 def test_composed_ball_three_routes_agree():
@@ -159,7 +161,7 @@ def test_composed_ball_three_routes_agree():
     via_kernel = delta_kernel(kernel, a, c, b).value
     via_ray = delta_ray(dom, a, c, b, tol=RAY_TEST_TOL).value
     scaled = delta_closed(
-        "ball",
+        BallKernel(),
         point(2.0 * a.mat),
         point(2.0 * c.mat),
         direction(2.0 * b.mat),
@@ -184,8 +186,8 @@ def test_delta_positive_homogeneity():
     rng = _rng(26)
     a, c, b = _ball_triple(rng, 2)
     b3 = direction(3.0 * b.mat)
-    base = delta_closed("ball", a, c, b).value
-    assert delta_closed("ball", a, c, b3).value == pytest.approx(3.0 * base, rel=1e-12)
+    base = delta_closed(BallKernel(), a, c, b).value
+    assert delta_closed(BallKernel(), a, c, b3).value == pytest.approx(3.0 * base, rel=1e-12)
     ray3 = delta_ray(ball_domain(), a, c, b3, tol=RAY_TEST_TOL).value
     assert ray3 == pytest.approx(3.0 * base, abs=2e-5)
 
@@ -395,10 +397,10 @@ def _assert_rows(route, triples):
 def test_closed_forms_on_stacks_match_rows():
     rng = _rng(40)
     triples = [_ball_triple(rng, 2) for _ in range(5)]
-    _assert_rows(lambda a, c, b: delta_closed("ball", a, c, b), triples)
-    _assert_rows(lambda a, c, b: delta_tilde("ball", a, c), triples)
+    _assert_rows(lambda a, c, b: delta_closed(BallKernel(), a, c, b), triples)
+    _assert_rows(lambda a, c, b: delta_tilde(BallKernel(), a, c), triples)
     hp = [(_hp_point(rng, 2), _hp_point(rng, 2), direction(_cmat(rng, 2))) for _ in range(5)]
-    _assert_rows(lambda a, c, b: delta_closed("halfplane", a, c, b), hp)
+    _assert_rows(lambda a, c, b: delta_closed(HalfPlaneKernel(), a, c, b), hp)
 
 
 def test_kernel_formula_on_stacks_matches_rows():
@@ -664,14 +666,14 @@ def test_tilde_dominates_norm_gap():
     rng = _rng(31)
     for n in (1, 2, 3):
         a, c, _ = _ball_triple(rng, n, fill=0.8)
-        val = delta_tilde("ball", a, c).value
+        val = delta_tilde(BallKernel(), a, c).value
         assert val >= operator_norm(a.mat - c.mat) - 1e-9
 
 
 def test_tilde_vanishes_on_the_diagonal():
     rng = _rng(32)
     a, _, _ = _ball_triple(rng, 2)
-    assert delta_tilde("ball", a, a).value == 0.0
+    assert delta_tilde(BallKernel(), a, a).value == 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -682,9 +684,9 @@ def test_closed_ball_unitary_invariance(n, seed):
     g = _cmat(rng, n)
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    base = delta_closed("ball", a, c, b).value
+    base = delta_closed(BallKernel(), a, c, b).value
     rot = delta_closed(
-        "ball",
+        BallKernel(),
         point(q @ a.mat @ q.conj().T),
         point(q @ c.mat @ q.conj().T),
         direction(q @ b.mat @ q.conj().T),
@@ -706,13 +708,18 @@ def test_ray_bisection_stops_when_no_float_is_left_between(tol):
         triple = (point([[a]]), point([[c]]), direction([[1.0]]))
         res = delta_ray(ball_domain(), *triple, tol=tol, margin=0.0)
         assert res.iterations < 100
-        assert res.bracket[0] <= delta_closed("ball", *triple).value <= res.bracket[1]
+        assert res.bracket[0] <= delta_closed(BallKernel(), *triple).value <= res.bracket[1]
 
 
-@pytest.mark.parametrize("kind", ["disk", "Ball", "half_plane", ""])
+@pytest.mark.parametrize(
+    "kind",
+    ["disk", "Ball", "half_plane", "", "ball",
+     pytest.param(ComposedBallKernel(Polynomial((0.0, 2.0))), id="composed_ball"),
+     pytest.param(ComposedHalfPlaneKernel(Polynomial((-1j, 1.0))), id="composed_half_plane"),
+     pytest.param(KernelDomain(BallKernel()), id="kernel_domain")],
+)
 def test_unknown_closed_form_kind_is_a_value_error(kind):
+    # a closed form is a kernel's own; a name, even "ball", is no kernel
     a, c = point([[0.1]]), point([[0.2 + 0.5j]])
-    with pytest.raises(ValueError, match="unknown closed-form kind"):
-        delta_tilde(kind, a, c)
-    with pytest.raises(ValueError, match="unknown closed-form kind"):
+    with pytest.raises(ValueError, match=re.escape(f"{kind!r} has no closed form")):
         delta_closed(kind, a, c, direction([[1.0]]))

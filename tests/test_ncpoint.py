@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncmetric.matcore import from_json, to_json
+
 from ncmetric.ncpoint import (
     BaseDimMismatch,
     DimMismatch,
@@ -13,11 +15,7 @@ from ncmetric.ncpoint import (
     block_upper,
     direct_sum,
     direction,
-    direction_from_json,
-    direction_to_json,
     point,
-    point_from_json,
-    point_to_json,
     unitary_conjugate,
 )
 
@@ -111,7 +109,7 @@ def test_unitary_conjugate_acts_per_level():
 def test_point_json_round_trip():
     rng = _rng(5)
     p = point(_cmat(rng, 4, 4), base_dim=2)
-    back = point_from_json(point_to_json(p))
+    back = from_json(to_json(p), "point")
     assert (back.base_dim, back.level) == (2, 2)
     np.testing.assert_allclose(back.mat, p.mat)
 
@@ -119,7 +117,7 @@ def test_point_json_round_trip():
 def test_direction_json_round_trip():
     rng = _rng(6)
     b = NcDirection(2, 1, 2, _cmat(rng, 2, 4))
-    back = direction_from_json(direction_to_json(b))
+    back = from_json(to_json(b), "direction")
     assert (back.base_dim, back.row_level, back.col_level) == (2, 1, 2)
     np.testing.assert_allclose(back.mat, b.mat)
 

@@ -24,6 +24,7 @@ from ncmetric.domains import (
     ComposedHalfPlaneKernel,
     HalfPlaneKernel,
     KernelDomain,
+    Membership,
     NilpotentCone,
     NormBound,
     SpectralDisk,
@@ -32,7 +33,7 @@ from ncmetric.domains import (
     halfplane_domain,
 )
 from ncmetric.freeprob import KrausAugment, MatrixModel, ScalarLaw, ScalarPower
-from ncmetric.matcore import VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
+from ncmetric.matcore import RECORDS, VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
 from ncmetric.metric import (
     compare_nested,
     d_upper,
@@ -43,7 +44,7 @@ from ncmetric.metric import (
     dtilde_upper,
 )
 from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
-from ncmetric.ncpoint import NcPoint, direction, point, point_to_json
+from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
 from ncmetric.sampling import ball_point
 
 SRC = Path(ncmetric.__file__).parent
@@ -56,6 +57,8 @@ PACKAGE_VARIANTS = {
     for cls in tags.values()
     if cls.__module__.startswith("ncmetric.")
 }
+# class -> family of every registered class, the untagged records included
+PACKAGE_FAMILIES = PACKAGE_VARIANTS | {cls: family for family, cls in RECORDS.items()}
 
 EXAMPLES = {
     BallKernel: (BallKernel(),),
@@ -74,6 +77,9 @@ EXAMPLES = {
     ScalarLaw: (ScalarLaw("semicircle", 2.0), ScalarLaw("point_mass", atom=1.5)),
     ScalarPower: (ScalarPower(3.0),),
     KrausAugment: (KrausAugment((np.diag([0.5, 0.5]), np.diag([0.1, 0.9]))),),
+    NcPoint: (point([[0.5, 1.0j], [0.0, -0.25]]), point(np.eye(4), base_dim=2)),
+    NcDirection: (NcDirection(2, 1, 2, np.arange(8.0).reshape(2, 4) * (1 - 0.5j)),),
+    NormBound: (NormBound("level", 2.0), NormBound("constant")),
 }
 
 
@@ -86,10 +92,10 @@ def _same(x, y) -> bool:
     return x == y
 
 
-@pytest.mark.parametrize("cls", sorted(PACKAGE_VARIANTS, key=lambda c: c.__name__), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", sorted(PACKAGE_FAMILIES, key=lambda c: c.__name__), ids=lambda c: c.__name__)
 def test_every_variant_round_trips_through_json(cls):
     for obj in EXAMPLES[cls]:
-        back = from_json(json.loads(json.dumps(to_json(obj))), PACKAGE_VARIANTS[cls])
+        back = from_json(json.loads(json.dumps(to_json(obj))), PACKAGE_FAMILIES[cls])
         assert type(back) is cls
         assert all(_same(getattr(back, f.name), getattr(obj, f.name)) for f in fields(cls)), back
 
@@ -114,24 +120,35 @@ def test_tagged_json_keeps_its_wire_format():
     assert from_json(
         {"variant": "spectral_disk", "center": [0, 0], "radius": 1, "norm_bound": {"rule": "level"}}, "domain"
     ) == SpectralDisk(0.0, 1.0, NormBound("level", 1.0))
-    with pytest.raises(TypeError, match="not a registered variant"):
-        to_json(NormBound("level"))
+    # records carry no tag
+    assert to_json(NormBound("level")) == {"rule": "level", "value": 1.0}
+    assert to_json(point([[0.5]])) == {"base_dim": 1, "level": 1, "mat": mat_to_json(np.array([[0.5]]))}
+    with pytest.raises(TypeError, match="not a registered variant or record"):
+        to_json(Membership(True))
 
 
 _DISK = {"variant": "spectral_disk", "center": [0, 0], "radius": 0.5, "norm_bound": {"rule": "constant"}}
 _X = mat_to_json(np.diag([1.0, -1.0]))
 # a number or integer field given a JSON value of another type, or a key
-# the variant does not have: (family, object, field)
+# the variant does not have: (family, object, field); "outer.inner" is
+# the field inner of the record held in the field outer
 MISTYPED = [
     ("model", {"variant": "matrix_model", "x": _X, "blocks": "11"}, "blocks"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "quad_nodes": 256}, "quad_nodes"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "variance": "4"}, "variance"),
     ("cp-map", {"variant": "scalar_power", "t": True}, "t"),
     ("domain", _DISK | {"radius": "0.5"}, "radius"),
-    ("domain", _DISK | {"norm_bound": {"rule": "constant", "value": True}}, "norm_bound"),
+    ("domain", _DISK | {"norm_bound": {"rule": "constant", "value": True}}, "norm_bound.value"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "variance": 10**400}, "variance"),
     ("model", {"variant": "scalar_law", "law": "semicircle", "varience": 4.0}, "varience"),
 ]
+
+
+def _mistyped_message(family, field):
+    outer, _, inner = field.partition(".")
+    nested = f"malformed {outer} JSON field {inner!r}: " if inner else ""
+    return f"malformed {family} JSON field {outer!r}: {nested}expected"
+
 
 
 @pytest.mark.parametrize(
@@ -156,7 +173,7 @@ MISTYPED = [
         ({"variant": "matrix_model", "x": {"rows": 1}, "blocks": [1]}, "model", "malformed matrix JSON"),
         ({"variant": "kraus_augment", "vs": None}, "cp-map", "malformed cp-map JSON"),
     ]
-    + [(obj, family, f"malformed {family} JSON field {key!r}: expected") for family, obj, key in MISTYPED]
+    + [(obj, family, _mistyped_message(family, key)) for family, obj, key in MISTYPED]
     + [
         (_DISK | {"norm_bound": {"rule": "level", "vaule": 2.0}}, "domain",
          "malformed norm_bound JSON field 'vaule': expected only rule, value"),
@@ -193,8 +210,8 @@ def test_a_tag_from_another_family_is_exit_3(tmp_path, capsys, argv, flag, obj, 
     }
     argv = [files.get(x, x) for x in argv]
     if argv[0] in ("distance", "delta"):
-        argv += ["--a", _dump(tmp_path, "a.json", point_to_json(point([[0.1]]))),
-                 "--c", _dump(tmp_path, "c.json", point_to_json(point([[0.2]])))]
+        argv += ["--a", _dump(tmp_path, "a.json", to_json(point([[0.1]]))),
+                 "--c", _dump(tmp_path, "c.json", to_json(point([[0.2]])))]
     assert main(argv + [flag, _dump(tmp_path, "obj.json", obj)]) == 3
     captured = capsys.readouterr()
     assert f"unknown {family} variant" in captured.err
@@ -206,8 +223,10 @@ _FAMILY_ARGV = {
     "model": ["convolve", "--rho-t", "2", "--xmin", "-1", "--xmax", "1", "--points", "3", "--model"],
     "cp-map": ["convolve", "--law", "bernoulli", "--xmin", "-1", "--xmax", "1", "--points", "3", "--rho"],
     "domain": ["distance", "--a", "A", "--c", "A", "--domain"],
+    "point": ["distance", "--domain", "D", "--c", "A", "--a"],
+    "direction": ["delta", "--domain", "D", "--a", "A", "--c", "A", "--b"],
 }
-_A = point_to_json(point([[0.1]]))
+_A = to_json(point([[0.1]]))
 
 
 @pytest.mark.parametrize(
@@ -240,6 +259,10 @@ def test_a_field_of_the_wrong_json_type_is_exit_3(tmp_path, capsys, argv, obj):
         ("model", {"variant": "scalar_law", "law": "semicircle", "varience": 4.0}, "varience"),
         ("domain", _DISK | {"norm_bound": {"rule": "level", "vaule": 2.0}}, "vaule"),
         ("function", {"variant": "polynomial", "coeffs": [], "degree": 0}, "degree"),
+        ("point", _A | {"levle": 1}, "levle"),
+        ("point", _A | {"mat": _A["mat"] | {"colls": 1}}, "colls"),
+        ("direction", {"base_dim": 1, "row_level": 1, "col_level": 1, "mat": _A["mat"], "variant": "x"}, "variant"),
+        ("direction", _A["mat"] | {"base_dim": 1}, "base_dim"),
     ],
 )
 def test_an_unknown_key_is_exit_3_naming_it(tmp_path, capsys, family, obj, key):
@@ -309,7 +332,7 @@ def _at(value, path):
     return value
 
 
-_WIRE = [(PACKAGE_VARIANTS[cls], to_json(obj)) for cls in EXAMPLES for obj in EXAMPLES[cls]]
+_WIRE = [(PACKAGE_FAMILIES[cls], to_json(obj)) for cls in EXAMPLES for obj in EXAMPLES[cls]]
 _BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), True, "0.5", 10**400]
 
 
@@ -340,8 +363,8 @@ def test_one_mutation_of_valid_json_is_decoded_or_named(data):
         except ValueError as exc:
             assert any(re.search(rf"\b{re.escape(key)}\b", str(exc)) for key in named), (str(exc), path)
             return
-    # what may decode: a dropped optional key, or an extra key in a matrix
-    assert mutation == "drop" or (mutation == "extra" and "variant" not in target and path[-1:] != ("norm_bound",))
+    # what may decode: a dropped optional key
+    assert mutation == "drop"
 
 
 def test_every_registered_tag_is_in_schemas():
@@ -353,17 +376,24 @@ def test_every_registered_tag_is_in_schemas():
 
 def test_no_module_that_routes_by_variant_asks_for_its_class():
     # the variants carry their behaviour; every module calls it and
-    # never branches on a variant's class, by isinstance or by type()
+    # never branches on a variant's class, by isinstance or by type(),
+    # nor on a kernel's closed-form label; and matcore's registry is the
+    # one codec, so no other module defines a *_from_json or *_to_json
     names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
     pattern = re.compile(
         rf"isinstance\([^)]*\b({names})\b|\btype\([^)]*\)\s*(is|==|!=)\s*(not\s+)?({names})\b"
+        r"|\.closed\s*(==|!=)"
     )
+    codec = re.compile(r"\bdef\s+\w*_(from|to)_json\b")
     offenders = []
     modules = sorted(SRC.glob("*.py"))
-    assert {"metric.py", "cli.py", "props.py", "freeprob.py"} <= {path.name for path in modules}
+    assert {"metric.py", "cli.py", "props.py", "freeprob.py", "matcore.py"} <= {path.name for path in modules}
     for path in modules:
         text = path.read_text()
-        for m in pattern.finditer(text):
+        found = list(pattern.finditer(text))
+        if path.name != "matcore.py":
+            found += codec.finditer(text)
+        for m in found:
             offenders.append(f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
     assert offenders == []
 
@@ -402,10 +432,10 @@ def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, ca
     # the ray search on it finds the ball's closed forms
     ray = delta_auto(dom, a, c, b)
     assert ray.method == "ray"
-    assert ray.value == pytest.approx(delta_closed("ball", a, c, b).value, rel=1e-5)
+    assert ray.value == pytest.approx(delta_closed(BallKernel(), a, c, b).value, rel=1e-5)
     tilde = delta_auto_tilde(dom, a, c)
     assert tilde.method == "ray"
-    assert tilde.value == pytest.approx(delta_tilde("ball", a, c).value, rel=1e-5)
+    assert tilde.value == pytest.approx(delta_tilde(BallKernel(), a, c).value, rel=1e-5)
 
     bound = dtilde_upper(dom, a, c, refinement_budget=2)
     assert bound.value == pytest.approx(dtilde_upper(ball_domain(), a, c, refinement_budget=2).value, rel=1e-5)
@@ -420,8 +450,8 @@ def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, ca
 
     assert from_json(json.loads(json.dumps(to_json(dom))), "domain") == dom
     argv = ["distance", "--domain", _dump(tmp_path, "dom.json", to_json(dom)),
-            "--a", _dump(tmp_path, "a.json", point_to_json(a)),
-            "--c", _dump(tmp_path, "c.json", point_to_json(c)),
+            "--a", _dump(tmp_path, "a.json", to_json(a)),
+            "--c", _dump(tmp_path, "c.json", to_json(c)),
             "--refine", "2", "--quad-points", "8"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -440,3 +470,31 @@ def test_contract_samples_a_domain_kind_by_its_own_proposals(tmp_path, capsys):
     assert main(argv + [_dump(tmp_path, "bare.json", to_json(UnsampledBall(1.0)))]) == 3
     captured = capsys.readouterr()
     assert "input error: no sampler for UnsampledBall" in captured.err and captured.out == ""
+
+
+@variant("domain", "test_empty_ball")
+@dataclass(frozen=True)
+class EmptyBall(NormBall):
+    def _inside(self, a: NcPoint, margin: float):
+        return np.zeros(a.mat.shape[:-2], dtype=bool)
+
+
+def test_a_domain_its_proposals_never_hit_is_exit_4(tmp_path, capsys):
+    argv = ["contract", "--function", _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5)))),
+            "--src", _dump(tmp_path, "src.json", to_json(EmptyBall(1.0))),
+            "--dst", _dump(tmp_path, "dst.json", to_json(ball_domain())), "--samples", "1", "--levels", "1"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: could not hit EmptyBall in 200 tries\n" and captured.out == ""
+
+
+def test_a_composed_half_plane_is_sampled_by_half_plane_proposals(tmp_path, capsys):
+    # Im g(a) > 0 for g(z) = z - i is Im a > I: no ball proposal reaches it
+    dom = KernelDomain(ComposedHalfPlaneKernel(Polynomial((-1j, 1.0))))
+    files = {name: _dump(tmp_path, f"{name}.json", to_json(obj))
+             for name, obj in (("f", Polynomial((0.0, 1.0))), ("dom", dom))}
+    argv = ["contract", "--function", files["f"], "--src", files["dom"], "--dst", files["dom"],
+            "--samples", "4", "--levels", "1", "--equality"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples"] == 4 and report["ok"], report
