@@ -7,9 +7,11 @@ subordination solver with spectral-density output.
 """
 
 from .matcore import (
+    InputError,
     NcmetricError,
     NonHermitianInput,
     NotPositiveDefinite,
+    NumericalFailure,
     SingularMatrix,
     herm_eig,
     herm_part,

@@ -1,9 +1,11 @@
 """Command-line surface.
 
 JSON in, CSV/JSON out. Exit codes: 0 success, 2 invariant violation,
-3 input error, 4 numerical failure. All randomness is drawn from
-named Philox substreams of --seed, so identical invocations produce
-byte-identical artifacts.
+3 input error, 4 numerical failure; an error's class decides between
+3 and 4 (matcore.InputError, matcore.NumericalFailure). The commands
+that sample (contract, props, counterexample) draw from named Philox
+substreams of --seed, so identical invocations produce byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -16,35 +18,10 @@ import sys
 import numpy as np
 
 from . import props as props_mod
-from .domains import (
-    BallKernel,
-    EvaluationFailure,
-    KernelDomain,
-    NormBound,
-    PointOutsideDomain,
-    SpectralDisk,
-    contains,
-)
-from .freeprob import (
-    MaxIterExceeded,
-    NotInHalfPlane,
-    RangeViolation,
-    ScalarLaw,
-    ScalarPower,
-    SingularResolvent,
-    density_grid,
-)
-from .matcore import (
-    NonHermitianInput,
-    NotPositiveDefinite,
-    SingularMatrix,
-    from_json,
-    mat_from_json,
-    mat_to_json,
-    positive_finite,
-)
+from .domains import BallKernel, KernelDomain, NormBound, SpectralDisk, contains
+from .freeprob import ScalarLaw, ScalarPower, density_grid
+from .matcore import InputError, NumericalFailure, from_json, mat_from_json, mat_to_json, positive_finite
 from .metric import (
-    PathBlocked,
     check_contraction,
     d_upper,
     delta_auto_tilde,
@@ -54,42 +31,13 @@ from .metric import (
     delta_tilde,
     dtilde_upper,
 )
-from .ncfunc import DomainViolation, SeriesNotConverged
-from .ncpoint import BaseDimMismatch, DimMismatch, NotUnitary, direction, point
-from .sampling import SamplingFailure, direction_sample, rng_stream, sample_in_domain, selfadjoint_disk_point
+from .ncpoint import direction, point
+from .sampling import direction_sample, rng_stream, sample_in_domain, selfadjoint_disk_point
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
-
-NUMERICAL_ERRORS = (
-    SingularMatrix,
-    NotPositiveDefinite,
-    SeriesNotConverged,
-    EvaluationFailure,
-    SingularResolvent,
-    MaxIterExceeded,
-    RangeViolation,
-    PathBlocked,
-    SamplingFailure,
-)
-
-INPUT_ERRORS = (
-    json.JSONDecodeError,
-    FileNotFoundError,
-    IsADirectoryError,
-    KeyError,
-    TypeError,
-    ValueError,
-    NonHermitianInput,
-    NotUnitary,
-    BaseDimMismatch,
-    DimMismatch,
-    PointOutsideDomain,
-    DomainViolation,
-    NotInHalfPlane,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -346,8 +294,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
+
+    def add_seeded(p):
+        p.add_argument("--seed", type=int, default=0)
+        add_common(p)
 
     p = sub.add_parser("delta", help="infinitesimal metric by every applicable method")
     p.add_argument("--domain", default=None)
@@ -382,7 +333,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base-dim", type=int, default=1)
     p.add_argument("--equality", action="store_true")
     p.add_argument("--tol", type=float, default=1e-8)
-    add_common(p)
+    add_seeded(p)
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("convolve", help="spectral density of a free convolution")
@@ -402,12 +353,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_convolve)
 
     p = sub.add_parser("props", help="run the cross-module invariant suite")
-    add_common(p)
+    add_seeded(p)
     p.set_defaults(func=cmd_props)
 
     p = sub.add_parser("counterexample", help="reproduce the graded-norm and bounded-gauge counterexamples")
     p.add_argument("--samples", type=int, default=50)
-    add_common(p)
+    add_seeded(p)
     p.set_defaults(func=cmd_counterexample)
 
     return parser
@@ -417,10 +368,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except INPUT_ERRORS as exc:
+    # a JSONDecodeError is a ValueError
+    except (InputError, ValueError, TypeError, KeyError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

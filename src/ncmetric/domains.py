@@ -22,7 +22,7 @@ matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
 is the affine pairing H(x, y)(P), y on the starred side (K(a, c)(P) at
 y = c*; the composed kernels apply z -> G(z*)* there, so block
 evaluations stay matrix arithmetic), and its _propose(rng, level,
-base_dim) draws a candidate point from the ball or the half-plane it
+base_dim) draws candidate points from the ball or the half-plane it
 pulls back. The ball and half-plane kernels carry their closed form,
 _closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
 "halfplane"); the composed kernels have closed = None. A domain's
@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    NcmetricError,
+    InputError,
+    NumericalFailure,
     as_matrix,
     complex_from_json,
     finite,
@@ -75,11 +76,11 @@ MEMBERSHIP_MARGIN = 1e-9
 NILPOTENT_TOL = 1e-10
 
 
-class EvaluationFailure(NcmetricError):
+class EvaluationFailure(NumericalFailure):
     """A kernel (or its composing function) failed to evaluate."""
 
 
-class PointOutsideDomain(NcmetricError):
+class PointOutsideDomain(InputError):
     """An operation required a point strictly inside a domain."""
 
 
@@ -94,16 +95,20 @@ class _HalfPlaneForm:
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return (x @ p - p @ y) / 2.0j
 
-    def _propose(self, rng, level: int, base_dim: int) -> NcPoint:
-        return halfplane_point(rng, level, base_dim)
+    def _propose(self, rng, level: int, base_dim: int) -> tuple:
+        p = halfplane_point(rng, level, base_dim).mat
+        # composed domains can be much smaller, or far up (g(z) = z - 5i needs Im a > 5)
+        up = (p + 1j * s * np.eye(len(p)) for s in (4, 16, 64))
+        return tuple(NcPoint(base_dim, level, m) for m in (p, p * 0.2, *up))
 
 
 class _BallForm:
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return p - x @ p @ y
 
-    def _propose(self, rng, level: int, base_dim: int) -> NcPoint:
-        return ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
+    def _propose(self, rng, level: int, base_dim: int) -> tuple:
+        p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
+        return p, NcPoint(base_dim, level, p.mat * 0.2)  # composed domains can be much smaller
 
 
 def _composed(g, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -161,9 +166,7 @@ class KernelDomain:
         return is_strictly_positive(herm_part(g), margin)
 
     def _propose(self, rng, level: int, base_dim: int):
-        p = self.kernel._propose(rng, level, base_dim)
-        # composed domains can be much smaller than the unit ball
-        return p, NcPoint(base_dim, level, p.mat * 0.2)
+        return self.kernel._propose(rng, level, base_dim)
 
 
 @record("norm_bound", value=json_number)

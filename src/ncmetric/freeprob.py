@@ -23,10 +23,15 @@ the exact derivative at b in each direction of the stack dirs, from one
 resolvent (b - X)^(-1), one per atom of a discrete law, or one closed
 form of a continuous law at level one (above it, the closed form of b
 and of the block points [[b, e], [0, b]]). cauchy_G passes an empty
-stack of directions; it and the solver take the model behind the same
-checks. A cp map's _minus_id(m, level)
-applies rho - Id per matrix of a stack, and its _validate(model) raises
-ValueError unless it acts on the model.
+stack of directions. A cp map's _minus_id(m, level) applies rho - Id
+per matrix of a stack, and its _validate(model) raises ValueError
+unless it acts on the model.
+
+Each point is checked for the half-plane once. The public functions
+check the points they are given (NotInHalfPlane, an input error); the
+solver checks its input, then each iterate it keeps (SingularResolvent:
+the map keeps the half-plane, so only roundoff leaves it); the
+transforms beneath them check no point.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (
+    InputError,
     NcmetricError,
     NonHermitianInput,
+    NumericalFailure,
     SingularMatrix,
     as_matrix,
     as_stack,
@@ -53,6 +60,7 @@ from .matcore import (
     json_number,
     mat_from_json,
     operator_norm,
+    positive_eigvals,
     positive_finite,
     principal_sqrt,
     psd_inv_sqrt,
@@ -66,19 +74,19 @@ HALF_PLANE_MARGIN = 1e-10
 H_IMAG_SLACK = 1e-6
 
 
-class NotInHalfPlane(NcmetricError):
+class NotInHalfPlane(InputError):
     """The argument does not lie strictly in the upper half-plane."""
 
 
-class SingularResolvent(NcmetricError):
+class SingularResolvent(NumericalFailure):
     """(b - X) failed to invert, or a transform lost its sign."""
 
 
-class RangeViolation(NcmetricError):
+class RangeViolation(NumericalFailure):
     """k0 left its certified range ball; eps0 was overestimated."""
 
 
-class MaxIterExceeded(NcmetricError):
+class MaxIterExceeded(NumericalFailure):
     """Iteration budget exhausted; carries the best iterate and trace."""
 
     def __init__(self, message: str, omega=None, trace=None):
@@ -262,22 +270,22 @@ def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
     return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
 
 
-def _require_upper(b: NcPoint):
-    im = imag_part(b.mat)
+def _require_upper(p: NcPoint, name: str = "b"):
+    """NotInHalfPlane naming the point unless Im p, or each Im of a stack, is strictly positive."""
+    im = imag_part(p.mat)
     inside = is_strictly_positive(im, HALF_PLANE_MARGIN)
     if not np.all(inside):
         first = im.reshape((-1,) + im.shape[-2:])[np.argmin(np.ravel(inside))]
         raise NotInHalfPlane(
-            f"lambda_min(Im b) = {float(herm_eigvals(first)[0]):.3e} "
-            "is not strictly positive"
+            f"point {name} is not strictly in the half-plane: "
+            f"lambda_min(Im {name}) = {float(herm_eigvals(first)[0]):.3e}"
         )
 
 
 def _transform(model, b: NcPoint, dirs=None):
-    """G(b) behind cauchy_G's checks, with DG(b)[dirs] from the same evaluation (empty without dirs)."""
+    """G(b) at a b its caller has checked, with DG(b)[dirs] from the same evaluation (empty without dirs)."""
     if b.base_dim != model.base_dim:
         raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
-    _require_upper(b)
     if dirs is None:
         dirs = np.zeros((0, b.dim, b.dim), dtype=np.complex128)
     try:
@@ -295,6 +303,7 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
     b may hold a stack of points; each gets the checks a single point
     gets, and a check that fails on any point raises.
     """
+    _require_upper(b)
     return NcPoint(b.base_dim, b.level, _transform(model, b)[0])
 
 
@@ -319,6 +328,7 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
 
     Stacks are taken per point, as in cauchy_G.
     """
+    _require_upper(b)
     f, h, _ = _F_h(model, b)
     return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, h)
 
@@ -389,9 +399,8 @@ def halfplane_gauge(a: NcPoint, c: NcPoint):
     """
     if a.level != c.level or a.base_dim != c.base_dim:
         raise ValueError("gauge needs points at the same level and base")
-    for name, p in (("a", a), ("c", c)):
-        if not np.all(is_strictly_positive(imag_part(p.mat), HALF_PLANE_MARGIN)):
-            raise NotInHalfPlane(f"point {name} is not strictly in the half-plane")
+    _require_upper(a, "a")
+    _require_upper(c, "c")
     sa = psd_inv_sqrt(imag_part(a.mat))
     sc = psd_inv_sqrt(imag_part(c.mat))
     return operator_norm(sa @ (a.mat - c.mat) @ sc)
@@ -437,6 +446,12 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     inside; that step is the globally convergent one. A row stops at its
     Picard update once the residual ||update - w||_F is at most tol.
 
+    The input b is checked once; each iterate a row keeps is then tested
+    by is_strictly_positive's rule on the eigenvalues of its Im that the
+    step computes anyway (SingularResolvent if outside). Both see the same
+    eigenvalues: imag_part is exactly Hermitian (the division by 2i is
+    exact), and herm_part returns it unchanged (barring overflow).
+
     One loop advances all rows that have not converged yet. Each
     iteration makes one stacked call of the model's _G_dG, in which one
     resolvent per atom (or one closed form) gives both G and DG. Each
@@ -456,7 +471,8 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
 
     basis = _from_coords(blocks, np.eye(m).reshape(m, level, level, len(blocks)))
 
-    eps0 = herm_eigvals(imag_part(bm))[:, 0]
+    im_eigs = herm_eigvals(imag_part(bm))  # of each row's kept iterate
+    eps0 = im_eigs[:, 0].copy()
     im_floor = 0.1 * eps0
     w = bm.copy()
     picard = np.zeros(n_rows, dtype=int)
@@ -467,17 +483,19 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     for it in range(1, max_iter + 1):
         wa = w[active]
         f, upd, dg = _picard(model, rho, at(bm[active]), wa, basis)
-        lam = herm_eigvals(imag_part(upd))[:, 0]
+        upd_eigs = herm_eigvals(imag_part(upd))
+        lam = upd_eigs[:, 0]
         eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
         r = _frobenius(upd - wa)
         residual[active] = r
         done = r <= tol
         finished = active[done]
-        w[finished] = upd[done]
+        _require_kept_upper(upd_eigs[done])
+        w[finished], im_eigs[finished] = upd[done], upd_eigs[done]
         converged[finished] = True
         iterations[finished] = it
         go = ~done
-        active, wa, upd, f, dg = active[go], wa[go], upd[go], f[go], dg[go]
+        active, wa, upd, upd_eigs, f, dg = active[go], wa[go], upd[go], upd_eigs[go], f[go], dg[go]
         if not active.size:
             break
         f4 = f[:, None]
@@ -487,13 +505,21 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         # jac[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is its transpose
         delta = -(inverse(jac.mT) @ phi)
         cand = wa + _from_coords(blocks, delta.reshape(active.size, level, level, len(blocks)))
-        newton = herm_eigvals(imag_part(cand))[:, 0] > im_floor[active]
+        cand_eigs = herm_eigvals(imag_part(cand))
+        newton = cand_eigs[:, 0] > im_floor[active]
+        im_eigs[active] = np.where(newton[:, None], cand_eigs, upd_eigs)
+        _require_kept_upper(im_eigs[active])
         w[active] = np.where(newton[:, None, None], cand, upd)
         picard[active] += ~newton
-    # the loop leaves each iterate's half-plane check to the next
-    # _transform; the iterates returned get theirs here
-    _require_upper(at(w))
-    return at(w), _StackTrace(iterations, residual, converged, eps0, herm_eigvals(imag_part(w)), picard)
+    return at(w), _StackTrace(iterations, residual, converged, eps0, im_eigs, picard)
+
+
+def _require_kept_upper(im_eigs: np.ndarray):
+    """SingularResolvent unless each kept iterate, by the eigenvalues of its Im (N, n), is in the half-plane."""
+    inside = positive_eigvals(im_eigs, HALF_PLANE_MARGIN)
+    if not inside.all():
+        lo = im_eigs[np.argmin(inside), 0]
+        raise SingularResolvent(f"an iterate left the half-plane: lambda_min(Im w) = {lo:.3e}")
 
 
 @dataclass(frozen=True)
@@ -583,6 +609,7 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     w = w + 1e-3j * imag_part(w)
     r = []
     for _ in range(4):
+        _require_upper(NcPoint(b.base_dim, b.level, w), "w")
         _, upd, _ = _picard(model, rho, stack, w)
         r.append(_frobenius(upd - w))
         w = upd
@@ -616,7 +643,7 @@ class DensityResult:
 def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
     omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
-    g = cauchy_G(model, omega).mat
+    g = _transform(model, omega)[0]  # the solver has checked omega
     density = -(_trace(g) / g.shape[-1]).imag / np.pi
     columns = (xs, density, traces.residual, traces.iterations, traces.converged)
     return list(map(DensityRow, *(c.tolist() for c in columns), traces.contraction_bounds()))
@@ -698,6 +725,7 @@ class H0Map:
     eps0: float
 
     def __call__(self, w: NcPoint) -> NcPoint:
+        _require_upper(w, "w")
         b0 = NcPoint(w.base_dim, w.level, self.b0_at(w.level))
         return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, b0, w.mat)[1])
 
@@ -711,7 +739,7 @@ class H0Map:
 
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
     validate_rho(model, rho)
-    _require_upper(b0)
+    _require_upper(b0, "b0")
     eps0 = float(herm_eigvals(imag_part(b0.mat))[0])
     return H0Map(model, rho, b0, eps0)
 
@@ -741,8 +769,7 @@ def k0_and_fixed_point(
     eps0 = h0.eps0
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
-    if not is_strictly_positive(imag_part(a.mat), HALF_PLANE_MARGIN):
-        raise NotInHalfPlane("Im a is not strictly positive")
+    _require_upper(a, "a")
     eye = np.eye(a.dim, dtype=np.complex128)
     center = (1j / (2.0 * eps0)) * eye
     radius_cap = 1.0 / (2.0 * eps0) + 1e-9

@@ -44,18 +44,26 @@ SQRT_STEPS = 100  # principal_sqrt fails after this many steps
 
 
 class NcmetricError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package, each through InputError or NumericalFailure."""
 
 
-class NonHermitianInput(NcmetricError):
+class InputError(NcmetricError):
+    """The input breaks a precondition; the CLI exits 3."""
+
+
+class NumericalFailure(NcmetricError):
+    """A computation failed on valid input; the CLI exits 4."""
+
+
+class NonHermitianInput(InputError):
     """A spectral routine was handed a matrix that is not Hermitian."""
 
 
-class SingularMatrix(NcmetricError):
+class SingularMatrix(NumericalFailure):
     """Inversion was requested for a numerically singular matrix."""
 
 
-class NotPositiveDefinite(NcmetricError):
+class NotPositiveDefinite(NumericalFailure):
     """A positive-definite matrix was required but not supplied."""
 
 
@@ -191,10 +199,14 @@ def is_strictly_positive(a, margin: float = POS_MARGIN):
     if roundoff is expected.
     """
     h = _checked_herm_part(as_stack(a), "positivity is only defined for Hermitian matrices")
-    w = herm_eigvals(h)
+    return _one(positive_eigvals(herm_eigvals(h), margin))
+
+
+def positive_eigvals(w: np.ndarray, margin: float) -> np.ndarray:
+    """is_strictly_positive's rule on ascending eigenvalues w (..., n), one bool per row."""
     lo, hi = w[..., 0], w[..., -1]
     # eigenvalues ascend, so max(|lo|, |hi|) = max(-lo, hi)
-    return _one(lo > margin * np.maximum(1.0, np.maximum(-lo, hi)))
+    return lo > margin * np.maximum(1.0, np.maximum(-lo, hi))
 
 
 def inverse(a) -> np.ndarray:

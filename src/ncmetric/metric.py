@@ -44,7 +44,9 @@ from .domains import (
     require_inside,
 )
 from .matcore import (
+    InputError,
     NcmetricError,
+    NumericalFailure,
     herm_eigvals,
     herm_part,
     inverse,
@@ -65,11 +67,11 @@ RAY_TOL = 1e-6
 NESTING_TOL = 1e-8
 
 
-class PathBlocked(NcmetricError):
+class PathBlocked(NumericalFailure):
     """A quadrature or division point left the domain."""
 
 
-class NestingViolation(NcmetricError):
+class NestingViolation(InputError):
     """A sample of the inner domain escaped the outer domain."""
 
 
@@ -117,12 +119,21 @@ class PathBound:
     points_used: int
 
 
-def _check_triple(a: NcPoint, c: NcPoint, b: NcDirection):
-    if b.row_level != a.level or b.col_level != c.level:
+def _require_endpoints(
+    domain, a: NcPoint, c: NcPoint, b: NcDirection | None = None, margin: float = MEMBERSHIP_MARGIN
+):
+    """DimMismatch unless b joins a to c (or, without b, a and c share level
+    and base), PointOutsideDomain unless both lie inside at margin."""
+    if b is None:
+        if a.level != c.level or a.base_dim != c.base_dim:
+            raise DimMismatch("endpoints must live at the same level and base")
+    elif b.row_level != a.level or b.col_level != c.level:
         raise DimMismatch(
             f"direction levels {(b.row_level, b.col_level)} do not join "
             f"point levels {(a.level, c.level)}"
         )
+    require_inside(domain, a, margin, "a")
+    require_inside(domain, c, margin, "c")
 
 
 def _is_stack(*items) -> bool:
@@ -219,9 +230,12 @@ def delta_ray(
     ValueError unless tol is positive and finite.
     """
     positive_finite("tol", tol)
-    _check_triple(a, c, b)
-    require_inside(domain, a, margin, "a")
-    require_inside(domain, c, margin, "c")
+    _require_endpoints(domain, a, c, b, margin)
+    return _ray(domain, a, c, b, tol, margin)
+
+
+def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: float):
+    """delta_ray's search, for a and c already known to lie inside at margin."""
     stacked = _is_stack(a, c, b)
     na, level = a.dim, a.level + c.level
     # every round overwrites the corner with the scaled direction
@@ -284,10 +298,7 @@ def delta_kernel(
     at zero before the square root, so roundoff below zero cannot
     poison the result. Stacks give a list with one result per row.
     """
-    _check_triple(a, c, b)
-    dom = KernelDomain(kernel)
-    require_inside(dom, a, margin, "a")
-    require_inside(dom, c, margin, "c")
+    _require_endpoints(KernelDomain(kernel), a, c, b, margin)
     return _results(_kernel_value(kernel, a, c, b), "kernel", _is_stack(a, c, b))
 
 
@@ -323,12 +334,8 @@ def delta_tilde(kernel, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResul
     method is labelled by the kernel's closed form, if it has one. Stacks
     give a list with one result per row.
     """
-    if a.level != c.level or a.base_dim != c.base_dim:
-        raise DimMismatch("delta_tilde needs points at the same level and base")
+    _require_endpoints(KernelDomain(kernel), a, c)
     method = f"closed_{kernel.closed}" if kernel.closed else "kernel"
-    dom = KernelDomain(kernel)
-    require_inside(dom, a, name="a")
-    require_inside(dom, c, name="c")
     return _results(_tilde_values(kernel, a, c), method, _is_stack(a, c))
 
 
@@ -359,7 +366,7 @@ def _route(domain):
 
 
 def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
-    res = delta_ray(domain, a, c, b, margin=margin)
+    res = _ray(domain, a, c, b, RAY_TOL, margin)
     return np.array([r.value for r in res]) if _is_stack(a, c, b) else res.value
 
 
@@ -376,9 +383,7 @@ def delta_auto(
     method, values = _route(domain)
     if method == "ray":
         return delta_ray(domain, a, c, b, margin=margin)
-    _check_triple(a, c, b)
-    require_inside(domain, a, margin, "a")
-    require_inside(domain, c, margin, "c")
+    _require_endpoints(domain, a, c, b, margin)
     return _results(values(a, c, b, margin), method, _is_stack(a, c, b))
 
 
@@ -417,10 +422,7 @@ def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = 6) -> 
     """
     if refinement_budget < 0:
         raise ValueError(f"refinement_budget must be at least 0, got {refinement_budget}")
-    if a.level != c.level or a.base_dim != c.base_dim:
-        raise DimMismatch("endpoints must live at the same level and base")
-    require_inside(domain, a, name="a")
-    require_inside(domain, c, name="c")
+    _require_endpoints(domain, a, c)
 
     diagnostics = []
     stage_values = []

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import (
-    NcmetricError,
+    InputError,
+    NumericalFailure,
     SingularMatrix,
     as_stack,
     complex_from_json,
@@ -47,11 +48,11 @@ SERIES_TAIL_TOL = 1e-12
 AXIOM_TOL = 1e-10
 
 
-class DomainViolation(NcmetricError):
+class DomainViolation(InputError):
     """The function cannot be evaluated at the given point."""
 
 
-class SeriesNotConverged(NcmetricError):
+class SeriesNotConverged(NumericalFailure):
     """The argument lies outside the stated convergence radius."""
 
 

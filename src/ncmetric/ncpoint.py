@@ -25,20 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import NcmetricError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, record
+from .matcore import InputError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, record
 
 UNITARY_TOL = 1e-10
 
 
-class BaseDimMismatch(NcmetricError):
+class BaseDimMismatch(InputError):
     """Operands live over different base dimensions."""
 
 
-class DimMismatch(NcmetricError, ValueError):
+class DimMismatch(InputError, ValueError):
     """Level or shape mismatch between operands."""
 
 
-class NotUnitary(NcmetricError):
+class NotUnitary(InputError):
     """The supplied level matrix is not unitary to tolerance."""
 
 

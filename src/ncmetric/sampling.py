@@ -12,11 +12,11 @@ import zlib
 
 import numpy as np
 
-from .matcore import NcmetricError, operator_norm
+from .matcore import NumericalFailure, operator_norm
 from .ncpoint import NcDirection, NcPoint
 
 
-class SamplingFailure(NcmetricError):
+class SamplingFailure(NumericalFailure):
     """No proposal of a domain's sampler landed inside it."""
 
 

@@ -6,12 +6,24 @@ import warnings
 import numpy as np
 import pytest
 
+from ncmetric import props
 from ncmetric.cli import main
-from ncmetric.domains import BallKernel, NormBound, SpectralDisk, ball_domain
-from ncmetric.matcore import mat_to_json, to_json
-from ncmetric.metric import RAY_TOL
-from ncmetric.ncfunc import MoebiusBall, Polynomial
-from ncmetric.ncpoint import point
+from ncmetric.domains import BallKernel, EvaluationFailure, NormBound, PointOutsideDomain, SpectralDisk, ball_domain
+from ncmetric.freeprob import MaxIterExceeded, NotInHalfPlane, RangeViolation, SingularResolvent
+from ncmetric.matcore import (
+    InputError,
+    NcmetricError,
+    NonHermitianInput,
+    NotPositiveDefinite,
+    NumericalFailure,
+    SingularMatrix,
+    mat_to_json,
+    to_json,
+)
+from ncmetric.metric import RAY_TOL, NestingViolation, PathBlocked
+from ncmetric.ncfunc import DomainViolation, MoebiusBall, Polynomial, SeriesNotConverged
+from ncmetric.ncpoint import BaseDimMismatch, DimMismatch, NotUnitary, point
+from ncmetric.sampling import SamplingFailure
 
 import oracles
 
@@ -614,3 +626,55 @@ def test_a_margin_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, capsys,
     assert main(argv + ["--margin=0"]) == 0
     values = [r["value"] for r in json.loads(capsys.readouterr().out)["results"]]
     assert values == pytest.approx([1.0 / 0.99] * 3, rel=1e-6)
+
+
+def test_a_solve_that_leaves_the_half_plane_is_exit_4(capsys):
+    # valid input: at t = 1e150 the roundoff in Im h(b) takes the first
+    # Picard update far below the real axis
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "1e150", "--xmin", "0", "--xmax", "1", "--points", "2"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and captured.out == ""
+
+
+# the exit code of every error class the package defines
+EXIT_CODES = {
+    NonHermitianInput: 3,
+    NotUnitary: 3,
+    BaseDimMismatch: 3,
+    DimMismatch: 3,
+    PointOutsideDomain: 3,
+    DomainViolation: 3,
+    NotInHalfPlane: 3,
+    NestingViolation: 3,
+    SingularMatrix: 4,
+    NotPositiveDefinite: 4,
+    SeriesNotConverged: 4,
+    EvaluationFailure: 4,
+    SingularResolvent: 4,
+    MaxIterExceeded: 4,
+    RangeViolation: 4,
+    PathBlocked: 4,
+    SamplingFailure: 4,
+}
+
+
+def test_every_error_exits_with_the_code_of_its_one_base(monkeypatch, capsys):
+    defined, todo = set(), [NcmetricError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("ncmetric.") and cls not in defined:
+                defined.add(cls)
+                todo.append(cls)
+    assert defined - {InputError, NumericalFailure} == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert issubclass(cls, InputError) != issubclass(cls, NumericalFailure), cls
+
+        def fail(seed, cls=cls):
+            raise cls("planted")
+
+        monkeypatch.setattr(props, "run_suite", fail)
+        assert main(["props"]) == code, cls
+        captured = capsys.readouterr()
+        prefix = "input error" if code == 3 else "numerical failure"
+        assert captured.err == f"{prefix}: planted\n" and captured.out == "", cls

@@ -510,7 +510,7 @@ def test_matrix_power_grid_frozen_to_the_bit():
     assert all(r.converged for r in res.rows)
 
 
-@pytest.mark.parametrize(
+SOLVES = pytest.mark.parametrize(
     ("model", "rho", "b", "a", "iterations", "calls"),
     [
         (*GRIDS["matrix_power"][:2], NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)), 1, 11, 32),
@@ -519,6 +519,9 @@ def test_matrix_power_grid_frozen_to_the_bit():
     ],
     ids=["matrix_model", "bernoulli", "semicircle"],
 )
+
+
+@SOLVES
 def test_each_newton_step_inverts_each_resolvent_once(monkeypatch, model, rho, b, a, iterations, calls):
     # a resolvents give G and DG, then F = G^-1 and the Jacobian's inverse;
     # the last step converges and builds no Jacobian
@@ -529,6 +532,17 @@ def test_each_newton_step_inverts_each_resolvent_once(monkeypatch, model, rho, b
     k = trace.iterations
     assert (k, len(count)) == (iterations, calls)
     assert len(count) == (a + 2) * (k - 1) + (a + 1)
+
+
+@SOLVES
+def test_a_solve_checks_its_input_once(monkeypatch, model, rho, b, a, iterations, calls):
+    # the iterates are tested on the eigenvalues each step computes anyway
+    count = []
+    real = freeprob.is_strictly_positive
+    monkeypatch.setattr(freeprob, "is_strictly_positive", lambda *args: count.append(1) or real(*args))
+    _, trace = subordination_solve(model, rho, b)
+    assert trace.iterations == iterations
+    assert len(count) == 1
 
 
 def test_stacked_transforms_equal_per_point():

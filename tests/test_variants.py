@@ -378,13 +378,22 @@ def test_no_module_that_routes_by_variant_asks_for_its_class():
     # the variants carry their behaviour; every module calls it and
     # never branches on a variant's class, by isinstance or by type(),
     # nor on a kernel's closed-form label; and matcore's registry is the
-    # one codec, so no other module defines a *_from_json or *_to_json
+    # one codec, so no other module defines a *_from_json or *_to_json;
+    # an error carries its exit class, so cli.py names no error class
+    # but the two bases
     names = "|".join(sorted(cls.__name__ for cls in PACKAGE_VARIANTS))
     pattern = re.compile(
         rf"isinstance\([^)]*\b({names})\b|\btype\([^)]*\)\s*(is|==|!=)\s*(not\s+)?({names})\b"
         r"|\.closed\s*(==|!=)"
     )
     codec = re.compile(r"\bdef\s+\w*_(from|to)_json\b")
+    errors, todo = set(), [ncmetric.NcmetricError]
+    while todo:
+        cls = todo.pop()
+        errors.add(cls.__name__)
+        todo += [sub for sub in cls.__subclasses__() if sub.__module__.startswith("ncmetric")]
+    assert len(errors) > 3
+    named_error = re.compile(rf"\b({'|'.join(sorted(errors - {'InputError', 'NumericalFailure'}))})\b")
     offenders = []
     modules = sorted(SRC.glob("*.py"))
     assert {"metric.py", "cli.py", "props.py", "freeprob.py", "matcore.py"} <= {path.name for path in modules}
@@ -393,6 +402,8 @@ def test_no_module_that_routes_by_variant_asks_for_its_class():
         found = list(pattern.finditer(text))
         if path.name != "matcore.py":
             found += codec.finditer(text)
+        if path.name == "cli.py":
+            found += named_error.finditer(text)
         for m in found:
             offenders.append(f"{path.name}:{text.count(chr(10), 0, m.start()) + 1}: {m.group(0)}")
     assert offenders == []
@@ -489,12 +500,14 @@ def test_a_domain_its_proposals_never_hit_is_exit_4(tmp_path, capsys):
 
 
 def test_a_composed_half_plane_is_sampled_by_half_plane_proposals(tmp_path, capsys):
-    # Im g(a) > 0 for g(z) = z - i is Im a > I: no ball proposal reaches it
-    dom = KernelDomain(ComposedHalfPlaneKernel(Polynomial((-1j, 1.0))))
-    files = {name: _dump(tmp_path, f"{name}.json", to_json(obj))
-             for name, obj in (("f", Polynomial((0.0, 1.0))), ("dom", dom))}
-    argv = ["contract", "--function", files["f"], "--src", files["dom"], "--dst", files["dom"],
-            "--samples", "4", "--levels", "1", "--equality"]
-    assert main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["samples"] == 4 and report["ok"], report
+    # Im g(a) > 0 for g(z) = z - s i is Im a > s I: no ball proposal
+    # reaches it, and at s = 5 only the proposals moved up the half-plane do
+    for shift, levels in ((1j, "1"), (5j, "1"), (5j, "2")):
+        dom = KernelDomain(ComposedHalfPlaneKernel(Polynomial((-shift, 1.0))))
+        files = {name: _dump(tmp_path, f"{name}.json", to_json(obj))
+                 for name, obj in (("f", Polynomial((0.0, 1.0))), ("dom", dom))}
+        argv = ["contract", "--function", files["f"], "--src", files["dom"], "--dst", files["dom"],
+                "--samples", "4", "--levels", levels, "--equality"]
+        assert main(argv) == 0, (shift, levels)
+        report = json.loads(capsys.readouterr().out)
+        assert report["samples"] == 4 and report["ok"], report
