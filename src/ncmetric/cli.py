@@ -32,7 +32,7 @@ from .metric import (
     dtilde_upper,
 )
 from .ncpoint import direction, point
-from .sampling import direction_sample, rng_stream, sample_in_domain, selfadjoint_disk_point
+from .sampling import rng_stream, sample_triples, selfadjoint_disk_point
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -158,12 +158,7 @@ def cmd_contract(args) -> int:
     levels = [int(s) for s in args.levels.split(",") if s]
     if not levels:
         raise ValueError("--levels needs at least one level")
-    triples = []
-    for i in range(args.samples):
-        lvl = levels[i % len(levels)]
-        a = sample_in_domain(src, rng, lvl, args.base_dim)
-        c = sample_in_domain(src, rng, lvl, args.base_dim)
-        triples.append((a, c, direction_sample(rng, args.base_dim, lvl, lvl)))
+    triples = sample_triples(src, rng, levels, args.samples, args.base_dim)
     rep = check_contraction(f, src, dst, triples, equality=args.equality, tol=args.tol)
     payload = {k: v for k, v in rep.items() if k != "rows"}
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -469,15 +469,14 @@ def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = 256) -> PathBound
     half-resolution re-evaluation, and is 0 at quad_points = 1, where
     both use the same node. a = c gives (0, 0) with no node used.
 
-    Raises ValueError when quad_points < 1, and PathBlocked (with the
-    offending parameter) when an endpoint or a quadrature node lies
-    outside the domain.
+    Raises ValueError when quad_points < 1, DimMismatch unless a and c
+    share level and base, PointOutsideDomain when an endpoint lies
+    outside the domain, and PathBlocked (with the offending parameter)
+    when a quadrature node does.
     """
     if quad_points < 1:
         raise ValueError(f"quad_points must be at least 1, got {quad_points}")
-    for t, p in ((0.0, a), (1.0, c)):
-        if not contains(domain, p).inside:
-            raise PathBlocked(f"path sample at t = {t} is outside the domain")
+    _require_endpoints(domain, a, c)
     chord = direction(c.mat - a.mat, a.base_dim)
     if operator_norm(chord.mat) == 0.0:
         return PathBound(0.0, 0.0, 0)

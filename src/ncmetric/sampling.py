@@ -4,6 +4,14 @@ Every sampler draws from a counter-based Philox generator keyed by
 (seed, crc32(stream name)), so a given seed fully determines every
 sample regardless of execution order. That is what makes repeated
 `props --seed N` runs byte-identical.
+
+sample_triples draws the samples (a, c, b) of `contract` in proposal
+rounds: round 1 draws, sample by sample, the domain's _propose
+candidates for a, those for c and the direction b; one stacked contains
+per level then tests every candidate of the round, and each point keeps
+its first candidate inside. Points with none inside draw new candidates
+in the next round, after all of the round's draws, in sample order (a
+before c); a point that misses for SAMPLE_TRIES rounds fails.
 """
 
 from __future__ import annotations
@@ -87,21 +95,46 @@ def direction_sample(
     )
 
 
-# sample_in_domain's number of _propose rounds before it gives up.
+# sample_triples' number of proposal rounds before it gives up.
 SAMPLE_TRIES = 200
 
 
-def sample_in_domain(domain, rng, level: int, base_dim: int) -> NcPoint:
-    """Draw a point strictly inside the domain: the first of its _propose
-    candidates inside, over SAMPLE_TRIES draws; TypeError if it has no
-    _propose, SamplingFailure if no candidate lands inside."""
+def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
+    """count triples (a, c, b), a and c strictly inside the domain, sample i
+    at level levels[i % len(levels)], drawn in proposal rounds as the
+    module docstring says. TypeError if the domain has no _propose,
+    SamplingFailure if a point has no candidate inside after
+    SAMPLE_TRIES rounds."""
     from .domains import contains  # domains proposes with the samplers above
 
     propose = getattr(domain, "_propose", None)
     if propose is None:
         raise TypeError(f"no sampler for {type(domain).__name__}")
-    for _ in range(SAMPLE_TRIES):
-        for p in propose(rng, level, base_dim):
-            if contains(domain, p).inside:
-                return p
+    # point 2i is a of sample i, point 2i + 1 its c
+    point_levels = [levels[k // 2 % len(levels)] for k in range(2 * count)]
+    points = [None] * (2 * count)
+    directions = []
+    # the points still missing, each with its candidates of the round
+    pending = {}
+    for i in range(count):
+        lvl = point_levels[2 * i]
+        pending[2 * i] = propose(rng, lvl, base_dim)
+        pending[2 * i + 1] = propose(rng, lvl, base_dim)
+        directions.append(direction_sample(rng, base_dim, lvl, lvl))
+    for round_ in range(SAMPLE_TRIES):
+        if round_:
+            pending = {k: propose(rng, point_levels[k], base_dim) for k in pending}
+        by_level = {}
+        for k in pending:
+            by_level.setdefault(point_levels[k], []).append(k)
+        for lvl, keys in by_level.items():
+            stack = np.stack([p.mat for k in keys for p in pending[k]])
+            inside = iter(contains(domain, NcPoint(base_dim, lvl, stack)).tolist())
+            for k in keys:
+                hits = [p for p in pending[k] if next(inside)]
+                if hits:
+                    points[k] = hits[0]
+                    del pending[k]
+        if not pending:
+            return [(points[2 * i], points[2 * i + 1], directions[i]) for i in range(count)]
     raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")

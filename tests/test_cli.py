@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import warnings
@@ -6,9 +7,22 @@ import warnings
 import numpy as np
 import pytest
 
+import ncmetric.cli
+import ncmetric.domains
 from ncmetric import props
 from ncmetric.cli import main
-from ncmetric.domains import BallKernel, EvaluationFailure, NormBound, PointOutsideDomain, SpectralDisk, ball_domain
+from ncmetric.domains import (
+    BallKernel,
+    ComposedBallKernel,
+    ComposedHalfPlaneKernel,
+    EvaluationFailure,
+    KernelDomain,
+    NormBound,
+    PointOutsideDomain,
+    SpectralDisk,
+    ball_domain,
+    halfplane_domain,
+)
 from ncmetric.freeprob import MaxIterExceeded, NotInHalfPlane, RangeViolation, SingularResolvent
 from ncmetric.matcore import (
     InputError,
@@ -21,7 +35,7 @@ from ncmetric.matcore import (
     to_json,
 )
 from ncmetric.metric import RAY_TOL, NestingViolation, PathBlocked
-from ncmetric.ncfunc import DomainViolation, MoebiusBall, Polynomial, SeriesNotConverged
+from ncmetric.ncfunc import CayleyLike, DomainViolation, MoebiusBall, Polynomial, SeriesNotConverged
 from ncmetric.ncpoint import BaseDimMismatch, DimMismatch, NotUnitary, point
 from ncmetric.sampling import SamplingFailure
 
@@ -228,6 +242,72 @@ def test_contract_frozen_outputs(tmp_path, capsys):
     for new, old in zip(rows, ray_rows, strict=True):
         _near_ray_values(map(float, new.split(",")), map(float, old.split(",")))
     _near_ray_values([-0.1333718119560046], [-0.13337213392371589], terms=2)
+
+
+# (function, domain, equality) of each source kind; the domain is source and target
+CONTRACT_KINDS = {
+    "ball": (MoebiusBall(0.3 - 0.2j), ball_domain(), True),
+    "composed_ball": (Polynomial((0.0, 0.5)), KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0)))), False),
+    "half_plane": (CayleyLike(1.5, 0.3), halfplane_domain(), True),
+    "composed_half_plane": (
+        Polynomial((0.0, 1.0)), KernelDomain(ComposedHalfPlaneKernel(Polynomial((-5j, 1.0)))), True,
+    ),
+    "spectral_disk": (Polynomial((0.0, 0.5)), SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)), False),
+}
+
+# sha256 of (stdout, --out CSV) at 20 samples over levels 1, 2, 3 and seed 5,
+# frozen while contract still drew and tested one candidate at a time
+CONTRACT_DIGESTS = {
+    "ball": ("ec432af9f1d21a42aeef36bf239b2258915abf441d847cd4aea76190dac8da2e",
+             "8c4a28803608a8f43f6234ed017eba189cb0659c9fdc28c52aa619d46339af8d"),
+    "composed_ball": ("c1c72d4ead964a3314f14543aa149828f4cbd468077c4b9c52e204145316b75b",
+                      "624a3e68587c657ff8ccd92773793ec316550d93fec63c1abc76ed8f7316a498"),
+    "half_plane": ("907af3f29a2be6aa48a3464aa51bc091ed91a5848cb3fe5d3f4d3436c5a955c3",
+                   "9835a650b9772f6650f4f9dd9c0bf1c4cf50cce55fda059a7dab76db1f3a097d"),
+    "composed_half_plane": ("9c792e266eb8d89a7b4c69040b82c69392427c2393a40d12fabd7d7b125bbb49",
+                            "6b59e79496d6d7389a08a0a3b205a093ddf36ac81d16425eae06b2e80dd2e644"),
+    "spectral_disk": ("be0d18543c8a805dc623b4413172e3a51a9e0411c19ee890a4c38b9a456ea264",
+                      "cfdb3d8d9e763e449a797c6d874f2f21a6c094f726f210326c533102420ff2a8"),
+}
+
+
+def _kind_argv(tmp_path, kind):
+    func, dom, equality = CONTRACT_KINDS[kind]
+    f = _dump(tmp_path, "f.json", to_json(func))
+    d = _dump(tmp_path, "dom.json", to_json(dom))
+    argv = ["contract", "--function", f, "--src", d, "--dst", d, "--samples", "20",
+            "--levels", "1,2,3", "--seed", "5", "--out", str(tmp_path / f"{kind}.csv")]
+    return argv + ["--equality"] * equality
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT_KINDS))
+def test_contract_outputs_frozen_for_each_source_kind(tmp_path, capsys, kind):
+    assert main(_kind_argv(tmp_path, kind)) == 0
+    stdout = capsys.readouterr().out.encode()
+    csv = (tmp_path / f"{kind}.csv").read_bytes()
+    assert (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(csv).hexdigest()) == CONTRACT_DIGESTS[kind]
+
+
+def test_contract_tests_its_candidates_with_one_contains_per_level(tmp_path, capsys, monkeypatch):
+    # the sampler looks contains up in domains when it runs; the calls
+    # made before check_contraction starts are the sampler's
+    shapes, sampled = [], []
+    real_contains, real_check = ncmetric.domains.contains, ncmetric.cli.check_contraction
+
+    def counted(domain, a, *args):
+        shapes.append(a.mat.shape)
+        return real_contains(domain, a, *args)
+
+    def check(*args, **kwargs):
+        sampled.extend(shapes)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(ncmetric.domains, "contains", counted)
+    monkeypatch.setattr(ncmetric.cli, "check_contraction", check)
+    assert main(_kind_argv(tmp_path, "ball")) == 0
+    # two points per sample and two ball candidates per point, all inside in round 1:
+    # levels 1 and 2 hold seven samples each, level 3 six
+    assert sampled == [(28, 1, 1), (28, 2, 2), (24, 3, 3)]
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from ncmetric.domains import (
     ball_domain,
     halfplane_domain,
 )
-from ncmetric.matcore import operator_norm
+from ncmetric.matcore import NcmetricError, operator_norm
 from ncmetric.metric import (
     RAY_TOL,
     DeltaResult,
@@ -47,8 +47,8 @@ from ncmetric.ncfunc import (
     delta_f,
     eval_point,
 )
-from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
-from ncmetric.sampling import direction_sample, sample_in_domain
+from ncmetric.ncpoint import DimMismatch, NcDirection, NcPoint, direction, point
+from ncmetric.sampling import sample_triples
 
 import oracles
 
@@ -249,11 +249,24 @@ def test_path_distance_halfplane_segment():
 
 
 def test_path_blocked_at_an_endpoint():
+    # an endpoint outside is an input error, as on every other route
     inside, outside = point([[0.2]]), point([[1.5]])
-    with pytest.raises(PathBlocked, match=r"^path sample at t = 0\.0 is outside the domain$"):
+    with pytest.raises(PointOutsideDomain, match=r"^a is not strictly inside the domain$"):
         d_upper(ball_domain(), outside, inside)
-    with pytest.raises(PathBlocked, match=r"^path sample at t = 1\.0 is outside the domain$"):
+    with pytest.raises(PointOutsideDomain, match=r"^c is not strictly inside the domain$"):
         d_upper(ball_domain(), inside, outside)
+    with pytest.raises(DimMismatch, match=r"^endpoints must live at the same level and base$"):
+        d_upper(ball_domain(), inside, point(0.2 * np.eye(2)))
+
+
+@pytest.mark.parametrize("a, c", [(point([[1.5]]), point([[0.2]])), (point([[0.2]]), point([[1.5]]))])
+def test_both_distance_drivers_reject_an_outside_endpoint_alike(a, c):
+    with pytest.raises(NcmetricError) as upper:
+        d_upper(ball_domain(), a, c)
+    with pytest.raises(NcmetricError) as tilde:
+        dtilde_upper(ball_domain(), a, c)
+    assert type(upper.value) is type(tilde.value) is PointOutsideDomain
+    assert str(upper.value) == str(tilde.value)
 
 
 # (value, quad_estimate, points_used) at quad_points 1, 7 and 256, frozen
@@ -536,13 +549,11 @@ COMPOSED = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
 
 
 def _mixed_triples(rng, domain, count=9):
-    """Triples inside the domain; levels 1, 2, 3 interleave over base dims 1 and 2."""
+    """Triples inside the domain; levels 1, 2, 3 interleave, three samples per base dim 1, 2, 1, ..."""
     triples = []
-    for i in range(count):
-        lvl, base = 1 + i % 3, 1 + (i // 3) % 2
-        a = sample_in_domain(domain, rng, lvl, base)
-        c = sample_in_domain(domain, rng, lvl, base)
-        triples.append((a, c, direction_sample(rng, base, lvl, lvl)))
+    for start in range(0, count, 3):
+        base = 1 + (start // 3) % 2
+        triples += sample_triples(domain, rng, [1, 2, 3], min(3, count - start), base)
     return triples
 
 

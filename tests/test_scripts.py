@@ -51,10 +51,11 @@ def test_blowup_profile_prints_table(tmp_path):
 
 
 def test_parity_of_the_tree_with_itself(tmp_path):
-    proc = _run("parity.py", "--base", str(ROOT), "--metric-seeds", "", "--props-seeds", "",
+    # one metric round runs every op kind, contract with --out among them
+    proc = _run("parity.py", "--base", str(ROOT), "--metric-seeds", "1", "--props-seeds", "",
                 "--density-seeds", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "12 of 12 ops identical (exit code, stdout, --out file)\n"
+    assert proc.stdout == "72 of 72 ops identical (exit code, stdout, --out file)\n"
 
 
 def test_parity_reports_the_first_differing_op(tmp_path):

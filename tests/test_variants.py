@@ -5,6 +5,7 @@ class, registered here, that must work through membership, sampling,
 every metric route, the distance drivers, the codec and the CLI.
 """
 
+import hashlib
 import json
 import re
 import warnings
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncmetric
+import ncmetric.domains
 from ncmetric.cli import main
 from ncmetric.domains import (
     BallKernel,
@@ -45,7 +47,7 @@ from ncmetric.metric import (
 )
 from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
 from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
-from ncmetric.sampling import ball_point
+from ncmetric.sampling import ball_point, rng_stream, sample_triples
 
 SRC = Path(ncmetric.__file__).parent
 ROOT = SRC.parents[1]
@@ -497,6 +499,34 @@ def test_a_domain_its_proposals_never_hit_is_exit_4(tmp_path, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: could not hit EmptyBall in 200 tries\n" and captured.out == ""
+
+
+@variant("domain", "test_overdrawn_ball")
+@dataclass(frozen=True)
+class OverdrawnBall(NormBall):
+    """Proposes from the unit ball: at radius 0.4 about half the candidates miss."""
+
+    def _propose(self, rng, level: int, base_dim: int):
+        return (ball_point(rng, level, base_dim),)
+
+
+def test_points_that_miss_draw_again_in_later_rounds(monkeypatch):
+    sizes = []
+    real = ncmetric.domains.contains
+
+    def counted(domain, a, *args):
+        sizes.append(len(a.mat))
+        return real(domain, a, *args)
+
+    monkeypatch.setattr(ncmetric.domains, "contains", counted)
+    triples = sample_triples(OverdrawnBall(0.4), rng_stream(2, "redraw"), [1, 2], 6, 1)
+    # one stack per level and round, holding the points still missing
+    assert sizes == [6, 6, 4, 3, 4, 2, 2, 1, 1]
+    assert [(a.level, c.level, b.row_level, b.col_level) for a, c, b in triples] == [(1,) * 4, (2,) * 4] * 3
+    assert all(operator_norm(p.mat) < 0.4 for a, c, _ in triples for p in (a, c))
+    # the triples pin the draw order of the later rounds
+    digest = hashlib.sha256(b"".join(x.mat.tobytes() for t in triples for x in t)).hexdigest()
+    assert digest == "2b0cbb8be59f48ef218904f929e509d5a981ba7df8f950b09f28f8b007ab2768"
 
 
 def test_a_composed_half_plane_is_sampled_by_half_plane_proposals(tmp_path, capsys):
