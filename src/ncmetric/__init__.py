@@ -83,6 +83,7 @@ from .metric import (
     delta_closed,
     delta_kernel,
     delta_ray,
+    delta_routes,
     delta_tilde,
     dtilde_upper,
 )

@@ -25,9 +25,7 @@ from .metric import (
     check_contraction,
     d_upper,
     delta_auto_tilde,
-    delta_closed,
-    delta_kernel,
-    delta_ray,
+    delta_routes,
     delta_tilde,
     dtilde_upper,
 )
@@ -111,12 +109,7 @@ def cmd_delta(args) -> int:
     dom = _load_domain(args)
     a, c = _load(args.a, "point"), _load(args.c, "point")
     b = _load_direction(args.b, a.base_dim)
-    results = [delta_ray(dom, a, c, b, tol=args.tol, margin=args.margin)]
-    k = dom.kernel
-    if k is not None:
-        if k.closed:
-            results.append(delta_closed(k, a, c, b, margin=args.margin))
-        results.append(delta_kernel(k, a, c, b, margin=args.margin))
+    results = delta_routes(dom, a, c, b, tol=args.tol, margin=args.margin)
     payload = {"level": a.level, "results": [_delta_result_json(r) for r in results]}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:

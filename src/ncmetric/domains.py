@@ -22,15 +22,20 @@ matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
 is the affine pairing H(x, y)(P), y on the starred side (K(a, c)(P) at
 y = c*; the composed kernels apply z -> G(z*)* there, so block
 evaluations stay matrix arithmetic), and its _propose(rng, level,
-base_dim) draws candidate points from the ball or the half-plane it
+base_dim) draws candidate matrices from the ball or the half-plane it
 pulls back. The ball and half-plane kernels carry their closed form,
 _closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
 "halfplane"); the composed kernels have closed = None. A domain's
 _inside(a, margin) tests membership, raising EvaluationFailure when the
-test cannot be evaluated; its kernel attribute is the kernel that cuts
-it out, or None. _propose(rng, level, base_dim) draws candidate points
-for sampling, and the optional _delta(a, c, b, margin) gives
-delta(a, c)(b) exactly.
+test cannot be evaluated. It returns the bools, or the pair (bools,
+score) where the domain has a score: a float per matrix, positive
+inside, that along a ray [[a, s b], [0, c]] changes sign where the ray
+leaves (kernel domains: lambda_min of the gram less its margin term;
+spectral disks: the norm cap less ||X||, the spectrum of a ray being
+fixed). The ray search predicts its exit from it (metric.delta_ray).
+A domain's kernel attribute is the kernel that cuts it out, or None.
+_propose(rng, level, base_dim) draws candidate matrices for sampling,
+and the optional _delta(a, c, b, margin) gives delta(a, c)(b) exactly.
 
 Kernel evaluation, kernel_diffs and membership take stacked points
 (see ncpoint) and work per matrix of the stack.
@@ -55,12 +60,13 @@ from .matcore import (
     as_matrix,
     complex_from_json,
     finite,
+    herm_eigvals,
     herm_part,
     imag_part,
-    is_strictly_positive,
     json_number,
     of_family,
     operator_norm,
+    positivity_score,
     psd_inv_sqrt,
     record,
     spectrum,
@@ -98,8 +104,7 @@ class _HalfPlaneForm:
     def _propose(self, rng, level: int, base_dim: int) -> tuple:
         p = halfplane_point(rng, level, base_dim).mat
         # composed domains can be much smaller, or far up (g(z) = z - 5i needs Im a > 5)
-        up = (p + 1j * s * np.eye(len(p)) for s in (4, 16, 64))
-        return tuple(NcPoint(base_dim, level, m) for m in (p, p * 0.2, *up))
+        return (p, p * 0.2, *(p + 1j * s * np.eye(len(p)) for s in (4, 16, 64)))
 
 
 class _BallForm:
@@ -107,8 +112,8 @@ class _BallForm:
         return p - x @ p @ y
 
     def _propose(self, rng, level: int, base_dim: int) -> tuple:
-        p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7)
-        return p, NcPoint(base_dim, level, p.mat * 0.2)  # composed domains can be much smaller
+        p = ball_point(rng, level, base_dim, radius=1.0, fill=0.7).mat
+        return p, p * 0.2  # composed domains can be much smaller
 
 
 def _composed(g, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -163,7 +168,9 @@ class KernelDomain:
         g = gram(self.kernel, a)
         if not np.isfinite(g).all():
             raise EvaluationFailure("gram evaluation overflowed")
-        return is_strictly_positive(herm_part(g), margin)
+        # is_strictly_positive's rule; herm_part(g) is Hermitian by construction
+        score = positivity_score(herm_eigvals(herm_part(g)), margin)
+        return score > 0.0, score
 
     def _propose(self, rng, level: int, base_dim: int):
         return self.kernel._propose(rng, level, base_dim)
@@ -211,12 +218,13 @@ class SpectralDisk:
     def _inside(self, a: NcPoint, margin: float):
         _finite(a, "eigenvalue")
         cap = self.norm_bound.at_level(a.level) - margin
-        inside = _lapack("norm", operator_norm, a.mat) < cap
+        norm = _lapack("norm", operator_norm, a.mat)
+        inside = norm < cap
         if a.mat.ndim == 2:
-            return inside and self._in_disk(a.mat, margin)
+            return inside and self._in_disk(a.mat, margin), cap - norm
         if inside.any():
             inside[inside] = self._in_disk(a.mat[inside], margin)
-        return inside
+        return inside, cap - norm
 
     def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
         # the ray leaves at the cap of its level; a and c inside have
@@ -224,10 +232,8 @@ class SpectralDisk:
         return ball_delta(a, c, b, self.norm_bound.at_level(a.level + c.level) - margin)
 
     def _propose(self, rng, level: int, base_dim: int):
-        p = selfadjoint_disk_point(rng, level, base_dim, self.radius)
-        if self.center:
-            p = NcPoint(base_dim, level, p.mat + self.center * np.eye(level * base_dim))
-        return (p,)
+        p = selfadjoint_disk_point(rng, level, base_dim, self.radius).mat
+        return (p + self.center * np.eye(len(p)) if self.center else p,)
 
 
 @variant("domain", "nilpotent_cone")
@@ -247,7 +253,7 @@ class NilpotentCone:
         return np.zeros(np.broadcast_shapes(a.mat.shape[:-2], c.mat.shape[:-2], b.mat.shape[:-2]))
 
     def _propose(self, rng, level: int, base_dim: int):
-        return (nilpotent_point(rng, level, base_dim),)
+        return (nilpotent_point(rng, level, base_dim).mat,)
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ def _lapack(test: str, fn, *args):
         raise EvaluationFailure(f"{test} failure: {exc}") from None
 
 
-def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
+def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, scored: bool = False):
     """Strict membership with a positivity margin; never raises.
 
     For a single point, numerical failure (a composing function
@@ -322,17 +328,29 @@ def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
     diagnostic=...) rather than an exception. For a stack of points
     the result is one bool per matrix, and a matrix whose evaluation
     fails is False.
+
+    scored returns (membership, score) instead: the domain's score (see
+    the module docstring), per matrix of a stack; NaN where the domain
+    has none or the matrix's evaluation fails.
     """
+    score = np.nan
     try:
         inside = domain._inside(a, margin)
     except EvaluationFailure as exc:
         if a.mat.ndim == 2:
-            return Membership(False, diagnostic=str(exc))
-        # one failing matrix fails the whole stacked evaluation
-        rows = a.mat.reshape((-1,) + a.mat.shape[-2:])
-        inside = [contains(domain, NcPoint(a.base_dim, a.level, r), margin).inside for r in rows]
-        return np.array(inside, dtype=bool).reshape(a.mat.shape[:-2])
-    return Membership(bool(inside)) if a.mat.ndim == 2 else inside
+            inside = Membership(False, diagnostic=str(exc))
+        else:
+            # one failing matrix fails the whole stacked evaluation
+            rows = a.mat.reshape((-1,) + a.mat.shape[-2:])
+            rows = [contains(domain, NcPoint(a.base_dim, a.level, r), margin, True) for r in rows]
+            inside = np.array([m.inside for m, _ in rows], dtype=bool).reshape(a.mat.shape[:-2])
+            score = np.array([f for _, f in rows], dtype=float).reshape(a.mat.shape[:-2])
+    else:
+        if isinstance(inside, tuple):
+            inside, score = inside
+        if a.mat.ndim == 2:
+            inside = Membership(bool(inside))
+    return (inside, score) if scored else inside
 
 
 def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: str = "point"):

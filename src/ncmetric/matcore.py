@@ -204,9 +204,19 @@ def is_strictly_positive(a, margin: float = POS_MARGIN):
 
 def positive_eigvals(w: np.ndarray, margin: float) -> np.ndarray:
     """is_strictly_positive's rule on ascending eigenvalues w (..., n), one bool per row."""
+    return positivity_score(w, margin) > 0.0
+
+
+def positivity_score(w: np.ndarray, margin: float) -> np.ndarray:
+    """lambda_min - margin * max(1, ||A||) per row of ascending eigenvalues w.
+
+    Positive exactly where lambda_min > margin * max(1, ||A||): a
+    difference of two floats is positive exactly where the first is
+    the larger (gradual underflow), and NaN compares false both ways.
+    """
     lo, hi = w[..., 0], w[..., -1]
     # eigenvalues ascend, so max(|lo|, |hi|) = max(-lo, hi)
-    return lo > margin * np.maximum(1.0, np.maximum(-lo, hi))
+    return lo - margin * np.maximum(1.0, np.maximum(-lo, hi))
 
 
 def inverse(a) -> np.ndarray:

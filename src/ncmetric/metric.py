@@ -2,12 +2,17 @@
 
 delta_ray is the definition: the reciprocal first-exit parameter of
 the ray s -> [[a, s b], [0, c]] out of the domain, found from
-membership tests alone. delta_closed gives the two classical closed
-forms, each carried by its kernel (BallKernel, HalfPlaneKernel),
-delta_kernel the general kernel-domain formula, and a domain's own
-_delta its exact value (spectral disks, nilpotent cone); each must
-agree with the ray search, and the test suite treats the routes as
-independent. delta_auto and the distances take the exact route; only
+membership tests alone. Each round of its search tests, in one stacked
+contains call, the bisection path toward the exit it predicts from the
+domain's membership score; only the real answers along its own path
+move the search, so it returns what testing one scaling at a time
+returns. delta_closed gives the two classical closed forms, each
+carried by its kernel (BallKernel, HalfPlaneKernel), delta_kernel the
+general kernel-domain formula, and a domain's own _delta its exact
+value (spectral disks, nilpotent cone); each must agree with the ray
+search, and the test suite treats the routes as independent.
+delta_routes gives every route that applies, as `ncmetric delta`
+prints them. delta_auto and the distances take the exact route; only
 kinds without one search the ray.
 
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
@@ -30,6 +35,7 @@ order, so the first failing sample raises what it raises alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +69,9 @@ RAY_GROWTH_CAP = 1e8
 RAY_SHRINK_FLOOR = 1e-12
 # Default relative tolerance on the ray bracket width.
 RAY_TOL = 1e-6
+# The scalings a ray search tests in its first round: s = 1 and its
+# doubling and halving chains to 2^3 and 2^-3.
+RAY_FIRST_ROUND = (1.0, 2.0, 4.0, 8.0, 0.5, 0.25, 0.125)
 # compare_nested's slack on k delta~_inner - delta~_outer >= 0.
 NESTING_TOL = 1e-8
 
@@ -148,62 +157,116 @@ def _results(values, method: str, stacked: bool):
     return [DeltaResult(v, method, (v, v), 0) for v in np.asarray(values).tolist()]
 
 
-def _ray_search(tol: float):
-    """The first-exit search of one ray, as a generator.
+class _RaySearch:
+    """The first-exit search of one ray, as delta_ray describes it.
 
-    It yields each scaling s of the direction to test, is sent back
-    whether [[a, s b], [0, c]] is inside, and returns the DeltaResult
-    that delta_ray describes.
+    lo and hi bracket the exit: the largest scaling tested inside and
+    the smallest tested outside, None before the first. scores holds
+    the domain's score at every scaling tested. path() lists the
+    scalings the search would test next, in order, if the exit were
+    where _predict puts it; walk() then moves the search by the real
+    answers, up to the first scaling it has none for.
     """
-    evals = 1
-    if (yield 1.0):
-        lo, hi = 1.0, None
-        while hi is None:
-            nxt = lo * 2.0
-            evals += 1
-            if nxt > RAY_GROWTH_CAP:
-                if (yield RAY_GROWTH_CAP):
-                    return DeltaResult(
-                        0.0,
-                        "ray",
-                        (0.0, 1.0 / RAY_GROWTH_CAP),
-                        evals,
-                        note="zero within search cap",
-                    )
-                hi = RAY_GROWTH_CAP
-            elif (yield nxt):
-                lo = nxt
-            else:
-                hi = nxt
-    else:
-        lo, hi = None, 1.0
-        while lo is None:
-            nxt = hi / 2.0
-            if nxt < RAY_SHRINK_FLOOR:
-                return DeltaResult(
-                    float("inf"),
-                    "ray",
-                    (1.0 / hi, float("inf")),
-                    evals,
-                    note="no exit above shrink floor",
-                )
-            evals += 1
-            if (yield nxt):
-                lo = nxt
-            else:
-                hi = nxt
 
-    while (1.0 / lo - 1.0 / hi) > tol * max(1.0, 1.0 / hi):
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.lo = self.hi = None
+        self.scores = {}
+        self.evals = 0
+
+    def _next(self, lo, hi):
+        """The scaling tested next on the bracket (lo, hi); None once the search ends."""
+        if hi is None:  # grow by doubling, up to the cap
+            if lo is None:
+                return 1.0
+            return None if lo >= RAY_GROWTH_CAP else min(2.0 * lo, RAY_GROWTH_CAP)
+        if lo is None:  # shrink by halving, down to the floor
+            nxt = hi / 2.0
+            return None if nxt < RAY_SHRINK_FLOOR else nxt
+        if not (1.0 / lo - 1.0 / hi) > self.tol * max(1.0, 1.0 / hi):
+            return None
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # no float left between them: tol is below roundoff
-            break
-        evals += 1
-        if (yield mid):
-            lo = mid
-        else:
-            hi = mid
-    lower, upper = 1.0 / hi, 1.0 / lo
-    return DeltaResult(0.5 * (lower + upper), "ray", (lower, upper), evals)
+        return mid if lo < mid < hi else None  # no float left between them: tol is below roundoff
+
+    def path(self):
+        if not self.evals:
+            return RAY_FIRST_ROUND
+        guess = _predict(self.lo, self.hi, self.scores)
+        lo, hi = self.lo, self.hi
+        path = []
+        s = self._next(lo, hi)
+        while s is not None:
+            path.append(s)
+            if s < guess:
+                lo = s
+            else:
+                hi = s
+            s = self._next(lo, hi)
+        return path
+
+    def walk(self, inside: dict, scores: dict) -> bool:
+        """Take the answers {scaling: inside} along the search; True once it ends."""
+        self.scores.update(scores)
+        s = self._next(self.lo, self.hi)
+        while s in inside:
+            self.evals += 1
+            if inside[s]:
+                self.lo = s
+            else:
+                self.hi = s
+            s = self._next(self.lo, self.hi)
+        return s is None
+
+    def result(self) -> DeltaResult:
+        if self.hi is None:
+            return DeltaResult(
+                0.0, "ray", (0.0, 1.0 / RAY_GROWTH_CAP), self.evals, note="zero within search cap"
+            )
+        if self.lo is None:
+            return DeltaResult(
+                float("inf"),
+                "ray",
+                (1.0 / self.hi, float("inf")),
+                self.evals,
+                note="no exit above shrink floor",
+            )
+        lower, upper = 1.0 / self.hi, 1.0 / self.lo
+        return DeltaResult(0.5 * (lower + upper), "ray", (lower, upper), self.evals)
+
+
+def _predict(lo, hi, scores: dict) -> float:
+    """Where a ray search expects its exit, from the domain's scores at
+    the scalings {s: score} it tested.
+
+    Past the bracket's open end while it has one; else the root in
+    (lo, hi) of the quadratic through the scores at lo, hi and the
+    tested scaling nearest the bracket, or failing that regula falsi
+    between lo and hi; NaN where their scores do not change sign.
+    """
+    if hi is None:
+        return np.inf
+    if lo is None:
+        return 0.0
+    f_lo, f_hi, h = scores[lo], scores[hi], hi - lo
+    if not f_lo > 0.0 >= f_hi:
+        return np.nan
+    guess = lo + h * (f_lo / (f_lo - f_hi))
+    far = [s for s, f in scores.items() if (s < lo or s > hi) and math.isfinite(f)]
+    if not far:
+        return guess
+    x = min(far, key=lambda s: max(lo - s, s - hi))
+    # the quadratic f_lo + d1 t + d2 t (t - h) in t = s - lo, by divided differences
+    d1 = (f_hi - f_lo) / h
+    d2 = ((scores[x] - f_hi) / (x - hi) - d1) / (x - lo)
+    b = d1 - d2 * h
+    disc = b * b - 4.0 * d2 * f_lo
+    if not disc >= 0.0:
+        return guess
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    for t in (q / d2 if d2 else np.nan, f_lo / q if q else np.nan):
+        if 0.0 < t < h:
+            return lo + t
+    return guess
 
 
 def delta_ray(
@@ -221,13 +284,25 @@ def delta_ray(
     that persists to the growth cap is reported as value 0 with a
     note; no exit above the shrink floor reports +inf. The first exit
     decides for non-convex domains. Only membership tests are used,
-    so the route stays independent of the closed forms.
+    so the route stays independent of the closed forms; iterations
+    counts the tests along this sequential search.
+
+    Each round tests, with one stacked contains call, the scalings the
+    search would visit if the exit were at the scaling _predict
+    interpolates from the domain's membership scores (see contains).
+    The search then follows the real answers up to the first scaling
+    not tested, so a wrong prediction costs rows, never a different
+    result, and every round moves each search by at least one test.
+    The first round tests RAY_FIRST_ROUND; while its bracket is open
+    at one end, a search batches the rest of its doubling or halving
+    chain, which takes the nilpotent cone (no exit, no score) to the
+    growth cap in two calls.
 
     Stacks (N, ...) of a, c and b (broadcast against each other) are
-    searched in lockstep, each round testing the pending scalings of
-    all unfinished rows with one stacked contains call, and give a
-    list of N results; row i equals the call on row i alone. Raises
-    ValueError unless tol is positive and finite.
+    searched together, the rows of every unfinished search in one
+    call per round, and give a list of N results; row i equals the
+    call on row i alone. Raises ValueError unless tol is positive and
+    finite.
     """
     positive_finite("tol", tol)
     _require_endpoints(domain, a, c, b, margin)
@@ -238,32 +313,28 @@ def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: flo
     """delta_ray's search, for a and c already known to lie inside at margin."""
     stacked = _is_stack(a, c, b)
     na, level = a.dim, a.level + c.level
-    # every round overwrites the corner with the scaled direction
     base = block_upper(a, b, c).mat
     base = base.reshape((-1,) + base.shape[-2:])
     bm = np.broadcast_to(b.mat, base.shape[:1] + b.mat.shape[-2:])
     results = [None] * len(base)
-    searches, scalings = {}, {}
+    searches = {}
     for i, nonzero in enumerate(operator_norm(bm) != 0.0):
         if nonzero:
-            searches[i] = _ray_search(tol)
-            scalings[i] = next(searches[i])
+            searches[i] = _RaySearch(tol)
         else:
             results[i] = DeltaResult(0.0, "ray", (0.0, 0.0), 0, note="zero direction")
     while searches:
-        rows = list(searches)
-        ray, corner = (base, bm) if len(rows) == len(base) else (base[rows], bm[rows])
-        ray[:, :na, na:] = np.array([scalings[i] for i in rows])[:, None, None] * corner
-        if stacked:
-            inside = contains(domain, NcPoint(a.base_dim, level, ray), margin).tolist()
-        else:  # a plain point tests faster than a stack of one
-            inside = [contains(domain, NcPoint(a.base_dim, level, ray[0]), margin).inside]
-        for i, member in zip(rows, inside):
-            try:
-                scalings[i] = searches[i].send(member)
-            except StopIteration as done:
-                results[i] = done.value
-                del searches[i]
+        paths = {i: search.path() for i, search in searches.items()}
+        rows = [i for i, path in paths.items() for _ in path]
+        scalings = np.array([s for path in paths.values() for s in path])
+        ray = base[rows]  # a copy, whose corners take the scaled direction
+        ray[:, :na, na:] = scalings[:, None, None] * bm[rows]
+        inside, scores = contains(domain, NcPoint(a.base_dim, level, ray), margin, scored=True)
+        inside = iter(inside.tolist())
+        scores = iter(scores.tolist() if np.ndim(scores) else [scores] * len(rows))
+        for i, path in paths.items():
+            if searches[i].walk(dict(zip(path, inside)), dict(zip(path, scores))):
+                results[i] = searches.pop(i).result()
     return results if stacked else results[0]
 
 
@@ -300,6 +371,30 @@ def delta_kernel(
     """
     _require_endpoints(KernelDomain(kernel), a, c, b, margin)
     return _results(_kernel_value(kernel, a, c, b), "kernel", _is_stack(a, c, b))
+
+
+def delta_routes(
+    domain,
+    a: NcPoint,
+    c: NcPoint,
+    b: NcDirection,
+    tol: float = RAY_TOL,
+    margin: float = MEMBERSHIP_MARGIN,
+) -> list:
+    """delta by every route that applies to the domain, in this order:
+    delta_ray, and on a kernel domain delta_closed (where the kernel
+    has a closed form) and delta_kernel. Each entry is what that route
+    returns alone, and raises what it would; the endpoints are checked
+    once, by delta_ray.
+    """
+    results = [delta_ray(domain, a, c, b, tol, margin)]
+    k = domain.kernel
+    if k is not None:
+        stacked = _is_stack(a, c, b)
+        if k.closed:
+            results.append(_results(k._closed_form(a, c, b), f"closed_{k.closed}", stacked))
+        results.append(_results(_kernel_value(k, a, c, b), "kernel", stacked))
+    return results
 
 
 def _sqrt_top(sym: np.ndarray) -> np.ndarray:

@@ -128,12 +128,12 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
         for k in pending:
             by_level.setdefault(point_levels[k], []).append(k)
         for lvl, keys in by_level.items():
-            stack = np.stack([p.mat for k in keys for p in pending[k]])
+            stack = np.stack([m for k in keys for m in pending[k]])
             inside = iter(contains(domain, NcPoint(base_dim, lvl, stack)).tolist())
             for k in keys:
-                hits = [p for p in pending[k] if next(inside)]
+                hits = [m for m in pending[k] if next(inside)]
                 if hits:
-                    points[k] = hits[0]
+                    points[k] = NcPoint(base_dim, lvl, hits[0])
                     del pending[k]
         if not pending:
             return [(points[2 * i], points[2 * i + 1], directions[i]) for i in range(count)]

@@ -9,6 +9,7 @@ import pytest
 
 import ncmetric.cli
 import ncmetric.domains
+import ncmetric.metric
 from ncmetric import props
 from ncmetric.cli import main
 from ncmetric.domains import (
@@ -17,6 +18,7 @@ from ncmetric.domains import (
     ComposedHalfPlaneKernel,
     EvaluationFailure,
     KernelDomain,
+    NilpotentCone,
     NormBound,
     PointOutsideDomain,
     SpectralDisk,
@@ -36,7 +38,7 @@ from ncmetric.matcore import (
 )
 from ncmetric.metric import RAY_TOL, NestingViolation, PathBlocked
 from ncmetric.ncfunc import CayleyLike, DomainViolation, MoebiusBall, Polynomial, SeriesNotConverged
-from ncmetric.ncpoint import BaseDimMismatch, DimMismatch, NotUnitary, point
+from ncmetric.ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, NotUnitary, direction, point
 from ncmetric.sampling import SamplingFailure
 
 import oracles
@@ -95,6 +97,22 @@ def test_delta_reports_every_route(ball_files, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "level,method,value,bracket_lo,bracket_hi,iterations"
     assert len(lines) == 4
+
+
+def test_delta_checks_each_endpoint_once(ball_files, monkeypatch, capsys):
+    # the ray row checks a and c; the closed-form and kernel rows reuse that check
+    checked = []
+    real = ncmetric.metric.require_inside
+
+    def counted(domain, a, *args, **kwargs):
+        checked.append(args[-1] if args else kwargs.get("name"))
+        return real(domain, a, *args, **kwargs)
+
+    monkeypatch.setattr(ncmetric.metric, "require_inside", counted)
+    argv = ["delta"] + [x for k in ("domain", "a", "c", "b") for x in (f"--{k}", ball_files[k])]
+    assert main(argv) == 0
+    assert [r["method"] for r in json.loads(capsys.readouterr().out)["results"]] == ["ray", "closed_ball", "kernel"]
+    assert checked == ["a", "c"]
 
 
 def test_distance_payload_values(ball_files, capsys):
@@ -308,6 +326,98 @@ def test_contract_tests_its_candidates_with_one_contains_per_level(tmp_path, cap
     # two points per sample and two ball candidates per point, all inside in round 1:
     # levels 1 and 2 hold seven samples each, level 3 six
     assert sampled == [(28, 1, 1), (28, 2, 2), (24, 3, 3)]
+
+
+def _delta_point(kind, rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind in ("half_plane", "composed_half_plane"):
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        shift = 5.0 if kind == "composed_half_plane" else 0.0  # g(z) = z - 5i needs Im a > 5
+        return (g + g.conj().T) / 2 + 1j * (w @ w.conj().T / n + (0.4 + shift) * np.eye(n))
+    if kind == "nilpotent_cone":
+        return np.triu(g, 1)
+    if kind == "spectral_disk":
+        g = g + g.conj().T
+    fill = {"ball": 0.7, "composed_ball": 0.35, "spectral_disk": 0.45}[kind]
+    return g * (fill * rng.uniform(0.15, 1.0) / np.linalg.norm(g, 2))
+
+
+# the domain of each kind the delta digests cover
+DELTA_KINDS = {
+    "ball": ball_domain(),
+    "half_plane": halfplane_domain(),
+    "composed_ball": KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0)))),
+    "composed_half_plane": KernelDomain(ComposedHalfPlaneKernel(Polynomial((-5j, 1.0)))),
+    "spectral_disk": SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)),
+    "nilpotent_cone": NilpotentCone(),
+}
+
+# sha256 of the stdout and of the --out CSV of `delta`, each concatenated
+# over level pairs (1, 1), (1, 2), (2, 2), base dimensions 1 and 2 and
+# --tol 1e-6, 1e-12 and 1e-16; frozen while the ray search still made
+# one membership test per call
+DELTA_DIGESTS = {
+    "ball": ("fe74978b3500449c58c17790424d461824e498f03856d86b78c9637a8883d95b",
+             "188ab69dc3349ab9eafcf5bdb884c10dbddf330402b5d300a3acb89fd6804301"),
+    "composed_ball": ("4ac898279e33162b2050fd3524d091cefdef50ef90b7c3d79b1dc3f0362f930b",
+                      "1fbc387dbb11d10f5e6b2ef343432eac35aeb5b4c79f7073c58013431b34b469"),
+    "composed_half_plane": ("cfaa8a07cc5013781751fa4b7d9faef5ee41865de96b708fefb55695bb050f33",
+                            "7b5a3bfa9c43f9ec962bc824990ce59babe7dea69b0b55cafc636e4da72ccf97"),
+    "half_plane": ("21e0f6b8bb898c05b4a378b2d62fd5c446fd7a0cd893963b7066e871c0ab9741",
+                   "9f169c60f99b5968ac4151c428b42a0f1aecd239210d4ff37617dedd2edafd92"),
+    "nilpotent_cone": ("8cfb2afa14426c20fd8615fbd2aa3a24a7bea17446bfeaf080580a85ddd92d79",
+                       "e005a829bcf9990c60ae08f97d27bb7b07040806d7dd2c7fb55c892e2355be86"),
+    "spectral_disk": ("660b2183c5d48e7aa3174a1b645bd614cebf4d76c6017577886c096f1d2155d6",
+                      "ef905103041d6234c3bd7aeacb6a52fc231dafc8f4d48f6cbe69d449a619479b"),
+    "notes": ("0ad33895888380300c7a7513b36851afba3cb23f4a72e2161ade639c6af02f53",
+              "d7af1de3d5a3e04b70306f6d6f0d77ce7916a7b72122da60a6c90f5fcd27091e"),
+}
+
+
+def _delta_outputs(tmp_path, capsys, domain, triples, tols):
+    """The stdout of `delta` on each triple at each tolerance, and its --out CSVs concatenated."""
+    dom = _dump(tmp_path, "dom.json", to_json(domain))
+    out = tmp_path / "delta.csv"
+    stdouts, csv = [], b""
+    for a, c, b in triples:
+        files = [x for name, obj in (("a", a), ("c", c), ("b", b))
+                 for x in (f"--{name}", _dump(tmp_path, f"{name}.json", to_json(obj)))]
+        for tol in tols:
+            assert main(["delta", "--domain", dom, *files, "--tol", tol, "--out", str(out)]) == 0
+            stdouts.append(capsys.readouterr().out)
+            csv += out.read_bytes()
+    return stdouts, csv
+
+
+def _digests(stdouts, csv):
+    return hashlib.sha256("".join(stdouts).encode()).hexdigest(), hashlib.sha256(csv).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(DELTA_KINDS))
+def test_delta_outputs_frozen_for_each_domain_kind(tmp_path, capsys, kind):
+    rng = np.random.default_rng([19, sorted(DELTA_KINDS).index(kind)])
+    triples = []
+    for la, lc in ((1, 1), (1, 2), (2, 2)):
+        for base in (1, 2):
+            na, nc = la * base, lc * base
+            b = rng.standard_normal((na, nc)) + 1j * rng.standard_normal((na, nc))
+            b *= rng.uniform(0.2, 1.0) / np.linalg.norm(b, 2)
+            triples.append((NcPoint(base, la, _delta_point(kind, rng, na)),
+                            NcPoint(base, lc, _delta_point(kind, rng, nc)), NcDirection(base, la, lc, b)))
+    outputs = _delta_outputs(tmp_path, capsys, DELTA_KINDS[kind], triples, ("1e-6", "1e-12", "1e-16"))
+    assert _digests(*outputs) == DELTA_DIGESTS[kind]
+
+
+def test_delta_outputs_frozen_for_each_ray_note(tmp_path, capsys):
+    # on the ball: no direction; one so short the ray stays inside past
+    # the growth cap; one so long it leaves before the shrink floor
+    a, c = point([[0.3, 0.1j], [0.0, -0.2]]), point([[0.1, 0.0], [0.2, 0.4j]])
+    b = np.array([[0.6, 0.2j], [-0.3, 0.5]])
+    triples = [(a, c, direction(scale * b)) for scale in (0.0, 1e-10, 1e14)]
+    stdouts, csv = _delta_outputs(tmp_path, capsys, ball_domain(), triples, ("1e-6",))
+    notes = [json.loads(text)["results"][0].get("note") for text in stdouts]
+    assert notes == ["zero direction", "zero within search cap", "no exit above shrink floor"]
+    assert _digests(stdouts, csv) == DELTA_DIGESTS["notes"]
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,19 @@ def test_membership_of_a_stack_matches_rows(domain):
     if isinstance(domain, KernelDomain) and isinstance(domain.kernel, ComposedBallKernel):
         assert not got[3] and contains(domain, point(rows[3])).diagnostic
     assert True in got.tolist() and False in got.tolist()
+    # each row's score is its score alone, the failed stack's rows included
+    inside, score = contains(domain, stack, scored=True)
+    assert inside.tolist() == got.tolist()
+    score = np.broadcast_to(score, got.shape)
+    alone = [contains(domain, point(r), scored=True)[1] for r in rows]
+    assert np.array_equal(score, alone, equal_nan=True)
+    known = ~np.isnan(score)
+    if isinstance(domain, NilpotentCone):
+        assert not known.any()
+    elif isinstance(domain, KernelDomain):  # positive exactly inside; NaN only where evaluation fails
+        assert ((score > 0.0) == got)[known].all() and known.sum() >= len(rows) - 1
+    else:  # the disk's score is its norm cap's: positive wherever the point is inside
+        assert known.all() and (score > 0.0)[got].all() and not (score > 0.0).all()
 
 
 def test_spectral_disk_stack_matches_rows_on_each_failing_test():

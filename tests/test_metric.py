@@ -447,6 +447,85 @@ def test_ray_search_on_stacks_matches_rows():
     _assert_rows(lambda a, c, b: delta_ray(NilpotentCone(), a, c, b), nilpotent)
 
 
+def _ray_cases(rng):
+    """(domain, triples) on every kind; each domain's triples share shapes."""
+    disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+    moebius = KernelDomain(ComposedBallKernel(MoebiusBall(0.3 - 0.2j)))
+    cases = []
+    for dom, fill in ((ball_domain(), 0.6), (disk, 0.3), (moebius, 0.6)):
+        triples = []
+        # zero direction, zero within the growth cap, no exit above the shrink floor
+        for scale in (0.0, 1e-10, 1e-2, 0.3, 1.0, 1e14):
+            a, c, b = _ball_triple(rng, 2, fill)
+            triples.append((a, c, direction(scale * b.mat / operator_norm(b.mat))))
+        cases.append((dom, triples))
+    hp = [(_hp_point(rng, 2), _hp_point(rng, 2), direction(_cmat(rng, 2, scale=s))) for s in (0.1, 1.0, 5.0)]
+    zero = point(np.zeros((2, 2)))
+    cone = [(point(t * np.array([[0.0, 1.0], [0.0, 0.0]])), zero, direction(_cmat(rng, 2))) for t in (0.0, 2.0)]
+    return cases + [(halfplane_domain(), hp), (NilpotentCone(), cone)]
+
+
+def _ray_reprs(cases):
+    # repr tells every float apart bit for bit, -0.0 from 0.0 included
+    out = []
+    for dom, triples in cases:
+        out += [repr(delta_ray(dom, *t)) for t in triples]
+        out.append(repr(delta_ray(dom, *(_stacked(list(p)) for p in zip(*triples)))))
+    return out
+
+
+def test_the_predicted_exit_only_steers_the_batching(monkeypatch):
+    cases = _ray_cases(_rng(70))
+    want = _ray_reprs(cases)
+    for guess in (1e-9, 1e9, math.nan):
+        with monkeypatch.context() as m:
+            m.setattr(ncmetric.metric, "_predict", lambda *args: guess)
+            assert _ray_reprs(cases) == want, guess
+
+
+def test_a_ball_ray_search_takes_a_few_stacked_membership_calls(monkeypatch):
+    # one membership call per test would make about 21 at RAY_TOL
+    calls = []
+    real = ncmetric.metric.contains
+
+    def counted(domain, a, *args, **kwargs):
+        calls.append(a.mat.shape)
+        return real(domain, a, *args, **kwargs)
+
+    monkeypatch.setattr(ncmetric.metric, "contains", counted)
+    rng = _rng(71)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            calls.clear()
+            res = delta_ray(ball_domain(), *_ball_triple(rng, n))
+            assert res.iterations >= 19 and len(calls) <= 6, (res, calls)
+            assert all(len(shape) == 3 for shape in calls)
+
+
+def test_a_pole_past_the_exit_leaves_the_ray_search_unchanged(monkeypatch):
+    # the ray of a Moebius-composed ball stays inside past s = 8, so the
+    # search batches its doubling chain to the growth cap; there the
+    # pole's resolvent is numerically singular, the stacked evaluation
+    # fails and contains tests the rows one at a time
+    singles = []
+    real = ncmetric.domains.contains
+
+    def counted(domain, a, *args, **kwargs):
+        if a.mat.shape == (2, 2):
+            singles.append(a)
+        return real(domain, a, *args, **kwargs)
+
+    monkeypatch.setattr(ncmetric.domains, "contains", counted)
+    dom = KernelDomain(ComposedBallKernel(MoebiusBall(0.9)))
+    res = delta_ray(dom, point([[0.1]]), point([[0.1]]), direction([[0.05]]))
+    # the search one test at a time gave this result, bit for bit
+    assert repr(res) == (
+        "DeltaResult(value=0.05050523733091272, method='ray', "
+        "bracket=(0.050504925956523346, 0.0505055487053021), iterations=22, note=None)"
+    )
+    assert any(not real(dom, x).inside and real(dom, x).diagnostic for x in singles)
+
+
 def _rim_point(rng, level, lam):
     """U (lam I + N) U*, N the nilpotent shift: dense, non-normal, spectrum {lam}."""
     u, _ = np.linalg.qr(_cmat(rng, level))

@@ -423,7 +423,7 @@ class NormBall:
         return operator_norm(a.mat) < self.radius - margin
 
     def _propose(self, rng, level: int, base_dim: int):
-        return (ball_point(rng, level, base_dim, radius=self.radius),)
+        return (ball_point(rng, level, base_dim, radius=self.radius).mat,)
 
 
 @variant("domain", "test_unsampled_ball")
@@ -507,7 +507,7 @@ class OverdrawnBall(NormBall):
     """Proposes from the unit ball: at radius 0.4 about half the candidates miss."""
 
     def _propose(self, rng, level: int, base_dim: int):
-        return (ball_point(rng, level, base_dim),)
+        return (ball_point(rng, level, base_dim).mat,)
 
 
 def test_points_that_miss_draw_again_in_later_rounds(monkeypatch):
