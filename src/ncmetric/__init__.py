@@ -55,7 +55,6 @@ from .domains import (
     EvaluationFailure,
     HalfPlaneKernel,
     KernelDomain,
-    Membership,
     NilpotentCone,
     NormBound,
     PointOutsideDomain,
@@ -66,6 +65,7 @@ from .domains import (
     halfplane_domain,
     kernel_diffs,
     kernel_eval,
+    members,
     require_inside,
 )
 from .metric import (

@@ -18,9 +18,10 @@ import sys
 import numpy as np
 
 from . import props as props_mod
-from .domains import BallKernel, KernelDomain, NormBound, SpectralDisk, contains
-from .freeprob import ScalarLaw, ScalarPower, density_grid
+from .domains import MEMBERSHIP_MARGIN, BallKernel, KernelDomain, NormBound, SpectralDisk, contains
+from .freeprob import DENSITY_TOL, SOLVE_MAX_ITER, ScalarLaw, ScalarPower, density_grid
 from .matcore import InputError, NumericalFailure, from_json, mat_from_json, mat_to_json, positive_finite
+from .metric import CONTRACTION_TOL, QUAD_POINTS, RAY_TOL, REFINEMENT_BUDGET
 from .metric import (
     check_contraction,
     d_upper,
@@ -232,8 +233,8 @@ def cmd_counterexample(args) -> int:
     big[0, 2] = 3.0
     big[1, 3] = 0.5
     small = np.array([[0.0, 3.0], [0.0, 0.0]], dtype=complex)
-    level4_accepted = bool(contains(graded, point(big)).inside)
-    level2_accepted = bool(contains(graded, point(small)).inside)
+    level4_accepted = contains(graded, point(big))
+    level2_accepted = contains(graded, point(small))
 
     # bounded gauge on the self-adjoint slice of a small spectral disk,
     # against blow-up at the boundary of the unit ball
@@ -294,8 +295,8 @@ def build_parser() -> _Parser:
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--margin", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=RAY_TOL)
+    p.add_argument("--margin", type=float, default=MEMBERSHIP_MARGIN)
     add_common(p)
     p.set_defaults(func=cmd_delta)
 
@@ -307,8 +308,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", default=None)
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
-    p.add_argument("--refine", type=int, default=6)
-    p.add_argument("--quad-points", type=int, default=256)
+    p.add_argument("--refine", type=int, default=REFINEMENT_BUDGET)
+    p.add_argument("--quad-points", type=int, default=QUAD_POINTS)
     add_common(p)
     p.set_defaults(func=cmd_distance)
 
@@ -320,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("--levels", default="1,2")
     p.add_argument("--base-dim", type=int, default=1)
     p.add_argument("--equality", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=CONTRACTION_TOL)
     add_seeded(p)
     p.set_defaults(func=cmd_contract)
 
@@ -335,8 +336,8 @@ def build_parser() -> _Parser:
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, default=501)
     p.add_argument("--eps", type=float, default=5e-3)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--tol", type=float, default=DENSITY_TOL)
+    p.add_argument("--max-iter", type=int, default=SOLVE_MAX_ITER)
     add_common(p)
     p.set_defaults(func=cmd_convolve)
 

@@ -25,20 +25,21 @@ evaluations stay matrix arithmetic), and its _propose(rng, level,
 base_dim) draws candidate matrices from the ball or the half-plane it
 pulls back. The ball and half-plane kernels carry their closed form,
 _closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
-"halfplane"); the composed kernels have closed = None. A domain's
-_inside(a, margin) tests membership, raising EvaluationFailure when the
-test cannot be evaluated. It returns the bools, or the pair (bools,
-score) where the domain has a score: a float per matrix, positive
-inside, that along a ray [[a, s b], [0, c]] changes sign where the ray
-leaves (kernel domains: lambda_min of the gram less its margin term;
-spectral disks: the norm cap less ||X||, the spectrum of a ray being
-fixed). The ray search predicts its exit from it (metric.delta_ray).
-A domain's kernel attribute is the kernel that cuts it out, or None.
-_propose(rng, level, base_dim) draws candidate matrices for sampling,
-and the optional _delta(a, c, b, margin) gives delta(a, c)(b) exactly.
+"halfplane"); the composed kernels have closed = None.
 
-Kernel evaluation, kernel_diffs and membership take stacked points
-(see ncpoint) and work per matrix of the stack.
+A domain kind, here or outside the package, has a kernel attribute
+(the kernel that cuts it out, or None), _propose(rng, level, base_dim)
+for sampling, optionally _delta(a, c, b, margin) = delta(a, c)(b)
+exactly, and _inside(a, margin). _inside always receives a stack
+(N, n, n) (see ncpoint) and returns (inside, score), N bools and N
+floats, or raises EvaluationFailure when some row cannot be tested.
+The score is positive inside and, along a ray [[a, s b], [0, c]],
+changes sign where the ray leaves (kernel domains: lambda_min of the
+gram less its margin term; spectral disks: the norm cap less ||X||,
+the spectrum of a ray being fixed); NaN for a kind without one. The
+ray search predicts its exit from it (metric.delta_ray). members is
+the one caller of _inside, and contains and require_inside are views
+of it. Kernel evaluation and kernel_diffs take stacks too.
 
 kernel_diffs assembles the three first-order kernel derivatives in a
 single evaluation: with X = [[a, b], [0, c]], Y = [[c*, b*], [0, a*]]
@@ -50,7 +51,7 @@ kernels are linear in P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from .matcore import (
     variant,
 )
 from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat
-from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper
+from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper, per_row, rows
 from .sampling import ball_point, halfplane_point, nilpotent_point, selfadjoint_disk_point
 
 # Default membership margin (relative, via is_strictly_positive).
@@ -198,8 +199,8 @@ class NormBound:
 class SpectralDisk:
     """Points whose spectrum sits in an open disk, with a norm cap.
 
-    Membership tests the norm cap first and the spectrum only where
-    the norm cap holds.
+    The membership test checks the norm cap first and the spectrum
+    only where the norm cap holds.
     """
 
     center: complex
@@ -220,8 +221,6 @@ class SpectralDisk:
         cap = self.norm_bound.at_level(a.level) - margin
         norm = _lapack("norm", operator_norm, a.mat)
         inside = norm < cap
-        if a.mat.ndim == 2:
-            return inside and self._in_disk(a.mat, margin), cap - norm
         if inside.any():
             inside[inside] = self._in_disk(a.mat[inside], margin)
         return inside, cap - norm
@@ -247,22 +246,14 @@ class NilpotentCone:
         norm = _lapack("norm", operator_norm, a.mat)
         power = np.linalg.matrix_power(a.mat, m)
         # np.power: a bound past the float range is inf, not an OverflowError
-        return _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
+        inside = _lapack("norm", operator_norm, power) <= NILPOTENT_TOL * np.power(norm, m)
+        return inside, np.full(inside.shape, np.nan)
 
     def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
         return np.zeros(np.broadcast_shapes(a.mat.shape[:-2], c.mat.shape[:-2], b.mat.shape[:-2]))
 
     def _propose(self, rng, level: int, base_dim: int):
         return (nilpotent_point(rng, level, base_dim).mat,)
-
-
-@dataclass(frozen=True)
-class Membership:
-    inside: bool
-    diagnostic: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.inside
 
 
 def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
@@ -320,48 +311,46 @@ def _lapack(test: str, fn, *args):
         raise EvaluationFailure(f"{test} failure: {exc}") from None
 
 
-def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, scored: bool = False):
-    """Strict membership with a positivity margin; never raises.
+def members(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
+    """(inside, score, diagnostics), one entry per row of the stack a
+    (N, n, n), with the positivity margin; never raises.
 
-    For a single point, numerical failure (a composing function
-    blowing up, a singular gram) yields Membership(False,
-    diagnostic=...) rather than an exception. For a stack of points
-    the result is one bool per matrix, and a matrix whose evaluation
-    fails is False.
-
-    scored returns (membership, score) instead: the domain's score (see
-    the module docstring), per matrix of a stack; NaN where the domain
-    has none or the matrix's evaluation fails.
+    The stack is tested in one _inside call. If that call fails, it is
+    split in halves and each half tested again the same way, so a half
+    that evaluates is tested once. A single row that fails is outside,
+    with a NaN score and the failure (a composing function blowing up,
+    a singular gram) as its diagnostic; every other diagnostic is None.
     """
-    score = np.nan
     try:
-        inside = domain._inside(a, margin)
+        inside, score = domain._inside(a, margin)
     except EvaluationFailure as exc:
-        if a.mat.ndim == 2:
-            inside = Membership(False, diagnostic=str(exc))
-        else:
-            # one failing matrix fails the whole stacked evaluation
-            rows = a.mat.reshape((-1,) + a.mat.shape[-2:])
-            rows = [contains(domain, NcPoint(a.base_dim, a.level, r), margin, True) for r in rows]
-            inside = np.array([m.inside for m, _ in rows], dtype=bool).reshape(a.mat.shape[:-2])
-            score = np.array([f for _, f in rows], dtype=float).reshape(a.mat.shape[:-2])
-    else:
-        if isinstance(inside, tuple):
-            inside, score = inside
-        if a.mat.ndim == 2:
-            inside = Membership(bool(inside))
-    return (inside, score) if scored else inside
+        if len(a.mat) == 1:
+            return np.zeros(1, dtype=bool), np.full(1, np.nan), [str(exc)]
+        half = len(a.mat) // 2
+        low, high = (members(domain, replace(a, mat=m), margin) for m in (a.mat[:half], a.mat[half:]))
+        return np.concatenate([low[0], high[0]]), np.concatenate([low[1], high[1]]), low[2] + high[2]
+    return inside, score, [None] * len(inside)
+
+
+@per_row
+def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
+    """Strict membership with a positivity margin: a bool for a point, one
+    per row for a stack (see members); never raises."""
+    return members(domain, a, margin)[0]
 
 
 def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: str = "point"):
-    mem = contains(domain, a, margin)
-    if a.mat.ndim > 2:
-        if not mem.all():
-            row = int(np.flatnonzero(~mem)[0])
-            raise PointOutsideDomain(f"{name} row {row} is not strictly inside the domain")
-    elif not mem.inside:
-        extra = f" ({mem.diagnostic})" if mem.diagnostic else ""
-        raise PointOutsideDomain(f"{name} is not strictly inside the domain{extra}")
+    """PointOutsideDomain unless every row of a lies inside at margin.
+
+    The message names the first row outside, by its index where a has
+    more than one row, with that row's diagnostic.
+    """
+    inside, _, diagnostics = members(domain, rows(a), margin)
+    if not inside.all():
+        row = int(np.flatnonzero(~inside)[0])
+        where = f"{name} row {row}" if len(inside) > 1 else name
+        extra = f" ({diagnostics[row]})" if diagnostics[row] else ""
+        raise PointOutsideDomain(f"{where} is not strictly inside the domain{extra}")
 
 
 def ball_delta(a: NcPoint, c: NcPoint, b: NcDirection, radius: float = 1.0):

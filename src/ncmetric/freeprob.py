@@ -66,12 +66,16 @@ from .matcore import (
     psd_inv_sqrt,
     variant,
 )
-from .ncpoint import NcPoint
+from .ncpoint import NcPoint, per_row
 
 # Relative margin for "strictly inside the upper half-plane".
 HALF_PLANE_MARGIN = 1e-10
 # Im h may dip this far below zero before we call it broken.
 H_IMAG_SLACK = 1e-6
+# Defaults: subordination_solve's and density_grid's tolerances, and their step budget.
+SOLVE_TOL = 1e-10
+DENSITY_TOL = 1e-9
+SOLVE_MAX_ITER = 200
 
 
 class NotInHalfPlane(InputError):
@@ -561,8 +565,8 @@ def subordination_solve(
     model,
     rho,
     b: NcPoint,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = SOLVE_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
 ) -> tuple[NcPoint, SolveTrace]:
     """Solve w = b + (rho - Id) h(w) from w0 = b.
 
@@ -596,6 +600,7 @@ def subordination_solve(
     return w, trace
 
 
+@per_row
 def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     """Residual ratio r_4 / r_3 of four plain Picard steps.
 
@@ -604,20 +609,17 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     contraction there: the quantity that contraction_bound bounds.
     b and omega may hold stacks of points; then one ratio per point.
     """
-    stack = NcPoint(b.base_dim, b.level, b.mat.reshape((-1,) + b.mat.shape[-2:]))
-    w = omega.mat.reshape(stack.mat.shape)
-    w = w + 1e-3j * imag_part(w)
+    w = omega.mat + 1e-3j * imag_part(omega.mat)
     r = []
     for _ in range(4):
         _require_upper(NcPoint(b.base_dim, b.level, w), "w")
-        _, upd, _ = _picard(model, rho, stack, w)
+        _, upd, _ = _picard(model, rho, b, w)
         r.append(_frobenius(upd - w))
         w = upd
-    ratio = r[-1] / r[-2]
-    return float(ratio[0]) if b.mat.ndim == 2 else ratio
+    return r[-1] / r[-2]
 
 
-def convolved_G(model, rho, b: NcPoint, tol: float = 1e-10, max_iter: int = 200) -> NcPoint:
+def convolved_G(model, rho, b: NcPoint, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER) -> NcPoint:
     """Cauchy transform of the rho-convolved model: G_rho(b) = G(omega(b))."""
     omega, _ = subordination_solve(model, rho, b, tol=tol, max_iter=max_iter)
     return cauchy_G(model, omega)
@@ -656,8 +658,8 @@ def density_grid(
     xmax: float,
     points: int = 501,
     eps: float = 5e-3,
-    tol: float = 1e-9,
-    max_iter: int = 200,
+    tol: float = DENSITY_TOL,
+    max_iter: int = SOLVE_MAX_ITER,
 ) -> DensityResult:
     """Spectral density of the convolved model on a regular grid.
 

@@ -3,7 +3,7 @@
 delta_ray is the definition: the reciprocal first-exit parameter of
 the ray s -> [[a, s b], [0, c]] out of the domain, found from
 membership tests alone. Each round of its search tests, in one stacked
-contains call, the bisection path toward the exit it predicts from the
+membership call, the bisection path toward the exit it predicts from the
 domain's membership score; only the real answers along its own path
 move the search, so it returns what testing one scaling at a time
 returns. delta_closed gives the two classical closed forms, each
@@ -22,21 +22,23 @@ by midpoint quadrature. delta_ray, delta_closed, delta_kernel and
 delta_auto take a membership margin; the gauges, the distances and the
 reports test membership at MEMBERSHIP_MARGIN.
 
-Every route takes stacks of points (N, n, n) and directions as well
-as single ones and then returns one result per row, equal to what the
-route returns on that row alone. d_upper and dtilde_upper use this to
-evaluate all quadrature nodes of a segment, or all pairs of a
-division, in one stacked call. check_contraction and compare_nested
-stack their samples per shape group (base dimension, the levels of
-the points, the shape of the direction); a group whose stacked
-evaluation raises is evaluated again one sample at a time, in sample
-order, so the first failing sample raises what it raises alone.
+The routes compute on stacks of points (N, n, n) and directions and
+return one result per row, equal to what the route returns on that
+row alone; a single point is a stack of one (see ncpoint.per_row).
+d_upper and dtilde_upper use this to evaluate all quadrature nodes of
+a segment, or all pairs of a division, in one stacked call.
+check_contraction and compare_nested stack their samples per shape
+group (base dimension, the levels of the points, the shape of the
+direction); a group whose stacked evaluation raises is evaluated
+again as stacks of one, in sample order, so the first failing sample
+raises what it raises alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +49,7 @@ from .domains import (
     gram,
     kernel_diffs,
     kernel_eval,
+    members,
     require_inside,
 )
 from .matcore import (
@@ -61,7 +64,7 @@ from .matcore import (
     psd_inv_sqrt,
 )
 from .ncfunc import delta_f as func_delta, eval_point
-from .ncpoint import DimMismatch, NcDirection, NcPoint, block_upper, direction
+from .ncpoint import DimMismatch, NcDirection, NcPoint, block_upper, direction, per_row, rows
 
 # Ray search: grow the exit bracket by doubling up to this cap ...
 RAY_GROWTH_CAP = 1e8
@@ -74,6 +77,11 @@ RAY_TOL = 1e-6
 RAY_FIRST_ROUND = (1.0, 2.0, 4.0, 8.0, 0.5, 0.25, 0.125)
 # compare_nested's slack on k delta~_inner - delta~_outer >= 0.
 NESTING_TOL = 1e-8
+# check_contraction's default slack on lhs - rhs.
+CONTRACTION_TOL = 1e-8
+# The defaults of dtilde_upper (up to 2^6 interior points) and d_upper.
+REFINEMENT_BUDGET = 6
+QUAD_POINTS = 256
 
 
 class PathBlocked(NumericalFailure):
@@ -90,7 +98,8 @@ class DeltaResult:
 
     bracket is (lower, upper); for ray results its width is at most
     the requested tolerance times max(1, value). Closed-form and
-    kernel results carry a degenerate bracket.
+    kernel results carry a degenerate bracket. float() of a result is
+    its value.
     """
 
     value: float
@@ -98,6 +107,9 @@ class DeltaResult:
     bracket: tuple
     iterations: int
     note: str | None = None
+
+    def __float__(self) -> float:
+        return self.value
 
 
 @dataclass(frozen=True)
@@ -145,16 +157,10 @@ def _require_endpoints(
     require_inside(domain, c, margin, "c")
 
 
-def _is_stack(*items) -> bool:
-    return any(x.mat.ndim > 2 for x in items)
-
-
-def _results(values, method: str, stacked: bool):
-    """DeltaResults of a closed-form route: one, or a list with one per row."""
-    if not stacked:
-        val = float(values)
-        return DeltaResult(val, method, (val, val), 0)
-    return [DeltaResult(v, method, (v, v), 0) for v in np.asarray(values).tolist()]
+@per_row
+def _formula(method: str, values, *args) -> list:
+    """The DeltaResults of a route given by a formula: one per row of values(*args)."""
+    return [DeltaResult(v, method, (v, v), 0) for v in values(*args).tolist()]
 
 
 class _RaySearch:
@@ -269,6 +275,7 @@ def _predict(lo, hi, scores: dict) -> float:
     return guess
 
 
+@per_row
 def delta_ray(
     domain,
     a: NcPoint,
@@ -280,16 +287,16 @@ def delta_ray(
     """Pseudometric by ray search: 1 / sup{t : the block ray stays inside}.
 
     The bracket is located by doubling/halving from s = 1 and then
-    bisected until its width is below tol * max(1, value). Membership
-    that persists to the growth cap is reported as value 0 with a
+    bisected until its width is below tol * max(1, value). A ray that
+    stays inside to the growth cap is reported as value 0 with a
     note; no exit above the shrink floor reports +inf. The first exit
     decides for non-convex domains. Only membership tests are used,
     so the route stays independent of the closed forms; iterations
     counts the tests along this sequential search.
 
-    Each round tests, with one stacked contains call, the scalings the
+    Each round tests, with one stacked members call, the scalings the
     search would visit if the exit were at the scaling _predict
-    interpolates from the domain's membership scores (see contains).
+    interpolates from the domain's membership scores (see members).
     The search then follows the real answers up to the first scaling
     not tested, so a wrong prediction costs rows, never a different
     result, and every round moves each search by at least one test.
@@ -309,12 +316,10 @@ def delta_ray(
     return _ray(domain, a, c, b, tol, margin)
 
 
-def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: float):
-    """delta_ray's search, for a and c already known to lie inside at margin."""
-    stacked = _is_stack(a, c, b)
+def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: float) -> list:
+    """delta_ray's search on stacks, for a and c already known to lie inside at margin."""
     na, level = a.dim, a.level + c.level
     base = block_upper(a, b, c).mat
-    base = base.reshape((-1,) + base.shape[-2:])
     bm = np.broadcast_to(b.mat, base.shape[:1] + b.mat.shape[-2:])
     results = [None] * len(base)
     searches = {}
@@ -325,17 +330,16 @@ def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: flo
             results[i] = DeltaResult(0.0, "ray", (0.0, 0.0), 0, note="zero direction")
     while searches:
         paths = {i: search.path() for i, search in searches.items()}
-        rows = [i for i, path in paths.items() for _ in path]
+        owners = [i for i, path in paths.items() for _ in path]
         scalings = np.array([s for path in paths.values() for s in path])
-        ray = base[rows]  # a copy, whose corners take the scaled direction
-        ray[:, :na, na:] = scalings[:, None, None] * bm[rows]
-        inside, scores = contains(domain, NcPoint(a.base_dim, level, ray), margin, scored=True)
-        inside = iter(inside.tolist())
-        scores = iter(scores.tolist() if np.ndim(scores) else [scores] * len(rows))
+        ray = base[owners]  # a copy, whose corners take the scaled direction
+        ray[:, :na, na:] = scalings[:, None, None] * bm[owners]
+        inside, scores, _ = members(domain, NcPoint(a.base_dim, level, ray), margin)
+        inside, scores = iter(inside.tolist()), iter(scores.tolist())
         for i, path in paths.items():
             if searches[i].walk(dict(zip(path, inside)), dict(zip(path, scores))):
                 results[i] = searches.pop(i).result()
-    return results if stacked else results[0]
+    return results
 
 
 def delta_closed(
@@ -370,7 +374,7 @@ def delta_kernel(
     poison the result. Stacks give a list with one result per row.
     """
     _require_endpoints(KernelDomain(kernel), a, c, b, margin)
-    return _results(_kernel_value(kernel, a, c, b), "kernel", _is_stack(a, c, b))
+    return _formula("kernel", partial(_kernel_value, kernel), a, c, b)
 
 
 def delta_routes(
@@ -390,10 +394,9 @@ def delta_routes(
     results = [delta_ray(domain, a, c, b, tol, margin)]
     k = domain.kernel
     if k is not None:
-        stacked = _is_stack(a, c, b)
         if k.closed:
-            results.append(_results(k._closed_form(a, c, b), f"closed_{k.closed}", stacked))
-        results.append(_results(_kernel_value(k, a, c, b), "kernel", stacked))
+            results.append(_formula(f"closed_{k.closed}", k._closed_form, a, c, b))
+        results.append(_formula("kernel", partial(_kernel_value, k), a, c, b))
     return results
 
 
@@ -431,7 +434,7 @@ def delta_tilde(kernel, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResul
     """
     _require_endpoints(KernelDomain(kernel), a, c)
     method = f"closed_{kernel.closed}" if kernel.closed else "kernel"
-    return _results(_tilde_values(kernel, a, c), method, _is_stack(a, c))
+    return _formula(method, partial(_tilde_values, kernel), a, c)
 
 
 def _tilde_values(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
@@ -460,9 +463,8 @@ def _route(domain):
     return "kernel", lambda a, c, b, margin: _kernel_value(k, a, c, b)
 
 
-def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
-    res = _ray(domain, a, c, b, RAY_TOL, margin)
-    return np.array([r.value for r in res]) if _is_stack(a, c, b) else res.value
+def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> np.ndarray:
+    return np.array([r.value for r in _ray(domain, a, c, b, RAY_TOL, margin)])
 
 
 def _difference(a: NcPoint, c: NcPoint) -> NcDirection:
@@ -479,7 +481,7 @@ def delta_auto(
     if method == "ray":
         return delta_ray(domain, a, c, b, margin=margin)
     _require_endpoints(domain, a, c, b, margin)
-    return _results(values(a, c, b, margin), method, _is_stack(a, c, b))
+    return _formula(method, values, a, c, b, margin)
 
 
 def delta_auto_tilde(domain, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
@@ -501,7 +503,7 @@ def _chain_values(domain, x: NcPoint, y: NcPoint) -> np.ndarray:
     return _delta_values(domain, x, y, _difference(x, y))
 
 
-def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = 6) -> DtildeBound:
+def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = REFINEMENT_BUDGET) -> DtildeBound:
     """Upper bound on the division distance between a and c.
 
     Straight-line divisions with 0, 1, 2, 4, ..., 2^refinement_budget
@@ -549,7 +551,7 @@ def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = 6) -> 
     return DtildeBound(best_val, division, tuple(stage_values), tuple(diagnostics))
 
 
-def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = 256) -> PathBound:
+def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = QUAD_POINTS) -> PathBound:
     """Midpoint-rule estimate of the path length along the segment from a to c.
 
     Composite midpoint quadrature; the chord c - a is the exact
@@ -591,24 +593,13 @@ def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = 256) -> PathBound
     return PathBound(value, abs(value - half), quad_points)
 
 
-def _members(domain, x: NcPoint) -> np.ndarray:
-    """contains per row of a stack; a single point is one row."""
-    mem = contains(domain, x)
-    return np.atleast_1d(mem.inside if x.mat.ndim == 2 else mem)
-
-
-def _floats(values) -> list:
-    """Per-row values as Python floats; a single point's value is one row."""
-    return np.atleast_1d(values).tolist()
-
-
 def _sample_outcomes(items, evaluate, label: str):
     """evaluate's outcome for each item (a tuple of points and directions), in item order.
 
     The items are grouped by the shapes of their parts, and each group
     is evaluated as one stack: evaluate(*parts, name) returns one
     outcome per row. If that call raises, the items of the group are
-    evaluated again one at a time, as plain points named
+    evaluated again one at a time, as stacks of one named
     f"{label} {idx}", when their turn comes; so the first failing item
     raises what it raises alone, and no item after it is evaluated.
     """
@@ -624,14 +615,14 @@ def _sample_outcomes(items, evaluate, label: str):
             for xs in zip(*(items[i] for i in idxs))
         ]
         try:
-            rows = evaluate(*parts, label)
+            group = evaluate(*parts, label)
         except NcmetricError:
             alone.update(idxs)
             continue
-        for idx, row in zip(idxs, rows):
+        for idx, row in zip(idxs, group):
             outcomes[idx] = row
     for idx, item in enumerate(items):
-        yield evaluate(*item, f"{label} {idx}")[0] if idx in alone else outcomes[idx]
+        yield evaluate(*map(rows, item), f"{label} {idx}")[0] if idx in alone else outcomes[idx]
 
 
 def check_contraction(
@@ -640,7 +631,7 @@ def check_contraction(
     d_dst,
     triples,
     equality: bool = False,
-    tol: float = 1e-8,
+    tol: float = CONTRACTION_TOL,
 ) -> dict:
     """Schwarz-Pick check: delta(f(a), f(c))(Delta f(a,c)(b)) <= delta(a, c)(b).
 
@@ -664,7 +655,7 @@ def check_contraction(
         require_inside(d_src, a, name=f"{name} point a")
         require_inside(d_src, c, name=f"{name} point c")
         fa, fc = eval_point(f, a), eval_point(f, c)
-        out_a, out_c = ~_members(d_dst, fa), ~_members(d_dst, fc)
+        out_a, out_c = ~contains(d_dst, fa), ~contains(d_dst, fc)
         escaped = [
             ", ".join(img for img, out in (("f(a)", oa), ("f(c)", oc)) if out)
             for oa, oc in zip(out_a, out_c)
@@ -675,8 +666,8 @@ def check_contraction(
         if not keep.all():
             a, c, b, fa, fc = (replace(x, mat=x.mat[keep]) for x in (a, c, b, fa, fc))
         fb = func_delta(f, a, c, b)
-        lhs = _floats(_delta_values(d_dst, fa, fc, fb))
-        pairs = zip(lhs, _floats(_delta_values(d_src, a, c, b)))
+        lhs = _delta_values(d_dst, fa, fc, fb).tolist()
+        pairs = zip(lhs, _delta_values(d_src, a, c, b).tolist())
         return [e or next(pairs) for e in escaped]
 
     rows = []
@@ -726,16 +717,11 @@ def compare_nested(d_inner, d_outer, big_m: float, small_m: float, pairs) -> dic
         require_inside(d_inner, a, name=f"{name} point a")
         require_inside(d_inner, c, name=f"{name} point c")
         for part, p in (("a", a), ("c", c)):
-            if not _members(d_outer, p).all():
+            if not contains(d_outer, p).all():
                 raise NestingViolation(
                     f"{name} point {part} lies in the inner domain but escapes the outer one"
                 )
-        return list(
-            zip(
-                _floats(_chain_values(d_inner, a, c)),
-                _floats(_chain_values(d_outer, a, c)),
-            )
-        )
+        return list(zip(_chain_values(d_inner, a, c).tolist(), _chain_values(d_outer, a, c).tolist()))
 
     rows = list(_sample_outcomes(pairs, evaluate, "pair"))
     min_margin = float("inf")

@@ -10,10 +10,14 @@ computation downstream is built from.
 
 Conventions: a scalar level matrix Z of shape k x k acts on base
 blocks via the Kronecker product kron(Z, I_d); amplify(Z, b) is
-kron(Z, b). A point or direction may also hold a stack of matrices
-of one shape over leading axes; block_upper and the evaluation layers
-built on it (function and kernel evaluation, membership, the delta
-routes) work row by row on such stacks.
+kron(Z, b).
+
+The row contract: a point or direction may hold a stack (N, ...) of
+matrices of one shape, the one form the layers built on block_upper
+compute with (function and kernel evaluation, membership, the delta
+routes); row i of a stack gives what row i alone gives, and a single
+point is the stack of one that rows() returns. per_row lets a call
+written for stacks take single points and return their row 0.
 
 NcPoint and NcDirection are the "point" and "direction" records of the
 JSON registry: matcore.from_json and to_json read and write them.
@@ -21,7 +25,8 @@ JSON registry: matcore.from_json and to_json read and write them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,6 +100,30 @@ class NcDirection:
 
     def adjoint(self) -> "NcDirection":
         return NcDirection(self.base_dim, self.col_level, self.row_level, self.mat.conj().mT)
+
+
+def rows(x):
+    """x as a stack (N, ...) of points or directions: a single one is a
+    stack of one, and a stack over several leading axes is flattened."""
+    m = x.mat
+    return x if m.ndim == 3 else replace(x, mat=m.reshape((-1,) + m.shape[-2:]))
+
+
+def per_row(call):
+    """call, written for stacks, on single points too: each point and
+    direction argument reaches it as rows() of itself, and when none was
+    a stack, the result is row 0 of call's, a numpy scalar as a Python one."""
+
+    @functools.wraps(call)
+    def wrapper(*args, **kwargs):
+        parts = [isinstance(x, (NcPoint, NcDirection)) for x in args]
+        out = call(*(rows(x) if part else x for x, part in zip(args, parts)), **kwargs)
+        if any(part and x.mat.ndim > 2 for x, part in zip(args, parts)):
+            return out
+        row = out[0]
+        return row.item() if isinstance(row, np.generic) else row
+
+    return wrapper
 
 
 def point(mat, base_dim: int = 1) -> NcPoint:

@@ -51,6 +51,8 @@ from .freeprob import (
     KrausAugment,
     MatrixModel,
     MaxIterExceeded,
+    SOLVE_MAX_ITER,
+    SOLVE_TOL,
     ScalarLaw,
     ScalarPower,
     _solve_stack,
@@ -143,22 +145,13 @@ def _check(tol: float):
     return register
 
 
-def _values(results) -> list:
-    """The values of a route's result, of its list of per-row results, or
-    of the float or per-row array halfplane_gauge returns."""
-    if isinstance(results, list):
-        return [r.value for r in results]
-    if isinstance(results, (float, np.ndarray)):
-        return np.atleast_1d(results).tolist()
-    return [results.value]
-
-
 def _stacked(samples, *routes):
     """Per sample in sample order, the tuple of each route's value on it.
 
     A sample holds one tuple of arguments (points and directions) per
     route, and routes[i] is a metric route or halfplane_gauge, called
-    on the sample's i-th tuple. The samples go through
+    on the sample's i-th tuple; each gives one DeltaResult or float per
+    row, read with float(). The samples go through
     metric._sample_outcomes: one stacked call of each route per shape
     group, and a group whose stacked call raises is redone one sample
     at a time, so the first failing sample raises what it raises alone.
@@ -170,7 +163,7 @@ def _stacked(samples, *routes):
         # routes name the points they reject themselves
         values, pos = [], 0
         for route, size in zip(routes, sizes):
-            values.append(_values(route(*parts[pos : pos + size])))
+            values.append([float(r) for r in route(*parts[pos : pos + size])])
             pos += size
         return list(zip(*values))
 
@@ -374,7 +367,7 @@ def check_ball_membership_norm(rng):
         if abs(target - 1.0) < 1e-6:
             continue
         p = NcPoint(d, lvl, g * (target / operator_norm(g)))
-        if contains(dom, p).inside != (target < 1.0):
+        if contains(dom, p) != (target < 1.0):
             bad += 1
     return 30, bad
 
@@ -387,8 +380,8 @@ def check_halfplane_membership(rng):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         p = halfplane_point(rng, lvl, d)
         flipped = NcPoint(d, lvl, p.mat.conj().T)
-        bad += int(not contains(dom, p).inside)
-        bad += int(contains(dom, flipped).inside)
+        bad += int(not contains(dom, p))
+        bad += int(contains(dom, flipped))
     return 40, bad
 
 
@@ -755,20 +748,17 @@ def check_subordination_certificate(rng):
 
 
 def _certificates(law, rho, b: NcPoint, name: str) -> list:
-    """(Picard ratio near the solution, contraction bound) at each point of b.
+    """(Picard ratio near the solution, contraction bound) at each row of b.
 
-    A stack is solved in one lockstep solve, whose rows equal
-    subordination_solve's; a row that does not converge fails the
-    stack, which is then solved point by point.
+    The stack is solved in one lockstep solve at subordination_solve's
+    defaults, whose rows equal subordination_solve's; a row that does
+    not converge raises what subordination_solve raises on it.
     """
-    if b.mat.ndim == 2:
-        omega, trace = subordination_solve(law, rho, b)
-        return [(picard_ratio(law, rho, b, omega), trace.contraction_bound)]
-    omega, traces = _solve_stack(law, rho, b, tol=1e-10, max_iter=200)  # subordination_solve's defaults
+    omega, traces = _solve_stack(law, rho, b, SOLVE_TOL, SOLVE_MAX_ITER)
     if not traces.converged.all():
-        raise MaxIterExceeded("a stacked solve did not converge")
-    ratios = picard_ratio(law, rho, b, omega)
-    return list(zip(ratios.tolist(), traces.contraction_bounds()))
+        residual = traces.residual[~traces.converged][0]
+        raise MaxIterExceeded(f"no convergence in {SOLVE_MAX_ITER} iterations (last residual {residual:.3e})")
+    return list(zip(picard_ratio(law, rho, b, omega).tolist(), traces.contraction_bounds()))
 
 
 def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:

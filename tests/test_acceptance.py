@@ -173,8 +173,8 @@ def test_criterion_03_matrix_convexity_counterexample():
     big[0, 2] = 3.0
     big[1, 3] = 0.5
     small = np.array([[0.0, 3.0], [0.0, 0.0]])
-    accepted = bool(contains(graded, point(big)).inside)
-    rejected = not contains(graded, point(small)).inside
+    accepted = contains(graded, point(big))
+    rejected = not contains(graded, point(small))
     _report(
         3,
         "matrix convexity counterexample",

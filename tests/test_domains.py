@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +23,12 @@ from ncmetric.domains import (
     halfplane_domain,
     kernel_diffs,
     kernel_eval,
+    members,
     require_inside,
 )
+from ncmetric.freeprob import ScalarLaw, ScalarPower, picard_ratio, subordination_solve
 from ncmetric.matcore import from_json
+from ncmetric.metric import delta_auto, delta_kernel, delta_ray, delta_routes, delta_tilde
 from ncmetric.ncfunc import MoebiusBall, Polynomial, delta_f, eval_point
 from ncmetric.ncpoint import DimMismatch, NcPoint, direction, point
 
@@ -93,13 +99,6 @@ def test_nilpotent_cone_membership():
     assert not contains(NilpotentCone(), point(np.eye(2)))
 
 
-def test_membership_failure_carries_diagnostic():
-    dom = KernelDomain(ComposedBallKernel(MoebiusBall(0.5)))
-    mem = contains(dom, point([[2.0]]))
-    assert not mem.inside
-    assert "composing function failed" in mem.diagnostic
-
-
 @pytest.mark.parametrize(
     "domain",
     [
@@ -118,15 +117,12 @@ def test_membership_of_a_stack_matches_rows(domain):
     stack = NcPoint(1, 2, np.stack(rows))
     got = contains(domain, stack)
     assert got.dtype == bool and got.shape == (len(rows),)
-    assert got.tolist() == [contains(domain, point(r)).inside for r in rows]
-    if isinstance(domain, KernelDomain) and isinstance(domain.kernel, ComposedBallKernel):
-        assert not got[3] and contains(domain, point(rows[3])).diagnostic
+    assert got.tolist() == [contains(domain, point(r)) for r in rows]
     assert True in got.tolist() and False in got.tolist()
     # each row's score is its score alone, the failed stack's rows included
-    inside, score = contains(domain, stack, scored=True)
+    inside, score, _ = members(domain, stack)
     assert inside.tolist() == got.tolist()
-    score = np.broadcast_to(score, got.shape)
-    alone = [contains(domain, point(r), scored=True)[1] for r in rows]
+    alone = [members(domain, NcPoint(1, 2, r[None]))[1][0] for r in rows]
     assert np.array_equal(score, alone, equal_nan=True)
     known = ~np.isnan(score)
     if isinstance(domain, NilpotentCone):
@@ -146,10 +142,10 @@ def test_spectral_disk_stack_matches_rows_on_each_failing_test():
         np.array([[0.8, 1.2], [0.0, 0.1]]),  # both
         0.3 * np.eye(2) + np.array([[0.0, 0.2], [0.0, 0.0]]),  # inside
     ]
-    one_by_one = [contains(disk, point(r)).inside for r in rows]
+    one_by_one = [contains(disk, point(r)) for r in rows]
     assert one_by_one == [True, False, False, False, True]
     assert contains(disk, NcPoint(1, 2, np.stack(rows))).tolist() == one_by_one
-    # a non-finite row fails the stacked test, and the rows are retried one by one
+    # a non-finite row fails the stacked test, and the stack is retried by halves
     rows.append(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     assert contains(disk, NcPoint(1, 2, np.stack(rows))).tolist() == one_by_one + [False]
 
@@ -160,9 +156,7 @@ _NON_FINITE = [np.array([[np.nan, 0.0], [0.0, 0.0]]), np.array([[0.0, np.inf], [
 @pytest.mark.parametrize("domain", [SpectralDisk(0.0, 0.5, NormBound("constant", 1.0)), NilpotentCone()])
 @pytest.mark.parametrize("bad", _NON_FINITE)
 def test_non_finite_points_are_outside_without_raising(domain, bad):
-    mem = contains(domain, point(bad))
-    assert not mem.inside
-    assert "Array must not contain infs or NaNs" in mem.diagnostic
+    assert contains(domain, point(bad)) is False
     good = np.array([[0.0, 0.3], [0.0, 0.0]])  # nilpotent and inside the disk
     got = contains(domain, NcPoint(1, 2, np.stack([good, bad, good])))
     assert got.tolist() == [True, False, True]
@@ -174,7 +168,7 @@ def test_a_disk_ray_point_that_cannot_be_evaluated_is_outside(monkeypatch):
     disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
     good = np.array([[0.1, 0.9], [0.0, 0.2]])
     for bad in _NON_FINITE + [1e200 * np.eye(2)]:
-        assert not contains(disk, point(bad)).inside
+        assert not contains(disk, point(bad))
         assert contains(disk, NcPoint(1, 2, np.stack([good, bad, good]))).tolist() == [True, False, True]
     real = ncmetric.domains.operator_norm
     unlucky = np.array([[0.1, 0.7], [0.0, 0.2]])  # inside, but its norm fails
@@ -185,8 +179,7 @@ def test_a_disk_ray_point_that_cannot_be_evaluated_is_outside(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(ncmetric.domains, "operator_norm", fails_on_unlucky)
-    mem = contains(disk, point(unlucky))
-    assert not mem.inside and "norm failure: SVD did not converge" in mem.diagnostic
+    assert members(disk, NcPoint(1, 2, unlucky[None]))[::2] == ([False], ["norm failure: SVD did not converge"])
     assert contains(disk, NcPoint(1, 2, np.stack([good, unlucky, good]))).tolist() == [True, False, True]
 
 
@@ -200,7 +193,7 @@ def test_a_non_finite_norm_cap_is_rejected(value):
 def test_nilpotent_bound_past_the_float_range_does_not_raise():
     big = np.array([[0.0, 1e200], [0.0, 0.0]])
     with np.errstate(over="ignore"):
-        assert contains(NilpotentCone(), point(big)).inside
+        assert contains(NilpotentCone(), point(big))
         assert contains(NilpotentCone(), NcPoint(1, 2, np.stack([big, np.eye(2)]))).tolist() == [True, False]
 
 
@@ -214,6 +207,89 @@ def test_require_inside_names_the_row_of_a_stack():
 def test_require_inside_raises_outside():
     with pytest.raises(PointOutsideDomain):
         require_inside(ball_domain(), point([[1.2]]), name="src")
+
+
+_RNG = _rng(41)
+_A, _C = (point(r * g / np.linalg.norm(g, 2)) for r, g in ((0.4, _cmat(_RNG, 2)), (0.3, _cmat(_RNG, 2))))
+_B = direction(_cmat(_RNG, 2))
+_HA, _HC = (point(g + g.conj().T + 1j * np.eye(2)) for g in (_cmat(_RNG, 2), _cmat(_RNG, 2)))
+_DA, _DC = (point(np.diag(d)) for d in ([0.1, -0.2], [0.05, 0.15]))
+_NA, _NC = (point(np.triu(_cmat(_RNG, 2), 1)) for _ in range(2))
+_Z = point([[0.3 + 1.2j]])
+_LAW, _RHO = ScalarLaw("bernoulli"), ScalarPower(2.0)
+_DISK = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
+_MOEBIUS = KernelDomain(ComposedBallKernel(MoebiusBall(0.5)))
+_NAN = np.array([[np.nan, 0.0], [0.0, 0.0]])
+
+# every call the ncpoint row contract covers: (call, its single-point arguments)
+_ROW_ROUTES = {
+    "delta_ray ball": (partial(delta_ray, ball_domain()), (_A, _C, _B)),
+    "delta_ray cone": (partial(delta_ray, NilpotentCone()), (_NA, _NC, _B)),
+    "delta_kernel": (partial(delta_kernel, _MOEBIUS.kernel), (_A, _C, _B)),
+    "delta_tilde": (partial(delta_tilde, HalfPlaneKernel()), (_HA, _HC)),
+    "delta_auto disk": (partial(delta_auto, _DISK), (_DA, _DC, _B)),
+    "delta_auto composed": (partial(delta_auto, ball_domain(0.5)), (_A, _C, _B)),
+    "delta_routes ball": (partial(delta_routes, ball_domain()), (_A, _C, _B)),
+    "delta_routes half-plane": (partial(delta_routes, halfplane_domain()), (_HA, _HC, direction(np.eye(2)))),
+    "picard_ratio": (partial(picard_ratio, _LAW, _RHO), (_Z, subordination_solve(_LAW, _RHO, _Z)[0])),
+}
+# contains on single points: (domain, points, how the diagnostic each
+# point's test leaves begins, or None where the test evaluates)
+_ROW_MEMBERSHIP = {
+    "contains ball": (ball_domain(), [_A.mat, 1.2 * np.eye(2), _C.mat], [None] * 3),
+    "contains moebius pole": (_MOEBIUS, [_A.mat, 2.0 * np.eye(2), 0.9 * np.eye(2)],
+                              [None, "composing function failed", None]),
+    "contains disk": (_DISK, [_DA.mat, _NAN, 1e200 * np.eye(2)],
+                      [None, "eigenvalue failure: Array must not contain infs or NaNs", None]),
+    "contains cone": (NilpotentCone(), [_NA.mat, np.eye(2), _NAN],
+                      [None, None, "norm failure: Array must not contain infs or NaNs"]),
+}
+
+
+def _row0(out):
+    row = out[0]
+    return row.item() if isinstance(row, np.generic) else row
+
+
+@pytest.mark.parametrize("case", [*_ROW_ROUTES, *_ROW_MEMBERSHIP])
+def test_the_row_contract(case):
+    # a single-point call is row 0 of the same call on its stack of one
+    if case in _ROW_ROUTES:
+        call, args = _ROW_ROUTES[case]
+        single = call(*args)
+        stacked = call(*(replace(x, mat=x.mat[None]) for x in args))
+        if case.startswith("delta_routes"):
+            assert [repr(r) for r in single] == [repr(_row0(r)) for r in stacked]
+        else:
+            assert repr(single) == repr(_row0(stacked))
+        return
+    domain, mats, diagnostics = _ROW_MEMBERSHIP[case]
+    inside = []
+    for m, diagnostic in zip(mats, diagnostics):
+        single = contains(domain, point(m))
+        assert type(single) is bool and single is _row0(contains(domain, NcPoint(1, 2, m[None])))
+        (got,) = members(domain, NcPoint(1, 2, m[None]))[2]
+        assert (got is None) if diagnostic is None else got.startswith(diagnostic)
+        inside.append(single)
+        # require_inside raises exactly where contains is False, with the diagnostic
+        if single:
+            require_inside(domain, point(m), name="p")
+        else:
+            extra = f" ({got})" if got else ""
+            with pytest.raises(PointOutsideDomain) as exc:
+                require_inside(domain, point(m), name="p")
+            assert str(exc.value) == f"p is not strictly inside the domain{extra}"
+    # a stack names its first row outside, with that row's diagnostic
+    stack = NcPoint(1, 2, np.stack(mats))
+    assert contains(domain, stack).tolist() == inside
+    first = inside.index(False)
+    diagnostic = members(domain, stack)[2][first]
+    assert diagnostic == members(domain, NcPoint(1, 2, stack.mat[first : first + 1]))[2][0]
+    extra = f" ({diagnostic})" if diagnostic else ""
+    with pytest.raises(PointOutsideDomain) as exc:
+        require_inside(domain, stack, name="p")
+    assert str(exc.value) == f"p row {first} is not strictly inside the domain{extra}"
+    require_inside(domain, NcPoint(1, 2, stack.mat[:first]), name="p")
 
 
 def _diff_setup(seed, na=2, mc=3):

@@ -1,3 +1,4 @@
+import ast
 import re
 import struct
 import warnings
@@ -375,6 +376,36 @@ def test_only_matcore_calls_the_lapack_choke_points():
         for k, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
     ]
+    assert offenders == []
+
+
+def test_only_ncpoint_asks_if_a_point_is_single_and_only_members_calls_inside():
+    # a single point is a stack of one (ncpoint.rows, ncpoint.per_row), and
+    # every membership test goes through domains.members
+    src = Path(ncmetric.__file__).parent
+    offenders = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, path, child.name)
+                continue
+            where = f"{path.name}:{getattr(child, 'lineno', '?')}"
+            if (
+                isinstance(child, ast.Attribute) and child.attr == "ndim"
+                and isinstance(child.value, ast.Attribute) and child.value.attr == "mat"
+                and path.name != "ncpoint.py"
+            ):
+                offenders.append(f"{where}: .mat.ndim")
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "_inside" and (path.name, owner) != ("domains.py", "members")
+            ):
+                offenders.append(f"{where}: _inside called in {owner}")
+            visit(child, path, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
     assert offenders == []
 
 

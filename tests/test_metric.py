@@ -228,7 +228,7 @@ def test_negative_refinement_budget_is_value_error(monkeypatch):
     def no_membership_test(*args, **kwargs):
         raise AssertionError("a membership test ran")
 
-    for name in ("require_inside", "contains"):
+    for name in ("require_inside", "contains", "members"):
         monkeypatch.setattr(ncmetric.metric, name, no_membership_test)
     with pytest.raises(ValueError, match="^refinement_budget must be at least 0, got -3$"):
         dtilde_upper(ball_domain(), point([[0.0]]), point([[0.6]]), refinement_budget=-3)
@@ -389,8 +389,8 @@ def test_path_distance_evaluates_each_gram_once(monkeypatch):
     monkeypatch.setattr(ncmetric.metric, "gram", counted)
     composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
     d_upper(composed, point([[0.1]]), point([[0.3j]]), quad_points=8)
-    # the two path endpoints, then the 8 and the 4 nodes
-    assert shapes == [(), (), (8,), (8,), (4,), (4,)]
+    # the two path endpoints, each a stack of one, then the 8 and the 4 nodes
+    assert shapes == [(1,), (1,), (8,), (8,), (4,), (4,)]
 
 
 def _stacked(items):
@@ -486,19 +486,20 @@ def test_the_predicted_exit_only_steers_the_batching(monkeypatch):
 def test_a_ball_ray_search_takes_a_few_stacked_membership_calls(monkeypatch):
     # one membership call per test would make about 21 at RAY_TOL
     calls = []
-    real = ncmetric.metric.contains
+    real = ncmetric.metric.members
 
     def counted(domain, a, *args, **kwargs):
         calls.append(a.mat.shape)
         return real(domain, a, *args, **kwargs)
 
-    monkeypatch.setattr(ncmetric.metric, "contains", counted)
+    # the search's own rounds; the endpoint checks go through domains.members
+    monkeypatch.setattr(ncmetric.metric, "members", counted)
     rng = _rng(71)
     for n in (1, 2, 3):
         for _ in range(4):
             calls.clear()
             res = delta_ray(ball_domain(), *_ball_triple(rng, n))
-            assert res.iterations >= 19 and len(calls) <= 6, (res, calls)
+            assert res.iterations >= 19 and 2 <= len(calls) <= 6, (res, calls)
             assert all(len(shape) == 3 for shape in calls)
 
 
@@ -506,16 +507,18 @@ def test_a_pole_past_the_exit_leaves_the_ray_search_unchanged(monkeypatch):
     # the ray of a Moebius-composed ball stays inside past s = 8, so the
     # search batches its doubling chain to the growth cap; there the
     # pole's resolvent is numerically singular, the stacked evaluation
-    # fails and contains tests the rows one at a time
-    singles = []
-    real = ncmetric.domains.contains
+    # fails and members tests the stack again by halves
+    calls = []
+    real = ncmetric.domains.members
 
     def counted(domain, a, *args, **kwargs):
-        if a.mat.shape == (2, 2):
-            singles.append(a)
-        return real(domain, a, *args, **kwargs)
+        out = real(domain, a, *args, **kwargs)
+        calls.append((len(a.mat), out))
+        return out
 
-    monkeypatch.setattr(ncmetric.domains, "contains", counted)
+    # one _inside evaluation per members call, its halves' calls included
+    monkeypatch.setattr(ncmetric.domains, "members", counted)
+    monkeypatch.setattr(ncmetric.metric, "members", counted)
     dom = KernelDomain(ComposedBallKernel(MoebiusBall(0.9)))
     res = delta_ray(dom, point([[0.1]]), point([[0.1]]), direction([[0.05]]))
     # the search one test at a time gave this result, bit for bit
@@ -523,7 +526,10 @@ def test_a_pole_past_the_exit_leaves_the_ray_search_unchanged(monkeypatch):
         "DeltaResult(value=0.05050523733091272, method='ray', "
         "bracket=(0.050504925956523346, 0.0505055487053021), iterations=22, note=None)"
     )
-    assert any(not real(dom, x).inside and real(dom, x).diagnostic for x in singles)
+    # the endpoints, 7 + 24 + 16 + 6 rows of the search, and 10 halves of the 24:
+    # testing the 24 rows one at a time would be 30 evaluations
+    assert [n for n, _ in calls] == [1, 1, 7, 12, 6, 3, 1, 1, 1, 2, 3, 6, 12, 24, 16, 6]
+    assert any(n == 1 and not inside[0] and diagnostics[0] for n, (inside, _, diagnostics) in calls)
 
 
 def _rim_point(rng, level, lam):

@@ -7,8 +7,9 @@ _STACKED_ROUTES = ("delta_ray", "delta_closed", "delta_kernel", "delta_tilde", "
 
 
 def _single_points_only(route):
+    # a single point is a stack of one: only stacks of more rows fail
     def wrapped(*args, **kw):
-        if any(getattr(x, "mat", None) is not None and x.mat.ndim > 2 for x in args):
+        if any(getattr(x, "mat", None) is not None and x.mat.ndim > 2 and len(x.mat) > 1 for x in args):
             raise NcmetricError("no stacks here")
         return route(*args, **kw)
 

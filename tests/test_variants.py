@@ -26,7 +26,6 @@ from ncmetric.domains import (
     ComposedHalfPlaneKernel,
     HalfPlaneKernel,
     KernelDomain,
-    Membership,
     NilpotentCone,
     NormBound,
     SpectralDisk,
@@ -37,6 +36,7 @@ from ncmetric.domains import (
 from ncmetric.freeprob import KrausAugment, MatrixModel, ScalarLaw, ScalarPower
 from ncmetric.matcore import RECORDS, VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
 from ncmetric.metric import (
+    DeltaResult,
     compare_nested,
     d_upper,
     delta_auto,
@@ -126,7 +126,7 @@ def test_tagged_json_keeps_its_wire_format():
     assert to_json(NormBound("level")) == {"rule": "level", "value": 1.0}
     assert to_json(point([[0.5]])) == {"base_dim": 1, "level": 1, "mat": mat_to_json(np.array([[0.5]]))}
     with pytest.raises(TypeError, match="not a registered variant or record"):
-        to_json(Membership(True))
+        to_json(DeltaResult(0.0, "ray", (0.0, 0.0), 0))
 
 
 _DISK = {"variant": "spectral_disk", "center": [0, 0], "radius": 0.5, "norm_bound": {"rule": "constant"}}
@@ -420,7 +420,8 @@ class NormBall:
     kernel = None
 
     def _inside(self, a: NcPoint, margin: float):
-        return operator_norm(a.mat) < self.radius - margin
+        score = self.radius - margin - operator_norm(a.mat)
+        return score > 0.0, score
 
     def _propose(self, rng, level: int, base_dim: int):
         return (ball_point(rng, level, base_dim, radius=self.radius).mat,)
@@ -438,7 +439,7 @@ def test_a_domain_kind_defined_outside_the_package_works_end_to_end(tmp_path, ca
     c = point([[0.4, 0.0], [0.1j, 0.2]])
     b = direction([[0.3, 0.1], [0.0, 0.2j]])
 
-    assert contains(dom, a).inside and not contains(dom, point(1.5 * np.eye(2))).inside
+    assert contains(dom, a) is True and contains(dom, point(1.5 * np.eye(2))) is False
     stack = NcPoint(1, 2, np.stack([a.mat, 3.0 * a.mat, c.mat]))
     assert contains(dom, stack).tolist() == [True, False, True]
 
@@ -489,7 +490,7 @@ def test_contract_samples_a_domain_kind_by_its_own_proposals(tmp_path, capsys):
 @dataclass(frozen=True)
 class EmptyBall(NormBall):
     def _inside(self, a: NcPoint, margin: float):
-        return np.zeros(a.mat.shape[:-2], dtype=bool)
+        return np.zeros(len(a.mat), dtype=bool), np.full(len(a.mat), np.nan)
 
 
 def test_a_domain_its_proposals_never_hit_is_exit_4(tmp_path, capsys):
