@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ncmetric import props
@@ -44,3 +46,18 @@ def test_each_check_alone_gives_its_row_of_the_suite(seed):
     assert [check.__name__ for check in props.CHECKS] == [f"check_{name}" for name in names]
     alone = [check(seed) for check in reversed(props.CHECKS)]
     assert alone[::-1] == list(suite)
+
+
+# sha256 of report_csv(run_suite(seed)): the suite's report is pinned byte
+# for byte, so a change that reorders draws or evaluations shows here
+_REPORT_DIGESTS = {
+    2: "2690c83a02760f01a70b1d58a83688bf7565d4d664ce748e37e5a1c3ffd96c54",
+    7: "794dc3efb379d34d859ea06d183d6c215c02ac330224423ec001be64f0cfb71d",
+    19: "7cfc6d4f44953e4fd4108f3ac8693f7a6b2645e8e1ba816ea4e3d3a427f06b32",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_REPORT_DIGESTS))
+def test_suite_report_is_frozen(seed):
+    report = props.report_csv(props.run_suite(seed))
+    assert hashlib.sha256(report.encode()).hexdigest() == _REPORT_DIGESTS[seed]
