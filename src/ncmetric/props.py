@@ -18,11 +18,19 @@ Count-valued checks (membership agreement and the like) report the
 number of offending samples as the defect.
 
 Checks whose evaluation draws no random numbers draw all their samples
-first, exactly as a sample-by-sample loop would, and then evaluate
-them as stacks, one stacked call per route and shape group (see
-_stacked). Each sample's values equal those of its evaluation alone,
-and the worst defect is folded in sample order, so the report is the
-same as that of evaluating one sample at a time.
+first, exactly as a sample-by-sample loop would, normalise the draws
+of their point and direction samplers together (sampling.scaled), and
+then evaluate them as stacks, one stacked call per route and shape
+group (see _stacked). Each sample's values equal those of its
+evaluation alone, and the worst defect is folded in sample order, so
+the report is the same as that of evaluating one sample at a time.
+The exceptions evaluate sample by sample: the six matcore and ncpoint
+rows, which test numpy's factorizations one matrix at a time;
+function_axioms, whose check_axioms draws as it evaluates;
+moebius_ball_image, whose samples each bring their own map (only the
+norms of the images are stacked); and ordering_chain, omega_direct_sum
+and fixed_point_range, which run a distance driver or a solver on a
+few fixed points.
 """
 
 from __future__ import annotations
@@ -98,13 +106,16 @@ from .ncpoint import (
     unitary_conjugate,
 )
 from .sampling import (
+    Draw,
+    ball_draw,
     ball_point,
     complex_matrix,
-    direction_sample,
+    direction_draw,
     halfplane_point,
     hermitian_matrix,
     rng_stream,
-    selfadjoint_disk_point,
+    scaled,
+    selfadjoint_disk_draw,
     unitary_matrix,
 )
 
@@ -149,9 +160,9 @@ def _stacked(samples, *routes):
     """Per sample in sample order, the tuple of each route's value on it.
 
     A sample holds one tuple of arguments (points and directions) per
-    route, and routes[i] is a metric route or halfplane_gauge, called
-    on the sample's i-th tuple; each gives one DeltaResult or float per
-    row, read with float(). The samples go through
+    route, and routes[i], a metric route or another stacked evaluation,
+    is called on the sample's i-th tuple; each gives one DeltaResult or
+    float per row, read with float(). The samples go through
     metric._sample_outcomes: one stacked call of each route per shape
     group, and a group whose stacked call raises is redone one sample
     at a time, so the first failing sample raises what it raises alone.
@@ -265,23 +276,27 @@ _FDC_FUNCS = (
 )
 
 
+def _fdc_defects(f, a: NcPoint, c: NcPoint):
+    b = NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
+    corner = eval_point(f, block_upper(a, b, c)).mat[..., : a.dim, a.dim :]
+    diff = eval_point(f, a).mat - eval_point(f, c).mat
+    return operator_norm(corner - diff) / np.maximum(1.0, operator_norm(diff))
+
+
 @_check(1e-9)
 def check_fdc_identity(rng):
     # corner of f on the block point must reproduce f(a) - f(c) at b = a - c
-    worst = 0.0
-    n = 0
-    for f in _FDC_FUNCS:
+    drawn = []
+    for _ in _FDC_FUNCS:
         for _ in range(6):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            a = ball_point(rng, lvl, d, fill=0.6)
-            c = ball_point(rng, lvl, d, fill=0.6)
-            b = NcDirection(d, lvl, lvl, a.mat - c.mat)
-            big = eval_point(f, block_upper(a, b, c))
-            corner = big.mat[: a.dim, a.dim :]
-            diff = eval_point(f, a).mat - eval_point(f, c).mat
-            worst = max(worst, operator_norm(corner - diff) / max(1.0, operator_norm(diff)))
-            n += 1
-    return n, worst
+            drawn.append(((ball_draw(rng, lvl, d, fill=0.6), ball_draw(rng, lvl, d, fill=0.6)),))
+    drawn = scaled(drawn)
+    worst = 0.0
+    for i, f in enumerate(_FDC_FUNCS):
+        for (defect,) in _stacked(drawn[6 * i : 6 * i + 6], partial(_fdc_defects, f)):
+            worst = max(worst, defect)
+    return len(drawn), worst
 
 
 @_check(1e-8)
@@ -290,7 +305,7 @@ def check_function_axioms(rng):
     worst = 0.0
     n = 0
     for f in (Polynomial((0.1, 0.7, 0.0, 0.2)), exp_like, _FDC_FUNCS[2]):
-        pts = [ball_point(rng, int(rng.integers(1, 3)), 1, fill=0.6) for _ in range(4)]
+        pts = scaled([ball_draw(rng, int(rng.integers(1, 3)), 1, fill=0.6) for _ in range(4)])
         rep = check_axioms(f, pts, rng=rng)
         worst = max(worst, rep["direct_sum_max"], rep["swap_max"], rep["intertwining_max"])
         n += len(pts)
@@ -299,89 +314,106 @@ def check_function_axioms(rng):
 
 @_check(0.0)
 def check_moebius_ball_image(rng):
-    worst = -1.0
+    drawn = []
     for _ in range(20):
         alpha = 0.85 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        f = MoebiusBall(complex(alpha))
-        a = ball_point(rng, int(rng.integers(1, 4)), 1, fill=0.85)
-        worst = max(worst, operator_norm(eval_point(f, a).mat) - 1.0)
+        drawn.append((MoebiusBall(complex(alpha)), ball_draw(rng, int(rng.integers(1, 4)), 1, fill=0.85)))
+    # each sample has its own map, so f(a) is evaluated sample by sample
+    images = [((eval_point(f, a),),) for f, a in scaled(drawn)]
+    worst = -1.0
+    for (norm,) in _stacked(images, lambda fa: operator_norm(fa.mat)):
+        worst = max(worst, norm - 1.0)
     return 20, worst
 
 
 # ---------------------------------------------------------------- domains
 
 
-# each kernel with the sampler of its test points
+# each kernel with the sampler of its test points, a draw or a point
 _PROP_KERNELS = (
-    (BallKernel(), ball_point),
+    (BallKernel(), ball_draw),
     (HalfPlaneKernel(), halfplane_point),
-    (ComposedBallKernel(Polynomial((0.0, 2.0))), partial(ball_point, radius=0.5, fill=0.7)),
+    (ComposedBallKernel(Polynomial((0.0, 2.0))), partial(ball_draw, radius=0.5, fill=0.7)),
     (ComposedHalfPlaneKernel(Polynomial((0.2j, 1.0))), halfplane_point),
 )
 
 
+def _direct_sum_defects(kernel, a1: NcPoint, a2: NcPoint):
+    q = gram(kernel, direct_sum(a1, a2))
+    blocks = direct_sum_mats(gram(kernel, a1), gram(kernel, a2))
+    return operator_norm(q - blocks) / np.maximum(1.0, operator_norm(q))
+
+
 @_check(1e-12)
 def check_kernel_direct_sum_blocks(rng):
-    worst = 0.0
-    n = 0
-    for kernel, sample in _PROP_KERNELS:
+    drawn = []
+    for _, sample in _PROP_KERNELS:
         for _ in range(5):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            a1, a2 = sample(rng, lvl, d), sample(rng, lvl, d)
-            q = gram(kernel, direct_sum(a1, a2))
-            blocks = direct_sum_mats(gram(kernel, a1), gram(kernel, a2))
-            worst = max(worst, operator_norm(q - blocks) / max(1.0, operator_norm(q)))
-            n += 1
-    return n, worst
+            drawn.append(((sample(rng, lvl, d), sample(rng, lvl, d)),))
+    drawn = scaled(drawn)
+    worst = 0.0
+    for i, (kernel, _) in enumerate(_PROP_KERNELS):
+        for (defect,) in _stacked(drawn[5 * i : 5 * i + 5], partial(_direct_sum_defects, kernel)):
+            worst = max(worst, defect)
+    return len(drawn), worst
+
+
+def _intertwine_defects(kernel, a: NcPoint, c: NcPoint, ua: NcPoint, vc: NcPoint, p, uk, vk):
+    # the level matrices and P ride along as directions, so the samples group by shape
+    lhs = kernel_eval(kernel, ua, vc, uk.mat @ p.mat @ vk.mat.conj().mT)
+    rhs = uk.mat @ kernel_eval(kernel, a, c, p.mat) @ vk.mat.conj().mT
+    return operator_norm(lhs - rhs) / np.maximum(1.0, operator_norm(rhs))
 
 
 @_check(1e-10)
 def check_kernel_unitary_intertwine(rng):
-    worst = 0.0
-    n = 0
-    for kernel, sample in _PROP_KERNELS:
+    drawn = []
+    for _, sample in _PROP_KERNELS:
         for _ in range(5):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             a, c = sample(rng, lvl, d), sample(rng, lvl, d)
-            p = complex_matrix(rng, a.dim, c.dim)
-            u = unitary_matrix(rng, lvl)
-            v = unitary_matrix(rng, lvl)
-            ua, vc = unitary_conjugate(u, a), unitary_conjugate(v, c)
-            uk = np.kron(u, np.eye(d))
-            vk = np.kron(v, np.eye(d))
-            lhs = kernel_eval(kernel, ua, vc, uk @ p @ vk.conj().T)
-            rhs = uk @ kernel_eval(kernel, a, c, p) @ vk.conj().T
-            worst = max(worst, operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)))
-            n += 1
-    return n, worst
+            p = complex_matrix(rng, lvl * d, lvl * d)
+            drawn.append((d, lvl, a, c, p, unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)))
+    samples = []
+    for d, lvl, a, c, p, u, v in scaled(drawn):
+        uk, vk = (NcDirection(d, lvl, lvl, np.kron(w, np.eye(d))) for w in (u, v))
+        conjugated = unitary_conjugate(u, a), unitary_conjugate(v, c)
+        samples.append(((a, c, *conjugated, NcDirection(d, lvl, lvl, p), uk, vk),))
+    worst = 0.0
+    for i, (kernel, _) in enumerate(_PROP_KERNELS):
+        for (defect,) in _stacked(samples[5 * i : 5 * i + 5], partial(_intertwine_defects, kernel)):
+            worst = max(worst, defect)
+    return len(samples), worst
 
 
 @_check(0.0)
 def check_ball_membership_norm(rng):
-    dom = ball_domain()
-    bad = 0
+    drawn, expected = [], []
     for _ in range(30):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         g = complex_matrix(rng, lvl * d, lvl * d)
         target = float(rng.uniform(0.3, 1.3))
-        if abs(target - 1.0) < 1e-6:
-            continue
-        p = NcPoint(d, lvl, g * (target / operator_norm(g)))
-        if contains(dom, p) != (target < 1.0):
-            bad += 1
+        if abs(target - 1.0) >= 1e-6:
+            drawn.append(((Draw(g, target, partial(NcPoint, d, lvl)),),))
+            expected.append(target < 1.0)
+    bad = 0
+    for want, (inside,) in zip(expected, _stacked(scaled(drawn), partial(contains, ball_domain()))):
+        bad += inside != want
     return 30, bad
 
 
 @_check(0.0)
 def check_halfplane_membership(rng):
-    dom = halfplane_domain()
-    bad = 0
+    samples = []
     for _ in range(20):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         p = halfplane_point(rng, lvl, d)
-        flipped = NcPoint(d, lvl, p.mat.conj().T)
-        bad += int(not contains(dom, p))
-        bad += int(contains(dom, flipped))
+        samples.append(((p,), (NcPoint(d, lvl, p.mat.conj().T),)))
+    bad = 0
+    inside = partial(contains, halfplane_domain())
+    for p_inside, flipped_inside in _stacked(samples, inside, inside):
+        bad += int(not p_inside) + int(flipped_inside)
     return 40, bad
 
 
@@ -389,16 +421,17 @@ def check_halfplane_membership(rng):
 
 
 # the kernels with a closed form, each with the sampler of its points
-CLOSED_KERNELS = ((BallKernel(), ball_point), (HalfPlaneKernel(), halfplane_point))
+CLOSED_KERNELS = ((BallKernel(), ball_draw), (HalfPlaneKernel(), halfplane_point))
 
 
-def _oracle_triples(rng, sample, count: int):
+def _oracle_draws(rng, sample, count: int) -> list:
+    """count triples (a, c, b) at random base dims and levels, before scaling."""
     out = []
     for _ in range(count):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         a = sample(rng, lvl, d)
         c = sample(rng, lvl, d)
-        out.append((a, c, direction_sample(rng, d, lvl, lvl)))
+        out.append((a, c, direction_draw(rng, d, lvl, lvl)))
     return out
 
 
@@ -416,30 +449,32 @@ def _oracle_worst(kernel, triples) -> float:
 
 @_check(5e-6)
 def check_oracle_ball(rng):
-    return 12, _oracle_worst(BallKernel(), _oracle_triples(rng, ball_point, 12))
+    return 12, _oracle_worst(BallKernel(), scaled(_oracle_draws(rng, ball_draw, 12)))
 
 
 @_check(5e-6)
 def check_oracle_halfplane(rng):
-    return 12, _oracle_worst(HalfPlaneKernel(), _oracle_triples(rng, halfplane_point, 12))
+    return 12, _oracle_worst(HalfPlaneKernel(), scaled(_oracle_draws(rng, halfplane_point, 12)))
 
 
 @_check(1e-9)
 def check_delta_homogeneity(rng):
     kernel = ComposedBallKernel(Polynomial((0.0, 2.0)))
     scales = (0.5, 2.0)
-    samples = []
+    drawn = []
     for _ in range(10):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = ball_point(rng, lvl, d, radius=0.5, fill=0.7)
-        c = ball_point(rng, lvl, d, radius=0.5, fill=0.7)
-        b = direction_sample(rng, d, lvl, lvl)
+        a = ball_draw(rng, lvl, d, radius=0.5, fill=0.7)
+        c = ball_draw(rng, lvl, d, radius=0.5, fill=0.7)
+        drawn.append((d, lvl, a, c, direction_draw(rng, d, lvl, lvl)))
+    samples = []
+    for d, lvl, a, c, b in scaled(drawn):
         samples.append(((a, c, b), *((a, c, NcDirection(d, lvl, lvl, s * b.mat)) for s in scales)))
     worst = 0.0
     n = 0
     route = partial(delta_kernel, kernel)
-    for base, *scaled in _stacked(samples, route, route, route):
-        for s, val in zip(scales, scaled):
+    for base, *multiples in _stacked(samples, route, route, route):
+        for s, val in zip(scales, multiples):
             worst = max(worst, abs(val - s * base) / max(1e-12, s * base))
             n += 1
     return n, worst
@@ -450,12 +485,14 @@ def check_delta_unitary_invariance(rng):
     worst = 0.0
     n = 0
     for kernel, sample in CLOSED_KERNELS:
-        samples = []
+        drawn = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             a, c = sample(rng, lvl, d), sample(rng, lvl, d)
-            b = direction_sample(rng, d, lvl, lvl)
-            u, v = unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)
+            b = direction_draw(rng, d, lvl, lvl)
+            drawn.append((d, lvl, a, c, b, unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)))
+        samples = []
+        for d, lvl, a, c, b, u, v in scaled(drawn):
             uk, vk = np.kron(u, np.eye(d)), np.kron(v, np.eye(d))
             conjugated = (
                 unitary_conjugate(u, a),
@@ -472,11 +509,13 @@ def check_delta_unitary_invariance(rng):
 
 @_check(1e-8)
 def check_delta_direct_sum_max(rng):
-    samples = []
+    drawn = []
     for _ in range(10):
         d = int(rng.integers(1, 3))
         lvl = int(rng.integers(1, 3))
-        pairs = [(ball_point(rng, lvl, d), ball_point(rng, lvl, d)) for _ in range(2)]
+        drawn.append([(ball_draw(rng, lvl, d), ball_draw(rng, lvl, d)) for _ in range(2)])
+    samples = []
+    for pairs in scaled(drawn):
         big_a = direct_sum(pairs[0][0], pairs[1][0])
         big_c = direct_sum(pairs[0][1], pairs[1][1])
         samples.append((*pairs, (big_a, big_c)))
@@ -489,14 +528,17 @@ def check_delta_direct_sum_max(rng):
 
 @_check(1e-8)
 def check_delta_amplification(rng):
-    samples, z_norms = [], []
+    drawn = []
     for _ in range(8):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
+        a, c = ball_draw(rng, lvl, d), ball_draw(rng, lvl, d)
+        b = direction_draw(rng, d, lvl, lvl)
+        drawn.append((d, lvl, a, c, b, [complex_matrix(rng, k, k) for k in (2, 3)]))
+    samples, z_norms = [], []
+    for d, lvl, a, c, b, zs in scaled(drawn):
         sample, norms = [(a, c, b)], []
-        for k in (2, 3):
-            z = complex_matrix(rng, k, k)
+        for z in zs:
+            k = len(z)
             big_b = NcDirection(d, k * lvl, k * lvl, np.kron(z, b.mat))
             sample.append((amplify(np.eye(k), a), amplify(np.eye(k), c), big_b))
             norms.append(operator_norm(z))
@@ -514,11 +556,11 @@ def check_delta_amplification(rng):
 
 @_check(0.0)
 def check_delta_nondegeneracy(rng):
-    samples = []
+    drawn = []
     for _ in range(15):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = ball_point(rng, lvl, d)
-        samples.append(((a, a, direction_sample(rng, d, lvl, lvl)),))
+        drawn.append((ball_draw(rng, lvl, d), direction_draw(rng, d, lvl, lvl)))
+    samples = [((a, a, b),) for a, b in scaled(drawn)]
     min_val = float("inf")
     for (val,) in _stacked(samples, partial(delta_closed, BallKernel())):
         min_val = min(min_val, val)
@@ -530,10 +572,12 @@ def check_tilde_matches_delta(rng):
     worst = 0.0
     n = 0
     for kernel, sample in CLOSED_KERNELS:
-        samples = []
+        drawn = []
         for _ in range(8):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
+            drawn.append((d, lvl, sample(rng, lvl, d), sample(rng, lvl, d)))
+        samples = []
+        for d, lvl, a, c in scaled(drawn):
             samples.append(((a, c), (a, c, NcDirection(d, lvl, lvl, a.mat - c.mat))))
         for tilde, closed in _stacked(samples, partial(delta_tilde, kernel), partial(delta_closed, kernel)):
             worst = max(worst, abs(tilde - closed))
@@ -559,41 +603,42 @@ def check_ordering_chain(_rng):
 
 @_check(1e-9)
 def check_norm_lower_bound(rng):
-    samples, gaps = [], []
+    drawn = []
     for _ in range(20):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        samples.append(((a, c),))
-        gaps.append(operator_norm(a.mat - c.mat))
+        drawn.append((ball_draw(rng, lvl, d), ball_draw(rng, lvl, d)))
+    samples = [((a, c), (a, c)) for a, c in scaled(drawn)]
     worst = 0.0
-    for gap, (tilde,) in zip(gaps, _stacked(samples, partial(delta_tilde, BallKernel()))):
+    routes = (lambda a, c: operator_norm(a.mat - c.mat), partial(delta_tilde, BallKernel()))
+    for gap, tilde in _stacked(samples, *routes):
         worst = max(worst, gap - tilde)
     return 20, worst
 
 
 @_check(1e-3)
 def check_upper_semicontinuity(rng):
-    worst = -float("inf")
+    drawn = []
     for _ in range(5):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = ball_point(rng, lvl, d, fill=0.6)
-        c = ball_point(rng, lvl, d, fill=0.6)
-        b = direction_sample(rng, d, lvl, lvl)
-        e = complex_matrix(rng, lvl * d, lvl * d)
-        e *= 0.1 / operator_norm(e)
-        base = delta_closed(BallKernel(), a, c, b).value
-        ak = NcPoint(d, lvl, a.mat + (2.0 ** -8) * e)
-        worst = max(worst, delta_closed(BallKernel(), ak, c, b).value - base)
+        a = ball_draw(rng, lvl, d, fill=0.6)
+        c = ball_draw(rng, lvl, d, fill=0.6)
+        b = direction_draw(rng, d, lvl, lvl)
+        drawn.append((a, c, b, Draw(complex_matrix(rng, lvl * d, lvl * d), 0.1)))
+    samples = []
+    for a, c, b, e in scaled(drawn):
+        samples.append(((a, c, b), (NcPoint(a.base_dim, a.level, a.mat + (2.0**-8) * e), c, b)))
+    worst = -float("inf")
+    route = partial(delta_closed, BallKernel())
+    for base, moved in _stacked(samples, route, route):
+        worst = max(worst, moved - base)
     return 5, worst
 
 
 @_check(0.0)
 def check_boundary_blowup(_rng):
-    vals = []
     zero = point(np.zeros((1, 1)))
-    for j in range(4, 11):
-        r = 1.0 - 2.0 ** -j
-        vals.append(delta_tilde(BallKernel(), zero, point(np.array([[r]]))).value)
+    samples = [((zero, point(np.array([[1.0 - 2.0**-j]]))),) for j in range(4, 11)]
+    vals = [val for (val,) in _stacked(samples, partial(delta_tilde, BallKernel()))]
     worst = max(earlier - later for earlier, later in zip(vals, vals[1:]))
     worst = max(worst, 10.0 - vals[-1])
     return len(vals), worst
@@ -604,14 +649,14 @@ def check_spectral_disk_bounded(rng):
     # delta~ stays below 4/3 on the self-adjoint slice even though the
     # points approach the boundary of the spectral disk
     dom = SpectralDisk(0.0, 0.25, NormBound("constant", 1.0))
-    samples = []
+    drawn = []
     for _ in range(25):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = selfadjoint_disk_point(rng, lvl, d, 0.25)
-        c = selfadjoint_disk_point(rng, lvl, d, 0.25)
-        samples.append(((a, c),))
+        a = selfadjoint_disk_draw(rng, lvl, d, 0.25)
+        c = selfadjoint_disk_draw(rng, lvl, d, 0.25)
+        drawn.append(((a, c),))
     worst = -float("inf")
-    for (val,) in _stacked(samples, partial(delta_auto_tilde, dom)):
+    for (val,) in _stacked(scaled(drawn), partial(delta_auto_tilde, dom)):
         worst = max(worst, val - 4.0 / 3.0)
     return 25, worst
 
@@ -622,22 +667,22 @@ def check_nesting_halves(rng):
     pairs = []
     for _ in range(20):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        pairs.append(
-            (ball_point(rng, lvl, d, radius=0.5, fill=0.9), ball_point(rng, lvl, d, radius=0.5, fill=0.9))
-        )
-    rep = compare_nested(inner, outer, big_m=0.5, small_m=0.5, pairs=pairs)
+        pairs.append((ball_draw(rng, lvl, d, radius=0.5, fill=0.9), ball_draw(rng, lvl, d, radius=0.5, fill=0.9)))
+    rep = compare_nested(inner, outer, big_m=0.5, small_m=0.5, pairs=scaled(pairs))
     return rep["samples"], -rep["min_margin"]
 
 
 @_check(1e-6)
 def check_moebius_isometry(rng):
     dom = ball_domain()
-    worst = 0.0
-    n = 0
+    drawn = []
     for _ in range(4):
         alpha = 0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        triples = _oracle_triples(rng, ball_point, 3)
-        rep = check_contraction(MoebiusBall(complex(alpha)), dom, dom, triples, equality=True, tol=1e-6)
+        drawn.append((MoebiusBall(complex(alpha)), _oracle_draws(rng, ball_draw, 3)))
+    worst = 0.0
+    n = 0
+    for f, triples in scaled(drawn):
+        rep = check_contraction(f, dom, dom, triples, equality=True, tol=1e-6)
         worst = max(worst, rep["worst_abs_gap"])
         n += rep["samples"]
     return n, worst
@@ -646,7 +691,7 @@ def check_moebius_isometry(rng):
 @_check(1e-7)
 def check_polynomial_contraction(rng):
     dom = ball_domain()
-    triples = _oracle_triples(rng, ball_point, 12)
+    triples = scaled(_oracle_draws(rng, ball_draw, 12))
     rep = check_contraction(Polynomial((0.0, 0.0, 0.5)), dom, dom, triples, tol=1e-7)
     return rep["samples"], rep["worst_excess"]
 
@@ -670,34 +715,49 @@ def _block_scalar(rng, blocks, im_floor: float | None = None) -> np.ndarray:
     return direct_sum_mats(*parts)
 
 
+def _resolvent_imag_tops(model, b: NcPoint):
+    return herm_eigvals(imag_part(cauchy_G(model, b).mat))[..., -1]
+
+
 @_check(0.0)
 def check_resolvent_negative_imag(rng):
     model = _sample_model(rng)
-    worst = -float("inf")
+    samples = []
     for _ in range(15):
         lvl = int(rng.integers(1, 3))
-        b = halfplane_point(rng, lvl, 6)
-        g = cauchy_G(model, b)
-        worst = max(worst, float(herm_eigvals(imag_part(g.mat))[-1]))
+        samples.append(((halfplane_point(rng, lvl, 6),),))
+    worst = -float("inf")
+    for (top,) in _stacked(samples, partial(_resolvent_imag_tops, model)):
+        worst = max(worst, top)
     return 15, worst
+
+
+def _expectation_defects(model, m: NcPoint, b1: NcPoint, b2: NcPoint, _name: str) -> list:
+    """Per row: E idempotent, a bimodule map over b1 and b2, *-preserving and positive."""
+    m, b1, b2 = m.mat, b1.mat, b2.mat
+    em = expectation(model, m)
+    idempotent = operator_norm(expectation(model, em) - em)
+    bimodule = operator_norm(expectation(model, b1 @ m @ b2) - b1 @ em @ b2)
+    star = operator_norm(expectation(model, m.conj().mT) - em.conj().mT)
+    low = herm_eigvals(herm_part(expectation(model, m @ m.conj().mT)))[..., 0]
+    positive = [max(0.0, -x) for x in low.tolist()]
+    return list(zip(idempotent.tolist(), bimodule.tolist(), star.tolist(), positive))
 
 
 @_check(1e-12)
 def check_expectation_axioms(rng):
     model = _sample_model(rng)
-    worst = 0.0
+    samples = []
     for _ in range(10):
         lvl = int(rng.integers(1, 3))
         m = complex_matrix(rng, 6 * lvl, 6 * lvl, scale=2.0)
-        em = expectation(model, m)
-        worst = max(worst, operator_norm(expectation(model, em) - em))
         # bimodule over matrices with block-scalar entries
         b1 = np.kron(complex_matrix(rng, lvl, lvl), np.diag(np.repeat(rng.standard_normal(3), 2)).astype(complex))
         b2 = np.kron(complex_matrix(rng, lvl, lvl), np.diag(np.repeat(rng.standard_normal(3), 2)).astype(complex))
-        worst = max(worst, operator_norm(expectation(model, b1 @ m @ b2) - b1 @ em @ b2))
-        worst = max(worst, operator_norm(expectation(model, m.conj().T) - em.conj().T))
-        pos = expectation(model, m @ m.conj().T)
-        worst = max(worst, max(0.0, -float(herm_eigvals(herm_part(pos))[0])))
+        samples.append(tuple(NcPoint(6, lvl, x) for x in (m, b1, b2)))
+    worst = 0.0
+    for defects in _sample_outcomes(samples, partial(_expectation_defects, model), "sample"):
+        worst = max(worst, *defects)
     worst = max(worst, operator_norm(expectation(model, np.eye(6)) - np.eye(6)))
     return 10, worst
 
@@ -761,62 +821,63 @@ def _certificates(law, rho, b: NcPoint, name: str) -> list:
     return list(zip(picard_ratio(law, rho, b, omega).tolist(), traces.contraction_bounds()))
 
 
-def _h0_pair_defect(h0, a: NcPoint, c: NcPoint, b_mat: np.ndarray) -> float:
+def _h0_pair_defects(h0, a: NcPoint, c: NcPoint, b: NcDirection):
     # scale b so the block point stays well inside the half-plane
     sa = psd_inv_sqrt(imag_part(a.mat))
     sc = psd_inv_sqrt(imag_part(c.mat))
-    g_raw = operator_norm(sa @ b_mat @ sc)
-    tau = min(1.0, 1.8 / max(1e-12, g_raw))
-    b = NcDirection(a.base_dim, a.level, c.level, tau * b_mat)
+    g_raw = operator_norm(sa @ b.mat @ sc)
+    tau = np.minimum(1.0, 1.8 / np.maximum(1e-12, g_raw))
+    b = NcDirection(a.base_dim, a.level, c.level, tau[:, None, None] * b.mat)
     gauge = g_raw * tau
     big = h0(block_upper(a, b, c))
-    corner = big.mat[: a.dim, a.dim :]
+    corner = big.mat[..., : a.dim, a.dim :]
     ha, hc = h0(a), h0(c)
     lhs = operator_norm(psd_inv_sqrt(imag_part(ha.mat)) @ corner @ psd_inv_sqrt(imag_part(hc.mat)))
-    factor_a = 1.0 - h0.eps0 / float(herm_eigvals(imag_part(ha.mat))[-1])
-    factor_c = 1.0 - h0.eps0 / float(herm_eigvals(imag_part(hc.mat))[-1])
+    factor_a = 1.0 - h0.eps0 / herm_eigvals(imag_part(ha.mat))[..., -1]
+    factor_c = 1.0 - h0.eps0 / herm_eigvals(imag_part(hc.mat))[..., -1]
     rhs_sq = gauge * gauge * factor_a * factor_c
     return lhs * lhs - rhs_sq * (1.0 + 1e-9) - 1e-12
 
 
 @_check(0.0)
 def check_schwarz_pick_h0(rng):
-    worst = -float("inf")
-    n = 0
     h0_scalar = make_h0(ScalarLaw("bernoulli"), ScalarPower(2.0), point(np.array([[1.0j]])))
+    scalar_samples = []
     for _ in range(8):
         a = halfplane_point(rng, 1, 1, im_floor=0.4)
         c = halfplane_point(rng, 1, 1, im_floor=0.4)
-        b = complex_matrix(rng, 1, 1)
-        worst = max(worst, _h0_pair_defect(h0_scalar, a, c, b))
-        n += 1
+        scalar_samples.append(((a, c, NcDirection(1, 1, 1, complex_matrix(rng, 1, 1))),))
     model = _sample_model(rng)
     v = np.diag(np.repeat([0.7, 1.0, 0.4], 2)).astype(complex)
     h0_mat = make_h0(model, KrausAugment((v,)), NcPoint(6, 1, 1.5j * np.eye(6)))
+    block_samples = []
     for _ in range(6):
         # operands must live in the block algebra for h to be a map on H+(B)
-        a = NcPoint(6, 1, _block_scalar(rng, model.blocks, im_floor=0.4))
-        c = NcPoint(6, 1, _block_scalar(rng, model.blocks, im_floor=0.4))
-        b = _block_scalar(rng, model.blocks)
-        worst = max(worst, _h0_pair_defect(h0_mat, a, c, b))
-        n += 1
-    return n, worst
+        a, c, b = (_block_scalar(rng, model.blocks, im_floor) for im_floor in (0.4, 0.4, None))
+        block_samples.append(((NcPoint(6, 1, a), NcPoint(6, 1, c), NcDirection(6, 1, 1, b)),))
+    worst = -float("inf")
+    for h0, samples in ((h0_scalar, scalar_samples), (h0_mat, block_samples)):
+        for (defect,) in _stacked(samples, partial(_h0_pair_defects, h0)):
+            worst = max(worst, defect)
+    return len(scalar_samples) + len(block_samples), worst
+
+
+def _im_h_norms(model, b: NcPoint):
+    return operator_norm(imag_part(F_and_h(model, b)[1].mat))
 
 
 @_check(0.0)
 def check_imh_decay(rng):
     worst = -float("inf")
+    heights = (2.0, 8.0, 32.0, 128.0)
     for model in (ScalarLaw("semicircle"), _sample_model(rng)):
         d = model.base_dim
         if d == 1:
             u = hermitian_matrix(rng, 1)
         else:
             u = np.real(_block_scalar(rng, model.blocks)).astype(complex)
-        ratios = []
-        for y in (2.0, 8.0, 32.0, 128.0):
-            b = NcPoint(d, 1, u + 1j * y * np.eye(d))
-            _, h = F_and_h(model, b)
-            ratios.append(operator_norm(imag_part(h.mat)) / y)
+        samples = [((NcPoint(d, 1, u + 1j * y * np.eye(d)),),) for y in heights]
+        ratios = [norm / y for (norm,), y in zip(_stacked(samples, partial(_im_h_norms, model)), heights)]
         worst = max(worst, max(later - earlier for earlier, later in zip(ratios, ratios[1:])))
         worst = max(worst, ratios[-1] - 1e-3)
     return 8, worst

@@ -5,18 +5,32 @@ Every sampler draws from a counter-based Philox generator keyed by
 sample regardless of execution order. That is what makes repeated
 `props --seed N` runs byte-identical.
 
+A normalising sampler comes in two steps. Its draw (ball_draw,
+selfadjoint_disk_draw, direction_draw) consumes the generator: the raw
+matrix g, then its target operator norm, returned as a Draw. scaled
+turns the Draws of a whole batch into their samples,
+g * (target / max(1e-12, ||g||)), with one stacked operator_norm per
+shape group; a stacked SVD gives each matrix the bits it gets alone, so
+a sample is the same however many are scaled with it. ball_point,
+selfadjoint_disk_point and direction_sample are the draw and the
+scaling of one sample.
+
 sample_triples draws the samples (a, c, b) of `contract` in proposal
-rounds: round 1 draws, sample by sample, the domain's _propose
-candidates for a, those for c and the direction b; one stacked contains
-per level then tests every candidate of the round, and each point keeps
-its first candidate inside. Points with none inside draw new candidates
-in the next round, after all of the round's draws, in sample order (a
-before c); a point that misses for SAMPLE_TRIES rounds fails.
+rounds: round 1 draws, sample by sample, the domain's _propose for a,
+its _propose for c and the direction b; the round's draws are scaled
+together, each proposal is expanded into the domain's _candidates,
+and one stacked contains per level tests every candidate of the
+round. Each point keeps its first candidate inside. Points with none
+inside propose again in the next round, after all of the round's
+draws, in sample order (a before c); a point that misses for
+SAMPLE_TRIES rounds fails.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,10 +48,55 @@ def rng_stream(seed: int, stream: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@dataclass(frozen=True)
+class Draw:
+    """A sample before its normalisation: make(g scaled to operator norm
+    target), or that matrix itself where make is None (see scaled)."""
+
+    g: np.ndarray
+    target: float
+    make: object = None
+
+
+def _draws(tree):
+    if isinstance(tree, Draw):
+        yield tree
+    elif isinstance(tree, (list, tuple)):
+        for x in tree:
+            yield from _draws(x)
+
+
+def _rebuild(tree, samples):
+    if isinstance(tree, Draw):
+        return next(samples)
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_rebuild(x, samples) for x in tree)
+    return tree
+
+
+def scaled(tree):
+    """tree, a Draw or nested lists and tuples holding Draws among other
+    values, with each Draw replaced by its sample:
+    make(g * (target / max(1e-12, ||g||))). The norms are taken with one
+    stacked operator_norm per shape of g."""
+    draws = list(_draws(tree))
+    groups = {}
+    for i, d in enumerate(draws):
+        groups.setdefault(d.g.shape, []).append(i)
+    samples = [None] * len(draws)
+    for idxs in groups.values():
+        norms = operator_norm(np.stack([draws[i].g for i in idxs])).tolist()
+        for i, norm in zip(idxs, norms):
+            d = draws[i]
+            m = d.g * (d.target / max(1e-12, norm))
+            samples[i] = m if d.make is None else d.make(m)
+    return _rebuild(tree, iter(samples))
+
+
 def complex_matrix(rng, rows: int, cols: int, scale: float = 1.0) -> np.ndarray:
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return scale * (re + 1j * im) / np.sqrt(2.0)
+    # one draw of both parts: the real part's normals, then the imaginary part's
+    z = rng.standard_normal((2, rows, cols))
+    return scale * (z[0] + 1j * z[1]) / np.sqrt(2.0)
 
 
 def hermitian_matrix(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -52,12 +111,16 @@ def unitary_matrix(rng, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def ball_point(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> NcPoint:
-    """A point with operator norm uniform in [0.1, fill] * radius."""
+def ball_draw(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> Draw:
+    """ball_point's draw."""
     n = level * base_dim
     g = complex_matrix(rng, n, n)
-    target = radius * rng.uniform(0.1, fill)
-    return NcPoint(base_dim, level, g * (target / max(1e-12, operator_norm(g))))
+    return Draw(g, radius * rng.uniform(0.1, fill), partial(NcPoint, base_dim, level))
+
+
+def ball_point(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> NcPoint:
+    """A point with operator norm uniform in [0.1, fill] * radius."""
+    return scaled(ball_draw(rng, level, base_dim, radius, fill))
 
 
 def halfplane_point(rng, level: int, base_dim: int, im_floor: float = 0.3) -> NcPoint:
@@ -69,12 +132,15 @@ def halfplane_point(rng, level: int, base_dim: int, im_floor: float = 0.3) -> Nc
     return NcPoint(base_dim, level, re + 1j * im)
 
 
+def selfadjoint_disk_draw(rng, level: int, base_dim: int, radius: float, fill: float = 0.9) -> Draw:
+    """selfadjoint_disk_point's draw."""
+    h = hermitian_matrix(rng, level * base_dim)
+    return Draw(h, radius * fill * rng.uniform(0.1, 1.0), partial(NcPoint, base_dim, level))
+
+
 def selfadjoint_disk_point(rng, level: int, base_dim: int, radius: float, fill: float = 0.9) -> NcPoint:
     """Hermitian point with norm (= spectral radius) below fill * radius."""
-    n = level * base_dim
-    h = hermitian_matrix(rng, n)
-    target = radius * fill * rng.uniform(0.1, 1.0)
-    return NcPoint(base_dim, level, h * (target / max(1e-12, operator_norm(h))))
+    return scaled(selfadjoint_disk_draw(rng, level, base_dim, radius, fill))
 
 
 def nilpotent_point(rng, level: int, base_dim: int, scale: float = 1.0) -> NcPoint:
@@ -85,14 +151,15 @@ def nilpotent_point(rng, level: int, base_dim: int, scale: float = 1.0) -> NcPoi
     return NcPoint(base_dim, level, m)
 
 
-def direction_sample(
-    rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0
-) -> NcDirection:
+def direction_draw(rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0) -> Draw:
+    """direction_sample's draw."""
     g = complex_matrix(rng, row_level * base_dim, col_level * base_dim)
-    target = scale * rng.uniform(0.2, 1.0)
-    return NcDirection(
-        base_dim, row_level, col_level, g * (target / max(1e-12, operator_norm(g)))
-    )
+    return Draw(g, scale * rng.uniform(0.2, 1.0), partial(NcDirection, base_dim, row_level, col_level))
+
+
+def direction_sample(rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0) -> NcDirection:
+    """A direction with operator norm uniform in [0.2, 1] * scale."""
+    return scaled(direction_draw(rng, base_dim, row_level, col_level, scale))
 
 
 # sample_triples' number of proposal rounds before it gives up.
@@ -113,17 +180,18 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
     # point 2i is a of sample i, point 2i + 1 its c
     point_levels = [levels[k // 2 % len(levels)] for k in range(2 * count)]
     points = [None] * (2 * count)
-    directions = []
-    # the points still missing, each with its candidates of the round
-    pending = {}
+    first = []
     for i in range(count):
         lvl = point_levels[2 * i]
-        pending[2 * i] = propose(rng, lvl, base_dim)
-        pending[2 * i + 1] = propose(rng, lvl, base_dim)
-        directions.append(direction_sample(rng, base_dim, lvl, lvl))
+        a, c = propose(rng, lvl, base_dim), propose(rng, lvl, base_dim)
+        first.append((a, c, direction_draw(rng, base_dim, lvl, lvl)))
+    first = scaled(first)
+    # the points still missing, each with its proposal of the round
+    proposals = {k: first[k // 2][k % 2] for k in range(2 * count)}
     for round_ in range(SAMPLE_TRIES):
         if round_:
-            pending = {k: propose(rng, point_levels[k], base_dim) for k in pending}
+            proposals = dict(zip(proposals, scaled([propose(rng, point_levels[k], base_dim) for k in proposals])))
+        pending = {k: domain._candidates(p) for k, p in proposals.items()}
         by_level = {}
         for k in pending:
             by_level.setdefault(point_levels[k], []).append(k)
@@ -134,7 +202,7 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
                 hits = [m for m in pending[k] if next(inside)]
                 if hits:
                     points[k] = NcPoint(base_dim, lvl, hits[0])
-                    del pending[k]
-        if not pending:
-            return [(points[2 * i], points[2 * i + 1], directions[i]) for i in range(count)]
+                    del proposals[k]
+        if not proposals:
+            return [(points[2 * i], points[2 * i + 1], first[i][2]) for i in range(count)]
     raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")

@@ -5,7 +5,22 @@ import pytest
 from ncmetric import props
 from ncmetric.matcore import NcmetricError
 
-_STACKED_ROUTES = ("delta_ray", "delta_closed", "delta_kernel", "delta_tilde", "delta_auto_tilde", "_solve_stack")
+_STACKED_ROUTES = (
+    "delta_ray",
+    "delta_closed",
+    "delta_kernel",
+    "delta_tilde",
+    "delta_auto_tilde",
+    "_solve_stack",
+    "cauchy_G",
+    "F_and_h",
+    "eval_point",
+    "block_upper",
+    "contains",
+    "kernel_eval",
+    "gram",
+    "direct_sum",
+)
 
 
 def _single_points_only(route):
