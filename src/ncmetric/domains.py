@@ -111,9 +111,9 @@ class _HalfPlaneForm:
         return halfplane_point(rng, level, base_dim)
 
     def _candidates(self, p: NcPoint) -> tuple:
-        p = p.mat
+        m = p.mat
         # composed domains can be much smaller, or far up (g(z) = z - 5i needs Im a > 5)
-        return (p, p * 0.2, *(p + 1j * s * np.eye(len(p)) for s in (4, 16, 64)))
+        return (m, m * 0.2, *(m + 1j * s * np.eye(p.dim) for s in (4, 16, 64)))
 
 
 class _BallForm:

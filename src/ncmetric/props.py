@@ -623,10 +623,11 @@ def check_upper_semicontinuity(rng):
         a = ball_draw(rng, lvl, d, fill=0.6)
         c = ball_draw(rng, lvl, d, fill=0.6)
         b = direction_draw(rng, d, lvl, lvl)
-        drawn.append((a, c, b, Draw(complex_matrix(rng, lvl * d, lvl * d), 0.1)))
+        e = Draw(complex_matrix(rng, lvl * d, lvl * d), 0.1, partial(NcDirection, d, lvl, lvl))
+        drawn.append((a, c, b, e))
     samples = []
     for a, c, b, e in scaled(drawn):
-        samples.append(((a, c, b), (NcPoint(a.base_dim, a.level, a.mat + (2.0**-8) * e), c, b)))
+        samples.append(((a, c, b), (NcPoint(a.base_dim, a.level, a.mat + (2.0**-8) * e.mat), c, b)))
     worst = -float("inf")
     route = partial(delta_closed, BallKernel())
     for base, moved in _stacked(samples, route, route):

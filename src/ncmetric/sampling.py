@@ -51,11 +51,11 @@ def rng_stream(seed: int, stream: str) -> np.random.Generator:
 @dataclass(frozen=True)
 class Draw:
     """A sample before its normalisation: make(g scaled to operator norm
-    target), or that matrix itself where make is None (see scaled)."""
+    target) is the sample, make building the point or direction."""
 
     g: np.ndarray
     target: float
-    make: object = None
+    make: object
 
 
 def _draws(tree):
@@ -74,11 +74,18 @@ def _rebuild(tree, samples):
     return tree
 
 
+def _sample(d: Draw, norm: float):
+    return d.make(d.g * (d.target / max(1e-12, norm)))
+
+
 def scaled(tree):
     """tree, a Draw or nested lists and tuples holding Draws among other
     values, with each Draw replaced by its sample:
     make(g * (target / max(1e-12, ||g||))). The norms are taken with one
     stacked operator_norm per shape of g."""
+    if isinstance(tree, Draw):
+        # a lone draw skips the grouping, which costs more than its SVD
+        return _sample(tree, operator_norm(tree.g))
     draws = list(_draws(tree))
     groups = {}
     for i, d in enumerate(draws):
@@ -87,9 +94,7 @@ def scaled(tree):
     for idxs in groups.values():
         norms = operator_norm(np.stack([draws[i].g for i in idxs])).tolist()
         for i, norm in zip(idxs, norms):
-            d = draws[i]
-            m = d.g * (d.target / max(1e-12, norm))
-            samples[i] = m if d.make is None else d.make(m)
+            samples[i] = _sample(draws[i], norm)
     return _rebuild(tree, iter(samples))
 
 
