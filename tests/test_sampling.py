@@ -60,21 +60,17 @@ def test_scaling_a_batch_gives_each_sample_its_bits_alone():
         out = []
         for k in range(30):
             lvl, d = 1 + k % 3, 1 + k % 2
-            out.append((ball_draw(rng, lvl, d), "kept", [selfadjoint_disk_draw(rng, lvl, d, 0.5)]))
+            out += [ball_draw(rng, lvl, d), selfadjoint_disk_draw(rng, lvl, d, 0.5)]
             out.append(direction_draw(rng, d, lvl, 1 + k % 2))
         return out
 
     batch = scaled(draws(rng_stream(5, "batch")))
     alone = [scaled(x) for x in draws(rng_stream(5, "batch"))]
-    assert len(batch) == len(alone) == 60
-    for x, y in zip(batch, alone):
-        if isinstance(x, tuple):
-            assert x[1] == "kept" and isinstance(x[2], list)
-            x, y = (x[0], x[2][0]), (y[0], y[2][0])
-        else:
-            x, y = (x,), (y,)
-        for p, q in zip(x, y):
-            assert type(p) is type(q) and p.mat.tobytes() == q.mat.tobytes()
+    assert [type(p) for p in batch] == [type(q) for q in alone]
+    assert [p.mat.tobytes() for p in batch] == [q.mat.tobytes() for q in alone]
+    # the rest of the tree is kept, its lists and tuples rebuilt
+    one, (two, kept) = scaled((draws(rng_stream(5, "batch"))[0], [alone[1], "kept"]))
+    assert one.mat.tobytes() == alone[0].mat.tobytes() and two is alone[1] and kept == "kept"
 
 
 def test_a_point_sampler_scales_its_draw():
