@@ -29,8 +29,8 @@ rows, which test numpy's factorizations one matrix at a time;
 function_axioms, whose check_axioms draws as it evaluates;
 moebius_ball_image, whose samples each bring their own map (only the
 norms of the images are stacked); and ordering_chain, omega_direct_sum
-and fixed_point_range, which run a distance driver or a solver on a
-few fixed points.
+and fixed_point_range, which run a distance bound or a solver on a few
+fixed points.
 """
 
 from __future__ import annotations
