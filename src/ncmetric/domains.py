@@ -21,23 +21,22 @@ Each variant is one class that registers its JSON form (see
 matcore.variant) and carries its behaviour. A kernel's _pair(x, y, p)
 is the affine pairing H(x, y)(P), y on the starred side (K(a, c)(P) at
 y = c*; the composed kernels apply z -> G(z*)* there, so block
-evaluations stay matrix arithmetic), and its _propose and _candidates
-(below) sample the ball or the half-plane it pulls back. The ball and
-half-plane kernels carry their closed form, _closed_form(a, c, b) =
-delta(a, c)(b), labelled by closed ("ball", "halfplane"); the composed
-kernels have closed = None.
+evaluations stay matrix arithmetic), and its _propose(rng, level,
+base_dim) draws candidate matrices from the ball or the half-plane it
+pulls back. The ball and half-plane kernels carry their closed form,
+_closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
+"halfplane"); the composed kernels have closed = None.
 
 A domain kind, here or outside the package, has a kernel attribute
-(the kernel that cuts it out, or None), two methods for sampling,
-optionally _delta(a, c, b, margin) = delta(a, c)(b) exactly, and
-_inside(a, margin). The sampling protocol: _propose(rng, level,
-base_dim) draws one proposal from rng, a point or a sampling.Draw of
-one that sampling.scaled normalises together with the other draws of
-its round; _candidates(p) expands the proposal p into the tuple of
-candidate matrices that the membership test sees, the first inside
-being kept. _inside always receives a stack (N, n, n) (see ncpoint)
-and returns (inside, score), N bools and N floats, or raises
-EvaluationFailure when some row cannot be tested.
+(the kernel that cuts it out, or None), _propose(rng, level, base_dim)
+for sampling, optionally _delta(a, c, b, margin) = delta(a, c)(b)
+exactly, and _inside(a, margin). _propose returns a tuple of candidate
+matrices, the first inside being kept, or a sampling.Draw whose make
+yields that tuple from the normalised matrix, so that sampling.scaled
+normalises it together with the other draws of its round. _inside
+always receives a stack (N, n, n) (see ncpoint) and returns (inside,
+score), N bools and N floats, or raises EvaluationFailure when some
+row cannot be tested.
 The score is positive inside and, along a ray [[a, s b], [0, c]],
 changes sign where the ray leaves (kernel domains: lambda_min of the
 gram less its margin term; spectral disks: the norm cap less ||X||,
@@ -63,7 +62,7 @@ import numpy as np
 from .matcore import (
     InputError,
     NumericalFailure,
-    as_stack,
+    as_matrix,
     complex_from_json,
     finite,
     herm_eigvals,
@@ -107,13 +106,10 @@ class _HalfPlaneForm:
     def _pair(self, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
         return (x @ p - p @ y) / 2.0j
 
-    def _propose(self, rng, level: int, base_dim: int):
-        return halfplane_point(rng, level, base_dim)
-
-    def _candidates(self, p: NcPoint) -> tuple:
-        m = p.mat
+    def _propose(self, rng, level: int, base_dim: int) -> tuple:
+        p = halfplane_point(rng, level, base_dim).mat
         # composed domains can be much smaller, or far up (g(z) = z - 5i needs Im a > 5)
-        return (m, m * 0.2, *(m + 1j * s * np.eye(p.dim) for s in (4, 16, 64)))
+        return (p, p * 0.2, *(p + 1j * s * np.eye(len(p)) for s in (4, 16, 64)))
 
 
 class _BallForm:
@@ -121,10 +117,8 @@ class _BallForm:
         return p - x @ p @ y
 
     def _propose(self, rng, level: int, base_dim: int):
-        return ball_draw(rng, level, base_dim, radius=1.0, fill=0.7)
-
-    def _candidates(self, p: NcPoint) -> tuple:
-        return p.mat, p.mat * 0.2  # composed domains can be much smaller
+        # composed domains can be much smaller
+        return replace(ball_draw(rng, level, base_dim, radius=1.0, fill=0.7), make=lambda p: (p, p * 0.2))
 
 
 def _composed(g, x: np.ndarray, y: np.ndarray) -> tuple:
@@ -186,9 +180,6 @@ class KernelDomain:
     def _propose(self, rng, level: int, base_dim: int):
         return self.kernel._propose(rng, level, base_dim)
 
-    def _candidates(self, p: NcPoint) -> tuple:
-        return self.kernel._candidates(p)
-
 
 @record("norm_bound", value=json_number)
 @dataclass(frozen=True)
@@ -244,10 +235,8 @@ class SpectralDisk:
         return ball_delta(a, c, b, self.norm_bound.at_level(a.level + c.level) - margin)
 
     def _propose(self, rng, level: int, base_dim: int):
-        return selfadjoint_disk_draw(rng, level, base_dim, self.radius)
-
-    def _candidates(self, p: NcPoint) -> tuple:
-        return (p.mat + self.center * np.eye(p.dim) if self.center else p.mat,)
+        draw = selfadjoint_disk_draw(rng, level, base_dim, self.radius)
+        return replace(draw, make=lambda p: (p + self.center * np.eye(len(p)) if self.center else p,))
 
 
 @variant("domain", "nilpotent_cone")
@@ -268,23 +257,19 @@ class NilpotentCone:
         return np.zeros(np.broadcast_shapes(a.mat.shape[:-2], c.mat.shape[:-2], b.mat.shape[:-2]))
 
     def _propose(self, rng, level: int, base_dim: int):
-        return nilpotent_point(rng, level, base_dim)
-
-    def _candidates(self, p: NcPoint) -> tuple:
-        return (p.mat,)
+        return (nilpotent_point(rng, level, base_dim).mat,)
 
 
 def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
-    """K(a, c)(P), per row of the stacks. P, a matrix or a stack of them,
-    defaults to the identity (square case only)."""
+    """K(a, c)(P). P defaults to the identity (square case only)."""
     if a.base_dim != c.base_dim:
         raise BaseDimMismatch(f"base dims {a.base_dim} != {c.base_dim}")
     if p is None:
         if a.dim != c.dim:
             raise DimMismatch("identity P needs matching point sizes")
         p = np.eye(a.dim, dtype=np.complex128)
-    p = as_stack(p)
-    if p.shape[-2:] != (a.dim, c.dim):
+    p = as_matrix(p)
+    if p.shape != (a.dim, c.dim):
         raise DimMismatch(f"P has shape {p.shape}, expected {(a.dim, c.dim)}")
     return kernel._pair(a.mat, c.mat.conj().mT, p)
 

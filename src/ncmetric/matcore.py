@@ -303,16 +303,16 @@ def principal_sqrt(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def direct_sum_mats(*mats: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of the given matrices; stacks broadcast."""
-    mats = tuple(as_stack(m) for m in mats)
-    rows = sum(m.shape[-2] for m in mats)
-    cols = sum(m.shape[-1] for m in mats)
-    out = np.zeros(np.broadcast_shapes(*(m.shape[:-2] for m in mats)) + (rows, cols), dtype=np.complex128)
+    """Block-diagonal stack of the given matrices."""
+    mats = tuple(as_matrix(m) for m in mats)
+    rows = sum(m.shape[0] for m in mats)
+    cols = sum(m.shape[1] for m in mats)
+    out = np.zeros((rows, cols), dtype=np.complex128)
     r = c = 0
     for m in mats:
-        out[..., r : r + m.shape[-2], c : c + m.shape[-1]] = m
-        r += m.shape[-2]
-        c += m.shape[-1]
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r += m.shape[0]
+        c += m.shape[1]
     return out
 
 

@@ -27,8 +27,10 @@ the report is the same as that of evaluating one sample at a time.
 The exceptions evaluate sample by sample: the six matcore and ncpoint
 rows, which test numpy's factorizations one matrix at a time;
 function_axioms, whose check_axioms draws as it evaluates;
-moebius_ball_image, whose samples each bring their own map (only the
-norms of the images are stacked); and ordering_chain, omega_direct_sum
+moebius_ball_image, whose samples each bring their own map;
+kernel_direct_sum_blocks and kernel_unitary_intertwine, whose five
+samples per kernel spread over up to four shape groups, so that a
+stack would hold one or two rows; and ordering_chain, omega_direct_sum
 and fixed_point_range, which run a distance bound or a solver on a few
 fixed points.
 """
@@ -108,7 +110,6 @@ from .ncpoint import (
 from .sampling import (
     Draw,
     ball_draw,
-    ball_point,
     complex_matrix,
     direction_draw,
     halfplane_point,
@@ -229,10 +230,12 @@ def check_psd_inv_sqrt(rng):
 
 @_check(0.0)
 def check_direct_sum_assoc(rng):
-    worst = 0.0
+    drawn = []
     for _ in range(10):
         d = int(rng.integers(1, 3))
-        ps = [ball_point(rng, int(rng.integers(1, 3)), d) for _ in range(3)]
+        drawn.append([ball_draw(rng, int(rng.integers(1, 3)), d) for _ in range(3)])
+    worst = 0.0
+    for ps in scaled(drawn):
         left = direct_sum(direct_sum(ps[0], ps[1]), ps[2])
         right = direct_sum(ps[0], direct_sum(ps[1], ps[2]))
         worst = max(worst, float(np.max(np.abs(left.mat - right.mat))))
@@ -241,12 +244,14 @@ def check_direct_sum_assoc(rng):
 
 @_check(1e-12)
 def check_amplify_product(rng):
-    worst = 0.0
+    drawn = []
     for _ in range(10):
         d, lvl, k = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(2, 4))
-        a = ball_point(rng, lvl, d)
-        c = ball_point(rng, lvl, d)
-        z1, z2 = complex_matrix(rng, k, k), complex_matrix(rng, k, k)
+        a = ball_draw(rng, lvl, d)
+        c = ball_draw(rng, lvl, d)
+        drawn.append((a, c, complex_matrix(rng, k, k), complex_matrix(rng, k, k)))
+    worst = 0.0
+    for a, c, z1, z2 in scaled(drawn):
         lhs = amplify(z1, a).mat @ amplify(z2, c).mat
         rhs = np.kron(z1 @ z2, a.mat @ c.mat)
         worst = max(worst, operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)))
@@ -318,11 +323,9 @@ def check_moebius_ball_image(rng):
     for _ in range(20):
         alpha = 0.85 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         drawn.append((MoebiusBall(complex(alpha)), ball_draw(rng, int(rng.integers(1, 4)), 1, fill=0.85)))
-    # each sample has its own map, so f(a) is evaluated sample by sample
-    images = [((eval_point(f, a),),) for f, a in scaled(drawn)]
     worst = -1.0
-    for (norm,) in _stacked(images, lambda fa: operator_norm(fa.mat)):
-        worst = max(worst, norm - 1.0)
+    for f, a in scaled(drawn):
+        worst = max(worst, operator_norm(eval_point(f, a).mat) - 1.0)
     return 20, worst
 
 
@@ -338,32 +341,20 @@ _PROP_KERNELS = (
 )
 
 
-def _direct_sum_defects(kernel, a1: NcPoint, a2: NcPoint):
-    q = gram(kernel, direct_sum(a1, a2))
-    blocks = direct_sum_mats(gram(kernel, a1), gram(kernel, a2))
-    return operator_norm(q - blocks) / np.maximum(1.0, operator_norm(q))
-
-
 @_check(1e-12)
 def check_kernel_direct_sum_blocks(rng):
     drawn = []
     for _, sample in _PROP_KERNELS:
         for _ in range(5):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            drawn.append(((sample(rng, lvl, d), sample(rng, lvl, d)),))
-    drawn = scaled(drawn)
+            drawn.append((sample(rng, lvl, d), sample(rng, lvl, d)))
     worst = 0.0
-    for i, (kernel, _) in enumerate(_PROP_KERNELS):
-        for (defect,) in _stacked(drawn[5 * i : 5 * i + 5], partial(_direct_sum_defects, kernel)):
-            worst = max(worst, defect)
+    for i, (a1, a2) in enumerate(scaled(drawn)):
+        kernel = _PROP_KERNELS[i // 5][0]
+        q = gram(kernel, direct_sum(a1, a2))
+        blocks = direct_sum_mats(gram(kernel, a1), gram(kernel, a2))
+        worst = max(worst, operator_norm(q - blocks) / max(1.0, operator_norm(q)))
     return len(drawn), worst
-
-
-def _intertwine_defects(kernel, a: NcPoint, c: NcPoint, ua: NcPoint, vc: NcPoint, p, uk, vk):
-    # the level matrices and P ride along as directions, so the samples group by shape
-    lhs = kernel_eval(kernel, ua, vc, uk.mat @ p.mat @ vk.mat.conj().mT)
-    rhs = uk.mat @ kernel_eval(kernel, a, c, p.mat) @ vk.mat.conj().mT
-    return operator_norm(lhs - rhs) / np.maximum(1.0, operator_norm(rhs))
 
 
 @_check(1e-10)
@@ -374,17 +365,17 @@ def check_kernel_unitary_intertwine(rng):
             d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
             a, c = sample(rng, lvl, d), sample(rng, lvl, d)
             p = complex_matrix(rng, lvl * d, lvl * d)
-            drawn.append((d, lvl, a, c, p, unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)))
-    samples = []
-    for d, lvl, a, c, p, u, v in scaled(drawn):
-        uk, vk = (NcDirection(d, lvl, lvl, np.kron(w, np.eye(d))) for w in (u, v))
-        conjugated = unitary_conjugate(u, a), unitary_conjugate(v, c)
-        samples.append(((a, c, *conjugated, NcDirection(d, lvl, lvl, p), uk, vk),))
+            drawn.append((d, a, c, p, unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)))
     worst = 0.0
-    for i, (kernel, _) in enumerate(_PROP_KERNELS):
-        for (defect,) in _stacked(samples[5 * i : 5 * i + 5], partial(_intertwine_defects, kernel)):
-            worst = max(worst, defect)
-    return len(samples), worst
+    for i, (d, a, c, p, u, v) in enumerate(scaled(drawn)):
+        kernel = _PROP_KERNELS[i // 5][0]
+        ua, vc = unitary_conjugate(u, a), unitary_conjugate(v, c)
+        uk = np.kron(u, np.eye(d))
+        vk = np.kron(v, np.eye(d))
+        lhs = kernel_eval(kernel, ua, vc, uk @ p @ vk.conj().T)
+        rhs = uk @ kernel_eval(kernel, a, c, p) @ vk.conj().T
+        worst = max(worst, operator_norm(lhs - rhs) / max(1.0, operator_norm(rhs)))
+    return len(drawn), worst
 
 
 @_check(0.0)

@@ -16,14 +16,15 @@ selfadjoint_disk_point and direction_sample are the draw and the
 scaling of one sample.
 
 sample_triples draws the samples (a, c, b) of `contract` in proposal
-rounds: round 1 draws, sample by sample, the domain's _propose for a,
-its _propose for c and the direction b; the round's draws are scaled
-together, each proposal is expanded into the domain's _candidates,
-and one stacked contains per level tests every candidate of the
-round. Each point keeps its first candidate inside. Points with none
-inside propose again in the next round, after all of the round's
-draws, in sample order (a before c); a point that misses for
-SAMPLE_TRIES rounds fails.
+rounds. A domain's _propose returns the tuple of candidate matrices of
+one proposal, or a Draw whose make yields that tuple from the scaled
+matrix. Round 1 draws, sample by sample, the proposal for a, the one
+for c and the direction b; the round's draws are scaled together and
+one stacked contains per level tests every candidate of the round.
+Each point keeps its first candidate inside. Points with none inside
+propose again in the next round, after all of the round's draws, in
+sample order (a before c); a point that misses for SAMPLE_TRIES rounds
+fails.
 """
 
 from __future__ import annotations
@@ -83,9 +84,6 @@ def scaled(tree):
     values, with each Draw replaced by its sample:
     make(g * (target / max(1e-12, ||g||))). The norms are taken with one
     stacked operator_norm per shape of g."""
-    if isinstance(tree, Draw):
-        # a lone draw skips the grouping, which costs more than its SVD
-        return _sample(tree, operator_norm(tree.g))
     draws = list(_draws(tree))
     groups = {}
     for i, d in enumerate(draws):
@@ -188,15 +186,13 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
     first = []
     for i in range(count):
         lvl = point_levels[2 * i]
-        a, c = propose(rng, lvl, base_dim), propose(rng, lvl, base_dim)
-        first.append((a, c, direction_draw(rng, base_dim, lvl, lvl)))
+        first.append((propose(rng, lvl, base_dim), propose(rng, lvl, base_dim), direction_draw(rng, base_dim, lvl, lvl)))
     first = scaled(first)
-    # the points still missing, each with its proposal of the round
-    proposals = {k: first[k // 2][k % 2] for k in range(2 * count)}
+    # the points still missing, each with its candidates of the round
+    pending = {k: first[k // 2][k % 2] for k in range(2 * count)}
     for round_ in range(SAMPLE_TRIES):
         if round_:
-            proposals = dict(zip(proposals, scaled([propose(rng, point_levels[k], base_dim) for k in proposals])))
-        pending = {k: domain._candidates(p) for k, p in proposals.items()}
+            pending = dict(zip(pending, scaled([propose(rng, point_levels[k], base_dim) for k in pending])))
         by_level = {}
         for k in pending:
             by_level.setdefault(point_levels[k], []).append(k)
@@ -207,7 +203,7 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
                 hits = [m for m in pending[k] if next(inside)]
                 if hits:
                     points[k] = NcPoint(base_dim, lvl, hits[0])
-                    del proposals[k]
-        if not proposals:
+                    del pending[k]
+        if not pending:
             return [(points[2 * i], points[2 * i + 1], first[i][2]) for i in range(count)]
     raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")

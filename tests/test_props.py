@@ -17,9 +17,6 @@ _STACKED_ROUTES = (
     "eval_point",
     "block_upper",
     "contains",
-    "kernel_eval",
-    "gram",
-    "direct_sum",
 )
 
 

@@ -47,7 +47,7 @@ from ncmetric.metric import (
 )
 from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
 from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
-from ncmetric.sampling import ball_draw, rng_stream, sample_triples
+from ncmetric.sampling import ball_point, rng_stream, sample_triples
 
 SRC = Path(ncmetric.__file__).parent
 ROOT = SRC.parents[1]
@@ -424,10 +424,7 @@ class NormBall:
         return score > 0.0, score
 
     def _propose(self, rng, level: int, base_dim: int):
-        return ball_draw(rng, level, base_dim, radius=self.radius)
-
-    def _candidates(self, p: NcPoint) -> tuple:
-        return (p.mat,)
+        return (ball_point(rng, level, base_dim, radius=self.radius).mat,)
 
 
 @variant("domain", "test_unsampled_ball")
@@ -511,7 +508,7 @@ class OverdrawnBall(NormBall):
     """Proposes from the unit ball: at radius 0.4 about half the candidates miss."""
 
     def _propose(self, rng, level: int, base_dim: int):
-        return ball_draw(rng, level, base_dim)
+        return (ball_point(rng, level, base_dim).mat,)
 
 
 def test_points_that_miss_draw_again_in_later_rounds(monkeypatch):
