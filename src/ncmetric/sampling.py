@@ -75,10 +75,6 @@ def _rebuild(tree, samples):
     return tree
 
 
-def _sample(d: Draw, norm: float):
-    return d.make(d.g * (d.target / max(1e-12, norm)))
-
-
 def scaled(tree):
     """tree, a Draw or nested lists and tuples holding Draws among other
     values, with each Draw replaced by its sample:
@@ -92,7 +88,8 @@ def scaled(tree):
     for idxs in groups.values():
         norms = operator_norm(np.stack([draws[i].g for i in idxs])).tolist()
         for i, norm in zip(idxs, norms):
-            samples[i] = _sample(draws[i], norm)
+            d = draws[i]
+            samples[i] = d.make(d.g * (d.target / max(1e-12, norm)))
     return _rebuild(tree, iter(samples))
 
 
