@@ -70,7 +70,6 @@ from .domains import (
 )
 from .metric import (
     DeltaResult,
-    Division,
     DtildeBound,
     NestingViolation,
     PathBlocked,
@@ -101,7 +100,6 @@ from .freeprob import (
     SingularResolvent,
     SolveTrace,
     cauchy_G,
-    convolved_G,
     density_grid,
     expectation,
     F_and_h,

@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import props as props_mod
-from .domains import MEMBERSHIP_MARGIN, BallKernel, KernelDomain, NormBound, SpectralDisk, contains
-from .freeprob import DENSITY_TOL, SOLVE_MAX_ITER, ScalarLaw, ScalarPower, density_grid
+from .domains import MEMBERSHIP_MARGIN, BallKernel, KernelDomain, NormBound, SpectralDisk, contains, sample_triples
+from .freeprob import DENSITY_EPS, DENSITY_POINTS, DENSITY_TOL, SCALAR_KINDS, SOLVE_MAX_ITER
+from .freeprob import ScalarLaw, ScalarPower, density_grid
 from .matcore import InputError, NumericalFailure, from_json, mat_from_json, mat_to_json, positive_finite
 from .metric import CONTRACTION_TOL, QUAD_POINTS, RAY_TOL, REFINEMENT_BUDGET
 from .metric import (
@@ -32,7 +33,7 @@ from .metric import (
     dtilde_upper,
 )
 from .ncpoint import direction, point
-from .sampling import rng_stream, sample_triples, scaled, selfadjoint_disk_draw
+from .sampling import rng_stream, scaled, selfadjoint_disk_draw
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -129,7 +130,7 @@ def cmd_distance(args) -> int:
         "dtilde_upper": {
             "value": bound.value,
             "stage_values": list(bound.stage_values),
-            "division": [mat_to_json(p.mat) for p in bound.division.points],
+            "division": [mat_to_json(p.mat) for p in bound.division],
             "diagnostics": list(bound.diagnostics),
         },
         "d_upper": {
@@ -329,7 +330,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("convolve", help="spectral density of a free convolution")
-    p.add_argument("--law", choices=("semicircle", "bernoulli", "arcsine", "point_mass"), default=None)
+    p.add_argument("--law", choices=SCALAR_KINDS, default=None)
     p.add_argument("--variance", type=float, default=1.0)
     p.add_argument("--atom", type=float, default=0.0)
     p.add_argument("--model", default=None)
@@ -337,8 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", default=None)
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--points", type=int, default=501)
-    p.add_argument("--eps", type=float, default=5e-3)
+    p.add_argument("--points", type=int, default=DENSITY_POINTS)
+    p.add_argument("--eps", type=float, default=DENSITY_EPS)
     p.add_argument("--tol", type=float, default=DENSITY_TOL)
     p.add_argument("--max-iter", type=int, default=SOLVE_MAX_ITER)
     add_common(p)

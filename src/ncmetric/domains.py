@@ -29,14 +29,10 @@ _closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
 
 A domain kind, here or outside the package, has a kernel attribute
 (the kernel that cuts it out, or None), _propose(rng, level, base_dim)
-for sampling, optionally _delta(a, c, b, margin) = delta(a, c)(b)
-exactly, and _inside(a, margin). _propose returns a tuple of candidate
-matrices, the first inside being kept, or a sampling.Draw whose make
-yields that tuple from the normalised matrix, so that sampling.scaled
-normalises it together with the other draws of its round. _inside
-always receives a stack (N, n, n) (see ncpoint) and returns (inside,
-score), N bools and N floats, or raises EvaluationFailure when some
-row cannot be tested.
+for sample_triples, optionally _delta(a, c, b, margin) = delta(a, c)(b)
+exactly, and _inside(a, margin). _inside always receives a stack
+(N, n, n) (see ncpoint) and returns (inside, score), N bools and N
+floats, or raises EvaluationFailure when some row cannot be tested.
 The score is positive inside and, along a ray [[a, s b], [0, c]],
 changes sign where the ray leaves (kernel domains: lambda_min of the
 gram less its margin term; spectral disks: the norm cap less ||X||,
@@ -44,6 +40,18 @@ the spectrum of a ray being fixed); NaN for a kind without one. The
 ray search predicts its exit from it (metric.delta_ray). members is
 the one caller of _inside, and contains and require_inside are views
 of it. Kernel evaluation and kernel_diffs take stacks too.
+
+sample_triples draws the samples (a, c, b) of `contract` in proposal
+rounds. A domain's _propose returns the tuple of candidate matrices of
+one proposal, or a sampling.Draw whose make yields that tuple from the
+scaled matrix, so that sampling.scaled normalises it together with the
+other draws of its round. Round 1 draws, sample by sample, the proposal
+for a, the one for c and the direction b; the round's draws are scaled
+together and one stacked contains per level tests every candidate of
+the round. Each point keeps its first candidate inside. Points with
+none inside propose again in the next round, after all of the round's
+draws, in sample order (a before c); a point that misses for
+SAMPLE_TRIES rounds fails.
 
 kernel_diffs assembles the three first-order kernel derivatives in a
 single evaluation: with X = [[a, b], [0, c]], Y = [[c*, b*], [0, a*]]
@@ -77,14 +85,24 @@ from .matcore import (
     spectrum,
     variant,
 )
-from .ncfunc import DomainViolation, SeriesNotConverged, eval_mat
+from .ncfunc import DomainViolation, Polynomial, SeriesNotConverged, eval_mat
 from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper, per_row, rows
-from .sampling import ball_draw, halfplane_point, nilpotent_point, selfadjoint_disk_draw
+from .sampling import (
+    SamplingFailure,
+    ball_draw,
+    direction_draw,
+    halfplane_point,
+    nilpotent_point,
+    scaled,
+    selfadjoint_disk_draw,
+)
 
 # Default membership margin (relative, via is_strictly_positive).
 MEMBERSHIP_MARGIN = 1e-9
 # ||a^m|| <= NILPOTENT_TOL * ||a||^m counts as nilpotent at size m.
 NILPOTENT_TOL = 1e-10
+# sample_triples' number of proposal rounds before it gives up.
+SAMPLE_TRIES = 200
 
 
 class EvaluationFailure(NumericalFailure):
@@ -193,6 +211,8 @@ class NormBound:
         if self.rule not in ("constant", "level"):
             raise ValueError(f"unknown norm bound rule {self.rule!r}")
         object.__setattr__(self, "value", finite("norm_bound value", float(self.value)))
+        if self.value <= 0:
+            raise ValueError("norm_bound value must be positive")
 
     def at_level(self, level: int) -> float:
         return self.value if self.rule == "constant" else self.value * level
@@ -215,6 +235,8 @@ class SpectralDisk:
     def __post_init__(self):
         object.__setattr__(self, "center", finite("center", complex(self.center)))
         object.__setattr__(self, "radius", finite("radius", float(self.radius)))
+        if self.radius <= 0:
+            raise ValueError("radius must be positive")
 
     def _in_disk(self, m: np.ndarray, margin: float):
         eigs = _lapack("eigenvalue", spectrum, m)
@@ -274,9 +296,9 @@ def kernel_eval(kernel, a: NcPoint, c: NcPoint, p=None) -> np.ndarray:
     return kernel._pair(a.mat, c.mat.conj().mT, p)
 
 
-def gram(kernel, a: NcPoint, c: NcPoint | None = None) -> np.ndarray:
-    """K(a, c)(I); the self-gram K(a, a)(I) decides membership."""
-    return kernel_eval(kernel, a, a if c is None else c, None)
+def gram(kernel, a: NcPoint) -> np.ndarray:
+    """The self-gram K(a, a)(I), which decides membership."""
+    return kernel_eval(kernel, a, a)
 
 
 def kernel_diffs(kernel, a: NcPoint, c: NcPoint, b: NcDirection):
@@ -337,10 +359,10 @@ def members(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
 
 
 @per_row
-def contains(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN):
-    """Strict membership with a positivity margin: a bool for a point, one
+def contains(domain, a: NcPoint):
+    """Strict membership at MEMBERSHIP_MARGIN: a bool for a point, one
     per row for a stack (see members); never raises."""
-    return members(domain, a, margin)[0]
+    return members(domain, a)[0]
 
 
 def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: str = "point"):
@@ -355,6 +377,44 @@ def require_inside(domain, a: NcPoint, margin: float = MEMBERSHIP_MARGIN, name: 
         where = f"{name} row {row}" if len(inside) > 1 else name
         extra = f" ({diagnostics[row]})" if diagnostics[row] else ""
         raise PointOutsideDomain(f"{where} is not strictly inside the domain{extra}")
+
+
+def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
+    """count triples (a, c, b), a and c strictly inside the domain, sample i
+    at level levels[i % len(levels)], drawn in proposal rounds as the
+    module docstring says. TypeError if the domain has no _propose,
+    SamplingFailure if a point has no candidate inside after
+    SAMPLE_TRIES rounds."""
+    propose = getattr(domain, "_propose", None)
+    if propose is None:
+        raise TypeError(f"no sampler for {type(domain).__name__}")
+    # point 2i is a of sample i, point 2i + 1 its c
+    point_levels = [levels[k // 2 % len(levels)] for k in range(2 * count)]
+    points = [None] * (2 * count)
+    first = []
+    for i in range(count):
+        lvl = point_levels[2 * i]
+        first.append((propose(rng, lvl, base_dim), propose(rng, lvl, base_dim), direction_draw(rng, base_dim, lvl, lvl)))
+    first = scaled(first)
+    # the points still missing, each with its candidates of the round
+    pending = {k: first[k // 2][k % 2] for k in range(2 * count)}
+    for round_ in range(SAMPLE_TRIES):
+        if round_:
+            pending = dict(zip(pending, scaled([propose(rng, point_levels[k], base_dim) for k in pending])))
+        by_level = {}
+        for k in pending:
+            by_level.setdefault(point_levels[k], []).append(k)
+        for lvl, keys in by_level.items():
+            stack = np.stack([m for k in keys for m in pending[k]])
+            inside = iter(contains(domain, NcPoint(base_dim, lvl, stack)).tolist())
+            for k in keys:
+                hits = [m for m in pending[k] if next(inside)]
+                if hits:
+                    points[k] = NcPoint(base_dim, lvl, hits[0])
+                    del pending[k]
+        if not pending:
+            return [(points[2 * i], points[2 * i + 1], first[i][2]) for i in range(count)]
+    raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")
 
 
 def ball_delta(a: NcPoint, c: NcPoint, b: NcDirection, radius: float = 1.0):
@@ -377,8 +437,6 @@ def halfplane_delta(a: NcPoint, c: NcPoint, b: NcDirection):
 
 def ball_domain(radius: float = 1.0) -> KernelDomain:
     """The operator ball of the given radius as a kernel domain."""
-    from .ncfunc import Polynomial
-
     if radius == 1.0:
         return KernelDomain(BallKernel())
     return KernelDomain(ComposedBallKernel(Polynomial((0.0, 1.0 / radius))))

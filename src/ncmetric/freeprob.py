@@ -76,6 +76,11 @@ H_IMAG_SLACK = 1e-6
 SOLVE_TOL = 1e-10
 DENSITY_TOL = 1e-9
 SOLVE_MAX_ITER = 200
+# density_grid's default grid size and height above the real axis.
+DENSITY_POINTS = 501
+DENSITY_EPS = 5e-3
+# k0_and_fixed_point's step budget.
+K0_MAX_ITER = 500
 
 
 class NotInHalfPlane(InputError):
@@ -385,16 +390,6 @@ class KrausAugment:
         return out
 
 
-def validate_rho(model, rho):
-    """Raise ValueError unless rho acts on the model's algebra."""
-    rho._validate(model)
-
-
-def rho_minus_id(model, rho, m: np.ndarray, level: int) -> np.ndarray:
-    """(rho - Id) applied entrywise in levels, per matrix of a stack."""
-    return rho._minus_id(as_stack(m), level)
-
-
 def halfplane_gauge(a: NcPoint, c: NcPoint):
     """||(Im a)^(-1/2) (a - c) (Im c)^(-1/2)||; zero exactly when a = c.
 
@@ -436,7 +431,7 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 def _picard(model, rho, b: NcPoint, w: np.ndarray, dirs=None):
     """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs] (see _F_h), per point of the stack w."""
     f, h, dg = _F_h(model, NcPoint(b.base_dim, b.level, w), dirs)
-    return f, b.mat + rho_minus_id(model, rho, h, b.level), dg
+    return f, b.mat + rho._minus_id(h, b.level), dg
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
@@ -464,7 +459,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     stack of final iterates and a _StackTrace of all rows; unconverged
     rows are reported, not raised.
     """
-    validate_rho(model, rho)
+    rho._validate(model)
     _require_upper(b)
     bm = b.mat
     n_rows, level, blocks = bm.shape[0], b.level, model.blocks
@@ -504,7 +499,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
             break
         f4 = f[:, None]
         dh = -(f4 @ dg @ f4) - basis
-        jac = _coords(blocks, rho_minus_id(model, rho, dh, level) - basis).reshape(active.size, m, m)
+        jac = _coords(blocks, rho._minus_id(dh, level) - basis).reshape(active.size, m, m)
         phi = _coords(blocks, upd - wa).reshape(active.size, m, 1)
         # jac[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is its transpose
         delta = -(inverse(jac.mT) @ phi)
@@ -619,12 +614,6 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     return r[-1] / r[-2]
 
 
-def convolved_G(model, rho, b: NcPoint, tol: float = SOLVE_TOL, max_iter: int = SOLVE_MAX_ITER) -> NcPoint:
-    """Cauchy transform of the rho-convolved model: G_rho(b) = G(omega(b))."""
-    omega, _ = subordination_solve(model, rho, b, tol=tol, max_iter=max_iter)
-    return cauchy_G(model, omega)
-
-
 @dataclass(frozen=True)
 class DensityRow:
     x: float
@@ -656,8 +645,8 @@ def density_grid(
     rho,
     xmin: float,
     xmax: float,
-    points: int = 501,
-    eps: float = 5e-3,
+    points: int = DENSITY_POINTS,
+    eps: float = DENSITY_EPS,
     tol: float = DENSITY_TOL,
     max_iter: int = SOLVE_MAX_ITER,
 ) -> DensityResult:
@@ -740,7 +729,7 @@ class H0Map:
 
 
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
-    validate_rho(model, rho)
+    rho._validate(model)
     _require_upper(b0, "b0")
     eps0 = float(herm_eigvals(imag_part(b0.mat))[0])
     return H0Map(model, rho, b0, eps0)
@@ -754,19 +743,16 @@ class FixedPointResult:
     k0_radius: float
 
 
-def k0_and_fixed_point(
-    h0: H0Map,
-    a: NcPoint,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> FixedPointResult:
+def k0_and_fixed_point(h0: H0Map, a: NcPoint) -> FixedPointResult:
     """Iterate x = a + k0(x) with k0(w) = -h0(-w^(-1))^(-1).
 
     eps0 is h0.eps0. Every k0 value must stay in the ball
     ||k0 - i/(2 eps0)|| < 1/(2 eps0) + 1e-9, else RangeViolation:
     that ball is what certifies the contraction, so leaving it means
-    eps0 was overestimated. Raises NotInHalfPlane unless Im a is
-    strictly positive.
+    eps0 was overestimated. The iteration stops once a step moves x by
+    at most SOLVE_TOL in Frobenius norm; MaxIterExceeded after
+    K0_MAX_ITER steps. Raises NotInHalfPlane unless Im a is strictly
+    positive.
     """
     eps0 = h0.eps0
     if eps0 <= 0:
@@ -776,7 +762,8 @@ def k0_and_fixed_point(
     center = (1j / (2.0 * eps0)) * eye
     radius_cap = 1.0 / (2.0 * eps0) + 1e-9
 
-    def k0(w: NcPoint) -> np.ndarray:
+    def k0(w: NcPoint):
+        """(k0(w), ||k0(w) - i/(2 eps0)||)."""
         inner = NcPoint(a.base_dim, a.level, -inverse(w.mat))
         val = -inverse(h0(inner).mat)
         rad = operator_norm(val - center)
@@ -785,18 +772,16 @@ def k0_and_fixed_point(
                 f"||k0 - i/(2 eps0)|| = {rad:.6g} >= {radius_cap:.6g}; "
                 "eps0 was overestimated"
             )
-        return val
+        return val, rad
 
     start = NcPoint(a.base_dim, a.level, a.mat + 1j * eye)
-    x = NcPoint(a.base_dim, a.level, a.mat + k0(start))
-    last_rad = 0.0
-    for it in range(1, max_iter + 1):
-        k = k0(x)
-        last_rad = operator_norm(k - center)
+    x = NcPoint(a.base_dim, a.level, a.mat + k0(start)[0])
+    for it in range(1, K0_MAX_ITER + 1):
+        k, rad = k0(x)
         new = NcPoint(a.base_dim, a.level, a.mat + k)
         r = float(np.linalg.norm(new.mat - x.mat))
         x = new
-        if r <= tol:
-            return FixedPointResult(x, it, r, last_rad)
-    raise MaxIterExceeded(f"fixed point not reached in {max_iter} iterations", omega=x)
+        if r <= SOLVE_TOL:
+            return FixedPointResult(x, it, r, rad)
+    raise MaxIterExceeded(f"fixed point not reached in {K0_MAX_ITER} iterations", omega=x)
 

@@ -18,9 +18,9 @@ kinds without one search the ray.
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
 dtilde_upper gives certified upper bounds on the division distance it
 generates; d_upper estimates the distance along the segment from a to c
-by midpoint quadrature. delta_ray, delta_closed, delta_kernel and
-delta_auto take a membership margin; the gauges, the distances and the
-reports test membership at MEMBERSHIP_MARGIN.
+by midpoint quadrature. delta_ray, delta_routes and delta_auto take a
+membership margin; delta_closed, delta_kernel, the gauges, the
+distances and the reports test membership at MEMBERSHIP_MARGIN.
 
 The routes compute on stacks of points (N, n, n) and directions and
 return one result per row, equal to what the route returns on that
@@ -113,22 +113,9 @@ class DeltaResult:
 
 
 @dataclass(frozen=True)
-class Division:
-    """A chain of points; consecutive pairs feed delta_tilde."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
-            raise ValueError("a division needs at least two points")
-
-
-@dataclass(frozen=True)
 class DtildeBound:
     value: float
-    division: Division
+    division: tuple  # its points, from a to c
     stage_values: tuple
     diagnostics: tuple = field(default_factory=tuple)
 
@@ -342,13 +329,7 @@ def _ray(domain, a: NcPoint, c: NcPoint, b: NcDirection, tol: float, margin: flo
     return results
 
 
-def delta_closed(
-    kernel,
-    a: NcPoint,
-    c: NcPoint,
-    b: NcDirection,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> DeltaResult | list[DeltaResult]:
+def delta_closed(kernel, a: NcPoint, c: NcPoint, b: NcDirection) -> DeltaResult | list[DeltaResult]:
     """The kernel's closed form: BallKernel() for the operator ball,
     HalfPlaneKernel() for the upper half-plane.
 
@@ -357,23 +338,17 @@ def delta_closed(
     """
     if not getattr(kernel, "closed", None):
         raise ValueError(f"{kernel!r} has no closed form")
-    return delta_auto(KernelDomain(kernel), a, c, b, margin)
+    return delta_auto(KernelDomain(kernel), a, c, b)
 
 
-def delta_kernel(
-    kernel,
-    a: NcPoint,
-    c: NcPoint,
-    b: NcDirection,
-    margin: float = MEMBERSHIP_MARGIN,
-) -> DeltaResult | list[DeltaResult]:
+def delta_kernel(kernel, a: NcPoint, c: NcPoint, b: NcDirection) -> DeltaResult | list[DeltaResult]:
     """Kernel-domain pseudometric from the three kernel derivatives.
 
     The spectral operand is symmetrized and its top eigenvalue clipped
     at zero before the square root, so roundoff below zero cannot
     poison the result. Stacks give a list with one result per row.
     """
-    _require_endpoints(KernelDomain(kernel), a, c, b, margin)
+    _require_endpoints(KernelDomain(kernel), a, c, b)
     return _formula("kernel", partial(_kernel_value, kernel), a, c, b)
 
 
@@ -547,7 +522,7 @@ def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = REFINE
             "every straight-line division leaves the domain; " + "; ".join(diagnostics)
         )
 
-    division = Division(tuple(NcPoint(a.base_dim, a.level, p) for p in best_pts))
+    division = tuple(NcPoint(a.base_dim, a.level, p) for p in best_pts)
     return DtildeBound(best_val, division, tuple(stage_values), tuple(diagnostics))
 
 

@@ -72,9 +72,6 @@ class NcPoint:
     def dim(self) -> int:
         return self.level * self.base_dim
 
-    def adjoint(self) -> "NcPoint":
-        return NcPoint(self.base_dim, self.level, self.mat.conj().mT)
-
 
 @record("direction", base_dim=json_int, row_level=json_int, col_level=json_int, mat=mat_from_json)
 @dataclass(frozen=True)
@@ -97,9 +94,6 @@ class NcDirection:
                 f"direction over base_dim {self.base_dim} from row_level {self.row_level} "
                 f"to col_level {self.col_level} needs shape {shape}, got {m.shape}"
             )
-
-    def adjoint(self) -> "NcDirection":
-        return NcDirection(self.base_dim, self.col_level, self.row_level, self.mat.conj().mT)
 
 
 def rows(x):

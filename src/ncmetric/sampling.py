@@ -13,18 +13,9 @@ g * (target / max(1e-12, ||g||)), with one stacked operator_norm per
 shape group; a stacked SVD gives each matrix the bits it gets alone, so
 a sample is the same however many are scaled with it. ball_point,
 selfadjoint_disk_point and direction_sample are the draw and the
-scaling of one sample.
-
-sample_triples draws the samples (a, c, b) of `contract` in proposal
-rounds. A domain's _propose returns the tuple of candidate matrices of
-one proposal, or a Draw whose make yields that tuple from the scaled
-matrix. Round 1 draws, sample by sample, the proposal for a, the one
-for c and the direction b; the round's draws are scaled together and
-one stacked contains per level tests every candidate of the round.
-Each point keeps its first candidate inside. Points with none inside
-propose again in the next round, after all of the round's draws, in
-sample order (a before c); a point that misses for SAMPLE_TRIES rounds
-fails.
+scaling of one sample. domains.sample_triples, which draws the samples
+of `contract` from a domain's proposals, scales the draws of each
+proposal round in one call.
 """
 
 from __future__ import annotations
@@ -143,11 +134,11 @@ def selfadjoint_disk_point(rng, level: int, base_dim: int, radius: float, fill: 
     return scaled(selfadjoint_disk_draw(rng, level, base_dim, radius, fill))
 
 
-def nilpotent_point(rng, level: int, base_dim: int, scale: float = 1.0) -> NcPoint:
+def nilpotent_point(rng, level: int, base_dim: int) -> NcPoint:
     n = level * base_dim
     m = np.zeros((n, n), dtype=np.complex128)
     for i in range(n - 1):
-        m[i, i + 1 :] = complex_matrix(rng, 1, n - i - 1, scale)
+        m[i, i + 1 :] = complex_matrix(rng, 1, n - i - 1)
     return NcPoint(base_dim, level, m)
 
 
@@ -160,47 +151,3 @@ def direction_draw(rng, base_dim: int, row_level: int, col_level: int, scale: fl
 def direction_sample(rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0) -> NcDirection:
     """A direction with operator norm uniform in [0.2, 1] * scale."""
     return scaled(direction_draw(rng, base_dim, row_level, col_level, scale))
-
-
-# sample_triples' number of proposal rounds before it gives up.
-SAMPLE_TRIES = 200
-
-
-def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
-    """count triples (a, c, b), a and c strictly inside the domain, sample i
-    at level levels[i % len(levels)], drawn in proposal rounds as the
-    module docstring says. TypeError if the domain has no _propose,
-    SamplingFailure if a point has no candidate inside after
-    SAMPLE_TRIES rounds."""
-    from .domains import contains  # domains proposes with the samplers above
-
-    propose = getattr(domain, "_propose", None)
-    if propose is None:
-        raise TypeError(f"no sampler for {type(domain).__name__}")
-    # point 2i is a of sample i, point 2i + 1 its c
-    point_levels = [levels[k // 2 % len(levels)] for k in range(2 * count)]
-    points = [None] * (2 * count)
-    first = []
-    for i in range(count):
-        lvl = point_levels[2 * i]
-        first.append((propose(rng, lvl, base_dim), propose(rng, lvl, base_dim), direction_draw(rng, base_dim, lvl, lvl)))
-    first = scaled(first)
-    # the points still missing, each with its candidates of the round
-    pending = {k: first[k // 2][k % 2] for k in range(2 * count)}
-    for round_ in range(SAMPLE_TRIES):
-        if round_:
-            pending = dict(zip(pending, scaled([propose(rng, point_levels[k], base_dim) for k in pending])))
-        by_level = {}
-        for k in pending:
-            by_level.setdefault(point_levels[k], []).append(k)
-        for lvl, keys in by_level.items():
-            stack = np.stack([m for k in keys for m in pending[k]])
-            inside = iter(contains(domain, NcPoint(base_dim, lvl, stack)).tolist())
-            for k in keys:
-                hits = [m for m in pending[k] if next(inside)]
-                if hits:
-                    points[k] = NcPoint(base_dim, lvl, hits[0])
-                    del pending[k]
-        if not pending:
-            return [(points[2 * i], points[2 * i + 1], first[i][2]) for i in range(count)]
-    raise SamplingFailure(f"could not hit {type(domain).__name__} in {SAMPLE_TRIES} tries")

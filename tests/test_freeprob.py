@@ -18,17 +18,14 @@ from ncmetric.freeprob import (
     SingularResolvent,
     F_and_h,
     cauchy_G,
-    convolved_G,
     density_grid,
     expectation,
     halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
     picard_ratio,
-    rho_minus_id,
     subordination_solve,
     support_interval,
-    validate_rho,
 )
 from ncmetric.matcore import NonHermitianInput
 from ncmetric.ncpoint import NcPoint, point
@@ -292,8 +289,8 @@ def test_validate_rho_rejects_dense_kraus_factor():
     model = MatrixModel(np.diag([1.0, -1.0]), (1, 1))
     dense = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(ValueError):
-        validate_rho(model, KrausAugment((dense,)))
-    validate_rho(model, KrausAugment((np.diag([0.3, 0.7]),)))
+        KrausAugment((dense,))._validate(model)
+    KrausAugment((np.diag([0.3, 0.7]),))._validate(model)
 
 
 def test_bernoulli_power_two_subordination_frozen():
@@ -306,12 +303,14 @@ def test_bernoulli_power_two_subordination_frozen():
 
 def test_bernoulli_power_two_matches_arcsine():
     for z in (3j, 0.7 + 0.9j, -1.1 + 0.6j):
-        got = convolved_G(ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(z))
+        law = ScalarLaw("bernoulli")
+        got = cauchy_G(law, subordination_solve(law, ScalarPower(2.0), _scalar(z))[0])
         assert complex(got.mat[0, 0]) == pytest.approx(oracles.arcsine_G(z), abs=1e-8)
 
 
 def test_semicircle_power_adds_variance():
-    got = convolved_G(ScalarLaw("semicircle"), ScalarPower(4.0), _scalar(5j))
+    law = ScalarLaw("semicircle")
+    got = cauchy_G(law, subordination_solve(law, ScalarPower(4.0), _scalar(5j))[0])
     assert complex(got.mat[0, 0]) == pytest.approx(1j * (5.0 - math.sqrt(41.0)) / 8.0, abs=1e-8)
 
 
@@ -571,7 +570,7 @@ def test_stacked_transforms_equal_per_point():
             np.testing.assert_array_equal(g[i], cauchy_G(model, NcPoint(d, level, p)).mat)
             np.testing.assert_array_equal(hs.mat[i], F_and_h(model, NcPoint(d, level, p))[1].mat)
             np.testing.assert_array_equal(
-                rho_minus_id(model, rho, hs.mat, level)[i], rho_minus_id(model, rho, hs.mat[i], level)
+                rho._minus_id(hs.mat, level)[i], rho._minus_id(hs.mat[i], level)
             )
 
 
@@ -646,10 +645,9 @@ def test_empty_grid_has_no_rows():
     "call",
     [
         lambda b: density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=5, max_iter=0),
-        lambda b: convolved_G(ScalarLaw("bernoulli"), ScalarPower(2.0), b, max_iter=0),
         lambda b: subordination_solve(ScalarLaw("bernoulli"), ScalarPower(2.0), b, max_iter=0),
     ],
-    ids=["density_grid", "convolved_G", "subordination_solve"],
+    ids=["density_grid", "subordination_solve"],
 )
 def test_max_iter_below_one_is_value_error(call):
     with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
@@ -684,7 +682,6 @@ def test_solver_rejects_a_tolerance_that_cannot_work(monkeypatch, tol):
     law, rho, b = ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(0.5 + 0.1j)
     calls = (
         lambda: subordination_solve(law, rho, b, tol=tol),
-        lambda: convolved_G(law, rho, b, tol=tol),
         lambda: density_grid(law, rho, -1.0, 1.0, points=3, tol=tol),
         lambda: density_grid(law, rho, -1.0, 1.0, points=0, tol=tol),
     )
@@ -713,9 +710,9 @@ def test_density_grid_rejects_xmin_above_xmax(monkeypatch):
 
 def test_kraus_augment_acts_on_a_scalar_law_as_a_scalar_power():
     law, v = ScalarLaw("semicircle"), 0.5
-    validate_rho(law, KrausAugment((np.array([[v]]),)))
+    KrausAugment((np.array([[v]]),))._validate(law)
     with pytest.raises(ValueError, match="expected"):
-        validate_rho(law, KrausAugment((np.eye(2),)))
+        KrausAugment((np.eye(2),))._validate(law)
     b = _scalar(0.3 + 0.2j)
     w_kraus, _ = subordination_solve(law, KrausAugment((np.array([[v]]),)), b)
     w_power, _ = subordination_solve(law, ScalarPower(1.0 + v * v), b)

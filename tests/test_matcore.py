@@ -379,6 +379,48 @@ def test_only_matcore_calls_the_lapack_choke_points():
     assert offenders == []
 
 
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(Path(ncmetric.__file__).parent.glob("*.py"))}
+
+
+def test_every_module_constant_is_read_by_code():
+    # a tolerance or budget that only a docstring names is enforced nowhere
+    trees = _package_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{name}: {target.id}"
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name) and target.id.isupper() and target.id not in read
+    ]
+    assert unread == []
+
+
+def test_no_function_imports_from_the_package():
+    # a function-local import hides a dependency between modules, and the
+    # cycle it may close, from the imports at the top of the file
+    offenders = set()
+    for name, tree in _package_trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ncmetric"))
+                    or isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ncmetric" for a in node.names)
+                ):
+                    offenders.add(f"{name}:{node.lineno}")
+    assert sorted(offenders) == []
+
+
 def test_only_ncpoint_asks_if_a_point_is_single_and_only_members_calls_inside():
     # a single point is a stack of one (ncpoint.rows, ncpoint.per_row), and
     # every membership test goes through domains.members

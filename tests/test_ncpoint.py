@@ -43,12 +43,6 @@ def test_scalar_promotes_to_level_one():
     assert (p.base_dim, p.level, p.mat.shape) == (1, 1, (1, 1))
 
 
-def test_adjoint_swaps_and_conjugates():
-    rng = _rng(1)
-    p = point(_cmat(rng, 2, 2))
-    np.testing.assert_allclose(p.adjoint().mat, p.mat.conj().T)
-
-
 def test_direct_sum_levels_add():
     a = point(np.eye(2))
     c = point(3.0 * np.eye(3))

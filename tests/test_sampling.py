@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import ncmetric.sampling as sampling
-from ncmetric.domains import ball_domain
+from ncmetric.domains import ball_domain, sample_triples
 from ncmetric.matcore import operator_norm
 from ncmetric.sampling import (
     ball_draw,
@@ -24,7 +24,6 @@ from ncmetric.sampling import (
     direction_sample,
     hermitian_matrix,
     rng_stream,
-    sample_triples,
     scaled,
     selfadjoint_disk_draw,
 )

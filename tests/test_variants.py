@@ -32,6 +32,7 @@ from ncmetric.domains import (
     ball_domain,
     contains,
     halfplane_domain,
+    sample_triples,
 )
 from ncmetric.freeprob import KrausAugment, MatrixModel, ScalarLaw, ScalarPower
 from ncmetric.matcore import RECORDS, VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
@@ -47,7 +48,7 @@ from ncmetric.metric import (
 )
 from ncmetric.ncfunc import CayleyLike, Composition, MoebiusBall, Polynomial, ScalarCalculus
 from ncmetric.ncpoint import NcDirection, NcPoint, direction, point
-from ncmetric.sampling import ball_point, rng_stream, sample_triples
+from ncmetric.sampling import ball_point, rng_stream
 
 SRC = Path(ncmetric.__file__).parent
 ROOT = SRC.parents[1]
@@ -500,6 +501,32 @@ def test_a_domain_its_proposals_never_hit_is_exit_4(tmp_path, capsys):
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: could not hit EmptyBall in 200 tries\n" and captured.out == ""
+
+
+_DISK = {"variant": "spectral_disk", "center": [0.0, 0.0], "radius": 0.25,
+         "norm_bound": {"rule": "constant", "value": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [("radius", -1.0, "radius must be positive"), ("radius", 0.0, "radius must be positive"),
+     ("value", 0.0, "norm_bound value must be positive"), ("value", -2.0, "norm_bound value must be positive")],
+)
+@pytest.mark.parametrize("side", ["--src", "--dst"])
+def test_an_empty_spectral_disk_is_exit_3_naming_its_field(tmp_path, capsys, field, bad, message, side):
+    # either field at or below zero leaves the disk empty, which no proposal round can mend
+    disk = json.loads(json.dumps(_DISK))
+    (disk if field == "radius" else disk["norm_bound"])[field] = bad
+    with pytest.raises(ValueError, match=f"{message}$"):
+        from_json(disk, "domain")
+    src, dst = (disk, to_json(ball_domain())) if side == "--src" else (to_json(ball_domain()), disk)
+    argv = ["contract", "--function", _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5)))),
+            "--src", _dump(tmp_path, "src.json", src), "--dst", _dump(tmp_path, "dst.json", dst),
+            "--samples", "1", "--levels", "1"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: ") and captured.err.endswith(f"{message}\n")
+    assert captured.out == ""
 
 
 @variant("domain", "test_overdrawn_ball")
