@@ -14,7 +14,8 @@ exits 0 when every op matches.
     python scripts/parity.py --base . --metric-seeds "" --props-seeds "" --density-seeds 1
 
 The defaults are one metric round at each of seeds 1-3, one density
-round at each of seeds 1-3 and `props` at seeds 2, 7 and 19.
+round at each of seeds 1-3 and `props` at seeds 2, 7 and 19. Every run
+also compares the top-level --help and each command's --help.
 """
 
 import argparse
@@ -29,6 +30,7 @@ import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("delta", "distance", "contract", "convolve", "props", "counterexample")
 
 
 def _seeds(text):
@@ -51,6 +53,8 @@ def _ops(args, work):
                 ops.append((f"{workload} seed {seed} op {i}", op.argv, op.out))
     for seed in _seeds(args.props_seeds):
         ops.append((f"props seed {seed}", ["props", "--seed", str(seed)], None))
+    for argv in [["--help"]] + [[command, "--help"] for command in COMMANDS]:
+        ops.append((" ".join(argv), argv, None))
     return ops
 
 

@@ -21,18 +21,11 @@ from . import props as props_mod
 from .domains import MEMBERSHIP_MARGIN, BallKernel, KernelDomain, NormBound, SpectralDisk, contains, sample_triples
 from .freeprob import DENSITY_EPS, DENSITY_POINTS, DENSITY_TOL, SCALAR_KINDS, SOLVE_MAX_ITER
 from .freeprob import ScalarLaw, ScalarPower, density_grid
-from .matcore import InputError, NumericalFailure, from_json, mat_from_json, mat_to_json, positive_finite
+from .matcore import InputError, NumericalFailure, from_json, mat_from_json, mat_to_json
+from .matcore import finite_at_least_zero, positive_finite
 from .metric import CONTRACTION_TOL, QUAD_POINTS, RAY_TOL, REFINEMENT_BUDGET
-from .metric import (
-    _sample_outcomes,
-    check_contraction,
-    d_upper,
-    delta_auto_tilde,
-    delta_routes,
-    delta_tilde,
-    dtilde_upper,
-)
-from .ncpoint import direction, point
+from .metric import check_contraction, d_upper, delta_auto_tilde, delta_routes, delta_tilde, dtilde_upper
+from .ncpoint import direction, point, sample_outcomes
 from .sampling import rng_stream, scaled, selfadjoint_disk_draw
 
 EXIT_OK = 0
@@ -93,27 +86,23 @@ def _delta_rows_csv(level: int, results) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _delta_result_json(r) -> dict:
-    out = {
-        "method": r.method,
-        "value": r.value,
-        "bracket": [r.bracket[0], r.bracket[1]],
-        "iterations": r.iterations,
-    }
-    if r.note:
-        out["note"] = r.note
+def _result_json(result) -> dict:
+    """A result record's fields by name, without a note that is None,
+    the points of a division as matrices."""
+    out = {k: v for k, v in vars(result).items() if k != "note" or v is not None}
+    if "division" in out:
+        out["division"] = [mat_to_json(p.mat) for p in out["division"]]
     return out
 
 
 def cmd_delta(args) -> int:
     positive_finite("--tol", args.tol)
-    if not 0.0 <= args.margin < float("inf"):
-        raise ValueError(f"--margin must be finite and at least 0, got {args.margin}")
+    finite_at_least_zero("--margin", args.margin)
     dom = _load_domain(args)
     a, c = _load(args.a, "point"), _load(args.c, "point")
     b = _load_direction(args.b, a.base_dim)
     results = delta_routes(dom, a, c, b, tol=args.tol, margin=args.margin)
-    payload = {"level": a.level, "results": [_delta_result_json(r) for r in results]}
+    payload = {"level": a.level, "results": [_result_json(r) for r in results]}
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         _write_text(args.out, _delta_rows_csv(a.level, results))
@@ -126,19 +115,7 @@ def cmd_distance(args) -> int:
     a, c = _load(args.a, "point"), _load(args.c, "point")
     bound = dtilde_upper(dom, a, c, refinement_budget=args.refine)
     path = d_upper(dom, a, c, quad_points=args.quad_points)
-    payload = {
-        "dtilde_upper": {
-            "value": bound.value,
-            "stage_values": list(bound.stage_values),
-            "division": [mat_to_json(p.mat) for p in bound.division],
-            "diagnostics": list(bound.diagnostics),
-        },
-        "d_upper": {
-            "value": path.value,
-            "quad_estimate": path.quad_estimate,
-            "points_used": path.points_used,
-        },
-    }
+    payload = {"dtilde_upper": _result_json(bound), "d_upper": _result_json(path)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
@@ -148,6 +125,8 @@ def cmd_distance(args) -> int:
 
 def cmd_contract(args) -> int:
     _at_least_one("--samples", args.samples)
+    _at_least_one("--base-dim", args.base_dim)
+    finite_at_least_zero("--tol", args.tol)
     f = _load(args.function, "function")
     src, dst = _load(args.src, "domain"), _load(args.dst, "domain")
     rng = rng_stream(args.seed, "contract")
@@ -248,7 +227,7 @@ def cmd_counterexample(args) -> int:
         pairs.append((selfadjoint_disk_draw(rng, lvl, 1, 0.25), selfadjoint_disk_draw(rng, lvl, 1, 0.25)))
     worst = 0.0
     # one stacked delta_auto_tilde per level; a level whose stack fails is redone pair by pair
-    for tilde in _sample_outcomes(scaled(pairs), lambda a, c, _name: delta_auto_tilde(disk, a, c), "sample"):
+    for tilde in sample_outcomes(scaled(pairs), lambda a, c, _name: delta_auto_tilde(disk, a, c), "sample"):
         worst = max(worst, tilde.value)
     bounded = bool(worst <= 4.0 / 3.0 + 1e-9)
     r = 1.0 - 1e-3

@@ -81,7 +81,6 @@ from .matcore import (
     operator_norm,
     positivity_score,
     psd_inv_sqrt,
-    record,
     spectrum,
     variant,
 )
@@ -199,7 +198,7 @@ class KernelDomain:
         return self.kernel._propose(rng, level, base_dim)
 
 
-@record("norm_bound", value=json_number)
+@variant("norm_bound", value=json_number)
 @dataclass(frozen=True)
 class NormBound:
     """Norm bound rule: 'constant' uses value, 'level' uses value * level."""

@@ -15,7 +15,8 @@ contraction bound driven by eps0 = lambda_min(Im b). picard_ratio
 measures the plain Picard contraction near a solution, which that
 bound bounds. The transforms take stacks of points (..., n, n);
 density_grid solves all its grid rows as one stack, each row on its
-own trajectory.
+own trajectory. subordination_solve takes a stack of points too, and
+solves its rows in one such stack.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
@@ -45,6 +46,7 @@ from .matcore import (
     NcmetricError,
     NonHermitianInput,
     NumericalFailure,
+    POS_MARGIN,
     SingularMatrix,
     as_matrix,
     as_stack,
@@ -60,16 +62,14 @@ from .matcore import (
     json_number,
     mat_from_json,
     operator_norm,
-    positive_eigvals,
     positive_finite,
+    positivity_score,
     principal_sqrt,
-    psd_inv_sqrt,
     variant,
 )
-from .ncpoint import NcPoint, per_row
+from .domains import halfplane_delta
+from .ncpoint import NcDirection, NcPoint, per_row
 
-# Relative margin for "strictly inside the upper half-plane".
-HALF_PLANE_MARGIN = 1e-10
 # Im h may dip this far below zero before we call it broken.
 H_IMAG_SLACK = 1e-6
 # Defaults: subordination_solve's and density_grid's tolerances, and their step budget.
@@ -282,7 +282,7 @@ def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
 def _require_upper(p: NcPoint, name: str = "b"):
     """NotInHalfPlane naming the point unless Im p, or each Im of a stack, is strictly positive."""
     im = imag_part(p.mat)
-    inside = is_strictly_positive(im, HALF_PLANE_MARGIN)
+    inside = is_strictly_positive(im)
     if not np.all(inside):
         first = im.reshape((-1,) + im.shape[-2:])[np.argmin(np.ravel(inside))]
         raise NotInHalfPlane(
@@ -400,9 +400,7 @@ def halfplane_gauge(a: NcPoint, c: NcPoint):
         raise ValueError("gauge needs points at the same level and base")
     _require_upper(a, "a")
     _require_upper(c, "c")
-    sa = psd_inv_sqrt(imag_part(a.mat))
-    sc = psd_inv_sqrt(imag_part(c.mat))
-    return operator_norm(sa @ (a.mat - c.mat) @ sc)
+    return 2.0 * halfplane_delta(a, c, NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat))
 
 
 @dataclass(frozen=True)
@@ -515,7 +513,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
 
 def _require_kept_upper(im_eigs: np.ndarray):
     """SingularResolvent unless each kept iterate, by the eigenvalues of its Im (N, n), is in the half-plane."""
-    inside = positive_eigvals(im_eigs, HALF_PLANE_MARGIN)
+    inside = positivity_score(im_eigs, POS_MARGIN) > 0.0
     if not inside.all():
         lo = im_eigs[np.argmin(inside), 0]
         raise SingularResolvent(f"an iterate left the half-plane: lambda_min(Im w) = {lo:.3e}")
@@ -544,18 +542,14 @@ class _StackTrace:
             bound = np.fmax(0.0, np.abs(1.0 - self.epsilon0[:, None] / self.im_eigs).max(-1))
         return [b if lo > 0 else None for b, lo in zip(bound.tolist(), self.im_eigs[:, 0].tolist())]
 
-    def row(self, i: int) -> SolveTrace:
-        return SolveTrace(
-            iterations=int(self.iterations[i]),
-            converged=bool(self.converged[i]),
-            residual=float(self.residual[i]),
-            epsilon0=float(self.epsilon0[i]),
-            omega_im_min=float(self.im_eigs[i, 0]),
-            contraction_bound=self.contraction_bounds()[i],
-            picard_steps=int(self.picard_steps[i]),
-        )
+    def rows(self) -> list:
+        """The SolveTrace of each row."""
+        columns = (self.iterations, self.converged, self.residual, self.epsilon0, self.im_eigs[:, 0])
+        bounds, picard = self.contraction_bounds(), self.picard_steps.tolist()
+        return list(map(SolveTrace, *(c.tolist() for c in columns), bounds, picard))
 
 
+@per_row
 def subordination_solve(
     model,
     rho,
@@ -578,21 +572,26 @@ def subordination_solve(
     bound bounds the plain Picard map's contraction near omega, which
     picard_ratio measures.
 
-    Raises MaxIterExceeded (carrying the best iterate and trace) when
-    the budget runs out, and ValueError when max_iter < 1 or tol is not
-    positive and finite.
+    A stack of points b gives one (omega, trace) per row, each that of
+    solving the row alone; the rows are solved as one stack.
+
+    Raises MaxIterExceeded (carrying the best iterate and trace of the
+    first row, in row order, that did not converge) when the budget runs
+    out, and ValueError when max_iter < 1 or tol is not positive and
+    finite.
     """
     _check_budget(tol, max_iter)
-    omega, traces = _solve_stack(model, rho, NcPoint(b.base_dim, b.level, b.mat[None]), tol, max_iter)
-    w, trace = NcPoint(b.base_dim, b.level, omega.mat[0]), traces.row(0)
-    if not trace.converged:
-        raise MaxIterExceeded(
-            f"no convergence in {max_iter} iterations "
-            f"(last residual {trace.residual:.3e})",
-            omega=w,
-            trace=trace,
-        )
-    return w, trace
+    omega, traces = _solve_stack(model, rho, b, tol, max_iter)
+    out = [(NcPoint(b.base_dim, b.level, w), trace) for w, trace in zip(omega.mat, traces.rows())]
+    for w, trace in out:
+        if not trace.converged:
+            raise MaxIterExceeded(
+                f"no convergence in {max_iter} iterations "
+                f"(last residual {trace.residual:.3e})",
+                omega=w,
+                trace=trace,
+            )
+    return out
 
 
 @per_row

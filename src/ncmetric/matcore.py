@@ -11,7 +11,7 @@ place each factorization is asked for.
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
 format (kernel, domain, function, model, cp-map; see variant) and every
-untagged record (point, direction, norm_bound; see record).
+untagged record (point, direction, norm_bound).
 
 The linear-algebra helpers also take stacks of matrices (..., n, n):
 each matrix gets the checks a single one gets, a check that fails on
@@ -195,12 +195,7 @@ def is_strictly_positive(a, margin: float = POS_MARGIN):
     if roundoff is expected.
     """
     h = _checked_herm_part(as_stack(a), "positivity is only defined for Hermitian matrices")
-    return _one(positive_eigvals(herm_eigvals(h), margin))
-
-
-def positive_eigvals(w: np.ndarray, margin: float) -> np.ndarray:
-    """is_strictly_positive's rule on ascending eigenvalues w (..., n), one bool per row."""
-    return positivity_score(w, margin) > 0.0
+    return _one(positivity_score(herm_eigvals(h), margin) > 0.0)
 
 
 def positivity_score(w: np.ndarray, margin: float) -> np.ndarray:
@@ -380,6 +375,12 @@ def positive_finite(name: str, value: float):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def finite_at_least_zero(name: str, value: float):
+    """Reject a margin or slack that is not a finite number of at least 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {value}")
+
+
 def known_keys(obj, keys, what: str):
     """ValueError unless obj is a JSON object with no key outside keys; it names the first."""
     if not isinstance(obj, dict):
@@ -396,39 +397,26 @@ def finite(name: str, value):
     return value
 
 
-# family -> {tag: class}, family -> class of an untagged record, and
-# class -> (tag or None, field decoders), filled by @variant and @record
-VARIANTS: dict[str, dict[str, type]] = {}
-RECORDS: dict[str, type] = {}
+# family -> {tag: class}, the untagged record under None, and
+# class -> (tag or None, field decoders), filled by @variant
+VARIANTS: dict[str, dict] = {}
 _TAGS: dict[type, tuple] = {}
 
 
-def variant(family: str, tag: str, **field_decoders):
-    """Class decorator: the frozen dataclass is the `tag` variant of `family`.
+def variant(family: str, tag: str | None = None, **field_decoders):
+    """Class decorator: the frozen dataclass is the `tag` variant of `family`,
+    or with no tag the one, untagged, `family` record.
 
     Its JSON is {"variant": tag} plus a key per field, named by the field's
-    "json" metadata or else the field. to_json encodes values by type;
-    from_json decodes them by field_decoders (default: as they are),
-    defaults absent fields that have a default and rejects any other key.
+    "json" metadata or else the field; a record's JSON has no "variant"
+    key. to_json encodes values by type; from_json decodes them by
+    field_decoders (default: as they are), defaults absent fields that
+    have a default and rejects any other key.
     """
 
     def register(cls):
         VARIANTS.setdefault(family, {})[tag] = cls
         _TAGS[cls] = (tag, field_decoders)
-        return cls
-
-    return register
-
-
-def record(family: str, **field_decoders):
-    """Class decorator: the frozen dataclass is the one, untagged, `family`.
-
-    Its JSON is a variant's without the "variant" key, coded the same way.
-    """
-
-    def register(cls):
-        RECORDS[family] = cls
-        _TAGS[cls] = (None, field_decoders)
         return cls
 
     return register
@@ -457,12 +445,13 @@ def _encode(v):
 
 def from_json(obj, family: str):
     """The variant or record of `family` that obj encodes; ValueError if malformed."""
-    cls = RECORDS.get(family)
+    tags = VARIANTS[family]
+    cls = tags.get(None)
     if cls is None:
         if not isinstance(obj, dict) or "variant" not in obj:
             raise ValueError(f"{family} JSON must be an object with a 'variant' tag")
         tag = obj["variant"]
-        cls = VARIANTS[family].get(tag) if isinstance(tag, str) else None
+        cls = tags.get(tag) if isinstance(tag, str) else None
         if cls is None:
             raise ValueError(f"unknown {family} variant {tag!r}")
     tag, decoders = _TAGS[cls]

@@ -29,9 +29,9 @@ d_upper and dtilde_upper use this to evaluate all quadrature nodes of
 a segment, or all pairs of a division, in one stacked call.
 check_contraction and compare_nested stack their samples per shape
 group (base dimension, the levels of the points, the shape of the
-direction); a group whose stacked evaluation raises is evaluated
-again as stacks of one, in sample order, so the first failing sample
-raises what it raises alone.
+direction) through ncpoint.sample_outcomes; a group whose stacked
+evaluation raises is evaluated again as stacks of one, in sample
+order, so the first failing sample raises what it raises alone.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from .domains import (
 )
 from .matcore import (
     InputError,
-    NcmetricError,
     NumericalFailure,
+    finite_at_least_zero,
     herm_eigvals,
     herm_part,
     inverse,
@@ -64,7 +64,7 @@ from .matcore import (
     psd_inv_sqrt,
 )
 from .ncfunc import delta_f as func_delta, eval_point
-from .ncpoint import DimMismatch, NcDirection, NcPoint, block_upper, direction, per_row, rows
+from .ncpoint import DimMismatch, NcDirection, NcPoint, block_upper, direction, per_row, sample_outcomes
 
 # Ray search: grow the exit bracket by doubling up to this cap ...
 RAY_GROWTH_CAP = 1e8
@@ -568,38 +568,6 @@ def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = QUAD_POINTS) -> P
     return PathBound(value, abs(value - half), quad_points)
 
 
-def _sample_outcomes(items, evaluate, label: str):
-    """evaluate's outcome for each item (a tuple of points and directions), in item order.
-
-    The items are grouped by the shapes of their parts, and each group
-    is evaluated as one stack: evaluate(*parts, name) returns one
-    outcome per row. If that call raises, the items of the group are
-    evaluated again one at a time, as stacks of one named
-    f"{label} {idx}", when their turn comes; so the first failing item
-    raises what it raises alone, and no item after it is evaluated.
-    """
-    items = list(items)
-    groups = {}
-    for idx, item in enumerate(items):
-        groups.setdefault(tuple((x.base_dim, x.mat.shape) for x in item), []).append(idx)
-    outcomes = [None] * len(items)
-    alone = set()
-    for idxs in groups.values():
-        parts = [
-            replace(xs[0], mat=np.stack([x.mat for x in xs]))
-            for xs in zip(*(items[i] for i in idxs))
-        ]
-        try:
-            group = evaluate(*parts, label)
-        except NcmetricError:
-            alone.update(idxs)
-            continue
-        for idx, row in zip(idxs, group):
-            outcomes[idx] = row
-    for idx, item in enumerate(items):
-        yield evaluate(*map(rows, item), f"{label} {idx}")[0] if idx in alone else outcomes[idx]
-
-
 def check_contraction(
     f,
     d_src,
@@ -614,7 +582,7 @@ def check_contraction(
     leaving the target domain are reported as violations, one message
     per triple in sample order, and make the report not ok. The report
     carries the worst excess lhs - rhs, and in equality mode the worst
-    |lhs - rhs|.
+    |lhs - rhs|. Raises ValueError unless tol is finite and at least 0.
 
     The triples are evaluated per shape group: one stacked membership
     test of a and of c, one stacked evaluation of f on each, one
@@ -624,6 +592,7 @@ def check_contraction(
     errors, violations and their sample indices are those of checking
     the triples one at a time in order.
     """
+    finite_at_least_zero("tol", tol)
 
     def evaluate(a, c, b, name):
         # per row: (lhs, rhs), or the names of the images outside the target
@@ -647,7 +616,7 @@ def check_contraction(
 
     rows = []
     violations = []
-    for idx, out in enumerate(_sample_outcomes(triples, evaluate, "sample")):
+    for idx, out in enumerate(sample_outcomes(triples, evaluate, "sample")):
         if isinstance(out, str):
             violations.append(f"sample {idx}: {out} outside the target domain")
         else:
@@ -698,7 +667,7 @@ def compare_nested(d_inner, d_outer, big_m: float, small_m: float, pairs) -> dic
                 )
         return list(zip(_chain_values(d_inner, a, c).tolist(), _chain_values(d_outer, a, c).tolist()))
 
-    rows = list(_sample_outcomes(pairs, evaluate, "pair"))
+    rows = list(sample_outcomes(pairs, evaluate, "pair"))
     min_margin = float("inf")
     for di, do in rows:
         min_margin = min(min_margin, k * di - do)

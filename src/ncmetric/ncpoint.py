@@ -18,6 +18,9 @@ compute with (function and kernel evaluation, membership, the delta
 routes); row i of a stack gives what row i alone gives, and a single
 point is the stack of one that rows() returns. per_row lets a call
 written for stacks take single points and return their row 0.
+sample_outcomes evaluates a list of samples as one stack per shape
+group and redoes a group that raises one sample at a time, so the
+first failing sample raises what it raises alone.
 
 NcPoint and NcDirection are the "point" and "direction" records of the
 JSON registry: matcore.from_json and to_json read and write them.
@@ -30,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matcore import InputError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, record
+from .matcore import InputError, NcmetricError, as_matrix, as_stack, direct_sum_mats, json_int, mat_from_json, variant
 
 UNITARY_TOL = 1e-10
 
@@ -47,7 +50,7 @@ class NotUnitary(InputError):
     """The supplied level matrix is not unitary to tolerance."""
 
 
-@record("point", base_dim=json_int, level=json_int, mat=mat_from_json)
+@variant("point", base_dim=json_int, level=json_int, mat=mat_from_json)
 @dataclass(frozen=True)
 class NcPoint:
     """A level-n point: mat is (level*base_dim) square, or a stack of such."""
@@ -73,7 +76,7 @@ class NcPoint:
         return self.level * self.base_dim
 
 
-@record("direction", base_dim=json_int, row_level=json_int, col_level=json_int, mat=mat_from_json)
+@variant("direction", base_dim=json_int, row_level=json_int, col_level=json_int, mat=mat_from_json)
 @dataclass(frozen=True)
 class NcDirection:
     """A rectangular block direction from row_level to col_level, or a stack of such."""
@@ -118,6 +121,38 @@ def per_row(call):
         return row.item() if isinstance(row, np.generic) else row
 
     return wrapper
+
+
+def sample_outcomes(items, evaluate, label: str):
+    """evaluate's outcome for each item (a tuple of points and directions), in item order.
+
+    The items are grouped by the shapes of their parts, and each group
+    is evaluated as one stack: evaluate(*parts, name) returns one
+    outcome per row. If that call raises, the items of the group are
+    evaluated again one at a time, as stacks of one named
+    f"{label} {idx}", when their turn comes; so the first failing item
+    raises what it raises alone, and no item after it is evaluated.
+    """
+    items = list(items)
+    groups = {}
+    for idx, item in enumerate(items):
+        groups.setdefault(tuple((x.base_dim, x.mat.shape) for x in item), []).append(idx)
+    outcomes = [None] * len(items)
+    alone = set()
+    for idxs in groups.values():
+        parts = [
+            replace(xs[0], mat=np.stack([x.mat for x in xs]))
+            for xs in zip(*(items[i] for i in idxs))
+        ]
+        try:
+            group = evaluate(*parts, label)
+        except NcmetricError:
+            alone.update(idxs)
+            continue
+        for idx, row in zip(idxs, group):
+            outcomes[idx] = row
+    for idx, item in enumerate(items):
+        yield evaluate(*map(rows, item), f"{label} {idx}")[0] if idx in alone else outcomes[idx]
 
 
 def point(mat, base_dim: int = 1) -> NcPoint:

@@ -38,7 +38,7 @@ fixed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -54,18 +54,15 @@ from .domains import (
     ball_domain,
     contains,
     gram,
+    halfplane_delta,
     halfplane_domain,
     kernel_eval,
 )
 from .freeprob import (
     KrausAugment,
     MatrixModel,
-    MaxIterExceeded,
-    SOLVE_MAX_ITER,
-    SOLVE_TOL,
     ScalarLaw,
     ScalarPower,
-    _solve_stack,
     cauchy_G,
     expectation,
     F_and_h,
@@ -86,7 +83,6 @@ from .matcore import (
     psd_inv_sqrt,
 )
 from .metric import (
-    _sample_outcomes,
     check_contraction,
     compare_nested,
     d_upper,
@@ -97,7 +93,7 @@ from .metric import (
     delta_tilde,
     dtilde_upper,
 )
-from .ncfunc import Composition, MoebiusBall, Polynomial, ScalarCalculus, check_axioms, eval_point
+from .ncfunc import Composition, MoebiusBall, Polynomial, ScalarCalculus, check_axioms, delta_f, eval_point
 from .ncpoint import (
     NcDirection,
     NcPoint,
@@ -105,6 +101,7 @@ from .ncpoint import (
     block_upper,
     direct_sum,
     point,
+    sample_outcomes,
     unitary_conjugate,
 )
 from .sampling import (
@@ -164,14 +161,14 @@ def _stacked(samples, *routes):
     route, and routes[i], a metric route or another stacked evaluation,
     is called on the sample's i-th tuple; each gives one DeltaResult or
     float per row, read with float(). The samples go through
-    metric._sample_outcomes: one stacked call of each route per shape
+    ncpoint.sample_outcomes: one stacked call of each route per shape
     group, and a group whose stacked call raises is redone one sample
     at a time, so the first failing sample raises what it raises alone.
     """
     sizes = [len(args) for args in samples[0]] if samples else []
 
     def evaluate(*parts):
-        # the sample name _sample_outcomes appends goes unused: the
+        # the sample name sample_outcomes appends goes unused: the
         # routes name the points they reject themselves
         values, pos = [], 0
         for route, size in zip(routes, sizes):
@@ -180,7 +177,7 @@ def _stacked(samples, *routes):
         return list(zip(*values))
 
     flat = [tuple(x for args in sample for x in args) for sample in samples]
-    return _sample_outcomes(flat, evaluate, "sample")
+    return sample_outcomes(flat, evaluate, "sample")
 
 
 # ---------------------------------------------------------------- matcore
@@ -282,8 +279,7 @@ _FDC_FUNCS = (
 
 
 def _fdc_defects(f, a: NcPoint, c: NcPoint):
-    b = NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
-    corner = eval_point(f, block_upper(a, b, c)).mat[..., : a.dim, a.dim :]
+    corner = delta_f(f, a, c, NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)).mat
     diff = eval_point(f, a).mat - eval_point(f, c).mat
     return operator_norm(corner - diff) / np.maximum(1.0, operator_norm(diff))
 
@@ -291,12 +287,7 @@ def _fdc_defects(f, a: NcPoint, c: NcPoint):
 @_check(1e-9)
 def check_fdc_identity(rng):
     # corner of f on the block point must reproduce f(a) - f(c) at b = a - c
-    drawn = []
-    for _ in _FDC_FUNCS:
-        for _ in range(6):
-            d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            drawn.append(((ball_draw(rng, lvl, d, fill=0.6), ball_draw(rng, lvl, d, fill=0.6)),))
-    drawn = scaled(drawn)
+    drawn = scaled([(pair,) for pair in _pairs(rng, partial(ball_draw, fill=0.6), 6 * len(_FDC_FUNCS))])
     worst = 0.0
     for i, f in enumerate(_FDC_FUNCS):
         for (defect,) in _stacked(drawn[6 * i : 6 * i + 6], partial(_fdc_defects, f)):
@@ -343,11 +334,7 @@ _PROP_KERNELS = (
 
 @_check(1e-12)
 def check_kernel_direct_sum_blocks(rng):
-    drawn = []
-    for _, sample in _PROP_KERNELS:
-        for _ in range(5):
-            d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            drawn.append((sample(rng, lvl, d), sample(rng, lvl, d)))
+    drawn = [pair for _, sample in _PROP_KERNELS for pair in _pairs(rng, sample, 5)]
     worst = 0.0
     for i, (a1, a2) in enumerate(scaled(drawn)):
         kernel = _PROP_KERNELS[i // 5][0]
@@ -415,6 +402,15 @@ def check_halfplane_membership(rng):
 CLOSED_KERNELS = ((BallKernel(), ball_draw), (HalfPlaneKernel(), halfplane_point))
 
 
+def _pairs(rng, sample, count: int) -> list:
+    """count pairs (a, c) at random base dims and levels, before scaling."""
+    out = []
+    for _ in range(count):
+        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        out.append((sample(rng, lvl, d), sample(rng, lvl, d)))
+    return out
+
+
 def _oracle_draws(rng, sample, count: int) -> list:
     """count triples (a, c, b) at random base dims and levels, before scaling."""
     out = []
@@ -452,15 +448,9 @@ def check_oracle_halfplane(rng):
 def check_delta_homogeneity(rng):
     kernel = ComposedBallKernel(Polynomial((0.0, 2.0)))
     scales = (0.5, 2.0)
-    drawn = []
-    for _ in range(10):
-        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = ball_draw(rng, lvl, d, radius=0.5, fill=0.7)
-        c = ball_draw(rng, lvl, d, radius=0.5, fill=0.7)
-        drawn.append((d, lvl, a, c, direction_draw(rng, d, lvl, lvl)))
     samples = []
-    for d, lvl, a, c, b in scaled(drawn):
-        samples.append(((a, c, b), *((a, c, NcDirection(d, lvl, lvl, s * b.mat)) for s in scales)))
+    for a, c, b in scaled(_oracle_draws(rng, partial(ball_draw, radius=0.5, fill=0.7), 10)):
+        samples.append(((a, c, b), *((a, c, replace(b, mat=s * b.mat)) for s in scales)))
     worst = 0.0
     n = 0
     route = partial(delta_kernel, kernel)
@@ -563,13 +553,9 @@ def check_tilde_matches_delta(rng):
     worst = 0.0
     n = 0
     for kernel, sample in CLOSED_KERNELS:
-        drawn = []
-        for _ in range(8):
-            d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            drawn.append((d, lvl, sample(rng, lvl, d), sample(rng, lvl, d)))
         samples = []
-        for d, lvl, a, c in scaled(drawn):
-            samples.append(((a, c), (a, c, NcDirection(d, lvl, lvl, a.mat - c.mat))))
+        for a, c in scaled(_pairs(rng, sample, 8)):
+            samples.append(((a, c), (a, c, NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat))))
         for tilde, closed in _stacked(samples, partial(delta_tilde, kernel), partial(delta_closed, kernel)):
             worst = max(worst, abs(tilde - closed))
             n += 1
@@ -594,11 +580,7 @@ def check_ordering_chain(_rng):
 
 @_check(1e-9)
 def check_norm_lower_bound(rng):
-    drawn = []
-    for _ in range(20):
-        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        drawn.append((ball_draw(rng, lvl, d), ball_draw(rng, lvl, d)))
-    samples = [((a, c), (a, c)) for a, c in scaled(drawn)]
+    samples = [((a, c), (a, c)) for a, c in scaled(_pairs(rng, ball_draw, 20))]
     worst = 0.0
     routes = (lambda a, c: operator_norm(a.mat - c.mat), partial(delta_tilde, BallKernel()))
     for gap, tilde in _stacked(samples, *routes):
@@ -641,12 +623,7 @@ def check_spectral_disk_bounded(rng):
     # delta~ stays below 4/3 on the self-adjoint slice even though the
     # points approach the boundary of the spectral disk
     dom = SpectralDisk(0.0, 0.25, NormBound("constant", 1.0))
-    drawn = []
-    for _ in range(25):
-        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = selfadjoint_disk_draw(rng, lvl, d, 0.25)
-        c = selfadjoint_disk_draw(rng, lvl, d, 0.25)
-        drawn.append(((a, c),))
+    drawn = [(pair,) for pair in _pairs(rng, partial(selfadjoint_disk_draw, radius=0.25), 25)]
     worst = -float("inf")
     for (val,) in _stacked(scaled(drawn), partial(delta_auto_tilde, dom)):
         worst = max(worst, val - 4.0 / 3.0)
@@ -656,10 +633,7 @@ def check_spectral_disk_bounded(rng):
 @_check(1e-8)
 def check_nesting_halves(rng):
     inner, outer = ball_domain(0.5), ball_domain(1.0)
-    pairs = []
-    for _ in range(20):
-        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        pairs.append((ball_draw(rng, lvl, d, radius=0.5, fill=0.9), ball_draw(rng, lvl, d, radius=0.5, fill=0.9)))
+    pairs = _pairs(rng, partial(ball_draw, radius=0.5, fill=0.9), 20)
     rep = compare_nested(inner, outer, big_m=0.5, small_m=0.5, pairs=scaled(pairs))
     return rep["samples"], -rep["min_margin"]
 
@@ -748,7 +722,7 @@ def check_expectation_axioms(rng):
         b2 = np.kron(complex_matrix(rng, lvl, lvl), np.diag(np.repeat(rng.standard_normal(3), 2)).astype(complex))
         samples.append(tuple(NcPoint(6, lvl, x) for x in (m, b1, b2)))
     worst = 0.0
-    for defects in _sample_outcomes(samples, partial(_expectation_defects, model), "sample"):
+    for defects in sample_outcomes(samples, partial(_expectation_defects, model), "sample"):
         worst = max(worst, *defects)
     worst = max(worst, operator_norm(expectation(model, np.eye(6)) - np.eye(6)))
     return 10, worst
@@ -790,7 +764,7 @@ def check_subordination_certificate(rng):
         rho = ScalarPower(t)
         zs = [complex(rng.uniform(-2.0, 2.0), rng.uniform(0.4, 2.0)) for _ in range(5)]
         pts = [(point(np.array([[z]])),) for z in zs]
-        for ratio, bound in _sample_outcomes(pts, partial(_certificates, law, rho), "sample"):
+        for ratio, bound in sample_outcomes(pts, partial(_certificates, law, rho), "sample"):
             if not ratio > PICARD_RATIO_FLOOR:
                 worst = math.inf  # a ratio of ~0 would pass any bound
             elif bound is not None:
@@ -800,31 +774,22 @@ def check_subordination_certificate(rng):
 
 
 def _certificates(law, rho, b: NcPoint, name: str) -> list:
-    """(Picard ratio near the solution, contraction bound) at each row of b.
-
-    The stack is solved in one lockstep solve at subordination_solve's
-    defaults, whose rows equal subordination_solve's; a row that does
-    not converge raises what subordination_solve raises on it.
-    """
-    omega, traces = _solve_stack(law, rho, b, SOLVE_TOL, SOLVE_MAX_ITER)
-    if not traces.converged.all():
-        residual = traces.residual[~traces.converged][0]
-        raise MaxIterExceeded(f"no convergence in {SOLVE_MAX_ITER} iterations (last residual {residual:.3e})")
-    return list(zip(picard_ratio(law, rho, b, omega).tolist(), traces.contraction_bounds()))
+    """(Picard ratio near the solution, contraction bound) at each row of b."""
+    solved = subordination_solve(law, rho, b)
+    omega = NcPoint(b.base_dim, b.level, np.stack([w.mat for w, _ in solved]))
+    return list(zip(picard_ratio(law, rho, b, omega).tolist(), [t.contraction_bound for _, t in solved]))
 
 
 def _h0_pair_defects(h0, a: NcPoint, c: NcPoint, b: NcDirection):
     # scale b so the block point stays well inside the half-plane
-    sa = psd_inv_sqrt(imag_part(a.mat))
-    sc = psd_inv_sqrt(imag_part(c.mat))
-    g_raw = operator_norm(sa @ b.mat @ sc)
+    g_raw = 2.0 * halfplane_delta(a, c, b)
     tau = np.minimum(1.0, 1.8 / np.maximum(1e-12, g_raw))
     b = NcDirection(a.base_dim, a.level, c.level, tau[:, None, None] * b.mat)
     gauge = g_raw * tau
     big = h0(block_upper(a, b, c))
-    corner = big.mat[..., : a.dim, a.dim :]
+    corner = NcDirection(a.base_dim, a.level, c.level, big.mat[..., : a.dim, a.dim :])
     ha, hc = h0(a), h0(c)
-    lhs = operator_norm(psd_inv_sqrt(imag_part(ha.mat)) @ corner @ psd_inv_sqrt(imag_part(hc.mat)))
+    lhs = 2.0 * halfplane_delta(ha, hc, corner)
     factor_a = 1.0 - h0.eps0 / herm_eigvals(imag_part(ha.mat))[..., -1]
     factor_c = 1.0 - h0.eps0 / herm_eigvals(imag_part(hc.mat))[..., -1]
     rhs_sq = gauge * gauge * factor_a * factor_c
@@ -877,12 +842,7 @@ def check_imh_decay(rng):
 
 @_check(1e-10)
 def check_gauge_matches_delta(rng):
-    samples = []
-    for _ in range(15):
-        d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a = halfplane_point(rng, lvl, d)
-        c = halfplane_point(rng, lvl, d)
-        samples.append(((a, c), (a, c), (a, a)))
+    samples = [((a, c), (a, c), (a, a)) for a, c in _pairs(rng, halfplane_point, 15)]
     worst = 0.0
     routes = (halfplane_gauge, partial(delta_tilde, HalfPlaneKernel()), halfplane_gauge)
     for gauge, tilde, zero in _stacked(samples, *routes):

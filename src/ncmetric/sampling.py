@@ -35,7 +35,9 @@ class SamplingFailure(NumericalFailure):
 
 
 def rng_stream(seed: int, stream: str) -> np.random.Generator:
-    """Independent Philox substream for (seed, stream)."""
+    """Independent Philox substream for (seed, stream); ValueError unless 0 <= seed < 2^64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64(zlib.crc32(stream.encode()))])
     return np.random.Generator(np.random.Philox(key=key))
 

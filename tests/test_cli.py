@@ -428,6 +428,8 @@ def test_delta_outputs_frozen_for_each_ray_note(tmp_path, capsys):
         (["convolve", "--law", "bernoulli", "--rho-t", "2", "--points", "0"], "--points"),
         (["convolve", "--law", "bernoulli", "--rho-t", "2", "--max-iter", "0"], "--max-iter"),
         (["counterexample", "--samples", "0"], "--samples"),
+        (["contract", "--base-dim", "0"], "--base-dim"),
+        (["contract", "--base-dim", "-1"], "--base-dim"),
     ],
 )
 def test_count_below_one_is_exit_3(tmp_path, ball_files, capsys, argv, flag):
@@ -816,6 +818,32 @@ def test_a_margin_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, capsys,
     assert main(argv + ["--margin=0"]) == 0
     values = [r["value"] for r in json.loads(capsys.readouterr().out)["results"]]
     assert values == pytest.approx([1.0 / 0.99] * 3, rel=1e-6)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_a_contract_tol_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, ball_files, capsys, value):
+    # nan failed and inf passed every map; a tol of 0 stays valid
+    out = tmp_path / "out.csv"
+    dom = ball_files["domain"]
+    f = _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5))))
+    argv = ["contract", "--function", f, "--src", dom, "--dst", dom, "--samples", "3", "--out", str(out)]
+    assert main(argv + [f"--tol={value}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: --tol must be finite and at least 0, got {float(value)}\n"
+    assert captured.out == "" and not out.exists()
+    assert main(argv + ["--tol=0"]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("argv", [["props"], ["counterexample", "--samples", "2"], ["contract"]])
+def test_a_seed_outside_the_generator_range_is_exit_3(tmp_path, ball_files, capsys, argv, seed):
+    if argv[0] == "contract":
+        f = _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5))))
+        argv = argv + ["--function", f, "--src", ball_files["domain"], "--dst", ball_files["domain"]]
+    assert main(argv + ["--seed", seed]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: seed must be in [0, 2^64), got {seed}\n"
+    assert captured.out == ""
 
 
 def test_a_solve_that_leaves_the_half_plane_is_exit_4(capsys):

@@ -462,6 +462,26 @@ def test_matrix_model_rows_take_picard_steps_where_newton_leaves():
     assert max(t.iterations for t in traces) <= 20
 
 
+@pytest.mark.parametrize("name", ["bernoulli_edge", "matrix_kraus"])
+def test_a_stacked_solve_gives_each_row_its_own_solve(name):
+    model, rho, half, _, eps = GRIDS[name]
+    d = model.base_dim
+    bs = (np.linspace(-half, half, 9) + 1j * eps)[:, None, None] * np.eye(d)
+    alone = [subordination_solve(model, rho, NcPoint(d, 1, m), tol=1e-9) for m in bs]
+    stacked = subordination_solve(model, rho, NcPoint(d, 1, bs), tol=1e-9)
+    assert [(w.mat.tobytes(), trace) for w, trace in stacked] == [(w.mat.tobytes(), trace) for w, trace in alone]
+    # a budget that stops the slowest rows: the first of them in row order raises
+    budget = max(trace.iterations for _, trace in alone) - 1
+    first = next(i for i, (_, trace) in enumerate(alone) if trace.iterations > budget)
+    assert first > 0
+    with pytest.raises(MaxIterExceeded) as one:
+        subordination_solve(model, rho, NcPoint(d, 1, bs[first]), tol=1e-9, max_iter=budget)
+    with pytest.raises(MaxIterExceeded) as many:
+        subordination_solve(model, rho, NcPoint(d, 1, bs), tol=1e-9, max_iter=budget)
+    assert str(many.value) == str(one.value) and many.value.trace == one.value.trace
+    assert many.value.omega.mat.tobytes() == one.value.omega.mat.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_stacked_grid_rows_equal_one_row_solves(name):
     model, rho, half, points, eps = GRIDS[name]

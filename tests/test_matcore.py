@@ -421,6 +421,17 @@ def test_no_function_imports_from_the_package():
     assert sorted(offenders) == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name to its module; a rule that two
+    # modules need gets a public owner
+    offenders = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ncmetric")):
+                offenders += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
 def test_only_ncpoint_asks_if_a_point_is_single_and_only_members_calls_inside():
     # a single point is a stack of one (ncpoint.rows, ncpoint.per_row), and
     # every membership test goes through domains.members

@@ -603,6 +603,14 @@ def test_half_square_strictly_contracts():
     assert rep["worst_excess"] <= 1e-7
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12])
+def test_contraction_rejects_a_tolerance_that_passes_or_fails_any_map(tol):
+    triples = [_ball_triple(_rng(28), 1, fill=0.7)]
+    with pytest.raises(ValueError, match="^tol must be finite and at least 0, got "):
+        check_contraction(Polynomial((0.0, 0.5)), ball_domain(), ball_domain(), triples, tol=tol)
+    assert check_contraction(Polynomial((0.0, 0.5)), ball_domain(), ball_domain(), triples, tol=0.0)["ok"]
+
+
 def test_contraction_flags_target_escape():
     rng = _rng(29)
     triples = [_ball_triple(rng, 1, fill=0.9)]

@@ -11,7 +11,7 @@ _STACKED_ROUTES = (
     "delta_kernel",
     "delta_tilde",
     "delta_auto_tilde",
-    "_solve_stack",
+    "subordination_solve",
     "cauchy_G",
     "F_and_h",
     "eval_point",

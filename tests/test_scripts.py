@@ -55,7 +55,7 @@ def test_parity_of_the_tree_with_itself(tmp_path):
     proc = _run("parity.py", "--base", str(ROOT), "--metric-seeds", "1", "--props-seeds", "",
                 "--density-seeds", "1", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "72 of 72 ops identical (exit code, stdout, --out file)\n"
+    assert proc.stdout == "79 of 79 ops identical (exit code, stdout, --out file)\n"
 
 
 def test_parity_reports_the_first_differing_op(tmp_path):
@@ -73,7 +73,7 @@ def test_parity_reports_the_first_differing_op(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[::2]] == [
         "density seed 1 op 2", "density seed 1 op 6", "density seed 1 op 10",
-        "3 of 12 ops differ (exit code, stdout, --out file)",
+        "3 of 19 ops differ (exit code, stdout, --out file)",
     ]
     assert lines[0].startswith("density seed 1 op 2: convolve --law semicircle ")
     assert lines[1::2] == ["  stdout: line 1: 'x,density,residual,iters' != 'x,density,residual,iterations'"

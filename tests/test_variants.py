@@ -35,7 +35,7 @@ from ncmetric.domains import (
     sample_triples,
 )
 from ncmetric.freeprob import KrausAugment, MatrixModel, ScalarLaw, ScalarPower
-from ncmetric.matcore import RECORDS, VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
+from ncmetric.matcore import VARIANTS, from_json, mat_to_json, operator_norm, to_json, variant
 from ncmetric.metric import (
     DeltaResult,
     compare_nested,
@@ -53,15 +53,15 @@ from ncmetric.sampling import ball_point, rng_stream
 SRC = Path(ncmetric.__file__).parent
 ROOT = SRC.parents[1]
 
-# class -> family, for the classes the package itself registers
-PACKAGE_VARIANTS = {
+# class -> family of every class the package itself registers, the untagged records included
+PACKAGE_FAMILIES = {
     cls: family
     for family, tags in VARIANTS.items()
     for cls in tags.values()
     if cls.__module__.startswith("ncmetric.")
 }
-# class -> family of every registered class, the untagged records included
-PACKAGE_FAMILIES = PACKAGE_VARIANTS | {cls: family for family, cls in RECORDS.items()}
+# class -> family, for the tagged variants among them
+PACKAGE_VARIANTS = {cls: family for cls, family in PACKAGE_FAMILIES.items() if VARIANTS[family].get(None) is not cls}
 
 EXAMPLES = {
     BallKernel: (BallKernel(),),
