@@ -428,8 +428,6 @@ def test_delta_outputs_frozen_for_each_ray_note(tmp_path, capsys):
         (["convolve", "--law", "bernoulli", "--rho-t", "2", "--points", "0"], "--points"),
         (["convolve", "--law", "bernoulli", "--rho-t", "2", "--max-iter", "0"], "--max-iter"),
         (["counterexample", "--samples", "0"], "--samples"),
-        (["contract", "--base-dim", "0"], "--base-dim"),
-        (["contract", "--base-dim", "-1"], "--base-dim"),
     ],
 )
 def test_count_below_one_is_exit_3(tmp_path, ball_files, capsys, argv, flag):
@@ -820,16 +818,21 @@ def test_a_margin_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, capsys,
     assert values == pytest.approx([1.0 / 0.99] * 3, rel=1e-6)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
-def test_a_contract_tol_that_is_not_finite_and_nonnegative_is_exit_3(tmp_path, ball_files, capsys, value):
-    # nan failed and inf passed every map; a tol of 0 stays valid
+@pytest.mark.parametrize(
+    "flag, message",
+    [(f"--tol={v}", f"--tol must be finite and at least 0, got {float(v)}") for v in ("nan", "inf", "-inf", "-1")]
+    + [(f"--base-dim={v}", f"--base-dim must be at least 1, got {v}") for v in ("0", "-1")],
+)
+def test_a_contract_flag_out_of_its_range_is_exit_3(tmp_path, ball_files, capsys, flag, message):
+    # --tol nan failed and inf passed every map, and --tol 0 stays valid;
+    # --base-dim -1 failed inside numpy without naming the flag
     out = tmp_path / "out.csv"
     dom = ball_files["domain"]
     f = _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5))))
     argv = ["contract", "--function", f, "--src", dom, "--dst", dom, "--samples", "3", "--out", str(out)]
-    assert main(argv + [f"--tol={value}"]) == 3
+    assert main(argv + [flag]) == 3
     captured = capsys.readouterr()
-    assert captured.err == f"input error: --tol must be finite and at least 0, got {float(value)}\n"
+    assert captured.err == f"input error: {message}\n"
     assert captured.out == "" and not out.exists()
     assert main(argv + ["--tol=0"]) == 0
 
