@@ -14,7 +14,7 @@ exits 0 when every op matches.
     python scripts/parity.py --base . --metric-seeds "" --props-seeds "" --density-seeds 1
 
 The defaults are one metric round at each of seeds 1-3, one density
-round at each of seeds 1-3 and `props` at seeds 2, 7 and 19. Every run
+round at each of seeds 1-5 and `props` at seeds 2, 7 and 19. Every run
 also compares the top-level --help and each command's --help.
 """
 
@@ -115,7 +115,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", type=Path, help="root of the checkout to compare against")
     ap.add_argument("--metric-seeds", default="1,2,3", help="comma-separated seeds, one round each")
-    ap.add_argument("--density-seeds", default="1,2,3", help="comma-separated seeds, one round each")
+    ap.add_argument("--density-seeds", default="1,2,3,4,5", help="comma-separated seeds, one round each")
     ap.add_argument("--props-seeds", default="2,7,19", help="comma-separated seeds of extra props ops")
     ap.add_argument("--worker", nargs=2, metavar=("OPS", "RESULTS"), help=argparse.SUPPRESS)
     args = ap.parse_args()

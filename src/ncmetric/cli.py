@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
+# The most points one flag may ask for in one stack (distance --refine r asks for 2^r).
+MAX_REFINE = 16
+MAX_STACK_POINTS = 2**MAX_REFINE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +73,12 @@ def _at_least_one(flag: str, value: int):
     """Reject a count flag below 1 before any work is done."""
     if value < 1:
         raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
+def _at_most(flag: str, value: int, limit: int):
+    """Reject a flag that asks for a stack larger than limit before any work is done."""
+    if value > limit:
+        raise ValueError(f"{flag} must be at most {limit}, got {value}")
 
 
 def _write_text(path, text: str):
@@ -111,6 +120,8 @@ def cmd_delta(args) -> int:
 
 def cmd_distance(args) -> int:
     _at_least_one("--quad-points", args.quad_points)
+    _at_most("--quad-points", args.quad_points, MAX_STACK_POINTS)
+    _at_most("--refine", args.refine, MAX_REFINE)
     dom = _load_domain(args)
     a, c = _load(args.a, "point"), _load(args.c, "point")
     bound = dtilde_upper(dom, a, c, refinement_budget=args.refine)
@@ -133,6 +144,8 @@ def cmd_contract(args) -> int:
     levels = [int(s) for s in args.levels.split(",") if s]
     if not levels:
         raise ValueError("--levels needs at least one level")
+    for level in levels:
+        _at_least_one("--levels", level)
     triples = sample_triples(src, rng, levels, args.samples, args.base_dim)
     rep = check_contraction(f, src, dst, triples, equality=args.equality, tol=args.tol)
     payload = {k: v for k, v in rep.items() if k != "rows"}
@@ -162,6 +175,7 @@ def _build_rho(args):
 
 def cmd_convolve(args) -> int:
     _at_least_one("--points", args.points)
+    _at_most("--points", args.points, MAX_STACK_POINTS)
     _at_least_one("--max-iter", args.max_iter)
     positive_finite("--eps", args.eps)
     positive_finite("--tol", args.tol)

@@ -16,17 +16,18 @@ measures the plain Picard contraction near a solution, which that
 bound bounds. The transforms take stacks of points (..., n, n);
 density_grid solves all its grid rows as one stack, each row on its
 own trajectory. subordination_solve takes a stack of points too, and
-solves its rows in one such stack.
+solves its rows in one such stack, whose steps make the same numpy
+calls for any number of rows (see _solve_stack).
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
 the exact derivative at b in each direction of the stack dirs, from one
-resolvent (b - X)^(-1), one per atom of a discrete law, or one closed
-form of a continuous law at level one (above it, the closed form of b
-and of the block points [[b, e], [0, b]]). cauchy_G passes an empty
-stack of directions. A cp map's _minus_id(m, level) applies rho - Id
-per matrix of a stack, and its _validate(model) raises ValueError
-unless it acts on the model.
+resolvent (b - X)^(-1), the resolvents of all atoms of a discrete law
+from one inverse call, or one closed form of a continuous law at level
+one (above it, the closed form of b and of the block points
+[[b, e], [0, b]]). cauchy_G passes an empty stack of directions. A cp
+map's _minus_id(m, level) applies rho - Id per matrix of a stack, and
+its _validate(model) raises ValueError unless it acts on the model.
 
 Each point is checked for the half-plane once. The public functions
 check the points they are given (NotInHalfPlane, an input error); the
@@ -37,6 +38,7 @@ transforms beneath them check no point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,9 +136,9 @@ class MatrixModel:
         return self.x.shape[0]
 
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
-        r = inverse(b.mat - _lift(self.x, b.level))
-        r4 = r[..., None, :, :]
-        return expectation(self, r), -expectation(self, r4 @ dirs @ r4)
+        r = inverse(b.mat - _lift(self.x, b.level))[..., None, :, :]
+        e = expectation(self, np.concatenate((r, r @ dirs @ r), -3))  # G and DG from one call
+        return e[..., 0, :, :], -e[..., 1:, :, :]
 
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
@@ -163,12 +165,12 @@ class ScalarLaw:
 
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
         if self.kind not in ("semicircle", "arcsine"):
-            rs = self._resolvents(b)
-            dg = np.zeros(b.mat.shape[:-2] + dirs.shape, dtype=np.complex128)
-            for w, r in rs:
-                r = r[..., None, :, :]
-                dg = dg - w * (r @ dirs @ r)
-            return sum(w * r for w, r in rs), dg
+            w, shifts = _atoms(self.kind, self.atom, b.dim)
+            rs = inverse(b.mat[..., None, :, :] - shifts)  # (..., atom, n, n), from one inverse call
+            r4 = rs[..., None, :, :]
+            # summed over the atoms in order: 0 + w_1 r_1 + w_2 r_2, and 0 - w_1 r_1 D r_1 - w_2 r_2 D r_2
+            g = np.add.reduce(w * rs, -3, initial=0)
+            return g, np.subtract.reduce(w[..., None] * (r4 @ dirs @ r4), -4, initial=0)
         if b.level == 1:
             z = b.mat
             g = _scalar_G_closed(self, z)
@@ -193,11 +195,12 @@ class ScalarLaw:
             return 2.0 * inverse(m + 1j * root)
         return -1j * inv_root
 
-    def _resolvents(self, b: NcPoint) -> list:
-        """(weight, (b - node)^(-1)) per atom of an atomic law."""
-        atoms = ((-1.0, 0.5), (1.0, 0.5)) if self.kind == "bernoulli" else ((self.atom, 1.0),)
-        eye = np.eye(b.dim, dtype=np.complex128)
-        return [(w, inverse(b.mat - s * eye)) for s, w in atoms]
+
+@functools.cache
+def _atoms(kind: str, atom: complex, dim: int):
+    """An atomic law's weights (atom, 1, 1) and its nodes times I_dim (atom, dim, dim), for reading only."""
+    nodes, weights = ((-1.0, 1.0), (0.5, 0.5)) if kind == "bernoulli" else ((atom,), (1.0,))
+    return np.reshape(weights, (-1, 1, 1)), np.reshape(nodes, (-1, 1, 1)) * np.eye(dim, dtype=np.complex128)
 
 
 def _lift(m: np.ndarray, level: int) -> np.ndarray:
@@ -205,19 +208,20 @@ def _lift(m: np.ndarray, level: int) -> np.ndarray:
     return m if level == 1 else np.kron(np.eye(level), m)
 
 
-def _block_slices(blocks):
-    out = []
-    off = 0
-    for k in blocks:
-        out.append(slice(off, off + k))
-        off += k
-    return out
+@functools.cache
+def _layout(blocks: tuple):
+    """The index plan of a partition of d for _coords and _from_coords.
 
-
-def _trace(m: np.ndarray, axis1: int = -2, axis2: int = -1):
-    """Trace over two axes, each summed exactly as np.trace sums one matrix."""
-    # a contiguous last axis keeps numpy's pairwise summation per trace
-    return np.ascontiguousarray(np.diagonal(m, axis1=axis1, axis2=axis2)).sum(-1)
+    groups: per block size k, (k, the diagonal positions of its blocks);
+    order: the groups' coordinates back in block order (None for one
+    group); pos, own, unit: per pair (a, b) inside one block, a d + b,
+    the block and eye(d)[a, b].
+    """
+    owner, sizes = np.repeat(np.arange(len(blocks)), blocks), np.repeat(blocks, blocks)
+    groups = [(k, np.flatnonzero(sizes == k)) for k in dict.fromkeys(blocks)]
+    order = np.argsort(np.concatenate([np.unique(owner[at]) for _, at in groups])) if len(groups) > 1 else None
+    a, b = np.nonzero(owner[:, None] == owner)
+    return groups, order, a * len(owner) + b, owner[a], (a == b) * 1.0
 
 
 def _coords(blocks, m: np.ndarray) -> np.ndarray:
@@ -227,23 +231,25 @@ def _coords(blocks, m: np.ndarray) -> np.ndarray:
     level block (i, j): the coefficient of kron(E_ij, P_k), with P_k the
     projection onto block k, when m lies in the algebra. Those basis
     matrices are orthogonal, so off the algebra this is the orthogonal
-    projection's coordinates.
+    projection's coordinates. Each block size takes one C-ordered copy of
+    one diagonal view and one sum over its contiguous last axis, which
+    numpy adds pairwise, as np.trace adds each block's diagonal.
     """
     d = sum(blocks)
     n = m.shape[-1] // d
-    q = m.reshape(m.shape[:-2] + (n, d, n, d))
-    return np.stack(
-        [_trace(q[..., :, sl, :, sl], -3, -1) / k for sl, k in zip(_block_slices(blocks), blocks)], axis=-1
-    )
+    diag = np.diagonal(m.reshape(m.shape[:-2] + (n, d, n, d)), axis1=-3, axis2=-1)
+    groups, order, _, _, _ = _layout(blocks)
+    parts = [diag.take(at, -1).reshape(diag.shape[:-1] + (len(at) // k, k)).sum(-1) / k for k, at in groups]
+    return parts[0] if order is None else np.concatenate(parts, -1)[..., order]
 
 
 def _from_coords(blocks, c: np.ndarray) -> np.ndarray:
     """sum c[..., i, j, k] kron(E_ij, P_k): the inverse of _coords on the algebra."""
     d, n = sum(blocks), c.shape[-2]
-    out = np.zeros(c.shape[:-3] + (n, d, n, d), dtype=np.complex128)
-    for idx, (sl, k) in enumerate(zip(_block_slices(blocks), blocks)):
-        out[..., :, sl, :, sl] = c[..., idx][..., :, None, :, None] * np.eye(k)[:, None, :]
-    return out.reshape(c.shape[:-3] + (n * d, n * d))
+    _, _, pos, own, unit = _layout(blocks)
+    out = np.zeros(c.shape[:-1] + (d * d,), dtype=np.complex128)  # [..., i, j, a d + b]
+    out[..., pos] = c[..., own] * unit
+    return out.reshape(c.shape[:-1] + (d, d)).swapaxes(-3, -2).reshape(c.shape[:-3] + (n * d, n * d))
 
 
 def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
@@ -264,7 +270,7 @@ def _product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     numpy's array multiply may fuse the multiply-adds, which changes the
     last bit of about a third of the products.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, c.shape), dtype=np.complex128)
+    out = np.empty(np.broadcast(a, c).shape, dtype=np.complex128)
     out.real = a.real * c.real - a.imag * c.imag
     out.imag = a.real * c.imag + a.imag * c.real
     return out
@@ -426,10 +432,10 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def _picard(model, rho, b: NcPoint, w: np.ndarray, dirs=None):
+def _picard(model, rho, b: np.ndarray, w: NcPoint, dirs=None):
     """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs] (see _F_h), per point of the stack w."""
-    f, h, dg = _F_h(model, NcPoint(b.base_dim, b.level, w), dirs)
-    return f, b.mat + rho._minus_id(h, b.level), dg
+    f, h, dg = _F_h(model, w, dirs)
+    return f, b + rho._minus_id(h, w.level), dg
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
@@ -449,66 +455,65 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     eigenvalues: imag_part is exactly Hermitian (the division by 2i is
     exact), and herm_part returns it unchanged (barring overflow).
 
-    One loop advances all rows that have not converged yet. Each
-    iteration makes one stacked call of the model's _G_dG, in which one
-    resolvent per atom (or one closed form) gives both G and DG. Each
-    row keeps its own state, so it takes exactly the steps, and reaches
-    exactly the values, that it reaches when solved alone. Returns the
-    stack of final iterates and a _StackTrace of all rows; unconverged
-    rows are reported, not raised.
+    One loop advances the rows that have not converged, held in arrays
+    that shrink only on steps where rows stop. A step makes three inverse
+    calls (one stack of resolvents, one per atom or none for a closed
+    form, giving G and DG; F = G^-1; the Jacobians) and four eigenvalue
+    calls (Im of G, h, the Picard and the Newton points; none at 1 x 1).
+    Each row keeps its own state, so it takes exactly the steps, and
+    reaches exactly the values, that it reaches when solved alone.
+    Returns the stack of final iterates and a _StackTrace of all rows;
+    unconverged rows are reported, not raised.
     """
     rho._validate(model)
     _require_upper(b)
-    bm = b.mat
-    n_rows, level, blocks = bm.shape[0], b.level, model.blocks
+    n_rows, level, blocks = len(b.mat), b.level, model.blocks
     m = level * level * len(blocks)
-
-    def at(mats):
-        return NcPoint(b.base_dim, level, mats)
-
     basis = _from_coords(blocks, np.eye(m).reshape(m, level, level, len(blocks)))
+    # each row's final state, written when it stops; im_eigs are of its kept iterate's Im
+    w, im_eigs = b.mat.copy(), herm_eigvals(imag_part(b.mat))
+    eps0, picard = im_eigs[:, 0].copy(), np.zeros(n_rows, dtype=int)
+    iterations, residual, converged = np.full(n_rows, max_iter), np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
+    # the state of the rows that go on
+    rows, ba, wa, im_floor, eps0a, picard_a = np.arange(n_rows), b.mat, b.mat, 0.1 * eps0, eps0, picard
 
-    im_eigs = herm_eigvals(imag_part(bm))  # of each row's kept iterate
-    eps0 = im_eigs[:, 0].copy()
-    im_floor = 0.1 * eps0
-    w = bm.copy()
-    picard = np.zeros(n_rows, dtype=int)
-    converged = np.zeros(n_rows, dtype=bool)
-    iterations = np.full(n_rows, max_iter)  # a row that converges sets its own
-    residual = np.zeros(n_rows)
-    active = np.arange(n_rows)
+    def stop(sel, ws, eigs, r):
+        at = rows[sel]
+        w[at], im_eigs[at], residual[at], eps0[at], picard[at] = ws[sel], eigs[sel], r[sel], eps0a[sel], picard_a[sel]
+        return at
+
     for it in range(1, max_iter + 1):
-        wa = w[active]
-        f, upd, dg = _picard(model, rho, at(bm[active]), wa, basis)
+        f, upd, dg = _picard(model, rho, ba, NcPoint(b.base_dim, level, wa), basis)
         upd_eigs = herm_eigvals(imag_part(upd))
         lam = upd_eigs[:, 0]
-        eps0[active] = np.where(lam < eps0[active], lam, eps0[active])
-        r = _frobenius(upd - wa)
-        residual[active] = r
+        eps0a = np.where(lam < eps0a, lam, eps0a)
+        step = upd - wa
+        r = _frobenius(step)
         done = r <= tol
-        finished = active[done]
-        _require_kept_upper(upd_eigs[done])
-        w[finished], im_eigs[finished] = upd[done], upd_eigs[done]
-        converged[finished] = True
-        iterations[finished] = it
-        go = ~done
-        active, wa, upd, upd_eigs, f, dg = active[go], wa[go], upd[go], upd_eigs[go], f[go], dg[go]
-        if not active.size:
-            break
+        if done.any():
+            _require_kept_upper(upd_eigs[done])
+            at = stop(done, upd, upd_eigs, r)
+            converged[at], iterations[at] = True, it
+            if done.all():
+                break
+            go = ~done
+            rows, ba, wa, upd, upd_eigs, f, dg, step, r = (x[go] for x in (rows, ba, wa, upd, upd_eigs, f, dg, step, r))
+            im_floor, eps0a, picard_a = im_floor[go], eps0a[go], picard_a[go]
         f4 = f[:, None]
-        dh = -(f4 @ dg @ f4) - basis
-        jac = _coords(blocks, rho._minus_id(dh, level) - basis).reshape(active.size, m, m)
-        phi = _coords(blocks, upd - wa).reshape(active.size, m, 1)
-        # jac[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is its transpose
-        delta = -(inverse(jac.mT) @ phi)
-        cand = wa + _from_coords(blocks, delta.reshape(active.size, level, level, len(blocks)))
+        dphi = rho._minus_id(-(f4 @ dg @ f4) - basis, level) - basis  # DPhi[B_j] per row and j
+        c = _coords(blocks, np.concatenate((dphi, step[:, None]), 1)).reshape(len(rows), m + 1, m)
+        # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
+        delta = -(inverse(c[:, :m].mT) @ c[:, m:].mT)
+        cand = wa + _from_coords(blocks, delta.reshape(len(rows), level, level, len(blocks)))
         cand_eigs = herm_eigvals(imag_part(cand))
-        newton = cand_eigs[:, 0] > im_floor[active]
-        im_eigs[active] = np.where(newton[:, None], cand_eigs, upd_eigs)
-        _require_kept_upper(im_eigs[active])
-        w[active] = np.where(newton[:, None, None], cand, upd)
-        picard[active] += ~newton
-    return at(w), _StackTrace(iterations, residual, converged, eps0, im_eigs, picard)
+        newton = cand_eigs[:, 0] > im_floor
+        kept = np.where(newton[:, None], cand_eigs, upd_eigs)
+        _require_kept_upper(kept)
+        wa = np.where(newton[:, None, None], cand, upd)
+        picard_a = picard_a + ~newton
+    else:  # the budget ran out: the rows left keep their last iterate, unconverged
+        stop(slice(None), wa, kept, r)
+    return NcPoint(b.base_dim, level, w), _StackTrace(iterations, residual, converged, eps0, im_eigs, picard)
 
 
 def _require_kept_upper(im_eigs: np.ndarray):
@@ -606,8 +611,9 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     w = omega.mat + 1e-3j * imag_part(omega.mat)
     r = []
     for _ in range(4):
-        _require_upper(NcPoint(b.base_dim, b.level, w), "w")
-        _, upd, _ = _picard(model, rho, b, w)
+        point_w = NcPoint(b.base_dim, b.level, w)
+        _require_upper(point_w, "w")
+        _, upd, _ = _picard(model, rho, b.mat, point_w)
         r.append(_frobenius(upd - w))
         w = upd
     return r[-1] / r[-2]
@@ -634,7 +640,7 @@ def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
     omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
     g = _transform(model, omega)[0]  # the solver has checked omega
-    density = -(_trace(g) / g.shape[-1]).imag / np.pi
+    density = -_coords((g.shape[-1],), g)[:, 0, 0, 0].imag / np.pi  # tr(g) / d: one block's coordinate
     columns = (xs, density, traces.residual, traces.iterations, traces.converged)
     return list(map(DensityRow, *(c.tolist() for c in columns), traces.contraction_bounds()))
 
@@ -716,8 +722,7 @@ class H0Map:
 
     def __call__(self, w: NcPoint) -> NcPoint:
         _require_upper(w, "w")
-        b0 = NcPoint(w.base_dim, w.level, self.b0_at(w.level))
-        return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, b0, w.mat)[1])
+        return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, self.b0_at(w.level), w)[1])
 
     def b0_at(self, level: int) -> np.ndarray:
         if level == self.b0.level:

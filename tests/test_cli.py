@@ -445,6 +445,49 @@ def test_count_below_one_is_exit_3(tmp_path, ball_files, capsys, argv, flag):
     assert not out.exists()
 
 
+class _Reached(Exception):
+    """The command got past its input checks to the work they guard."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+@pytest.mark.parametrize("levels, got", [("0", 0), ("1,0", 0), ("-1", -1)])
+def test_a_level_below_one_is_exit_3_naming_levels(monkeypatch, tmp_path, ball_files, capsys, levels, got):
+    monkeypatch.setattr(ncmetric.cli, "sample_triples", _reached)
+    f = _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5))))
+    dom = ball_files["domain"]
+    argv = ["contract", "--function", f, "--src", dom, "--dst", dom, "--samples", "2"]
+    assert main(argv + ["--levels", levels]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: --levels must be at least 1, got {got}\n" and captured.out == ""
+    with pytest.raises(_Reached):
+        main(argv + ["--levels", "1,2"])
+
+
+@pytest.mark.parametrize(
+    "command, flag, limit",
+    [
+        ("distance", "--refine", ncmetric.cli.MAX_REFINE),
+        ("distance", "--quad-points", ncmetric.cli.MAX_STACK_POINTS),
+        ("convolve", "--points", ncmetric.cli.MAX_STACK_POINTS),
+    ],
+)
+def test_a_stack_over_its_limit_is_exit_3_before_it_is_built(monkeypatch, ball_files, capsys, command, flag, limit):
+    for name in ("dtilde_upper", "d_upper", "density_grid"):
+        monkeypatch.setattr(ncmetric.cli, name, _reached)
+    if command == "distance":
+        argv = ["distance", "--domain", ball_files["domain"], "--a", ball_files["a"], "--c", ball_files["c"]]
+    else:
+        argv = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"]
+    assert main(argv + [flag, str(limit + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {flag} must be at most {limit}, got {limit + 1}\n" and captured.out == ""
+    with pytest.raises(_Reached):  # the limit itself is allowed
+        main(argv + [flag, str(limit)])
+
+
 def test_convolve_csv_deterministic(capsys):
     argv = [
         "convolve",

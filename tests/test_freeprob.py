@@ -533,7 +533,7 @@ SOLVES = pytest.mark.parametrize(
     ("model", "rho", "b", "a", "iterations", "calls"),
     [
         (*GRIDS["matrix_power"][:2], NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)), 1, 11, 32),
-        (ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(0.5 + 0.01j), 2, 12, 47),
+        (ScalarLaw("bernoulli"), ScalarPower(2.0), _scalar(0.5 + 0.01j), 1, 12, 35),
         (ScalarLaw("semicircle"), ScalarPower(2.0), _scalar(0.5 + 0.01j), 0, 5, 9),
     ],
     ids=["matrix_model", "bernoulli", "semicircle"],
@@ -542,8 +542,9 @@ SOLVES = pytest.mark.parametrize(
 
 @SOLVES
 def test_each_newton_step_inverts_each_resolvent_once(monkeypatch, model, rho, b, a, iterations, calls):
-    # a resolvents give G and DG, then F = G^-1 and the Jacobian's inverse;
-    # the last step converges and builds no Jacobian
+    # a stacked inverse (one for every atom, none for a closed form) gives
+    # G and DG, then F = G^-1 and the Jacobian's inverse; the last step
+    # converges and builds no Jacobian
     count = []
     real = freeprob.inverse
     monkeypatch.setattr(freeprob, "inverse", lambda m: count.append(1) or real(m))
@@ -621,6 +622,85 @@ def test_stacked_expectation_equals_block_traces():
     for i, m in enumerate(ms):
         np.testing.assert_array_equal(stacked[i], _expectation_loop(model, m))
         np.testing.assert_array_equal(expectation(model, m), stacked[i])
+
+
+def _coords_loop(blocks, m):
+    # the per-block reference: np.trace of each partition block of each level block
+    d = sum(blocks)
+    n = m.shape[0] // d
+    offsets = np.cumsum((0,) + blocks[:-1])
+    return np.array([
+        [[np.trace(m[i * d + o : i * d + o + k, j * d + o : j * d + o + k]) / k for o, k in zip(offsets, blocks)]
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()  # tells -0.0 from 0.0
+
+
+# from size 8 on, numpy's pairwise summation changes the order of a trace's sum
+@pytest.mark.parametrize("blocks", [(1,), (2, 2), (1, 3), (3, 1, 2), (8,), (9, 1)], ids=str)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_coords_and_expectation_are_per_block_traces_to_the_bit(blocks, level):
+    rng = _rng(52)
+    d = sum(blocks)
+    model = MatrixModel(np.diag(rng.standard_normal(d)), blocks)
+    for lead in ((4,), (2, 3)):
+        ms = rng.standard_normal(lead + (level * d,) * 2) + 1j * rng.standard_normal(lead + (level * d,) * 2)
+        coords, expected = freeprob._coords(blocks, ms), expectation(model, ms)
+        for idx in np.ndindex(lead):
+            assert _bits(coords[idx]) == _bits(_coords_loop(blocks, ms[idx]))
+            assert _bits(expected[idx]) == _bits(_expectation_loop(model, ms[idx]))
+        # elements sum c_ijk kron(E_ij, P_k) of the algebra, with dyadic c so that each trace is exact
+        c = (rng.integers(-64, 64, coords.shape) + 1j * rng.integers(-64, 64, coords.shape)) / 16
+        m = freeprob._from_coords(blocks, c)
+        units = np.eye(level * level).reshape((level,) * 4)  # units[i, j] = E_ij
+        projections = np.eye(len(blocks))[np.repeat(range(len(blocks)), blocks)]  # column k: diagonal of P_k
+        want = sum(
+            c[..., i, j, k, None, None] * np.kron(units[i, j], np.diag(projections[:, k]))
+            for i in range(level) for j in range(level) for k in range(len(blocks))
+        )
+        np.testing.assert_array_equal(m, want)
+        assert _bits(freeprob._coords(blocks, m)) == _bits(c)
+        assert _bits(freeprob._from_coords(blocks, freeprob._coords(blocks, m))) == _bits(m)
+
+
+def _count_linalg_calls(monkeypatch):
+    calls = dict.fromkeys(("inv", "eigvalsh", "svd"), 0)
+    for name in calls:
+
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "grid, per_step",
+    [
+        # one inverse of both atoms' resolvents, F = G^-1 and the Jacobian; no eigvalsh at 1 x 1
+        ("bernoulli_edge", {"inv": 3, "eigvalsh": 0, "svd": 0}),
+        # the resolvent, F and the Jacobian; Im G, Im h, Im of the Picard and of the Newton points
+        ("matrix_kraus", {"inv": 3, "eigvalsh": 4, "svd": 0}),
+    ],
+)
+def test_np_linalg_calls_per_lockstep_iteration_do_not_grow_with_rows(monkeypatch, grid, per_step):
+    model, rho, half, _, _ = GRIDS[grid]
+    calls = _count_linalg_calls(monkeypatch)
+    for points in (1, 5, 41):
+        # a grid stopped after k lockstep iterations, with no row converged,
+        # makes the calls of k steps and fixed ones: tell k = 3 from k = 4
+        made = []
+        for k in (3, 4):
+            before = dict(calls)
+            res = density_grid(model, rho, -half, half, points=points, eps=1e-3, tol=1e-300, max_iter=k)
+            assert not any(row.converged for row in res.rows)
+            made.append({name: calls[name] - before[name] for name in calls})
+        assert {name: made[1][name] - made[0][name] for name in calls} == per_step, points
 
 
 def test_failing_rows_raise_in_grid_order(monkeypatch):
