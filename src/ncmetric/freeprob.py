@@ -198,7 +198,7 @@ class ScalarLaw:
 
 @functools.cache
 def _atoms(kind: str, atom: complex, dim: int):
-    """An atomic law's weights (atom, 1, 1) and its nodes times I_dim (atom, dim, dim), for reading only."""
+    """An atomic law's weights (atom, 1, 1) and its nodes times I_dim (atom, dim, dim) (cached: read only)."""
     nodes, weights = ((-1.0, 1.0), (0.5, 0.5)) if kind == "bernoulli" else ((atom,), (1.0,))
     return np.reshape(weights, (-1, 1, 1)), np.reshape(nodes, (-1, 1, 1)) * np.eye(dim, dtype=np.complex128)
 
@@ -210,7 +210,7 @@ def _lift(m: np.ndarray, level: int) -> np.ndarray:
 
 @functools.cache
 def _layout(blocks: tuple):
-    """The index plan of a partition of d for _coords and _from_coords.
+    """The index plan of a partition of d for _coords and _from_coords (cached: read only).
 
     groups: per block size k, (k, the diagonal positions of its blocks);
     order: the groups' coordinates back in block order (None for one
