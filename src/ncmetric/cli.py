@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -38,6 +39,11 @@ MAX_STACK_POINTS = 2**MAX_REFINE
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's rule for a negative number value, with an exponent: -1e-3 is not a flag
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on bad flags; 2 means invariant violation here
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -9,15 +9,16 @@ level, through a principal matrix square root above level one).
 
 subordination_solve solves w = b + (rho - Id) h(w) from w0 = b by
 Newton's method in the coordinates of the model algebra, with a plain
-Picard step wherever a Newton step would leave the half-plane, and
-keeps a trace: step count, last residual, Picard step count, and the
-contraction bound driven by eps0 = lambda_min(Im b). picard_ratio
-measures the plain Picard contraction near a solution, which that
-bound bounds. The transforms take stacks of points (..., n, n);
-density_grid solves all its grid rows as one stack, each row on its
-own trajectory. subordination_solve takes a stack of points too, and
-solves its rows in one such stack, whose steps make the same numpy
-calls for any number of rows (see _solve_stack).
+Picard step wherever a Newton step would leave the half-plane. Each
+solved row gets one SolveTrace: step count, last residual, Picard step
+count, and the contraction bound driven by eps0 = lambda_min(Im b); a
+DensityRow of density_grid is a SolveTrace with its x and density.
+picard_ratio measures the plain Picard contraction near a solution,
+which that bound bounds. The transforms take stacks of points
+(..., n, n); density_grid solves all its grid rows as one stack, each
+row on its own trajectory. subordination_solve takes a stack of points
+too, and solves its rows in one such stack, whose steps make the same
+numpy calls for any number of rows (see _solve_stack).
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
@@ -59,7 +60,6 @@ from .matcore import (
     imag_part,
     inverse,
     is_hermitian,
-    is_strictly_positive,
     json_int,
     json_number,
     mat_from_json,
@@ -285,16 +285,24 @@ def _scalar_G_closed(law: ScalarLaw, z: np.ndarray) -> np.ndarray:
     return 1.0 / _product(np.sqrt(z - 2.0), np.sqrt(z + 2.0))
 
 
-def _require_upper(p: NcPoint, name: str = "b"):
-    """NotInHalfPlane naming the point unless Im p, or each Im of a stack, is strictly positive."""
+def _require_upper(p: NcPoint, name: str = "b") -> np.ndarray:
+    """The ascending eigenvalues of Im p, or of each Im of a stack, once each is strictly positive.
+
+    NotInHalfPlane names the point otherwise. The rule is
+    is_strictly_positive's, whose Hermiticity check cannot fail on the
+    imag_part of finite input; a non-finite Im is outside.
+    """
     im = imag_part(p.mat)
-    inside = is_strictly_positive(im)
+    if not np.isfinite(im).all():
+        raise NotInHalfPlane(f"point {name} is not strictly in the half-plane: Im {name} is not finite")
+    eigs = herm_eigvals(im)
+    inside = positivity_score(eigs, POS_MARGIN) > 0.0
     if not np.all(inside):
-        first = im.reshape((-1,) + im.shape[-2:])[np.argmin(np.ravel(inside))]
+        lo = eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside)), 0]
         raise NotInHalfPlane(
-            f"point {name} is not strictly in the half-plane: "
-            f"lambda_min(Im {name}) = {float(herm_eigvals(first)[0]):.3e}"
+            f"point {name} is not strictly in the half-plane: lambda_min(Im {name}) = {float(lo):.3e}"
         )
+    return eigs
 
 
 def _transform(model, b: NcPoint, dirs=None):
@@ -411,6 +419,14 @@ def halfplane_gauge(a: NcPoint, c: NcPoint):
 
 @dataclass(frozen=True)
 class SolveTrace:
+    """One solved row; contraction_bound is ||1 - eps0 (Im omega)^(-1)||.
+
+    That operator form is the provable per-step factor the Schwarz-Pick
+    derivation yields; collapsing it onto lambda_min, to 1 - eps0 / Im
+    omega, holds only where Im omega is a scalar. None for a row with
+    lambda_min(Im omega) <= 0.
+    """
+
     iterations: int
     converged: bool
     residual: float  # of the last step
@@ -449,11 +465,10 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     inside; that step is the globally convergent one. A row stops at its
     Picard update once the residual ||update - w||_F is at most tol.
 
-    The input b is checked once; each iterate a row keeps is then tested
-    by is_strictly_positive's rule on the eigenvalues of its Im that the
-    step computes anyway (SingularResolvent if outside). Both see the same
-    eigenvalues: imag_part is exactly Hermitian (the division by 2i is
-    exact), and herm_part returns it unchanged (barring overflow).
+    The input b is checked once, by _require_upper, whose eigenvalues of
+    Im b start the trace; each iterate a row keeps is then tested by the
+    same rule on the eigenvalues of its Im that the step computes anyway
+    (SingularResolvent if outside).
 
     One loop advances the rows that have not converged, held in arrays
     that shrink only on steps where rows stop. A step makes three inverse
@@ -462,16 +477,15 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     calls (Im of G, h, the Picard and the Newton points; none at 1 x 1).
     Each row keeps its own state, so it takes exactly the steps, and
     reaches exactly the values, that it reaches when solved alone.
-    Returns the stack of final iterates and a _StackTrace of all rows;
-    unconverged rows are reported, not raised.
+    Returns the final iterates as a stack and SolveTrace's columns (one
+    list per field); unconverged rows are reported, not raised.
     """
     rho._validate(model)
-    _require_upper(b)
     n_rows, level, blocks = len(b.mat), b.level, model.blocks
     m = level * level * len(blocks)
     basis = _from_coords(blocks, np.eye(m).reshape(m, level, level, len(blocks)))
     # each row's final state, written when it stops; im_eigs are of its kept iterate's Im
-    w, im_eigs = b.mat.copy(), herm_eigvals(imag_part(b.mat))
+    w, im_eigs = b.mat.copy(), _require_upper(b)
     eps0, picard = im_eigs[:, 0].copy(), np.zeros(n_rows, dtype=int)
     iterations, residual, converged = np.full(n_rows, max_iter), np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
     # the state of the rows that go on
@@ -513,7 +527,11 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         picard_a = picard_a + ~newton
     else:  # the budget ran out: the rows left keep their last iterate, unconverged
         stop(slice(None), wa, kept, r)
-    return NcPoint(b.base_dim, level, w), _StackTrace(iterations, residual, converged, eps0, im_eigs, picard)
+    with np.errstate(divide="ignore", invalid="ignore"):  # SolveTrace.contraction_bound
+        bound = np.fmax(0.0, np.abs(1.0 - eps0[:, None] / im_eigs).max(-1))
+    lo = im_eigs[:, 0]
+    columns = (iterations, converged, residual, eps0, lo, np.where(lo > 0, bound, None), picard)
+    return NcPoint(b.base_dim, level, w), [c.tolist() for c in columns]
 
 
 def _require_kept_upper(im_eigs: np.ndarray):
@@ -522,36 +540,6 @@ def _require_kept_upper(im_eigs: np.ndarray):
     if not inside.all():
         lo = im_eigs[np.argmin(inside), 0]
         raise SingularResolvent(f"an iterate left the half-plane: lambda_min(Im w) = {lo:.3e}")
-
-
-@dataclass(frozen=True)
-class _StackTrace:
-    """The trace of every row of a stacked solve, kept in arrays."""
-
-    iterations: np.ndarray
-    residual: np.ndarray  # of each row's last step
-    converged: np.ndarray
-    epsilon0: np.ndarray
-    im_eigs: np.ndarray  # ascending eigenvalues of Im omega, per row
-    picard_steps: np.ndarray
-
-    def contraction_bounds(self) -> list:
-        """||1 - eps0 (Im omega)^(-1)||, the provable per-step factor, per row.
-
-        For scalar fibers this is 1 - eps0 / Im omega. The operator form
-        is the one the Schwarz-Pick derivation actually yields;
-        collapsing the norm onto lambda_min only works when Im omega is
-        a scalar. None for a row with lambda_min(Im omega) <= 0.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.fmax(0.0, np.abs(1.0 - self.epsilon0[:, None] / self.im_eigs).max(-1))
-        return [b if lo > 0 else None for b, lo in zip(bound.tolist(), self.im_eigs[:, 0].tolist())]
-
-    def rows(self) -> list:
-        """The SolveTrace of each row."""
-        columns = (self.iterations, self.converged, self.residual, self.epsilon0, self.im_eigs[:, 0])
-        bounds, picard = self.contraction_bounds(), self.picard_steps.tolist()
-        return list(map(SolveTrace, *(c.tolist() for c in columns), bounds, picard))
 
 
 @per_row
@@ -586,16 +574,12 @@ def subordination_solve(
     finite.
     """
     _check_budget(tol, max_iter)
-    omega, traces = _solve_stack(model, rho, b, tol, max_iter)
-    out = [(NcPoint(b.base_dim, b.level, w), trace) for w, trace in zip(omega.mat, traces.rows())]
+    omega, columns = _solve_stack(model, rho, b, tol, max_iter)
+    out = [(NcPoint(b.base_dim, b.level, w), trace) for w, trace in zip(omega.mat, map(SolveTrace, *columns))]
     for w, trace in out:
         if not trace.converged:
-            raise MaxIterExceeded(
-                f"no convergence in {max_iter} iterations "
-                f"(last residual {trace.residual:.3e})",
-                omega=w,
-                trace=trace,
-            )
+            message = f"no convergence in {max_iter} iterations (last residual {trace.residual:.3e})"
+            raise MaxIterExceeded(message, omega=w, trace=trace)
     return out
 
 
@@ -620,13 +604,11 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
 
 
 @dataclass(frozen=True)
-class DensityRow:
+class DensityRow(SolveTrace):
+    """A grid row: the trace of its solve, its x and its density."""
+
     x: float
     density: float
-    residual: float
-    iterations: int
-    converged: bool
-    contraction_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -638,11 +620,10 @@ class DensityResult:
 
 def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
-    omega, traces = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
+    omega, columns = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
     g = _transform(model, omega)[0]  # the solver has checked omega
     density = -_coords((g.shape[-1],), g)[:, 0, 0, 0].imag / np.pi  # tr(g) / d: one block's coordinate
-    columns = (xs, density, traces.residual, traces.iterations, traces.converged)
-    return list(map(DensityRow, *(c.tolist() for c in columns), traces.contraction_bounds()))
+    return list(map(DensityRow, *columns, xs.tolist(), density.tolist()))
 
 
 def density_grid(
@@ -664,12 +645,15 @@ def density_grid(
     values of its own solve. Unconverged rows are recorded, not
     raised. The mass field integrates the density by the trapezoid
     rule. Raises ValueError when xmin or xmax is not finite, xmin >
-    xmax, max_iter < 1 or tol or eps is not positive and finite.
+    xmax, max_iter < 1, tol or eps is not positive and finite, or eps
+    puts the rows within the solver's half-plane margin.
     """
     if finite("xmin", xmin) > finite("xmax", xmax):
         raise ValueError(f"xmin {xmin} exceeds xmax {xmax}")
     _check_budget(tol, max_iter)
     positive_finite("eps", eps)
+    if positivity_score(np.array([eps]), POS_MARGIN) <= 0.0:  # the solver's rule for Im b = eps I
+        raise ValueError(f"eps must exceed the half-plane margin {POS_MARGIN:g}, got {eps}")
     d = model.base_dim
     xs = np.linspace(float(xmin), float(xmax), int(points))
     if not xs.size:
@@ -685,9 +669,7 @@ def density_grid(
             for i in range(xs.size)
             for row in _density_rows(model, rho, xs[i : i + 1], bs[i : i + 1], tol, max_iter)
         ]
-    dens = np.array([r.density for r in rows])
-    mass = float(np.trapezoid(dens, xs))
-    return DensityResult(tuple(rows), float(eps), mass)
+    return DensityResult(tuple(rows), float(eps), float(np.trapezoid([r.density for r in rows], xs)))
 
 
 def support_interval(result: DensityResult, threshold: float = 0.015):
@@ -725,18 +707,14 @@ class H0Map:
         return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, self.b0_at(w.level), w)[1])
 
     def b0_at(self, level: int) -> np.ndarray:
-        if level == self.b0.level:
-            return self.b0.mat
-        if self.b0.level == 1:
-            return np.kron(np.eye(level), self.b0.mat)
-        raise ValueError(f"b0 at level {self.b0.level} cannot serve level {level}")
+        if self.b0.level not in (1, level):
+            raise ValueError(f"b0 at level {self.b0.level} cannot serve level {level}")
+        return _lift(self.b0.mat, level // self.b0.level)
 
 
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
     rho._validate(model)
-    _require_upper(b0, "b0")
-    eps0 = float(herm_eigvals(imag_part(b0.mat))[0])
-    return H0Map(model, rho, b0, eps0)
+    return H0Map(model, rho, b0, float(_require_upper(b0, "b0")[0]))
 
 
 @dataclass(frozen=True)

@@ -312,10 +312,7 @@ def direct_sum_mats(*mats: np.ndarray) -> np.ndarray:
 def mat_to_json(a) -> dict:
     """Wire format: {"rows": n, "cols": m, "data": [[[re, im], ...], ...]}."""
     a = as_matrix(a)
-    data = [
-        [[float(a[i, j].real), float(a[i, j].imag)] for j in range(a.shape[1])]
-        for i in range(a.shape[0])
-    ]
+    data = np.stack((a.real, a.imag), -1).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 

@@ -734,6 +734,48 @@ def test_unknown_choice_is_exit_3(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-5e-1"])
+@pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--atom"])
+def test_a_negative_number_in_scientific_notation_is_a_flag_value(flag, value):
+    # argparse's own rule took "-1e-3" for a flag, so "--xmin -1e-3" had no value
+    argv = ["convolve", "--law", "point_mass", "--rho-t", "2", "--xmin", "-30", "--xmax", "30"]
+    args = ncmetric.cli.build_parser().parse_args(argv + [flag, value])
+    assert getattr(args, flag[2:]) == float(value)
+
+
+def test_negative_flag_values_give_what_their_equals_form_gives(capsys):
+    flags = {"--xmin": "-2.5E+1", "--xmax": "-1e-3", "--atom": "-5e-1"}
+    argv = ["convolve", "--law", "point_mass", "--rho-t", "2", "--points", "3"]
+    assert main(argv + [x for flag, value in flags.items() for x in (flag, value)]) == 0
+    spaced = capsys.readouterr()
+    assert main(argv + [f"{flag}={value}" for flag, value in flags.items()]) == 0
+    assert capsys.readouterr() == spaced and spaced.out.count("\n") == 4
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan"])
+@pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--atom"])
+def test_a_negative_non_number_is_still_no_flag_value(capsys, flag, value):
+    argv = ["convolve", "--law", "point_mass", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: argument {flag}: expected one argument\n")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("eps", ["1e-10", "1e-11"])
+def test_an_eps_within_the_half_plane_margin_is_exit_3_naming_eps(capsys, eps):
+    # such an eps used to reach the solver, which named its internal point b
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1", "--points", "3"]
+    assert main(argv + ["--eps", eps]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: eps must exceed the half-plane margin 1e-10, got {float(eps)}\n"
+    assert captured.out == ""
+    assert main(argv + ["--eps", "2e-10"]) == 0
+    assert capsys.readouterr().out.startswith("x,density,residual,iterations\n-1.0,")
+
+
 def test_convolve_without_rho_is_exit_3(capsys):
     code = main(["convolve", "--law", "bernoulli", "--xmin", "0", "--xmax", "1"])
     assert code == 3

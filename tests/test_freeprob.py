@@ -245,6 +245,15 @@ def test_cauchy_needs_halfplane():
         cauchy_G(ScalarLaw("semicircle"), _scalar(1.0))
 
 
+def test_a_non_finite_im_is_outside_the_half_plane():
+    # eigvalsh of a matrix with a NaN entry returns arbitrary numbers
+    bad = NcPoint(1, 2, np.array([[1j, 0.3], [0.3, complex(math.nan, 1.0)]]))
+    with pytest.raises(NotInHalfPlane, match="Im b is not finite$"):
+        cauchy_G(ScalarLaw("semicircle"), bad)
+    with pytest.raises(NotInHalfPlane, match="Im b0 is not finite$"):
+        make_h0(ScalarLaw("bernoulli"), ScalarPower(2.0), bad)
+
+
 def test_matrix_model_needs_hermitian():
     with pytest.raises(NonHermitianInput):
         MatrixModel(np.array([[0.0, 1.0], [0.0, 0.0]]), (1, 1))
@@ -389,14 +398,7 @@ def _one_row(model, rho, x, eps, tol=1e-9, max_iter=200):
         omega, trace = exc.omega, exc.trace
     g = cauchy_G(model, omega).mat
     phi = complex(np.trace(g) / g.shape[0])
-    return DensityRow(
-        x=float(x),
-        density=float(-phi.imag / np.pi),
-        residual=trace.residual,
-        iterations=trace.iterations,
-        converged=trace.converged,
-        contraction_bound=trace.contraction_bound,
-    )
+    return DensityRow(**vars(trace), x=float(x), density=float(-phi.imag / np.pi))
 
 
 _X4 = np.array(
@@ -558,8 +560,8 @@ def test_each_newton_step_inverts_each_resolvent_once(monkeypatch, model, rho, b
 def test_a_solve_checks_its_input_once(monkeypatch, model, rho, b, a, iterations, calls):
     # the iterates are tested on the eigenvalues each step computes anyway
     count = []
-    real = freeprob.is_strictly_positive
-    monkeypatch.setattr(freeprob, "is_strictly_positive", lambda *args: count.append(1) or real(*args))
+    real = freeprob._require_upper
+    monkeypatch.setattr(freeprob, "_require_upper", lambda *args: count.append(1) or real(*args))
     _, trace = subordination_solve(model, rho, b)
     assert trace.iterations == iterations
     assert len(count) == 1
@@ -703,6 +705,17 @@ def test_np_linalg_calls_per_lockstep_iteration_do_not_grow_with_rows(monkeypatc
         assert {name: made[1][name] - made[0][name] for name in calls} == per_step, points
 
 
+def test_a_kraus_solve_reads_im_b_eigenvalues_once(monkeypatch):
+    # the input check's eigenvalues of Im b start the trace; then each step
+    # takes those of Im G, Im h and the Picard point, and all but the last
+    # the Newton point's
+    model, rho, _, _, _ = GRIDS["matrix_kraus"]
+    calls = _count_linalg_calls(monkeypatch)
+    _, trace = subordination_solve(model, rho, NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)))
+    assert (trace.iterations, calls["eigvalsh"]) == (5, 20)
+    assert calls["eigvalsh"] == 1 + 4 * (trace.iterations - 1) + 3
+
+
 def test_failing_rows_raise_in_grid_order(monkeypatch):
     # row 3 fails at its third transform call, row 7 at its first; solved
     # together, row 7 fails first, but row 3 comes first in grid order
@@ -796,6 +809,17 @@ def test_density_grid_rejects_an_eps_that_cannot_work(monkeypatch, eps):
     for points in (3, 0):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             density_grid(ScalarLaw("bernoulli"), ScalarPower(2.0), -1.0, 1.0, points=points, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-11])
+def test_density_grid_rejects_an_eps_within_the_half_plane_margin(monkeypatch, eps):
+    law, rho = ScalarLaw("bernoulli"), ScalarPower(2.0)
+    with pytest.raises(NotInHalfPlane, match="point b"):  # the solver's own rule rejects the rows
+        subordination_solve(law, rho, _scalar(0.5 + 1j * eps))
+    monkeypatch.setattr(freeprob, "_solve_stack", _no_solve)
+    for points in (3, 0):
+        with pytest.raises(ValueError, match=f"^eps must exceed the half-plane margin 1e-10, got {eps}$"):
+            density_grid(law, rho, -1.0, 1.0, points=points, eps=eps)
 
 
 def test_density_grid_rejects_xmin_above_xmax(monkeypatch):

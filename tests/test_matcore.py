@@ -115,6 +115,13 @@ def test_psd_inv_sqrt_whitens():
     s = psd_inv_sqrt(a)
     np.testing.assert_allclose(s @ a @ s, np.eye(4), atol=1e-9)
     assert is_hermitian(s)
+    # S A S = I to 1e-8 in operator norm, four draws per size
+    for n in range(2, 7):
+        for _ in range(4):
+            w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = w @ w.conj().T / n + 0.1 * np.eye(n)
+            s = psd_inv_sqrt(a)
+            assert oracles.op_norm(s @ a @ s - np.eye(n)) <= 1e-8
 
 
 def test_psd_inv_sqrt_rejects_indefinite():
@@ -208,7 +215,8 @@ def test_herm_eig_reconstructs(n, seed):
     a = _hermitian(_rng(seed), n, scale=2.0)
     w, v = herm_eig(a)
     assert np.all(np.diff(w) >= -1e-14)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, a, atol=1e-9)
+    assert oracles.op_norm(v @ np.diag(w) @ v.conj().T - a) <= 1e-10 * max(1.0, oracles.op_norm(a))
+    assert oracles.op_norm(v.conj().T @ v - np.eye(n)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,6 +225,20 @@ def test_operator_norm_matches_reference(n, seed):
     rng = _rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert operator_norm(m) == pytest.approx(oracles.op_norm(m), rel=1e-10)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_operator_norm_is_unitarily_invariant(n, seed):
+    rng = _rng(seed)
+    m = 3.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u, v = _unitary(rng, n), _unitary(rng, n)
+    assert abs(operator_norm(u @ m @ v) - operator_norm(m)) <= 1e-10 * max(1.0, operator_norm(m))
 
 
 def test_stacks_match_rows():

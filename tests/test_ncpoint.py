@@ -132,3 +132,53 @@ def test_direct_sum_spectrum_is_union(d, n, m, seed):
         np.concatenate([np.linalg.eigvals(a.mat), np.linalg.eigvals(c.mat)])
     )
     np.testing.assert_allclose(merged, split, atol=1e-8)
+
+
+def _points(rng, d, level, count):
+    return [NcPoint(d, level, _cmat(rng, level * d, level * d)) for _ in range(count)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.lists(st.integers(min_value=1, max_value=2), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_direct_sum_is_associative_to_the_bit(d, levels, seed):
+    rng = _rng(seed)
+    a, b, c = (_points(rng, d, level, 1)[0] for level in levels)
+    left, right = direct_sum(direct_sum(a, b), c), direct_sum(a, direct_sum(b, c))
+    assert left.level == right.level == sum(levels)
+    np.testing.assert_array_equal(left.mat, right.mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_amplify_is_a_mixed_product(d, level, k, seed):
+    # kron(z1, a) kron(z2, c) = kron(z1 z2, a c), relative to 1e-12 in operator norm
+    rng = _rng(seed)
+    a, c = (NcPoint(d, level, p.mat * (0.75 / np.linalg.norm(p.mat, 2))) for p in _points(rng, d, level, 2))
+    z1, z2 = _cmat(rng, k, k) / np.sqrt(2.0), _cmat(rng, k, k) / np.sqrt(2.0)
+    lhs = amplify(z1, a).mat @ amplify(z2, c).mat
+    rhs = np.kron(z1 @ z2, a.mat @ c.mat)
+    assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * max(1.0, np.linalg.norm(rhs, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_unitary_conjugate_keeps_the_spectrum(d, level, seed):
+    rng = _rng(seed)
+    g = 2.0 * _cmat(rng, level * d, level * d)
+    h = NcPoint(d, level, (g + g.conj().T) / 2)
+    q, _ = np.linalg.qr(_cmat(rng, level, level))
+    after = np.linalg.eigvalsh(unitary_conjugate(q, h).mat)
+    np.testing.assert_allclose(after, np.linalg.eigvalsh(h.mat), rtol=0, atol=1e-9)
