@@ -33,8 +33,9 @@ its _validate(model) raises ValueError unless it acts on the model.
 Each point is checked for the half-plane once. The public functions
 check the points they are given (NotInHalfPlane, an input error); the
 solver checks its input, then each iterate it keeps (SingularResolvent:
-the map keeps the half-plane, so only roundoff leaves it); the
-transforms beneath them check no point.
+the map keeps the half-plane, so only roundoff leaves it; an overflow
+fails matcore's rule where the eigenvalues of Im are taken, or this
+test at 1 x 1); the transforms beneath them check no point.
 """
 
 from __future__ import annotations
@@ -188,12 +189,13 @@ class ScalarLaw:
 
     def _G_matrix(self, m: np.ndarray) -> np.ndarray:
         """A continuous law's G per matrix of a stack, for levels above one."""
-        # R = i (c^2 - B^2)^(1/2); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
-        c2 = 4.0 * self.variance if self.kind == "semicircle" else 4.0
-        root, inv_root = principal_sqrt(c2 * np.eye(m.shape[-1]) - m @ m)
+        # R = i (-i(B - c))^(1/2) (-i(B + c))^(1/2) = i (c^2 - B^2)^(1/2), both roots far from the cut
+        # (see principal_sqrt); the semicircle's (B - R) / 2v is 2 (B + R)^-1, which cannot cancel
+        c = (2.0 * np.sqrt(self.variance) if self.kind == "semicircle" else 2.0) * np.eye(m.shape[-1])
+        (lo, hi), (lo_inv, hi_inv) = principal_sqrt(np.stack((-1j * (m - c), -1j * (m + c))))
         if self.kind == "semicircle":
-            return 2.0 * inverse(m + 1j * root)
-        return -1j * inv_root
+            return 2.0 * inverse(m + 1j * (lo @ hi))
+        return -1j * (hi_inv @ lo_inv)
 
 
 @functools.cache
@@ -295,13 +297,17 @@ def _require_upper(p: NcPoint, name: str = "b") -> np.ndarray:
     im = imag_part(p.mat)
     if not np.isfinite(im).all():
         raise NotInHalfPlane(f"point {name} is not strictly in the half-plane: Im {name} is not finite")
-    eigs = herm_eigvals(im)
+    return _upper(herm_eigvals(im), NotInHalfPlane, f"point {name} is not strictly in the half-plane", name)
+
+
+def _upper(eigs: np.ndarray, error, head: str, name: str) -> np.ndarray:
+    """eigs (..., n), the ascending eigenvalues of Im name, once each row passes the half-plane rule;
+    otherwise error("head: ...") shows the rule's own quantity at the first row that fails."""
     inside = positivity_score(eigs, POS_MARGIN) > 0.0
-    if not np.all(inside):
-        lo = eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside)), 0]
-        raise NotInHalfPlane(
-            f"point {name} is not strictly in the half-plane: lambda_min(Im {name}) = {float(lo):.3e}"
-        )
+    if not inside.all():
+        lo, hi = (float(x) for x in eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside)), [0, -1]])
+        ratio = lo / max(1.0, -lo, hi)
+        raise error(f"{head}: lambda_min(Im {name}) / max(1, ||Im {name}||) = {ratio:.3e}, not above {POS_MARGIN:g}")
     return eigs
 
 
@@ -496,50 +502,43 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
         w[at], im_eigs[at], residual[at], eps0[at], picard[at] = ws[sel], eigs[sel], r[sel], eps0a[sel], picard_a[sel]
         return at
 
-    for it in range(1, max_iter + 1):
-        f, upd, dg = _picard(model, rho, ba, NcPoint(b.base_dim, level, wa), basis)
-        upd_eigs = herm_eigvals(imag_part(upd))
-        lam = upd_eigs[:, 0]
-        eps0a = np.where(lam < eps0a, lam, eps0a)
-        step = upd - wa
-        r = _frobenius(step)
-        done = r <= tol
-        if done.any():
-            _require_kept_upper(upd_eigs[done])
-            at = stop(done, upd, upd_eigs, r)
-            converged[at], iterations[at] = True, it
-            if done.all():
-                break
-            go = ~done
-            rows, ba, wa, upd, upd_eigs, f, dg, step, r = (x[go] for x in (rows, ba, wa, upd, upd_eigs, f, dg, step, r))
-            im_floor, eps0a, picard_a = im_floor[go], eps0a[go], picard_a[go]
-        f4 = f[:, None]
-        dphi = rho._minus_id(-(f4 @ dg @ f4) - basis, level) - basis  # DPhi[B_j] per row and j
-        c = _coords(blocks, np.concatenate((dphi, step[:, None]), 1)).reshape(len(rows), m + 1, m)
-        # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
-        delta = -(inverse(c[:, :m].mT) @ c[:, m:].mT)
-        cand = wa + _from_coords(blocks, delta.reshape(len(rows), level, level, len(blocks)))
-        cand_eigs = herm_eigvals(imag_part(cand))
-        newton = cand_eigs[:, 0] > im_floor
-        kept = np.where(newton[:, None], cand_eigs, upd_eigs)
-        _require_kept_upper(kept)
-        wa = np.where(newton[:, None, None], cand, upd)
-        picard_a = picard_a + ~newton
-    else:  # the budget ran out: the rows left keep their last iterate, unconverged
-        stop(slice(None), wa, kept, r)
-    with np.errstate(divide="ignore", invalid="ignore"):  # SolveTrace.contraction_bound
+    # an iterate that overflows fails where its Im is tested, and the bound divides by lambda_min 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            f, upd, dg = _picard(model, rho, ba, NcPoint(b.base_dim, level, wa), basis)
+            upd_eigs = herm_eigvals(imag_part(upd))
+            lam = upd_eigs[:, 0]
+            eps0a = np.where(lam < eps0a, lam, eps0a)
+            step = upd - wa
+            r = _frobenius(step)
+            done = r <= tol
+            if done.any():
+                _upper(upd_eigs[done], SingularResolvent, "an iterate left the half-plane", "w")
+                at = stop(done, upd, upd_eigs, r)
+                converged[at], iterations[at] = True, it
+                if done.all():
+                    break
+                go = ~done
+                rows, ba, wa, upd, upd_eigs, f, dg, step, r = (x[go] for x in (rows, ba, wa, upd, upd_eigs, f, dg, step, r))
+                im_floor, eps0a, picard_a = im_floor[go], eps0a[go], picard_a[go]
+            f4 = f[:, None]
+            dphi = rho._minus_id(-(f4 @ dg @ f4) - basis, level) - basis  # DPhi[B_j] per row and j
+            c = _coords(blocks, np.concatenate((dphi, step[:, None]), 1)).reshape(len(rows), m + 1, m)
+            # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
+            delta = -(inverse(c[:, :m].mT) @ c[:, m:].mT)
+            cand = wa + _from_coords(blocks, delta.reshape(len(rows), level, level, len(blocks)))
+            cand_eigs = herm_eigvals(imag_part(cand))
+            newton = cand_eigs[:, 0] > im_floor
+            kept = np.where(newton[:, None], cand_eigs, upd_eigs)
+            _upper(kept, SingularResolvent, "an iterate left the half-plane", "w")
+            wa = np.where(newton[:, None, None], cand, upd)
+            picard_a = picard_a + ~newton
+        else:  # the budget ran out: the rows left keep their last iterate, unconverged
+            stop(slice(None), wa, kept, r)
         bound = np.fmax(0.0, np.abs(1.0 - eps0[:, None] / im_eigs).max(-1))
     lo = im_eigs[:, 0]
     columns = (iterations, converged, residual, eps0, lo, np.where(lo > 0, bound, None), picard)
     return NcPoint(b.base_dim, level, w), [c.tolist() for c in columns]
-
-
-def _require_kept_upper(im_eigs: np.ndarray):
-    """SingularResolvent unless each kept iterate, by the eigenvalues of its Im (N, n), is in the half-plane."""
-    inside = positivity_score(im_eigs, POS_MARGIN) > 0.0
-    if not inside.all():
-        lo = im_eigs[np.argmin(inside), 0]
-        raise SingularResolvent(f"an iterate left the half-plane: lambda_min(Im w) = {lo:.3e}")
 
 
 @per_row
@@ -661,7 +660,7 @@ def density_grid(
     bs = (xs + 1j * eps)[:, None, None] * np.eye(d, dtype=np.complex128)
     try:
         rows = _density_rows(model, rho, xs, bs, tol, max_iter)
-    except (NcmetricError, np.linalg.LinAlgError):
+    except NcmetricError:
         # one row at a time in grid order, so the first failing row
         # raises what it raises when solved alone
         rows = [

@@ -4,9 +4,10 @@ All matrices are numpy complex128 arrays. The functions here wrap
 numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root. No other module
-calls np.linalg.eigvalsh, eigvals, svd, inv or cond: herm_eigvals,
-spectrum, operator_norm, condition_number and inverse are the one
-place each factorization is asked for.
+calls np.linalg.eigvalsh, eigh, eigvals, svd, inv or cond or sees a
+LinAlgError: herm_eigvals, herm_eig, spectrum, operator_norm,
+condition_number and inverse ask for each factorization, under
+_factor's one rule for numerical failure.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
@@ -60,6 +61,10 @@ class SingularMatrix(NumericalFailure):
 
 class NotPositiveDefinite(NumericalFailure):
     """A positive-definite matrix was required but not supplied."""
+
+
+class FactorizationFailure(NumericalFailure):
+    """A factorization met a matrix that is not finite, or LAPACK failed on it."""
 
 
 def as_matrix(a) -> np.ndarray:
@@ -123,6 +128,16 @@ def _checked_herm_part(a: np.ndarray, what: str) -> np.ndarray:
     return (a + a_star) / 2.0
 
 
+def _factor(test: str, fn, a: np.ndarray, **kw):
+    """fn(a, **kw), or FactorizationFailure "<test> failure: ..." where a is not finite or LAPACK fails."""
+    if np.count_nonzero(np.isfinite(a)) < np.size(a):  # twice as fast as .all() on small matrices
+        raise FactorizationFailure(f"{test} failure: Array must not contain infs or NaNs")
+    try:
+        return fn(a, **kw)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationFailure(f"{test} failure: {exc}") from None
+
+
 def herm_part(a: np.ndarray) -> np.ndarray:
     """(A + A*)/2, per matrix of a stack."""
     return (a + a.conj().mT) / 2.0
@@ -149,9 +164,11 @@ def herm_eig(a) -> tuple[np.ndarray, np.ndarray]:
     is enforced here. tests/test_matcore.py checks that V @ diag(w) @ V*
     reconstructs random Hermitian input entrywise to 1e-9.
 
-    Raises NonHermitianInput if any matrix fails the Hermiticity check.
+    Raises NonHermitianInput if any matrix fails the Hermiticity check,
+    and FactorizationFailure (see _factor) before it checks.
     """
-    return np.linalg.eigh(_checked_herm_part(as_stack(a), "herm_eig needs a Hermitian matrix"))
+    what = "herm_eig needs a Hermitian matrix"
+    return _factor("eigenvalue", lambda h: np.linalg.eigh(_checked_herm_part(h, what)), as_stack(a))
 
 
 def herm_eigvals(h: np.ndarray) -> np.ndarray:
@@ -159,17 +176,17 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
 
     A 1x1 matrix is its own eigenvalue: its real part is read off,
     bitwise what LAPACK returns (-0.0, infinities and NaN included), and
-    no LAPACK call is made. Like eigvalsh, only the lower triangle and
-    the real part of the diagonal are read; no Hermiticity check.
+    no LAPACK call is made; a larger one goes through _factor. As in
+    eigvalsh, the values read the lower triangle and the real diagonal.
     """
     if h.shape[-1] == 1:
         return h.real[..., 0].copy()
-    return np.linalg.eigvalsh(h)
+    return _factor("eigenvalue", np.linalg.eigvalsh, h)
 
 
 def spectrum(a) -> np.ndarray:
     """np.linalg.eigvals(a): the eigenvalues of a square matrix, or of each in a stack."""
-    return np.linalg.eigvals(a)
+    return _factor("eigenvalue", np.linalg.eigvals, a)
 
 
 def operator_norm(a):
@@ -177,12 +194,12 @@ def operator_norm(a):
     a = as_stack(a)
     if a.size == 0:
         return _one(np.zeros(a.shape[:-2]))
-    return _one(np.linalg.svd(a, compute_uv=False)[..., 0])
+    return _one(_factor("norm", np.linalg.svd, a, compute_uv=False)[..., 0])
 
 
 def condition_number(a):
     """sigma_max / sigma_min from one SVD; one per matrix of a stack."""
-    sv = np.linalg.svd(as_stack(a), compute_uv=False)
+    sv = _factor("condition number", np.linalg.svd, as_stack(a), compute_uv=False)
     return _one(sv[..., 0] / sv[..., -1])
 
 
@@ -221,9 +238,9 @@ def inverse(a) -> np.ndarray:
     sigma_max / sigma_min <= ||A||_F ||A^-1||_F, such a matrix is ten
     times too well conditioned for the singular-value rule to reject,
     and its SVD is not needed. An LU that fails, a product that is not
-    finite or a larger one falls back to the singular values, so
-    singular and non-finite input raise what they raise under that
-    rule alone (NaN entries: LinAlgError "SVD did not converge").
+    finite or a larger one falls back to the singular values, under
+    _factor's rule, so singular input raises what it raises under the
+    singular-value rule alone and non-finite input FactorizationFailure.
     """
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
@@ -237,7 +254,7 @@ def inverse(a) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             if _all(_fro2(a) * _fro2(inv) < (0.1 / SINGULAR_RATIO) ** 2):
                 return inv
-    sv = np.linalg.svd(a, compute_uv=False)
+    sv = _factor("inverse", np.linalg.svd, a, compute_uv=False)
     singular = sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
     if not _all(~singular):
         top, bottom = sv[singular][0, [0, -1]]
@@ -245,7 +262,7 @@ def inverse(a) -> np.ndarray:
             f"matrix is numerically singular (sigma_min/sigma_max = "
             f"{0.0 if top == 0.0 else bottom / top:.3e})"
         )
-    return np.linalg.inv(a) if inv is None else inv
+    return _factor("inverse", np.linalg.inv, a) if inv is None else inv
 
 
 def psd_inv_sqrt(a) -> np.ndarray:
@@ -273,8 +290,11 @@ def principal_sqrt(a) -> tuple[np.ndarray, np.ndarray]:
     Product-form Denman-Beavers, one inverse per step (Higham, Functions of
     Matrices, 2008, eq. 6.17). No eigenvalue of A may lie on (-inf, 0]; one
     at distance e from it costs about log2(1/e) steps and up to 1e-16 / e
-    of relative accuracy. Each matrix stops on its own, with the bits it
-    gets alone; SingularMatrix if one has not after SQRT_STEPS steps.
+    of relative accuracy. Its callers, freeprob's continuous laws above level
+    one, pass -i(B -+ c) with Im B > 0, whose eigenvalues have real part
+    Im lambda(B) > 0 and lie |lambda(B) -+ c| from the cut. Each matrix
+    stops on its own, with the bits it gets alone; SingularMatrix if one
+    has not after SQRT_STEPS steps.
     """
     a = as_stack(a)
     x = a.reshape((-1,) + a.shape[-2:]).copy()

@@ -27,6 +27,7 @@ from ncmetric.domains import (
 )
 from ncmetric.freeprob import MaxIterExceeded, NotInHalfPlane, RangeViolation, SingularResolvent
 from ncmetric.matcore import (
+    FactorizationFailure,
     InputError,
     NcmetricError,
     NonHermitianInput,
@@ -545,6 +546,23 @@ _EDGE_GRID = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-2.48
               "--xmax", "2.4875", "--points", "21", "--eps", "1e-3"]
 
 
+_KRAUS_X = np.array(
+    [
+        [0.5, 0.3 + 0.2j, 0.0, 0.1 - 0.4j],
+        [0.3 - 0.2j, -0.7, 0.25, 0.0],
+        [0.0, 0.25, 0.2, -0.6 + 0.1j],
+        [0.1 + 0.4j, 0.0, -0.6 - 0.1j, -0.3],
+    ]
+)
+
+
+def _kraus_args(tmp_path, v):
+    """convolve's --model and --rho for _KRAUS_X over blocks (2, 2), augmented by the one Kraus map v."""
+    model = _dump(tmp_path, "model.json", {"variant": "matrix_model", "x": mat_to_json(_KRAUS_X), "blocks": [2, 2]})
+    rho = _dump(tmp_path, "rho.json", {"variant": "kraus_augment", "vs": [mat_to_json(v)]})
+    return ["convolve", "--model", model, "--rho", rho]
+
+
 def test_convolve_frozen_outputs(tmp_path, capsys):
     # rows are solved as one stack; x = +-1.99 lie just inside the edge
     assert main(_EDGE_GRID) == 0
@@ -576,19 +594,8 @@ def test_convolve_frozen_outputs(tmp_path, capsys):
     for line in out.splitlines()[1:]:
         x, density = (float(v) for v in line.split(",")[:2])
         assert density == pytest.approx(-oracles.arcsine_G(complex(x, 1e-3)).imag / math.pi, abs=1e-8)
-    x = np.array(
-        [
-            [0.5, 0.3 + 0.2j, 0.0, 0.1 - 0.4j],
-            [0.3 - 0.2j, -0.7, 0.25, 0.0],
-            [0.0, 0.25, 0.2, -0.6 + 0.1j],
-            [0.1 + 0.4j, 0.0, -0.6 - 0.1j, -0.3],
-        ]
-    )
-    model = _dump(tmp_path, "model.json", {"variant": "matrix_model", "x": mat_to_json(x), "blocks": [2, 2]})
-    v = np.diag([0.8, 0.8, 0.6, 0.6])
-    rho = _dump(tmp_path, "rho.json", {"variant": "kraus_augment", "vs": [mat_to_json(v)]})
     out = tmp_path / "kraus.csv"
-    argv = ["convolve", "--model", model, "--rho", rho, "--xmin", "-2.5", "--xmax", "2.5",
+    argv = [*_kraus_args(tmp_path, np.diag([0.8, 0.8, 0.6, 0.6])), "--xmin", "-2.5", "--xmax", "2.5",
             "--points", "11", "--eps", "1e-2", "--out", str(out)]
     assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
@@ -943,6 +950,26 @@ def test_a_solve_that_leaves_the_half_plane_is_exit_4(capsys):
     assert captured.err.startswith("numerical failure: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e160])
+def test_a_kraus_map_that_overflows_the_solve_is_exit_4_in_one_line(tmp_path, capsys, scale):
+    # valid input; at 1e160 the iterate overflows, where numpy's eigvalsh
+    # failed on it as an input error (exit 3) after two warnings
+    argv = _kraus_args(tmp_path, scale * np.eye(4)) + ["--xmin", "-1", "--xmax", "1", "--points", "3", "--eps", "1e-2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    if scale == 1e160:
+        assert captured.err == "numerical failure: eigenvalue failure: Array must not contain infs or NaNs\n"
+    else:
+        # lambda_min(Im w) = 1e-2 is outside for the size of ||Im w||, and
+        # the message shows the rule's own quantity, not 1e-2
+        head = "numerical failure: an iterate left the half-plane: lambda_min(Im w) / max(1, ||Im w||) = "
+        assert captured.err.startswith(head) and captured.err.endswith(", not above 1e-10\n")
+        assert 0.0 < float(captured.err[len(head):].split(",")[0]) <= 1e-10
+
+
 # the exit code of every error class the package defines
 EXIT_CODES = {
     NonHermitianInput: 3,
@@ -955,6 +982,7 @@ EXIT_CODES = {
     NestingViolation: 3,
     SingularMatrix: 4,
     NotPositiveDefinite: 4,
+    FactorizationFailure: 4,
     SeriesNotConverged: 4,
     EvaluationFailure: 4,
     SingularResolvent: 4,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ncmetric import freeprob
 from ncmetric.freeprob import (
@@ -120,6 +122,28 @@ def test_matrix_levels_respect_direct_sums(law):
             for k in (2, 3, 4):
                 gk = cauchy_G(law, point(z * np.eye(k))).mat
                 assert np.abs(gk - g1 * np.eye(k)).max() <= 1e-12, (x, y, k)
+
+
+_UPPER = st.builds(complex, st.floats(-4.0, 4.0), st.floats(1e-9, 2.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(law=st.sampled_from(CONTINUOUS), zs=st.lists(_UPPER, min_size=2, max_size=4), seed=st.none() | st.integers(0, 2**32))
+# c^2 - B^2 had an eigenvalue next to the square root's cut here: SingularResolvent
+@example(law=CONTINUOUS[0], zs=[math.sqrt(5.0) + 1e-7j, 0.3 + 1.0j], seed=None)
+@example(law=CONTINUOUS[2], zs=[math.sqrt(5.0) + 1e-7j, 0.3 + 1.0j], seed=None)
+def test_G_of_a_unitary_conjugate_of_a_diagonal_is_G_of_each_entry(law, zs, seed):
+    # G(U diag(z) U*) = U diag(G(z_i)) U* at levels 2-4, near the real axis
+    # too; only the edges +-c, where G has a branch point, are left out
+    assume(min(abs(abs(z.real) - _edge(law)) for z in zs) >= 1e-3)
+    z = np.array(zs)
+    u = np.eye(len(z))
+    if seed is not None:
+        u = np.linalg.qr(_rng(seed).standard_normal((len(z), 2 * len(z))).view(complex))[0]
+    g1 = cauchy_G(law, NcPoint(1, 1, z[:, None, None])).mat[:, 0, 0]
+    want = (u * g1) @ u.conj().T
+    got = cauchy_G(law, point((u * z) @ u.conj().T)).mat
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
