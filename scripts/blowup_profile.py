@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from ncmetric import BallKernel, NormBound, SpectralDisk, delta_auto_tilde, delta_tilde, point
-from ncmetric.sampling import rng_stream, selfadjoint_disk_point
+from ncmetric.sampling import rng_stream, scaled, selfadjoint_disk_draw
 
 
 def main():
@@ -32,8 +32,8 @@ def main():
         worst = 0.0
         for _ in range(args.samples):
             lvl = int(rng.integers(1, 3))
-            a = selfadjoint_disk_point(rng, lvl, 1, 0.25, fill=fill)
-            c = selfadjoint_disk_point(rng, lvl, 1, 0.25, fill=fill)
+            a = scaled(selfadjoint_disk_draw(rng, lvl, 1, 0.25, fill=fill))
+            c = scaled(selfadjoint_disk_draw(rng, lvl, 1, 0.25, fill=fill))
             worst = max(worst, delta_auto_tilde(disk, a, c).value)
         print(f"{fill:.6f},{ball_val:.6f},{worst:.6f}")
 

@@ -18,7 +18,6 @@ from .matcore import (
     imag_part,
     inverse,
     is_hermitian,
-    is_strictly_positive,
     operator_norm,
     psd_inv_sqrt,
 )
@@ -103,7 +102,6 @@ from .freeprob import (
     density_grid,
     expectation,
     F_and_h,
-    halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
     picard_ratio,

@@ -142,6 +142,7 @@ def cmd_distance(args) -> int:
 
 def cmd_contract(args) -> int:
     _at_least_one("--samples", args.samples)
+    _at_most("--samples", args.samples, MAX_STACK_POINTS)
     _at_least_one("--base-dim", args.base_dim)
     finite_at_least_zero("--tol", args.tol)
     f = _load(args.function, "function")
@@ -228,6 +229,7 @@ def cmd_props(args) -> int:
 
 def cmd_counterexample(args) -> int:
     _at_least_one("--samples", args.samples)
+    _at_most("--samples", args.samples, MAX_STACK_POINTS)
     # spectrum inside the disk at every level, norm bounded by the level
     graded = SpectralDisk(0.0, 1.0, NormBound("level", 1.0))
     big = np.zeros((4, 4), dtype=complex)

@@ -29,12 +29,13 @@ _closed_form(a, c, b) = delta(a, c)(b), labelled by closed ("ball",
 
 A domain kind, here or outside the package, has a kernel attribute
 (the kernel that cuts it out, or None), _propose(rng, level, base_dim)
-for sample_triples, optionally _delta(a, c, b, margin) = delta(a, c)(b)
-exactly, and _inside(a, margin). _inside always receives a stack
-(N, n, n) (see ncpoint) and returns (inside, score), N bools and N
-floats, or raises a NumericalFailure when some row cannot be tested
-(matcore's rule fails a factored matrix that is not finite; a 1x1 gram
-is not factored, and one that is not finite scores outside).
+for sample_triples, optionally _delta(a, c, b) = delta(a, c)(b)
+exactly at MEMBERSHIP_MARGIN, and _inside(a, margin). _inside always
+receives a stack (N, n, n) (see ncpoint) and returns (inside, score),
+N bools and N floats, or raises a NumericalFailure when some row
+cannot be tested (matcore's rule fails a factored matrix that is not
+finite; a 1x1 gram is not factored, and one that is not finite scores
+outside).
 The score is positive inside and, along a ray [[a, s b], [0, c]],
 changes sign where the ray leaves (kernel domains: lambda_min of the
 gram less its margin term; spectral disks: the norm cap less ||X||,
@@ -98,7 +99,7 @@ from .sampling import (
     selfadjoint_disk_draw,
 )
 
-# Default membership margin (relative, via is_strictly_positive).
+# Default membership margin (relative on kernel domains, via positivity_score).
 MEMBERSHIP_MARGIN = 1e-9
 # ||a^m|| <= NILPOTENT_TOL * ||a||^m counts as nilpotent at size m.
 NILPOTENT_TOL = 1e-10
@@ -190,7 +191,7 @@ class KernelDomain:
 
     def _inside(self, a: NcPoint, margin: float):
         g = gram(self.kernel, a)
-        # is_strictly_positive's rule; herm_part(g) is Hermitian by construction
+        # herm_part(g) is Hermitian by construction
         score = positivity_score(herm_eigvals(herm_part(g)), margin)
         return score > 0.0, score
 
@@ -245,10 +246,10 @@ class SpectralDisk:
             inside[inside] = np.abs(spectrum(a.mat[inside]) - self.center).max(-1) < self.radius - margin
         return inside, cap - norm
 
-    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
+    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection):
         # the ray leaves at the cap of its level; a and c inside have
         # norms below it under either rule, so both factors are definite
-        return ball_delta(a, c, b, self.norm_bound.at_level(a.level + c.level) - margin)
+        return ball_delta(a, c, b, self.norm_bound.at_level(a.level + c.level) - MEMBERSHIP_MARGIN)
 
     def _propose(self, rng, level: int, base_dim: int):
         draw = selfadjoint_disk_draw(rng, level, base_dim, self.radius)
@@ -268,7 +269,7 @@ class NilpotentCone:
         inside = operator_norm(power) <= NILPOTENT_TOL * np.power(norm, m)
         return inside, np.full(inside.shape, np.nan)
 
-    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection, margin: float):
+    def _delta(self, a: NcPoint, c: NcPoint, b: NcDirection):
         return np.zeros(np.broadcast_shapes(a.mat.shape[:-2], c.mat.shape[:-2], b.mat.shape[:-2]))
 
     def _propose(self, rng, level: int, base_dim: int):

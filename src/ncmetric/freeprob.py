@@ -70,8 +70,7 @@ from .matcore import (
     principal_sqrt,
     variant,
 )
-from .domains import halfplane_delta
-from .ncpoint import NcDirection, NcPoint, per_row
+from .ncpoint import NcPoint, per_row
 
 # Im h may dip this far below zero before we call it broken.
 H_IMAG_SLACK = 1e-6
@@ -163,6 +162,11 @@ class ScalarLaw:
         object.__setattr__(self, "atom", finite("atom", complex(self.atom)))
         if self.kind == "semicircle" and self.variance <= 0:
             raise ValueError("semicircle variance must be positive")
+        # a parameter the law ignores would print the rows of the default
+        if self.kind != "semicircle" and self.variance != 1.0:
+            raise ValueError(f"variance applies to the semicircle law only, got {self.variance} for {self.kind}")
+        if self.kind != "point_mass" and self.atom != 0:
+            raise ValueError(f"atom applies to the point_mass law only, got {self.atom} for {self.kind}")
 
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
         if self.kind not in ("semicircle", "arcsine"):
@@ -291,8 +295,8 @@ def _require_upper(p: NcPoint, name: str = "b") -> np.ndarray:
     """The ascending eigenvalues of Im p, or of each Im of a stack, once each is strictly positive.
 
     NotInHalfPlane names the point otherwise. The rule is
-    is_strictly_positive's, whose Hermiticity check cannot fail on the
-    imag_part of finite input; a non-finite Im is outside.
+    positivity_score's at POS_MARGIN; imag_part is Hermitian by
+    construction, and a non-finite Im is outside.
     """
     im = imag_part(p.mat)
     if not np.isfinite(im).all():
@@ -408,19 +412,6 @@ class KrausAugment:
             big = _lift(v, level)
             out = out + big.conj().T @ m @ big
         return out
-
-
-def halfplane_gauge(a: NcPoint, c: NcPoint):
-    """||(Im a)^(-1/2) (a - c) (Im c)^(-1/2)||; zero exactly when a = c.
-
-    Stacks of points give one value per row; a point of either stack
-    outside the half-plane raises.
-    """
-    if a.level != c.level or a.base_dim != c.base_dim:
-        raise ValueError("gauge needs points at the same level and base")
-    _require_upper(a, "a")
-    _require_upper(c, "c")
-    return 2.0 * halfplane_delta(a, c, NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat))
 
 
 @dataclass(frozen=True)

@@ -203,18 +203,6 @@ def condition_number(a):
     return _one(sv[..., 0] / sv[..., -1])
 
 
-def is_strictly_positive(a, margin: float = POS_MARGIN):
-    """True when the Hermitian input has lambda_min > margin * max(1, ||A||).
-
-    ||A|| is max(|lambda_min|, |lambda_max|), read off the eigenvalues
-    already computed. A stack gives one bool per matrix. Raises
-    NonHermitianInput if any matrix is not Hermitian; symmetrize first
-    if roundoff is expected.
-    """
-    h = _checked_herm_part(as_stack(a), "positivity is only defined for Hermitian matrices")
-    return _one(positivity_score(herm_eigvals(h), margin) > 0.0)
-
-
 def positivity_score(w: np.ndarray, margin: float) -> np.ndarray:
     """lambda_min - margin * max(1, ||A||) per row of ascending eigenvalues w.
 

@@ -18,8 +18,8 @@ kinds without one search the ray.
 delta_tilde is the two-point gauge delta(a, c)(a - c) in closed form.
 dtilde_upper gives certified upper bounds on the division distance it
 generates; d_upper estimates the distance along the segment from a to c
-by midpoint quadrature. delta_ray, delta_routes and delta_auto take a
-membership margin; delta_closed, delta_kernel, the gauges, the
+by midpoint quadrature. delta_ray and delta_routes take the membership
+margin that `delta --margin` sets; the other routes, the gauges, the
 distances and the reports test membership at MEMBERSHIP_MARGIN.
 
 The routes compute on stacks of points (N, n, n) and directions and
@@ -424,39 +424,37 @@ def _tilde_values(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
 def _route(domain):
     """delta_auto's route on the domain: (method, values).
 
-    values(a, c, b, margin) is delta(a, c)(b) per row of the stacks,
-    for a and c already known to lie inside at that margin.
+    values(a, c, b) is delta(a, c)(b) per row of the stacks, for a and
+    c already known to lie inside at MEMBERSHIP_MARGIN.
     """
     exact = getattr(domain, "_delta", None)
     if exact is not None:
         return "exact", exact
     k = domain.kernel
     if k is None:
-        return "ray", lambda a, c, b, margin: _ray_values(domain, a, c, b, margin)
+        return "ray", partial(_ray_values, domain)
     if k.closed:
-        return f"closed_{k.closed}", lambda a, c, b, margin: k._closed_form(a, c, b)
-    return "kernel", lambda a, c, b, margin: _kernel_value(k, a, c, b)
+        return f"closed_{k.closed}", k._closed_form
+    return "kernel", partial(_kernel_value, k)
 
 
-def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float) -> np.ndarray:
-    return np.array([r.value for r in _ray(domain, a, c, b, RAY_TOL, margin)])
+def _ray_values(domain, a: NcPoint, c: NcPoint, b: NcDirection) -> np.ndarray:
+    return np.array([r.value for r in _ray(domain, a, c, b, RAY_TOL, MEMBERSHIP_MARGIN)])
 
 
 def _difference(a: NcPoint, c: NcPoint) -> NcDirection:
     return NcDirection(a.base_dim, a.level, c.level, a.mat - c.mat)
 
 
-def delta_auto(
-    domain, a: NcPoint, c: NcPoint, b: NcDirection, margin: float = MEMBERSHIP_MARGIN
-) -> DeltaResult | list[DeltaResult]:
+def delta_auto(domain, a: NcPoint, c: NcPoint, b: NcDirection) -> DeltaResult | list[DeltaResult]:
     """delta by the domain's exact route: its own _delta, its kernel's
     closed form, or the kernel formula; the ray search for a kind with
     none of them. Stacks give a list with one result per row."""
     method, values = _route(domain)
     if method == "ray":
-        return delta_ray(domain, a, c, b, margin=margin)
-    _require_endpoints(domain, a, c, b, margin)
-    return _formula(method, values, a, c, b, margin)
+        return delta_ray(domain, a, c, b)
+    _require_endpoints(domain, a, c, b)
+    return _formula(method, values, a, c, b)
 
 
 def delta_auto_tilde(domain, a: NcPoint, c: NcPoint) -> DeltaResult | list[DeltaResult]:
@@ -468,7 +466,7 @@ def delta_auto_tilde(domain, a: NcPoint, c: NcPoint) -> DeltaResult | list[Delta
 
 def _delta_values(domain, a: NcPoint, c: NcPoint, b: NcDirection) -> np.ndarray:
     """delta_auto's values per row of the stacks, for points already known inside."""
-    return _route(domain)[1](a, c, b, MEMBERSHIP_MARGIN)
+    return _route(domain)[1](a, c, b)
 
 
 def _chain_values(domain, x: NcPoint, y: NcPoint) -> np.ndarray:

@@ -11,11 +11,10 @@ matrix g, then its target operator norm, returned as a Draw. scaled
 turns the Draws of a whole batch into their samples,
 g * (target / max(1e-12, ||g||)), with one stacked operator_norm per
 shape group; a stacked SVD gives each matrix the bits it gets alone, so
-a sample is the same however many are scaled with it. ball_point,
-selfadjoint_disk_point and direction_sample are the draw and the
-scaling of one sample. domains.sample_triples, which draws the samples
-of `contract` from a domain's proposals, scales the draws of each
-proposal round in one call.
+a sample is the same however many are scaled with it, and
+scaled(<draw>) is one sample. domains.sample_triples, which draws the
+samples of `contract` from a domain's proposals, scales the draws of
+each proposal round in one call.
 """
 
 from __future__ import annotations
@@ -105,15 +104,10 @@ def unitary_matrix(rng, n: int) -> np.ndarray:
 
 
 def ball_draw(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> Draw:
-    """ball_point's draw."""
+    """The draw of a point with operator norm uniform in [0.1, fill] * radius."""
     n = level * base_dim
     g = complex_matrix(rng, n, n)
     return Draw(g, radius * rng.uniform(0.1, fill), partial(NcPoint, base_dim, level))
-
-
-def ball_point(rng, level: int, base_dim: int, radius: float = 1.0, fill: float = 0.75) -> NcPoint:
-    """A point with operator norm uniform in [0.1, fill] * radius."""
-    return scaled(ball_draw(rng, level, base_dim, radius, fill))
 
 
 def halfplane_point(rng, level: int, base_dim: int, im_floor: float = 0.3) -> NcPoint:
@@ -126,14 +120,9 @@ def halfplane_point(rng, level: int, base_dim: int, im_floor: float = 0.3) -> Nc
 
 
 def selfadjoint_disk_draw(rng, level: int, base_dim: int, radius: float, fill: float = 0.9) -> Draw:
-    """selfadjoint_disk_point's draw."""
+    """The draw of a Hermitian point with norm (= spectral radius) below fill * radius."""
     h = hermitian_matrix(rng, level * base_dim)
     return Draw(h, radius * fill * rng.uniform(0.1, 1.0), partial(NcPoint, base_dim, level))
-
-
-def selfadjoint_disk_point(rng, level: int, base_dim: int, radius: float, fill: float = 0.9) -> NcPoint:
-    """Hermitian point with norm (= spectral radius) below fill * radius."""
-    return scaled(selfadjoint_disk_draw(rng, level, base_dim, radius, fill))
 
 
 def nilpotent_point(rng, level: int, base_dim: int) -> NcPoint:
@@ -144,12 +133,7 @@ def nilpotent_point(rng, level: int, base_dim: int) -> NcPoint:
     return NcPoint(base_dim, level, m)
 
 
-def direction_draw(rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0) -> Draw:
-    """direction_sample's draw."""
+def direction_draw(rng, base_dim: int, row_level: int, col_level: int) -> Draw:
+    """The draw of a direction with operator norm uniform in [0.2, 1]."""
     g = complex_matrix(rng, row_level * base_dim, col_level * base_dim)
-    return Draw(g, scale * rng.uniform(0.2, 1.0), partial(NcDirection, base_dim, row_level, col_level))
-
-
-def direction_sample(rng, base_dim: int, row_level: int, col_level: int, scale: float = 1.0) -> NcDirection:
-    """A direction with operator norm uniform in [0.2, 1] * scale."""
-    return scaled(direction_draw(rng, base_dim, row_level, col_level, scale))
+    return Draw(g, rng.uniform(0.2, 1.0), partial(NcDirection, base_dim, row_level, col_level))

@@ -48,13 +48,14 @@ from ncmetric.metric import (
 from ncmetric.ncfunc import MoebiusBall, Polynomial, delta_f, eval_point
 from ncmetric.ncpoint import NcDirection, NcPoint, amplify, direct_sum, point, unitary_conjugate
 from ncmetric.sampling import (
-    ball_point,
+    ball_draw,
     complex_matrix,
-    direction_sample,
+    direction_draw,
     halfplane_point,
     hermitian_matrix,
     rng_stream,
-    selfadjoint_disk_point,
+    scaled,
+    selfadjoint_disk_draw,
     unitary_matrix,
 )
 
@@ -85,14 +86,14 @@ def test_criterion_01_oracle_equivalence():
     rng = rng_stream(SEED, "acc_oracle")
     worst = 0.0
     for kernel, dom, sample in (
-        (BallKernel(), ball_domain(), ball_point),
+        (BallKernel(), ball_domain(), ball_draw),
         (HalfPlaneKernel(), halfplane_domain(), halfplane_point),
     ):
         for _ in range(100):
             lvl = int(rng.integers(1, 4))
             d = int(rng.integers(1, 3))
-            a, c = sample(rng, lvl, d), sample(rng, lvl, d)
-            b = direction_sample(rng, d, lvl, lvl)
+            a, c = scaled((sample(rng, lvl, d), sample(rng, lvl, d)))
+            b = scaled(direction_draw(rng, d, lvl, lvl))
             ray = delta_ray(dom, a, c, b, tol=1e-7).value
             closed = delta_closed(kernel, a, c, b).value
             kern = delta_kernel(kernel, a, c, b).value
@@ -109,12 +110,12 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_invariance_rules():
     rng = rng_stream(SEED, "acc_rules")
     worst_u = worst_d = worst_a = 0.0
-    kinds = ((BallKernel(), ball_point), (HalfPlaneKernel(), halfplane_point))
+    kinds = ((BallKernel(), ball_draw), (HalfPlaneKernel(), halfplane_point))
     for i in range(50):
         kernel, sample = kinds[i % 2]
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a, c = sample(rng, lvl, d), sample(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
+        a, c = scaled((sample(rng, lvl, d), sample(rng, lvl, d)))
+        b = scaled(direction_draw(rng, d, lvl, lvl))
         u, v = unitary_matrix(rng, lvl), unitary_matrix(rng, lvl)
         uk, vk = np.kron(u, np.eye(d)), np.kron(v, np.eye(d))
         before = delta_closed(kernel, a, c, b).value
@@ -129,10 +130,10 @@ def test_criterion_02_invariance_rules():
         kernel, sample = kinds[i % 2]
         d = int(rng.integers(1, 3))
         lv1, lv2 = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a1, c1 = sample(rng, lv1, d), sample(rng, lv1, d)
-        a2, c2 = sample(rng, lv2, d), sample(rng, lv2, d)
-        b1 = direction_sample(rng, d, lv1, lv1)
-        b2 = direction_sample(rng, d, lv2, lv2)
+        a1, c1 = scaled((sample(rng, lv1, d), sample(rng, lv1, d)))
+        a2, c2 = scaled((sample(rng, lv2, d), sample(rng, lv2, d)))
+        b1 = scaled(direction_draw(rng, d, lv1, lv1))
+        b2 = scaled(direction_draw(rng, d, lv2, lv2))
         big_b = np.zeros((a1.dim + a2.dim, c1.dim + c2.dim), dtype=np.complex128)
         big_b[: a1.dim, : c1.dim] = b1.mat
         big_b[a1.dim :, c1.dim :] = b2.mat
@@ -147,8 +148,8 @@ def test_criterion_02_invariance_rules():
     for _ in range(50):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
         k = int(rng.integers(2, 4))
-        a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
+        a, c = scaled(ball_draw(rng, lvl, d)), scaled(ball_draw(rng, lvl, d))
+        b = scaled(direction_draw(rng, d, lvl, lvl))
         z = complex_matrix(rng, k, k)
         base = delta_closed(BallKernel(), a, c, b).value
         val = delta_closed(
@@ -189,8 +190,8 @@ def test_criterion_04_bounded_tilde_counterexample():
     worst = 0.0
     for _ in range(200):
         lvl = int(rng.integers(1, 3))
-        a = selfadjoint_disk_point(rng, lvl, 1, 0.25)
-        c = selfadjoint_disk_point(rng, lvl, 1, 0.25)
+        a = scaled(selfadjoint_disk_draw(rng, lvl, 1, 0.25))
+        c = scaled(selfadjoint_disk_draw(rng, lvl, 1, 0.25))
         worst = max(worst, delta_auto_tilde(disk, a, c).value)
     blow = delta_tilde(BallKernel(), point([[0.0]]), point([[1.0 - 1e-3]])).value
     _report(
@@ -208,8 +209,8 @@ def test_criterion_05_schwarz_pick():
         alpha = 0.85 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         f = MoebiusBall(complex(alpha))
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
+        a, c = scaled(ball_draw(rng, lvl, d)), scaled(ball_draw(rng, lvl, d))
+        b = scaled(direction_draw(rng, d, lvl, lvl))
         lhs = delta_closed(BallKernel(), eval_point(f, a), eval_point(f, c), delta_f(f, a, c, b)).value
         rhs = delta_closed(BallKernel(), a, c, b).value
         worst_eq = max(worst_eq, abs(lhs - rhs))
@@ -217,8 +218,8 @@ def test_criterion_05_schwarz_pick():
     worst_ex = -float("inf")
     for _ in range(50):
         d, lvl = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        a, c = ball_point(rng, lvl, d), ball_point(rng, lvl, d)
-        b = direction_sample(rng, d, lvl, lvl)
+        a, c = scaled(ball_draw(rng, lvl, d)), scaled(ball_draw(rng, lvl, d))
+        b = scaled(direction_draw(rng, d, lvl, lvl))
         lhs = delta_closed(
             BallKernel(), eval_point(half_square, a), eval_point(half_square, c), delta_f(half_square, a, c, b)
         ).value
@@ -379,8 +380,8 @@ def test_criterion_10_nesting_constant():
     for _ in range(100):
         lvl = int(rng.integers(1, 3))
         d = int(rng.integers(1, 3))
-        a = ball_point(rng, lvl, d, radius=0.5, fill=0.95)
-        c = ball_point(rng, lvl, d, radius=0.5, fill=0.95)
+        a = scaled(ball_draw(rng, lvl, d, radius=0.5, fill=0.95))
+        c = scaled(ball_draw(rng, lvl, d, radius=0.5, fill=0.95))
         di = delta_tilde(inner, a, c).value
         do = delta_tilde(BallKernel(), a, c).value
         min_margin = min(min_margin, 0.5 * di - do)
@@ -398,8 +399,8 @@ def test_criterion_11_norm_lower_bound():
     for _ in range(100):
         lvl = int(rng.integers(1, 3))
         d = int(rng.integers(1, 3))
-        a = ball_point(rng, lvl, d, fill=0.9)
-        c = ball_point(rng, lvl, d, fill=0.9)
+        a = scaled(ball_draw(rng, lvl, d, fill=0.9))
+        c = scaled(ball_draw(rng, lvl, d, fill=0.9))
         val = delta_tilde(BallKernel(), a, c).value
         min_margin = min(min_margin, val - operator_norm(a.mat - c.mat))
     _report(

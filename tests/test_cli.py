@@ -473,15 +473,24 @@ def test_a_level_below_one_is_exit_3_naming_levels(monkeypatch, tmp_path, ball_f
         ("distance", "--refine", ncmetric.cli.MAX_REFINE),
         ("distance", "--quad-points", ncmetric.cli.MAX_STACK_POINTS),
         ("convolve", "--points", ncmetric.cli.MAX_STACK_POINTS),
+        ("contract", "--samples", ncmetric.cli.MAX_STACK_POINTS),
+        ("counterexample", "--samples", ncmetric.cli.MAX_STACK_POINTS),
     ],
 )
-def test_a_stack_over_its_limit_is_exit_3_before_it_is_built(monkeypatch, ball_files, capsys, command, flag, limit):
-    for name in ("dtilde_upper", "d_upper", "density_grid"):
+def test_a_stack_over_its_limit_is_exit_3_before_it_is_built(
+    monkeypatch, tmp_path, ball_files, capsys, command, flag, limit
+):
+    # rng_stream starts the sampling of contract and counterexample
+    for name in ("dtilde_upper", "d_upper", "density_grid", "rng_stream"):
         monkeypatch.setattr(ncmetric.cli, name, _reached)
-    if command == "distance":
-        argv = ["distance", "--domain", ball_files["domain"], "--a", ball_files["a"], "--c", ball_files["c"]]
-    else:
-        argv = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"]
+    dom = ball_files["domain"]
+    argv = {
+        "distance": ["distance", "--domain", dom, "--a", ball_files["a"], "--c", ball_files["c"]],
+        "convolve": ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1", "--xmax", "1"],
+        "contract": ["contract", "--function", _dump(tmp_path, "f.json", to_json(Polynomial((0.0, 0.5)))),
+                     "--src", dom, "--dst", dom],
+        "counterexample": ["counterexample"],
+    }[command]
     assert main(argv + [flag, str(limit + 1)]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"input error: {flag} must be at most {limit}, got {limit + 1}\n" and captured.out == ""
@@ -769,6 +778,24 @@ def test_a_negative_non_number_is_still_no_flag_value(capsys, flag, value):
     captured = capsys.readouterr()
     assert captured.err.endswith(f"error: argument {flag}: expected one argument\n")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "law, field, value, message",
+    [
+        ("bernoulli", "variance", 5.0, "variance applies to the semicircle law only, got 5.0 for bernoulli"),
+        ("arcsine", "atom", 3.0, "atom applies to the point_mass law only, got (3+0j) for arcsine"),
+        ("semicircle", "atom", 3.0, "atom applies to the point_mass law only, got (3+0j) for semicircle"),
+    ],
+)
+def test_a_law_parameter_the_law_ignores_is_exit_3(tmp_path, capsys, law, field, value, message):
+    # such a flag used to be dropped, printing the rows of the law's default
+    argv = ["convolve", "--rho-t", "2", "--xmin", "-0.5", "--xmax", "0.5", "--points", "3", "--eps", "1e-2"]
+    record = {"variant": "scalar_law", "law": law, field: value if field == "variance" else [value, 0.0]}
+    for model in (["--law", law, f"--{field}", str(value)], ["--model", _dump(tmp_path, "law.json", record)]):
+        assert main(argv + model) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("eps", ["1e-10", "1e-11"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ncmetric import freeprob
+from ncmetric import freeprob, props
 from ncmetric.freeprob import (
     DensityResult,
     DensityRow,
@@ -22,7 +22,6 @@ from ncmetric.freeprob import (
     cauchy_G,
     density_grid,
     expectation,
-    halfplane_gauge,
     k0_and_fixed_point,
     make_h0,
     picard_ratio,
@@ -137,13 +136,27 @@ def test_G_of_a_unitary_conjugate_of_a_diagonal_is_G_of_each_entry(law, zs, seed
     # too; only the edges +-c, where G has a branch point, are left out
     assume(min(abs(abs(z.real) - _edge(law)) for z in zs) >= 1e-3)
     z = np.array(zs)
+    rng = _rng(0 if seed is None else seed)
     u = np.eye(len(z))
     if seed is not None:
-        u = np.linalg.qr(_rng(seed).standard_normal((len(z), 2 * len(z))).view(complex))[0]
+        u = np.linalg.qr(rng.standard_normal((len(z), 2 * len(z))).view(complex))[0]
     g1 = cauchy_G(law, NcPoint(1, 1, z[:, None, None])).mat[:, 0, 0]
     want = (u * g1) @ u.conj().T
-    got = cauchy_G(law, point((u * z) @ u.conj().T)).mat
+    b = point((u * z) @ u.conj().T)
+    got = cauchy_G(law, b).mat
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    # DG(B)[E] by Daleckii-Krein: in the eigenbasis, (U* E U)_ij times the
+    # divided difference (G(z_i) - G(z_j)) / (z_i - z_j), and G'(z_i) on the
+    # diagonal; for eigenvalues apart, where the quotient is well conditioned
+    if min(abs(x - y) for i, x in enumerate(zs) for y in zs[i + 1 :]) < 0.1:
+        return
+    e = rng.standard_normal((len(z), 2 * len(z))).view(complex)
+    dz = z[:, None] - z[None, :]
+    quotient = (g1[:, None] - g1[None, :]) / np.where(dz == 0, 1.0, dz)
+    np.fill_diagonal(quotient, [_G_prime(law, complex(x)) for x in z])
+    want = u @ (quotient * (u.conj().T @ e @ u)) @ u.conj().T
+    got = law._G_dG(b, e[None])[1][0]
+    assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
 
 
 @pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
@@ -381,10 +394,8 @@ def test_density_grid_recovers_arcsine_support():
 
 
 def test_gauge_frozen_value_and_axioms():
-    assert halfplane_gauge(_scalar(2j), _scalar(1j)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert halfplane_gauge(_scalar(2j), _scalar(2j)) == 0.0
-    with pytest.raises(NotInHalfPlane):
-        halfplane_gauge(_scalar(1.0), _scalar(1j))
+    assert props._gauge(_scalar(2j), _scalar(1j)) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert props._gauge(_scalar(2j), _scalar(2j)) == 0.0
 
 
 def test_fixed_point_frozen_value():
@@ -797,16 +808,11 @@ def test_gauge_on_stacks_gives_the_values_of_its_rows():
         a_mats = np.stack([halfplane_point(rng, level, base).mat for _ in range(5)])
         c_mats = a_mats[::-1].copy()
         a, c = NcPoint(base, level, a_mats), NcPoint(base, level, c_mats)
-        rows = [halfplane_gauge(NcPoint(base, level, x), NcPoint(base, level, y))
-                for x, y in zip(a_mats, c_mats)]
-        values = halfplane_gauge(a, c)
+        rows = [props._gauge(NcPoint(base, level, x), NcPoint(base, level, y)) for x, y in zip(a_mats, c_mats)]
+        values = props._gauge(a, c)
         assert values.shape == (5,)
         assert values.tolist() == rows
-        assert halfplane_gauge(a, a).tolist() == [0.0] * 5
-        outside = c_mats.copy()
-        outside[3] = outside[3].real
-        with pytest.raises(NotInHalfPlane, match="point c"):
-            halfplane_gauge(a, NcPoint(base, level, outside))
+        assert props._gauge(a, a).tolist() == [0.0] * 5
 
 
 def _no_solve(*args, **kwargs):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ncmetric
 from ncmetric.matcore import (
+    POS_MARGIN,
     SINGULAR_RATIO,
     FactorizationFailure,
     NonHermitianInput,
@@ -26,10 +27,10 @@ from ncmetric.matcore import (
     imag_part,
     inverse,
     is_hermitian,
-    is_strictly_positive,
     mat_from_json,
     mat_to_json,
     operator_norm,
+    positivity_score,
     principal_sqrt,
     psd_inv_sqrt,
     spectrum,
@@ -42,6 +43,11 @@ EIG_TOL = 1e-10
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _positive(h, margin=POS_MARGIN):
+    """The package's strict positivity rule on a Hermitian matrix or stack."""
+    return positivity_score(herm_eigvals(np.asarray(h, dtype=complex)), margin) > 0.0
 
 
 def _hermitian(rng, n, scale=1.0):
@@ -83,22 +89,22 @@ def test_a_factorization_of_a_matrix_that_is_not_finite_raises(bad):
 
 
 def test_strict_positivity_examples():
-    assert is_strictly_positive(np.eye(2), 0.0)
-    assert not is_strictly_positive(np.zeros((2, 2)), 0.0)
+    assert _positive(np.eye(2), 0.0)
+    assert not _positive(np.zeros((2, 2)), 0.0)
     # lambda_min = 1 -/+ off-diagonal
-    assert is_strictly_positive(np.array([[1.0, 0.999], [0.999, 1.0]]), 0.0)
-    assert not is_strictly_positive(np.array([[1.0, 1.001], [1.001, 1.0]]), 0.0)
+    assert _positive(np.array([[1.0, 0.999], [0.999, 1.0]]), 0.0)
+    assert not _positive(np.array([[1.0, 1.001], [1.001, 1.0]]), 0.0)
 
 
 def test_strict_positivity_margin_is_relative():
     # default margin 1e-10 scaled by max(1, ||A||) = 100 puts the threshold at 1e-8
-    assert is_strictly_positive(np.diag([1.01e-8, 100.0]))
-    assert not is_strictly_positive(np.diag([0.99e-8, 100.0]))
+    assert _positive(np.diag([1.01e-8, 100.0]))
+    assert not _positive(np.diag([0.99e-8, 100.0]))
     # a negative margin admits lambda_min down to margin * ||A||
-    assert is_strictly_positive(np.diag([-0.05, 100.0]), -1e-3)
-    assert not is_strictly_positive(np.diag([-0.2, 100.0]), -1e-3)
+    assert _positive(np.diag([-0.05, 100.0]), -1e-3)
+    assert not _positive(np.diag([-0.2, 100.0]), -1e-3)
     # ||A|| = |lambda_min| when the negative end dominates
-    assert is_strictly_positive(np.diag([-3.0, 1.0]), -2.0)
+    assert _positive(np.diag([-3.0, 1.0]), -2.0)
 
 
 def test_operator_norm_examples():
@@ -258,8 +264,8 @@ def test_stacks_match_rows():
     rng = _rng(9)
     herms = np.stack([_hermitian(rng, 3) + 4.0 * k * np.eye(3) for k in range(4)])
     gens = np.stack([_hermitian(rng, 3) + 1j * _hermitian(rng, 3) for _ in range(4)])
-    positive = is_strictly_positive(herms)
-    assert positive.tolist() == [is_strictly_positive(h) for h in herms]
+    positive = _positive(herms)
+    assert positive.tolist() == [_positive(h) for h in herms]
     assert positive.tolist() == [False, True, True, True]
     assert is_hermitian(herms).all() and not is_hermitian(gens).any()
     for fn, stack in ((psd_inv_sqrt, herms[1:]), (inverse, gens), (operator_norm, gens),
@@ -274,7 +280,7 @@ def test_stacks_match_rows():
 def test_one_bad_matrix_fails_a_stack():
     good = np.stack([np.eye(2), 2.0 * np.eye(2)])
     with pytest.raises(NonHermitianInput):
-        is_strictly_positive(np.concatenate([good, [[[1.0, 1.0], [0.0, 1.0]]]]))
+        herm_eig(np.concatenate([good, [[[1.0, 1.0], [0.0, 1.0]]]]))
     with pytest.raises(NotPositiveDefinite):
         psd_inv_sqrt(np.concatenate([good, [-np.eye(2)]]))
     with pytest.raises(SingularMatrix):
@@ -454,6 +460,40 @@ def test_no_module_imports_a_private_name_of_another():
             if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ncmetric")):
                 offenders += [f"{name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+# each module's package-internal imports: freeprob, the free-probability
+# layer, stands on matcore and ncpoint alone, and a new edge between
+# modules is a deliberate edit of this table
+_IMPORTS = {
+    "__init__": {"domains", "freeprob", "matcore", "metric", "ncfunc", "ncpoint", "props", "sampling"},
+    "cli": {"domains", "freeprob", "matcore", "metric", "ncpoint", "props", "sampling"},
+    "domains": {"matcore", "ncfunc", "ncpoint", "sampling"},
+    "freeprob": {"matcore", "ncpoint"},
+    "matcore": set(),
+    "metric": {"domains", "matcore", "ncfunc", "ncpoint"},
+    "ncfunc": {"matcore", "ncpoint"},
+    "ncpoint": {"matcore"},
+    "props": {"domains", "freeprob", "matcore", "metric", "ncfunc", "ncpoint", "sampling"},
+    "sampling": {"matcore", "ncpoint"},
+}
+
+
+def _internal_imports(tree) -> set:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ncmetric")):
+            # from .x import ..., from . import x, and their absolute forms
+            module = (node.module or "").removeprefix("ncmetric").strip(".")
+            out |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names if a.name.startswith("ncmetric.")}
+    return out
+
+
+def test_each_module_imports_only_the_modules_pinned_for_it():
+    got = {name.removesuffix(".py"): _internal_imports(tree) for name, tree in _package_trees().items()}
+    assert got == _IMPORTS
 
 
 def test_only_matcore_calls_the_lapack_choke_points():

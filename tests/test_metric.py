@@ -19,6 +19,7 @@ from ncmetric.domains import (
     NormBound,
     PointOutsideDomain,
     SpectralDisk,
+    ball_delta,
     ball_domain,
     halfplane_domain,
 )
@@ -577,7 +578,10 @@ def test_exact_delta_lies_in_the_ray_bracket(level):
                 if lc == level:
                     _in_bracket(delta_auto_tilde(dom, a, c), delta_ray(dom, a, c, NcDirection(1, level, lc, a.mat - c.mat)))
             for a, c, b in triples[::2]:  # inside at a wide margin too, which lowers the cap
-                _in_bracket(delta_auto(dom, a, c, b, margin=0.05), delta_ray(dom, a, c, b, margin=0.05))
+                cone = isinstance(dom, NilpotentCone)
+                exact = 0.0 if cone else ball_delta(a, c, b, dom.norm_bound.at_level(a.level + c.level) - 0.05)
+                ray = delta_ray(dom, a, c, b, margin=0.05)
+                assert ray.bracket[0] <= exact <= ray.bracket[1]
             stacks = [_stacked(list(part)) for part in zip(*triples)]
             _in_bracket(delta_auto(dom, *stacks), delta_ray(dom, *stacks))
             _assert_rows(lambda a, c, b: delta_auto(dom, a, c, b), triples)

@@ -42,7 +42,7 @@ def test_failed_stacks_are_redone_sample_by_sample_with_the_same_report(monkeypa
 
 def test_gauge_check_redone_point_by_point_gives_the_same_report(monkeypatch):
     stacked = props.check_gauge_matches_delta(3)
-    for name in ("halfplane_gauge", "delta_tilde"):
+    for name in ("halfplane_delta", "delta_tilde"):
         monkeypatch.setattr(props, name, _single_points_only(getattr(props, name)))
     assert props.check_gauge_matches_delta(3) == stacked
     assert stacked.passed and stacked.samples == 15

@@ -18,10 +18,8 @@ from ncmetric.domains import ball_domain, sample_triples
 from ncmetric.matcore import operator_norm
 from ncmetric.sampling import (
     ball_draw,
-    ball_point,
     complex_matrix,
     direction_draw,
-    direction_sample,
     hermitian_matrix,
     rng_stream,
     scaled,
@@ -74,10 +72,10 @@ def test_scaling_a_batch_gives_each_sample_its_bits_alone():
 
 def test_a_point_sampler_scales_its_draw():
     rng = rng_stream(5, "one")
-    a = ball_point(rng, 2, 1, fill=0.5)
+    a = scaled(ball_draw(rng, 2, 1, fill=0.5))
     assert 0.1 <= operator_norm(a.mat) <= 0.5
-    b = direction_sample(rng, 1, 2, 3, scale=2.0)
-    assert b.mat.shape == (2, 3) and 0.4 <= operator_norm(b.mat) <= 2.0
+    b = scaled(direction_draw(rng, 1, 2, 3))
+    assert b.mat.shape == (2, 3) and 0.2 <= operator_norm(b.mat) <= 1.0
 
 
 def test_sample_triples_takes_one_norm_per_shape_and_round(monkeypatch):
