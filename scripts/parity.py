@@ -8,7 +8,11 @@ compares each op's exit code, stdout and --out file. Both trees read
 the same input files. Prints every op that differs, with its label and
 the first differing line of each stream that differs, then the number
 of differing ops, and exits 1; prints the number of identical ops and
-exits 0 when every op matches.
+exits 0 when every op matches. A stream that differs only in
+floating-point numbers, with all other text and every integer (such as
+an iterations column) the same, is flagged as such next to its first
+differing line, with how many numbers differ and their largest relative
+difference: a change that moves roundoff only shows as one.
 
     python scripts/parity.py --base /path/to/other/checkout
     python scripts/parity.py --base . --metric-seeds "" --props-seeds "" --density-seeds 1
@@ -23,6 +27,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = ("delta", "distance", "contract", "convolve", "props", "counterexample")
+# a decimal number, split out of the text around it; an integer has no point and no exponent
+NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+INTEGER = re.compile(r"[-+]?\d+")
 
 
 def _seeds(text):
@@ -111,6 +119,26 @@ def _first_difference(a, b):
     return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
 
 
+def _numbers_only(a, b):
+    """(how many numbers differ, their largest relative difference) when the streams a and b
+    differ in floating-point numbers only; None when any text or integer differs."""
+    if not (isinstance(a, str) and isinstance(b, str)):
+        return None
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)  # text at even indices, numbers at odd ones
+    if len(parts_a) != len(parts_b):
+        return None
+    count, worst = 0, 0.0
+    for i, (x, y) in enumerate(zip(parts_a, parts_b)):
+        if x == y:
+            continue
+        if i % 2 == 0 or INTEGER.fullmatch(x) or INTEGER.fullmatch(y):
+            return None
+        if float(x) != float(y):
+            count += 1
+            worst = max(worst, abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y))))
+    return count, worst
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", type=Path, help="root of the checkout to compare against")
@@ -133,16 +161,20 @@ def main():
         here = _run_tree(ROOT, ops_file, work / "here.json")
         base = _run_tree(args.base.resolve(), ops_file, work / "base.json")
 
-    differing = 0
+    differing = numbers_only = 0
     for (label, argv, _), mine, theirs in zip(ops, here, base):
         differ = [k for k in mine if mine[k] != theirs[k]]
         if differ:
             differing += 1
             print(f"{label}: {' '.join(argv)}")
-            for k in differ:
-                print(f"  {k}: {_first_difference(theirs[k], mine[k])} (base != this tree)")
+            rounded = [_numbers_only(theirs[k], mine[k]) for k in differ]
+            numbers_only += None not in rounded
+            for k, numbers in zip(differ, rounded):
+                note = f"; only numbers differ: {numbers[0]}, by at most {numbers[1]:.1e} relative" if numbers else ""
+                print(f"  {k}: {_first_difference(theirs[k], mine[k])} (base != this tree){note}")
     if differing:
-        print(f"{differing} of {len(ops)} ops differ (exit code, stdout, --out file)")
+        tail = f", {numbers_only} of them in floating-point numbers only" if numbers_only else ""
+        print(f"{differing} of {len(ops)} ops differ (exit code, stdout, --out file){tail}")
         return 1
     print(f"{len(ops)} of {len(ops)} ops identical (exit code, stdout, --out file)")
     return 0

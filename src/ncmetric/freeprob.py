@@ -8,34 +8,39 @@ summed exactly, continuous laws use their closed forms at every
 level, through a principal matrix square root above level one).
 
 subordination_solve solves w = b + (rho - Id) h(w) from w0 = b by
-Newton's method in the coordinates of the model algebra, with a plain
-Picard step wherever a Newton step would leave the half-plane. Each
-solved row gets one SolveTrace: step count, last residual, Picard step
-count, and the contraction bound driven by eps0 = lambda_min(Im b); a
-DensityRow of density_grid is a SolveTrace with its x and density.
-picard_ratio measures the plain Picard contraction near a solution,
-which that bound bounds. The transforms take stacks of points
-(..., n, n); density_grid solves all its grid rows as one stack, each
-row on its own trajectory. subordination_solve takes a stack of points
-too, and solves its rows in one such stack, whose steps make the same
-numpy calls for any number of rows (see _solve_stack).
+Newton's method in the coordinates of the model algebra B (one n x n
+matrix per partition block at level n, see _coords), with a plain
+Picard step wherever a Newton step would leave the half-plane. The
+fixed point lies in B, so a b off B is an input error. Each solved row
+gets one SolveTrace: step count, last residual, Picard step count, and
+the contraction bound driven by eps0 = lambda_min(Im b); a DensityRow
+of density_grid is a SolveTrace with its x and density. picard_ratio
+measures the plain Picard contraction near a solution, which that
+bound bounds. The transforms take stacks of points (..., n, n);
+density_grid solves all its grid rows as one stack, each row on its
+own trajectory. subordination_solve takes a stack of points too, and
+solves its rows in one such stack, whose steps make the same numpy
+calls for any number of rows (see _solve_stack).
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
-the exact derivative at b in each direction of the stack dirs, from one
-resolvent (b - X)^(-1), the resolvents of all atoms of a discrete law
-from one inverse call, or one closed form of a continuous law at level
-one (above it, the closed form of b and of the block points
-[[b, e], [0, b]]). cauchy_G passes an empty stack of directions. A cp
-map's _minus_id(m, level) applies rho - Id per matrix of a stack, and
-its _validate(model) raises ValueError unless it acts on the model.
+the exact derivative at b in each direction of the stack dirs, in the
+coordinates of B (a scalar law's are its matrices), from one resolvent
+(b - X)^(-1), the resolvents of all atoms of a discrete law from one
+inverse call, or one closed form of a continuous law at level one
+(above it, the closed form of b and of the block points
+[[b, e], [0, b]]). cauchy_G passes an empty stack of directions; it
+and F_and_h form their matrices at the public boundary. A cp map's
+_weights(model) is rho - Id on B, one weight per partition block, and
+raises ValueError unless the map acts on the model.
 
 Each point is checked for the half-plane once. The public functions
-check the points they are given (NotInHalfPlane, an input error); the
-solver checks its input, then each iterate it keeps (SingularResolvent:
-the map keeps the half-plane, so only roundoff leaves it; an overflow
-fails matcore's rule where the eigenvalues of Im are taken, or this
-test at 1 x 1); the transforms beneath them check no point.
+check the points they are given (NotInHalfPlane, an input error, also
+for a point off B where rho - Id is applied); the solver checks its
+input, then each iterate it keeps (SingularResolvent: the map keeps
+the half-plane, so only roundoff leaves it; an overflow fails
+matcore's rule where the eigenvalues of Im are taken, or this test at
+1 x 1); the transforms beneath them check no point.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ from .ncpoint import NcPoint, per_row
 
 # Im h may dip this far below zero before we call it broken.
 H_IMAG_SLACK = 1e-6
+# ||m - E(m)|| / max(1, ||m||) above this puts m off the model algebra.
+ALGEBRA_TOL = 1e-12
 # Defaults: subordination_solve's and density_grid's tolerances, and their step budget.
 SOLVE_TOL = 1e-10
 DENSITY_TOL = 1e-9
@@ -86,7 +93,7 @@ K0_MAX_ITER = 500
 
 
 class NotInHalfPlane(InputError):
-    """The argument does not lie strictly in the upper half-plane."""
+    """The argument does not lie strictly in the upper half-plane (of the model algebra, where one is needed)."""
 
 
 class SingularResolvent(NumericalFailure):
@@ -137,8 +144,8 @@ class MatrixModel:
 
     def _G_dG(self, b: NcPoint, dirs: np.ndarray):
         r = inverse(b.mat - _lift(self.x, b.level))[..., None, :, :]
-        e = expectation(self, np.concatenate((r, r @ dirs @ r), -3))  # G and DG from one call
-        return e[..., 0, :, :], -e[..., 1:, :, :]
+        c = _coords(self.blocks, np.concatenate((r, r @ dirs @ r), -3))  # G and DG from one call
+        return c[..., 0, :, :, :], -c[..., 1:, :, :, :]
 
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
@@ -175,21 +182,24 @@ class ScalarLaw:
             r4 = rs[..., None, :, :]
             # summed over the atoms in order: 0 + w_1 r_1 + w_2 r_2, and 0 - w_1 r_1 D r_1 - w_2 r_2 D r_2
             g = np.add.reduce(w * rs, -3, initial=0)
-            return g, np.subtract.reduce(w[..., None] * (r4 @ dirs @ r4), -4, initial=0)
-        if b.level == 1:
+            dg = np.subtract.reduce(w[..., None] * (r4 @ dirs @ r4), -4, initial=0)
+        elif b.level == 1:
             z = b.mat
             g = _scalar_G_closed(self, z)
             if self.kind == "semicircle":
                 dg = g / (2.0 * self.variance * g - z)  # differentiate v g^2 - z g + 1 = 0
             else:
                 dg = -_product(z, _product(g, _product(g, g)))  # g = (z^2 - 4)^(-1/2)
-            return g, dg[..., None, :, :] * dirs
-        # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
-        n = b.dim
-        big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
-        big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
-        big[..., :n, n:] = dirs
-        return self._G_matrix(b.mat), self._G_matrix(big)[..., :n, n:]
+            dg = dg[..., None, :, :] * dirs
+        else:
+            # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
+            n = b.dim
+            big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
+            big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
+            big[..., :n, n:] = dirs
+            g, dg = self._G_matrix(b.mat), self._G_matrix(big)[..., :n, n:]
+        # the scalars are one block of size one, whose coordinates are the matrices
+        return g[..., None, :, :], dg[..., None, :, :]
 
     def _G_matrix(self, m: np.ndarray) -> np.ndarray:
         """A continuous law's G per matrix of a stack, for levels above one."""
@@ -233,29 +243,37 @@ def _layout(blocks: tuple):
 def _coords(blocks, m: np.ndarray) -> np.ndarray:
     """m's coordinates in the model algebra, per matrix of a stack (..., n d, n d).
 
-    Entry [..., i, j, k] is the normalized trace of partition block k of
+    Entry [..., k, i, j] is the normalized trace of partition block k of
     level block (i, j): the coefficient of kron(E_ij, P_k), with P_k the
     projection onto block k, when m lies in the algebra. Those basis
     matrices are orthogonal, so off the algebra this is the orthogonal
-    projection's coordinates. Each block size takes one C-ordered copy of
-    one diagonal view and one sum over its contiguous last axis, which
-    numpy adds pairwise, as np.trace adds each block's diagonal.
+    projection's coordinates. The algebra is the direct sum over k of
+    the n x n matrices [..., k, :, :], which multiply and invert block by
+    block. Each block size takes one C-ordered copy of one diagonal view
+    and one sum over its contiguous last axis, which numpy adds pairwise,
+    as np.trace adds each block's diagonal. The scalars, one block of
+    size one, are their own coordinates: m is read as it is.
     """
+    if blocks == (1,):
+        return m[..., None, :, :]
     d = sum(blocks)
     n = m.shape[-1] // d
     diag = np.diagonal(m.reshape(m.shape[:-2] + (n, d, n, d)), axis1=-3, axis2=-1)
     groups, order, _, _, _ = _layout(blocks)
     parts = [diag.take(at, -1).reshape(diag.shape[:-1] + (len(at) // k, k)).sum(-1) / k for k, at in groups]
-    return parts[0] if order is None else np.concatenate(parts, -1)[..., order]
+    c = parts[0] if order is None else np.concatenate(parts, -1)[..., order]  # [..., i, j, k]
+    return c.swapaxes(-1, -3).swapaxes(-1, -2)  # views: cheaper than np.moveaxis
 
 
 def _from_coords(blocks, c: np.ndarray) -> np.ndarray:
-    """sum c[..., i, j, k] kron(E_ij, P_k): the inverse of _coords on the algebra."""
-    d, n = sum(blocks), c.shape[-2]
+    """sum c[..., k, i, j] kron(E_ij, P_k): the inverse of _coords on the algebra."""
+    if blocks == (1,):
+        return c[..., 0, :, :]
+    d, n = sum(blocks), c.shape[-1]
     _, _, pos, own, unit = _layout(blocks)
-    out = np.zeros(c.shape[:-1] + (d * d,), dtype=np.complex128)  # [..., i, j, a d + b]
-    out[..., pos] = c[..., own] * unit
-    return out.reshape(c.shape[:-1] + (d, d)).swapaxes(-3, -2).reshape(c.shape[:-3] + (n * d, n * d))
+    out = np.zeros(c.shape[:-3] + (n, n, d * d), dtype=np.complex128)  # [..., i, j, a d + b]
+    out[..., pos] = c.swapaxes(-3, -1).swapaxes(-3, -2)[..., own] * unit
+    return out.reshape(c.shape[:-3] + (n, n, d, d)).swapaxes(-3, -2).reshape(c.shape[:-3] + (n * d, n * d))
 
 
 def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
@@ -315,8 +333,34 @@ def _upper(eigs: np.ndarray, error, head: str, name: str) -> np.ndarray:
     return eigs
 
 
+def _algebra_coords(blocks, m: np.ndarray, error, head: str, name: str) -> np.ndarray:
+    """The coordinates of m (see _coords), once every matrix of the stack lies in the model algebra.
+
+    The rule: ||m - E(m)|| <= ALGEBRA_TOL max(1, ||m||); otherwise
+    error("head: ...") shows the rule's own quantity, at its largest.
+    """
+    c = _coords(blocks, m)
+    off = m - _from_coords(blocks, c)
+    if off.any():  # the norms are needed only where E moved m at all
+        ratio = np.max(operator_norm(off) / np.maximum(1.0, operator_norm(m)))
+        if ratio > ALGEBRA_TOL:
+            raise error(
+                f"{head}: ||{name} - E({name})|| / max(1, ||{name}||) = {ratio:.3e}, not at most {ALGEBRA_TOL:g}"
+            )
+    return c
+
+
+def _point_coords(model, p: NcPoint, name: str) -> np.ndarray:
+    """p's coordinates in the model algebra; NotInHalfPlane names p where it lies off the algebra."""
+    head = f"point {name} is not in the model algebra over blocks {model.blocks}"
+    return _algebra_coords(model.blocks, p.mat, NotInHalfPlane, head, name)
+
+
 def _transform(model, b: NcPoint, dirs=None):
-    """G(b) at a b its caller has checked, with DG(b)[dirs] from the same evaluation (empty without dirs)."""
+    """G(b) at a b its caller has checked, with DG(b)[dirs] from the same evaluation (empty without dirs).
+
+    Both are in coordinates (see _coords): G (..., K, n, n), DG (..., directions, K, n, n).
+    """
     if b.base_dim != model.base_dim:
         raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
     if dirs is None:
@@ -337,23 +381,26 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
     gets, and a check that fails on any point raises.
     """
     _require_upper(b)
-    return NcPoint(b.base_dim, b.level, _transform(model, b)[0])
+    return NcPoint(b.base_dim, b.level, _from_coords(model.blocks, _transform(model, b)[0]))
 
 
-def _F_h(model, b: NcPoint, dirs=None):
-    """F(b), h(b) and _transform's DG(b)[dirs], behind the checks of F_and_h."""
+def _F(model, b: NcPoint, dirs=None):
+    """F(b) = G(b)^(-1) and DG(b)[dirs], in coordinates (see _transform); F inverts block by block."""
     g, dg = _transform(model, b, dirs)
     try:
-        f = inverse(g)
+        return inverse(g), dg
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
-    h = f - b.mat
+
+
+def _h_checked(h: np.ndarray) -> np.ndarray:
+    """h = F - b, once Im h is nonnegative up to H_IMAG_SLACK per matrix of the stack."""
     if (herm_eigvals(imag_part(h))[..., 0] < -H_IMAG_SLACK).any():
         raise SingularResolvent(
-            "Im h dropped below zero beyond roundoff; "
-            "b is likely outside the half-plane of the block algebra"
+            "Im h dropped below zero beyond roundoff; the point is likely "
+            "outside the half-plane of the block algebra, or F - b cancelled"
         )
-    return f, h, dg
+    return h
 
 
 def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
@@ -362,8 +409,8 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
     Stacks are taken per point, as in cauchy_G.
     """
     _require_upper(b)
-    f, h, _ = _F_h(model, b)
-    return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, h)
+    f = _from_coords(model.blocks, _F(model, b)[0])
+    return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, _h_checked(f - b.mat))
 
 
 @variant("cp-map", "scalar_power", t=json_number)
@@ -378,17 +425,18 @@ class ScalarPower:
         if self.t < 1.0:
             raise ValueError("ScalarPower needs t >= 1")
 
-    def _validate(self, model):
-        pass
-
-    def _minus_id(self, m: np.ndarray, level: int) -> np.ndarray:
-        return (self.t - 1.0) * m
+    def _weights(self, model) -> np.ndarray:
+        return np.full((len(model.blocks), 1, 1), self.t - 1.0)
 
 
 @variant("cp-map", "kraus_augment", vs=each(mat_from_json))
 @dataclass(frozen=True)
 class KrausAugment:
-    """rho(m) = m + sum V_i* m V_i with every V_i in the model algebra."""
+    """rho(m) = m + sum V_i* m V_i with every V_i in the model algebra.
+
+    On the algebra, V_i = sum_k v_ik P_k, so rho - Id multiplies
+    coordinate block k by sum_i |v_ik|^2.
+    """
 
     vs: tuple
 
@@ -397,21 +445,15 @@ class KrausAugment:
         if not self.vs:
             raise ValueError("KrausAugment needs at least one V")
 
-    def _validate(self, model):
-        d = model.base_dim
+    def _weights(self, model) -> np.ndarray:
+        d, total = model.base_dim, 0.0
         for i, v in enumerate(self.vs):
             if v.shape != (d, d):
                 raise ValueError(f"V[{i}] has shape {v.shape}, expected {(d, d)}")
-            proj = expectation(model, v)
-            if operator_norm(v - proj) > 1e-12 * max(1.0, operator_norm(v)):
-                raise ValueError(f"V[{i}] is not block-scalar over blocks {model.blocks}")
-
-    def _minus_id(self, m: np.ndarray, level: int) -> np.ndarray:
-        out = np.zeros_like(m)
-        for v in self.vs:
-            big = _lift(v, level)
-            out = out + big.conj().T @ m @ big
-        return out
+            head = f"V[{i}] is not block-scalar over blocks {model.blocks}"
+            c = _algebra_coords(model.blocks, v, ValueError, head, "V")  # (K, 1, 1)
+            total = total + (c.real * c.real + c.imag * c.imag)
+        return total
 
 
 @dataclass(frozen=True)
@@ -439,69 +481,89 @@ def _check_budget(tol: float, max_iter: int):
     positive_finite("tol", tol)
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    """||m||_F of each matrix of a stack (N, n, n), by the strided dot products of np.linalg.norm."""
-    flat = m.reshape(len(m), -1)
-    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+def _frobenius(c: np.ndarray, blocks) -> np.ndarray:
+    """||m||_F of the matrix m of each point of a coordinate stack (N, K, n, n), by strided dot products;
+    coordinate block k stands for k_k equal diagonal entries, so its sum of squares counts k_k times."""
+    flat = c.reshape(len(c), len(blocks), -1)
+    return np.sqrt((np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) @ np.array(blocks, float))
 
 
-def _picard(model, rho, b: np.ndarray, w: NcPoint, dirs=None):
-    """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs] (see _F_h), per point of the stack w."""
-    f, h, dg = _F_h(model, w, dirs)
-    return f, b + rho._minus_id(h, w.level), dg
+def _im_eigs(c: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of Im m per point of a coordinate stack (N, K, n, n), its blocks' together."""
+    return np.sort(herm_eigvals(imag_part(c)).reshape(len(c), -1), 1)
+
+
+def _picard(model, weights, b: np.ndarray, w: np.ndarray, dirs=None):
+    """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs], per point of the coordinate stack w.
+
+    rho - Id is rho._weights(model), one weight per coordinate block;
+    the matrix of w is formed for the resolvent only.
+    """
+    f, dg = _F(model, NcPoint(model.base_dim, w.shape[-1], _from_coords(model.blocks, w)), dirs)
+    return f, b + weights * _h_checked(f - w), dg
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
-    """Solve w = b + (rho - Id) h(w) for every point of the stack b (N, n, n).
+    """Solve w = b + (rho - Id) h(w) for every point of the stack b (N, n d, n d).
 
     Newton's method on Phi(w) = b + (rho - Id) h(w) - w over the model
-    algebra, spanned by kron(E_ij, P_k) (see _coords): its Jacobian has
-    columns coords(DPhi[B_j]), with Dh[e] = -F DG[e] F - e. A row whose
-    Newton point would come within im_floor = eps0 / 10 of the
-    half-plane's edge takes the plain Picard point instead, which stays
-    inside; that step is the globally convergent one. A row stops at its
-    Picard update once the residual ||update - w||_F is at most tol.
+    algebra, in its coordinates (see _coords): each point is K blocks of
+    n x n, on which F = G^-1, the eigenvalues of Im and rho - Id (a
+    weight per block, rho._weights) act block by block. The Jacobian has
+    columns coords(DPhi[B_j]) at the unit coordinates B_j, with
+    Dh[e] = -F DG[e] F - e. A row whose Newton point would come within
+    im_floor = eps0 / 10 of the half-plane's edge takes the plain Picard
+    point instead, which stays inside; that step is the globally
+    convergent one. A row stops at its Picard update once the residual
+    ||update - w||_F of the n d x n d matrices is at most tol.
 
-    The input b is checked once, by _require_upper, whose eigenvalues of
-    Im b start the trace; each iterate a row keeps is then tested by the
-    same rule on the eigenvalues of its Im that the step computes anyway
+    The input b is checked once: _require_upper, whose lambda_min(Im b)
+    starts the trace, then the rule that b lies in the model algebra,
+    where the fixed point lives (NotInHalfPlane names b otherwise). Each
+    iterate a row keeps is then tested by the half-plane rule on the
+    eigenvalues of its Im that the step computes anyway
     (SingularResolvent if outside).
 
     One loop advances the rows that have not converged, held in arrays
-    that shrink only on steps where rows stop. A step makes three inverse
-    calls (one stack of resolvents, one per atom or none for a closed
-    form, giving G and DG; F = G^-1; the Jacobians) and four eigenvalue
-    calls (Im of G, h, the Picard and the Newton points; none at 1 x 1).
-    Each row keeps its own state, so it takes exactly the steps, and
-    reaches exactly the values, that it reaches when solved alone.
-    Returns the final iterates as a stack and SolveTrace's columns (one
-    list per field); unconverged rows are reported, not raised.
+    that shrink only on steps where rows stop. A step forms the n d x n d
+    matrices for the resolvents only. It makes three inverse calls (one
+    stack of resolvents, one per atom or none for a closed form, giving
+    G and DG; F = G^-1; the Jacobians) and four eigenvalue calls on the
+    blocks of every row (Im of G, h, the Picard and the Newton points;
+    none at n = 1, so none at level one). Each row keeps its own state,
+    so it takes exactly the steps, and reaches exactly the values, that
+    it reaches when solved alone. Returns the final iterates as a stack
+    and SolveTrace's columns (one list per field); unconverged rows are
+    reported, not raised.
     """
-    rho._validate(model)
     n_rows, level, blocks = len(b.mat), b.level, model.blocks
-    m = level * level * len(blocks)
-    basis = _from_coords(blocks, np.eye(m).reshape(m, level, level, len(blocks)))
-    # each row's final state, written when it stops; im_eigs are of its kept iterate's Im
-    w, im_eigs = b.mat.copy(), _require_upper(b)
-    eps0, picard = im_eigs[:, 0].copy(), np.zeros(n_rows, dtype=int)
+    eps0 = _require_upper(b)[:, 0].copy()
+    bc = _point_coords(model, b, "b")
+    m = bc[0].size
+    units = np.eye(m, dtype=np.complex128).reshape((m,) + bc.shape[1:])  # the coordinates of the B_j
+    basis = _from_coords(blocks, units)
+    # each row's final state, written when it stops; im holds the eigenvalues of its kept iterate's Im
+    w, im, picard = bc.copy(), np.empty((n_rows, len(blocks) * level)), np.zeros(n_rows, dtype=int)
     iterations, residual, converged = np.full(n_rows, max_iter), np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
     # the state of the rows that go on
-    rows, ba, wa, im_floor, eps0a, picard_a = np.arange(n_rows), b.mat, b.mat, 0.1 * eps0, eps0, picard
+    rows, ba, wa, im_floor, eps0a, picard_a = np.arange(n_rows), bc, bc, 0.1 * eps0, eps0, picard
 
     def stop(sel, ws, eigs, r):
         at = rows[sel]
-        w[at], im_eigs[at], residual[at], eps0[at], picard[at] = ws[sel], eigs[sel], r[sel], eps0a[sel], picard_a[sel]
+        w[at], im[at], residual[at], eps0[at], picard[at] = ws[sel], eigs[sel], r[sel], eps0a[sel], picard_a[sel]
         return at
 
-    # an iterate that overflows fails where its Im is tested, and the bound divides by lambda_min 0
+    # an iterate that overflows fails where its Im is tested, and the bound divides by lambda_min 0;
+    # a weight of rho - Id may overflow as well, and its iterates fail the same way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = rho._weights(model)
         for it in range(1, max_iter + 1):
-            f, upd, dg = _picard(model, rho, ba, NcPoint(b.base_dim, level, wa), basis)
-            upd_eigs = herm_eigvals(imag_part(upd))
+            f, upd, dg = _picard(model, weights, ba, wa, basis)
+            upd_eigs = _im_eigs(upd)
             lam = upd_eigs[:, 0]
             eps0a = np.where(lam < eps0a, lam, eps0a)
             step = upd - wa
-            r = _frobenius(step)
+            r = _frobenius(step, blocks)
             done = r <= tol
             if done.any():
                 _upper(upd_eigs[done], SingularResolvent, "an iterate left the half-plane", "w")
@@ -513,23 +575,23 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
                 rows, ba, wa, upd, upd_eigs, f, dg, step, r = (x[go] for x in (rows, ba, wa, upd, upd_eigs, f, dg, step, r))
                 im_floor, eps0a, picard_a = im_floor[go], eps0a[go], picard_a[go]
             f4 = f[:, None]
-            dphi = rho._minus_id(-(f4 @ dg @ f4) - basis, level) - basis  # DPhi[B_j] per row and j
-            c = _coords(blocks, np.concatenate((dphi, step[:, None]), 1)).reshape(len(rows), m + 1, m)
+            dphi = weights * (-(f4 @ dg @ f4) - units) - units  # DPhi[B_j] per row and j
+            c = np.concatenate((dphi, step[:, None]), 1).reshape(len(rows), m + 1, m)
             # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
             delta = -(inverse(c[:, :m].mT) @ c[:, m:].mT)
-            cand = wa + _from_coords(blocks, delta.reshape(len(rows), level, level, len(blocks)))
-            cand_eigs = herm_eigvals(imag_part(cand))
+            cand = wa + delta.reshape(wa.shape)
+            cand_eigs = _im_eigs(cand)
             newton = cand_eigs[:, 0] > im_floor
             kept = np.where(newton[:, None], cand_eigs, upd_eigs)
             _upper(kept, SingularResolvent, "an iterate left the half-plane", "w")
-            wa = np.where(newton[:, None, None], cand, upd)
+            wa = np.where(newton.reshape(-1, 1, 1, 1), cand, upd)
             picard_a = picard_a + ~newton
         else:  # the budget ran out: the rows left keep their last iterate, unconverged
             stop(slice(None), wa, kept, r)
-        bound = np.fmax(0.0, np.abs(1.0 - eps0[:, None] / im_eigs).max(-1))
-    lo = im_eigs[:, 0]
+        bound = np.fmax(0.0, np.abs(1.0 - eps0[:, None] / im).max(-1))
+    lo = im[:, 0]
     columns = (iterations, converged, residual, eps0, lo, np.where(lo > 0, bound, None), picard)
-    return NcPoint(b.base_dim, level, w), [c.tolist() for c in columns]
+    return NcPoint(b.base_dim, level, _from_coords(blocks, w)), [c.tolist() for c in columns]
 
 
 @per_row
@@ -581,14 +643,15 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     near the solution omega of that map, so the ratio measures the map's
     contraction there: the quantity that contraction_bound bounds.
     b and omega may hold stacks of points; then one ratio per point.
+    Both lie in the model algebra (NotInHalfPlane names either otherwise).
     """
-    w = omega.mat + 1e-3j * imag_part(omega.mat)
+    weights, bc, w = rho._weights(model), _point_coords(model, b, "b"), _point_coords(model, omega, "omega")
+    w = w + 1e-3j * imag_part(w)
     r = []
     for _ in range(4):
-        point_w = NcPoint(b.base_dim, b.level, w)
-        _require_upper(point_w, "w")
-        _, upd, _ = _picard(model, rho, b.mat, point_w)
-        r.append(_frobenius(upd - w))
+        _require_upper(NcPoint(b.base_dim, b.level, _from_coords(model.blocks, w)), "w")
+        upd = _picard(model, weights, bc, w)[1]
+        r.append(_frobenius(upd - w, model.blocks))
         w = upd
     return r[-1] / r[-2]
 
@@ -611,8 +674,8 @@ class DensityResult:
 def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
     omega, columns = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
-    g = _transform(model, omega)[0]  # the solver has checked omega
-    density = -_coords((g.shape[-1],), g)[:, 0, 0, 0].imag / np.pi  # tr(g) / d: one block's coordinate
+    g = _transform(model, omega)[0]  # the solver has checked omega; coordinates (N, K, 1, 1)
+    density = -(g.imag.reshape(len(g), -1) @ np.array(model.blocks, float)) / model.base_dim / np.pi  # Im tr(G) / d
     return list(map(DensityRow, *columns, xs.tolist(), density.tolist()))
 
 
@@ -685,7 +748,7 @@ def support_interval(result: DensityResult, threshold: float = 0.015):
 
 @dataclass(frozen=True)
 class H0Map:
-    """h0(w) = b0 + (rho - Id) h(w), with eps0 = lambda_min(Im b0)."""
+    """h0(w) = b0 + (rho - Id) h(w), with eps0 = lambda_min(Im b0), for b0 and w in the model algebra."""
 
     model: object
     rho: object
@@ -693,8 +756,11 @@ class H0Map:
     eps0: float
 
     def __call__(self, w: NcPoint) -> NcPoint:
+        """h0(w) for w strictly in the half-plane of the model algebra (NotInHalfPlane otherwise)."""
         _require_upper(w, "w")
-        return NcPoint(w.base_dim, w.level, _picard(self.model, self.rho, self.b0_at(w.level), w)[1])
+        blocks, wc = self.model.blocks, _point_coords(self.model, w, "w")
+        upd = _picard(self.model, self.rho._weights(self.model), _coords(blocks, self.b0_at(w.level)), wc)[1]
+        return NcPoint(w.base_dim, w.level, _from_coords(blocks, upd))
 
     def b0_at(self, level: int) -> np.ndarray:
         if self.b0.level not in (1, level):
@@ -703,8 +769,10 @@ class H0Map:
 
 
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
-    rho._validate(model)
-    return H0Map(model, rho, b0, float(_require_upper(b0, "b0")[0]))
+    rho._weights(model)
+    eps0 = float(_require_upper(b0, "b0")[0])
+    _point_coords(model, b0, "b0")
+    return H0Map(model, rho, b0, eps0)
 
 
 @dataclass(frozen=True)

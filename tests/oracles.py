@@ -7,8 +7,10 @@ instead of block evaluation), so agreement is evidence and not an
 identity check.
 """
 
+import warnings
+
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, fsolve
 
 
 def op_norm(m) -> float:
@@ -134,3 +136,50 @@ def bernoulli_t2_fixed_point(a: complex, b0: complex) -> complex:
         if root.imag > 0 and abs(root - a + 1.0 / (b0 + root)) < 1e-9:
             return complex(root)
     raise AssertionError("no upper-half-plane root solves the fixed point")
+
+
+# ---- matrix models at level one --------------------------------------
+
+
+def _block_traces(x, blocks, w):
+    """G_k(w) = tr_k((diag(w_j I_{k_j}) - x)^(-1)) / k_k for each partition block k."""
+    sizes = np.asarray(blocks)
+    owner = np.repeat(np.arange(len(blocks)), blocks)
+    diag = np.diag(np.linalg.inv(np.diag(w[owner]) - x))
+    return (np.bincount(owner, diag.real) + 1j * np.bincount(owner, diag.imag)) / sizes
+
+
+def matrix_model_omega(x, blocks, ts, z: complex) -> np.ndarray:
+    """The level-one subordination point of a matrix model at z I, one entry per block.
+
+    On the block-scalar algebra the fixed point w = z + (rho - Id)(1/G(w) - w)
+    splits into one equation per block: t_k w_k - (t_k - 1) / G_k(w) = z,
+    with t_k = 1 + (the weight of rho - Id on block k). Solved by fsolve
+    on its real and imaginary parts, following Im z from 3 down to Im z in
+    40 geometric steps, so that each solve starts next to the branch it
+    continues.
+    """
+    x, ts, k = np.asarray(x, dtype=complex), np.asarray(ts, dtype=float), len(blocks)
+
+    def equations(v, zz):
+        w = v[:k] + 1j * v[k:]
+        e = ts * w - (ts - 1.0) / _block_traces(x, blocks, w) - zz
+        return np.concatenate((e.real, e.imag))
+
+    v = np.concatenate((np.full(k, z.real), np.full(k, 3.0)))
+    for y in np.geomspace(3.0, z.imag, 40):
+        with warnings.catch_warnings():
+            # MINPACK warns when xtol is below what it can reach; the residual decides below
+            warnings.simplefilter("ignore", RuntimeWarning)
+            v = fsolve(equations, v, args=(complex(z.real, y),), xtol=1e-14)
+    w = v[:k] + 1j * v[k:]
+    residual = np.abs(equations(v, z)).max()
+    if residual > 1e-11 * max(1.0, np.abs(w).max()):
+        raise AssertionError(f"the block equations were not solved at z = {z}: residual {residual:.3e}")
+    return w
+
+
+def matrix_model_density(x, blocks, ts, z: complex) -> float:
+    """-Im tr(G(w)) / (d pi) at the subordination point w of z I (see matrix_model_omega)."""
+    g = _block_traces(np.asarray(x, dtype=complex), blocks, matrix_model_omega(x, blocks, ts, z))
+    return float(-(np.asarray(blocks) @ g).imag / (sum(blocks) * np.pi))

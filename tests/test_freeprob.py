@@ -28,7 +28,7 @@ from ncmetric.freeprob import (
     subordination_solve,
     support_interval,
 )
-from ncmetric.matcore import NonHermitianInput
+from ncmetric.matcore import NonHermitianInput, direct_sum_mats
 from ncmetric.ncpoint import NcPoint, point
 from ncmetric.sampling import halfplane_point
 
@@ -155,7 +155,7 @@ def test_G_of_a_unitary_conjugate_of_a_diagonal_is_G_of_each_entry(law, zs, seed
     quotient = (g1[:, None] - g1[None, :]) / np.where(dz == 0, 1.0, dz)
     np.fill_diagonal(quotient, [_G_prime(law, complex(x)) for x in z])
     want = u @ (quotient * (u.conj().T @ e @ u)) @ u.conj().T
-    got = law._G_dG(b, e[None])[1][0]
+    got = law._G_dG(b, e[None])[1][0, 0]  # a scalar law's coordinates: its matrices, on a block axis of one
     assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
 
 
@@ -184,7 +184,7 @@ def test_continuous_dG_matches_the_derivative_oracles(law):
     zs = [0.3 + 1.0j, -0.995 * _edge(law) + 1e-3j, 2.0 * _edge(law) + 0.5j]
     # level 1: DG(z)[e] = g'(z) e
     got = law._G_dG(NcPoint(1, 1, np.array(zs)[:, None, None]), np.ones((1, 1, 1)))[1]
-    for z, dg in zip(zs, got[:, 0, 0, 0]):
+    for z, dg in zip(zs, got[:, 0, 0, 0, 0]):
         want = _G_prime(law, z)
         assert abs(dg - want) <= 1e-12 * max(1.0, abs(want)), z
     # level 2 at diag(z1, z2): DG[E_ij] = c_ij E_ij, with c_ii = g'(z_i) and
@@ -192,19 +192,20 @@ def test_continuous_dG_matches_the_derivative_oracles(law):
     for z1, z2 in ((zs[0], zs[1]), (zs[1], zs[2])):
         dd = (_G_oracle(law, z1) - _G_oracle(law, z2)) / (z1 - z2)
         coeff = np.array([_G_prime(law, z1), dd, dd, _G_prime(law, z2)])
-        got = law._G_dG(point(np.diag([z1, z2])), _UNITS)[1]
+        got = law._G_dG(point(np.diag([z1, z2])), _UNITS)[1][:, 0]
         want = coeff[:, None, None] * _UNITS
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (z1, z2)
 
 
 def _block_corner(model, b, dirs):
-    # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
-    n = b.dim
+    # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner,
+    # levels 1..level by level+1..2 level of each coordinate block
+    n, level = b.dim, b.level
     big = np.zeros((len(dirs), 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = big[:, n:, n:] = b.mat
     big[:, :n, n:] = dirs
     no_dirs = np.zeros((0, 2 * n, 2 * n), dtype=complex)
-    return model._G_dG(NcPoint(b.base_dim, 2 * b.level, big), no_dirs)[0][:, :n, n:]
+    return model._G_dG(NcPoint(b.base_dim, 2 * level, big), no_dirs)[0][..., :level, level:]
 
 
 def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
@@ -223,11 +224,11 @@ def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
             got = model._G_dG(NcPoint(d, level, b.mat[None]), dirs)[1][0]
             np.testing.assert_allclose(got, _block_corner(model, b, dirs), rtol=0, atol=1e-12)
             if atoms:
-                want = np.zeros_like(got)
+                want = np.zeros_like(got[:, 0])
                 for s, w in atoms:
                     r = np.linalg.inv(b.mat - s * np.eye(n))
                     want -= w * (r @ dirs @ r)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[:, 0], want, rtol=0, atol=1e-12)
 
 
 def test_fused_transform_gives_the_bits_of_the_plain_one():
@@ -246,7 +247,8 @@ def test_fused_transform_gives_the_bits_of_the_plain_one():
         for level in (1, 2, 3):
             b = NcPoint(d, level, np.stack([halfplane_point(rng, level, d, im_floor=0.2).mat for _ in range(3)]))
             dirs = rng.standard_normal((2, b.dim, b.dim)) + 1j * rng.standard_normal((2, b.dim, b.dim))
-            np.testing.assert_array_equal(model._G_dG(b, dirs)[0], cauchy_G(model, b).mat)
+            g = freeprob._from_coords(model.blocks, model._G_dG(b, dirs)[0])
+            np.testing.assert_array_equal(g, cauchy_G(model, b).mat)
 
 
 def test_matrix_level_transforms_solve_their_equations():
@@ -331,12 +333,39 @@ def test_imh_guard_names_the_block_algebra():
         F_and_h(model, b)
 
 
+def test_a_point_off_the_model_algebra_is_an_input_error():
+    # off the block-scalar algebra there is no fixed point: the solver ran
+    # out its budget and raised MaxIterExceeded, a numerical failure
+    model = MatrixModel(_X4, (2, 2))
+    kraus = KrausAugment((np.diag([0.8, 0.8, 0.6, 0.6]).astype(complex),))
+    uneven = NcPoint(4, 1, np.diag([0.1 + 1j, 0.2 + 1.1j, 0.3 + 0.9j, -0.1 + 1j]))
+    coupled = NcPoint(4, 1, 1j * np.eye(4) + 0.1 * np.eye(4, k=1))
+    head = r"^point {0} is not in the model algebra over blocks \(2, 2\): "
+    head += r"\|\|{0} - E\({0}\)\|\| / max\(1, \|\|{0}\|\|\) = "
+    for rho, b in ((ScalarPower(2.0), uneven), (kraus, coupled)):
+        with pytest.raises(NotInHalfPlane, match=head.format("b") + r"[0-9.e+-]+, not at most 1e-12$"):
+            subordination_solve(model, rho, b)
+        with pytest.raises(NotInHalfPlane, match=head.format("b0")):
+            make_h0(model, rho, b)
+        with pytest.raises(NotInHalfPlane, match=head.format("b")):
+            picard_ratio(model, rho, b, b)
+    h0 = make_h0(model, kraus, NcPoint(4, 1, 1.5j * np.eye(4)))
+    with pytest.raises(NotInHalfPlane, match=head.format("w")):
+        h0(coupled)
+    # the ScalarPower point: ||diag(-0.05 - 0.05i, 0.05 + 0.05i, 0.2 - 0.05i, -0.2 + 0.05i)|| / ||b||
+    with pytest.raises(NotInHalfPlane, match=f"= {abs(0.2 - 0.05j) / abs(0.2 + 1.1j):.3e}, "):
+        subordination_solve(model, ScalarPower(2.0), uneven)
+
+
 def test_validate_rho_rejects_dense_kraus_factor():
     model = MatrixModel(np.diag([1.0, -1.0]), (1, 1))
     dense = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        KrausAugment((dense,))._validate(model)
-    KrausAugment((np.diag([0.3, 0.7]),))._validate(model)
+    with pytest.raises(ValueError, match=r"^V\[0\] is not block-scalar over blocks \(1, 1\): "):
+        KrausAugment((dense,))._weights(model)
+    # rho - Id weighs coordinate block k by sum_i |v_ik|^2
+    weights = KrausAugment((np.diag([0.3, 0.7]), np.diag([0.4j, 0.0])))._weights(model)
+    np.testing.assert_allclose(weights, [[[0.25]], [[0.49]]], rtol=1e-15)
+    assert ScalarPower(2.5)._weights(model).tolist() == [[[1.5]], [[1.5]]]
 
 
 def test_bernoulli_power_two_subordination_frozen():
@@ -470,15 +499,34 @@ def test_omega_matches_the_bernoulli_oracle_up_to_the_edge():
         assert complex(omega.mat[0, 0]) == pytest.approx(oracles.bernoulli_power2_omega(z), abs=1e-8)
 
 
-@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
-def test_level_two_solve_is_the_direct_sum_of_level_one_solves(law):
-    # Newton at level 2 takes DG from the block identity, at level 1 from g'
-    rho, z1, z2 = ScalarPower(2.0), 0.3 + 0.2j, -1.1 + 0.05j
-    w1, _ = subordination_solve(law, rho, _scalar(z1))
-    w2, _ = subordination_solve(law, rho, _scalar(z2))
-    w, trace = subordination_solve(law, rho, point(np.diag([z1, z2])))
+def _level_two_cases():
+    # (model, rho, per-block values of the two level-one points)
+    zs = ([0.3 + 0.2j], [-1.1 + 0.05j])
+    cases = {f"{law.kind}-{law.variance}": (law, ScalarPower(2.0), zs) for law in CONTINUOUS}
+    zs = ([0.3 + 0.2j, -0.5 + 0.3j], [-1.1 + 0.05j, 0.7 + 0.1j])
+    for blocks in ((2, 2), (1, 3)):
+        v = np.diag(np.repeat([0.8, 0.6], blocks)).astype(complex)
+        for rho in (ScalarPower(2.2), KrausAugment((v,))):
+            cases[f"{type(rho).__name__}-{blocks}"] = (MatrixModel(_X4, blocks), rho, zs)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_level_two_cases()))
+def test_level_two_solve_is_the_direct_sum_of_level_one_solves(case):
+    # Newton at level 2 takes DG from the block identity, at level 1 from g';
+    # a matrix model's level-2 coordinates are 2 x 2 per partition block
+    model, rho, zs = _level_two_cases()[case]
+    d = model.base_dim
+    b1, b2 = (np.diag(np.repeat(z, model.blocks)) for z in zs)
+    w1, _ = subordination_solve(model, rho, NcPoint(d, 1, b1))
+    w2, _ = subordination_solve(model, rho, NcPoint(d, 1, b2))
+    w, trace = subordination_solve(model, rho, NcPoint(d, 2, direct_sum_mats(b1, b2)))
     assert trace.iterations <= 10
-    np.testing.assert_allclose(w.mat, np.diag([w1.mat[0, 0], w2.mat[0, 0]]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.mat, direct_sum_mats(w1.mat, w2.mat), rtol=0, atol=1e-12)
+    # the same points conjugated by a level unitary fill the off-diagonal coordinates
+    u = np.kron(np.array([[0.6, 0.8j], [0.8j, 0.6]]), np.eye(d))
+    wu, _ = subordination_solve(model, rho, NcPoint(d, 2, u @ direct_sum_mats(b1, b2) @ u.conj().T))
+    np.testing.assert_allclose(wu.mat, u @ w.mat @ u.conj().T, rtol=0, atol=1e-12)
 
 
 def test_readme_grid_converges_in_every_row():
@@ -559,6 +607,19 @@ _MATRIX_POWER_ROWS = [
 ]
 
 
+# t_k per partition block: t for ScalarPower, 1 + |v_k|^2 for the Kraus map diag(0.8, 0.8, 0.6, 0.6)
+_BLOCK_TS = {"matrix_power": [2.2, 2.2], "matrix_kraus": [1.0 + 0.8**2, 1.0 + 0.6**2]}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_TS))
+def test_matrix_model_rows_match_the_block_equation_oracle(name):
+    model, rho, half, points, eps = GRIDS[name]
+    res = density_grid(model, rho, -half, half, points=points, eps=eps)
+    for row in res.rows:
+        want = oracles.matrix_model_density(_X4, model.blocks, _BLOCK_TS[name], complex(row.x, eps))
+        assert row.density == pytest.approx(want, rel=0, abs=1e-8), row.x
+
+
 def test_matrix_power_grid_frozen_to_the_bit():
     model, rho, half, points, eps = GRIDS["matrix_power"]
     res = density_grid(model, rho, -half, half, points=points, eps=eps)
@@ -612,7 +673,6 @@ def test_stacked_transforms_equal_per_point():
         (ScalarLaw("bernoulli"), 1, 3),
         (MatrixModel((h + h.conj().T) / 4, (2, 4)), 6, 2),
     ]
-    rho = ScalarPower(1.7)
     for model, d, level in cases:
         n = d * level
         re = rng.standard_normal((5, n, n))
@@ -627,9 +687,6 @@ def test_stacked_transforms_equal_per_point():
         for i, p in enumerate(pts):
             np.testing.assert_array_equal(g[i], cauchy_G(model, NcPoint(d, level, p)).mat)
             np.testing.assert_array_equal(hs.mat[i], F_and_h(model, NcPoint(d, level, p))[1].mat)
-            np.testing.assert_array_equal(
-                rho._minus_id(hs.mat, level)[i], rho._minus_id(hs.mat[i], level)
-            )
 
 
 def _expectation_loop(model, m):
@@ -667,9 +724,8 @@ def _coords_loop(blocks, m):
     n = m.shape[0] // d
     offsets = np.cumsum((0,) + blocks[:-1])
     return np.array([
-        [[np.trace(m[i * d + o : i * d + o + k, j * d + o : j * d + o + k]) / k for o, k in zip(offsets, blocks)]
-         for j in range(n)]
-        for i in range(n)
+        [[np.trace(m[i * d + o : i * d + o + k, j * d + o : j * d + o + k]) / k for j in range(n)] for i in range(n)]
+        for o, k in zip(offsets, blocks)
     ])
 
 
@@ -690,13 +746,13 @@ def test_coords_and_expectation_are_per_block_traces_to_the_bit(blocks, level):
         for idx in np.ndindex(lead):
             assert _bits(coords[idx]) == _bits(_coords_loop(blocks, ms[idx]))
             assert _bits(expected[idx]) == _bits(_expectation_loop(model, ms[idx]))
-        # elements sum c_ijk kron(E_ij, P_k) of the algebra, with dyadic c so that each trace is exact
+        # elements sum c_kij kron(E_ij, P_k) of the algebra, with dyadic c so that each trace is exact
         c = (rng.integers(-64, 64, coords.shape) + 1j * rng.integers(-64, 64, coords.shape)) / 16
         m = freeprob._from_coords(blocks, c)
         units = np.eye(level * level).reshape((level,) * 4)  # units[i, j] = E_ij
         projections = np.eye(len(blocks))[np.repeat(range(len(blocks)), blocks)]  # column k: diagonal of P_k
         want = sum(
-            c[..., i, j, k, None, None] * np.kron(units[i, j], np.diag(projections[:, k]))
+            c[..., k, i, j, None, None] * np.kron(units[i, j], np.diag(projections[:, k]))
             for i in range(level) for j in range(level) for k in range(len(blocks))
         )
         np.testing.assert_array_equal(m, want)
@@ -722,7 +778,8 @@ def _count_linalg_calls(monkeypatch):
         # one inverse of both atoms' resolvents, F = G^-1 and the Jacobian; no eigvalsh at 1 x 1
         ("bernoulli_edge", {"inv": 3, "eigvalsh": 0, "svd": 0}),
         # the resolvent, F and the Jacobian; Im G, Im h, Im of the Picard and of the Newton points
-        ("matrix_kraus", {"inv": 3, "eigvalsh": 4, "svd": 0}),
+        # are taken per coordinate block, 1 x 1 at level one
+        ("matrix_kraus", {"inv": 3, "eigvalsh": 0, "svd": 0}),
     ],
 )
 def test_np_linalg_calls_per_lockstep_iteration_do_not_grow_with_rows(monkeypatch, grid, per_step):
@@ -741,14 +798,13 @@ def test_np_linalg_calls_per_lockstep_iteration_do_not_grow_with_rows(monkeypatc
 
 
 def test_a_kraus_solve_reads_im_b_eigenvalues_once(monkeypatch):
-    # the input check's eigenvalues of Im b start the trace; then each step
-    # takes those of Im G, Im h and the Picard point, and all but the last
-    # the Newton point's
+    # the input check's eigenvalues of Im b (4 x 4) start the trace; the
+    # steps take those of Im G, Im h, the Picard and the Newton points per
+    # coordinate block, which is 1 x 1 at level one: no LAPACK call
     model, rho, _, _, _ = GRIDS["matrix_kraus"]
     calls = _count_linalg_calls(monkeypatch)
     _, trace = subordination_solve(model, rho, NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)))
-    assert (trace.iterations, calls["eigvalsh"]) == (5, 20)
-    assert calls["eigvalsh"] == 1 + 4 * (trace.iterations - 1) + 3
+    assert (trace.iterations, calls["eigvalsh"], calls["svd"]) == (5, 1, 0)
 
 
 def test_failing_rows_raise_in_grid_order(monkeypatch):
@@ -864,9 +920,9 @@ def test_density_grid_rejects_xmin_above_xmax(monkeypatch):
 
 def test_kraus_augment_acts_on_a_scalar_law_as_a_scalar_power():
     law, v = ScalarLaw("semicircle"), 0.5
-    KrausAugment((np.array([[v]]),))._validate(law)
+    assert KrausAugment((np.array([[v]]),))._weights(law).tolist() == [[[v * v]]]
     with pytest.raises(ValueError, match="expected"):
-        KrausAugment((np.eye(2),))._validate(law)
+        KrausAugment((np.eye(2),))._weights(law)
     b = _scalar(0.3 + 0.2j)
     w_kraus, _ = subordination_solve(law, KrausAugment((np.array([[v]]),)), b)
     w_power, _ = subordination_solve(law, ScalarPower(1.0 + v * v), b)

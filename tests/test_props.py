@@ -62,10 +62,12 @@ def test_each_check_alone_gives_its_row_of_the_suite(seed):
 
 # sha256 of report_csv(run_suite(seed)): the suite's report is pinned byte
 # for byte, so a change that reorders draws or evaluations shows here
+# (seeds 2 and 19 re-pinned when rho - Id became per-block weights: only
+# omega_direct_sum's worst moved, in its last bits)
 _REPORT_DIGESTS = {
-    2: "2690c83a02760f01a70b1d58a83688bf7565d4d664ce748e37e5a1c3ffd96c54",
+    2: "c8b607ee2f386db077bd1e98d714abd4bd897817627e69592c617a9328d22d13",
     7: "794dc3efb379d34d859ea06d183d6c215c02ac330224423ec001be64f0cfb71d",
-    19: "7cfc6d4f44953e4fd4108f3ac8693f7a6b2645e8e1ba816ea4e3d3a427f06b32",
+    19: "174ce33815c22b5d39726f750cd9e1a015b7cb3d64b30522ae39fcf4eb19509d",
 }
 
 

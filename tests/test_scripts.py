@@ -78,3 +78,33 @@ def test_parity_reports_the_first_differing_op(tmp_path):
     assert lines[0].startswith("density seed 1 op 2: convolve --law semicircle ")
     assert lines[1::2] == ["  stdout: line 1: 'x,density,residual,iters' != 'x,density,residual,iterations'"
                            " (base != this tree)"] * 3
+
+
+def test_parity_flags_a_stream_that_differs_in_floating_point_numbers_only(tmp_path):
+    # the base tree doubles the first residual of each semicircle grid (a float)
+    # and adds one to the first iteration count of each matrix-model grid (an integer)
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src", base / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = base / "src" / "ncmetric" / "cli.py"
+    row = '        lines.append(f"{row.x!r},{row.density!r},{row.residual!r},{row.iterations}")\n'
+    assert row in cli.read_text()
+    perturbed = (
+        '        first = len(lines) == 1\n'
+        '        residual = 2.0 * row.residual if first and args.law == "semicircle" else row.residual\n'
+        '        iterations = row.iterations + (first and args.law is None)\n'
+        '        lines.append(f"{row.x!r},{row.density!r},{residual!r},{iterations}")\n'
+    )
+    cli.write_text(cli.read_text().replace(row, perturbed))
+    proc = _run("parity.py", "--base", str(base), "--metric-seeds", "", "--props-seeds", "",
+                "--density-seeds", "1", cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1:2]] == [
+        f"density seed 1 op {i}" for i in (2, 3, 6, 7, 10, 11)
+    ]
+    assert lines[-1] == "6 of 19 ops differ (exit code, stdout, --out file), 3 of them in floating-point numbers only"
+    semicircle, matrix = lines[1:-1:4], lines[3:-1:4]
+    assert all(line.startswith("  stdout: line 2: ") for line in semicircle + matrix)
+    assert all(line.endswith(" (base != this tree); only numbers differ: 1, by at most 5.0e-01 relative")
+               for line in semicircle)
+    assert all(line.endswith(" (base != this tree)") for line in matrix)
