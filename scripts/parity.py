@@ -12,7 +12,10 @@ exits 0 when every op matches. A stream that differs only in
 floating-point numbers, with all other text and every integer (such as
 an iterations column) the same, is flagged as such next to its first
 differing line, with how many numbers differ and their largest relative
-difference: a change that moves roundoff only shows as one.
+difference, per column by header name in a CSV stream (a first line of
+names, and as many comma-separated fields on every line): a change that
+moves roundoff only shows as one, and a residual that moves by half its
+size at 1e-16 does not hide how far a density moved.
 
     python scripts/parity.py --base /path/to/other/checkout
     python scripts/parity.py --base . --metric-seeds "" --props-seeds "" --density-seeds 1
@@ -119,24 +122,42 @@ def _first_difference(a, b):
     return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
 
 
+def _columns(text):
+    """The header names of a CSV stream (see the module docstring), or None for any other text."""
+    lines = text.splitlines()
+    names = lines[0].split(",") if lines else []
+    if len(names) < 2 or any(NUMBER.search(name) for name in names):
+        return None
+    return names if all(line.count(",") == len(names) - 1 for line in lines) else None
+
+
 def _numbers_only(a, b):
-    """(how many numbers differ, their largest relative difference) when the streams a and b
-    differ in floating-point numbers only; None when any text or integer differs."""
+    """(how many numbers differ, {column: their largest relative difference}) when the streams a and b
+    differ in floating-point numbers only; None when any text or integer differs. The columns are a CSV
+    stream's header names (see _columns); any other stream is one column, named ""."""
     if not (isinstance(a, str) and isinstance(b, str)):
         return None
-    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)  # text at even indices, numbers at odd ones
-    if len(parts_a) != len(parts_b):
-        return None
-    count, worst = 0, 0.0
-    for i, (x, y) in enumerate(zip(parts_a, parts_b)):
-        if x == y:
-            continue
-        if i % 2 == 0 or INTEGER.fullmatch(x) or INTEGER.fullmatch(y):
+    names = _columns(a)
+    if names is None or _columns(b) != names or a.count("\n") != b.count("\n"):
+        names, cells = [""], [(a, b, "")]
+    else:
+        rows = zip(a.splitlines(), b.splitlines())
+        cells = [cell for x, y in rows for cell in zip(x.split(","), y.split(","), names)]
+    count, worst = 0, {}
+    for x, y, name in cells:
+        parts_x, parts_y = NUMBER.split(x), NUMBER.split(y)  # text at even indices, numbers at odd ones
+        if len(parts_x) != len(parts_y):
             return None
-        if float(x) != float(y):
-            count += 1
-            worst = max(worst, abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y))))
-    return count, worst
+        for i, (p, q) in enumerate(zip(parts_x, parts_y)):
+            if p == q:
+                continue
+            if i % 2 == 0 or INTEGER.fullmatch(p) or INTEGER.fullmatch(q):
+                return None
+            if float(p) != float(q):
+                count += 1
+                diff = abs(float(p) - float(q)) / max(abs(float(p)), abs(float(q)))
+                worst[name] = max(worst.get(name, 0.0), diff)
+    return count, {name: worst[name] for name in names if name in worst}
 
 
 def main():
@@ -170,7 +191,10 @@ def main():
             rounded = [_numbers_only(theirs[k], mine[k]) for k in differ]
             numbers_only += None not in rounded
             for k, numbers in zip(differ, rounded):
-                note = f"; only numbers differ: {numbers[0]}, by at most {numbers[1]:.1e} relative" if numbers else ""
+                note = ""
+                if numbers:
+                    figures = ", ".join(f"{name} {diff:.1e}".lstrip() for name, diff in numbers[1].items())
+                    note = f"; only numbers differ: {numbers[0]}, by at most {figures or f'{0.0:.1e}'} relative"
                 print(f"  {k}: {_first_difference(theirs[k], mine[k])} (base != this tree){note}")
     if differing:
         tail = f", {numbers_only} of them in floating-point numbers only" if numbers_only else ""

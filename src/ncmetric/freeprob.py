@@ -23,24 +23,28 @@ solves its rows in one such stack, whose steps make the same numpy
 calls for any number of rows (see _solve_stack).
 
 Models and cp maps register their JSON forms (see matcore.variant). A
-model's _G_dG(b, dirs) gives its Cauchy transform G(b) together with
-the exact derivative at b in each direction of the stack dirs, in the
-coordinates of B (a scalar law's are its matrices), from one resolvent
-(b - X)^(-1), the resolvents of all atoms of a discrete law from one
-inverse call, or one closed form of a continuous law at level one
-(above it, the closed form of b and of the block points
-[[b, e], [0, b]]). cauchy_G passes an empty stack of directions; it
-and F_and_h form their matrices at the public boundary. A cp map's
-_weights(model) is rho - Id on B, one weight per partition block, and
-raises ValueError unless the map acts on the model.
+model's _G_dG(b, jacobian) gives its Cauchy transform G(b) and, when
+jacobian is set, the exact derivative at b at every unit coordinate
+B_j of B (see _units) that the Newton loop asks for, all in the
+coordinates of B (a scalar law's are its matrices). A matrix model
+takes both from one resolvent r = (b - X)^(-1): G = E(r), and
+DG[B_j] = -E(r B_j r) from products of the entries of r, with no
+product of matrices (see _unit_dG). A discrete law takes them from the
+resolvents of all its atoms, from one inverse call; a continuous law
+from one closed form at level one (above it, the closed form of b and
+of the block points [[b, e], [0, b]]). cauchy_G asks for no
+derivative; it and F_and_h form their matrices at the public boundary.
+A cp map's _weights(model) is rho - Id on B, one weight per partition
+block, and raises ValueError unless the map acts on the model.
 
 Each point is checked for the half-plane once. The public functions
 check the points they are given (NotInHalfPlane, an input error, also
 for a point off B where rho - Id is applied); the solver checks its
 input, then each iterate it keeps (SingularResolvent: the map keeps
 the half-plane, so only roundoff leaves it; an overflow fails
-matcore's rule where the eigenvalues of Im are taken, or this test at
-1 x 1); the transforms beneath them check no point.
+matcore's rule where the eigenvalues of Im are taken, or, at 1 x 1,
+this test, which names an Im that is not finite); the transforms
+beneath them check no point.
 """
 
 from __future__ import annotations
@@ -142,10 +146,12 @@ class MatrixModel:
     def base_dim(self) -> int:
         return self.x.shape[0]
 
-    def _G_dG(self, b: NcPoint, dirs: np.ndarray):
-        r = inverse(b.mat - _lift(self.x, b.level))[..., None, :, :]
-        c = _coords(self.blocks, np.concatenate((r, r @ dirs @ r), -3))  # G and DG from one call
-        return c[..., 0, :, :, :], -c[..., 1:, :, :, :]
+    def _G_dG(self, b: NcPoint, jacobian: bool):
+        r = inverse(b.mat - _lift(self.x, b.level))
+        g = _coords(self.blocks, r)
+        if not jacobian:
+            return g, np.zeros(g.shape[:-3] + (0,) + g.shape[-3:], dtype=np.complex128)
+        return g, _unit_dG(self.blocks, r)
 
 
 SCALAR_KINDS = ("semicircle", "bernoulli", "arcsine", "point_mass")
@@ -175,7 +181,8 @@ class ScalarLaw:
         if self.kind != "point_mass" and self.atom != 0:
             raise ValueError(f"atom applies to the point_mass law only, got {self.atom} for {self.kind}")
 
-    def _G_dG(self, b: NcPoint, dirs: np.ndarray):
+    def _G_dG(self, b: NcPoint, jacobian: bool):
+        dirs = _units((1,), b.dim)[:, 0] if jacobian else np.zeros((0, b.dim, b.dim), dtype=np.complex128)
         if self.kind not in ("semicircle", "arcsine"):
             w, shifts = _atoms(self.kind, self.atom, b.dim)
             rs = inverse(b.mat[..., None, :, :] - shifts)  # (..., atom, n, n), from one inverse call
@@ -224,20 +231,43 @@ def _lift(m: np.ndarray, level: int) -> np.ndarray:
     return m if level == 1 else np.kron(np.eye(level), m)
 
 
+def _sum_plan(labels: np.ndarray):
+    """How _label_sums adds the entries of a last axis that carry each label 0, 1, ... (all present).
+
+    groups: per label count s, (s, the positions of its labels, label by
+    label); order: the groups' sums back in label order (None for one
+    group); counts: the entries per label, as complex divisors.
+    """
+    counts = np.bincount(labels)
+    by_count = {s: np.flatnonzero(counts == s) for s in dict.fromkeys(counts.tolist())}
+    groups = [(s, np.concatenate([np.flatnonzero(labels == g) for g in gs])) for s, gs in by_count.items()]
+    order = np.argsort(np.concatenate(list(by_count.values()))) if len(groups) > 1 else None
+    return groups, order, counts.astype(np.complex128)
+
+
+def _label_sums(x: np.ndarray, plan) -> np.ndarray:
+    """The sums of the entries of x's last axis per label (see _sum_plan), on a last axis of labels.
+
+    Each label count takes one C-ordered copy and one sum over its
+    contiguous last axis, which numpy adds pairwise, as np.trace adds a
+    diagonal, in the same order for any number of leading rows.
+    """
+    groups, order, _ = plan
+    parts = [x.take(at, -1).reshape(x.shape[:-1] + (len(at) // s, s)).sum(-1) for s, at in groups]
+    return parts[0] if order is None else np.concatenate(parts, -1)[..., order]
+
+
 @functools.cache
 def _layout(blocks: tuple):
-    """The index plan of a partition of d for _coords and _from_coords (cached: read only).
+    """The index plans of a partition of d for _coords and _from_coords (cached: read only).
 
-    groups: per block size k, (k, the diagonal positions of its blocks);
-    order: the groups' coordinates back in block order (None for one
-    group); pos, own, unit: per pair (a, b) inside one block, a d + b,
-    the block and eye(d)[a, b].
+    diagonal: _sum_plan of the diagonal positions by block; pos, own,
+    unit: per pair (a, b) inside one block, a d + b, the block and
+    eye(d)[a, b].
     """
-    owner, sizes = np.repeat(np.arange(len(blocks)), blocks), np.repeat(blocks, blocks)
-    groups = [(k, np.flatnonzero(sizes == k)) for k in dict.fromkeys(blocks)]
-    order = np.argsort(np.concatenate([np.unique(owner[at]) for _, at in groups])) if len(groups) > 1 else None
+    owner = np.repeat(np.arange(len(blocks)), blocks)
     a, b = np.nonzero(owner[:, None] == owner)
-    return groups, order, a * len(owner) + b, owner[a], (a == b) * 1.0
+    return _sum_plan(owner), a * len(owner) + b, owner[a], (a == b) * 1.0
 
 
 def _coords(blocks, m: np.ndarray) -> np.ndarray:
@@ -249,19 +279,16 @@ def _coords(blocks, m: np.ndarray) -> np.ndarray:
     matrices are orthogonal, so off the algebra this is the orthogonal
     projection's coordinates. The algebra is the direct sum over k of
     the n x n matrices [..., k, :, :], which multiply and invert block by
-    block. Each block size takes one C-ordered copy of one diagonal view
-    and one sum over its contiguous last axis, which numpy adds pairwise,
-    as np.trace adds each block's diagonal. The scalars, one block of
-    size one, are their own coordinates: m is read as it is.
+    block. The traces are _label_sums of one diagonal view. The scalars,
+    one block of size one, are their own coordinates: m is read as it is.
     """
     if blocks == (1,):
         return m[..., None, :, :]
     d = sum(blocks)
     n = m.shape[-1] // d
     diag = np.diagonal(m.reshape(m.shape[:-2] + (n, d, n, d)), axis1=-3, axis2=-1)
-    groups, order, _, _, _ = _layout(blocks)
-    parts = [diag.take(at, -1).reshape(diag.shape[:-1] + (len(at) // k, k)).sum(-1) / k for k, at in groups]
-    c = parts[0] if order is None else np.concatenate(parts, -1)[..., order]  # [..., i, j, k]
+    plan = _layout(blocks)[0]
+    c = _label_sums(diag, plan) / plan[2]  # [..., i, j, k]
     return c.swapaxes(-1, -3).swapaxes(-1, -2)  # views: cheaper than np.moveaxis
 
 
@@ -270,10 +297,53 @@ def _from_coords(blocks, c: np.ndarray) -> np.ndarray:
     if blocks == (1,):
         return c[..., 0, :, :]
     d, n = sum(blocks), c.shape[-1]
-    _, _, pos, own, unit = _layout(blocks)
+    _, pos, own, unit = _layout(blocks)
     out = np.zeros(c.shape[:-3] + (n, n, d * d), dtype=np.complex128)  # [..., i, j, a d + b]
     out[..., pos] = c.swapaxes(-3, -1).swapaxes(-3, -2)[..., own] * unit
     return out.reshape(c.shape[:-3] + (n, n, d, d)).swapaxes(-3, -2).reshape(c.shape[:-3] + (n * d, n * d))
+
+
+@functools.cache
+def _units(blocks: tuple, n: int) -> np.ndarray:
+    """The unit coordinates (K n n, K, n, n) at level n, in the order of c.reshape(-1) (cached: read only).
+
+    Unit (k, i, l) is the coordinate stack of B = kron(E_il, P_k).
+    """
+    m = len(blocks) * n * n
+    units = np.eye(m, dtype=np.complex128).reshape(m, len(blocks), n, n)
+    units.flags.writeable = False
+    return units
+
+
+@functools.cache
+def _jacobian_plan(blocks: tuple, n: int):
+    """_unit_dG's _sum_plan and divisors at level n (cached: read only): position (i, l, c, i', l', a)
+    of its product adds to entry (k, i, l, k', i', l'), c in block k and a in block k', divided by -k_k'."""
+    owner, k = np.repeat(np.arange(len(blocks)), blocks), len(blocks)
+    i, l, c, i2, l2, a = np.indices((n, n, len(owner), n, n, len(owner))).reshape(6, -1)
+    plan = _sum_plan((((owner[c] * n + i) * n + l) * k + owner[a]) * n * n + i2 * n + l2)
+    divisors = np.tile(-np.repeat(np.array(blocks, np.complex128), n * n), k * n * n)
+    return plan, divisors
+
+
+def _unit_dG(blocks, r: np.ndarray) -> np.ndarray:
+    """A matrix model's DG = -E(r B r) at each unit coordinate B (see _units), in coordinates
+    (..., K n n, K, n, n), from its resolvents r (..., n d, n d), G = E(r).
+
+    With r[(i, a), (l, c)] the entry at level (i, l) and base (a, c),
+    coordinate [k', i', l'] of DG[kron(E_il, P_k)] is -(1 / k_k') times
+    the sum over c in block k and a in block k' of
+    r[(i', a), (i, c)] r[(l, c), (l', a)]: one elementwise product and
+    its _label_sums. At level one, the block sums of r.T * r.
+    """
+    lead, d = r.shape[:-2], sum(blocks)
+    n, k = r.shape[-1] // d, len(blocks)
+    left = r.mT.reshape(lead + (n, d, n, d))  # r[(i', a), (i, c)] at [i, c, i', a]
+    right = r.reshape(lead + (n, d, n, d))  # r[(l, c), (l', a)] at [l, c, l', a]
+    terms = left[..., :, None, :, :, None, :] * right[..., None, :, :, None, :, :]  # [i, l, c, i', l', a]
+    plan, divisors = _jacobian_plan(blocks, n)
+    sums = _label_sums(terms.reshape(lead + (-1,)), plan) / divisors
+    return sums.reshape(lead + (k * n * n, k, n, n))
 
 
 def expectation(model: MatrixModel, m: np.ndarray) -> np.ndarray:
@@ -324,10 +394,14 @@ def _require_upper(p: NcPoint, name: str = "b") -> np.ndarray:
 
 def _upper(eigs: np.ndarray, error, head: str, name: str) -> np.ndarray:
     """eigs (..., n), the ascending eigenvalues of Im name, once each row passes the half-plane rule;
-    otherwise error("head: ...") shows the rule's own quantity at the first row that fails."""
+    otherwise error("head: ...") shows the rule's own quantity at the first row that fails, or says
+    that Im name is not finite there."""
     inside = positivity_score(eigs, POS_MARGIN) > 0.0
     if not inside.all():
-        lo, hi = (float(x) for x in eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside)), [0, -1]])
+        row = eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside))]
+        if not np.isfinite(row).all():  # the rule's quantity would drop a NaN, which sorts last
+            raise error(f"{head}: Im {name} is not finite")
+        lo, hi = float(row[0]), float(row[-1])
         ratio = lo / max(1.0, -lo, hi)
         raise error(f"{head}: lambda_min(Im {name}) / max(1, ||Im {name}||) = {ratio:.3e}, not above {POS_MARGIN:g}")
     return eigs
@@ -356,17 +430,16 @@ def _point_coords(model, p: NcPoint, name: str) -> np.ndarray:
     return _algebra_coords(model.blocks, p.mat, NotInHalfPlane, head, name)
 
 
-def _transform(model, b: NcPoint, dirs=None):
-    """G(b) at a b its caller has checked, with DG(b)[dirs] from the same evaluation (empty without dirs).
+def _transform(model, b: NcPoint, jacobian=False):
+    """G(b) at a b its caller has checked, with DG(b) at every unit coordinate from the same evaluation
+    when jacobian is set (empty otherwise).
 
-    Both are in coordinates (see _coords): G (..., K, n, n), DG (..., directions, K, n, n).
+    Both are in coordinates (see _coords): G (..., K, n, n), DG (..., K n n, K, n, n) in the order of _units.
     """
     if b.base_dim != model.base_dim:
         raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
-    if dirs is None:
-        dirs = np.zeros((0, b.dim, b.dim), dtype=np.complex128)
     try:
-        g, dg = model._G_dG(b, dirs)
+        g, dg = model._G_dG(b, jacobian)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
     if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
@@ -384,9 +457,9 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
     return NcPoint(b.base_dim, b.level, _from_coords(model.blocks, _transform(model, b)[0]))
 
 
-def _F(model, b: NcPoint, dirs=None):
-    """F(b) = G(b)^(-1) and DG(b)[dirs], in coordinates (see _transform); F inverts block by block."""
-    g, dg = _transform(model, b, dirs)
+def _F(model, b: NcPoint, jacobian=False):
+    """F(b) = G(b)^(-1) and DG(b) (see _transform), in coordinates; F inverts block by block."""
+    g, dg = _transform(model, b, jacobian)
     try:
         return inverse(g), dg
     except SingularMatrix as exc:
@@ -493,13 +566,13 @@ def _im_eigs(c: np.ndarray) -> np.ndarray:
     return np.sort(herm_eigvals(imag_part(c)).reshape(len(c), -1), 1)
 
 
-def _picard(model, weights, b: np.ndarray, w: np.ndarray, dirs=None):
-    """F(w), the Picard update b + (rho - Id) h(w) and DG(w)[dirs], per point of the coordinate stack w.
+def _picard(model, weights, b: np.ndarray, w: np.ndarray, jacobian=False):
+    """F(w), the Picard update b + (rho - Id) h(w) and DG(w) (see _transform), per point of the coordinate stack w.
 
     rho - Id is rho._weights(model), one weight per coordinate block;
     the matrix of w is formed for the resolvent only.
     """
-    f, dg = _F(model, NcPoint(model.base_dim, w.shape[-1], _from_coords(model.blocks, w)), dirs)
+    f, dg = _F(model, NcPoint(model.base_dim, w.shape[-1], _from_coords(model.blocks, w)), jacobian)
     return f, b + weights * _h_checked(f - w), dg
 
 
@@ -528,9 +601,13 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     that shrink only on steps where rows stop. A step forms the n d x n d
     matrices for the resolvents only. It makes three inverse calls (one
     stack of resolvents, one per atom or none for a closed form, giving
-    G and DG; F = G^-1; the Jacobians) and four eigenvalue calls on the
-    blocks of every row (Im of G, h, the Picard and the Newton points;
-    none at n = 1, so none at level one). Each row keeps its own state,
+    G and DG at every B_j: a matrix model's DG from elementwise products
+    of resolvent entries, with no matrix product per row or direction;
+    F = G^-1; the Jacobians) and four eigenvalue calls on the blocks of
+    every row (Im of G, h, the Picard and the Newton points; none at
+    n = 1, so none at level one). At level one the inverses of G are
+    1 x 1, which matcore.inverse returns without a conditioning test.
+    Each row keeps its own state,
     so it takes exactly the steps, and reaches exactly the values, that
     it reaches when solved alone. Returns the final iterates as a stack
     and SolveTrace's columns (one list per field); unconverged rows are
@@ -539,9 +616,8 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     n_rows, level, blocks = len(b.mat), b.level, model.blocks
     eps0 = _require_upper(b)[:, 0].copy()
     bc = _point_coords(model, b, "b")
-    m = bc[0].size
-    units = np.eye(m, dtype=np.complex128).reshape((m,) + bc.shape[1:])  # the coordinates of the B_j
-    basis = _from_coords(blocks, units)
+    units = _units(blocks, level)
+    m = len(units)
     # each row's final state, written when it stops; im holds the eigenvalues of its kept iterate's Im
     w, im, picard = bc.copy(), np.empty((n_rows, len(blocks) * level)), np.zeros(n_rows, dtype=int)
     iterations, residual, converged = np.full(n_rows, max_iter), np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
@@ -558,7 +634,7 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         weights = rho._weights(model)
         for it in range(1, max_iter + 1):
-            f, upd, dg = _picard(model, weights, ba, wa, basis)
+            f, upd, dg = _picard(model, weights, ba, wa, True)
             upd_eigs = _im_eigs(upd)
             lam = upd_eigs[:, 0]
             eps0a = np.where(lam < eps0a, lam, eps0a)
@@ -748,31 +824,36 @@ def support_interval(result: DensityResult, threshold: float = 0.015):
 
 @dataclass(frozen=True)
 class H0Map:
-    """h0(w) = b0 + (rho - Id) h(w), with eps0 = lambda_min(Im b0), for b0 and w in the model algebra."""
+    """h0(w) = b0 + (rho - Id) h(w), with eps0 = lambda_min(Im b0), for b0 and w in the model algebra.
+
+    rho - Id (weights) and the coordinates of b0 (b0c) are computed once, at construction;
+    ValueError unless rho acts on the model, NotInHalfPlane unless b0 lies in its algebra.
+    """
 
     model: object
     rho: object
     b0: NcPoint
     eps0: float
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    b0c: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", self.rho._weights(self.model))
+        object.__setattr__(self, "b0c", _point_coords(self.model, self.b0, "b0"))
 
     def __call__(self, w: NcPoint) -> NcPoint:
         """h0(w) for w strictly in the half-plane of the model algebra (NotInHalfPlane otherwise)."""
         _require_upper(w, "w")
-        blocks, wc = self.model.blocks, _point_coords(self.model, w, "w")
-        upd = _picard(self.model, self.rho._weights(self.model), _coords(blocks, self.b0_at(w.level)), wc)[1]
-        return NcPoint(w.base_dim, w.level, _from_coords(blocks, upd))
-
-    def b0_at(self, level: int) -> np.ndarray:
-        if self.b0.level not in (1, level):
-            raise ValueError(f"b0 at level {self.b0.level} cannot serve level {level}")
-        return _lift(self.b0.mat, level // self.b0.level)
+        wc = _point_coords(self.model, w, "w")
+        if self.b0.level not in (1, w.level):
+            raise ValueError(f"b0 at level {self.b0.level} cannot serve level {w.level}")
+        # kron(I, b0) has the coordinates kron(I, b0c)
+        upd = _picard(self.model, self.weights, _lift(self.b0c, w.level // self.b0.level), wc)[1]
+        return NcPoint(w.base_dim, w.level, _from_coords(self.model.blocks, upd))
 
 
 def make_h0(model, rho, b0: NcPoint) -> H0Map:
-    rho._weights(model)
-    eps0 = float(_require_upper(b0, "b0")[0])
-    _point_coords(model, b0, "b0")
-    return H0Map(model, rho, b0, eps0)
+    return H0Map(model, rho, b0, float(_require_upper(b0, "b0")[0]))
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,13 @@ def _checked_herm_part(a: np.ndarray, what: str) -> np.ndarray:
     return (a + a_star) / 2.0
 
 
+def _finite(a: np.ndarray) -> bool:
+    return np.count_nonzero(np.isfinite(a)) == np.size(a)  # twice as fast as .all() on small matrices
+
+
 def _factor(test: str, fn, a: np.ndarray, **kw):
     """fn(a, **kw), or FactorizationFailure "<test> failure: ..." where a is not finite or LAPACK fails."""
-    if np.count_nonzero(np.isfinite(a)) < np.size(a):  # twice as fast as .all() on small matrices
+    if not _finite(a):
         raise FactorizationFailure(f"{test} failure: Array must not contain infs or NaNs")
     try:
         return fn(a, **kw)
@@ -225,10 +229,12 @@ def inverse(a) -> np.ndarray:
     matrix has ||A||_F^2 ||A^-1||_F^2 < (0.1 / SINGULAR_RATIO)^2: since
     sigma_max / sigma_min <= ||A||_F ||A^-1||_F, such a matrix is ten
     times too well conditioned for the singular-value rule to reject,
-    and its SVD is not needed. An LU that fails, a product that is not
-    finite or a larger one falls back to the singular values, under
-    _factor's rule, so singular input raises what it raises under the
-    singular-value rule alone and non-finite input FactorizationFailure.
+    and its SVD is not needed. A finite 1x1 stack takes no such test:
+    there sigma_min = sigma_max, so only a zero entry is singular, and
+    its LU fails. An LU that fails, a product that is not finite or a
+    larger one falls back to the singular values, under _factor's rule,
+    so singular input raises what it raises under the singular-value
+    rule alone and non-finite input FactorizationFailure.
     """
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
@@ -238,6 +244,8 @@ def inverse(a) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = None
     else:
+        if a.shape[-1] == 1 and _finite(a):
+            return inv
         # extreme scales overflow the squared norms; inf and nan fail the test
         with np.errstate(over="ignore", invalid="ignore"):
             if _all(_fro2(a) * _fro2(inv) < (0.1 / SINGULAR_RATIO) ** 2):

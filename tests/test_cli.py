@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -608,18 +609,18 @@ def test_convolve_frozen_outputs(tmp_path, capsys):
             "--points", "11", "--eps", "1e-2", "--out", str(out)]
     assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537493310886, "out": str(out), "points": 11}
+    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537493310888, "out": str(out), "points": 11}
     assert out.read_text() == (
         "x,density,residual,iterations\n"
         "-2.5,0.0009658976717162007,6.298408043515735e-16,4\n"
         "-2.0,0.0024757786742132418,1.3182594094393014e-12,4\n"
-        "-1.5,0.27069719311861884,3.704657847396254e-11,6\n"
-        "-1.0,0.6011828819901833,5.825365706983819e-16,9\n"
-        "-0.5,0.230580657469326,2.247001989808994e-15,10\n"
-        "0.0,0.21683399493200153,4.010476586150816e-16,11\n"
-        "0.5,0.2926725382281191,1.1274368112207335e-15,10\n"
-        "1.0,0.31753271920670373,6.332287220439566e-16,9\n"
-        "1.5,0.00911995025504365,2.4532694666933987e-18,5\n"
+        "-1.5,0.2706971931186195,3.7046492358042306e-11,6\n"
+        "-1.0,0.6011828819901833,7.833270583107501e-16,9\n"
+        "-0.5,0.230580657469326,2.2138442859597504e-15,10\n"
+        "0.0,0.21683399493200153,4.1124290053629395e-16,11\n"
+        "0.5,0.29267253822811906,1.1938124470981842e-15,10\n"
+        "1.0,0.3175327192067036,7.197743778714039e-16,9\n"
+        "1.5,0.00911995025504365,4.9065389333867974e-18,5\n"
         "2.0,0.0015614986954261283,1.0158372415228895e-15,4\n"
         "2.5,0.000734674513367171,7.757919228897728e-18,4\n"
     )
@@ -688,7 +689,7 @@ _PROPS_SEED_7 = (
     "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
     "resolvent_negative_imag,15,-0.13644779290040385,0.0,pass\n"
     "expectation_axioms,10,1.5334541241777669e-15,1e-12,pass\n"
-    "omega_direct_sum,2,4.577566798522237e-16,1e-08,pass\n"
+    "omega_direct_sum,2,1.1102230246251565e-16,1e-08,pass\n"
     "subordination_certificate,15,-0.049954804862694394,0.0,pass\n"
     "schwarz_pick_h0,14,-2.2035758674422412e-12,0.0,pass\n"
     "imh_decay,8,-0.0006863095266754762,0.0,pass\n"
@@ -981,12 +982,12 @@ def test_a_solve_that_leaves_the_half_plane_is_exit_4(capsys):
     assert captured.err.startswith("numerical failure: ") and captured.out == ""
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e160])
+@pytest.mark.parametrize("scale", [1e100, 1e140, 1e150, 1e160])
 def test_a_kraus_map_that_overflows_the_solve_is_exit_4_in_one_line(tmp_path, capsys, scale):
     # valid input; rho - Id weighs each block by |v|^2 = scale^2, which is
-    # 1e300 or overflows to inf; the solve fails as a numerical failure,
-    # where numpy's eigvalsh once failed on it as an input error (exit 3)
-    # after two warnings
+    # 1e200, 1e280, 1e300 or overflows to inf; the solve fails as a numerical
+    # failure, where numpy's eigvalsh once failed on it as an input error
+    # (exit 3) after two warnings
     argv = _kraus_args(tmp_path, scale * np.eye(4)) + ["--xmin", "-1", "--xmax", "1", "--points", "3", "--eps", "1e-2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -996,9 +997,16 @@ def test_a_kraus_map_that_overflows_the_solve_is_exit_4_in_one_line(tmp_path, ca
     if scale == 1e160:
         # the Picard update is not finite, and the Jacobian's inverse meets it
         assert captured.err == "numerical failure: inverse failure: Array must not contain infs or NaNs\n"
+    elif scale == 1e140:
+        # a kept iterate overflowed: its Im is named, as a ratio of the
+        # half-plane rule would drop the NaN and read as passing
+        assert captured.err == "numerical failure: an iterate left the half-plane: Im w is not finite\n"
     else:
-        # F - w cancels at the scale of 1e300 h, which leaves Im h below zero
+        # F - w cancels at the scale of |v|^2 h, which leaves Im h below zero
         assert captured.err.startswith("numerical failure: Im h dropped below zero beyond roundoff; ")
+    # a printed ratio of the half-plane rule is one that fails it
+    for ratio in re.findall(r"= (\S+), not above 1e-10", captured.err):
+        assert not float(ratio) > 1e-10
 
 
 # the exit code of every error class the package defines

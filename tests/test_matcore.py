@@ -381,6 +381,30 @@ def test_inverse_skips_the_svd_when_the_lu_is_well_conditioned(monkeypatch):
     assert calls == [1]
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (81, 1, 1), (41, 2, 1, 1)], ids=str)
+def test_a_1x1_inverse_is_the_lu_inverse_without_an_svd(monkeypatch, shape):
+    # sigma_min = sigma_max on a 1 x 1 matrix: no conditioning test, and no svd unless an entry is zero
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    rng = _rng(22)
+    scales = np.array([1e-310, 1e-200, 1e-8, 1.0, 1e8, 1e200, 1e300])
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.choice(scales, shape)
+    got, want = inverse(a), np.linalg.inv(a)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert calls == []
+    last = (-1,) * len(shape)  # the last entry, so that the rows before it are fine
+    for bad, error, message in (
+        (0.0, SingularMatrix, r"matrix is numerically singular (sigma_min/sigma_max = 0.000e+00)"),
+        (np.inf, FactorizationFailure, "inverse failure: Array must not contain infs or NaNs"),
+        (complex(1.0, np.nan), FactorizationFailure, "inverse failure: Array must not contain infs or NaNs"),
+    ):
+        broken = a.copy()
+        broken[last] = bad
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            inverse(broken)
+
+
 def _float_values():
     neg_nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0]
     return [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.5, -2.0, 1e308,

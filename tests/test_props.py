@@ -62,12 +62,13 @@ def test_each_check_alone_gives_its_row_of_the_suite(seed):
 
 # sha256 of report_csv(run_suite(seed)): the suite's report is pinned byte
 # for byte, so a change that reorders draws or evaluations shows here
-# (seeds 2 and 19 re-pinned when rho - Id became per-block weights: only
-# omega_direct_sum's worst moved, in its last bits)
+# (seeds 2 and 19 re-pinned when rho - Id became per-block weights, and all
+# three when the Newton Jacobian came from products of resolvent entries:
+# each time only omega_direct_sum's worst moved, in its last bits)
 _REPORT_DIGESTS = {
-    2: "c8b607ee2f386db077bd1e98d714abd4bd897817627e69592c617a9328d22d13",
-    7: "794dc3efb379d34d859ea06d183d6c215c02ac330224423ec001be64f0cfb71d",
-    19: "174ce33815c22b5d39726f750cd9e1a015b7cb3d64b30522ae39fcf4eb19509d",
+    2: "e1b9d3ded751678ebfc8efe97549aca4225ea3c660be771fd74c366151603645",
+    7: "bb1bce4c81965482bdf4d08cb1ed99de7300196126dfe68b4e4f2247b90c33e1",
+    19: "74d0cd0b457018ed0e2ad5dda18e74a424f4ab45d1906ca8b07088bd7bed1563",
 }
 
 

@@ -81,8 +81,9 @@ def test_parity_reports_the_first_differing_op(tmp_path):
 
 
 def test_parity_flags_a_stream_that_differs_in_floating_point_numbers_only(tmp_path):
-    # the base tree doubles the first residual of each semicircle grid (a float)
-    # and adds one to the first iteration count of each matrix-model grid (an integer)
+    # the base tree doubles the first residual of each semicircle grid and scales its
+    # first density by 1.25 (floats), and adds one to the first iteration count of
+    # each matrix-model grid (an integer)
     base = tmp_path / "base"
     shutil.copytree(ROOT / "src", base / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = base / "src" / "ncmetric" / "cli.py"
@@ -91,8 +92,9 @@ def test_parity_flags_a_stream_that_differs_in_floating_point_numbers_only(tmp_p
     perturbed = (
         '        first = len(lines) == 1\n'
         '        residual = 2.0 * row.residual if first and args.law == "semicircle" else row.residual\n'
+        '        density = 1.25 * row.density if first and args.law == "semicircle" else row.density\n'
         '        iterations = row.iterations + (first and args.law is None)\n'
-        '        lines.append(f"{row.x!r},{row.density!r},{residual!r},{iterations}")\n'
+        '        lines.append(f"{row.x!r},{density!r},{residual!r},{iterations}")\n'
     )
     cli.write_text(cli.read_text().replace(row, perturbed))
     proc = _run("parity.py", "--base", str(base), "--metric-seeds", "", "--props-seeds", "",
@@ -105,6 +107,7 @@ def test_parity_flags_a_stream_that_differs_in_floating_point_numbers_only(tmp_p
     assert lines[-1] == "6 of 19 ops differ (exit code, stdout, --out file), 3 of them in floating-point numbers only"
     semicircle, matrix = lines[1:-1:4], lines[3:-1:4]
     assert all(line.startswith("  stdout: line 2: ") for line in semicircle + matrix)
-    assert all(line.endswith(" (base != this tree); only numbers differ: 1, by at most 5.0e-01 relative")
-               for line in semicircle)
+    # one figure per CSV column that moved, by header name
+    assert all(line.endswith(" (base != this tree); only numbers differ: 2, by at most density 2.0e-01,"
+                             " residual 5.0e-01 relative") for line in semicircle)
     assert all(line.endswith(" (base != this tree)") for line in matrix)
