@@ -20,7 +20,10 @@ bound bounds. The transforms take stacks of points (..., n, n);
 density_grid solves all its grid rows as one stack, each row on its
 own trajectory. subordination_solve takes a stack of points too, and
 solves its rows in one such stack, whose steps make the same numpy
-calls for any number of rows (see _solve_stack).
+calls for any number of rows (see _solve_stack). At level one every
+coordinate block is 1 x 1, where matcore.inverse divides (for entries of
+moderate size) and herm_eigvals reads the diagonal, so a scalar law's
+step makes no LAPACK call.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
 model's _G_dG(b, jacobian) gives its Cauchy transform G(b) and, when
@@ -70,6 +73,7 @@ from .matcore import (
     imag_part,
     inverse,
     is_hermitian,
+    is_singular,
     json_int,
     json_number,
     mat_from_json,
@@ -587,8 +591,10 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     Dh[e] = -F DG[e] F - e. A row whose Newton point would come within
     im_floor = eps0 / 10 of the half-plane's edge takes the plain Picard
     point instead, which stays inside; that step is the globally
-    convergent one. A row stops at its Picard update once the residual
-    ||update - w||_F of the n d x n d matrices is at most tol.
+    convergent one. So does a row whose Jacobian is singular by
+    matcore.is_singular; that test runs only after a SingularMatrix, and
+    the other rows keep their bits. A row stops at its Picard update once
+    the residual ||update - w||_F of the n d x n d matrices is at most tol.
 
     The input b is checked once: _require_upper, whose lambda_min(Im b)
     starts the trace, then the rule that b lies in the model algebra,
@@ -605,13 +611,16 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     of resolvent entries, with no matrix product per row or direction;
     F = G^-1; the Jacobians) and four eigenvalue calls on the blocks of
     every row (Im of G, h, the Picard and the Newton points; none at
-    n = 1, so none at level one). At level one the inverses of G are
-    1 x 1, which matcore.inverse returns without a conditioning test.
-    Each row keeps its own state,
-    so it takes exactly the steps, and reaches exactly the values, that
-    it reaches when solved alone. Returns the final iterates as a stack
-    and SolveTrace's columns (one list per field); unconverged rows are
-    reported, not raised.
+    n = 1, so none at level one). matcore.inverse takes a 1 x 1 matrix
+    of moderate size as a reciprocal, with no LAPACK call: at level one
+    that is F and, for a scalar law, the resolvents and the Jacobians
+    too, so a level-one scalar-law step makes no LAPACK call and a
+    matrix-model step at most two (its resolvents and its K x K
+    Jacobians). Each row keeps its own state, so it takes exactly the
+    steps, and reaches exactly the values, that it reaches when solved
+    alone. Returns the final iterates as a stack and SolveTrace's
+    columns (one list per field); unconverged rows are reported, not
+    raised.
     """
     n_rows, level, blocks = len(b.mat), b.level, model.blocks
     eps0 = _require_upper(b)[:, 0].copy()
@@ -654,10 +663,17 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
             dphi = weights * (-(f4 @ dg @ f4) - units) - units  # DPhi[B_j] per row and j
             c = np.concatenate((dphi, step[:, None]), 1).reshape(len(rows), m + 1, m)
             # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
-            delta = -(inverse(c[:, :m].mT) @ c[:, m:].mT)
+            jac, phi, floor = c[:, :m].mT, c[:, m:].mT, im_floor
+            try:
+                delta = -(inverse(jac) @ phi)
+            except SingularMatrix:  # a row whose Jacobian is singular takes its Picard step
+                solvable = ~is_singular(jac)
+                delta = np.zeros_like(phi)
+                delta[solvable] = -(inverse(jac[solvable]) @ phi[solvable])
+                floor = np.where(solvable, im_floor, np.inf)
             cand = wa + delta.reshape(wa.shape)
             cand_eigs = _im_eigs(cand)
-            newton = cand_eigs[:, 0] > im_floor
+            newton = cand_eigs[:, 0] > floor
             kept = np.where(newton[:, None], cand_eigs, upd_eigs)
             _upper(kept, SingularResolvent, "an iterate left the half-plane", "w")
             wa = np.where(newton.reshape(-1, 1, 1, 1), cand, upd)

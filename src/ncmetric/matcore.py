@@ -6,8 +6,8 @@ package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, and a PSD inverse square root. No other module
 calls np.linalg.eigvalsh, eigh, eigvals, svd, inv or cond or sees a
 LinAlgError: herm_eigvals, herm_eig, spectrum, operator_norm,
-condition_number and inverse ask for each factorization, under
-_factor's one rule for numerical failure.
+condition_number, is_singular and inverse ask for each factorization,
+under _factor's one rule for numerical failure.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
@@ -32,6 +32,8 @@ import numpy as np
 HERM_TOL = 1e-12
 # sigma_min / sigma_max below this means "numerically singular".
 SINGULAR_RATIO = 1e-13
+# inverse takes 1 / a for a 1x1 matrix with RECIPROCAL_MIN < |a| < 1 / RECIPROCAL_MIN.
+RECIPROCAL_MIN = 2.0**-1000
 # Default margin for strict positivity, relative to max(1, ||A||).
 POS_MARGIN = 1e-10
 # principal_sqrt: ||M - I||_F that has converged (a rise below its root is roundoff too)
@@ -219,11 +221,34 @@ def positivity_score(w: np.ndarray, margin: float) -> np.ndarray:
     return lo - margin * np.maximum(1.0, np.maximum(-lo, hi))
 
 
+def is_singular(a):
+    """sigma_min <= SINGULAR_RATIO * sigma_max, from one SVD; one bool per matrix of a stack.
+
+    This is inverse's singular-value rule. Input that is not finite
+    raises FactorizationFailure, under _factor's rule.
+    """
+    return _one(_singular(as_stack(a))[1])
+
+
+def _singular(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sv = _factor("inverse", np.linalg.svd, a, compute_uv=False)
+    return sv, sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
+
+
 def inverse(a) -> np.ndarray:
     """Matrix inverse, per matrix of a stack, with explicit singularity detection.
 
     Raises SingularMatrix when sigma_min <= SINGULAR_RATIO * sigma_max
-    for any matrix.
+    for any matrix (is_singular).
+
+    A 1x1 matrix a with RECIPROCAL_MIN < |a| < 1 / RECIPROCAL_MIN is
+    inverted as 1 / a, numpy's complex division (Smith's), with no
+    LAPACK call: there sigma_min = sigma_max, so it is not singular, and
+    neither Smith's denominator nor the reciprocal can overflow. It can
+    differ from LAPACK's inverse in the last bit (tests/test_matcore.py
+    holds it within 2 eps relative). Every other matrix, a 1x1 one too,
+    takes the LU route below. A stack of 1x1 matrices takes each route
+    per matrix, so each inverse depends on its matrix alone.
 
     The LU inverse comes first and is returned as it is when every
     matrix has ||A||_F^2 ||A^-1||_F^2 < (0.1 / SINGULAR_RATIO)^2: since
@@ -239,6 +264,17 @@ def inverse(a) -> np.ndarray:
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
+    if a.shape[-1] > 1:
+        return _lu_inverse(a)
+    size = np.abs(a)  # inf for a non-finite entry, nan for a nan; neither is in range
+    if RECIPROCAL_MIN < size.min(initial=np.inf) and size.max(initial=0.0) < 1.0 / RECIPROCAL_MIN:
+        return 1.0 / a
+    inv = _lu_inverse(a)
+    np.divide(1.0, a, out=inv, where=(RECIPROCAL_MIN < size) & (size < 1.0 / RECIPROCAL_MIN))
+    return inv
+
+
+def _lu_inverse(a: np.ndarray) -> np.ndarray:
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -250,8 +286,7 @@ def inverse(a) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             if _all(_fro2(a) * _fro2(inv) < (0.1 / SINGULAR_RATIO) ** 2):
                 return inv
-    sv = _factor("inverse", np.linalg.svd, a, compute_uv=False)
-    singular = sv[..., -1] <= SINGULAR_RATIO * sv[..., 0]
+    sv, singular = _singular(a)
     if not _all(~singular):
         top, bottom = sv[singular][0, [0, -1]]
         raise SingularMatrix(

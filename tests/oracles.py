@@ -112,6 +112,20 @@ def arcsine_G_prime(z: complex) -> complex:
     return -z * arcsine_G(z) ** 3
 
 
+def semicircle_G_divided(z1: complex, z2: complex, variance: float = 1.0) -> complex:
+    # (G1 - G2) / (z1 - z2) with no cancellation at close points: z = v g + 1/g
+    # gives z1 - z2 = (G1 - G2)(v - 1 / (G1 G2)); it is G' at z1 = z2
+    g12 = semicircle_G(z1, variance) * semicircle_G(z2, variance)
+    return g12 / (variance * g12 - 1.0)
+
+
+def arcsine_G_divided(z1: complex, z2: complex) -> complex:
+    # (G1 - G2) / (z1 - z2) with no cancellation at close points: 1 / g^2 = z^2 - 4
+    # gives (z1 - z2)(z1 + z2) = (G2 - G1)(G2 + G1) / (G1 G2)^2; it is G' at z1 = z2
+    g1, g2 = arcsine_G(z1), arcsine_G(z2)
+    return -(z1 + z2) * (g1 * g2) ** 2 / (g1 + g2)
+
+
 def bernoulli_G(z: complex) -> complex:
     return 0.5 * (1.0 / (z - 1.0) + 1.0 / (z + 1.0))
 

@@ -276,10 +276,12 @@ CONTRACT_KINDS = {
 }
 
 # sha256 of (stdout, --out CSV) at 20 samples over levels 1, 2, 3 and seed 5,
-# frozen while contract still drew and tested one candidate at a time
+# frozen while contract still drew and tested one candidate at a time (the
+# ball's CSV re-pinned when 1x1 inverses became reciprocals: one lhs moved
+# from 1.2560984884201705 to 1.2560984884201707, and its stdout is unchanged)
 CONTRACT_DIGESTS = {
     "ball": ("ec432af9f1d21a42aeef36bf239b2258915abf441d847cd4aea76190dac8da2e",
-             "8c4a28803608a8f43f6234ed017eba189cb0659c9fdc28c52aa619d46339af8d"),
+             "1ce512dece671fb93dbf5b4e9212b09cbb6e3c213e4badcfe97203fe39c6d9a0"),
     "composed_ball": ("c1c72d4ead964a3314f14543aa149828f4cbd468077c4b9c52e204145316b75b",
                       "624a3e68587c657ff8ccd92773793ec316550d93fec63c1abc76ed8f7316a498"),
     "half_plane": ("907af3f29a2be6aa48a3464aa51bc091ed91a5848cb3fe5d3f4d3436c5a955c3",
@@ -579,27 +581,27 @@ def test_convolve_frozen_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == (
         "x,density,residual,iterations\n"
-        "-2.4875,0.0002447053634489269,2.168404344971009e-19,5\n"
-        "-2.23875,0.0006999697662206094,5.805291386649429e-14,5\n"
-        "-1.9899999999999998,1.5876199246460634,5.139020917890341e-11,11\n"
-        "-1.74125,0.32351859749519274,3.2671507653874523e-15,14\n"
-        "-1.4925,0.23909104609617163,3.627732227871349e-11,14\n"
-        "-1.24375,0.20323265460012518,5.661048867003676e-16,15\n"
+        "-2.4875,0.00024470536344892694,2.220446049250313e-16,5\n"
+        "-2.23875,0.0006999697662206093,5.827450446472424e-14,5\n"
+        "-1.9899999999999998,1.587619924646061,5.139020265297647e-11,11\n"
+        "-1.74125,0.32351859749519296,3.580361673049448e-15,14\n"
+        "-1.4925,0.23909104609617157,3.627721779261288e-11,14\n"
+        "-1.24375,0.20323265460012516,5.551115123125783e-16,15\n"
         "-0.9950000000000001,0.1834714696329472,3.3766115072321297e-16,15\n"
-        "-0.7462500000000001,0.17154360227235907,1.4271872719387392e-15,15\n"
-        "-0.49750000000000005,0.16431986490573272,7.583725362331457e-15,15\n"
-        "-0.24875000000000025,0.16040038532550524,1.852351991380454e-14,15\n"
+        "-0.7462500000000001,0.17154360227235904,1.787596980229968e-15,15\n"
+        "-0.49750000000000005,0.16431986490573272,7.61858952116235e-15,15\n"
+        "-0.24875000000000025,0.16040038532550524,1.804881400830617e-14,15\n"
         "0.0,0.1591549231975312,2.353672812205332e-14,15\n"
-        "0.2487499999999998,0.16040038532550524,1.814884115864914e-14,15\n"
-        "0.4974999999999996,0.16431986490573272,7.953074325917342e-15,15\n"
-        "0.7462499999999999,0.17154360227235904,1.7527816313752602e-15,15\n"
-        "0.9949999999999997,0.1834714696329471,2.482534153247273e-16,15\n"
-        "1.24375,0.20323265460012518,5.661048867003676e-16,15\n"
-        "1.4924999999999997,0.23909104609617163,3.627724721661178e-11,14\n"
-        "1.74125,0.32351859749519274,3.2671507653874523e-15,14\n"
-        "1.9899999999999993,1.587619924646021,5.139012315545001e-11,11\n"
-        "2.2387499999999996,0.0006999697662206113,5.827447922107811e-14,5\n"
-        "2.4875,0.0002447053634489269,2.168404344971009e-19,5\n"
+        "0.2487499999999998,0.16040038532550524,1.8242957797873e-14,15\n"
+        "0.4974999999999996,0.16431986490573272,7.709507714486274e-15,15\n"
+        "0.7462499999999999,0.17154360227235904,1.4271872719387392e-15,15\n"
+        "0.9949999999999997,0.1834714696329472,3.510833468576701e-16,15\n"
+        "1.24375,0.20323265460012516,5.551115123125783e-16,15\n"
+        "1.4924999999999997,0.23909104609617152,3.6277397342018956e-11,14\n"
+        "1.74125,0.32351859749519296,3.580361673049448e-15,14\n"
+        "1.9899999999999993,1.5876199246460254,5.139020265297647e-11,11\n"
+        "2.2387499999999996,0.0006999697662206109,5.827447922107811e-14,5\n"
+        "2.4875,0.00024470536344892694,2.220446049250313e-16,5\n"
     )
     for line in out.splitlines()[1:]:
         x, density = (float(v) for v in line.split(",")[:2])
@@ -609,19 +611,19 @@ def test_convolve_frozen_outputs(tmp_path, capsys):
             "--points", "11", "--eps", "1e-2", "--out", str(out)]
     assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
-    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537493310888, "out": str(out), "points": 11}
+    assert summary == {"converged": 11, "eps": 0.01, "mass": 0.9717537493310904, "out": str(out), "points": 11}
     assert out.read_text() == (
         "x,density,residual,iterations\n"
-        "-2.5,0.0009658976717162007,6.298408043515735e-16,4\n"
+        "-2.5,0.0009658976717162007,8.894852771217907e-16,4\n"
         "-2.0,0.0024757786742132418,1.3182594094393014e-12,4\n"
-        "-1.5,0.2706971931186195,3.7046492358042306e-11,6\n"
-        "-1.0,0.6011828819901833,7.833270583107501e-16,9\n"
-        "-0.5,0.230580657469326,2.2138442859597504e-15,10\n"
-        "0.0,0.21683399493200153,4.1124290053629395e-16,11\n"
-        "0.5,0.29267253822811906,1.1938124470981842e-15,10\n"
-        "1.0,0.3175327192067036,7.197743778714039e-16,9\n"
-        "1.5,0.00911995025504365,4.9065389333867974e-18,5\n"
-        "2.0,0.0015614986954261283,1.0158372415228895e-15,4\n"
+        "-1.5,0.2706971931186225,3.704666423339832e-11,6\n"
+        "-1.0,0.6011828819901832,7.346057244653784e-16,9\n"
+        "-0.5,0.230580657469326,1.9181492553389518e-15,10\n"
+        "0.0,0.21683399493200153,1.6004645656917944e-16,11\n"
+        "0.5,0.29267253822811906,1.1247003100708814e-15,10\n"
+        "1.0,0.31753271920670373,5.222180388738334e-16,9\n"
+        "1.5,0.00911995025504365,3.142675531463723e-16,5\n"
+        "2.0,0.0015614986954261298,3.872126627197854e-16,4\n"
         "2.5,0.000734674513367171,7.757919228897728e-18,4\n"
     )
     for line in out.read_text().splitlines()[1:]:
@@ -689,12 +691,12 @@ _PROPS_SEED_7 = (
     "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
     "resolvent_negative_imag,15,-0.13644779290040385,0.0,pass\n"
     "expectation_axioms,10,1.5334541241777669e-15,1e-12,pass\n"
-    "omega_direct_sum,2,1.1102230246251565e-16,1e-08,pass\n"
-    "subordination_certificate,15,-0.049954804862694394,0.0,pass\n"
-    "schwarz_pick_h0,14,-2.2035758674422412e-12,0.0,pass\n"
+    "omega_direct_sum,2,2.7755575615628914e-16,1e-08,pass\n"
+    "subordination_certificate,15,-0.0499548048643917,0.0,pass\n"
+    "schwarz_pick_h0,14,-2.2035754337613722e-12,0.0,pass\n"
     "imh_decay,8,-0.0006863095266754762,0.0,pass\n"
     "gauge_matches_delta,15,3.1086244689504383e-15,1e-10,pass\n"
-    "fixed_point_range,3,-9.930212724847883e-10,0.0,pass\n"
+    "fixed_point_range,3,-9.93021050720921e-10,0.0,pass\n"
 )
 
 
@@ -974,20 +976,39 @@ def test_a_seed_outside_the_generator_range_is_exit_3(tmp_path, ball_files, caps
 
 
 def test_a_solve_that_leaves_the_half_plane_is_exit_4(capsys):
-    # valid input: at t = 1e150 the roundoff in Im h(b) takes the first
+    # valid input: at t = 1e300 the roundoff in Im h(b) takes the first
     # Picard update far below the real axis
-    argv = ["convolve", "--law", "bernoulli", "--rho-t", "1e150", "--xmin", "0", "--xmax", "1", "--points", "2"]
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "1e300", "--xmin", "0", "--xmax", "1", "--points", "2"]
     assert main(argv) == 4
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical failure: ") and captured.out == ""
+    assert captured.out == "" and captured.err == (
+        "numerical failure: an iterate left the half-plane: "
+        "lambda_min(Im w) / max(1, ||Im w||) = -1.000e+00, not above 1e-10\n"
+    )
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e140, 1e150, 1e160])
+def test_a_grid_that_does_not_converge_prints_its_rows_and_is_exit_4(capsys):
+    # valid input: at t = 1e150 the iterates stay in the half-plane, but
+    # roundoff at the scale of (t - 1) h keeps both rows from converging
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "1e150", "--xmin", "0", "--xmax", "1", "--points", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    captured = capsys.readouterr()
+    header, *rows = captured.out.splitlines()
+    assert captured.err == "" and header == "x,density,residual,iterations"
+    assert [row.split(",")[0] for row in rows] == ["0.0", "1.0"]
+    assert all(row.endswith(",200") and float(row.split(",")[2]) > 1e-9 for row in rows)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e140, 1e150, 1e160])
 def test_a_kraus_map_that_overflows_the_solve_is_exit_4_in_one_line(tmp_path, capsys, scale):
     # valid input; rho - Id weighs each block by |v|^2 = scale^2, which is
-    # 1e200, 1e280, 1e300 or overflows to inf; the solve fails as a numerical
-    # failure, where numpy's eigvalsh once failed on it as an input error
-    # (exit 3) after two warnings
+    # 1e160, 1e200, 1e280, 1e300 or overflows to inf; the solve fails as a
+    # numerical failure, where numpy's eigvalsh once failed on it as an input
+    # error (exit 3) after two warnings. Below the overflow, F - w cancels at
+    # the scale of |v|^2 h, so roundoff alone steers each row's iterates, and
+    # the first row in grid order to fail names the check it failed
     argv = _kraus_args(tmp_path, scale * np.eye(4)) + ["--xmin", "-1", "--xmax", "1", "--points", "3", "--eps", "1e-2"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -997,12 +1018,16 @@ def test_a_kraus_map_that_overflows_the_solve_is_exit_4_in_one_line(tmp_path, ca
     if scale == 1e160:
         # the Picard update is not finite, and the Jacobian's inverse meets it
         assert captured.err == "numerical failure: inverse failure: Array must not contain infs or NaNs\n"
-    elif scale == 1e140:
-        # a kept iterate overflowed: its Im is named, as a ratio of the
-        # half-plane rule would drop the NaN and read as passing
+    elif scale == 1e100:
+        # row x = -1 runs out of budget; row x = 0 keeps an iterate that
+        # overflowed, and its Im is named, as a ratio of the half-plane rule
+        # would drop the NaN and read as passing
         assert captured.err == "numerical failure: an iterate left the half-plane: Im w is not finite\n"
+    elif scale in (1e140, 1e150):
+        # row x = -1 keeps an iterate whose Im is finite but numerically singular next to its norm
+        assert captured.err.startswith("numerical failure: an iterate left the half-plane: lambda_min(Im w) / ")
     else:
-        # F - w cancels at the scale of |v|^2 h, which leaves Im h below zero
+        # row x = -1's F - w leaves Im h below zero
         assert captured.err.startswith("numerical failure: Im h dropped below zero beyond roundoff; ")
     # a printed ratio of the half-plane rule is one that fails it
     for ratio in re.findall(r"= (\S+), not above 1e-10", captured.err):

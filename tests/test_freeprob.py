@@ -199,6 +199,30 @@ def test_continuous_dG_matches_the_derivative_oracles(law):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (z1, z2)
 
 
+@pytest.mark.parametrize("law", CONTINUOUS, ids=lambda law: f"{law.kind}-{law.variance}")
+def test_level_two_dG_at_close_eigenvalues_is_daleckii_krein(law):
+    # DG(B)[E] = U ((U* E U) o L) U* at B = U diag(z1, z2) U*, where L holds
+    # G'(z_i) on its diagonal and the divided difference off it, taken from
+    # the oracles' exact forms, since the quotient cancels at close z1, z2
+    rng = _rng(91)
+    exact = oracles.semicircle_G_divided if law.kind == "semicircle" else oracles.arcsine_G_divided
+    args = (law.variance,) if law.kind == "semicircle" else ()
+    worst = 0.0
+    for gap in 10.0 ** -np.arange(1, 13):
+        for z1 in (0.3 + 1.0j, -0.5 * _edge(law) + 1e-2j, 0.995 * _edge(law) + 1e-3j, 2.0 * _edge(law) + 0.5j):
+            z2 = z1 + gap * np.exp(1j * rng.uniform(0.0, np.pi))
+            u = np.linalg.qr(rng.standard_normal((2, 4)).view(complex))[0]
+            dd = exact(z1, z2, *args)
+            # the exact form agrees with the naive quotient to the quotient's own roundoff
+            g1, g2 = _G_oracle(law, z1), _G_oracle(law, z2)
+            assert abs(dd - (g1 - g2) / (z1 - z2)) <= 4.0 * np.finfo(float).eps * (abs(g1) + abs(g2)) / abs(z1 - z2)
+            coeff = np.array([[_G_prime(law, z1), dd], [dd, _G_prime(law, z2)]])
+            want = u @ ((u.conj().T @ _UNITS @ u) * coeff) @ u.conj().T
+            got = law._G_dG(point((u * [z1, z2]) @ u.conj().T), True)[1][:, 0]
+            worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
+    assert worst <= 1e-12
+
+
 def _block_corner(model, b, dirs):
     # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner,
     # levels 1..level by level+1..2 level of each coordinate block
@@ -611,27 +635,27 @@ def test_stacked_grid_rows_equal_one_row_solves(name):
 
 # density_grid(*GRIDS["matrix_power"]) rows as (x, density, residual, iterations)
 _MATRIX_POWER_ROWS = [
-    (-3.0, 0.00021480679273429238, 1.6061193968062285e-13, 4),
-    (-2.7, 0.00033077329414385665, 9.066252199455528e-12, 4),
-    (-2.4, 0.0006227476695359666, 4.441201254765294e-16, 5),
-    (-2.1, 0.002355259725340348, 2.6838353418089274e-11, 5),
-    (-1.8, 0.35331898385805066, 1.211110335867595e-15, 11),
-    (-1.5, 0.3331230093194394, 5.583456820869758e-12, 16),
-    (-1.2000000000000002, 0.28295976003515383, 2.9668100830751404e-14, 12),
-    (-0.8999999999999999, 0.2482653167852021, 3.062686598583602e-15, 11),
-    (-0.6000000000000001, 0.23030491330549907, 1.9100999153570945e-15, 11),
-    (-0.30000000000000027, 0.22282289694512813, 2.6651089493243477e-12, 11),
-    (0.0, 0.22332921873386388, 3.3870000458167195e-12, 11),
-    (0.2999999999999998, 0.2317236062503139, 6.461226838209581e-10, 9),
-    (0.5999999999999996, 0.2494993702852186, 9.79956576890089e-15, 13),
-    (0.8999999999999999, 0.275538083874381, 2.678874645919161e-12, 11),
-    (1.2000000000000002, 0.2948758422301553, 1.6405157680910127e-11, 10),
-    (1.5, 0.2963957284917102, 1.2211947597524894e-10, 11),
-    (1.7999999999999998, 0.004093466659616373, 6.320883416073272e-16, 6),
-    (2.0999999999999996, 0.0006583586121434226, 4.776073833204028e-10, 4),
+    (-3.0, 0.00021480679273429228, 1.6028130656590739e-13, 4),
+    (-2.7, 0.00033077329414385665, 9.06641401225158e-12, 4),
+    (-2.4, 0.000622747669535967, 3.1425797751136203e-16, 5),
+    (-2.1, 0.002355259725340346, 2.6838959272580654e-11, 5),
+    (-1.8, 0.3533189838580507, 1.3345785898812087e-15, 11),
+    (-1.5, 0.3331230093194393, 5.5829312591669285e-12, 16),
+    (-1.2000000000000002, 0.28295976003515383, 2.996820796595675e-14, 12),
+    (-0.8999999999999999, 0.24826531678520222, 3.2577053834795166e-15, 11),
+    (-0.6000000000000001, 0.23030491330549907, 1.0648885158809838e-15, 11),
+    (-0.30000000000000027, 0.22282289694512813, 2.6650887953055344e-12, 11),
+    (0.0, 0.22332921873386388, 3.3869898829950175e-12, 11),
+    (0.2999999999999998, 0.23172360625031393, 6.461225847860154e-10, 9),
+    (0.5999999999999996, 0.24949937028521865, 9.735839365096478e-15, 13),
+    (0.8999999999999999, 0.275538083874381, 2.6780032868942877e-12, 11),
+    (1.2000000000000002, 0.2948758422301553, 1.640488713020998e-11, 10),
+    (1.5, 0.29639572849171025, 1.2211985297801132e-10, 11),
+    (1.7999999999999998, 0.004093466659616375, 8.070659983686833e-17, 6),
+    (2.0999999999999996, 0.0006583586121434214, 4.776076641020629e-10, 4),
     (2.3999999999999995, 0.000334256925720872, 5.059025727348919e-13, 4),
-    (2.7, 0.00021423649971737314, 2.811106680763733e-15, 4),
-    (3.0, 0.000152869303861601, 1.776363298014732e-15, 4),
+    (2.7, 0.00021423649971737322, 2.5920711908098924e-15, 4),
+    (3.0, 0.0001528693038616011, 1.4043490568804553e-15, 4),
 ]
 
 
@@ -807,11 +831,11 @@ def _count_linalg_calls(monkeypatch):
 @pytest.mark.parametrize(
     "grid, per_step",
     [
-        # one inverse of both atoms' resolvents, F = G^-1 and the Jacobian; no eigvalsh at 1 x 1
-        ("bernoulli_edge", {"inv": 3, "eigvalsh": 0, "svd": 0}),
-        # the resolvent, F and the Jacobian; Im G, Im h, Im of the Picard and of the Newton points
-        # are taken per coordinate block, 1 x 1 at level one
-        ("matrix_kraus", {"inv": 3, "eigvalsh": 0, "svd": 0}),
+        # both atoms' resolvents, F = G^-1 and the Jacobian are 1 x 1, so reciprocals; no eigvalsh at 1 x 1
+        ("bernoulli_edge", {"inv": 0, "eigvalsh": 0, "svd": 0}),
+        # the 4 x 4 resolvent and the K x K Jacobian; F = G^-1 is 1 x 1 per coordinate block at level
+        # one, and so are Im G, Im h, Im of the Picard and of the Newton points
+        ("matrix_kraus", {"inv": 2, "eigvalsh": 0, "svd": 0}),
     ],
 )
 def test_np_linalg_calls_per_lockstep_iteration_do_not_grow_with_rows(monkeypatch, grid, per_step):
@@ -837,6 +861,29 @@ def test_a_kraus_solve_reads_im_b_eigenvalues_once(monkeypatch):
     calls = _count_linalg_calls(monkeypatch)
     _, trace = subordination_solve(model, rho, NcPoint(4, 1, (-1.8 + 3e-3j) * np.eye(4)))
     assert (trace.iterations, calls["eigvalsh"], calls["svd"]) == (5, 1, 0)
+
+
+def test_a_row_whose_newton_jacobian_is_singular_takes_its_picard_step(monkeypatch):
+    # block 1 holds the law 1/4 delta_0 + 3/8 (delta_2 + delta_-2), for which
+    # F(z) = z - 3 z / (z^2 - 1), so F'(i y) - 1 = 3 (1 - y^2) / (1 + y^2)^2 is
+    # real; at y = 1/2 the weight |v|^2 = (5/6)^2 makes the Jacobian's block-1
+    # entry |v|^2 (F' - 1) - 1 vanish up to roundoff at b = i y, the first
+    # iterate of row x = 0, while block 2 (a Bernoulli law) keeps its own
+    x = np.diag([0.0, 0.0, 2.0, 2.0, 2.0, -2.0, -2.0, -2.0, 1.0, -1.0]).astype(complex)
+    v = np.diag([5.0 / 6.0] * 8 + [0.7] * 2).astype(complex)
+    model, rho, eps = MatrixModel(x, (8, 2)), KrausAugment((v,)), 0.5
+    found = []
+    real = freeprob.is_singular
+    monkeypatch.setattr(freeprob, "is_singular", lambda a: found.append(real(a).tolist()) or real(a))
+    rows = density_grid(model, rho, -1.0, 1.0, points=3, eps=eps).rows
+    assert found == [[False, True, False]]
+    assert [(r.converged, r.picard_steps) for r in rows] == [(True, 0), (True, 1), (True, 0)]
+    for r in rows:
+        # each row keeps the bits of its own solve, and holds the block-equation oracle
+        alone = density_grid(model, rho, r.x, r.x, points=1, eps=eps).rows[0]
+        assert repr(dataclasses.astuple(alone)) == repr(dataclasses.astuple(r))
+        want = oracles.matrix_model_density(x, model.blocks, [1.0 + (5.0 / 6.0) ** 2, 1.49], complex(r.x, eps))
+        assert r.density == pytest.approx(want, rel=0, abs=1e-8)
 
 
 def test_failing_rows_raise_in_grid_order(monkeypatch):

@@ -27,6 +27,7 @@ from ncmetric.matcore import (
     imag_part,
     inverse,
     is_hermitian,
+    is_singular,
     mat_from_json,
     mat_to_json,
     operator_norm,
@@ -288,10 +289,13 @@ def test_one_bad_matrix_fails_a_stack():
 
 
 def _inverse_svd_then_lu(a):
-    """inverse before its LU-first rule: the singular-value rule, then the LU."""
+    """inverse before its LU-first rule: the singular-value rule, then the LU;
+    a 1x1 matrix whose modulus is between 2^-1000 and 2^1000 inverted as 1 / a."""
     a = as_stack(a)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"cannot invert a {a.shape[-2]}x{a.shape[-1]} matrix")
+    if a.shape[-1] == 1 and (2.0**-1000 < np.abs(a)).all() and (np.abs(a) < 2.0**1000).all():
+        return 1.0 / a
     if not np.isfinite(a).all():
         raise FactorizationFailure("inverse failure: Array must not contain infs or NaNs")
     sv = np.linalg.svd(a, compute_uv=False)
@@ -382,17 +386,23 @@ def test_inverse_skips_the_svd_when_the_lu_is_well_conditioned(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (81, 1, 1), (41, 2, 1, 1)], ids=str)
-def test_a_1x1_inverse_is_the_lu_inverse_without_an_svd(monkeypatch, shape):
-    # sigma_min = sigma_max on a 1 x 1 matrix: no conditioning test, and no svd unless an entry is zero
+def test_a_1x1_inverse_is_the_reciprocal_without_a_lapack_call(monkeypatch, shape):
+    # sigma_min = sigma_max on a 1 x 1 matrix, so a nonzero one in range is inverted by Smith's division
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    for name in ("inv", "svd"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
     rng = _rng(22)
-    scales = np.array([1e-310, 1e-200, 1e-8, 1.0, 1e8, 1e200, 1e300])
+    scales = np.array([1e-200, 1e-8, 1.0, 1e8, 1e200, 1e300])
     a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.choice(scales, shape)
-    got, want = inverse(a), np.linalg.inv(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = inverse(a)
+    want = 1.0 / a
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
     assert calls == []
+    lapack = np.linalg.inv(a)
+    assert (np.abs(got - lapack) <= 2.0 * np.finfo(float).eps * np.abs(lapack)).all()
     last = (-1,) * len(shape)  # the last entry, so that the rows before it are fine
     for bad, error, message in (
         (0.0, SingularMatrix, r"matrix is numerically singular (sigma_min/sigma_max = 0.000e+00)"),
@@ -403,6 +413,33 @@ def test_a_1x1_inverse_is_the_lu_inverse_without_an_svd(monkeypatch, shape):
         broken[last] = bad
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             inverse(broken)
+    # out of range, an entry takes the LU as it does alone, with no warning; the others stay reciprocals
+    others = np.arange(a.size).reshape(shape) != a.size - 1
+    for extreme in (1e-310, 1e-305j, 1e305, complex(1e308, 1e308)):
+        mixed = a.copy()
+        mixed[last] = extreme
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inverse(mixed)
+            alone = np.linalg.inv(np.full((1, 1), extreme, dtype=complex))
+        assert got[last].tobytes() == alone.tobytes()
+        assert got[others].tobytes() == want[others].tobytes()
+
+
+def test_is_singular_is_the_rule_inverse_raises_on():
+    rng = _rng(23)
+    conds = [1.0, 1e6, 9.9e12, 1.01e13, 1e15]
+    stack = np.stack([_conditioned(rng, 3, c) for c in conds] + [np.zeros((3, 3))])
+    assert is_singular(stack).tolist() == [False, False, False, True, True, True]
+    assert is_singular(np.eye(2)) is False and is_singular(np.zeros((1, 1))) is True
+    for m in stack:
+        if is_singular(m):
+            with pytest.raises(SingularMatrix):
+                inverse(m)
+        else:
+            inverse(m)
+    with pytest.raises(FactorizationFailure, match="^inverse failure: Array must not contain infs or NaNs$"):
+        is_singular(np.array([[np.nan]]))
 
 
 def _float_values():
@@ -523,9 +560,9 @@ def test_each_module_imports_only_the_modules_pinned_for_it():
 def test_only_matcore_calls_the_lapack_choke_points():
     # eigvalsh, eigh, eigvals, svd, inv and cond are called, and a LinAlgError
     # is seen, in matcore alone, behind herm_eigvals, herm_eig, spectrum,
-    # operator_norm, condition_number and inverse, which hold to one rule for
-    # numerical failure; numpy.linalg is reached as np.linalg only, so no
-    # alias slips past
+    # operator_norm, condition_number, is_singular and inverse, which hold to
+    # one rule for numerical failure; numpy.linalg is reached as np.linalg
+    # only, so no alias slips past
     choke = {"eigvalsh", "eigh", "eigvals", "svd", "inv", "cond"}
     offenders = []
     for name, tree in _package_trees().items():

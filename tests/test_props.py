@@ -64,11 +64,14 @@ def test_each_check_alone_gives_its_row_of_the_suite(seed):
 # for byte, so a change that reorders draws or evaluations shows here
 # (seeds 2 and 19 re-pinned when rho - Id became per-block weights, and all
 # three when the Newton Jacobian came from products of resolvent entries:
-# each time only omega_direct_sum's worst moved, in its last bits)
+# each time only omega_direct_sum's worst moved, in its last bits; all three
+# again when 1x1 inverses became reciprocals: the worst of omega_direct_sum,
+# subordination_certificate, schwarz_pick_h0, imh_decay and fixed_point_range
+# moved in their last digits, and every row still passes at its tolerance)
 _REPORT_DIGESTS = {
-    2: "e1b9d3ded751678ebfc8efe97549aca4225ea3c660be771fd74c366151603645",
-    7: "bb1bce4c81965482bdf4d08cb1ed99de7300196126dfe68b4e4f2247b90c33e1",
-    19: "74d0cd0b457018ed0e2ad5dda18e74a424f4ab45d1906ca8b07088bd7bed1563",
+    2: "f128cdd249ffa9f405e6251eaeb0712892f49a072004464cdeb2d6bd4e555c95",
+    7: "96409d68d5a07b9c6ed60ddb09f795334d519b3b768b7b6f94eb0689e4c9964b",
+    19: "e8742626735fa2a81905350a17f3f4d70e7256528d8e3c406db0aec8f2e7d814",
 }
 
 
