@@ -83,9 +83,9 @@ from .matcore import (
     of_family,
     operator_norm,
     positivity_score,
-    psd_inv_sqrt,
     spectrum,
     variant,
+    whitener,
 )
 from .ncfunc import DomainViolation, Polynomial, SeriesNotConverged, eval_mat
 from .ncpoint import BaseDimMismatch, DimMismatch, NcDirection, NcPoint, block_upper, per_row, rows
@@ -400,20 +400,22 @@ def sample_triples(domain, rng, levels, count: int, base_dim: int) -> list:
 
 def ball_delta(a: NcPoint, c: NcPoint, b: NcDirection, radius: float = 1.0):
     """delta(a, c)(b) = r ||(r^2 - a a*)^(-1/2) b (r^2 - c* c)^(-1/2)|| on the
-    ball of radius r, per row of the stacks; at r = 1.0 it is the unit ball's."""
+    ball of radius r, per row of the stacks; at r = 1.0 it is the unit ball's.
+    The norm is unitarily invariant, so it is taken as r ||W_a b W_c*||
+    with matcore.whitener's factor of each gram."""
     r2 = radius * radius
     qa = herm_part(r2 * np.eye(a.dim, dtype=np.complex128) - a.mat @ a.mat.conj().mT)
     qc = herm_part(r2 * np.eye(c.dim, dtype=np.complex128) - c.mat.conj().mT @ c.mat)  # right gram
-    sa, sc = psd_inv_sqrt(qa), psd_inv_sqrt(qc)
-    return radius * operator_norm(sa @ b.mat @ sc)
+    return radius * operator_norm(whitener(qa) @ b.mat @ whitener(qc).conj().mT)
 
 
 def halfplane_delta(a: NcPoint, c: NcPoint, b: NcDirection):
     """delta(a, c)(b) = ||(Im a)^(-1/2) b (Im c)^(-1/2)|| / 2 on the upper
-    half-plane, per row of the stacks."""
-    sa = psd_inv_sqrt(imag_part(a.mat))
-    sc = psd_inv_sqrt(imag_part(c.mat))
-    return 0.5 * operator_norm(sa @ b.mat @ sc)
+    half-plane, per row of the stacks, taken as ||W_a b W_c*|| / 2 with
+    matcore.whitener's factors (one, when c is a)."""
+    wa = whitener(imag_part(a.mat))
+    wc = wa if c is a else whitener(imag_part(c.mat))
+    return 0.5 * operator_norm(wa @ b.mat @ wc.conj().mT)
 
 
 def ball_domain(radius: float = 1.0) -> KernelDomain:

@@ -3,11 +3,11 @@
 All matrices are numpy complex128 arrays. The functions here wrap
 numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
-singularity detection, and a PSD inverse square root. No other module
-calls np.linalg.eigvalsh, eigh, eigvals, svd, inv or cond or sees a
-LinAlgError: herm_eigvals, herm_eig, spectrum, operator_norm,
-condition_number, is_singular and inverse ask for each factorization,
-under _factor's one rule for numerical failure.
+singularity detection, a PSD inverse square root and a whitener. No
+other module calls np.linalg.eigvalsh, eigh, eigvals, svd, inv, cond or
+cholesky or sees a LinAlgError: herm_eigvals, herm_eig, spectrum,
+operator_norm, condition_number, is_singular, inverse and whitener ask
+for each factorization, under _factor's one rule for numerical failure.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
@@ -313,6 +313,27 @@ def psd_inv_sqrt(a) -> np.ndarray:
         raise NotPositiveDefinite(f"lambda_min = {low.min():.3e} <= 0")
     s = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().mT
     return herm_part(s)
+
+
+def whitener(q) -> np.ndarray:
+    """A matrix W with W Q W* = I for a positive definite Q, per matrix of a stack.
+
+    W = L^-1 for the Cholesky factor L (L L* = Q, read from the lower
+    triangle and the real diagonal), inverted by inverse. W = U Q^(-1/2)
+    for a unitary U, so unitarily invariant forms such as ||Q^(-1/2) B||
+    take the same value with W. A matrix that is not finite, or whose L
+    or its inverse fails, takes psd_inv_sqrt, also a W, which raises what
+    it raises on the whole stack; every other matrix keeps its L^-1.
+    """
+    q = as_stack(q)
+    if _finite(q):
+        try:
+            return inverse(np.linalg.cholesky(q))
+        except (np.linalg.LinAlgError, SingularMatrix):
+            if q.ndim > 2 and len(q) > 1:
+                psd_inv_sqrt(q)  # raises what the stack raises
+                return np.stack([whitener(m) for m in q])
+    return psd_inv_sqrt(q)
 
 
 def principal_sqrt(a) -> tuple[np.ndarray, np.ndarray]:

@@ -25,8 +25,8 @@ distances and the reports test membership at MEMBERSHIP_MARGIN.
 The routes compute on stacks of points (N, n, n) and directions and
 return one result per row, equal to what the route returns on that
 row alone; a single point is a stack of one (see ncpoint.per_row).
-d_upper and dtilde_upper use this to evaluate all quadrature nodes of
-a segment, or all pairs of a division, in one stacked call.
+d_upper and dtilde_upper use this to evaluate the quadrature nodes of
+both rules, or the pairs of every division, in one stacked call.
 check_contraction and compare_nested stack their samples per shape
 group (base dimension, the levels of the points, the shape of the
 direction) through ncpoint.sample_outcomes; a group whose stacked
@@ -61,7 +61,7 @@ from .matcore import (
     inverse,
     operator_norm,
     positive_finite,
-    psd_inv_sqrt,
+    whitener,
 )
 from .ncfunc import delta_f as func_delta, eval_point
 from .ncpoint import DimMismatch, NcDirection, NcPoint, block_upper, direction, per_row, sample_outcomes
@@ -382,20 +382,21 @@ def _sqrt_top(sym: np.ndarray) -> np.ndarray:
 
 
 def _kernel_value(kernel, a: NcPoint, c: NcPoint, b: NcDirection) -> np.ndarray:
-    qa = herm_part(gram(kernel, a))
-    qc = qa if c is a else herm_part(gram(kernel, c))
+    """sqrt lambda_max(W (D0 Q_c^-1 D1 - D01) W*) for W = whitener(Q_a),
+    which is the kernel formula's lambda_max under Q_a^(-1/2) by unitary
+    invariance; when c is a, Q_c^-1 = W* W from the same factor."""
+    wa = whitener(herm_part(gram(kernel, a)))
+    qc_inv = wa.conj().mT @ wa if c is a else inverse(herm_part(gram(kernel, c)))
     d0, d1, d01 = kernel_diffs(kernel, a, c, b)
-    sa = psd_inv_sqrt(qa)
-    operand = d0 @ inverse(qc) @ d1 - d01
-    return _sqrt_top(herm_part(sa @ operand @ sa))
+    return _sqrt_top(herm_part(wa @ (d0 @ qc_inv @ d1 - d01) @ wa.conj().mT))
 
 
 def _tilde_value(kernel, a: NcPoint, c: NcPoint) -> np.ndarray:
-    qa = herm_part(gram(kernel, a))
+    """sqrt lambda_max(W K(a, c) Q_c^-1 K(a, c)* W* - I) for W = whitener(Q_a)."""
+    wa = whitener(herm_part(gram(kernel, a)))
     qc = herm_part(gram(kernel, c))
     cross = kernel_eval(kernel, a, c)
-    sa = psd_inv_sqrt(qa)
-    m = sa @ cross @ inverse(qc) @ cross.conj().mT @ sa - np.eye(a.dim)
+    m = wa @ cross @ inverse(qc) @ cross.conj().mT @ wa.conj().mT - np.eye(a.dim)
     return _sqrt_top(herm_part(m))
 
 
@@ -486,30 +487,34 @@ def dtilde_upper(domain, a: NcPoint, c: NcPoint, refinement_budget: int = REFINE
     larger refinement_budget tightens it. Blocked stages (an interior
     point outside the domain) are skipped and reported in diagnostics.
 
-    Each stage tests its interior points with one stacked contains
-    call and evaluates its chain of pairs with one stacked call. Raises
-    ValueError when refinement_budget < 0.
+    The interior points of every stage are tested with one stacked
+    contains call, and the chains of pairs of every unblocked stage are
+    evaluated with one stacked call; each stage is then summed left to
+    right. Raises ValueError when refinement_budget < 0.
     """
     if refinement_budget < 0:
         raise ValueError(f"refinement_budget must be at least 0, got {refinement_budget}")
     _require_endpoints(domain, a, c)
 
-    diagnostics = []
-    stage_values = []
-    best_val, best_pts = float("inf"), None
     counts = [0] + [2**j for j in range(refinement_budget + 1)]
-    for m in counts:
-        t = (np.arange(m) + 1) / (m + 1)
-        interior = (1.0 - t)[:, None, None] * a.mat + t[:, None, None] * c.mat
-        inside = contains(domain, NcPoint(a.base_dim, a.level, interior))
-        blocked = (np.flatnonzero(~inside) + 1).tolist()
+    t = np.concatenate([(np.arange(m) + 1) / (m + 1) for m in counts])
+    interior = (1.0 - t)[:, None, None] * a.mat + t[:, None, None] * c.mat
+    inside = contains(domain, NcPoint(a.base_dim, a.level, interior))
+    diagnostics, stages = [], []
+    for m, start in zip(counts, np.cumsum([0] + counts).tolist()):
+        blocked = (np.flatnonzero(~inside[start : start + m]) + 1).tolist()
         if blocked:
             diagnostics.append(f"stage with {m} interior points blocked at indices {blocked}")
-            continue
-        pts = np.concatenate([a.mat[None], interior, c.mat[None]])
-        values = _chain_values(
-            domain, NcPoint(a.base_dim, a.level, pts[:-1]), NcPoint(a.base_dim, a.level, pts[1:])
-        )
+        else:
+            stages.append(np.concatenate([a.mat[None], interior[start : start + m], c.mat[None]]))
+
+    # the pairs of every unblocked stage in one evaluation; the 0-point stage is never blocked
+    x = NcPoint(a.base_dim, a.level, np.concatenate([pts[:-1] for pts in stages]))
+    y = NcPoint(a.base_dim, a.level, np.concatenate([pts[1:] for pts in stages]))
+    splits = np.cumsum([len(pts) - 1 for pts in stages])[:-1]
+    stage_values = []
+    best_val, best_pts = float("inf"), None
+    for pts, values in zip(stages, np.split(_chain_values(domain, x, y), splits)):
         val = float(np.cumsum(values)[-1])  # left to right, not pairwise
         stage_values.append(val)
         if val < best_val:
@@ -530,7 +535,8 @@ def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = QUAD_POINTS) -> P
     Composite midpoint quadrature; the chord c - a is the exact
     derivative of the segment, and positive homogeneity of delta
     absorbs its length, so the value is mean_m delta(x_m, x_m)(chord).
-    The nodes are tested and evaluated as one stack.
+    The quad_points nodes and the quad_points // 2 nodes of the
+    half-resolution rerun are tested and evaluated as one stack.
 
     The value is an estimate, not a bound: where delta is convex along
     the segment the midpoint rule reads below the path length (on the
@@ -551,19 +557,18 @@ def d_upper(domain, a: NcPoint, c: NcPoint, quad_points: int = QUAD_POINTS) -> P
     if operator_norm(chord.mat) == 0.0:
         return PathBound(0.0, 0.0, 0)
 
-    def integrate(q: int) -> float:
-        frac = (np.arange(q) + 0.5) / q
-        x = NcPoint(a.base_dim, a.level, a.mat + frac[:, None, None] * chord.mat)
-        inside = contains(domain, x)
-        if not inside.all():
-            m = int(np.flatnonzero(~inside)[0])
-            raise PathBlocked(f"quadrature node at t = {frac[m]:.6f} is outside the domain")
-        # summed left to right, not pairwise as np.sum would
-        return float(np.cumsum(_delta_values(domain, x, x, chord))[-1]) / q
-
-    value = integrate(quad_points)
-    half = integrate(max(1, quad_points // 2))
-    return PathBound(value, abs(value - half), quad_points)
+    half = max(1, quad_points // 2)
+    frac = np.concatenate([(np.arange(q) + 0.5) / q for q in (quad_points, half)])
+    x = NcPoint(a.base_dim, a.level, a.mat + frac[:, None, None] * chord.mat)
+    inside = contains(domain, x)
+    if not inside.all():
+        m = int(np.flatnonzero(~inside)[0])
+        raise PathBlocked(f"quadrature node at t = {frac[m]:.6f} is outside the domain")
+    deltas = _delta_values(domain, x, x, chord)
+    # each rule summed left to right, not pairwise as np.sum would
+    value = float(np.cumsum(deltas[:quad_points])[-1]) / quad_points
+    coarse = float(np.cumsum(deltas[quad_points:])[-1]) / half
+    return PathBound(value, abs(value - coarse), quad_points)
 
 
 def check_contraction(

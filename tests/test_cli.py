@@ -46,11 +46,22 @@ from ncmetric.sampling import SamplingFailure
 import oracles
 
 
+EPS = np.finfo(float).eps
+
+
 def _near_ray_values(new, old, terms=1):
     # old values were sums of `terms` ray-search midpoints below 1, each
     # within RAY_TOL / 2 of the exact delta its bracket holds
     for x, y in zip(new, old, strict=True):
         assert abs(x - y) <= terms * RAY_TOL / 2
+
+
+def _near_eigh_rows(new, old):
+    # old CSV rows were frozen while the delta formulas whitened with an
+    # eigendecomposition (psd_inv_sqrt), not a Cholesky factor; each value
+    # is the same number up to a few eps of roundoff
+    for x, y in zip(new, old, strict=True):
+        assert list(map(float, x.split(","))) == pytest.approx(list(map(float, y.split(","))), rel=8 * EPS, abs=0.0)
 
 
 def _dump(tmp_path, name, obj):
@@ -154,12 +165,17 @@ def test_distance_spectral_disk_frozen(tmp_path, capsys):
     assert out.read_text() == printed
     payload = json.loads(printed)
     dt, du = payload["dtilde_upper"], payload["d_upper"]
-    assert dt["value"] == 0.657137879810713
-    assert dt["stage_values"] == [0.7030587008464348, 0.667021298025247, 0.6604791938752244, 0.657137879810713]
+    assert dt["value"] == 0.6571378798107129
+    assert dt["stage_values"] == [0.7030587008464345, 0.6670212980252466, 0.6604791938752242, 0.6571378798107129]
     assert dt["diagnostics"] == [] and len(dt["division"]) == 6
     assert du["value"] == 0.6552347021387588
-    assert du["quad_estimate"] == 7.587832074318346e-05
+    assert du["quad_estimate"] == 7.587832074307244e-05
     assert du["points_used"] == 32
+    # the values frozen while delta whitened with an eigendecomposition, not
+    # a Cholesky factor: sums of deltas, each moved by a few eps at most
+    eigh_stages = [0.7030587008464348, 0.667021298025247, 0.6604791938752244, 0.657137879810713]
+    assert dt["stage_values"] == pytest.approx(eigh_stages, rel=8 * EPS, abs=0.0)
+    assert du["quad_estimate"] == pytest.approx(7.587832074318346e-05, rel=0.0, abs=8 * EPS * du["value"])
     # the values the ray search froze, with 1, 2, 3 and 5 pairs per stage
     ray_stages = [0.703058569217232, 0.6670212403848435, 0.6604787658851825, 0.6571373195474552]
     for terms, new, old in zip((1, 2, 3, 5), dt["stage_values"], ray_stages):
@@ -221,18 +237,29 @@ def test_contract_frozen_outputs(tmp_path, capsys):
     assert main(argv + ["--equality"]) == 0
     assert capsys.readouterr().out == (
         '{\n  "ok": true,\n  "samples": 6,\n  "violations": [],\n'
-        '  "worst_abs_gap": 7.771561172376096e-16,\n'
-        '  "worst_excess": 7.771561172376096e-16\n}\n'
+        '  "worst_abs_gap": 4.440892098500626e-16,\n'
+        '  "worst_excess": 4.440892098500626e-16\n}\n'
     )
-    assert out.read_text() == (
-        "lhs,rhs\n"
-        "0.4144454846328354,0.4144454846328353\n"
-        "0.48858560653795186,0.4885856065379518\n"
-        "0.9134884369706396,0.91348843697064\n"
-        "0.3092647401134443,0.30926474011344435\n"
-        "0.9104437677297483,0.9104437677297489\n"
-        "0.9154597906640891,0.9154597906640883\n"
-    )
+    rows = [
+        "0.4144454846328354,0.4144454846328353",
+        "0.4885856065379518,0.4885856065379517",
+        "0.9134884369706394,0.9134884369706392",
+        "0.3092647401134443,0.30926474011344435",
+        "0.9104437677297483,0.9104437677297487",
+        "0.9154597906640892,0.9154597906640888",
+    ]
+    assert out.read_text() == "lhs,rhs\n" + "".join(row + "\n" for row in rows)
+    # the values frozen while delta whitened with an eigendecomposition, not
+    # a Cholesky factor, when worst_abs_gap read 7.771561172376096e-16
+    eigh_rows = [
+        "0.4144454846328354,0.4144454846328353",
+        "0.48858560653795186,0.4885856065379518",
+        "0.9134884369706396,0.91348843697064",
+        "0.3092647401134443,0.30926474011344435",
+        "0.9104437677297483,0.9104437677297489",
+        "0.9154597906640891,0.9154597906640883",
+    ]
+    _near_eigh_rows(rows, eigh_rows)
     # the spectral disk takes its exact delta on both sides
     out = tmp_path / "halve.csv"
     disk = SpectralDisk(0.0, 0.5, NormBound("constant", 1.0))
@@ -243,13 +270,22 @@ def test_contract_frozen_outputs(tmp_path, capsys):
     )
     rows = [
         "0.15740433245191662,0.3420191568735881",
+        "0.20377353332158704,0.4370875839876311",
+        "0.423811815954206,0.85187923727925",
+        "0.11105797554405833,0.24442978750006292",
+        "0.41865376165570517,0.8580757807033615",
+        "0.45378955847018754,0.9084943339307212",
+    ]
+    assert out.read_text() == "lhs,rhs\n" + "".join(row + "\n" for row in rows)
+    eigh_rows = [
+        "0.15740433245191662,0.3420191568735881",
         "0.20377353332158699,0.437087583987631",
         "0.42381181595420614,0.8518792372792501",
         "0.11105797554405833,0.24442978750006292",
         "0.41865376165570506,0.8580757807033615",
         "0.4537895584701875,0.9084943339307212",
     ]
-    assert out.read_text() == "lhs,rhs\n" + "".join(row + "\n" for row in rows)
+    _near_eigh_rows(rows, eigh_rows)
     # the values the ray search froze; worst_excess is a difference of two
     ray_rows = [
         "0.15740413829635302,0.3420195992224584",
@@ -278,18 +314,21 @@ CONTRACT_KINDS = {
 # sha256 of (stdout, --out CSV) at 20 samples over levels 1, 2, 3 and seed 5,
 # frozen while contract still drew and tested one candidate at a time (the
 # ball's CSV re-pinned when 1x1 inverses became reciprocals: one lhs moved
-# from 1.2560984884201705 to 1.2560984884201707, and its stdout is unchanged)
+# from 1.2560984884201705 to 1.2560984884201707, and its stdout is unchanged;
+# all five when delta whitened with a Cholesky factor, not an eigendecomposition:
+# 117 of 200 CSV values moved, each by at most 1.4e-15 relative, worst_excess
+# and worst_abs_gap by at most 6.7e-16, and every text and status is unchanged)
 CONTRACT_DIGESTS = {
-    "ball": ("ec432af9f1d21a42aeef36bf239b2258915abf441d847cd4aea76190dac8da2e",
-             "1ce512dece671fb93dbf5b4e9212b09cbb6e3c213e4badcfe97203fe39c6d9a0"),
-    "composed_ball": ("c1c72d4ead964a3314f14543aa149828f4cbd468077c4b9c52e204145316b75b",
-                      "624a3e68587c657ff8ccd92773793ec316550d93fec63c1abc76ed8f7316a498"),
-    "half_plane": ("907af3f29a2be6aa48a3464aa51bc091ed91a5848cb3fe5d3f4d3436c5a955c3",
-                   "9835a650b9772f6650f4f9dd9c0bf1c4cf50cce55fda059a7dab76db1f3a097d"),
+    "ball": ("427fc7f2c0952268de64a05662242ac0a614e2922a2979e71438c010d17b1f05",
+             "2d3c7ed649b53d3415cefaa3ffe354e157a7d01be3cc7bc7b4c9b902d5d27e84"),
+    "composed_ball": ("e63772c04edc9574200f0050caf84cf98b87836f8e2aac4e8d4cae86739803a6",
+                      "f847a1680301bb30d118a04f3ca04dae91c351d96fb3f5fc37077c6d6c6eca82"),
+    "half_plane": ("0a66a4ecaaf1be6c553e29c4feaf258526830f629fe833a20ea6eb8a2354e2ed",
+                   "3ab70ef54f744b56b881f1f924809532ec45b9b452d638e60293eea670168e03"),
     "composed_half_plane": ("9c792e266eb8d89a7b4c69040b82c69392427c2393a40d12fabd7d7b125bbb49",
-                            "6b59e79496d6d7389a08a0a3b205a093ddf36ac81d16425eae06b2e80dd2e644"),
-    "spectral_disk": ("be0d18543c8a805dc623b4413172e3a51a9e0411c19ee890a4c38b9a456ea264",
-                      "cfdb3d8d9e763e449a797c6d874f2f21a6c094f726f210326c533102420ff2a8"),
+                            "687b60c930083d36b60f865a25e875ec26599208fbec4f6c7e545a09b8844e9f"),
+    "spectral_disk": ("85404bc610e93836edbf5a2b5e44a2af31ded8bd745882b82482563c5c33dbbf",
+                      "32e054ffa11a4c3ffe74d88717f1c289893f2323639c8d77d64799a5b00514e3"),
 }
 
 
@@ -359,22 +398,25 @@ DELTA_KINDS = {
 # sha256 of the stdout and of the --out CSV of `delta`, each concatenated
 # over level pairs (1, 1), (1, 2), (2, 2), base dimensions 1 and 2 and
 # --tol 1e-6, 1e-12 and 1e-16; frozen while the ray search still made
-# one membership test per call
+# one membership test per call (the four kernel kinds and the notes re-pinned
+# when delta whitened with a Cholesky factor, not an eigendecomposition: only
+# closed and kernel values moved, 174 of the 943 CSV numbers, each by at most 1.1e-15
+# relative, and every ray bracket, iteration count and note is unchanged)
 DELTA_DIGESTS = {
-    "ball": ("fe74978b3500449c58c17790424d461824e498f03856d86b78c9637a8883d95b",
-             "188ab69dc3349ab9eafcf5bdb884c10dbddf330402b5d300a3acb89fd6804301"),
-    "composed_ball": ("4ac898279e33162b2050fd3524d091cefdef50ef90b7c3d79b1dc3f0362f930b",
-                      "1fbc387dbb11d10f5e6b2ef343432eac35aeb5b4c79f7073c58013431b34b469"),
-    "composed_half_plane": ("cfaa8a07cc5013781751fa4b7d9faef5ee41865de96b708fefb55695bb050f33",
-                            "7b5a3bfa9c43f9ec962bc824990ce59babe7dea69b0b55cafc636e4da72ccf97"),
-    "half_plane": ("21e0f6b8bb898c05b4a378b2d62fd5c446fd7a0cd893963b7066e871c0ab9741",
-                   "9f169c60f99b5968ac4151c428b42a0f1aecd239210d4ff37617dedd2edafd92"),
+    "ball": ("7218aa405a811601f0f35236d4bf7960e1df785a2014bc49d64b2a822fe3b270",
+             "0bc5415db1c5f1a2fb096030171a6fb19467956c339c06a3b9e97178c845c709"),
+    "composed_ball": ("ed0bfc69ec0ce1739b815888df075f0261e0b0db212ef083f85e9c5e275db056",
+                      "7919734667eb107abdd88f475b671e575a8986df0b8262a861aeec0abb6ae4eb"),
+    "composed_half_plane": ("2ec10cd9f3831c6f30adb2210913460a6e87275b440e603ecec0e53dbd19c5e0",
+                            "0f61a08d4d9bdaa82297b6a4a98ae3d01463656979a580b076b02a79b682f683"),
+    "half_plane": ("38d434ab45066a8e4180d0e5b8d4ea31fdfc10e158bf40f06b5490ba4e07d066",
+                   "4d8c78040819e6b5d92c60282fa3f8c94b53fe7bdf862c358e2ab5413e97e7a8"),
     "nilpotent_cone": ("8cfb2afa14426c20fd8615fbd2aa3a24a7bea17446bfeaf080580a85ddd92d79",
                        "e005a829bcf9990c60ae08f97d27bb7b07040806d7dd2c7fb55c892e2355be86"),
     "spectral_disk": ("660b2183c5d48e7aa3174a1b645bd614cebf4d76c6017577886c096f1d2155d6",
                       "ef905103041d6234c3bd7aeacb6a52fc231dafc8f4d48f6cbe69d449a619479b"),
-    "notes": ("0ad33895888380300c7a7513b36851afba3cb23f4a72e2161ade639c6af02f53",
-              "d7af1de3d5a3e04b70306f6d6f0d77ce7916a7b72122da60a6c90f5fcd27091e"),
+    "notes": ("f90b2665ac39bb56e6cdd7a095d74fed6a92120e317078540160d9fd4d6a8820",
+              "53e8c75cd86ba163ef0cc45530b05dfe9f9197098c6d22291c2703b6d75b08a5"),
 }
 
 
@@ -673,20 +715,20 @@ _PROPS_SEED_7 = (
     "kernel_unitary_intertwine,20,3.473692595673946e-16,1e-10,pass\n"
     "ball_membership_norm,30,0.0,0.0,pass\n"
     "halfplane_membership,40,0.0,0.0,pass\n"
-    "oracle_ball,12,3.709661333672898e-08,5e-06,pass\n"
-    "oracle_halfplane,12,3.6879742287831974e-08,5e-06,pass\n"
+    "oracle_ball,12,3.709661378081819e-08,5e-06,pass\n"
+    "oracle_halfplane,12,3.68797422600764e-08,5e-06,pass\n"
     "delta_homogeneity,20,0.0,1e-09,pass\n"
-    "delta_unitary_invariance,16,9.992007221626409e-16,1e-08,pass\n"
-    "delta_direct_sum_max,10,2.220446049250313e-16,1e-08,pass\n"
+    "delta_unitary_invariance,16,5.551115123125783e-16,1e-08,pass\n"
+    "delta_direct_sum_max,10,4.440892098500626e-16,1e-08,pass\n"
     "delta_amplification,16,8.881784197001252e-16,1e-08,pass\n"
-    "delta_nondegeneracy,15,-0.24014879412766715,0.0,pass\n"
-    "tilde_matches_delta,16,1.4432899320127035e-15,1e-08,pass\n"
+    "delta_nondegeneracy,15,-0.240148794127667,0.0,pass\n"
+    "tilde_matches_delta,16,8.881784197001252e-16,1e-08,pass\n"
     "ordering_chain,2,0.0,1e-09,pass\n"
     "norm_lower_bound,20,0.0,1e-09,pass\n"
-    "upper_semicontinuity,5,0.0001310083073299273,0.001,pass\n"
+    "upper_semicontinuity,5,0.00013100830733014934,0.001,pass\n"
     "boundary_blowup,7,-1.2115533573603914,0.0,pass\n"
     "spectral_disk_bounded,25,-1.034128465053408,1e-09,pass\n"
-    "nesting_halves,20,-0.004094785072284363,1e-08,pass\n"
+    "nesting_halves,20,-0.0040947850722865,1e-08,pass\n"
     "moebius_isometry,12,4.440892098500626e-16,1e-06,pass\n"
     "polynomial_contraction,12,-0.2102897569269361,1e-07,pass\n"
     "resolvent_negative_imag,15,-0.13644779290040385,0.0,pass\n"
@@ -695,9 +737,22 @@ _PROPS_SEED_7 = (
     "subordination_certificate,15,-0.0499548048643917,0.0,pass\n"
     "schwarz_pick_h0,14,-2.2035754337613722e-12,0.0,pass\n"
     "imh_decay,8,-0.0006863095266754762,0.0,pass\n"
-    "gauge_matches_delta,15,3.1086244689504383e-15,1e-10,pass\n"
+    "gauge_matches_delta,15,1.3322676295501878e-15,1e-10,pass\n"
     "fixed_point_range,3,-9.93021050720921e-10,0.0,pass\n"
 )
+# the worst of each row that moved when delta whitened with a Cholesky factor,
+# not an eigendecomposition: an error or a difference of values near 1
+_PROPS_SEED_7_EIGH = {
+    "oracle_ball": 3.709661333672898e-08,
+    "oracle_halfplane": 3.6879742287831974e-08,
+    "delta_unitary_invariance": 9.992007221626409e-16,
+    "delta_direct_sum_max": 2.220446049250313e-16,
+    "delta_nondegeneracy": -0.24014879412766715,
+    "tilde_matches_delta": 1.4432899320127035e-15,
+    "upper_semicontinuity": 0.0001310083073299273,
+    "nesting_halves": -0.004094785072284363,
+    "gauge_matches_delta": 3.1086244689504383e-15,
+}
 
 
 def test_props_runs_are_byte_identical(capsys):
@@ -713,6 +768,9 @@ def test_props_runs_are_byte_identical(capsys):
     header, *rows = first.rstrip("\n").split("\n")
     assert header == "check,samples,worst,tol,status"
     assert rows and all(r.endswith(",pass") for r in rows)
+    worst = {name: float(w) for name, _, w, *_ in (r.split(",") for r in rows)}
+    for name, old in _PROPS_SEED_7_EIGH.items():
+        assert abs(worst[name] - old) <= 16 * EPS
 
 
 def test_counterexample_reproduces(tmp_path, capsys):

@@ -16,9 +16,11 @@ from ncmetric.domains import (
     NormBound,
     PointOutsideDomain,
     SpectralDisk,
+    ball_delta,
     ball_domain,
     contains,
     gram,
+    halfplane_delta,
     halfplane_domain,
     kernel_diffs,
     kernel_eval,
@@ -29,7 +31,7 @@ from ncmetric.freeprob import ScalarLaw, ScalarPower, picard_ratio, subordinatio
 from ncmetric.matcore import from_json
 from ncmetric.metric import delta_auto, delta_kernel, delta_ray, delta_routes, delta_tilde
 from ncmetric.ncfunc import MoebiusBall, Polynomial, delta_f, eval_point
-from ncmetric.ncpoint import DimMismatch, NcPoint, direction, point
+from ncmetric.ncpoint import DimMismatch, NcDirection, NcPoint, direction, point
 
 
 def _rng(seed=0):
@@ -387,3 +389,43 @@ def test_free_gram_block_matches_self_gram(n, seed):
     for kernel in (BallKernel(), HalfPlaneKernel()):
         d0, d1, d01 = kernel_diffs(kernel, a, c, b)
         assert d0.shape == (n, n) and d1.shape == (n, n) and d01.shape == (n, n)
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_cmat(rng, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("g", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_closed_forms_near_the_boundary_meet_the_diagonal_value(g):
+    # a = U diag(1 - g_a) V* and c = W diag(1 - g_c) X* on the ball, and
+    # b = U diag(beta) X*, make the closed form's operand diagonal:
+    # delta = max beta_i / sqrt(g_a,i (2 - g_a,i) g_c,i (2 - g_c,i)), with no
+    # cancellation; on the half-plane Im a = U diag(g_a) U* and Im c =
+    # W diag(g_c) W* give max beta_i / (2 sqrt(g_a,i g_c,i)). Rounding the
+    # points to floats alone moves delta by about eps / g relative.
+    eps = np.finfo(float).eps
+    rng = _rng(17)
+    n = 3
+    for _ in range(10):
+        u, v, w, x = (_unitary(rng, n) for _ in range(4))
+        ga = np.array([g, *rng.uniform(0.2, 0.9, n - 1)])
+        gc = np.array([g * rng.uniform(1.0, 2.0), *rng.uniform(0.2, 0.9, n - 1)])
+        beta = rng.uniform(0.5, 1.0, n)
+        da, dc = ga * (2.0 - ga), gc * (2.0 - gc)
+        a = NcPoint(1, n, u @ np.diag(1.0 - ga) @ v.conj().T)
+        c = NcPoint(1, n, w @ np.diag(1.0 - gc) @ x.conj().T)
+        cases = [
+            (ball_delta(a, c, NcDirection(1, n, n, u @ np.diag(beta) @ x.conj().T)), beta / np.sqrt(da * dc)),
+            (ball_delta(a, a, NcDirection(1, n, n, u @ np.diag(beta) @ v.conj().T)), beta / da),
+        ]
+        a = NcPoint(1, n, rng.uniform(-1.0, 1.0) * np.eye(n) + 1j * (u @ np.diag(ga) @ u.conj().T))
+        c = NcPoint(1, n, rng.uniform(-1.0, 1.0) * np.eye(n) + 1j * (w @ np.diag(gc) @ w.conj().T))
+        cases += [
+            (halfplane_delta(a, c, NcDirection(1, n, n, u @ np.diag(beta) @ w.conj().T)),
+             beta / (2.0 * np.sqrt(ga * gc))),
+            (halfplane_delta(a, a, NcDirection(1, n, n, u @ np.diag(beta) @ u.conj().T)), beta / (2.0 * ga)),
+        ]
+        for got, diagonal in cases:
+            exact = diagonal.max()
+            assert abs(got - exact) <= 8.0 * eps / g * exact

@@ -35,6 +35,7 @@ from ncmetric.matcore import (
     principal_sqrt,
     psd_inv_sqrt,
     spectrum,
+    whitener,
 )
 
 import oracles
@@ -147,6 +148,35 @@ def test_psd_inv_sqrt_whitens():
 def test_psd_inv_sqrt_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
         psd_inv_sqrt(np.diag([1.0, -0.1]))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_whitener_whitens_and_takes_a_stack_per_matrix(n):
+    rng = _rng(70 + n)
+    g = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    q = g @ g.conj().mT / n + 0.1 * np.eye(n)
+    w = whitener(q)
+    assert np.abs(w @ q @ w.conj().mT - np.eye(n)).max() <= 1e-12
+    np.testing.assert_array_equal(w, [whitener(m) for m in q])
+
+
+def test_whitener_fails_as_psd_inv_sqrt_does():
+    good = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    nan = np.array([[1.0, 0.0], [0.0, np.nan]])
+    for bad, error in ((np.diag([1.0, -0.1]), NotPositiveDefinite), (nan, FactorizationFailure)):
+        for q in (bad, np.concatenate([good, [bad]])):
+            with pytest.raises(error) as expected:
+                psd_inv_sqrt(q)
+            with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+                whitener(q)
+    # the Cholesky factor of diag(1, 1e-28) is too ill-conditioned for inverse,
+    # so that matrix takes psd_inv_sqrt, which still whitens it, and the other
+    # matrix of the stack keeps its triangular L^-1
+    q = np.stack([[[2.0, 1.0], [1.0, 2.0]], np.diag([1.0, 1e-28])])
+    w = whitener(q)
+    assert np.tril(w[0]).tolist() == w[0].tolist() and w[0].tolist() == whitener(q[0]).tolist()
+    np.testing.assert_array_equal(w[1], psd_inv_sqrt(q[1]))
+    assert np.abs(w[1] @ q[1] @ w[1].conj().T - np.eye(2)).max() <= 1e-12
 
 
 def _off_the_negative_axis(rng, n):
@@ -558,12 +588,12 @@ def test_each_module_imports_only_the_modules_pinned_for_it():
 
 
 def test_only_matcore_calls_the_lapack_choke_points():
-    # eigvalsh, eigh, eigvals, svd, inv and cond are called, and a LinAlgError
-    # is seen, in matcore alone, behind herm_eigvals, herm_eig, spectrum,
-    # operator_norm, condition_number, is_singular and inverse, which hold to
-    # one rule for numerical failure; numpy.linalg is reached as np.linalg
-    # only, so no alias slips past
-    choke = {"eigvalsh", "eigh", "eigvals", "svd", "inv", "cond"}
+    # eigvalsh, eigh, eigvals, svd, inv, cond and cholesky are called, and a
+    # LinAlgError is seen, in matcore alone, behind herm_eigvals, herm_eig,
+    # spectrum, operator_norm, condition_number, is_singular, inverse and
+    # whitener, which hold to one rule for numerical failure; numpy.linalg is
+    # reached as np.linalg only, so no alias slips past
+    choke = {"eigvalsh", "eigh", "eigvals", "svd", "inv", "cond", "cholesky"}
     offenders = []
     for name, tree in _package_trees().items():
         if name == "matcore.py":

@@ -54,6 +54,7 @@ from ncmetric.domains import sample_triples
 import oracles
 
 RAY_TEST_TOL = 1e-7
+EPS = np.finfo(float).eps
 
 
 def _rng(seed=0):
@@ -272,15 +273,17 @@ def test_both_distance_drivers_reject_an_outside_endpoint_alike(a, c):
 
 # (value, quad_estimate, points_used) at quad_points 1, 7 and 256, frozen
 # while d_upper still took piecewise-linear paths with this segment as default
+# (ball, composed and disk re-pinned when delta whitened with a Cholesky
+# factor, not an eigendecomposition; D_UPPER_EIGH holds what they read before)
 D_UPPER_FROZEN = [
     (
         ball_domain(),
         np.array([[0.3, 0.1j], [-0.2, 0.1]]),
         np.array([[-0.25, 0.0], [0.1, 0.4j]]),
         [
-            (0.7094133284006555, 0.0, 1),
-            (0.7413209088464746, 0.00347385990743887, 7),
-            (0.742123603432874, 1.8113484153703396e-06, 256),
+            (0.7094133284006553, 0.0, 1),
+            (0.7413209088464744, 0.00347385990743887, 7),
+            (0.7421236034328739, 1.8113484153703396e-06, 256),
         ],
     ),
     (
@@ -298,9 +301,9 @@ D_UPPER_FROZEN = [
         np.array([[0.1, 0.05], [0.0, -0.1j]]),
         np.array([[0.2, -0.1], [0.05, 0.15]]),
         [
-            (0.50030267413838, 0.0, 1),
+            (0.5003026741383799, 0.0, 1),
             (0.5113583604359444, 0.0011151950132728405, 7),
-            (0.5116123034174191, 5.713945907537266e-07, 256),
+            (0.5116123034174193, 5.713945907537266e-07, 256),
         ],
     ),
     (
@@ -309,18 +312,36 @@ D_UPPER_FROZEN = [
         np.array([[-0.15, 0.0], [0.1, 0.25j]]),
         [
             (0.39109871744932906, 0.0, 1),
-            (0.3961987109817394, 0.0004955779482213041, 7),
+            (0.3961987109817395, 0.0004955779482213596, 7),
             (0.39631087435329326, 2.5208515502805895e-07, 256),
         ],
     ),
 ]
 
 
-@pytest.mark.parametrize("domain, a, c, want", D_UPPER_FROZEN, ids=["ball", "halfplane", "composed", "disk"])
-def test_path_distance_frozen_to_the_bit(domain, a, c, want):
-    for q, frozen in zip((1, 7, 256), want):
+# (value, quad_estimate) of D_UPPER_FROZEN at quad_points 1, 7 and 256 where they moved
+D_UPPER_EIGH = {
+    "ball": [(0.7094133284006555, 0.0), (0.7413209088464746, 0.00347385990743887),
+             (0.742123603432874, 1.8113484153703396e-06)],
+    "composed": [(0.50030267413838, 0.0), (0.5113583604359444, 0.0011151950132728405),
+                 (0.5116123034174191, 5.713945907537266e-07)],
+    "disk": [(0.39109871744932906, 0.0), (0.3961987109817394, 0.0004955779482213041),
+             (0.39631087435329326, 2.5208515502805895e-07)],
+}
+D_UPPER_IDS = ["ball", "halfplane", "composed", "disk"]
+
+
+@pytest.mark.parametrize("kind, domain, a, c, want", [(k, *row) for k, row in zip(D_UPPER_IDS, D_UPPER_FROZEN)],
+                         ids=D_UPPER_IDS)
+def test_path_distance_frozen_to_the_bit(kind, domain, a, c, want):
+    before = D_UPPER_EIGH.get(kind, [w[:2] for w in want])
+    for q, frozen, (value, quad) in zip((1, 7, 256), want, before):
         got = d_upper(domain, point(a), point(c), quad_points=q)
         assert (got.value, got.quad_estimate, got.points_used) == frozen, q
+        # a mean of deltas, each the same number up to a few eps of roundoff,
+        # and the difference of two such means
+        assert got.value == pytest.approx(value, rel=8 * EPS, abs=0.0), q
+        assert abs(got.quad_estimate - quad) <= 8 * EPS * got.value, q
 
 
 def test_path_distance_of_a_point_to_itself_uses_no_node():
@@ -371,9 +392,12 @@ def test_path_distance_frozen_values():
     got = d_upper(composed, a, c, quad_points=32)
     assert (got.value, got.quad_estimate, got.points_used) == (
         0.51160030542711,
-        3.654853598444863e-05,
+        3.654853598455965e-05,
         32,
     )
+    # frozen at 3.654853598444863e-05 while delta whitened with an
+    # eigendecomposition: a difference of two means near 0.5
+    assert abs(got.quad_estimate - 3.654853598444863e-05) <= 8 * EPS * got.value
 
 
 def test_path_distance_evaluates_each_gram_once(monkeypatch):
@@ -390,8 +414,64 @@ def test_path_distance_evaluates_each_gram_once(monkeypatch):
     monkeypatch.setattr(ncmetric.metric, "gram", counted)
     composed = KernelDomain(ComposedBallKernel(Polynomial((0.0, 2.0))))
     d_upper(composed, point([[0.1]]), point([[0.3j]]), quad_points=8)
-    # the two path endpoints, each a stack of one, then the 8 and the 4 nodes
-    assert shapes == [(1,), (1,), (8,), (8,), (4,), (4,)]
+    # the two path endpoints, each a stack of one, then the 8 and the 4
+    # nodes as one stack, for the membership test and the kernel formula
+    assert shapes == [(1,), (1,), (12,), (12,)]
+
+
+@dataclass(frozen=True)
+class _PuncturedBall:
+    """The unit ball less the scalars within 1e-9 of hole: a domain whose
+    straight-line divisions and quadrature nodes can be blocked one by one."""
+
+    hole: float
+    kernel = None
+
+    def _inside(self, a, margin):
+        inside, score = ball_domain()._inside(a, margin)
+        return inside & (np.abs(a.mat[:, 0, 0] - self.hole) > 1e-9), score
+
+    def _delta(self, a, c, b):
+        return ball_delta(a, c, b)
+
+
+def test_distance_drivers_make_one_membership_test_and_one_evaluation(monkeypatch):
+    calls = []
+    real_contains, real_chain = ncmetric.metric.contains, ncmetric.metric._chain_values
+
+    def contains(domain, x):
+        calls.append(("contains", len(x.mat)))
+        return real_contains(domain, x)
+
+    def chain(domain, x, y):
+        calls.append(("chain", len(x.mat)))
+        return real_chain(domain, x, y)
+
+    monkeypatch.setattr(ncmetric.metric, "contains", contains)
+    monkeypatch.setattr(ncmetric.metric, "_chain_values", chain)
+    # 0.6 t = 0.2 at t = 1/3: interior point 1 of the 2-point stage and 3 of the 8-point one
+    domain, a, c = _PuncturedBall(0.2), point([[0.0]]), point([[0.6]])
+    bound = dtilde_upper(domain, a, c, refinement_budget=3)
+    # the 0 + 1 + 2 + 4 + 8 interior points, then the 1 + 2 + 5 pairs of the open stages
+    assert calls == [("contains", 15), ("chain", 8)]
+    assert bound.diagnostics == (
+        "stage with 2 interior points blocked at indices [1]",
+        "stage with 8 interior points blocked at indices [3]",
+    )
+    # each stage sums what its chain of pairs gives alone, left to right
+    want = []
+    for m in (0, 1, 4):
+        pts = np.concatenate([[0.0], 0.6 * ((np.arange(m) + 1) / (m + 1)), [0.6]])[:, None, None] + 0j
+        want.append(float(np.cumsum(real_chain(domain, NcPoint(1, 1, pts[:-1]), NcPoint(1, 1, pts[1:])))[-1]))
+    assert list(bound.stage_values) == want
+    # d_upper: the 8 nodes and the 4 of its rerun in one test and one evaluation;
+    # a blocked rerun node is named as when the rerun was tested on its own
+    calls.clear()
+    monkeypatch.setattr(ncmetric.metric, "_delta_values", lambda *args: calls.append("delta") or np.ones(12))
+    assert d_upper(domain, a, c, quad_points=8).value == 1.0
+    assert calls == [("contains", 12), "delta"]
+    with pytest.raises(PathBlocked, match=r"^quadrature node at t = 0\.125000 is outside the domain$"):
+        d_upper(_PuncturedBall(0.6 * 0.125), a, c, quad_points=8)
 
 
 def _stacked(items):
