@@ -61,11 +61,9 @@ def _load(path, family: str):
 
 
 def _load_domain(args) -> object:
-    if getattr(args, "domain", None):
+    if args.domain is not None:
         return _load(args.domain, "domain")
-    if getattr(args, "kernel", None):
-        return KernelDomain(_load(args.kernel, "kernel"))
-    raise ValueError("provide --domain or --kernel")
+    return KernelDomain(_load(args.kernel, "kernel"))
 
 
 def _load_direction(path, base_dim: int):
@@ -165,19 +163,19 @@ def cmd_contract(args) -> int:
 
 
 def _build_model(args):
-    if args.model:
-        return _load(args.model, "model")
-    if args.law:
+    if args.law is not None:
         return ScalarLaw(args.law, variance=args.variance, atom=args.atom)
-    raise ValueError("provide --model or --law")
+    # the law parameters have defaults, so argparse cannot tell them apart from unset
+    for flag, value, unset in (("--variance", args.variance, 1.0), ("--atom", args.atom, 0.0)):
+        if value != unset:
+            raise ValueError(f"{flag} goes with --law only, got {value!r} with --model")
+    return _load(args.model, "model")
 
 
 def _build_rho(args):
-    if args.rho:
+    if args.rho is not None:
         return _load(args.rho, "cp-map")
-    if args.rho_t is not None:
-        return ScalarPower(args.rho_t)
-    raise ValueError("provide --rho or --rho-t")
+    return ScalarPower(args.rho_t)
 
 
 def cmd_convolve(args) -> int:
@@ -294,9 +292,13 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         add_common(p)
 
+    def add_domain(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--domain")
+        group.add_argument("--kernel")
+
     p = sub.add_parser("delta", help="infinitesimal metric by every applicable method")
-    p.add_argument("--domain", default=None)
-    p.add_argument("--kernel", default=None)
+    add_domain(p)
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--b", required=True)
@@ -309,8 +311,7 @@ def build_parser() -> _Parser:
         "distance",
         help="division distance upper bound and midpoint estimate of the path distance",
     )
-    p.add_argument("--domain", default=None)
-    p.add_argument("--kernel", default=None)
+    add_domain(p)
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--refine", type=int, default=REFINEMENT_BUDGET)
@@ -331,12 +332,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_contract)
 
     p = sub.add_parser("convolve", help="spectral density of a free convolution")
-    p.add_argument("--law", choices=SCALAR_KINDS, default=None)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--law", choices=SCALAR_KINDS)
+    group.add_argument("--model")
     p.add_argument("--variance", type=float, default=1.0)
     p.add_argument("--atom", type=float, default=0.0)
-    p.add_argument("--model", default=None)
-    p.add_argument("--rho-t", type=float, default=None)
-    p.add_argument("--rho", default=None)
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--rho-t", type=float)
+    group.add_argument("--rho")
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
     p.add_argument("--points", type=int, default=DENSITY_POINTS)

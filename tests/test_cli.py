@@ -18,6 +18,7 @@ from ncmetric.domains import (
     ComposedBallKernel,
     ComposedHalfPlaneKernel,
     EvaluationFailure,
+    HalfPlaneKernel,
     KernelDomain,
     NilpotentCone,
     NormBound,
@@ -876,9 +877,44 @@ def test_an_eps_within_the_half_plane_margin_is_exit_3_naming_eps(capsys, eps):
 
 
 def test_convolve_without_rho_is_exit_3(capsys):
-    code = main(["convolve", "--law", "bernoulli", "--xmin", "0", "--xmax", "1"])
-    assert code == 3
-    assert "provide --rho or --rho-t" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["convolve", "--law", "bernoulli", "--xmin", "0", "--xmax", "1"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err.endswith("error: one of the arguments --rho-t --rho is required\n")
+
+
+@pytest.mark.parametrize(
+    "case, flags",
+    [
+        ("domain_and_kernel", ("--domain", "--kernel")),
+        ("model_and_law", ("--model", "--law")),
+        ("model_and_variance", ("--model", "--variance")),
+        ("model_and_atom", ("--model", "--atom")),
+        ("rho_and_rho_t", ("--rho", "--rho-t")),
+    ],
+)
+def test_conflicting_input_flags_are_exit_3_naming_both(tmp_path, ball_files, capsys, case, flags):
+    # one flag of each pair used to be dropped, and the command exited 0 on the other
+    kernel = _dump(tmp_path, "half_plane.json", to_json(HalfPlaneKernel()))
+    rho = _dump(tmp_path, "rho.json", {"variant": "scalar_power", "t": 2.0})
+    model = _kraus_args(tmp_path, np.eye(2))[2]
+    grid = ["--xmin", "-0.5", "--xmax", "0.5", "--points", "3", "--eps", "1e-2"]
+    argv = {
+        "domain_and_kernel": ["delta", "--domain", ball_files["domain"], "--kernel", kernel,
+                              "--a", ball_files["a"], "--c", ball_files["c"], "--b", ball_files["b"]],
+        "model_and_law": ["convolve", "--model", model, "--law", "bernoulli", "--rho", rho] + grid,
+        "model_and_variance": ["convolve", "--model", model, "--variance", "4", "--rho", rho] + grid,
+        "model_and_atom": ["convolve", "--model", model, "--atom", "1", "--rho", rho] + grid,
+        "rho_and_rho_t": ["convolve", "--law", "semicircle", "--rho", rho, "--rho-t", "5"] + grid,
+    }[case]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert all(re.search(rf"{flag}\b(?!-)", message) for flag in flags), message
 
 
 def test_point_outside_domain_is_exit_3(tmp_path, ball_files, capsys):

@@ -1,10 +1,18 @@
-"""The scripts under scripts/ run end to end with small arguments."""
+"""The scripts under scripts/ run end to end with small arguments; the
+package namespace holds what they and the README's Python example import,
+and that example gives its commented values."""
 
+import ast
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import ncmetric
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,3 +119,31 @@ def test_parity_flags_a_stream_that_differs_in_floating_point_numbers_only(tmp_p
     assert all(line.endswith(" (base != this tree); only numbers differ: 2, by at most density 2.0e-01,"
                              " residual 5.0e-01 relative") for line in semicircle)
     assert all(line.endswith(" (base != this tree)") for line in matrix)
+
+
+def test_the_namespace_is_what_the_readme_and_scripts_import_and_the_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    sources = blocks + [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    imported = {
+        alias.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "ncmetric" and not node.level
+        for alias in node.names
+    }
+    modules = {p.stem for p in Path(ncmetric.__file__).parent.glob("*.py")}
+    public = {n for n in dir(ncmetric) if not n.startswith("_") and not isinstance(getattr(ncmetric, n), ModuleType)}
+    assert public == (imported - modules) | {"NcmetricError", "InputError", "NumericalFailure"}
+    # every expression line of an example carries its exact value as a comment
+    checked = 0
+    for block in blocks:
+        scope = {}
+        for node in ast.parse(block).body:
+            if not isinstance(node, ast.Expr):
+                exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+                continue
+            got = eval(compile(ast.Expression(node.value), "README.md", "eval"), scope)
+            want = eval(block.splitlines()[node.end_lineno - 1].split("#", 1)[1], {"sqrt": math.sqrt})
+            assert abs(got - want) <= 2 * sys.float_info.epsilon * abs(want), (got, want)
+            checked += 1
+    assert checked == 2
