@@ -200,7 +200,14 @@ def cmd_convolve(args) -> int:
     for row in result.rows:
         lines.append(f"{row.x!r},{row.density!r},{row.residual!r},{row.iterations}")
     csv_text = "\n".join(lines) + "\n"
-    converged = sum(1 for row in result.rows if row.converged)
+    unconverged = [row.x for row in result.rows if not row.converged]
+    converged = len(result.rows) - len(unconverged)
+    if converged and unconverged:  # exit 0 would hide them; the rows are printed, with their residuals
+        print(
+            f"warning: {len(unconverged)} of {len(result.rows)} rows did not converge in {args.max_iter} "
+            f"iterations (first at x = {unconverged[0]!r})",
+            file=sys.stderr,
+        )
     if args.out:
         _write_text(args.out, csv_text)
         summary = {

@@ -26,7 +26,8 @@ moderate size) and herm_eigvals reads the diagonal, so a scalar law's
 step makes no LAPACK call.
 
 Models and cp maps register their JSON forms (see matcore.variant). A
-model's _G_dG(b, jacobian) gives its Cauchy transform G(b) and, when
+model's _G_dG(b, jacobian), at a stack of matrices b (..., n d, n d),
+gives its Cauchy transform G(b) and, when
 jacobian is set, the exact derivative at b at every unit coordinate
 B_j of B (see _units) that the Newton loop asks for, all in the
 coordinates of B (a scalar law's are its matrices). A matrix model
@@ -47,7 +48,11 @@ input, then each iterate it keeps (SingularResolvent: the map keeps
 the half-plane, so only roundoff leaves it; an overflow fails
 matcore's rule where the eigenvalues of Im are taken, or, at 1 x 1,
 this test, which names an Im that is not finite); the transforms
-beneath them check no point.
+beneath them check no point. Three rules hold the transforms' values:
+Im G is strictly negative (_G_negative), Im h is nonnegative up to
+H_IMAG_SLACK (_h_nonnegative) and each kept iterate is in the
+half-plane (_upper). Each is stated once; a solver step checks all
+three on one eigenvalue pass, in that order (see _step).
 """
 
 from __future__ import annotations
@@ -150,8 +155,8 @@ class MatrixModel:
     def base_dim(self) -> int:
         return self.x.shape[0]
 
-    def _G_dG(self, b: NcPoint, jacobian: bool):
-        r = inverse(b.mat - _lift(self.x, b.level))
+    def _G_dG(self, b: np.ndarray, jacobian: bool):
+        r = inverse(b - _lift(self.x, b.shape[-1] // self.base_dim))
         g = _coords(self.blocks, r)
         if not jacobian:
             return g, np.zeros(g.shape[:-3] + (0,) + g.shape[-3:], dtype=np.complex128)
@@ -185,17 +190,18 @@ class ScalarLaw:
         if self.kind != "point_mass" and self.atom != 0:
             raise ValueError(f"atom applies to the point_mass law only, got {self.atom} for {self.kind}")
 
-    def _G_dG(self, b: NcPoint, jacobian: bool):
-        dirs = _units((1,), b.dim)[:, 0] if jacobian else np.zeros((0, b.dim, b.dim), dtype=np.complex128)
+    def _G_dG(self, b: np.ndarray, jacobian: bool):
+        n = b.shape[-1]
+        dirs = _units((1,), n)[:, 0] if jacobian else np.zeros((0, n, n), dtype=np.complex128)
         if self.kind not in ("semicircle", "arcsine"):
-            w, shifts = _atoms(self.kind, self.atom, b.dim)
-            rs = inverse(b.mat[..., None, :, :] - shifts)  # (..., atom, n, n), from one inverse call
+            w, shifts = _atoms(self.kind, self.atom, n)
+            rs = inverse(b[..., None, :, :] - shifts)  # (..., atom, n, n), from one inverse call
             r4 = rs[..., None, :, :]
             # summed over the atoms in order: 0 + w_1 r_1 + w_2 r_2, and 0 - w_1 r_1 D r_1 - w_2 r_2 D r_2
             g = np.add.reduce(w * rs, -3, initial=0)
             dg = np.subtract.reduce(w[..., None] * (r4 @ dirs @ r4), -4, initial=0)
-        elif b.level == 1:
-            z = b.mat
+        elif n == 1:
+            z = b
             g = _scalar_G_closed(self, z)
             if self.kind == "semicircle":
                 dg = g / (2.0 * self.variance * g - z)  # differentiate v g^2 - z g + 1 = 0
@@ -204,11 +210,10 @@ class ScalarLaw:
             dg = dg[..., None, :, :] * dirs
         else:
             # the block identity: G([[b, e], [0, b]]) holds DG(b)[e] in its corner
-            n = b.dim
-            big = np.zeros(b.mat.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
-            big[..., :n, :n] = big[..., n:, n:] = b.mat[..., None, :, :]
+            big = np.zeros(b.shape[:-2] + (len(dirs), 2 * n, 2 * n), dtype=np.complex128)
+            big[..., :n, :n] = big[..., n:, n:] = b[..., None, :, :]
             big[..., :n, n:] = dirs
-            g, dg = self._G_matrix(b.mat), self._G_matrix(big)[..., :n, n:]
+            g, dg = self._G_matrix(b), self._G_matrix(big)[..., :n, n:]
         # the scalars are one block of size one, whose coordinates are the matrices
         return g[..., None, :, :], dg[..., None, :, :]
 
@@ -235,43 +240,54 @@ def _lift(m: np.ndarray, level: int) -> np.ndarray:
     return m if level == 1 else np.kron(np.eye(level), m)
 
 
-def _sum_plan(labels: np.ndarray):
-    """How _label_sums adds the entries of a last axis that carry each label 0, 1, ... (all present).
+def _sum_plan(labels: np.ndarray, *sources: np.ndarray):
+    """How _label_sums adds up the values that carry each label 0, 1, ... (all present): value p
+    carries labels[p] and is the product of the entries at sources[q][p], over the sources q.
 
-    groups: per label count s, (s, the positions of its labels, label by
-    label); order: the groups' sums back in label order (None for one
-    group); counts: the entries per label, as complex divisors.
+    groups: per label count s, (s, each source's indices of its values,
+    label by label); order: the groups' sums back in label order (None
+    for one group); counts: the values per label, as complex divisors.
     """
     counts = np.bincount(labels)
     by_count = {s: np.flatnonzero(counts == s) for s in dict.fromkeys(counts.tolist())}
-    groups = [(s, np.concatenate([np.flatnonzero(labels == g) for g in gs])) for s, gs in by_count.items()]
+    ats = {s: np.concatenate([np.flatnonzero(labels == g) for g in gs]) for s, gs in by_count.items()}
+    groups = [(s, [src[at] for src in sources]) for s, at in ats.items()]
     order = np.argsort(np.concatenate(list(by_count.values()))) if len(groups) > 1 else None
     return groups, order, counts.astype(np.complex128)
 
 
 def _label_sums(x: np.ndarray, plan) -> np.ndarray:
-    """The sums of the entries of x's last axis per label (see _sum_plan), on a last axis of labels.
+    """The sums of the values per label (see _sum_plan), on a last axis of labels, the entries that
+    make the values read off x's last axis.
 
-    Each label count takes one C-ordered copy and one sum over its
-    contiguous last axis, which numpy adds pairwise, as np.trace adds a
+    Each group's values come C-ordered, each label's s values one
+    contiguous run, which numpy adds pairwise, as np.trace adds a
     diagonal, in the same order for any number of leading rows.
     """
     groups, order, _ = plan
-    parts = [x.take(at, -1).reshape(x.shape[:-1] + (len(at) // s, s)).sum(-1) for s, at in groups]
-    return parts[0] if order is None else np.concatenate(parts, -1)[..., order]
+    # np.multiply, not *: on large arrays the operator may reuse a temporary operand's memory, with
+    # the operands swapped, and a swapped complex product can round differently
+    values = [(s, functools.reduce(np.multiply, [x.take(at, -1) for at in ats])) for s, ats in groups]
+    parts = [v.reshape(v.shape[:-1] + (-1, s)).sum(-1) for s, v in values]
+    return parts[0] if order is None else np.concatenate(parts, -1).take(order, -1)
 
 
 @functools.cache
-def _layout(blocks: tuple):
-    """The index plans of a partition of d for _coords and _from_coords (cached: read only).
+def _layout(blocks: tuple, n: int):
+    """The index plans of a partition of d at level n for _coords and _from_coords, on the flattened
+    n d x n d matrix, entry (i, a, j, b) at (i d + a) n d + j d + b (cached: read only).
 
-    diagonal: _sum_plan of the diagonal positions by block; pos, own,
-    unit: per pair (a, b) inside one block, a d + b, the block and
-    eye(d)[a, b].
+    trace: the _sum_plan of the diagonal entries (i, a, j, a) by level
+    block and partition block, label (i, j, k) for a in block k; fill:
+    for each pair (a, b) inside one partition block k at each level block
+    (i, j), its position, that of coordinate (k, i, j) and eye(d)[a, b].
     """
     owner = np.repeat(np.arange(len(blocks)), blocks)
-    a, b = np.nonzero(owner[:, None] == owner)
-    return _sum_plan(owner), a * len(owner) + b, owner[a], (a == b) * 1.0
+    i, a, j, b = np.indices((n, len(owner), n, len(owner))).reshape(4, -1)
+    diagonal, inside = np.flatnonzero(a == b), np.flatnonzero(owner[a] == owner[b])
+    trace = _sum_plan(((i * n + j) * len(blocks) + owner[a])[diagonal], diagonal)
+    fill = inside, ((owner[a] * n + i) * n + j)[inside], (a == b)[inside] * 1.0
+    return trace, fill
 
 
 def _coords(blocks, m: np.ndarray) -> np.ndarray:
@@ -283,16 +299,14 @@ def _coords(blocks, m: np.ndarray) -> np.ndarray:
     matrices are orthogonal, so off the algebra this is the orthogonal
     projection's coordinates. The algebra is the direct sum over k of
     the n x n matrices [..., k, :, :], which multiply and invert block by
-    block. The traces are _label_sums of one diagonal view. The scalars,
+    block. The traces are _label_sums of the flattened matrix. The scalars,
     one block of size one, are their own coordinates: m is read as it is.
     """
     if blocks == (1,):
         return m[..., None, :, :]
-    d = sum(blocks)
-    n = m.shape[-1] // d
-    diag = np.diagonal(m.reshape(m.shape[:-2] + (n, d, n, d)), axis1=-3, axis2=-1)
-    plan = _layout(blocks)[0]
-    c = _label_sums(diag, plan) / plan[2]  # [..., i, j, k]
+    lead, n = m.shape[:-2], m.shape[-1] // sum(blocks)
+    flat, plan = m.reshape(lead + (-1,)), _layout(blocks, n)[0]
+    c = (_label_sums(flat, plan) / plan[2]).reshape(lead + (n, n, len(blocks)))
     return c.swapaxes(-1, -3).swapaxes(-1, -2)  # views: cheaper than np.moveaxis
 
 
@@ -300,11 +314,11 @@ def _from_coords(blocks, c: np.ndarray) -> np.ndarray:
     """sum c[..., k, i, j] kron(E_ij, P_k): the inverse of _coords on the algebra."""
     if blocks == (1,):
         return c[..., 0, :, :]
-    d, n = sum(blocks), c.shape[-1]
-    _, pos, own, unit = _layout(blocks)
-    out = np.zeros(c.shape[:-3] + (n, n, d * d), dtype=np.complex128)  # [..., i, j, a d + b]
-    out[..., pos] = c.swapaxes(-3, -1).swapaxes(-3, -2)[..., own] * unit
-    return out.reshape(c.shape[:-3] + (n, n, d, d)).swapaxes(-3, -2).reshape(c.shape[:-3] + (n * d, n * d))
+    lead, nd = c.shape[:-3], c.shape[-1] * sum(blocks)
+    pos, at, unit = _layout(blocks, c.shape[-1])[1]
+    out = np.zeros(lead + (nd * nd,), dtype=np.complex128)
+    out[..., pos] = c.reshape(lead + (-1,)).take(at, -1) * unit
+    return out.reshape(lead + (nd, nd))
 
 
 @functools.cache
@@ -321,11 +335,14 @@ def _units(blocks: tuple, n: int) -> np.ndarray:
 
 @functools.cache
 def _jacobian_plan(blocks: tuple, n: int):
-    """_unit_dG's _sum_plan and divisors at level n (cached: read only): position (i, l, c, i', l', a)
-    of its product adds to entry (k, i, l, k', i', l'), c in block k and a in block k', divided by -k_k'."""
+    """_unit_dG's _sum_plan and divisors at level n (cached: read only): product (i, l, c, i', l', a),
+    of the flattened r's entries at ((i', a), (i, c)) and ((l, c), (l', a)), adds to entry
+    (k, i, l, k', i', l'), c in block k and a in block k', divided by -k_k'."""
     owner, k = np.repeat(np.arange(len(blocks)), blocks), len(blocks)
-    i, l, c, i2, l2, a = np.indices((n, n, len(owner), n, n, len(owner))).reshape(6, -1)
-    plan = _sum_plan((((owner[c] * n + i) * n + l) * k + owner[a]) * n * n + i2 * n + l2)
+    d = len(owner)
+    i, l, c, i2, l2, a = np.indices((n, n, d, n, n, d)).reshape(6, -1)
+    labels = (((owner[c] * n + i) * n + l) * k + owner[a]) * n * n + i2 * n + l2
+    plan = _sum_plan(labels, (i2 * d + a) * n * d + i * d + c, (l * d + c) * n * d + l2 * d + a)
     divisors = np.tile(-np.repeat(np.array(blocks, np.complex128), n * n), k * n * n)
     return plan, divisors
 
@@ -337,16 +354,13 @@ def _unit_dG(blocks, r: np.ndarray) -> np.ndarray:
     With r[(i, a), (l, c)] the entry at level (i, l) and base (a, c),
     coordinate [k', i', l'] of DG[kron(E_il, P_k)] is -(1 / k_k') times
     the sum over c in block k and a in block k' of
-    r[(i', a), (i, c)] r[(l, c), (l', a)]: one elementwise product and
-    its _label_sums. At level one, the block sums of r.T * r.
+    r[(i', a), (i, c)] r[(l, c), (l', a)]: elementwise products of
+    entries and their _label_sums. At level one, the block sums of r.T * r.
     """
-    lead, d = r.shape[:-2], sum(blocks)
-    n, k = r.shape[-1] // d, len(blocks)
-    left = r.mT.reshape(lead + (n, d, n, d))  # r[(i', a), (i, c)] at [i, c, i', a]
-    right = r.reshape(lead + (n, d, n, d))  # r[(l, c), (l', a)] at [l, c, l', a]
-    terms = left[..., :, None, :, :, None, :] * right[..., None, :, :, None, :, :]  # [i, l, c, i', l', a]
-    plan, divisors = _jacobian_plan(blocks, n)
-    sums = _label_sums(terms.reshape(lead + (-1,)), plan) / divisors
+    lead, k = r.shape[:-2], len(blocks)
+    n = r.shape[-1] // sum(blocks)
+    flat, (plan, divisors) = r.reshape(lead + (-1,)), _jacobian_plan(blocks, n)
+    sums = _label_sums(flat, plan) / divisors
     return sums.reshape(lead + (k * n * n, k, n, n))
 
 
@@ -401,7 +415,7 @@ def _upper(eigs: np.ndarray, error, head: str, name: str) -> np.ndarray:
     otherwise error("head: ...") shows the rule's own quantity at the first row that fails, or says
     that Im name is not finite there."""
     inside = positivity_score(eigs, POS_MARGIN) > 0.0
-    if not inside.all():
+    if np.count_nonzero(inside) < inside.size:  # cheaper than .all() on small stacks
         row = eigs.reshape(-1, eigs.shape[-1])[np.argmin(np.ravel(inside))]
         if not np.isfinite(row).all():  # the rule's quantity would drop a NaN, which sorts last
             raise error(f"{head}: Im {name} is not finite")
@@ -434,21 +448,41 @@ def _point_coords(model, p: NcPoint, name: str) -> np.ndarray:
     return _algebra_coords(model.blocks, p.mat, NotInHalfPlane, head, name)
 
 
-def _transform(model, b: NcPoint, jacobian=False):
-    """G(b) at a b its caller has checked, with DG(b) at every unit coordinate from the same evaluation
-    when jacobian is set (empty otherwise).
+def _cauchy(model, m: np.ndarray, jacobian=False):
+    """model._G_dG at the matrices m (..., n d, n d): G and, when jacobian is set, DG at every unit
+    coordinate from the same evaluation (empty otherwise), at points their caller has checked.
 
-    Both are in coordinates (see _coords): G (..., K, n, n), DG (..., K n n, K, n, n) in the order of _units.
+    Both are in coordinates (see _coords): G (..., K, n, n), DG (..., K n n, K, n, n) in the order
+    of _units. A resolvent that fails to invert raises SingularResolvent.
     """
-    if b.base_dim != model.base_dim:
-        raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
     try:
-        g, dg = model._G_dG(b, jacobian)
+        return model._G_dG(m, jacobian)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
-    if (herm_eigvals(imag_part(g))[..., -1] >= 0.0).any():
+
+
+def _G_negative(eigs: np.ndarray):
+    """SingularResolvent unless each Im G is strictly negative; eigs (..., n) are their ascending eigenvalues."""
+    if np.count_nonzero(eigs[..., -1] >= 0.0):
         raise SingularResolvent("Cauchy transform lost strict negativity of Im G")
-    return g, dg
+
+
+def _h_nonnegative(eigs: np.ndarray):
+    """SingularResolvent unless each Im h is nonnegative up to H_IMAG_SLACK; eigs as in _G_negative."""
+    if np.count_nonzero(eigs[..., 0] < -H_IMAG_SLACK):
+        raise SingularResolvent(
+            "Im h dropped below zero beyond roundoff; the point is likely "
+            "outside the half-plane of the block algebra, or F - b cancelled"
+        )
+
+
+def _transform(model, b: NcPoint) -> np.ndarray:
+    """G(b) in coordinates (see _cauchy) at a b its caller has checked, once Im G passes _G_negative."""
+    if b.base_dim != model.base_dim:
+        raise ValueError(f"point base_dim {b.base_dim} != model base_dim {model.base_dim}")
+    g = _cauchy(model, b.mat)[0]
+    _G_negative(herm_eigvals(imag_part(g)))
+    return g
 
 
 def cauchy_G(model, b: NcPoint) -> NcPoint:
@@ -458,25 +492,20 @@ def cauchy_G(model, b: NcPoint) -> NcPoint:
     gets, and a check that fails on any point raises.
     """
     _require_upper(b)
-    return NcPoint(b.base_dim, b.level, _from_coords(model.blocks, _transform(model, b)[0]))
+    return NcPoint(b.base_dim, b.level, _from_coords(model.blocks, _transform(model, b)))
 
 
-def _F(model, b: NcPoint, jacobian=False):
-    """F(b) = G(b)^(-1) and DG(b) (see _transform), in coordinates; F inverts block by block."""
-    g, dg = _transform(model, b, jacobian)
+def _F(g: np.ndarray) -> np.ndarray:
+    """F = G^(-1) in coordinates, which inverts block by block; SingularResolvent where G is singular."""
     try:
-        return inverse(g), dg
+        return inverse(g)
     except SingularMatrix as exc:
         raise SingularResolvent(str(exc)) from None
 
 
 def _h_checked(h: np.ndarray) -> np.ndarray:
-    """h = F - b, once Im h is nonnegative up to H_IMAG_SLACK per matrix of the stack."""
-    if (herm_eigvals(imag_part(h))[..., 0] < -H_IMAG_SLACK).any():
-        raise SingularResolvent(
-            "Im h dropped below zero beyond roundoff; the point is likely "
-            "outside the half-plane of the block algebra, or F - b cancelled"
-        )
+    """h = F - b, once each Im h of the stack passes _h_nonnegative."""
+    _h_nonnegative(herm_eigvals(imag_part(h)))
     return h
 
 
@@ -486,7 +515,7 @@ def F_and_h(model, b: NcPoint) -> tuple[NcPoint, NcPoint]:
     Stacks are taken per point, as in cauchy_G.
     """
     _require_upper(b)
-    f = _from_coords(model.blocks, _F(model, b)[0])
+    f = _from_coords(model.blocks, _F(_transform(model, b)))
     return NcPoint(b.base_dim, b.level, f), NcPoint(b.base_dim, b.level, _h_checked(f - b.mat))
 
 
@@ -558,26 +587,57 @@ def _check_budget(tol: float, max_iter: int):
     positive_finite("tol", tol)
 
 
-def _frobenius(c: np.ndarray, blocks) -> np.ndarray:
+def _frobenius(c: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """||m||_F of the matrix m of each point of a coordinate stack (N, K, n, n), by strided dot products;
-    coordinate block k stands for k_k equal diagonal entries, so its sum of squares counts k_k times."""
-    flat = c.reshape(len(c), len(blocks), -1)
-    return np.sqrt((np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) @ np.array(blocks, float))
+    coordinate block k stands for sizes[k] (the float block sizes) equal diagonal entries, so its sum of
+    squares counts sizes[k] times."""
+    flat = c.reshape(len(c), len(sizes), -1)
+    return np.sqrt((np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)) @ sizes)
 
 
-def _im_eigs(c: np.ndarray) -> np.ndarray:
-    """The ascending eigenvalues of Im m per point of a coordinate stack (N, K, n, n), its blocks' together."""
-    return np.sort(herm_eigvals(imag_part(c)).reshape(len(c), -1), 1)
+def _row_eigs(eigs: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues per point from those per coordinate block (N, K, n), its blocks' together
+    (sorted in place, so eigs must be a fresh array)."""
+    rows = eigs.reshape(len(eigs), -1)
+    rows.sort(1)
+    return rows
 
 
-def _picard(model, weights, b: np.ndarray, w: np.ndarray, jacobian=False):
-    """F(w), the Picard update b + (rho - Id) h(w) and DG(w) (see _transform), per point of the coordinate stack w.
+def _picard(weights, b: np.ndarray, g: np.ndarray, w: np.ndarray):
+    """F = G(w)^-1 and the Picard update b + (rho - Id) h(w), per point of the coordinate stack w, from
+    its G, once Im G passes _G_negative and then Im h passes _h_nonnegative.
 
-    rho - Id is rho._weights(model), one weight per coordinate block;
-    the matrix of w is formed for the resolvent only.
+    rho - Id is rho._weights(model), one weight per coordinate block.
     """
-    f, dg = _F(model, NcPoint(model.base_dim, w.shape[-1], _from_coords(model.blocks, w)), jacobian)
-    return f, b + weights * _h_checked(f - w), dg
+    _G_negative(herm_eigvals(imag_part(g)))
+    f = _F(g)
+    return f, b + weights * _h_checked(f - w)
+
+
+def _step(model, weights, b: np.ndarray, w: np.ndarray):
+    """F(w), DG(w) (see _cauchy), the Picard update and the eigenvalues of its Im per point (see
+    _row_eigs), at the coordinate stack w (N, K, n, n), whose matrices are formed for the resolvents only.
+
+    Im G, Im h and Im of the update take one eigenvalue pass. Should it
+    or F's inverse fail, _picard takes the values again one at a time,
+    so the first failure raises what it raises there: Im G's rule, then
+    F's inverse, Im h's rule and last the update's eigenvalues.
+    """
+    g, dg = _cauchy(model, _from_coords(model.blocks, w), True)
+    three = np.empty((3,) + g.shape, dtype=np.complex128)  # G, h and the update, for the one pass
+    three[0] = g
+    try:
+        f = inverse(g)
+        h = np.subtract(f, w, out=three[1])
+        upd = np.add(b, weights * h, out=three[2])
+        eig_g, eig_h, eigs = herm_eigvals(imag_part(three))
+    except NcmetricError:
+        f, upd = _picard(weights, b, g, w)
+        eigs = herm_eigvals(imag_part(upd))
+    else:
+        _G_negative(eig_g)
+        _h_nonnegative(eig_h)
+    return f, dg, upd, _row_eigs(eigs)
 
 
 def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
@@ -604,13 +664,14 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     (SingularResolvent if outside).
 
     One loop advances the rows that have not converged, held in arrays
-    that shrink only on steps where rows stop. A step forms the n d x n d
-    matrices for the resolvents only. It makes three inverse calls (one
-    stack of resolvents, one per atom or none for a closed form, giving
-    G and DG at every B_j: a matrix model's DG from elementwise products
-    of resolvent entries, with no matrix product per row or direction;
-    F = G^-1; the Jacobians) and four eigenvalue calls on the blocks of
-    every row (Im of G, h, the Picard and the Newton points; none at
+    that shrink only on steps where rows stop. A step (see _step) forms
+    the n d x n d matrices from the coordinates once, for the resolvents
+    only. It makes three inverse calls (one stack of resolvents, one per
+    atom or none for a closed form, giving G and DG at every B_j: a
+    matrix model's DG from elementwise products of resolvent entries,
+    with no matrix product per row or direction; F = G^-1; the
+    Jacobians) and two eigenvalue calls on the blocks of every row (Im
+    of G, h and the Picard point in one; the Newton point's; none at
     n = 1, so none at level one). matcore.inverse takes a 1 x 1 matrix
     of moderate size as a reciprocal, with no LAPACK call: at level one
     that is F and, for a scalar law, the resolvents and the Jacobians
@@ -620,66 +681,71 @@ def _solve_stack(model, rho, b: NcPoint, tol: float, max_iter: int):
     steps, and reaches exactly the values, that it reaches when solved
     alone. Returns the final iterates as a stack and SolveTrace's
     columns (one list per field); unconverged rows are reported, not
-    raised.
+    raised, with the residual of their last step (rescaled where its
+    squares overflow).
     """
     n_rows, level, blocks = len(b.mat), b.level, model.blocks
     eps0 = _require_upper(b)[:, 0].copy()
     bc = _point_coords(model, b, "b")
     units = _units(blocks, level)
-    m = len(units)
+    m, minus_units = len(units), -units
     # each row's final state, written when it stops; im holds the eigenvalues of its kept iterate's Im
     w, im, picard = bc.copy(), np.empty((n_rows, len(blocks) * level)), np.zeros(n_rows, dtype=int)
     iterations, residual, converged = np.full(n_rows, max_iter), np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
     # the state of the rows that go on
     rows, ba, wa, im_floor, eps0a, picard_a = np.arange(n_rows), bc, bc, 0.1 * eps0, eps0, picard
 
-    def stop(sel, ws, eigs, r):
-        at = rows[sel]
-        w[at], im[at], residual[at], eps0[at], picard[at] = ws[sel], eigs[sel], r[sel], eps0a[sel], picard_a[sel]
+    def stop(sel, ws, eigs, r):  # sel: the positions of the rows that stop (take copies faster than a mask)
+        at = rows.take(sel)
+        w[at], im[at], residual[at], eps0[at], picard[at] = (x.take(sel, 0) for x in (ws, eigs, r, eps0a, picard_a))
         return at
 
     # an iterate that overflows fails where its Im is tested, and the bound divides by lambda_min 0;
     # a weight of rho - Id may overflow as well, and its iterates fail the same way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = rho._weights(model)
+        weights, sizes = rho._weights(model), np.array(blocks, float)
         for it in range(1, max_iter + 1):
-            f, upd, dg = _picard(model, weights, ba, wa, True)
-            upd_eigs = _im_eigs(upd)
+            f, dg, upd, upd_eigs = _step(model, weights, ba, wa)
             lam = upd_eigs[:, 0]
             eps0a = np.where(lam < eps0a, lam, eps0a)
             step = upd - wa
-            r = _frobenius(step, blocks)
+            r = _frobenius(step, sizes)
             done = r <= tol
-            if done.any():
-                _upper(upd_eigs[done], SingularResolvent, "an iterate left the half-plane", "w")
-                at = stop(done, upd, upd_eigs, r)
+            if np.count_nonzero(done):
+                stopped = np.flatnonzero(done)
+                _upper(upd_eigs.take(stopped, 0), SingularResolvent, "an iterate left the half-plane", "w")
+                at = stop(stopped, upd, upd_eigs, r)
                 converged[at], iterations[at] = True, it
-                if done.all():
+                if len(stopped) == len(done):
                     break
-                go = ~done
-                rows, ba, wa, upd, upd_eigs, f, dg, step, r = (x[go] for x in (rows, ba, wa, upd, upd_eigs, f, dg, step, r))
-                im_floor, eps0a, picard_a = im_floor[go], eps0a[go], picard_a[go]
+                go = np.flatnonzero(~done)
+                state = (rows, ba, wa, upd, upd_eigs, f, dg, step, r, im_floor, eps0a, picard_a)
+                rows, ba, wa, upd, upd_eigs, f, dg, step, r, im_floor, eps0a, picard_a = (x.take(go, 0) for x in state)
             f4 = f[:, None]
-            dphi = weights * (-(f4 @ dg @ f4) - units) - units  # DPhi[B_j] per row and j
-            c = np.concatenate((dphi, step[:, None]), 1).reshape(len(rows), m + 1, m)
-            # c[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of c[:, :m]; c[:, m] is Phi's
-            jac, phi, floor = c[:, :m].mT, c[:, m:].mT, im_floor
+            dphi = weights * (minus_units - f4 @ dg @ f4) - units  # DPhi[B_j] per row and j
+            # dphi[:, j] holds coords(DPhi[B_j]), so DPhi's matrix is the transpose of its rows; step is Phi's
+            jac, phi, floor = dphi.reshape(len(rows), m, m).mT, step.reshape(len(rows), m, 1), im_floor
             try:
-                delta = -(inverse(jac) @ phi)
+                newton_step = inverse(jac) @ phi
             except SingularMatrix:  # a row whose Jacobian is singular takes its Picard step
                 solvable = ~is_singular(jac)
-                delta = np.zeros_like(phi)
-                delta[solvable] = -(inverse(jac[solvable]) @ phi[solvable])
+                newton_step = np.full_like(phi, -0.0)  # w - (-0.0) is w + 0.0, the bits of a zero step
+                newton_step[solvable] = inverse(jac[solvable]) @ phi[solvable]
                 floor = np.where(solvable, im_floor, np.inf)
-            cand = wa + delta.reshape(wa.shape)
-            cand_eigs = _im_eigs(cand)
+            cand = wa - newton_step.reshape(wa.shape)
+            cand_eigs = _row_eigs(herm_eigvals(imag_part(cand)))
             newton = cand_eigs[:, 0] > floor
             kept = np.where(newton[:, None], cand_eigs, upd_eigs)
             _upper(kept, SingularResolvent, "an iterate left the half-plane", "w")
             wa = np.where(newton.reshape(-1, 1, 1, 1), cand, upd)
             picard_a = picard_a + ~newton
         else:  # the budget ran out: the rows left keep their last iterate, unconverged
-            stop(slice(None), wa, kept, r)
+            # a finite step's norm whose squares overflowed is taken again, scaled by its largest entry
+            size = np.abs(step).reshape(len(step), -1).max(1, initial=0.0)
+            over = np.isinf(r) & np.isfinite(size)
+            if over.any():
+                r[over] = size[over] * _frobenius(step[over] / size[over, None, None, None], sizes)
+            stop(np.arange(len(rows)), wa, kept, r)
         bound = np.fmax(0.0, np.abs(1.0 - eps0[:, None] / im).max(-1))
     lo = im[:, 0]
     columns = (iterations, converged, residual, eps0, lo, np.where(lo > 0, bound, None), picard)
@@ -741,9 +807,10 @@ def picard_ratio(model, rho, b: NcPoint, omega: NcPoint):
     w = w + 1e-3j * imag_part(w)
     r = []
     for _ in range(4):
-        _require_upper(NcPoint(b.base_dim, b.level, _from_coords(model.blocks, w)), "w")
-        upd = _picard(model, weights, bc, w)[1]
-        r.append(_frobenius(upd - w, model.blocks))
+        m = _from_coords(model.blocks, w)
+        _require_upper(NcPoint(b.base_dim, b.level, m), "w")
+        upd = _picard(weights, bc, _cauchy(model, m)[0], w)[1]
+        r.append(_frobenius(upd - w, np.array(model.blocks, float)))
         w = upd
     return r[-1] / r[-2]
 
@@ -766,7 +833,7 @@ class DensityResult:
 def _density_rows(model, rho, xs, bs, tol, max_iter) -> list:
     """Grid rows at the level-one points bs (N, d, d), solved as one stack."""
     omega, columns = _solve_stack(model, rho, NcPoint(bs.shape[-1], 1, bs), tol, max_iter)
-    g = _transform(model, omega)[0]  # the solver has checked omega; coordinates (N, K, 1, 1)
+    g = _transform(model, omega)  # the solver has checked omega; coordinates (N, K, 1, 1)
     density = -(g.imag.reshape(len(g), -1) @ np.array(model.blocks, float)) / model.base_dim / np.pi  # Im tr(G) / d
     return list(map(DensityRow, *columns, xs.tolist(), density.tolist()))
 
@@ -863,8 +930,9 @@ class H0Map:
         wc = _point_coords(self.model, w, "w")
         if self.b0.level not in (1, w.level):
             raise ValueError(f"b0 at level {self.b0.level} cannot serve level {w.level}")
+        g = _cauchy(self.model, _from_coords(self.model.blocks, wc))[0]
         # kron(I, b0) has the coordinates kron(I, b0c)
-        upd = _picard(self.model, self.weights, _lift(self.b0c, w.level // self.b0.level), wc)[1]
+        upd = _picard(self.weights, _lift(self.b0c, w.level // self.b0.level), g, wc)[1]
         return NcPoint(w.base_dim, w.level, _from_coords(self.model.blocks, upd))
 
 

@@ -4,10 +4,12 @@ All matrices are numpy complex128 arrays. The functions here wrap
 numpy.linalg with the validation and error taxonomy the rest of the
 package relies on: Hermiticity checks before spectral calls, explicit
 singularity detection, a PSD inverse square root and a whitener. No
-other module calls np.linalg.eigvalsh, eigh, eigvals, svd, inv, cond or
-cholesky or sees a LinAlgError: herm_eigvals, herm_eig, spectrum,
-operator_norm, condition_number, is_singular, inverse and whitener ask
-for each factorization, under _factor's one rule for numerical failure.
+other module calls a numpy.linalg factorization or solver (eigvalsh,
+eigh, eigvals, eig, svd, inv, pinv, solve, lstsq, cond, det, slogdet,
+matrix_rank, cholesky, qr) or sees a LinAlgError: herm_eigvals,
+herm_eig, spectrum, operator_norm, condition_number, is_singular,
+inverse, whitener and qr ask for each factorization, under _factor's
+one rule for numerical failure.
 
 The wire format has one owner too: the matrix and complex codecs, and
 the registry through which to_json and from_json serve every tagged
@@ -190,6 +192,11 @@ def herm_eigvals(h: np.ndarray) -> np.ndarray:
     return _factor("eigenvalue", np.linalg.eigvalsh, h)
 
 
+def qr(a) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.qr(a), reduced: (Q, R) with orthonormal columns in Q and R upper triangular, under _factor's rule."""
+    return tuple(_factor("QR", np.linalg.qr, a))
+
+
 def spectrum(a) -> np.ndarray:
     """np.linalg.eigvals(a): the eigenvalues of a square matrix, or of each in a stack."""
     return _factor("eigenvalue", np.linalg.eigvals, a)
@@ -250,13 +257,14 @@ def inverse(a) -> np.ndarray:
     takes the LU route below. A stack of 1x1 matrices takes each route
     per matrix, so each inverse depends on its matrix alone.
 
-    The LU inverse comes first and is returned as it is when every
-    matrix has ||A||_F^2 ||A^-1||_F^2 < (0.1 / SINGULAR_RATIO)^2: since
-    sigma_max / sigma_min <= ||A||_F ||A^-1||_F, such a matrix is ten
-    times too well conditioned for the singular-value rule to reject,
-    and its SVD is not needed. A finite 1x1 stack takes no such test:
-    there sigma_min = sigma_max, so only a zero entry is singular, and
-    its LU fails. An LU that fails, a product that is not finite or a
+    The LU inverse comes first and is returned as it is when the sums
+    of ||A||_F^2 and of ||A^-1||_F^2 over the stack, one np.vdot each,
+    have a product below (0.1 / SINGULAR_RATIO)^2. That product bounds
+    ||A||_F^2 ||A^-1||_F^2 of every matrix, and sigma_max / sigma_min <=
+    ||A||_F ||A^-1||_F, so each matrix is ten times too well conditioned
+    for the singular-value rule to reject, and no SVD is needed. A
+    finite 1x1 stack takes no such test: there sigma_min = sigma_max, so
+    only a zero entry is singular, and its LU fails. An LU that fails, a product that is not finite or a
     larger one falls back to the singular values, under _factor's rule,
     so singular input raises what it raises under the singular-value
     rule alone and non-finite input FactorizationFailure.
@@ -267,10 +275,11 @@ def inverse(a) -> np.ndarray:
     if a.shape[-1] > 1:
         return _lu_inverse(a)
     size = np.abs(a)  # inf for a non-finite entry, nan for a nan; neither is in range
-    if RECIPROCAL_MIN < size.min(initial=np.inf) and size.max(initial=0.0) < 1.0 / RECIPROCAL_MIN:
+    moderate = (RECIPROCAL_MIN < size) & (size < 1.0 / RECIPROCAL_MIN)
+    if np.count_nonzero(moderate) == moderate.size:  # cheaper than .all() on small stacks
         return 1.0 / a
     inv = _lu_inverse(a)
-    np.divide(1.0, a, out=inv, where=(RECIPROCAL_MIN < size) & (size < 1.0 / RECIPROCAL_MIN))
+    np.divide(1.0, a, out=inv, where=moderate)
     return inv
 
 
@@ -282,10 +291,9 @@ def _lu_inverse(a: np.ndarray) -> np.ndarray:
     else:
         if a.shape[-1] == 1 and _finite(a):
             return inv
-        # extreme scales overflow the squared norms; inf and nan fail the test
-        with np.errstate(over="ignore", invalid="ignore"):
-            if _all(_fro2(a) * _fro2(inv) < (0.1 / SINGULAR_RATIO) ** 2):
-                return inv
+        # in Python floats an overflow is inf and inf * 0 is nan, with no warning; neither passes
+        if float(np.vdot(a, a).real) * float(np.vdot(inv, inv).real) < (0.1 / SINGULAR_RATIO) ** 2:
+            return inv
     sv, singular = _singular(a)
     if not _all(~singular):
         top, bottom = sv[singular][0, [0, -1]]

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .matcore import NumericalFailure, operator_norm
+from .matcore import NumericalFailure, operator_norm, qr
 from .ncpoint import NcDirection, NcPoint
 
 
@@ -97,7 +97,7 @@ def hermitian_matrix(rng, n: int, scale: float = 1.0) -> np.ndarray:
 
 
 def unitary_matrix(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(complex_matrix(rng, n, n))
+    q, r = qr(complex_matrix(rng, n, n))
     # Fix the phases so the distribution (and the matrix) is well defined.
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -1,12 +1,16 @@
 import gc
 import hashlib
+import io
 import json
 import math
 import re
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncmetric.cli
 import ncmetric.domains
@@ -1170,3 +1174,129 @@ def test_every_error_exits_with_the_code_of_its_one_base(monkeypatch, capsys):
         captured = capsys.readouterr()
         prefix = "input error" if code == 3 else "numerical failure"
         assert captured.err == f"{prefix}: planted\n" and captured.out == "", cls
+
+
+@st.composite
+def _convolve_argv(draw, tmp):
+    """convolve's argv: a law or a model file, a rho-t or a rho file, and the grid flags. One input, or
+    none, is spoiled: mistyped, non-finite, of the wrong shape or over the wrong blocks. The Kraus
+    maps reach 1e80-1e160, which is valid input that the solve may fail on."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spoiled = draw(st.sampled_from(
+        [None, None, None, "law", "model", "x", "blocks", "rho", "v", "t", "--xmin", "--xmax", "--points", "--eps",
+         "--max-iter", "--tol"]
+    ))
+
+    def pick(name, valid, invalid):
+        return draw(st.sampled_from(invalid if name == spoiled else valid))
+
+    def matrix(name, n, scale=1.0, block_scalar=None):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m = (m + m.conj().T) / 2 if block_scalar is None else np.diag(np.repeat(rng.uniform(0.1, 1.0, len(block_scalar)), block_scalar))
+        obj = mat_to_json(scale * m)
+        spoil = pick(name, [None], ["nan", "string", "rows", "bits", "shape", "asymmetric"])
+        if spoil == "nan":
+            obj["data"][0][0][0] = math.nan
+        elif spoil == "string":
+            obj["data"][0][0][1] = "1"
+        elif spoil == "rows":
+            obj["rows"] += 1
+        elif spoil == "bits":
+            obj["data"][0][0][0] = 10**400
+        elif spoil == "shape":
+            obj = mat_to_json(np.ones((n + 1, n)))
+        elif spoil == "asymmetric":
+            obj["data"][0][-1] = [5.0, 1.0]
+        return obj
+
+    def dump(name, obj):
+        path = tmp / f"{name}-{draw(st.integers(0, 10**9))}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    argv, blocks = ["convolve"], [1]
+    if draw(st.booleans()):
+        kind = pick("law", ["bernoulli", "semicircle", "arcsine", "point_mass"], ["cauchy", ""])
+        argv += ["--law", kind]
+        if kind == "semicircle" or spoiled == "law":
+            argv += ["--variance", pick("law", ["1", "0.5", "2"], ["0", "nan", "inf", "1e400", "abc"])]
+        if kind == "point_mass" or spoiled == "law":
+            argv += ["--atom", pick("law", ["0", "0.3", "-1"], ["nan", "-inf", "x"])]
+    else:
+        blocks = pick("blocks", [[2, 2], [1, 3], [4]], [[2, 1], [0, 4], [2.0, 2], ["2", 2], [], 4, [-1, 5]])
+        model = {"variant": "matrix_model", "x": matrix("x", 4), "blocks": blocks}
+        argv += ["--model", dump("model", model) if spoiled != "model" else str(tmp / "missing.json")]
+    if draw(st.booleans()):
+        argv += ["--rho-t", pick("t", ["1", "2", "1.5"], ["0.5", "nan", "inf", "-1", "abc", "1e400"])]
+    else:
+        scale = draw(st.sampled_from([1.0, 0.7, 1e80, 1e120, 1e160]))
+        sizes = blocks if isinstance(blocks, list) and all(type(k) is int and k > 0 for k in blocks) else [4]
+        vs = [matrix("v", sum(sizes), scale, block_scalar=sizes)]
+        rho = {"variant": "kraus_augment", "vs": pick("rho", [vs], [[], [mat_to_json(np.ones((4, 4)))], "v"])}
+        if draw(st.booleans()):
+            rho = {"variant": "scalar_power", "t": pick("rho", [2.0, 1.0, 3.5], [0.5, math.inf, math.nan, "2", 10**400])}
+        argv += ["--rho", dump("rho", rho)]
+    for flag, valid, invalid in (
+        ("--xmin", ["-1", "-2.5", "-1.99"], ["nan", "inf", "abc", "3"]),
+        ("--xmax", ["1", "2.5", "1.99"], ["-inf", "1e400", "x", "-3"]),
+        ("--points", ["1", "3", "5"], ["0", "-2", "2.5", "x", "100000"]),
+        ("--eps", ["1e-2", "1e-3", "0.5"], ["0", "nan", "1e-12", "-1"]),
+        ("--max-iter", ["5", "30", "12"], ["0", "x", "-3"]),
+        ("--tol", ["1e-9", "1e-6"], ["0", "nan", "-1e-9"]),
+    ):
+        if flag in ("--xmin", "--xmax", "--points") or draw(st.booleans()):
+            argv += [flag, pick(flag, valid, invalid)]
+    if draw(st.booleans()):
+        argv += ["--out", str(tmp / "grid.csv")]
+    return argv
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-finite JSON number {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_convolve_input_contract(tmp_path_factory, data):
+    # exit 0, 3 or 4 and never a traceback; an input error prints nothing on
+    # stdout; any other output is strict JSON or a CSV of finite numbers (a
+    # solve that fails numerically prints none); no Python warning is raised
+    argv = data.draw(_convolve_argv(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 3, 4), (argv, stderr)
+    assert "Traceback" not in stderr
+    assert [str(w.message) for w in caught] == [], argv
+    if code == 3:
+        assert stdout == "", argv
+    elif stdout.startswith("{"):
+        _strict_json(stdout)
+    else:
+        lines = stdout.splitlines()
+        assert lines[:1] in ([], ["x,density,residual,iterations"]), argv
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(",")), (argv, stdout)
+
+
+def test_a_partly_unconverged_grid_warns_on_stderr(capsys):
+    # rows x = -0.995, 0 and 0.995 run out of budget; the CSV and the exit code
+    # stay as they are, and one stderr line counts them and names the first
+    argv = ["convolve", "--law", "bernoulli", "--rho-t", "2", "--xmin", "-1.99", "--xmax", "1.99",
+            "--points", "5", "--eps", "1e-3", "--max-iter", "12"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 3 of 5 rows did not converge in 12 iterations (first at x = -0.995)\n"
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [int(r[3]) for r in rows] == [11, 12, 12, 12, 11]
+    assert [float(r[2]) > 1e-9 for r in rows] == [False, True, True, True, False]
+    # a grid whose rows all converge warns of nothing
+    assert main(argv[:-2]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from ncmetric.freeprob import (
     subordination_solve,
     support_interval,
 )
-from ncmetric.matcore import NonHermitianInput, direct_sum_mats
+from ncmetric.matcore import FactorizationFailure, NonHermitianInput, direct_sum_mats
 from ncmetric.ncpoint import NcPoint, point
 from ncmetric.sampling import halfplane_point
 
@@ -157,7 +158,7 @@ def test_G_of_a_unitary_conjugate_of_a_diagonal_is_G_of_each_entry(law, zs, seed
     want = u @ (quotient * (u.conj().T @ e @ u)) @ u.conj().T
     # DG at the unit coordinates E_ij (a scalar law's coordinates: its matrices, on a block axis of one),
     # summed with the entries of e
-    got = np.tensordot(e.reshape(-1), law._G_dG(b, True)[1][:, 0], 1)
+    got = np.tensordot(e.reshape(-1), law._G_dG(b.mat, True)[1][:, 0], 1)
     assert np.linalg.norm(got - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
 
 
@@ -185,7 +186,7 @@ _UNITS = np.eye(4, dtype=complex).reshape(4, 2, 2)  # E_11, E_12, E_21, E_22
 def test_continuous_dG_matches_the_derivative_oracles(law):
     zs = [0.3 + 1.0j, -0.995 * _edge(law) + 1e-3j, 2.0 * _edge(law) + 0.5j]
     # level 1: DG(z)[e] = g'(z) e
-    got = law._G_dG(NcPoint(1, 1, np.array(zs)[:, None, None]), True)[1]
+    got = law._G_dG(np.array(zs)[:, None, None], True)[1]
     for z, dg in zip(zs, got[:, 0, 0, 0, 0]):
         want = _G_prime(law, z)
         assert abs(dg - want) <= 1e-12 * max(1.0, abs(want)), z
@@ -194,7 +195,7 @@ def test_continuous_dG_matches_the_derivative_oracles(law):
     for z1, z2 in ((zs[0], zs[1]), (zs[1], zs[2])):
         dd = (_G_oracle(law, z1) - _G_oracle(law, z2)) / (z1 - z2)
         coeff = np.array([_G_prime(law, z1), dd, dd, _G_prime(law, z2)])
-        got = law._G_dG(point(np.diag([z1, z2])), True)[1][:, 0]
+        got = law._G_dG(np.diag([z1, z2]), True)[1][:, 0]
         want = coeff[:, None, None] * _UNITS
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max()), (z1, z2)
 
@@ -218,7 +219,7 @@ def test_level_two_dG_at_close_eigenvalues_is_daleckii_krein(law):
             assert abs(dd - (g1 - g2) / (z1 - z2)) <= 4.0 * np.finfo(float).eps * (abs(g1) + abs(g2)) / abs(z1 - z2)
             coeff = np.array([[_G_prime(law, z1), dd], [dd, _G_prime(law, z2)]])
             want = u @ ((u.conj().T @ _UNITS @ u) * coeff) @ u.conj().T
-            got = law._G_dG(point((u * [z1, z2]) @ u.conj().T), True)[1][:, 0]
+            got = law._G_dG((u * [z1, z2]) @ u.conj().T, True)[1][:, 0]
             worst = max(worst, np.abs(got - want).max() / max(1.0, np.abs(want).max()))
     assert worst <= 1e-12
 
@@ -230,7 +231,7 @@ def _block_corner(model, b, dirs):
     big = np.zeros((len(dirs), 2 * n, 2 * n), dtype=complex)
     big[:, :n, :n] = big[:, n:, n:] = b.mat
     big[:, :n, n:] = dirs
-    return model._G_dG(NcPoint(b.base_dim, 2 * level, big), False)[0][..., :level, level:]
+    return model._G_dG(big, False)[0][..., :level, level:]
 
 
 def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
@@ -247,7 +248,7 @@ def test_atomic_and_matrix_dG_match_resolvent_sums_and_block_corners():
             b = halfplane_point(rng, level, d, im_floor=0.2)
             n = b.dim
             dirs = freeprob._from_coords(model.blocks, freeprob._units(model.blocks, level))
-            got = model._G_dG(NcPoint(d, level, b.mat[None]), True)[1][0]
+            got = model._G_dG(b.mat[None], True)[1][0]
             np.testing.assert_allclose(got, _block_corner(model, b, dirs), rtol=0, atol=1e-12)
             if atoms:
                 want = np.zeros_like(got[:, 0])
@@ -266,7 +267,7 @@ def test_matrix_model_jacobian_is_the_coordinates_of_r_b_r(blocks, level):
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     model = MatrixModel((h + h.conj().T) / 4, blocks)
     b = NcPoint(d, level, np.stack([halfplane_point(rng, level, d, im_floor=0.2).mat for _ in range(3)]))
-    got = model._G_dG(b, True)[1]
+    got = model._G_dG(b.mat, True)[1]
     basis = freeprob._from_coords(blocks, freeprob._units(blocks, level))
     assert got.shape == (3, len(basis), len(blocks), level, level)
     for row, dg in zip(b.mat, got):
@@ -290,7 +291,7 @@ def test_fused_transform_gives_the_bits_of_the_plain_one():
     for model, d in cases:
         for level in (1, 2, 3):
             b = NcPoint(d, level, np.stack([halfplane_point(rng, level, d, im_floor=0.2).mat for _ in range(3)]))
-            g = freeprob._from_coords(model.blocks, model._G_dG(b, True)[0])
+            g = freeprob._from_coords(model.blocks, model._G_dG(b.mat, True)[0])
             np.testing.assert_array_equal(g, cauchy_G(model, b).mat)
 
 
@@ -893,11 +894,11 @@ def test_failing_rows_raise_in_grid_order(monkeypatch):
     xs = np.linspace(-1.0, 1.0, 11)
     starts = {complex(x + 1j * eps): i for i, x in enumerate(xs)}
     fail_at = {3: 3, 7: 1}
-    real = freeprob._transform
+    real = freeprob._cauchy
     state = {"row": None, "calls": {}}
 
-    def flaky(model, b, dirs=None):
-        pts = b.mat.reshape(-1)
+    def flaky(model, m, jacobian=False):
+        pts = m.reshape(-1)
         if pts.size > 1:
             rows = [starts[complex(z)] for z in pts] if state["row"] is None else []
         elif complex(pts[0]) in starts:
@@ -909,9 +910,9 @@ def test_failing_rows_raise_in_grid_order(monkeypatch):
             state["calls"][row] = state["calls"].get(row, 0) + 1
             if state["calls"][row] >= fail_at.get(row, np.inf):
                 raise SingularResolvent(f"planted failure in row {row}")
-        return real(model, b, dirs)
+        return real(model, m, jacobian)
 
-    monkeypatch.setattr(freeprob, "_transform", flaky)
+    monkeypatch.setattr(freeprob, "_cauchy", flaky)
     with pytest.raises(SingularResolvent, match="planted failure in row 3$"):
         density_grid(law, rho, -1.0, 1.0, points=11, eps=eps)
     # rows 0-2 were solved alone before row 3 failed
@@ -1006,3 +1007,115 @@ def test_kraus_augment_acts_on_a_scalar_law_as_a_scalar_power():
     w_kraus, _ = subordination_solve(law, KrausAugment((np.array([[v]]),)), b)
     w_power, _ = subordination_solve(law, ScalarPower(1.0 + v * v), b)
     np.testing.assert_allclose(w_kraus.mat, w_power.mat, atol=1e-9)
+
+
+def _level_two_kraus_points(points):
+    # kron(Z, I_4) lies in the model algebra; Im Z = diag(1e-3, 2e-3)
+    zs = [np.array([[x + 1e-3j, 0.1], [0.1, -x + 2e-3j]]) for x in np.linspace(-2.5, 2.5, points)]
+    return NcPoint(4, 2, np.stack([np.kron(z, np.eye(4)) for z in zs]))
+
+
+def test_np_linalg_calls_per_level_two_kraus_iteration_do_not_grow_with_rows(monkeypatch):
+    # at level two the coordinate blocks are 2 x 2: one eigenvalue call takes Im G,
+    # Im h and Im of the Picard points together, one those of the Newton points;
+    # the inverses are the 8 x 8 resolvents, F = G^-1 and the 8 x 8 Jacobians
+    model, rho, _, _, _ = GRIDS["matrix_kraus"]
+    calls = _count_linalg_calls(monkeypatch)
+    for points in (1, 5, 41):
+        b = _level_two_kraus_points(points)
+        made = []
+        for k in (3, 4):
+            before = dict(calls)
+            _, columns = freeprob._solve_stack(model, rho, b, 1e-300, k)
+            assert not any(columns[1])
+            made.append({name: calls[name] - before[name] for name in calls})
+        assert {name: made[1][name] - made[0][name] for name in calls} == {"inv": 3, "eigvalsh": 2, "svd": 0}, points
+
+
+_FAILURES = ("G", "F", "h", "update")
+
+
+@pytest.mark.parametrize(
+    "level, bad",
+    [
+        (level, set(c))
+        for level in (1, 2)
+        for r in range(1, 5)
+        for c in itertools.combinations(_FAILURES, r)
+        # a 1 x 1 eigenvalue is read, not computed, so an update alone that is not finite fails later
+        if (level, c) != (1, ("update",))
+    ],
+    ids=lambda v: "+".join(sorted(v)) if isinstance(v, set) else f"level{v}",
+)
+def test_the_one_im_pass_fails_in_the_order_of_the_checks(monkeypatch, level, bad):
+    # plant failures in the first step: Im G made positive, F = G^-1 raising,
+    # Im h pushed far below zero, a Picard update that is not finite (an
+    # infinite weight of rho - Id); the first in that order must raise its own
+    # message, as when each is checked on its own, also where the eigenvalues
+    # of the stacked three fail on the update's infinities (above 1 x 1)
+    model = MatrixModel(_X4, (2, 2))
+    rho = KrausAugment(((1e200 if "update" in bad else 0.8) * np.eye(4),))
+    real_cauchy, real_inverse = freeprob._cauchy, freeprob.inverse
+
+    def cauchy(model, m, jacobian=False):
+        g, dg = real_cauchy(model, m, jacobian)
+        return (g.conj() if "G" in bad else g), dg
+
+    def inverse(a):
+        if a.ndim < 4:  # the resolvents and the Jacobians; G's coordinates are (N, K, n, n)
+            return real_inverse(a)
+        if "F" in bad:
+            raise freeprob.SingularMatrix("planted: G is singular")
+        return real_inverse(a) - (10j * np.eye(a.shape[-1]) if "h" in bad else 0.0)
+
+    monkeypatch.setattr(freeprob, "_cauchy", cauchy)
+    monkeypatch.setattr(freeprob, "inverse", inverse)
+    b = _level_two_kraus_points(3) if level == 2 else NcPoint(4, 1, (np.linspace(-1, 1, 3) + 1e-2j)[:, None, None] * np.eye(4))
+    first = next(name for name in _FAILURES if name in bad)
+    error, message = {
+        "G": (SingularResolvent, "Cauchy transform lost strict negativity of Im G$"),
+        "F": (SingularResolvent, "planted: G is singular$"),
+        "h": (SingularResolvent, "Im h dropped below zero beyond roundoff"),
+        "update": (FactorizationFailure, "eigenvalue failure: Array must not contain infs or NaNs$"),
+    }[first]
+    with pytest.raises(error, match=message) as raised:
+        freeprob._solve_stack(model, rho, b, 1e-9, 5)
+    assert type(raised.value) is error
+
+
+def test_an_unconverged_row_reports_the_norm_of_a_step_whose_squares_overflow():
+    # rho - Id weighs the scalars by |v|^2 = 2.5e159, so the last steps are near
+    # 1e158: finite, but their squares are not
+    rho = KrausAugment((np.array([[0.5e80]]),))
+    rows = density_grid(ScalarLaw("bernoulli"), rho, -2.5, 2.5, points=3, eps=0.5, max_iter=5).rows
+    assert not any(r.converged for r in rows)
+    assert all(1e150 < r.residual < np.inf for r in rows)
+
+
+def _unit_dG_by_broadcast(blocks, r):
+    # the broadcast product of the two views of r, then its block sums, as
+    # _unit_dG was first written
+    lead, d = r.shape[:-2], sum(blocks)
+    n, k = r.shape[-1] // d, len(blocks)
+    left = r.mT.reshape(lead + (n, d, n, d))
+    right = r.reshape(lead + (n, d, n, d))
+    terms = (left[..., :, None, :, :, None, :] * right[..., None, :, :, None, :, :]).reshape(lead + (-1,))
+    owner = np.repeat(np.arange(k), blocks)
+    i, l, c, i2, l2, a = np.indices((n, n, d, n, n, d)).reshape(6, -1)
+    labels = (((owner[c] * n + i) * n + l) * k + owner[a]) * n * n + i2 * n + l2
+    sums = np.stack([terms.take(np.flatnonzero(labels == g), -1).sum(-1) for g in range(labels.max() + 1)], -1)
+    divisors = np.tile(-np.repeat(np.array(blocks, np.complex128), n * n), k * n * n)
+    return (sums / divisors).reshape(lead + (k * n * n, k, n, n))
+
+
+@pytest.mark.parametrize("blocks", [(2, 2), (1, 3), (3, 1, 2)], ids=str)
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_unit_dG_gathers_the_products_of_the_broadcast_to_the_bit(blocks, level):
+    # each label's products are summed as one contiguous run in either form;
+    # 41 rows at level three make products too large for numpy to compute
+    # in a temporary's memory, where a swapped complex product rounds differently
+    rng = _rng(93)
+    d = sum(blocks)
+    for rows in (1, 7, 41):
+        r = rng.standard_normal((rows, level * d, level * d)) + 1j * rng.standard_normal((rows, level * d, level * d))
+        assert _bits(freeprob._unit_dG(blocks, r)) == _bits(_unit_dG_by_broadcast(blocks, r))

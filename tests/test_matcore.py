@@ -34,6 +34,7 @@ from ncmetric.matcore import (
     positivity_score,
     principal_sqrt,
     psd_inv_sqrt,
+    qr,
     spectrum,
     whitener,
 )
@@ -588,12 +589,15 @@ def test_each_module_imports_only_the_modules_pinned_for_it():
 
 
 def test_only_matcore_calls_the_lapack_choke_points():
-    # eigvalsh, eigh, eigvals, svd, inv, cond and cholesky are called, and a
-    # LinAlgError is seen, in matcore alone, behind herm_eigvals, herm_eig,
-    # spectrum, operator_norm, condition_number, is_singular, inverse and
-    # whitener, which hold to one rule for numerical failure; numpy.linalg is
-    # reached as np.linalg only, so no alias slips past
-    choke = {"eigvalsh", "eigh", "eigvals", "svd", "inv", "cond", "cholesky"}
+    # numpy.linalg's factorizations and solvers are called, and a LinAlgError
+    # is seen, in matcore alone, behind herm_eigvals, herm_eig, spectrum,
+    # operator_norm, condition_number, is_singular, inverse, whitener and qr,
+    # which hold to one rule for numerical failure; numpy.linalg is reached as
+    # np.linalg only, so no alias slips past
+    choke = {
+        "eigvalsh", "eigh", "eigvals", "eig", "svd", "inv", "pinv", "solve", "lstsq", "cond", "det", "slogdet",
+        "matrix_rank", "cholesky", "qr",
+    }
     offenders = []
     for name, tree in _package_trees().items():
         if name == "matcore.py":
@@ -652,3 +656,14 @@ def test_condition_number_is_cond_bitwise():
     stack = np.stack([np.eye(3) + 0.1 * k * np.diag([1.0, 2.0, 3.0]) for k in range(4)])
     np.testing.assert_array_equal(condition_number(stack), np.linalg.cond(stack))
 
+
+
+def test_qr_is_numpys_under_the_factorization_rule():
+    rng = _rng(31)
+    for n in (1, 3, 6):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        (q, r), (q0, r0) = qr(m), np.linalg.qr(m)
+        assert q.tobytes() == q0.tobytes() and r.tobytes() == r0.tobytes()
+    m[0, 0] = np.nan
+    with pytest.raises(FactorizationFailure, match="^QR failure: Array must not contain infs or NaNs$"):
+        qr(m)
